@@ -243,7 +243,6 @@ def augment_corpus(
     spec: AugmentSpec,
     split: str,
     out_dir: str | Path,
-    jobs: int = 1,
 ) -> tuple[Manifest, list[dict]]:
     """Mix every record with sampled noises at the requested SNR ladder.
 
@@ -251,7 +250,7 @@ def augment_corpus(
     ``{id}#snr{level}``, writes the mixed WAVs under out_dir, and returns the
     augmented manifest plus a provenance entry per output record.  The noise
     draw is seeded per (seed, record id), so results are independent of
-    processing order and of ``jobs``.
+    processing order.
     """
     noise_files = pool.split(split)
     if len(noise_files) < spec.noises_per_clip:
@@ -261,17 +260,10 @@ def augment_corpus(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     noise_cache: dict[str, AudioClip] = {}
-
-    def one(rec: Utterance):
-        return _augment_record(rec, manifest.base_dir, noise_files, spec, out_dir, noise_cache)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool_exec:
-            results = list(pool_exec.map(one, manifest.records))
-    else:
-        results = [one(rec) for rec in manifest.records]
+    results = [
+        _augment_record(rec, manifest.base_dir, noise_files, spec, out_dir, noise_cache)
+        for rec in manifest.records
+    ]
     new_records = [rec for records, _ in results for rec in records]
     provenance = [entry for _, entries in results for entry in entries]
     return build_manifest(new_records, out_dir), provenance

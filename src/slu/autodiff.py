@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import DimensionError, NumericError
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -252,11 +252,17 @@ def softmax_rows(x: Tensor) -> Tensor:
     return (x - x.logsumexp(axis=1, keepdims=True)).exp()
 
 
-def cross_entropy_row(logits: Tensor, target: int, smoothing: float = 0.0) -> Tensor:
-    """Smoothed negative log-likelihood of one class for a (1, K) logits row."""
-    k = logits.data.shape[1]
+def nll_rows(logits: Tensor, targets, smoothing: float = 0.0) -> Tensor:
+    """Per-row negative log-likelihood of one target class per (N, K) logits row.
+
+    With ``smoothing`` the picked log-probability is mixed with the mean
+    log-probability over all K classes (label smoothing).
+    """
+    n, k = logits.shape
+    if n != len(targets):
+        raise DimensionError(f"{n} logit rows vs {len(targets)} targets")
     lse = logits.logsumexp(axis=1)
-    picked = logits.gather_rows([0]).reshape(k).gather_rows([target]).sum()
+    picked = logits.reshape(n * k).gather_rows([i * k + t for i, t in enumerate(targets)])
     if smoothing == 0.0:
-        return lse.sum() - picked
-    return lse.sum() - ((1.0 - smoothing) * picked + smoothing * logits.mean(axis=1).sum())
+        return lse - picked
+    return lse - ((1.0 - smoothing) * picked + smoothing * logits.mean(axis=1))

@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import audio, data, metrics, synth
@@ -55,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refs", required=True)
     p.add_argument("--hyps", required=True)
     p.add_argument("--metrics", default="wer,slots-edit-f1,intent-f1")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--pretty", action="store_true")
     p.add_argument("--out", help="also write the JSON report to this path")
 
@@ -70,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr", default="0,10,20,30,40", help="comma-separated dB levels")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--random-offset", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("train-toy", help="train the toy joint model")
@@ -125,7 +122,7 @@ def cmd_tokenize(args) -> int:
     return 0
 
 
-def _score_report(refs_manifest, hyps_manifest, names: list[str], jobs: int) -> dict:
+def _score_report(refs_manifest, hyps_manifest, names: list[str]) -> dict:
     refs = data.iter_pairs(refs_manifest)
     hyps = data.iter_pairs(hyps_manifest)
     if len(refs) != len(hyps):
@@ -137,13 +134,7 @@ def _score_report(refs_manifest, hyps_manifest, names: list[str], jobs: int) -> 
         log.warning("scoring pairs by position, but %d record ids differ between files", mismatched)
     report: dict = {}
     if "wer" in names:
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                counts = list(pool.map(lambda p: metrics.edit_counts(p[0][0], p[1][0]), zip(refs, hyps)))
-            total_ref = sum(len(r[0]) for r in refs)
-            report["wer"] = sum(sum(c) for c in counts) / total_ref
-        else:
-            report["wer"] = metrics.corpus_wer([r[0] for r in refs], [h[0] for h in hyps])
+        report["wer"] = metrics.corpus_wer([r[0] for r in refs], [h[0] for h in hyps])
     if "slots-edit-f1" in names:
         edit = metrics.slots_edit_f1(refs, hyps)
         report["slots_edit_f1"] = {
@@ -169,7 +160,7 @@ def cmd_score(args) -> int:
         raise ValidationError(f"unknown metric(s) {unknown}; choose from {KNOWN_METRICS}")
     refs_manifest = data.parse_manifest(args.refs)
     hyps_manifest = data.parse_manifest(args.hyps)
-    report = _score_report(refs_manifest, hyps_manifest, names, args.jobs)
+    report = _score_report(refs_manifest, hyps_manifest, names)
     if args.pretty:
         for key in ("wer", "span_f1", "intent_f1"):
             if key in report:
@@ -204,9 +195,7 @@ def cmd_augment(args) -> int:
         random_offset=args.random_offset,
     )
     out_dir = Path(args.out)
-    augmented, provenance = audio.augment_corpus(
-        manifest, pool, spec, args.split, out_dir, jobs=args.jobs
-    )
+    augmented, provenance = audio.augment_corpus(manifest, pool, spec, args.split, out_dir)
     data.write_manifest(augmented, out_dir / "manifest.jsonl")
     atomic_write_text(out_dir / "provenance.json", json.dumps(provenance, indent=2) + "\n")
     print(json.dumps({"records": len(augmented.records), "out": str(out_dir)}))
@@ -257,13 +246,18 @@ def cmd_train_toy(args) -> int:
 
 def cmd_decode(args) -> int:
     model, feature, beam_size = load_checkpoint(args.ckpt)
-    if args.beam_size:
+    if args.beam_size is not None:
+        if args.beam_size < 1:
+            raise ValidationError(f"--beam-size must be >= 1, got {args.beam_size}")
         beam_size = args.beam_size
     manifest = data.parse_manifest(args.manifest)
     features = corpus_features(manifest, feature)
     lines = []
     for rec, feats in zip(manifest.records, features):
-        result = decode_two_step(model, feats, beam_size=beam_size)
+        try:
+            result = decode_two_step(model, feats, beam_size=beam_size)
+        except SluError as exc:
+            raise ValidationError(f"record {rec.id!r}: {exc}") from exc
         lines.append(
             data.record_to_json(
                 data.Utterance(rec.id, result.words, result.slots, result.intent)

@@ -1,10 +1,10 @@
 """Two-step inference: transcript beam search, then slot/intent decoding.
 
 Step one searches subword space for the best transcript under the
-first-order decoder; only the top-1 hypothesis survives.  Step two rebuilds
-the word-level concatenated states from the same audio features plus that
-hypothesis and decodes the intent (argmax) and slot path (argmax per token,
-or Viterbi under the CRF head).
+first-order decoder; only the top-1 hypothesis survives.  Step two reuses
+the step-one encoding and builds the word-level states for that hypothesis
+with ``JointModel.word_states``, as training does, then decodes the intent
+(argmax) and slot path (argmax per token, or Viterbi under the CRF head).
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, wrap
+from .autodiff import Tensor
 from .crf import CrfParams, crf_viterbi
 from .errors import DecodeError
 from .model import JointModel, HEAD_CRF
-from .subword import TokenizationResult, first_index_matrix, merge_tokens, pooling_matrix, tokenize
+from .subword import TokenizationResult, merge_tokens
 
 
 @dataclass
@@ -47,12 +47,14 @@ def step_logprobs(model: JointModel, params, enc: Tensor, prev_id: int, step: in
 
 def beam_search_transcript(
     model: JointModel,
-    features: np.ndarray,
+    enc: Tensor,
     beam_size: int,
+    params: dict[str, Tensor],
     max_len: int = 40,
-    params=None,
 ) -> tuple[list[int], float]:
     """Top-1 subword id sequence (without EOS) and its total log-probability.
+
+    ``enc`` is the encoder output of ``model.encode_features`` under ``params``.
 
     EOS competes for beam slots like any other symbol, so beam_size=1 is
     exactly greedy decoding; hypotheses that emit EOS retire from the beam.
@@ -62,8 +64,6 @@ def beam_search_transcript(
     if beam_size < 1:
         raise DecodeError(f"beam size must be >= 1, got {beam_size}")
     max_len = min(max_len, model.config.max_positions - 1)
-    p = params or model.detached_params()
-    enc = model.encode_features(features, p)
     live = [_Hyp((), 0.0)]
     done: list[_Hyp] = []
     cache: dict[tuple[int, int], np.ndarray] = {}
@@ -72,7 +72,7 @@ def beam_search_transcript(
         prev = hyp.tokens[-1] if hyp.tokens else model.bos_id
         key = (prev, step)
         if key not in cache:
-            cache[key] = step_logprobs(model, p, enc, prev, step)
+            cache[key] = step_logprobs(model, params, enc, prev, step)
         return cache[key]
 
     for step in range(max_len):
@@ -107,7 +107,8 @@ def decode_two_step(
     max_len: int = 40,
 ) -> DecodeResult:
     params = model.detached_params()
-    ids, logp = beam_search_transcript(model, features, beam_size, max_len, params)
+    enc = model.encode_features(features, params)
+    ids, logp = beam_search_transcript(model, enc, beam_size, params, max_len)
     tokens = model.asr_tokens(ids)
     words, first_index = merge_tokens(tokens, model.asr_vocab)
 
@@ -117,22 +118,9 @@ def decode_two_step(
         intent = model.intents[int(np.argmax(intent_logits.data[0]))]
         return DecodeResult([], [], intent, tokens, logp)
 
-    enc = model.encode_features(features, params)
-    prev = [model.bos_id] + ids
-    h_dec, _ = model.decoder_states(prev, list(range(len(prev))), enc, params)
-    ha = h_dec.gather_rows(list(range(len(ids))))
-    tok_hyp = TokenizationResult(tokens, first_index, first_index_matrix(first_index, len(ids)))
-    ma = pooling_matrix(tok_hyp, model.config.word_pooling)
-
-    tok_b = tokenize(words, model.nlu_vocab)
-    hb = model.nlu_states(model.nlu_ids(tok_b.tokens), params)
-    mb = pooling_matrix(tok_b, model.config.word_pooling)
-    hcat = concat([wrap(ma.T) @ ha, wrap(mb.T) @ hb], axis=1)
-
-    intent_logits = model.intent_logits_from([hcat], params)
-    intent = model.intents[int(np.argmax(intent_logits.data[0]))]
-
-    slot_scores = (hcat @ params["sl.w"] + params["sl.b"]).data
+    out = model.word_states(enc, TokenizationResult(tokens, first_index), words, params)
+    intent = model.intents[int(np.argmax(out.intent_logits.data[0]))]
+    slot_scores = out.slot_scores.data
     if model.config.slot_head == HEAD_CRF:
         crf = CrfParams(
             params["sl.trans"].data, params["sl.start"].data, params["sl.end"].data

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import FeatureConfig
-from .autodiff import Tensor, concat, cross_entropy_row, softmax_rows, wrap
+from .autodiff import Tensor, concat, nll_rows, softmax_rows, wrap
 from .crf import crf_nll_t
 from .errors import DimensionError, ValidationError
 from .ioutil import atomic_write_text
@@ -274,25 +274,36 @@ class JointModel:
         params: dict[str, Tensor] | None = None,
         stop_asr_grad: bool = False,
     ) -> ForwardOutputs:
-        """Teacher-forced forward pass over one utterance.
-
-        The ground-truth words feed both tokenizers; with ``stop_asr_grad``
-        the concatenation reads a detached copy of the decoder states, so
-        slot/intent errors cannot reach the speech branch (the 2-stage
-        baseline).  Transcript logits are unaffected by the flag.
-        """
+        """Teacher-forced forward pass over one utterance: encode, then word_states."""
         p = params or self.params
         words = list(words)
         if not words:
             raise ValidationError("forward requires at least one word")
         tok_a = tokenize(words, self.asr_vocab)
+        return self.word_states(self.encode_features(features, p), tok_a, words, p, stop_asr_grad)
+
+    def word_states(
+        self,
+        enc: Tensor,
+        tok_a: TokenizationResult,
+        words: list[str],
+        p: dict[str, Tensor],
+        stop_asr_grad: bool = False,
+    ) -> ForwardOutputs:
+        """Word-level states, slot scores and intent logits for one transcript.
+
+        ``tok_a`` is the ASR tokenization of ``words``: the ground truth in
+        training, the top-1 beam hypothesis in decoding.  With
+        ``stop_asr_grad`` the concatenation reads a detached copy of the
+        decoder states, so slot/intent errors cannot reach the speech branch
+        (the 2-stage baseline).  Transcript logits are unaffected by the flag.
+        """
         tok_b = tokenize(words, self.nlu_vocab)
         ids_a = self.asr_ids(tok_a.tokens)
         ids_b = self.nlu_ids(tok_b.tokens)
         if len(ids_a) + 1 > self.config.max_positions:
             raise DimensionError("utterance exceeds max decoder positions")
 
-        enc = self.encode_features(features, p)
         prev = [self.bos_id] + ids_a
         h_dec, asr_logits = self.decoder_states(prev, list(range(len(prev))), enc, p)
         ha = h_dec.gather_rows(list(range(len(ids_a))))
@@ -320,22 +331,13 @@ class JointModel:
 
     def loss_asr(self, asr_logits: Tensor, targets: list[int], smoothing: float | None = None) -> Tensor:
         """Mean per-token negative log-likelihood with label smoothing."""
-        n, k = asr_logits.shape
-        if n != len(targets):
-            raise DimensionError(f"{n} logit rows vs {len(targets)} targets")
         eps = self.config.label_smoothing if smoothing is None else smoothing
-        lse = asr_logits.logsumexp(axis=1)
-        picked = asr_logits.reshape(n * k).gather_rows(
-            [i * k + t for i, t in enumerate(targets)]
-        )
-        if eps == 0.0:
-            return (lse - picked).mean()
-        return (lse - ((1.0 - eps) * picked + eps * asr_logits.mean(axis=1))).mean()
+        return nll_rows(asr_logits, targets, eps).mean()
 
     def loss_nlu(self, slot_scores: Tensor, intent_logits: Tensor, slots, intent: str) -> Tensor:
         """Slot sequence NLL (per-token sum or CRF) plus intent NLL."""
         tag_ids = self.tag_ids(slots)
-        n, k = slot_scores.shape
+        n = slot_scores.shape[0]
         if n != len(tag_ids):
             raise DimensionError(f"{n} slot score rows vs {len(tag_ids)} tags")
         if self.config.slot_head == HEAD_CRF:
@@ -343,12 +345,8 @@ class JointModel:
                 slot_scores, tag_ids, self.params["sl.trans"], self.params["sl.start"], self.params["sl.end"]
             )
         else:
-            lse = slot_scores.logsumexp(axis=1)
-            picked = slot_scores.reshape(n * k).gather_rows(
-                [i * k + t for i, t in enumerate(tag_ids)]
-            )
-            slot_term = (lse - picked).sum()
-        return slot_term + cross_entropy_row(intent_logits, self.intent_id(intent))
+            slot_term = nll_rows(slot_scores, tag_ids).sum()
+        return slot_term + nll_rows(intent_logits, [self.intent_id(intent)]).sum()
 
     def loss_slu(
         self,
@@ -392,11 +390,20 @@ class JointModel:
             obj["slot_tags"],
             obj["intents"],
         )
-        params = {}
-        for name, spec in obj["params"].items():
-            arr = np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
-            params[name] = Tensor(arr, requires_grad=True)
-        model.params = params
+        model.init_params()  # the names and shapes this config expects
+        stored = obj["params"]
+        if set(stored) != set(model.params):
+            name = min(set(stored) ^ set(model.params))
+            raise ValidationError(f"{'missing' if name in model.params else 'unexpected'} parameter {name!r}")
+        for name, expected in model.params.items():
+            shape = stored[name]["shape"]
+            if shape != list(expected.shape):
+                raise ValidationError(f"parameter {name!r}: shape {shape} != expected {list(expected.shape)}")
+            try:
+                arr = np.asarray(stored[name]["data"], dtype=np.float64).reshape(expected.shape)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"parameter {name!r}: bad data: {exc}") from exc
+            model.params[name] = Tensor(arr, requires_grad=True)
         return model
 
 
@@ -422,6 +429,8 @@ def load_checkpoint(path: str | Path) -> tuple[JointModel, FeatureConfig, int]:
         model = JointModel.from_dict(obj)
         feature = FeatureConfig(**obj.get("feature", {}))
         beam_size = int(obj.get("beam_size", 5))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed checkpoint: {exc}") from exc
+    if beam_size < 1:
+        raise ValidationError(f"{path}: beam_size must be >= 1, got {beam_size}")
     return model, feature, beam_size

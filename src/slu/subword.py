@@ -13,7 +13,7 @@ whole word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +62,6 @@ class TokenizationResult:
 
     tokens: list[str]
     first_index: list[int]
-    matrix: np.ndarray = field(repr=False)
 
     @property
     def num_tokens(self) -> int:
@@ -148,7 +147,7 @@ def tokenize(words, vocab: SubwordVocab) -> TokenizationResult:
         first_index.append(len(tokens))
         sub = _greedy_word(word, vocab)
         tokens.extend(sub if sub is not None else [vocab.unk])
-    return TokenizationResult(tokens, first_index, first_index_matrix(first_index, len(tokens)))
+    return TokenizationResult(tokens, first_index)
 
 
 def strip_marker(piece: str, kind: str) -> str:

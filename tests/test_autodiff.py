@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import finite_difference
-from slu.autodiff import Tensor, concat, cross_entropy_row, softmax_rows, wrap
-from slu.errors import NumericError
+from slu.autodiff import Tensor, concat, nll_rows, softmax_rows, wrap
+from slu.errors import DimensionError, NumericError
 
 
 def check_gradients(build, arrays, h=1e-5, tol=1e-6):
@@ -64,20 +64,29 @@ def test_broadcast_bias_grad():
     assert np.array_equal(b.grad, [4, 4, 4])
 
 
-def test_cross_entropy_row_values():
+def test_nll_rows_values():
     logits = Tensor(np.zeros((1, 5)), requires_grad=True)
-    loss = cross_entropy_row(logits, 2)
+    loss = nll_rows(logits, [2]).sum()
     assert loss.item() == pytest.approx(np.log(5))
     # a large margin on the right class drives the loss to zero
     sharp = Tensor(np.full((1, 5), -50.0))
     sharp.data[0, 2] = 50.0
-    assert cross_entropy_row(sharp, 2).item() == pytest.approx(0.0, abs=1e-12)
+    assert nll_rows(sharp, [2]).sum().item() == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(DimensionError):
+        nll_rows(logits, [2, 0])
 
 
-def test_cross_entropy_smoothing_grad():
+def test_nll_rows_smoothing_grad():
     rng = np.random.default_rng(5)
     arrays = {"x": rng.normal(size=(1, 6))}
-    check_gradients(lambda t: cross_entropy_row(t["x"], 3, smoothing=0.1), arrays)
+    check_gradients(lambda t: nll_rows(t["x"], [3], smoothing=0.1).sum(), arrays)
+
+
+def test_nll_rows_multi_row_smoothing_grad():
+    rng = np.random.default_rng(6)
+    arrays = {"x": rng.normal(size=(3, 6))}
+    weights = np.array([0.5, -1.0, 2.0])  # distinct per-row weights catch row mix-ups
+    check_gradients(lambda t: (nll_rows(t["x"], [3, 0, 5], smoothing=0.1) * weights).sum(), arrays)
 
 
 def test_detach_blocks_gradient():

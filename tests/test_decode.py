@@ -65,7 +65,10 @@ def test_beam_one_is_greedy():
     for seed in range(5):
         model = micro_model(seed)
         feats = np.random.default_rng(seed).normal(size=(6, 4))
-        beam_tokens, beam_logp = beam_search_transcript(model, feats, beam_size=1, max_len=5)
+        params = model.detached_params()
+        beam_tokens, beam_logp = beam_search_transcript(
+            model, model.encode_features(feats, params), beam_size=1, params=params, max_len=5
+        )
         greedy_tokens, greedy_logp = greedy_reference(model, feats, max_len=5)
         assert beam_tokens == greedy_tokens
         assert beam_logp == pytest.approx(greedy_logp, abs=1e-12)
@@ -77,7 +80,10 @@ def test_wide_beam_matches_exhaustive_argmax():
         model = micro_model(seed + 10)
         feats = np.random.default_rng(seed).normal(size=(5, 4))
         width = model.asr_output_size**max_len  # >= vocab^length: nothing is ever pruned
-        beam_tokens, beam_logp = beam_search_transcript(model, feats, beam_size=width, max_len=max_len)
+        params = model.detached_params()
+        beam_tokens, beam_logp = beam_search_transcript(
+            model, model.encode_features(feats, params), beam_size=width, params=params, max_len=max_len
+        )
         exh_tokens, exh_logp = exhaustive_reference(model, feats, max_len)
         assert beam_logp == pytest.approx(exh_logp, abs=1e-10)
         assert beam_tokens == exh_tokens
@@ -85,8 +91,9 @@ def test_wide_beam_matches_exhaustive_argmax():
 
 def test_beam_size_validation():
     model = micro_model()
+    params = model.detached_params()
     with pytest.raises(DecodeError):
-        beam_search_transcript(model, np.zeros((4, 4)), beam_size=0)
+        beam_search_transcript(model, model.encode_features(np.zeros((4, 4)), params), beam_size=0, params=params)
 
 
 def test_decode_result_invariants():
@@ -103,6 +110,21 @@ def test_decode_deterministic():
     a = decode_two_step(model, feats, beam_size=5, max_len=8)
     b = decode_two_step(model, feats, beam_size=5, max_len=8)
     assert (a.words, a.slots, a.intent, a.asr_logprob) == (b.words, b.slots, b.intent, b.asr_logprob)
+
+
+def test_decode_encodes_features_once(monkeypatch):
+    model = tiny_model(seed=3)
+    calls = []
+    encode = model.encode_features
+
+    def counting_encode(features, params=None):
+        calls.append(1)
+        return encode(features, params)
+
+    monkeypatch.setattr(model, "encode_features", counting_encode)
+    result = decode_two_step(model, tiny_features(4, frames=10), beam_size=3, max_len=8)
+    assert len(calls) == 1
+    assert len(result.slots) == len(result.words)
 
 
 def test_decode_crf_head_uses_viterbi_path():

@@ -29,7 +29,7 @@ def test_word_in_vocab_is_single_token():
     result = tokenize(["show"], vocab)
     assert result.tokens == ["show"]
     assert result.first_index == [0]
-    assert np.array_equal(result.matrix, np.eye(1))
+    assert np.array_equal(first_index_matrix(result.first_index, result.num_tokens), np.eye(1))
 
 
 def test_greedy_longest_match_wordpiece():
@@ -157,7 +157,7 @@ def test_pooling_matrix_modes():
     vocab = SubwordVocab.create(WORDPIECE, {"fl", "##ights", "show"})
     result = tokenize(["show", "flights"], vocab)
     first = pooling_matrix(result, "first")
-    assert np.array_equal(first, result.matrix)
+    assert np.array_equal(first, first_index_matrix(result.first_index, result.num_tokens))
     last = pooling_matrix(result, "last")
     assert last[0, 0] == 1 and last[2, 1] == 1 and last.sum() == 2
     mean = pooling_matrix(result, "mean")
