@@ -1,10 +1,13 @@
 """Two-step inference: transcript beam search, then slot/intent decoding.
 
-Step one searches subword space for the best transcript under the
-first-order decoder; only the top-1 hypothesis survives.  Step two reuses
-the step-one encoding and builds the word-level states for that hypothesis
-with ``JointModel.word_states``, as training does, then decodes the intent
-(argmax) and slot path (argmax per token, or Viterbi under the CRF head).
+Step one beam-searches subword space for the best transcript under the
+first-order decoder, one batched decoder call per step, with EOS ranked ahead
+of a prefix's extensions on ties, and stops as soon as no live prefix can
+beat or tie the best finished one; only the top-1 hypothesis survives.  Step
+two reuses the step-one encoding and builds the word-level states for that
+hypothesis with ``JointModel.word_states``, as training does, then decodes
+the intent (argmax) and slot path (argmax per token, or Viterbi under the CRF
+head).
 """
 
 from __future__ import annotations
@@ -29,22 +32,6 @@ class DecodeResult:
     asr_logprob: float
 
 
-@dataclass(frozen=True)
-class _Hyp:
-    tokens: tuple[int, ...]
-    logp: float
-
-    def key(self):
-        return (-self.logp, self.tokens)
-
-
-def step_logprobs(model: JointModel, params, enc: Tensor, prev_id: int, step: int) -> np.ndarray:
-    """Log-probabilities over the ASR output vocabulary for one decoder step."""
-    _, logits = model.decoder_states([prev_id], [step], enc, params)
-    row = logits.data[0]
-    return row - np.log(np.exp(row - row.max()).sum()) - row.max()
-
-
 def beam_search_transcript(
     model: JointModel,
     enc: Tensor,
@@ -56,48 +43,49 @@ def beam_search_transcript(
 
     ``enc`` is the encoder output of ``model.encode_features`` under ``params``.
 
-    EOS competes for beam slots like any other symbol, so beam_size=1 is
-    exactly greedy decoding; hypotheses that emit EOS retire from the beam.
-    Live hypotheses surviving to max_len are closed with a forced EOS.  Ties
-    break deterministically on the token id tuple.
+    All live prefixes have the same length, so each step expands them in one
+    batched ``decoder_states`` call.  EOS competes for beam slots like any
+    other symbol, so beam_size=1 is exactly greedy decoding; prefixes that
+    emit EOS retire from the beam, and live prefixes surviving to max_len are
+    closed with a forced EOS.  Ties break on the token id tuple: live
+    prefixes are kept in tuple order and EOS scores in front of a prefix's
+    extensions, so a stable sort of the flat (prefix, EOS + tokens) score
+    matrix is the tuple order.  Every step adds a log-probability <= 0, so
+    the search stops once the best finished log-probability is strictly
+    greater than every live one; a live prefix that could still tie it is
+    searched on.
     """
     if beam_size < 1:
         raise DecodeError(f"beam size must be >= 1, got {beam_size}")
     max_len = min(max_len, model.config.max_positions - 1)
-    live = [_Hyp((), 0.0)]
-    done: list[_Hyp] = []
-    cache: dict[tuple[int, int], np.ndarray] = {}
+    live: list[tuple[int, ...]] = [()]  # in token-tuple order
+    live_logp = np.zeros(1)
+    done: list[tuple[float, tuple[int, ...]]] = []  # (-logp, tokens), the tie-break key
 
-    def logprobs_after(hyp: _Hyp, step: int) -> np.ndarray:
-        prev = hyp.tokens[-1] if hyp.tokens else model.bos_id
-        key = (prev, step)
-        if key not in cache:
-            cache[key] = step_logprobs(model, params, enc, prev, step)
-        return cache[key]
+    def logprobs(step: int) -> np.ndarray:
+        prev = [tokens[-1] if tokens else model.bos_id for tokens in live]
+        _, logits = model.decoder_states(prev, [step] * len(live), enc, params)
+        z = logits.data
+        top = z.max(axis=1, keepdims=True)
+        return z - np.log(np.exp(z - top).sum(axis=1, keepdims=True)) - top
 
     for step in range(max_len):
-        candidates: list[tuple[_Hyp, bool]] = []
-        for hyp in live:
-            logprobs = logprobs_after(hyp, step)
-            candidates.append(
-                (_Hyp(hyp.tokens, hyp.logp + float(logprobs[model.eos_id])), True)
-            )
-            for tok in range(len(model.asr_pieces)):
-                candidates.append(
-                    (_Hyp(hyp.tokens + (tok,), hyp.logp + float(logprobs[tok])), False)
-                )
-        candidates.sort(key=lambda c: c[0].key())
-        top = candidates[:beam_size]
-        done.extend(hyp for hyp, ended in top if ended)
-        live = [hyp for hyp, ended in top if not ended]
-        if not live:
+        scores = live_logp[:, None] + np.roll(logprobs(step), 1, axis=1)  # column 0 is EOS
+        flat = np.sort(np.argsort(-scores.ravel(), kind="stable")[:beam_size])
+        rows, cols = np.divmod(flat, scores.shape[1])
+        done += [(-float(scores[r, 0]), live[r]) for r in rows[cols == 0]]
+        rows, cols = rows[cols > 0], cols[cols > 0]
+        live = [live[r] + (int(c) - 1,) for r, c in zip(rows, cols)]
+        live_logp = scores[rows, cols]
+        if not live or (done and -min(done)[0] > live_logp.max()):
             break
-    for hyp in live:  # close out hypotheses that hit the length bound
-        done.append(_Hyp(hyp.tokens, hyp.logp + float(logprobs_after(hyp, max_len)[model.eos_id])))
+    else:  # close out prefixes that hit the length bound
+        closed = live_logp + logprobs(max_len)[:, model.eos_id]
+        done += [(-float(logp), tokens) for tokens, logp in zip(live, closed)]
     if not done:
         raise DecodeError("beam search produced no complete hypothesis")
-    best = min(done, key=_Hyp.key)
-    return list(best.tokens), best.logp
+    neg_logp, tokens = min(done)
+    return list(tokens), -neg_logp
 
 
 def decode_two_step(

@@ -403,6 +403,8 @@ class JointModel:
                 arr = np.asarray(stored[name]["data"], dtype=np.float64).reshape(expected.shape)
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"parameter {name!r}: bad data: {exc}") from exc
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"parameter {name!r}: non-finite data")
             model.params[name] = Tensor(arr, requires_grad=True)
         return model
 

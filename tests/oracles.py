@@ -226,6 +226,13 @@ def crf_enumerate(emissions: np.ndarray, transitions, start, end):
     return log_z, list(best), scores
 
 
+def step_logprobs(model, params, enc, prev_id: int, step: int) -> np.ndarray:
+    """Log-probabilities over the ASR output vocabulary for one decoder step, one row."""
+    _, logits = model.decoder_states([prev_id], [step], enc, params)
+    row = logits.data[0]
+    return row - np.log(np.exp(row - row.max()).sum()) - row.max()
+
+
 def finite_difference(f, arrays: dict[str, np.ndarray], h: float = 1e-4) -> dict[str, np.ndarray]:
     """Central-difference gradient of scalar f() w.r.t. each array, in place."""
     grads = {}

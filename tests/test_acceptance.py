@@ -18,7 +18,7 @@ from conftest import random_pair_corpus, random_subword_instance
 from slu.audio import AudioClip, AugmentSpec, NoisePool, augment_corpus, mix_at_snr_report, read_wav, write_wav
 from slu.cli import main as cli_main
 from slu.data import Utterance, build_manifest, parse_manifest, write_manifest
-from slu.decode import beam_search_transcript, decode_two_step, step_logprobs
+from slu.decode import beam_search_transcript, decode_two_step
 from slu.crf import CrfParams, crf_log_z, crf_viterbi
 from slu.metrics import slots_edit_f1, wer
 from slu.model import JointModel, ModelConfig, deserialize_slots, serialize_slots
@@ -215,7 +215,7 @@ def test_criterion_7_two_step_decoding():
             # greedy reference
             tokens, logp, prev = [], 0.0, model.bos_id
             for step in range(max_len + 1):
-                lp = step_logprobs(model, params, enc, prev, step)
+                lp = oracles.step_logprobs(model, params, enc, prev, step)
                 pick = int(np.argmax(lp)) if step < max_len else model.eos_id
                 logp += float(lp[pick])
                 if pick == model.eos_id:
@@ -230,7 +230,7 @@ def test_criterion_7_two_step_decoding():
 
             def lp_at(prev_id, step):
                 if (prev_id, step) not in table:
-                    table[(prev_id, step)] = step_logprobs(model, params, enc, prev_id, step)
+                    table[(prev_id, step)] = oracles.step_logprobs(model, params, enc, prev_id, step)
                 return table[(prev_id, step)]
 
             import itertools

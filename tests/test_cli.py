@@ -290,8 +290,10 @@ def _decode_fails_cleanly(capsys, ckpt, manifest, out, *extra):
         (lambda params: params["sl.b"].update(data=["abc", "abc"]), "parameter 'sl.b': bad data"),
         (lambda params: params.update({"sl.extra": {"shape": [1], "data": [0.0]}}),
          "unexpected parameter 'sl.extra'"),
+        (lambda params: params["sl.b"].update(data=[float("nan"), float("inf")]),
+         "parameter 'sl.b': non-finite data"),
     ],
-    ids=["wrong-shape", "missing", "non-numeric", "extra"],
+    ids=["wrong-shape", "missing", "non-numeric", "extra", "non-finite"],
 )
 def test_corrupt_checkpoint_param_exits_2(capsys, tmp_path, ref_manifest, edit, message):
     ckpt = _small_checkpoint(tmp_path / "ckpt.json")

@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from conftest import tiny_features, tiny_model
-from slu.decode import beam_search_transcript, decode_two_step, step_logprobs
+from oracles import step_logprobs
+from slu.decode import beam_search_transcript, decode_two_step
 from slu.errors import DecodeError
 from slu.model import JointModel, ModelConfig
 from slu.subword import BPE, WORDPIECE, SubwordVocab
@@ -87,6 +89,39 @@ def test_wide_beam_matches_exhaustive_argmax():
         exh_tokens, exh_logp = exhaustive_reference(model, feats, max_len)
         assert beam_logp == pytest.approx(exh_logp, abs=1e-10)
         assert beam_tokens == exh_tokens
+
+
+def test_all_ties_pick_the_empty_transcript():
+    max_len = 4
+    model = micro_model(3)
+    model.params["asr.out_w"].data[:] = 0.0
+    model.params["asr.out_b"].data[:] = 0.0  # every step: uniform over V+1 outputs
+    feats = np.random.default_rng(3).normal(size=(5, 4))
+    params = model.detached_params()
+    enc = model.encode_features(feats, params)
+    expected = ([], -math.log(model.asr_output_size))
+    width = model.asr_output_size**max_len
+    for beam_size in (1, 2, 3, width):
+        assert beam_search_transcript(model, enc, beam_size, params, max_len) == expected
+    assert exhaustive_reference(model, feats, max_len) == expected
+
+
+def test_search_stops_once_no_live_prefix_can_win(monkeypatch):
+    model = micro_model(4)
+    model.params["asr.out_b"].data[model.eos_id] += 50.0
+    params = model.detached_params()
+    enc = model.encode_features(np.random.default_rng(4).normal(size=(5, 4)), params)
+    calls = []
+    decoder_states = model.decoder_states
+
+    def counting_decoder_states(prev_ids, steps, enc, p):
+        calls.append(len(prev_ids))
+        return decoder_states(prev_ids, steps, enc, p)
+
+    monkeypatch.setattr(model, "decoder_states", counting_decoder_states)
+    tokens, logp = beam_search_transcript(model, enc, beam_size=5, params=params, max_len=40)
+    assert calls == [1]
+    assert tokens == [] and -1e-12 < logp <= 0.0
 
 
 def test_beam_size_validation():
