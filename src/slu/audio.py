@@ -135,10 +135,6 @@ def mix_at_snr_report(clean: AudioClip, noise: AudioClip, snr_db: float, offset:
     return MixResult(AudioClip(mixed, clean.sample_rate), gain, clipped)
 
 
-def mix_at_snr(clean: AudioClip, noise: AudioClip, snr_db: float) -> AudioClip:
-    return mix_at_snr_report(clean, noise, snr_db).audio
-
-
 @dataclass
 class NoisePool:
     train_noises: tuple[str, ...]

@@ -1,7 +1,8 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-Only the ops the joint model needs: broadcast add/mul, 2-D matmul, tanh,
-exp/log, sum/mean, stable logsumexp, concat, row gather, reshape, transpose.
+Only the ops the joint model needs: broadcast add/sub/mul, 2-D matmul, a
+fused affine layer (``linear``), tanh, exp/log, sum/mean, stable logsumexp,
+concat, row gather, reshape, transpose.
 Nodes record parents only when a gradient is required, so inference builds
 no graph.
 """
@@ -14,6 +15,8 @@ from .errors import DimensionError, NumericError
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, size in enumerate(shape):
@@ -50,16 +53,21 @@ class Tensor:
     @staticmethod
     def _op(data, parents, backward) -> "Tensor":
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = parents
-            out._backward = backward
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._backward = backward
+                break
         return out
 
     def _accum(self, grad: np.ndarray) -> None:
+        grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
+            # A copy: callers pass one array to several parents, or a read-only view.
+            self.grad = np.array(grad)
+        else:
+            self.grad += grad
 
     # -- arithmetic -------------------------------------------------------
 
@@ -77,17 +85,19 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        def backward(g):
-            self._accum(-g)
-
-        return Tensor._op(-self.data, (self,), backward)
-
     def __sub__(self, other):
-        return self + (-wrap(other))
+        other = wrap(other)
+
+        def backward(g):
+            if self.requires_grad:
+                self._accum(g)
+            if other.requires_grad:
+                other._accum(-g)
+
+        return Tensor._op(self.data - other.data, (self, other), backward)
 
     def __rsub__(self, other):
-        return wrap(other) + (-self)
+        return wrap(other) - self
 
     def __mul__(self, other):
         other = wrap(other)
@@ -220,7 +230,7 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if parent.requires_grad:
+                if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
@@ -230,6 +240,23 @@ class Tensor:
 
 def wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for (N, I) rows, (I, O) weights and an (O,) bias, as one node."""
+    x, w, b = wrap(x), wrap(w), wrap(b)
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise NumericError("matmul requires 2-D operands")
+
+    def backward(g):
+        if b.requires_grad:
+            b._accum(g)
+        if x.requires_grad:
+            x._accum(g @ w.data.T)
+        if w.requires_grad:
+            w._accum(x.data.T @ g)
+
+    return Tensor._op(x.data @ w.data + b.data, (x, w, b), backward)
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:

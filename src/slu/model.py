@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import FeatureConfig
-from .autodiff import Tensor, concat, nll_rows, softmax_rows, wrap
+from .autodiff import Tensor, concat, linear, nll_rows, softmax_rows, wrap
 from .crf import crf_nll_t
 from .errors import DimensionError, ValidationError
 from .ioutil import atomic_write_text
@@ -81,31 +81,12 @@ def subsample_features(features: np.ndarray, stride: int) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
     if stride < 1:
         raise ValidationError(f"stride must be >= 1, got {stride}")
-    if stride == 1:
-        return features.copy()
     t = features.shape[0]
-    groups = -(-t // stride)
-    return np.stack(
-        [features[g * stride : min((g + 1) * stride, t)].mean(axis=0) for g in range(groups)]
-    )
-
-
-def serialize_slots(words, slots) -> list[str]:
-    """Interleave words and slot tags into one sequence [w1, s1, w2, s2, ...]."""
-    words, slots = list(words), list(slots)
-    if len(words) != len(slots):
-        raise ValidationError(f"cannot serialize: {len(words)} words vs {len(slots)} slots")
-    out: list[str] = []
-    for w, s in zip(words, slots):
-        out += [w, s]
-    return out
-
-
-def deserialize_slots(seq) -> tuple[list[str], list[str]]:
-    seq = list(seq)
-    if len(seq) % 2:
-        raise ValidationError(f"serialized sequence has odd length {len(seq)}")
-    return seq[0::2], seq[1::2]
+    full = t - t % stride  # frames in complete groups; a shorter last group is pooled on its own
+    pooled = features[:full].reshape((full // stride, stride) + features.shape[1:]).mean(axis=1)
+    if full == t:
+        return pooled
+    return np.concatenate([pooled, features[full:].mean(axis=0, keepdims=True)])
 
 
 class JointModel:
@@ -230,7 +211,7 @@ class JointModel:
     # -- forward pieces ---------------------------------------------------
 
     def encode_features(self, features: np.ndarray, params: dict[str, Tensor] | None = None) -> Tensor:
-        p = params or self.params
+        p = params if params is not None else self.params
         sub = subsample_features(features, self.config.subsample_stride)
         if sub.shape[1] != self.config.feature_dim:
             raise DimensionError(
@@ -242,7 +223,7 @@ class JointModel:
                 f"{frames} frames exceed max_positions {self.config.max_positions}"
             )
         pos = p["asr.enc_pos"].gather_rows(list(range(frames)))
-        return (wrap(sub) @ p["asr.enc_w"] + p["asr.enc_b"] + pos).tanh()
+        return (linear(sub, p["asr.enc_w"], p["asr.enc_b"]) + pos).tanh()
 
     def decoder_states(self, prev_ids: list[int], steps: list[int], enc: Tensor, p) -> tuple[Tensor, Tensor]:
         """Hidden rows and logits for decoder steps given previous-token ids."""
@@ -250,8 +231,8 @@ class JointModel:
         q = emb @ p["asr.attn_q"]
         scores = (q @ enc.T) * (1.0 / math.sqrt(self.config.asr_hidden))
         ctx = softmax_rows(scores) @ enc
-        hidden = (concat([emb, ctx], axis=1) @ p["asr.dec_w"] + p["asr.dec_b"]).tanh()
-        logits = hidden @ p["asr.out_w"] + p["asr.out_b"]
+        hidden = linear(concat([emb, ctx], axis=1), p["asr.dec_w"], p["asr.dec_b"]).tanh()
+        logits = linear(hidden, p["asr.out_w"], p["asr.out_b"])
         return hidden, logits
 
     def nlu_states(self, ids_b: list[int], p) -> Tensor:
@@ -261,11 +242,11 @@ class JointModel:
             * (1.0 / math.sqrt(self.config.nlu_hidden))
         )
         ctx = att @ (emb @ p["nlu.attn_v"])
-        return ((emb + ctx) @ p["nlu.ff_w"] + p["nlu.ff_b"]).tanh()
+        return linear(emb + ctx, p["nlu.ff_w"], p["nlu.ff_b"]).tanh()
 
     def intent_logits_from(self, hcat_rows: list[Tensor], p) -> Tensor:
         pooled = concat([p["ic.sentinel"], *hcat_rows], axis=0).mean(axis=0, keepdims=True)
-        return pooled @ p["ic.w"] + p["ic.b"]
+        return linear(pooled, p["ic.w"], p["ic.b"])
 
     def forward(
         self,
@@ -275,7 +256,7 @@ class JointModel:
         stop_asr_grad: bool = False,
     ) -> ForwardOutputs:
         """Teacher-forced forward pass over one utterance: encode, then word_states."""
-        p = params or self.params
+        p = params if params is not None else self.params
         words = list(words)
         if not words:
             raise ValidationError("forward requires at least one word")
@@ -313,7 +294,7 @@ class JointModel:
         ma = pooling_matrix(tok_a, self.config.word_pooling)
         mb = pooling_matrix(tok_b, self.config.word_pooling)
         hcat = concat([wrap(ma.T) @ ha_nlu, wrap(mb.T) @ hb], axis=1)
-        slot_scores = hcat @ p["sl.w"] + p["sl.b"]
+        slot_scores = linear(hcat, p["sl.w"], p["sl.b"])
         intent_logits = self.intent_logits_from([hcat], p)
         return ForwardOutputs(
             ha=ha,
@@ -334,16 +315,26 @@ class JointModel:
         eps = self.config.label_smoothing if smoothing is None else smoothing
         return nll_rows(asr_logits, targets, eps).mean()
 
-    def loss_nlu(self, slot_scores: Tensor, intent_logits: Tensor, slots, intent: str) -> Tensor:
-        """Slot sequence NLL (per-token sum or CRF) plus intent NLL."""
+    def loss_nlu(
+        self,
+        slot_scores: Tensor,
+        intent_logits: Tensor,
+        slots,
+        intent: str,
+        params: dict[str, Tensor] | None = None,
+    ) -> Tensor:
+        """Slot sequence NLL (per-token sum or CRF) plus intent NLL.
+
+        The CRF head reads its transition, start and end scores from
+        ``params``, the dict the forward pass ran on (default: the model's).
+        """
+        p = params if params is not None else self.params
         tag_ids = self.tag_ids(slots)
         n = slot_scores.shape[0]
         if n != len(tag_ids):
             raise DimensionError(f"{n} slot score rows vs {len(tag_ids)} tags")
         if self.config.slot_head == HEAD_CRF:
-            slot_term = crf_nll_t(
-                slot_scores, tag_ids, self.params["sl.trans"], self.params["sl.start"], self.params["sl.end"]
-            )
+            slot_term = crf_nll_t(slot_scores, tag_ids, p["sl.trans"], p["sl.start"], p["sl.end"])
         else:
             slot_term = nll_rows(slot_scores, tag_ids).sum()
         return slot_term + nll_rows(intent_logits, [self.intent_id(intent)]).sum()
@@ -355,11 +346,12 @@ class JointModel:
         slots,
         intent: str,
         stop_asr_grad: bool = False,
+        params: dict[str, Tensor] | None = None,
     ) -> tuple[Tensor, Tensor, Tensor]:
         """(total, asr term, nlu term); the total is the exact unweighted sum."""
-        out = self.forward(features, words, stop_asr_grad=stop_asr_grad)
+        out = self.forward(features, words, params, stop_asr_grad)
         asr = self.loss_asr(out.asr_logits, out.asr_targets)
-        nlu = self.loss_nlu(out.slot_scores, out.intent_logits, slots, intent)
+        nlu = self.loss_nlu(out.slot_scores, out.intent_logits, slots, intent, params)
         return asr + nlu, asr, nlu
 
     # -- checkpointing ------------------------------------------------------

@@ -87,10 +87,6 @@ def first_index_matrix(first_index, num_tokens: int) -> np.ndarray:
     return m
 
 
-def build_first_index_matrix(result: TokenizationResult) -> np.ndarray:
-    return first_index_matrix(result.first_index, result.num_tokens)
-
-
 def pooling_matrix(result: TokenizationResult, mode: str = POOL_FIRST) -> np.ndarray:
     """Token-to-word pooling matrix; first-index selection is the default."""
     n_tok, n_words = result.num_tokens, result.num_words
@@ -181,11 +177,6 @@ def merge_tokens(tokens, vocab: SubwordVocab) -> tuple[list[str], list[int]]:
         else:
             words[-1] += text
     return words, first_index
-
-
-def detokenize(result: TokenizationResult, vocab: SubwordVocab) -> list[str]:
-    """Inverse of tokenize for fully covered words (unknowns merge to the unk string)."""
-    return merge_tokens(result.tokens, vocab)[0]
 
 
 def project_to_words(m: np.ndarray, hidden: np.ndarray) -> np.ndarray:

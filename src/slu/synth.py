@@ -61,18 +61,22 @@ def lexicon() -> tuple[str, ...]:
     return tuple(words)
 
 
+@functools.cache
 def word_waveform(word: str) -> np.ndarray:
     """Fixed two-tone signature; identical across runs and platforms.
 
     Tone pairs are laid out on a (low band, high band) grid so no two words
-    share both spectral bands.
+    share both spectral bands.  Cached per word (read-only): every utterance
+    is built from the same few dozen lexicon words.
     """
     index = lexicon().index(word)
     f1 = 450.0 + 400.0 * (index % 9)
     f2 = 4450.0 + 400.0 * (index // 9)
     t = np.arange(int(SAMPLE_RATE * WORD_SECONDS)) / SAMPLE_RATE
     envelope = np.hanning(t.size) * 0.6 + 0.4
-    return 0.22 * envelope * (np.sin(2 * np.pi * f1 * t) + 0.8 * np.sin(2 * np.pi * f2 * t))
+    wave = 0.22 * envelope * (np.sin(2 * np.pi * f1 * t) + 0.8 * np.sin(2 * np.pi * f2 * t))
+    wave.flags.writeable = False
+    return wave
 
 
 def utterance_audio(words) -> AudioClip:

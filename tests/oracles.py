@@ -3,7 +3,10 @@
 Everything here is deliberately written with a different algorithmic shape
 than the package code (memoized recursion instead of iterative tables,
 exhaustive enumeration instead of dynamic programming) so that agreement is
-evidence, not tautology.
+evidence, not tautology.  Old loop versions of vectorised package code are
+kept here verbatim as bit-exact references, next to a few small helpers
+(slot serialisation, detokenisation, SNR mixing shorthand) that only the
+tests use.
 """
 
 from __future__ import annotations
@@ -14,6 +17,10 @@ import math
 import sys
 
 import numpy as np
+
+from slu.audio import AudioClip, mix_at_snr_report
+from slu.errors import ValidationError
+from slu.subword import SubwordVocab, TokenizationResult, first_index_matrix, merge_tokens
 
 sys.setrecursionlimit(100_000)
 
@@ -250,6 +257,51 @@ def finite_difference(f, arrays: dict[str, np.ndarray], h: float = 1e-4) -> dict
             gflat[idx] = (up - down) / (2.0 * h)
         grads[name] = g
     return grads
+
+
+def subsample_features_loop(features: np.ndarray, stride: int) -> np.ndarray:
+    """Strided mean-pooling, one ``mean`` per group (reference for ``subsample_features``)."""
+    features = np.asarray(features, dtype=np.float64)
+    if stride < 1:
+        raise ValidationError(f"stride must be >= 1, got {stride}")
+    if stride == 1:
+        return features.copy()
+    t = features.shape[0]
+    groups = -(-t // stride)
+    return np.stack(
+        [features[g * stride : min((g + 1) * stride, t)].mean(axis=0) for g in range(groups)]
+    )
+
+
+def serialize_slots(words, slots) -> list[str]:
+    """Interleave words and slot tags into one sequence [w1, s1, w2, s2, ...]."""
+    words, slots = list(words), list(slots)
+    if len(words) != len(slots):
+        raise ValidationError(f"cannot serialize: {len(words)} words vs {len(slots)} slots")
+    out: list[str] = []
+    for w, s in zip(words, slots):
+        out += [w, s]
+    return out
+
+
+def deserialize_slots(seq) -> tuple[list[str], list[str]]:
+    seq = list(seq)
+    if len(seq) % 2:
+        raise ValidationError(f"serialized sequence has odd length {len(seq)}")
+    return seq[0::2], seq[1::2]
+
+
+def build_first_index_matrix(result: TokenizationResult) -> np.ndarray:
+    return first_index_matrix(result.first_index, result.num_tokens)
+
+
+def detokenize(result: TokenizationResult, vocab: SubwordVocab) -> list[str]:
+    """Inverse of tokenize for fully covered words (unknowns merge to the unk string)."""
+    return merge_tokens(result.tokens, vocab)[0]
+
+
+def mix_at_snr(clean: AudioClip, noise: AudioClip, snr_db: float) -> AudioClip:
+    return mix_at_snr_report(clean, noise, snr_db).audio
 
 
 def measured_snr_db(clean: np.ndarray, scaled_noise: np.ndarray) -> float:

@@ -15,14 +15,15 @@ import pytest
 
 import oracles
 from conftest import random_pair_corpus, random_subword_instance
+from oracles import build_first_index_matrix, deserialize_slots, serialize_slots
 from slu.audio import AudioClip, AugmentSpec, NoisePool, augment_corpus, mix_at_snr_report, read_wav, write_wav
 from slu.cli import main as cli_main
 from slu.data import Utterance, build_manifest, parse_manifest, write_manifest
 from slu.decode import beam_search_transcript, decode_two_step
 from slu.crf import CrfParams, crf_log_z, crf_viterbi
 from slu.metrics import slots_edit_f1, wer
-from slu.model import JointModel, ModelConfig, deserialize_slots, serialize_slots
-from slu.subword import BPE, WORDPIECE, SubwordVocab, build_first_index_matrix, concat_hidden, project_to_words, tokenize
+from slu.model import JointModel, ModelConfig
+from slu.subword import BPE, WORDPIECE, SubwordVocab, concat_hidden, project_to_words, tokenize
 from slu.synth import write_corpus, write_train_config
 
 

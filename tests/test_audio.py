@@ -4,7 +4,7 @@ import wave
 import numpy as np
 import pytest
 
-from oracles import measured_snr_db
+from oracles import measured_snr_db, mix_at_snr
 from slu.audio import (
     AudioClip,
     AugmentSpec,
@@ -14,7 +14,6 @@ from slu.audio import (
     fit_length,
     log_power_features,
     mask_features,
-    mix_at_snr,
     mix_at_snr_report,
     read_wav,
     rms,

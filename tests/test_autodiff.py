@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import finite_difference
-from slu.autodiff import Tensor, concat, nll_rows, softmax_rows, wrap
+from slu.autodiff import Tensor, concat, linear, nll_rows, softmax_rows, wrap
 from slu.errors import DimensionError, NumericError
 
 
@@ -21,6 +21,63 @@ def test_add_mul_matmul_grads():
     rng = np.random.default_rng(0)
     arrays = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4, 2)), "c": rng.normal(size=(1, 2))}
     check_gradients(lambda t: ((t["a"] @ t["b"] + t["c"]) * 0.5).sum(), arrays)
+
+
+def test_linear_grads_with_bias_broadcast_over_rows():
+    rng = np.random.default_rng(7)
+    arrays = {"x": rng.normal(size=(3, 4)), "w": rng.normal(size=(4, 2)), "b": rng.normal(size=2)}
+    weights = rng.normal(size=(3, 2))
+    check_gradients(lambda t: (linear(t["x"], t["w"], t["b"]) * weights).sum(), arrays)
+
+
+def test_linear_is_bit_identical_to_matmul_plus_bias():
+    rng = np.random.default_rng(8)
+    arrays = {"x": rng.normal(size=(5, 4)), "w": rng.normal(size=(4, 3)), "b": rng.normal(size=3)}
+    weights = rng.normal(size=(5, 3))
+    fused = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+    split = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+    out_fused = linear(fused["x"], fused["w"], fused["b"])
+    out_split = split["x"] @ split["w"] + split["b"]
+    assert np.array_equal(out_fused.data, out_split.data)
+    (out_fused * weights).sum().backward()
+    (out_split * weights).sum().backward()
+    for name in arrays:
+        assert np.array_equal(fused[name].grad, split[name].grad), name
+
+
+def test_sub_grads():
+    rng = np.random.default_rng(9)
+    arrays = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(1, 4))}
+    weights = rng.normal(size=(3, 4))
+    check_gradients(lambda t: ((t["a"] - t["b"]) * weights).sum(), arrays)
+    check_gradients(lambda t: ((t["a"] - 1.5) * weights).sum(), arrays)
+    check_gradients(lambda t: ((2.0 - t["a"]) * weights).sum(), arrays)
+
+
+def test_sub_is_one_node_equal_to_adding_the_negation():
+    a = Tensor(np.array([[0.1, -2.5, 3.0]]), requires_grad=True)
+    b = Tensor(np.array([0.3, 1e-17, -3.0]), requires_grad=True)
+    diff = a - b
+    assert diff._parents == (a, b)
+    assert np.array_equal(diff.data, a.data + (-b.data))
+    assert (1.0 - a)._parents[1] is a
+
+
+def test_first_gradient_is_not_shared_between_parents():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    y = Tensor(np.ones((2, 3)), requires_grad=True)
+    z = x + y  # both parents get the same gradient array
+    (z + 3.0 * x).sum().backward()
+    assert np.array_equal(y.grad, np.ones((2, 3)))
+    assert np.array_equal(x.grad, np.full((2, 3), 4.0))
+
+
+@pytest.mark.parametrize("sum_first", [True, False])
+def test_read_only_first_gradient_can_accumulate(sum_first):
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    plain, scaled = x.sum(), (2.0 * x).sum()  # sum passes a read-only broadcast view
+    (plain + scaled if sum_first else scaled + plain).backward()
+    assert np.array_equal(x.grad, np.full((2, 3), 3.0))
 
 
 def test_tanh_exp_log_grads():

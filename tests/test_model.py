@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import tiny_features, tiny_model
+from oracles import deserialize_slots, serialize_slots
 from slu.autodiff import Tensor
 from slu.errors import DimensionError, ValidationError
 from slu.model import (
     ModelConfig,
-    deserialize_slots,
     load_checkpoint,
     save_checkpoint,
-    serialize_slots,
     subsample_features,
 )
 
@@ -245,6 +244,39 @@ def test_subsample_features():
     assert np.array_equal(subsample_features(np.ones((7, 3)), 2), np.ones((4, 3)))
     with pytest.raises(ValidationError):
         subsample_features(feats, 0)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3, 4])
+def test_subsample_features_matches_per_group_loop(stride):
+    rng = np.random.default_rng(stride)
+    for frames in range(1, 3 * stride + 2):  # T < stride, divisible and ragged lengths
+        feats = rng.normal(size=(frames, 5))
+        expected = oracles.subsample_features_loop(feats, stride)
+        assert np.array_equal(subsample_features(feats, stride), expected), frames
+
+
+def test_explicit_params_receive_every_gradient():
+    model = tiny_model(seed=10, slot_head="crf")
+    params = {n: Tensor(t.data.copy(), requires_grad=True) for n, t in model.params.items()}
+    model.zero_grads()
+    out = model.forward(tiny_features(), WORDS, params)
+    model.loss_nlu(out.slot_scores, out.intent_logits, SLOTS, INTENT, params).backward()
+    for name in ("sl.trans", "sl.start", "sl.end"):
+        assert params[name].grad is not None and np.abs(params[name].grad).sum() > 0, name
+    assert all(t.grad is None for t in model.params.values())
+    for t in params.values():
+        t.zero_grad()
+    total, _, _ = model.loss_slu(tiny_features(), WORDS, SLOTS, INTENT, params=params)
+    total.backward()
+    assert total.item() == model.loss_slu(tiny_features(), WORDS, SLOTS, INTENT)[0].item()
+    assert all(t.grad is not None for t in params.values())
+    assert all(t.grad is None for t in model.params.values())
+
+
+def test_empty_params_dict_is_not_the_default():
+    model = tiny_model()
+    with pytest.raises(KeyError):
+        model.forward(tiny_features(), WORDS, {})
 
 
 def test_serialize_slots_round_trip():

@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_subword_instance
+from oracles import build_first_index_matrix, detokenize
 from slu.errors import DimensionError, ParseError, ValidationError
 from slu.subword import (
     BPE,
     WORDPIECE,
     SubwordVocab,
-    build_first_index_matrix,
     concat_hidden,
-    detokenize,
     first_index_matrix,
     load_vocab,
     merge_tokens,

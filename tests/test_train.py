@@ -6,7 +6,7 @@ from slu.data import Utterance, build_manifest
 from slu.decode import decode_two_step
 from slu.errors import NumericError, ValidationError
 from slu.model import JointModel, ModelConfig
-from slu.synth import asr_vocab, build_corpus, nlu_vocab, utterance_audio
+from slu.synth import asr_vocab, build_corpus, nlu_vocab, utterance_audio, word_waveform
 from slu.train import StageConfig, TrainConfig, corpus_features, evaluate_train_set, train
 
 FEATURE = FeatureConfig()
@@ -182,3 +182,12 @@ def test_corpus_records_carry_playable_audio():
         clip = utterance_audio(rec.words)
         assert np.array_equal(clip.samples, np.asarray(rec.samples))
         assert np.abs(clip.samples).max() <= 1.0
+
+
+def test_cached_word_waveform_is_read_only_and_utterances_are_copies():
+    wave = word_waveform("boston")
+    assert word_waveform("boston") is wave and not wave.flags.writeable
+    clip = utterance_audio(["boston", "boston"])
+    assert clip.samples.flags.writeable
+    clip.samples[:] = 0.0
+    assert np.abs(word_waveform("boston")).max() > 0.0
