@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Manifest, Utterance, build_manifest
-from .errors import AudioFormatError, ValidationError
+from .errors import AudioFormatError, ValidationError, check_field_types
 from .ioutil import atomic_write_bytes
 
 log = logging.getLogger(__name__)
@@ -40,9 +40,6 @@ class AudioClip:
         if self.sample_rate <= 0:
             raise AudioFormatError(f"bad sample rate {self.sample_rate}")
 
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 def read_wav(path: str | Path) -> AudioClip:
     """Read a 16-bit PCM mono WAV; amplitudes are scaled by 1/32768."""
@@ -62,6 +59,10 @@ def read_wav(path: str | Path) -> AudioClip:
             rate = fh.getframerate()
     except wave.Error as exc:
         raise AudioFormatError(f"{path}: not a readable WAV file: {exc}") from exc
+    except (EOFError, RuntimeError) as exc:  # wave's errors for chunks cut short or overrunning the file
+        raise AudioFormatError(f"{path}: not a readable WAV file: truncated or inconsistent chunks") from exc
+    if len(raw) != 2 * frames:
+        raise AudioFormatError(f"{path}: data chunk truncated: {len(raw)} of {2 * frames} bytes")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM_SCALE
     return AudioClip(samples, rate)
 
@@ -186,51 +187,16 @@ class AugmentSpec:
             )
 
 
-def _record_clip(rec: Utterance, base_dir: Path | None) -> AudioClip:
+def record_clip(rec: Utterance, base_dir: Path | None) -> AudioClip:
+    """In-memory samples (16 kHz), else the WAV file, relative to base_dir."""
     if rec.samples is not None:
         return AudioClip(np.asarray(rec.samples), 16000)
     if rec.audio_path is None:
-        raise ValidationError(f"record {rec.id!r} has no audio to augment")
+        raise ValidationError(f"record {rec.id!r} has no audio")
     path = Path(rec.audio_path)
     if not path.is_absolute() and base_dir is not None:
         path = base_dir / path
     return read_wav(path)
-
-
-def _augment_record(
-    rec: Utterance,
-    base_dir: Path | None,
-    noise_files: tuple[str, ...],
-    spec: AugmentSpec,
-    out_dir: Path,
-    noise_cache: dict[str, AudioClip],
-) -> tuple[list[Utterance], list[dict]]:
-    clean = _record_clip(rec, base_dir)
-    rng = random.Random(f"{spec.seed}:{rec.id}")
-    chosen = rng.sample(list(noise_files), spec.noises_per_clip)
-    records: list[Utterance] = []
-    provenance: list[dict] = []
-    for noise_file, level in zip(chosen, spec.snr_levels_db):
-        if noise_file not in noise_cache:
-            noise_cache[noise_file] = read_wav(noise_file)
-        noise = noise_cache[noise_file]
-        offset = rng.randrange(noise.samples.size) if spec.random_offset else 0
-        mixed = mix_at_snr_report(clean, noise, level, offset)
-        new_id = f"{rec.id}#snr{level:g}"
-        wav_name = f"{new_id}.wav"
-        write_wav(mixed.audio, out_dir / wav_name)
-        records.append(Utterance(new_id, list(rec.words), list(rec.slots), rec.intent, wav_name))
-        provenance.append(
-            {
-                "id": new_id,
-                "source_id": rec.id,
-                "noise": noise_file,
-                "snr_db": level,
-                "gain": mixed.gain,
-                "clipped": mixed.clipped,
-            }
-        )
-    return records, provenance
 
 
 def augment_corpus(
@@ -256,13 +222,33 @@ def augment_corpus(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     noise_cache: dict[str, AudioClip] = {}
-    results = [
-        _augment_record(rec, manifest.base_dir, noise_files, spec, out_dir, noise_cache)
-        for rec in manifest.records
-    ]
-    new_records = [rec for records, _ in results for rec in records]
-    provenance = [entry for _, entries in results for entry in entries]
-    return build_manifest(new_records, out_dir), provenance
+    records: list[Utterance] = []
+    provenance: list[dict] = []
+    for rec in manifest.records:
+        clean = record_clip(rec, manifest.base_dir)
+        rng = random.Random(f"{spec.seed}:{rec.id}")
+        chosen = rng.sample(list(noise_files), spec.noises_per_clip)
+        for noise_file, level in zip(chosen, spec.snr_levels_db):
+            if noise_file not in noise_cache:
+                noise_cache[noise_file] = read_wav(noise_file)
+            noise = noise_cache[noise_file]
+            offset = rng.randrange(noise.samples.size) if spec.random_offset else 0
+            mixed = mix_at_snr_report(clean, noise, level, offset)
+            new_id = f"{rec.id}#snr{level:g}"
+            wav_name = f"{new_id}.wav"
+            write_wav(mixed.audio, out_dir / wav_name)
+            records.append(Utterance(new_id, list(rec.words), list(rec.slots), rec.intent, wav_name))
+            provenance.append(
+                {
+                    "id": new_id,
+                    "source_id": rec.id,
+                    "noise": noise_file,
+                    "snr_db": level,
+                    "gain": mixed.gain,
+                    "clipped": mixed.clipped,
+                }
+            )
+    return build_manifest(records, out_dir), provenance
 
 
 def mask_features(
@@ -299,6 +285,14 @@ class FeatureConfig:
     frame_length: int = 256
     hop: int = 160
     num_bands: int = 20
+
+    def __post_init__(self):
+        check_field_types(self)
+        if min(self.frame_length, self.hop) < 1 or not 1 <= self.num_bands <= self.frame_length // 2 + 1:
+            raise ValidationError(
+                "feature config needs frame_length, hop >= 1 and "
+                f"1 <= num_bands <= frame_length // 2 + 1, got {self}"
+            )
 
 
 def log_power_features(clip: AudioClip, config: FeatureConfig = FeatureConfig()) -> np.ndarray:

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import audio, data, metrics, synth
 from .decode import decode_two_step
 from .errors import ParseError, SluError, ValidationError
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, read_json_object
 from .model import JointModel, ModelConfig, load_checkpoint, save_checkpoint
 from .subword import load_vocab, tokenize
 from .train import StageConfig, TrainConfig, corpus_features, train
@@ -82,11 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beam-size", type=int)
     p.add_argument("--out", required=True)
     return parser
-
-
-def _load_pairs(path: str):
-    manifest = data.parse_manifest(path)
-    return manifest, data.iter_pairs(manifest)
 
 
 def cmd_validate(args) -> int:
@@ -177,17 +172,20 @@ def cmd_score(args) -> int:
 
 
 def cmd_wer(args) -> int:
-    _, refs = _load_pairs(args.refs)
-    _, hyps = _load_pairs(args.hyps)
-    value = metrics.corpus_wer([r[0] for r in refs], [h[0] for h in hyps])
-    print(json.dumps({"wer": value}))
+    report = _score_report(data.parse_manifest(args.refs), data.parse_manifest(args.hyps), ["wer"])
+    print(json.dumps(report))
     return 0
 
 
 def cmd_augment(args) -> int:
+    try:
+        levels = tuple(float(s) for s in args.snr.split(","))
+    except ValueError as exc:
+        raise ValidationError(f"--snr must be comma-separated dB levels, got {args.snr!r}") from exc
+    if not all(abs(level) <= 300 for level in levels):  # also rejects nan; 10 ** (level / 20) stays finite
+        raise ValidationError(f"--snr levels must lie within +-300 dB, got {args.snr!r}")
     manifest = data.parse_manifest(args.manifest)
     pool = audio.NoisePool.from_directory(args.noise_dir)
-    levels = tuple(float(s) for s in args.snr.split(","))
     spec = audio.AugmentSpec(
         snr_levels_db=levels,
         noises_per_clip=len(levels),
@@ -218,14 +216,10 @@ def _train_configs(obj: dict, config_dir: Path):
 
 
 def cmd_train_toy(args) -> int:
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{args.config}: invalid JSON: {exc}") from exc
+    obj = read_json_object(args.config)
     try:
         train_cfg, feature, model_cfg, asr_vocab, nlu_vocab = _train_configs(obj, Path(args.config).parent)
-    except (TypeError, KeyError) as exc:
+    except (TypeError, KeyError, ValidationError) as exc:
         raise ValidationError(f"{args.config}: bad train config: {exc}") from exc
     manifest = data.parse_manifest(args.manifest)
     pretrain = data.parse_manifest(args.pretrain_manifest) if args.pretrain_manifest else None
@@ -286,16 +280,17 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    empty = [name for name, value in vars(args).items() if value == []]  # argparse reads --flag=-- as []
+    if empty:
+        print(f"slu {args.command}: --{empty[0].replace('_', '-')} expected a value, got '--'", file=sys.stderr)
+        return 2
     log.info("resolved config: %s", json.dumps({k: v for k, v in vars(args).items()}))
     try:
         return _COMMANDS[args.command](args)
     except (ValidationError, ParseError) as exc:
         print(f"slu {args.command}: {exc}", file=sys.stderr)
         return 2
-    except SluError as exc:
-        print(f"slu {args.command}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SluError, OSError) as exc:
         print(f"slu {args.command}: {exc}", file=sys.stderr)
         return 1
 

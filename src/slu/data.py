@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, read_text
 
 OUTSIDE = "O"
 
@@ -125,8 +125,7 @@ def parse_manifest_lines(lines: Iterable[str], source: str = "<memory>") -> Mani
 def parse_manifest(path: str | Path) -> Manifest:
     """Parse and validate a JSONL manifest; record order is preserved."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        manifest = parse_manifest_lines(fh, source=str(path))
+    manifest = parse_manifest_lines(read_text(path).split("\n"), source=str(path))
     manifest.base_dir = path.parent
     return manifest
 

@@ -1,4 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the config field check."""
+
+import dataclasses
+
+_ANNOTATED = {"int": (int,), "float": (int, float), "str": (str,), "None": (type(None),)}
 
 
 class SluError(Exception):
@@ -27,3 +31,23 @@ class DecodeError(SluError):
 
 class NumericError(SluError):
     """Non-finite value encountered during training or gradient computation."""
+
+
+def check_field_types(config) -> None:
+    """Raise ValidationError for the first field of a config dataclass whose
+    value does not have its annotated type.
+
+    Fields annotated ``int``, ``float``, ``str``, or a union of those with
+    ``None``, are checked (an int is a float, a bool is neither); other
+    annotations are left alone.  The config modules use postponed (string)
+    annotations, which is what ``dataclasses.fields`` reports here.
+    """
+    for f in dataclasses.fields(config):
+        names = f.type.split(" | ")
+        if not set(names) <= set(_ANNOTATED):
+            continue
+        value = getattr(config, f.name)
+        if isinstance(value, bool) or not isinstance(value, tuple(t for n in names for t in _ANNOTATED[n])):
+            raise ValidationError(
+                f"{type(config).__name__}.{f.name} must be {f.type}, got {type(value).__name__}"
+            )

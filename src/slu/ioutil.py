@@ -1,10 +1,14 @@
-"""Atomic file writes: temp file in the target directory, then rename."""
+"""Atomic file writes (temp file in the target directory, then rename) and
+checked UTF-8 and JSON reads."""
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from pathlib import Path
+
+from .errors import ParseError
 
 
 def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
@@ -23,3 +27,22 @@ def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def read_text(path: str | os.PathLike) -> str:
+    """The file's text, decoded as UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def read_json_object(path: str | os.PathLike) -> dict:
+    """Load a UTF-8 JSON file whose top level must be an object."""
+    try:
+        obj = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj

@@ -103,21 +103,12 @@ def align(ref, hyp) -> AlignmentTrace:
     return AlignmentTrace(ops, dist[n][m])
 
 
-def edit_counts(ref, hyp) -> tuple[int, int, int]:
-    """(substitutions, deletions, insertions) from the optimal alignment."""
-    trace = align(ref, hyp)
-    subs = sum(1 for op in trace.ops if op.kind == SUB)
-    dels = sum(1 for op in trace.ops if op.kind == DEL)
-    inss = sum(1 for op in trace.ops if op.kind == INS)
-    return subs, dels, inss
-
-
 def wer(ref, hyp) -> float:
-    """(S + D + I) / len(ref); undefined for an empty reference."""
+    """(S + D + I) / len(ref), the alignment cost; undefined for an empty reference."""
     ref = list(ref)
     if not ref:
         raise ValidationError("WER is undefined for an empty reference")
-    return sum(edit_counts(ref, hyp)) / len(ref)
+    return align(ref, hyp).cost / len(ref)
 
 
 def corpus_wer(refs, hyps) -> float:
@@ -128,15 +119,24 @@ def corpus_wer(refs, hyps) -> float:
     total_words = sum(len(list(r)) for r in refs)
     if total_words == 0:
         raise ValidationError("WER is undefined for an empty reference corpus")
-    total_edits = sum(sum(edit_counts(r, h)) for r, h in zip(refs, hyps))
+    total_edits = sum(align(r, h).cost for r, h in zip(refs, hyps))
     return total_edits / total_words
 
 
-def _check_pair(words, slots, side: str, idx: int) -> None:
-    if len(words) != len(slots):
-        raise ValidationError(
-            f"{side} pair {idx}: words length {len(words)} != slots length {len(slots)}"
-        )
+def _checked_pairs(refs, hyps):
+    """(idx, r_words, r_slots, h_words, h_slots) as lists, per pair, with
+    both sides checked for equal word and slot counts."""
+    refs, hyps = list(refs), list(hyps)
+    if len(refs) != len(hyps):
+        raise ValidationError(f"ref/hyp corpus size mismatch: {len(refs)} vs {len(hyps)}")
+    for idx, ((r_words, r_slots), (h_words, h_slots)) in enumerate(zip(refs, hyps)):
+        pair = list(r_words), list(r_slots), list(h_words), list(h_slots)
+        for side, words, slots in (("ref", *pair[:2]), ("hyp", *pair[2:])):
+            if len(words) != len(slots):
+                raise ValidationError(
+                    f"{side} pair {idx}: words length {len(words)} != slots length {len(slots)}"
+                )
+        yield (idx, *pair)
 
 
 def slots_edit_f1(refs, hyps, require_value_match: bool = True) -> SlotScoreReport:
@@ -147,15 +147,8 @@ def slots_edit_f1(refs, hyps, require_value_match: bool = True) -> SlotScoreRepo
     of its slot value).  Set ``require_value_match=False`` to count any
     diagonally aligned position with matching labels as a TP.
     """
-    refs, hyps = list(refs), list(hyps)
-    if len(refs) != len(hyps):
-        raise ValidationError(f"ref/hyp corpus size mismatch: {len(refs)} vs {len(hyps)}")
     report = SlotScoreReport()
-    for idx, ((r_words, r_slots), (h_words, h_slots)) in enumerate(zip(refs, hyps)):
-        r_words, r_slots = list(r_words), list(r_slots)
-        h_words, h_slots = list(h_words), list(h_slots)
-        _check_pair(r_words, r_slots, "ref", idx)
-        _check_pair(h_words, h_slots, "hyp", idx)
+    for _, r_words, r_slots, h_words, h_slots in _checked_pairs(refs, hyps):
         trace = align(r_words, h_words)
         for op in trace.ops:
             rv = base_label(r_slots[op.ref_idx]) if op.ref_idx is not None else None
@@ -205,15 +198,8 @@ def span_slot_f1(refs, hyps) -> SlotScoreReport:
     Requires every hypothesis to have the same word count as its reference;
     use slots_edit_f1 when lengths can differ.
     """
-    refs, hyps = list(refs), list(hyps)
-    if len(refs) != len(hyps):
-        raise ValidationError(f"ref/hyp corpus size mismatch: {len(refs)} vs {len(hyps)}")
     report = SlotScoreReport()
-    for idx, ((r_words, r_slots), (h_words, h_slots)) in enumerate(zip(refs, hyps)):
-        r_words, r_slots = list(r_words), list(r_slots)
-        h_words, h_slots = list(h_words), list(h_slots)
-        _check_pair(r_words, r_slots, "ref", idx)
-        _check_pair(h_words, h_slots, "hyp", idx)
+    for idx, r_words, r_slots, h_words, h_slots in _checked_pairs(refs, hyps):
         if len(r_words) != len(h_words):
             raise ValidationError(
                 f"pair {idx}: hypothesis length differs from reference; "
@@ -231,25 +217,19 @@ def span_slot_f1(refs, hyps) -> SlotScoreReport:
 
 
 def intent_f1(refs, hyps) -> float:
-    """Micro-averaged intent F1; equals accuracy for single-label prediction."""
-    refs, hyps = list(refs), list(hyps)
-    if not refs or len(refs) != len(hyps):
-        raise ValidationError(
-            f"intent label lists must be non-empty and equal length: {len(refs)} vs {len(hyps)}"
-        )
-    tp = fp = fn = 0
-    for r, h in zip(refs, hyps):
-        if r == h:
-            tp += 1
-        else:
-            fn += 1  # missed the reference label
-            fp += 1  # predicted a wrong label
-    denom = 2 * tp + fp + fn
-    return 2 * tp / denom if denom else 0.0
+    """Micro-averaged intent F1, which is the intent accuracy.
+
+    With one label per utterance every error is one FP (the predicted label)
+    plus one FN (the reference label), so F1 = 2tp / (2tp + 2e) = tp / n.
+    The floats agree too: 2tp / 2n rounds the same real number as tp / n.
+    """
+    return intent_accuracy(refs, hyps)
 
 
 def intent_accuracy(refs, hyps) -> float:
     refs, hyps = list(refs), list(hyps)
     if not refs or len(refs) != len(hyps):
-        raise ValidationError("intent label lists must be non-empty and equal length")
+        raise ValidationError(
+            f"intent label lists must be non-empty and equal length: {len(refs)} vs {len(hyps)}"
+        )
     return sum(r == h for r, h in zip(refs, hyps)) / len(refs)

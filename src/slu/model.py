@@ -22,8 +22,8 @@ import numpy as np
 from .audio import FeatureConfig
 from .autodiff import Tensor, concat, linear, nll_rows, softmax_rows, wrap
 from .crf import crf_nll_t
-from .errors import DimensionError, ValidationError
-from .ioutil import atomic_write_text
+from .errors import DimensionError, ValidationError, check_field_types
+from .ioutil import atomic_write_text, read_json_object
 from .subword import (
     POOL_FIRST,
     POOL_LAST,
@@ -55,6 +55,9 @@ class ModelConfig:
     word_pooling: str = POOL_FIRST  # how subword states map to word states
 
     def __post_init__(self):
+        check_field_types(self)
+        if min(self.feature_dim, self.asr_hidden, self.nlu_hidden, self.max_positions) < 1:
+            raise ValidationError("feature_dim, asr_hidden, nlu_hidden and max_positions must be >= 1")
         if self.slot_head not in (HEAD_LINEAR, HEAD_CRF):
             raise ValidationError(f"unknown slot head {self.slot_head!r}")
         if self.subsample_stride < 1:
@@ -414,16 +417,12 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[JointModel, FeatureConfig, int]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not a valid checkpoint: {exc}") from exc
+    obj = read_json_object(path)
     try:
         model = JointModel.from_dict(obj)
         feature = FeatureConfig(**obj.get("feature", {}))
         beam_size = int(obj.get("beam_size", 5))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"{path}: malformed checkpoint: {exc}") from exc
     if beam_size < 1:
         raise ValidationError(f"{path}: beam_size must be >= 1, got {beam_size}")

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, ParseError, ValidationError
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, read_text
 
 BPE = "bpe"
 WORDPIECE = "wordpiece"
@@ -206,14 +206,17 @@ def concat_hidden(ha: np.ndarray, hb: np.ndarray, ma: np.ndarray, mb: np.ndarray
 
 def load_vocab(path: str | Path) -> SubwordVocab:
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines or not lines[0].startswith("#kind:"):
         raise ParseError(f"{path}: missing '#kind: bpe|wordpiece' header line")
     kind = lines[0].split(":", 1)[1].strip()
     if kind not in (BPE, WORDPIECE):
         raise ParseError(f"{path}: unknown tokenizer kind {kind!r}")
     pieces = [line for line in lines[1:] if line]
-    return SubwordVocab.create(kind, pieces)
+    try:
+        return SubwordVocab.create(kind, pieces)
+    except ValidationError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def save_vocab(vocab: SubwordVocab, path: str | Path) -> None:

@@ -11,14 +11,13 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .audio import FeatureConfig, log_power_features, read_wav, AudioClip
+from .audio import FeatureConfig, log_power_features, record_clip
 from .data import Manifest
 from .decode import decode_two_step
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, check_field_types
 from .metrics import intent_accuracy, slots_edit_f1
 from .model import JointModel, MODE_E2E, MODE_TWO_STAGE
 
@@ -41,10 +40,11 @@ class StageConfig:
     target_intent_acc: float | None = None
 
     def __post_init__(self):
+        check_field_types(self)
         if self.stage not in _STAGES:
             raise ValidationError(f"unknown stage {self.stage!r}, expected one of {_STAGES}")
-        if self.epochs < 0 or self.lr <= 0:
-            raise ValidationError("epochs must be >= 0 and lr > 0")
+        if self.epochs < 0 or self.eval_every < 0 or not self.lr > 0:
+            raise ValidationError("epochs and eval_every must be >= 0 and lr > 0")
 
 
 @dataclass
@@ -55,26 +55,15 @@ class TrainConfig:
     stages: list[StageConfig] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.beam_size < 1:
-            raise ValidationError("beam_size must be >= 1")
+        check_field_types(self)
+        if self.seed < 0 or self.beam_size < 1:
+            raise ValidationError("seed must be >= 0 and beam_size >= 1")
         if self.mode not in (MODE_E2E, MODE_TWO_STAGE):
             raise ValidationError(f"unknown mode {self.mode!r}")
 
 
 def corpus_features(manifest: Manifest, feature: FeatureConfig) -> list[np.ndarray]:
-    feats = []
-    for rec in manifest.records:
-        if rec.samples is not None:
-            clip = AudioClip(np.asarray(rec.samples), 16000)
-        elif rec.audio_path is not None:
-            path = Path(rec.audio_path)
-            if not path.is_absolute() and manifest.base_dir is not None:
-                path = manifest.base_dir / path
-            clip = read_wav(path)
-        else:
-            raise ValidationError(f"record {rec.id!r} has no audio")
-        feats.append(log_power_features(clip, feature))
-    return feats
+    return [log_power_features(record_clip(rec, manifest.base_dir), feature) for rec in manifest.records]
 
 
 class _Sgd:

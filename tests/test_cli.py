@@ -106,10 +106,25 @@ def test_score_mismatched_counts_exit_2(capsys, ref_manifest, tmp_path):
     assert code == 2
 
 
-def test_wer_subcommand(capsys, ref_manifest):
+def test_wer_subcommand(capsys, ref_manifest, tmp_path):
     code, out, _ = run(capsys, "wer", "--refs", str(ref_manifest), "--hyps", str(ref_manifest))
     assert code == 0
     assert json.loads(out) == {"wer": 0.0}
+    hyp_path = tmp_path / "hyps.jsonl"
+    write_manifest(build_manifest([
+        Utterance("u0", ["show", "me", "to", "boston"], ["O", "O", "O", "B-toloc"], "find_flight"),
+        Utterance("u1", ["fares", "monday", "please"], ["O", "B-day", "O"], "airfare"),
+    ]), hyp_path)
+    pair = ["--refs", str(ref_manifest), "--hyps", str(hyp_path)]
+    code, out, _ = run(capsys, "wer", *pair)
+    assert code == 0
+    assert json.loads(out) == {"wer": 3 / 7}
+    assert out == run(capsys, "score", *pair, "--metrics", "wer")[1]
+    one = tmp_path / "one.jsonl"
+    write_manifest(build_manifest([Utterance("u9", ["a"], ["O"], "x")]), one)
+    code, _, err = run(capsys, "wer", "--refs", str(ref_manifest), "--hyps", str(one))
+    assert code == 2
+    assert err == "slu wer: ref/hyp record counts differ: 2 vs 1\n"
 
 
 def test_tokenize_jsonl(capsys, tmp_path, ref_manifest):

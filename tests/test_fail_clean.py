@@ -1,0 +1,227 @@
+"""Fail-clean contract of the CLI under mutated inputs.
+
+A tiny valid corpus (manifest, WAVs, vocabularies), train config, checkpoint
+and noise directory are built once.  Each example mutates one of those
+inputs, at the byte level or at the JSON level, or replaces the ``--snr``
+value, and runs one command through ``cli.main``.  Whatever the input, the
+command must exit 0, 1 (I/O) or 2 (bad input), print at most the one-line
+``slu <cmd>: ...`` message on stderr, and leave no ``--out`` file behind
+when ``decode``, ``tokenize``, ``score`` or ``train-toy`` fails.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import re
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from slu.audio import FeatureConfig
+from slu.cli import main
+from slu.data import parse_manifest
+from slu.model import JointModel, ModelConfig, save_checkpoint
+from slu.synth import asr_vocab, nlu_vocab, write_corpus, write_noise_dir
+
+# Input files under the base directory, by target name.
+FILES = {
+    "manifest": "corpus/manifest.jsonl",
+    "vocab": "corpus/vocab_nlu.txt",
+    "config": "corpus/cfg.json",
+    "ckpt": "corpus/ckpt.json",
+    "wav": "corpus/wavs/synth000.wav",
+    "noise": "noise/noise00.wav",
+}
+# The commands that read each target.
+READERS = {
+    "manifest": ("validate", "tokenize", "score", "wer", "decode", "augment", "train-toy"),
+    "vocab": ("tokenize", "train-toy"),
+    "config": ("train-toy",),
+    "ckpt": ("decode",),
+    "wav": ("decode", "augment", "train-toy"),
+    "noise": ("augment",),
+    "snr": ("augment",),
+}
+JSON_TARGETS = ("manifest", "config", "ckpt")
+WAV_HEADER = 44
+LOG_LINE = re.compile(r"^(DEBUG|INFO|WARNING|ERROR|CRITICAL) ")
+
+
+@pytest.fixture(scope="module")
+def base(tmp_path_factory) -> Path:
+    root = tmp_path_factory.mktemp("fail_clean")
+    paths = write_corpus(root / "corpus", 2, seed=5)
+    shutil.copy(paths.manifest, root / "corpus" / "hyps.jsonl")
+    write_noise_dir(root / "noise", count=4, seed=3)
+    config = {
+        "seed": 1,
+        "beam_size": 1,
+        "asr_vocab": "vocab_asr.txt",
+        "nlu_vocab": "vocab_nlu.txt",
+        "model": {"asr_hidden": 4, "nlu_hidden": 4},
+        "stages": [
+            {"stage": "asr_pretrain", "epochs": 1, "lr": 0.05},
+            {"stage": "joint_finetune", "epochs": 1, "lr": 0.01},
+        ],
+    }
+    (root / FILES["config"]).write_text(json.dumps(config))
+    manifest = parse_manifest(paths.manifest)
+    model = JointModel(
+        ModelConfig(feature_dim=FeatureConfig().num_bands, asr_hidden=4, nlu_hidden=4),
+        asr_vocab(),
+        nlu_vocab(),
+        sorted({tag for rec in manifest.records for tag in rec.slots}),
+        sorted(manifest.intent_vocabulary),
+    )
+    model.init_params(0)
+    save_checkpoint(model, root / FILES["ckpt"], beam_size=1)
+    return root
+
+
+def _argv(command: str, root: Path, snr: str) -> tuple[list[str], Path | None]:
+    """The command line for one command, and the --out file a failed run must
+    not leave behind (None for no --out, and for augment, whose WAVs are
+    written one by one)."""
+    corpus, out = root / "corpus", root / "out"
+    manifest = str(corpus / "manifest.jsonl")
+    if command == "validate":
+        return ["validate", "--manifest", manifest], None
+    if command == "tokenize":
+        target = out / "tokens.jsonl"
+        return ["tokenize", "--vocab", str(root / FILES["vocab"]), "--manifest", manifest,
+                "--out", str(target)], target
+    if command == "score":
+        target = out / "report.json"
+        return ["score", "--refs", manifest, "--hyps", str(corpus / "hyps.jsonl"),
+                "--out", str(target)], target
+    if command == "wer":
+        return ["wer", "--refs", manifest, "--hyps", str(corpus / "hyps.jsonl")], None
+    if command == "decode":
+        target = out / "hyps.jsonl"
+        return ["decode", "--ckpt", str(root / FILES["ckpt"]), "--manifest", manifest,
+                "--out", str(target)], target
+    if command == "augment":
+        return ["augment", "--manifest", manifest, "--noise-dir", str(root / "noise"),
+                "--split", "train", f"--snr={snr}", "--seed", "1", "--out", str(out / "aug")], None
+    assert command == "train-toy"
+    target = out / "ckpt.json"
+    return ["train-toy", "--config", str(root / FILES["config"]), "--manifest", manifest,
+            "--out", str(target)], target
+
+
+def _json_paths(obj, prefix=()):
+    yield prefix
+    children = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _mutate_json(text: str, jsonl: bool, pick: int, value, delete: bool) -> str:
+    obj = [json.loads(line) for line in text.splitlines()] if jsonl else json.loads(text)
+    paths = list(_json_paths(obj))
+    path = paths[pick % len(paths)]
+    if not path:
+        obj = value
+    else:
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        if delete:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    if jsonl:
+        return "".join(json.dumps(line) + "\n" for line in (obj if isinstance(obj, list) else [obj]))
+    return json.dumps(obj)
+
+
+def _mutate(blob: bytes, target: str, mutation: tuple) -> bytes:
+    kind = mutation[0]
+    if kind == "truncate":
+        return blob[: mutation[1] % (len(blob) + 1)]
+    if kind in ("overwrite", "insert"):
+        _, pos, chunk = mutation
+        pos %= WAV_HEADER if target in ("wav", "noise") else len(blob) + 1
+        end = pos + (len(chunk) if kind == "overwrite" else 0)
+        return blob[:pos] + chunk + blob[end:]
+    if kind == "prefix":
+        return mutation[1] + blob
+    if kind == "replace":
+        return mutation[1]
+    assert kind == "json"
+    _, pick, value, delete = mutation
+    return _mutate_json(blob.decode(), target == "manifest", pick, value, delete).encode()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-1e3, 1e3)
+    | st.sampled_from([float("nan"), float("inf"), 0.5]) | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=4,
+)
+byte_mutations = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("overwrite"), st.integers(0, 1 << 16), st.binary(min_size=1, max_size=4)),
+    st.tuples(st.just("insert"), st.integers(0, 1 << 16), st.binary(min_size=1, max_size=4)),
+    st.tuples(st.just("prefix"), st.sampled_from([b"\xff\xfe", b"\xef\xbb\xbf", b"\x00", b"RIFF"])),
+    st.tuples(st.just("replace"), st.binary(max_size=8)),
+)
+json_mutations = st.tuples(st.just("json"), st.integers(0, 1 << 16), json_values, st.booleans())
+snr_values = st.one_of(
+    st.text(alphabet="0123456789,.-ae ", max_size=8),
+    st.sampled_from(["", ",", "nan", "inf,0", "10,10", "-5"]),
+)
+
+
+@st.composite
+def cases(draw):
+    target = draw(st.sampled_from(sorted(READERS)))
+    command = draw(st.sampled_from(READERS[target]))
+    if target == "snr":
+        return command, target, ("snr", draw(snr_values))
+    strategy = byte_mutations | json_mutations if target in JSON_TARGETS else byte_mutations
+    return command, target, draw(strategy)
+
+
+@given(case=cases())
+@example(case=("score", "manifest", ("prefix", b"\xff\xfe")))
+@example(case=("train-toy", "config", ("json", 0, [], False)))
+@example(case=("train-toy", "config", ("json", 1, -1, False)))  # seed
+@example(case=("train-toy", "config", ("json", 6, 4.5, False)))  # model.asr_hidden
+@example(case=("train-toy", "config", ("json", 11, 0.5, False)))  # stages[0].epochs
+@example(case=("decode", "ckpt", ("json", 0, [], False)))
+@example(case=("decode", "ckpt", ("json", 0, "x", False)))
+@example(case=("augment", "snr", ("snr", "a,b")))
+@example(case=("augment", "snr", ("snr", "")))
+@example(case=("augment", "snr", ("snr", "--")))
+@example(case=("decode", "wav", ("replace", b"RIFF\x00\x00")))
+@settings(max_examples=150, deadline=None)
+def test_mutated_inputs_fail_cleanly(base, case):
+    command, target, mutation = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        shutil.copytree(base, root, dirs_exist_ok=True)
+        snr = "0,10"
+        if target == "snr":
+            snr = mutation[1]
+        else:
+            path = root / FILES[target]
+            path.write_bytes(_mutate(path.read_bytes(), target, mutation))
+        argv, out = _argv(command, root, snr)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        message = [line for line in stderr.getvalue().splitlines() if not LOG_LINE.match(line)]
+        if code == 0:
+            assert message == []
+        else:
+            assert len(message) == 1 and message[0].startswith(f"slu {command}: "), message
+            if out is not None:
+                assert not out.exists()

@@ -11,6 +11,7 @@ from slu.metrics import (
     align,
     corpus_wer,
     extract_spans,
+    intent_accuracy,
     intent_f1,
     slots_edit_f1,
     span_slot_f1,
@@ -221,6 +222,7 @@ def test_intent_f1_matches_confusion_matrix_oracle():
         assert intent_f1(refs, hyps) == pytest.approx(
             sum(r == h for r, h in zip(refs, hyps)) / len(refs)
         )
+        assert intent_f1(refs, hyps) == intent_accuracy(refs, hyps)
 
 
 @given(
