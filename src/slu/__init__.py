@@ -2,7 +2,7 @@
 
 from .data import Manifest, Utterance, normalize_text, parse_manifest, write_manifest
 from .metrics import align, intent_f1, slots_edit_f1, span_slot_f1, wer
-from .subword import SubwordVocab, concat_hidden, project_to_words, tokenize
+from .subword import SubwordVocab, tokenize
 
 __version__ = "0.1.0"
 
@@ -11,11 +11,9 @@ __all__ = [
     "SubwordVocab",
     "Utterance",
     "align",
-    "concat_hidden",
     "intent_f1",
     "normalize_text",
     "parse_manifest",
-    "project_to_words",
     "slots_edit_f1",
     "span_slot_f1",
     "tokenize",

@@ -251,35 +251,6 @@ def augment_corpus(
     return build_manifest(records, out_dir), provenance
 
 
-def mask_features(
-    features: np.ndarray,
-    time_masks: int,
-    freq_masks: int,
-    max_time_width: int,
-    max_freq_width: int,
-    seed: int = 0,
-) -> np.ndarray:
-    """Masking transform: contiguous time/feature ranges set to the matrix mean."""
-    features = np.asarray(features, dtype=np.float64)
-    n_time, n_freq = features.shape
-    if not (0 <= max_time_width <= n_time and 0 <= max_freq_width <= n_freq):
-        raise ValidationError(
-            f"mask widths ({max_time_width}, {max_freq_width}) exceed matrix extents {features.shape}"
-        )
-    rng = np.random.default_rng(seed)
-    out = features.copy()
-    fill = features.mean()
-    for _ in range(time_masks):
-        width = int(rng.integers(0, max_time_width + 1))
-        start = int(rng.integers(0, n_time - width + 1))
-        out[start : start + width, :] = fill
-    for _ in range(freq_masks):
-        width = int(rng.integers(0, max_freq_width + 1))
-        start = int(rng.integers(0, n_freq - width + 1))
-        out[:, start : start + width] = fill
-    return out
-
-
 @dataclass
 class FeatureConfig:
     frame_length: int = 256

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import audio, data, metrics, synth
 from .decode import decode_two_step
 from .errors import ParseError, SluError, ValidationError
-from .ioutil import atomic_write_text, read_json_object
+from .ioutil import atomic_write_text, read_json_object, staged_dir
 from .model import JointModel, ModelConfig, load_checkpoint, save_checkpoint
 from .subword import load_vocab, tokenize
 from .train import StageConfig, TrainConfig, corpus_features, train
@@ -192,11 +192,11 @@ def cmd_augment(args) -> int:
         seed=args.seed,
         random_offset=args.random_offset,
     )
-    out_dir = Path(args.out)
-    augmented, provenance = audio.augment_corpus(manifest, pool, spec, args.split, out_dir)
-    data.write_manifest(augmented, out_dir / "manifest.jsonl")
-    atomic_write_text(out_dir / "provenance.json", json.dumps(provenance, indent=2) + "\n")
-    print(json.dumps({"records": len(augmented.records), "out": str(out_dir)}))
+    with staged_dir(args.out) as stage:  # a failed run leaves --out as it was
+        augmented, provenance = audio.augment_corpus(manifest, pool, spec, args.split, stage)
+        data.write_manifest(augmented, stage / "manifest.jsonl")
+        atomic_write_text(stage / "provenance.json", json.dumps(provenance, indent=2) + "\n")
+    print(json.dumps({"records": len(augmented.records), "out": str(Path(args.out))}))
     return 0
 
 

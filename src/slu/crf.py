@@ -1,10 +1,10 @@
-"""Linear-chain CRF: exact partition function, path scores, and Viterbi.
+"""Linear-chain CRF: Viterbi decoding and the sequence log-likelihood.
 
 Path score = start[y_0] + sum_t emissions[t, y_t] + sum_t transitions[y_{t-1}, y_t]
            + end[y_{N-1}].
 
-Plain numpy functions serve scoring and decoding; the Tensor variants build
-the training graph for the sequence log-likelihood.
+Viterbi is plain numpy, for decoding; the Tensor functions build the
+training graph for the exact partition function and path score.
 """
 
 from __future__ import annotations
@@ -23,12 +23,6 @@ class CrfParams:
     start: np.ndarray  # (num_tags,)
     end: np.ndarray  # (num_tags,)
 
-    @classmethod
-    def zeros(cls, num_tags: int) -> "CrfParams":
-        return cls(
-            np.zeros((num_tags, num_tags)), np.zeros(num_tags), np.zeros(num_tags)
-        )
-
 
 def _check(emissions: np.ndarray, crf: CrfParams) -> np.ndarray:
     emissions = np.asarray(emissions, dtype=np.float64)
@@ -37,31 +31,6 @@ def _check(emissions: np.ndarray, crf: CrfParams) -> np.ndarray:
     if crf.transitions.shape != (emissions.shape[1], emissions.shape[1]):
         raise DimensionError("transition matrix does not match emission tag count")
     return emissions
-
-
-def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
-    m = x.max(axis=axis, keepdims=True)
-    return np.squeeze(m, axis) + np.log(np.exp(x - m).sum(axis=axis))
-
-
-def crf_log_z(emissions: np.ndarray, crf: CrfParams) -> float:
-    """Log of the sum over all tag paths of exp(path score)."""
-    emissions = _check(emissions, crf)
-    alpha = crf.start + emissions[0]
-    for row in emissions[1:]:
-        alpha = _logsumexp(alpha[:, None] + crf.transitions, axis=0) + row
-    return float(_logsumexp(alpha + crf.end, axis=0))
-
-
-def crf_path_score(emissions: np.ndarray, tags, crf: CrfParams) -> float:
-    emissions = _check(emissions, crf)
-    tags = list(tags)
-    if len(tags) != emissions.shape[0]:
-        raise DimensionError("tag path length does not match emissions")
-    score = crf.start[tags[0]] + emissions[0, tags[0]] + crf.end[tags[-1]]
-    for t in range(1, len(tags)):
-        score += crf.transitions[tags[t - 1], tags[t]] + emissions[t, tags[t]]
-    return float(score)
 
 
 def crf_viterbi(emissions: np.ndarray, crf: CrfParams) -> list[int]:

@@ -4,10 +4,9 @@ Step one beam-searches subword space for the best transcript under the
 first-order decoder, one batched decoder call per step, with EOS ranked ahead
 of a prefix's extensions on ties, and stops as soon as no live prefix can
 beat or tie the best finished one; only the top-1 hypothesis survives.  Step
-two reuses the step-one encoding and builds the word-level states for that
-hypothesis with ``JointModel.word_states``, as training does, then decodes
-the intent (argmax) and slot path (argmax per token, or Viterbi under the CRF
-head).
+two prepares an ``Example`` from that hypothesis and runs ``JointModel.forward``
+on it with the step-one encoding, as training does, then decodes the intent
+(argmax) and slot path (argmax per token, or Viterbi under the CRF head).
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ def beam_search_transcript(
 ) -> tuple[list[int], float]:
     """Top-1 subword id sequence (without EOS) and its total log-probability.
 
-    ``enc`` is the encoder output of ``model.encode_features`` under ``params``.
+    ``enc`` is the output of ``model.encode_features`` under ``params``.
 
     All live prefixes have the same length, so each step expands them in one
     batched ``decoder_states`` call.  EOS competes for beam slots like any
@@ -95,7 +94,8 @@ def decode_two_step(
     max_len: int = 40,
 ) -> DecodeResult:
     params = model.detached_params()
-    enc = model.encode_features(features, params)
+    frames = model.subsample(features)
+    enc = model.encode_features(frames, params)
     ids, logp = beam_search_transcript(model, enc, beam_size, params, max_len)
     tokens = model.asr_tokens(ids)
     words, first_index = merge_tokens(tokens, model.asr_vocab)
@@ -106,7 +106,8 @@ def decode_two_step(
         intent = model.intents[int(np.argmax(intent_logits.data[0]))]
         return DecodeResult([], [], intent, tokens, logp)
 
-    out = model.word_states(enc, TokenizationResult(tokens, first_index), words, params)
+    example = model.prepare(frames, words, tok_a=TokenizationResult(tokens, first_index))
+    out = model.forward(example, params, enc=enc)
     intent = model.intents[int(np.argmax(out.intent_logits.data[0]))]
     slot_scores = out.slot_scores.data
     if model.config.slot_head == HEAD_CRF:

@@ -1,8 +1,9 @@
-"""Atomic file writes (temp file in the target directory, then rename) and
-checked UTF-8 and JSON reads."""
+"""Atomic file writes (temp file in the target directory, then rename), staged
+directory writes, and checked UTF-8 and JSON reads."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -27,6 +28,19 @@ def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+@contextlib.contextmanager
+def staged_dir(path: str | os.PathLike):
+    """Yield a temporary sibling of directory ``path``; when the block succeeds,
+    its files move into ``path``, and when it raises, ``path`` is left as it was."""
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=target.parent, prefix=f".{target.name}.") as tmp:
+        yield Path(tmp)
+        target.mkdir(exist_ok=True)
+        for item in sorted(Path(tmp).iterdir()):
+            os.replace(item, target / item.name)
 
 
 def read_text(path: str | os.PathLike) -> str:

@@ -3,7 +3,7 @@
 Two branches share one loss: a feature encoder with a teacher-forced subword
 decoder produces per-subword states and transcript logits; a word-embedding
 plus single self-attention layer produces states for a second tokenization.
-Both are projected to word level through their first-index matrices and
+Both are projected to word level through their pooling matrices and
 concatenated; intent and slot heads read the concatenated rows.  The slot
 head is a per-token linear layer or a linear layer plus CRF.
 
@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .audio import FeatureConfig
-from .autodiff import Tensor, concat, linear, nll_rows, softmax_rows, wrap
+from .autodiff import Tensor, concat, linear, nll_rows, softmax_rows
 from .crf import crf_nll_t
 from .errors import DimensionError, ValidationError, check_field_types
 from .ioutil import atomic_write_text, read_json_object
@@ -29,7 +29,6 @@ from .subword import (
     POOL_LAST,
     POOL_MEAN,
     SubwordVocab,
-    TokenizationResult,
     pooling_matrix,
     tokenize,
 )
@@ -66,6 +65,20 @@ class ModelConfig:
             raise ValidationError(f"unknown word pooling {self.word_pooling!r}")
 
 
+@dataclass(frozen=True)
+class Example:
+    """One utterance as the model reads it, built once by ``JointModel.prepare``."""
+
+    frames: np.ndarray  # (subsampled frames, feature_dim), the encoder input
+    asr_inputs: list[int]  # BOS + ASR subword ids, the teacher-forced decoder input
+    asr_targets: list[int]  # ASR subword ids + EOS
+    nlu_ids: list[int]
+    pool_a: Tensor  # (words, asr subwords), the transposed pooling matrix
+    pool_b: Tensor  # (words, nlu subwords)
+    tag_ids: list[int]  # one per word; empty for a decoded hypothesis
+    intent_id: int | None
+
+
 @dataclass
 class ForwardOutputs:
     ha: Tensor  # (asr subwords, asr_hidden)
@@ -74,9 +87,6 @@ class ForwardOutputs:
     asr_logits: Tensor  # (asr subwords + 1, asr output vocab), last row predicts EOS
     slot_scores: Tensor  # (words, num_tags)
     intent_logits: Tensor  # (1, num_intents)
-    asr_targets: list[int] = field(default_factory=list)
-    tok_a: TokenizationResult | None = None
-    tok_b: TokenizationResult | None = None
 
 
 def subsample_features(features: np.ndarray, stride: int) -> np.ndarray:
@@ -125,20 +135,8 @@ class JointModel:
     def asr_output_size(self) -> int:
         return len(self.asr_pieces) + 1  # pieces + EOS
 
-    def asr_ids(self, tokens) -> list[int]:
-        try:
-            return [self._asr_piece_id[t] for t in tokens]
-        except KeyError as exc:
-            raise ValidationError(f"subword {exc.args[0]!r} not in ASR vocabulary") from exc
-
     def asr_tokens(self, ids) -> list[str]:
         return [self.asr_pieces[i] for i in ids]
-
-    def nlu_ids(self, tokens) -> list[int]:
-        try:
-            return [self._nlu_piece_id[t] for t in tokens]
-        except KeyError as exc:
-            raise ValidationError(f"subword {exc.args[0]!r} not in NLU vocabulary") from exc
 
     def tag_ids(self, slots) -> list[int]:
         try:
@@ -211,22 +209,51 @@ class JointModel:
             blocks.setdefault(name.split(".", 1)[0], []).append(name)
         return blocks
 
+    # -- examples ---------------------------------------------------------
+
+    def subsample(self, features: np.ndarray) -> np.ndarray:
+        """The encoder input for one utterance's features, checked against the config."""
+        cfg = self.config
+        frames = subsample_features(features, cfg.subsample_stride)
+        if frames.shape[1] != cfg.feature_dim:
+            raise DimensionError(f"feature dim {frames.shape[1]} != configured {cfg.feature_dim}")
+        if frames.shape[0] > cfg.max_positions:
+            raise DimensionError(f"{frames.shape[0]} frames exceed max_positions {cfg.max_positions}")
+        return frames
+
+    def prepare(self, frames: np.ndarray, words, slots=None, intent=None, tok_a=None) -> Example:
+        """The ``Example`` for ``subsample``'d frames and their transcript, with
+        ``tok_a`` when the caller has it (a decoded hypothesis) and label ids
+        when ``slots`` and ``intent`` are given."""
+        words = list(words)
+        if not words:
+            raise ValidationError("an example needs at least one word")
+        if tok_a is None:
+            tok_a = tokenize(words, self.asr_vocab)
+        elif tok_a.num_words != len(words):
+            raise DimensionError(f"ASR tokenization has {tok_a.num_words} words, transcript {len(words)}")
+        tok_b = tokenize(words, self.nlu_vocab)
+        ids_a = [self._asr_piece_id[t] for t in tok_a.tokens]  # tokenizers emit vocabulary pieces only
+        if len(ids_a) + 1 > self.config.max_positions:
+            raise DimensionError("utterance exceeds max decoder positions")
+        return Example(
+            frames=frames,
+            asr_inputs=[self.bos_id] + ids_a,
+            asr_targets=ids_a + [self.eos_id],
+            nlu_ids=[self._nlu_piece_id[t] for t in tok_b.tokens],
+            pool_a=Tensor(pooling_matrix(tok_a, self.config.word_pooling).T),
+            pool_b=Tensor(pooling_matrix(tok_b, self.config.word_pooling).T),
+            tag_ids=[] if slots is None else self.tag_ids(slots),
+            intent_id=None if intent is None else self.intent_id(intent),
+        )
+
     # -- forward pieces ---------------------------------------------------
 
-    def encode_features(self, features: np.ndarray, params: dict[str, Tensor] | None = None) -> Tensor:
+    def encode_features(self, frames: np.ndarray, params: dict[str, Tensor] | None = None) -> Tensor:
+        """Encoder rows for ``subsample``'d frames."""
         p = params if params is not None else self.params
-        sub = subsample_features(features, self.config.subsample_stride)
-        if sub.shape[1] != self.config.feature_dim:
-            raise DimensionError(
-                f"feature dim {sub.shape[1]} != configured {self.config.feature_dim}"
-            )
-        frames = sub.shape[0]
-        if frames > self.config.max_positions:
-            raise DimensionError(
-                f"{frames} frames exceed max_positions {self.config.max_positions}"
-            )
-        pos = p["asr.enc_pos"].gather_rows(list(range(frames)))
-        return (linear(sub, p["asr.enc_w"], p["asr.enc_b"]) + pos).tanh()
+        pos = p["asr.enc_pos"].gather_rows(list(range(frames.shape[0])))
+        return (linear(frames, p["asr.enc_w"], p["asr.enc_b"]) + pos).tanh()
 
     def decoder_states(self, prev_ids: list[int], steps: list[int], enc: Tensor, p) -> tuple[Tensor, Tensor]:
         """Hidden rows and logits for decoder steps given previous-token ids."""
@@ -251,65 +278,41 @@ class JointModel:
         pooled = concat([p["ic.sentinel"], *hcat_rows], axis=0).mean(axis=0, keepdims=True)
         return linear(pooled, p["ic.w"], p["ic.b"])
 
+    def teacher_forced(self, example: Example, params=None, enc: Tensor | None = None) -> tuple[Tensor, Tensor]:
+        """Decoder rows and transcript logits with the transcript fed in: all
+        that the speech-branch stages build.  ``enc`` is the encoding of
+        ``example.frames`` under ``params`` when the caller already has it.
+        """
+        p = params if params is not None else self.params
+        if enc is None:
+            enc = self.encode_features(example.frames, p)
+        return self.decoder_states(example.asr_inputs, list(range(len(example.asr_inputs))), enc, p)
+
     def forward(
         self,
-        features: np.ndarray,
-        words,
+        example: Example,
         params: dict[str, Tensor] | None = None,
         stop_asr_grad: bool = False,
+        enc: Tensor | None = None,
     ) -> ForwardOutputs:
-        """Teacher-forced forward pass over one utterance: encode, then word_states."""
-        p = params if params is not None else self.params
-        words = list(words)
-        if not words:
-            raise ValidationError("forward requires at least one word")
-        tok_a = tokenize(words, self.asr_vocab)
-        return self.word_states(self.encode_features(features, p), tok_a, words, p, stop_asr_grad)
+        """Teacher-forced pass over one example, up to slot scores and intent logits.
 
-    def word_states(
-        self,
-        enc: Tensor,
-        tok_a: TokenizationResult,
-        words: list[str],
-        p: dict[str, Tensor],
-        stop_asr_grad: bool = False,
-    ) -> ForwardOutputs:
-        """Word-level states, slot scores and intent logits for one transcript.
-
-        ``tok_a`` is the ASR tokenization of ``words``: the ground truth in
-        training, the top-1 beam hypothesis in decoding.  With
+        The transcript is the ground truth in training, the top-1 beam
+        hypothesis in decoding (which passes its ``enc``).  With
         ``stop_asr_grad`` the concatenation reads a detached copy of the
         decoder states, so slot/intent errors cannot reach the speech branch
         (the 2-stage baseline).  Transcript logits are unaffected by the flag.
         """
-        tok_b = tokenize(words, self.nlu_vocab)
-        ids_a = self.asr_ids(tok_a.tokens)
-        ids_b = self.nlu_ids(tok_b.tokens)
-        if len(ids_a) + 1 > self.config.max_positions:
-            raise DimensionError("utterance exceeds max decoder positions")
-
-        prev = [self.bos_id] + ids_a
-        h_dec, asr_logits = self.decoder_states(prev, list(range(len(prev))), enc, p)
-        ha = h_dec.gather_rows(list(range(len(ids_a))))
-        hb = self.nlu_states(ids_b, p)
+        p = params if params is not None else self.params
+        h_dec, asr_logits = self.teacher_forced(example, p, enc)
+        ha = h_dec.gather_rows(list(range(len(example.asr_targets) - 1)))
+        hb = self.nlu_states(example.nlu_ids, p)
 
         ha_nlu = ha.detach() if stop_asr_grad else ha
-        ma = pooling_matrix(tok_a, self.config.word_pooling)
-        mb = pooling_matrix(tok_b, self.config.word_pooling)
-        hcat = concat([wrap(ma.T) @ ha_nlu, wrap(mb.T) @ hb], axis=1)
+        hcat = concat([example.pool_a @ ha_nlu, example.pool_b @ hb], axis=1)
         slot_scores = linear(hcat, p["sl.w"], p["sl.b"])
         intent_logits = self.intent_logits_from([hcat], p)
-        return ForwardOutputs(
-            ha=ha,
-            hb=hb,
-            hcat=hcat,
-            asr_logits=asr_logits,
-            slot_scores=slot_scores,
-            intent_logits=intent_logits,
-            asr_targets=ids_a + [self.eos_id],
-            tok_a=tok_a,
-            tok_b=tok_b,
-        )
+        return ForwardOutputs(ha, hb, hcat, asr_logits, slot_scores, intent_logits)
 
     # -- losses ----------------------------------------------------------
 
@@ -322,8 +325,8 @@ class JointModel:
         self,
         slot_scores: Tensor,
         intent_logits: Tensor,
-        slots,
-        intent: str,
+        tag_ids: list[int],
+        intent_id: int,
         params: dict[str, Tensor] | None = None,
     ) -> Tensor:
         """Slot sequence NLL (per-token sum or CRF) plus intent NLL.
@@ -332,7 +335,6 @@ class JointModel:
         ``params``, the dict the forward pass ran on (default: the model's).
         """
         p = params if params is not None else self.params
-        tag_ids = self.tag_ids(slots)
         n = slot_scores.shape[0]
         if n != len(tag_ids):
             raise DimensionError(f"{n} slot score rows vs {len(tag_ids)} tags")
@@ -340,22 +342,7 @@ class JointModel:
             slot_term = crf_nll_t(slot_scores, tag_ids, p["sl.trans"], p["sl.start"], p["sl.end"])
         else:
             slot_term = nll_rows(slot_scores, tag_ids).sum()
-        return slot_term + nll_rows(intent_logits, [self.intent_id(intent)]).sum()
-
-    def loss_slu(
-        self,
-        features: np.ndarray,
-        words,
-        slots,
-        intent: str,
-        stop_asr_grad: bool = False,
-        params: dict[str, Tensor] | None = None,
-    ) -> tuple[Tensor, Tensor, Tensor]:
-        """(total, asr term, nlu term); the total is the exact unweighted sum."""
-        out = self.forward(features, words, params, stop_asr_grad)
-        asr = self.loss_asr(out.asr_logits, out.asr_targets)
-        nlu = self.loss_nlu(out.slot_scores, out.intent_logits, slots, intent, params)
-        return asr + nlu, asr, nlu
+        return slot_term + nll_rows(intent_logits, [intent_id]).sum()
 
     # -- checkpointing ------------------------------------------------------
 

@@ -179,29 +179,6 @@ def merge_tokens(tokens, vocab: SubwordVocab) -> tuple[list[str], list[int]]:
     return words, first_index
 
 
-def project_to_words(m: np.ndarray, hidden: np.ndarray) -> np.ndarray:
-    """M^T . H: select one hidden row per word (shape num_words x hidden_dim)."""
-    m = np.asarray(m, dtype=np.float64)
-    hidden = np.asarray(hidden, dtype=np.float64)
-    if m.ndim != 2 or hidden.ndim != 2 or m.shape[0] != hidden.shape[0]:
-        raise DimensionError(
-            f"projection shape mismatch: matrix {m.shape} vs hidden {hidden.shape}"
-        )
-    return m.T @ hidden
-
-
-def concat_hidden(ha: np.ndarray, hb: np.ndarray, ma: np.ndarray, mb: np.ndarray) -> np.ndarray:
-    """Word-level concatenation of two hidden matrices via their alignment matrices."""
-    ma = np.asarray(ma, dtype=np.float64)
-    mb = np.asarray(mb, dtype=np.float64)
-    if ma.shape[1] != mb.shape[1]:
-        raise DimensionError(
-            "the two tokenizations disagree on word count: "
-            f"{ma.shape[1]} vs {mb.shape[1]}"
-        )
-    return np.concatenate([project_to_words(ma, ha), project_to_words(mb, hb)], axis=1)
-
-
 # --- vocab file format: header "#kind: bpe|wordpiece", one piece per line ----
 
 def load_vocab(path: str | Path) -> SubwordVocab:

@@ -17,9 +17,9 @@ import numpy as np
 from .audio import FeatureConfig, log_power_features, record_clip
 from .data import Manifest
 from .decode import decode_two_step
-from .errors import NumericError, ValidationError, check_field_types
+from .errors import NumericError, SluError, ValidationError, check_field_types
 from .metrics import intent_accuracy, slots_edit_f1
-from .model import JointModel, MODE_E2E, MODE_TWO_STAGE
+from .model import Example, JointModel, MODE_E2E, MODE_TWO_STAGE
 
 log = logging.getLogger(__name__)
 
@@ -64,6 +64,17 @@ class TrainConfig:
 
 def corpus_features(manifest: Manifest, feature: FeatureConfig) -> list[np.ndarray]:
     return [log_power_features(record_clip(rec, manifest.base_dir), feature) for rec in manifest.records]
+
+
+def _examples(model: JointModel, records, features, labelled: bool) -> list[Example]:
+    examples = []
+    for rec, feats in zip(records, features):
+        labels = (rec.slots, rec.intent) if labelled else ()
+        try:
+            examples.append(model.prepare(model.subsample(feats), rec.words, *labels))
+        except SluError as exc:
+            raise ValidationError(f"record {rec.id!r}: {exc}") from exc
+    return examples
 
 
 class _Sgd:
@@ -112,9 +123,10 @@ def train(
 ) -> list[dict]:
     """Run the staged schedule in order; returns one log row per epoch.
 
-    The speech-branch stages optimize the transcript loss only; the joint
-    stage optimizes the full sum.  ``pretrain_manifest`` (when given) feeds
-    the first stage, mirroring pretraining on an external transcribed corpus.
+    Each record is prepared once, before the first step.  The speech-branch
+    stages optimize the transcript loss only; the joint stage optimizes the
+    full sum.  ``pretrain_manifest`` (when given, labels unread) feeds the
+    first stage, mirroring pretraining on an external transcribed corpus.
     """
     if not model.params:
         model.init_params(config.seed)
@@ -122,34 +134,31 @@ def train(
     if not records:
         raise ValidationError("cannot train on an empty manifest")
     features = corpus_features(manifest, feature)
-    pre_records, pre_features = records, features
+    examples = pre_examples = _examples(model, records, features, labelled=True)
     if pretrain_manifest is not None:
-        pre_records = pretrain_manifest.records
         pre_features = corpus_features(pretrain_manifest, feature)
+        pre_examples = _examples(model, pretrain_manifest.records, pre_features, labelled=False)
 
     history: list[dict] = []
     stop_asr = config.mode == MODE_TWO_STAGE
     for stage_idx, stage in enumerate(config.stages):
-        data = (
-            list(zip(pre_records, pre_features))
-            if stage.stage == STAGE_ASR_PRETRAIN
-            else list(zip(records, features))
-        )
+        data = pre_examples if stage.stage == STAGE_ASR_PRETRAIN else examples
         opt = _Sgd(model.params, stage.lr, stage.momentum)
         for epoch in range(stage.epochs):
             order = list(range(len(data)))
             random.Random(f"{config.seed}:{stage_idx}:{epoch}").shuffle(order)
             total = 0.0
             for i in order:
-                rec, feats = data[i]
+                ex = data[i]
                 model.zero_grads()
                 if stage.stage == STAGE_JOINT_FINETUNE:
-                    loss, _, _ = model.loss_slu(
-                        feats, rec.words, rec.slots, rec.intent, stop_asr_grad=stop_asr
+                    out = model.forward(ex, stop_asr_grad=stop_asr)
+                    loss = model.loss_asr(out.asr_logits, ex.asr_targets) + model.loss_nlu(
+                        out.slot_scores, out.intent_logits, ex.tag_ids, ex.intent_id
                     )
                 else:
-                    out = model.forward(feats, rec.words)
-                    loss = model.loss_asr(out.asr_logits, out.asr_targets)
+                    _, asr_logits = model.teacher_forced(ex)
+                    loss = model.loss_asr(asr_logits, ex.asr_targets)
                 loss.backward()
                 opt.step()
                 total += loss.item()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from slu.data import Utterance, build_manifest
-from slu.model import JointModel, ModelConfig
+from slu.model import Example, JointModel, ModelConfig
 from slu.subword import BPE, BPE_MARKER, WORDPIECE, WORDPIECE_MARKER, SubwordVocab
 from slu.synth import asr_vocab, nlu_vocab
 
@@ -97,6 +97,18 @@ def tiny_model(seed: int = 0, slot_head: str = "linear") -> JointModel:
 
 def tiny_features(seed: int = 0, frames: int = 12) -> np.ndarray:
     return np.random.default_rng(seed).normal(size=(frames, 6))
+
+
+def tiny_example(model: JointModel, words, slots=None, intent=None, seed: int = 0) -> Example:
+    return model.prepare(model.subsample(tiny_features(seed)), words, slots, intent)
+
+
+def joint_loss(model: JointModel, example: Example, params=None, stop_asr_grad: bool = False):
+    """(total, asr term, nlu term) of one joint-stage step, built as ``slu.train`` builds it."""
+    out = model.forward(example, params, stop_asr_grad)
+    asr = model.loss_asr(out.asr_logits, example.asr_targets)
+    nlu = model.loss_nlu(out.slot_scores, out.intent_logits, example.tag_ids, example.intent_id, params)
+    return asr + nlu, asr, nlu
 
 
 @pytest.fixture

@@ -5,8 +5,8 @@ than the package code (memoized recursion instead of iterative tables,
 exhaustive enumeration instead of dynamic programming) so that agreement is
 evidence, not tautology.  Old loop versions of vectorised package code are
 kept here verbatim as bit-exact references, next to a few small helpers
-(slot serialisation, detokenisation, SNR mixing shorthand) that only the
-tests use.
+(slot serialisation, detokenisation, SNR mixing shorthand, the numpy CRF
+partition function and path score) that only the tests use.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import sys
 import numpy as np
 
 from slu.audio import AudioClip, mix_at_snr_report
-from slu.errors import ValidationError
+from slu.crf import CrfParams, _check
+from slu.errors import DimensionError, ValidationError
 from slu.subword import SubwordVocab, TokenizationResult, first_index_matrix, merge_tokens
 
 sys.setrecursionlimit(100_000)
@@ -231,6 +232,35 @@ def crf_enumerate(emissions: np.ndarray, transitions, start, end):
         key=lambda p: tuple(reversed(p)),
     )
     return log_z, list(best), scores
+
+
+def crf_zeros(num_tags: int) -> CrfParams:
+    return CrfParams(np.zeros((num_tags, num_tags)), np.zeros(num_tags), np.zeros(num_tags))
+
+
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    m = x.max(axis=axis, keepdims=True)
+    return np.squeeze(m, axis) + np.log(np.exp(x - m).sum(axis=axis))
+
+
+def crf_log_z(emissions: np.ndarray, crf: CrfParams) -> float:
+    """Log of the sum over all tag paths of exp(path score)."""
+    emissions = _check(emissions, crf)
+    alpha = crf.start + emissions[0]
+    for row in emissions[1:]:
+        alpha = _logsumexp(alpha[:, None] + crf.transitions, axis=0) + row
+    return float(_logsumexp(alpha + crf.end, axis=0))
+
+
+def crf_path_score(emissions: np.ndarray, tags, crf: CrfParams) -> float:
+    emissions = _check(emissions, crf)
+    tags = list(tags)
+    if len(tags) != emissions.shape[0]:
+        raise DimensionError("tag path length does not match emissions")
+    score = crf.start[tags[0]] + emissions[0, tags[0]] + crf.end[tags[-1]]
+    for t in range(1, len(tags)):
+        score += crf.transitions[tags[t - 1], tags[t]] + emissions[t, tags[t]]
+    return float(score)
 
 
 def step_logprobs(model, params, enc, prev_id: int, step: int) -> np.ndarray:

@@ -14,16 +14,16 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_pair_corpus, random_subword_instance
+from conftest import joint_loss, random_pair_corpus, random_subword_instance
 from oracles import build_first_index_matrix, deserialize_slots, serialize_slots
 from slu.audio import AudioClip, AugmentSpec, NoisePool, augment_corpus, mix_at_snr_report, read_wav, write_wav
 from slu.cli import main as cli_main
 from slu.data import Utterance, build_manifest, parse_manifest, write_manifest
 from slu.decode import beam_search_transcript, decode_two_step
-from slu.crf import CrfParams, crf_log_z, crf_viterbi
+from slu.crf import CrfParams, crf_viterbi
 from slu.metrics import slots_edit_f1, wer
 from slu.model import JointModel, ModelConfig
-from slu.subword import BPE, WORDPIECE, SubwordVocab, concat_hidden, project_to_words, tokenize
+from slu.subword import BPE, WORDPIECE, SubwordVocab, pooling_matrix, tokenize
 from slu.synth import write_corpus, write_train_config
 
 
@@ -73,27 +73,32 @@ def test_criterion_2_wer_matches_quadratic_dp():
 
 
 def test_criterion_3_alignment_matrix_algebra():
-    with criterion(3, "M^T M = I, projection = row gather, concat shape N x (Fa+Fb)"):
+    with criterion(3, "M^T M = I, projection = row gather, model hcat shape N x (Fa+Fb)"):
         rng = random.Random(7)
         np_rng = np.random.default_rng(7)
+        fa, fb = 3, 4
+        config = ModelConfig(feature_dim=2, asr_hidden=fa, nlu_hidden=fb, subsample_stride=1, max_positions=64)
         for i in range(1000):
             kind = BPE if i % 2 else WORDPIECE
             words, vocab = random_subword_instance(rng, kind)
             result = tokenize(words, vocab)
-            m = build_first_index_matrix(result)
+            m = pooling_matrix(result)  # the matrix the model pools with
+            assert np.array_equal(m, build_first_index_matrix(result))
             n = len(words)
             assert np.array_equal(m.T @ m, np.eye(n))
             hidden = np_rng.normal(size=(result.num_tokens, 3))
-            assert np.array_equal(project_to_words(m, hidden), hidden[result.first_index])
+            assert np.array_equal(m.T @ hidden, hidden[result.first_index])
             other_kind = WORDPIECE if kind == BPE else BPE
             _, other_vocab = random_subword_instance(rng, other_kind)
             result_b = tokenize(words, other_vocab)
-            fa, fb = 3, 4
-            ha = np_rng.normal(size=(result.num_tokens, fa))
-            hb = np_rng.normal(size=(result_b.num_tokens, fb))
-            cat = concat_hidden(ha, hb, m, build_first_index_matrix(result_b))
+            # the concatenation JointModel.forward builds from the two tokenizations
+            model = JointModel(config, vocab, other_vocab, ["O"], ["x"])
+            model.init_params(i)
+            out = model.forward(model.prepare(model.subsample(np_rng.normal(size=(3, 2))), words))
+            assert (out.ha.shape, out.hb.shape) == ((result.num_tokens, fa), (result_b.num_tokens, fb))
+            cat = out.hcat.data
             assert cat.shape == (n, fa + fb)
-            gathered = np.concatenate([ha[result.first_index], hb[result_b.first_index]], axis=1)
+            gathered = np.concatenate([out.ha.data[result.first_index], out.hb.data[result_b.first_index]], axis=1)
             assert np.array_equal(cat, gathered)
 
 
@@ -158,11 +163,12 @@ def test_criterion_5_gradient_checks():
         for seed in range(20):
             slot_head = "crf" if seed % 2 else "linear"
             model, feats, words, slots, intent = _gradcheck_model(seed, slot_head)
+            example = model.prepare(model.subsample(feats), words, slots, intent)
             model.zero_grads()
-            total, _, _ = model.loss_slu(feats, words, slots, intent)
+            total, _, _ = joint_loss(model, example)
             total.backward()
             fd = oracles.finite_difference(
-                lambda: model.loss_slu(feats, words, slots, intent)[0].item(),
+                lambda: joint_loss(model, example)[0].item(),
                 {name: t.data for name, t in model.params.items()},
                 h=h,
             )
@@ -173,9 +179,10 @@ def test_criterion_5_gradient_checks():
 
         def nlu_to_asr_grad(stop: bool) -> float:
             model, feats, words, slots, intent = _gradcheck_model(999, "linear")
+            example = model.prepare(model.subsample(feats), words, slots, intent)
             model.zero_grads()
-            out = model.forward(feats, words, stop_asr_grad=stop)
-            model.loss_nlu(out.slot_scores, out.intent_logits, slots, intent).backward()
+            out = model.forward(example, stop_asr_grad=stop)
+            model.loss_nlu(out.slot_scores, out.intent_logits, example.tag_ids, example.intent_id).backward()
             return sum(
                 float(np.abs(t.grad).sum())
                 for n, t in model.params.items()
@@ -194,9 +201,9 @@ def test_criterion_6_crf_exactness():
                 emissions = rng.normal(size=(n, k))
                 crf = CrfParams(rng.normal(size=(k, k)), rng.normal(size=k), rng.normal(size=k))
                 log_z, best, scores = oracles.crf_enumerate(emissions, crf.transitions, crf.start, crf.end)
-                assert abs(crf_log_z(emissions, crf) - log_z) < 1e-10
+                assert abs(oracles.crf_log_z(emissions, crf) - log_z) < 1e-10
                 assert crf_viterbi(emissions, crf) == best
-                z = crf_log_z(emissions, crf)
+                z = oracles.crf_log_z(emissions, crf)
                 assert abs(sum(math.exp(s - z) for s in scores.values()) - 1.0) < 1e-10
 
 

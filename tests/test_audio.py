@@ -13,7 +13,6 @@ from slu.audio import (
     augment_corpus,
     fit_length,
     log_power_features,
-    mask_features,
     mix_at_snr_report,
     read_wav,
     rms,
@@ -228,31 +227,6 @@ def test_augment_requires_audio_and_enough_noises(tmp_path):
     big_pool = NoisePool.from_directory(_noise_dir(tmp_path / "more", count=12))
     with pytest.raises(ValidationError, match="nosound"):
         augment_corpus(manifest, big_pool, AugmentSpec(seed=0), "train", tmp_path / "o")
-
-
-def test_mask_features_identity_and_full_width():
-    feats = np.arange(24.0).reshape(6, 4)
-    assert np.array_equal(mask_features(feats, 0, 0, 0, 0), feats)
-    masked = mask_features(feats, 1, 0, 6, 0, seed=1)
-    # some rows may be replaced by the global mean; shape is preserved
-    assert masked.shape == feats.shape
-    # seed 7 draws a single time mask spanning all six frames
-    forced = mask_features(feats, 1, 0, 6, 0, seed=7)
-    assert np.allclose(forced, np.full_like(feats, feats.mean()))
-    # masked rows take the mean of the ORIGINAL matrix
-    one_row = mask_features(feats, 50, 0, 6, 0, seed=0)
-    assert np.allclose(one_row, np.full_like(feats, feats.mean()))
-
-
-def test_mask_features_deterministic_and_validated():
-    feats = np.random.default_rng(0).normal(size=(10, 8))
-    a = mask_features(feats, 2, 2, 4, 3, seed=11)
-    b = mask_features(feats, 2, 2, 4, 3, seed=11)
-    assert np.array_equal(a, b)
-    with pytest.raises(ValidationError):
-        mask_features(feats, 1, 1, 11, 3)
-    with pytest.raises(ValidationError):
-        mask_features(feats, 1, 1, 4, -1)
 
 
 def test_log_power_features_shape_and_determinism():

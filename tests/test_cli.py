@@ -10,7 +10,7 @@ from slu.cli import main
 from slu.data import Utterance, build_manifest, write_manifest
 from slu.model import JointModel, ModelConfig, save_checkpoint
 from slu.subword import WORDPIECE, SubwordVocab, save_vocab
-from slu.synth import asr_vocab, nlu_vocab, write_corpus
+from slu.synth import asr_vocab, lexicon, nlu_vocab, utterance_audio, write_corpus
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -246,6 +246,27 @@ def test_train_decode_rerun_is_byte_identical(capsys, tmp_path):
                    "--manifest", str(paths.manifest), "--out", str(hyp))[0] == 0
         outputs.append((ckpt.read_bytes(), ckpt.with_suffix(".log.jsonl").read_bytes(), hyp.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_train_toy_rejects_a_bad_record_before_training(capsys, tmp_path):
+    wav_dir = tmp_path / "corpus"
+    wav_dir.mkdir()
+    # 40 words are 160 encoder frames at the default hop and stride, past max_positions 64
+    transcripts = {"short0": ["show", "flights"], "long1": (list(lexicon()) * 2)[:40]}
+    for name, words in transcripts.items():
+        write_wav(utterance_audio(words), wav_dir / f"{name}.wav")
+    records = [Utterance(name, words, ["O"] * len(words), "find_flight", f"{name}.wav")
+               for name, words in transcripts.items()]
+    manifest_path = wav_dir / "m.jsonl"
+    write_manifest(build_manifest(records), manifest_path)
+    config_path = wav_dir / "cfg.json"
+    config_path.write_text(json.dumps({"stages": [{"stage": "asr_pretrain", "epochs": 1, "lr": 0.05}]}))
+    ckpt = tmp_path / "ckpt.json"
+    code, _, err = run(capsys, "train-toy", "--config", str(config_path), "--manifest", str(manifest_path),
+                       "--out", str(ckpt))
+    assert code == 2
+    assert err.startswith("slu train-toy: record 'long1': ") and "160 frames exceed max_positions 64" in err
+    assert not ckpt.exists() and not ckpt.with_suffix(".log.jsonl").exists()
 
 
 def test_bad_config_and_checkpoint_exit_2(capsys, tmp_path, ref_manifest):

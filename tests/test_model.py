@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import tiny_features, tiny_model
+from conftest import joint_loss, tiny_example, tiny_model
 from oracles import deserialize_slots, serialize_slots
 from slu.autodiff import Tensor
 from slu.errors import DimensionError, ValidationError
@@ -17,6 +17,7 @@ from slu.model import (
     save_checkpoint,
     subsample_features,
 )
+from slu.subword import tokenize
 
 WORDS = ["show", "flights", "to", "new", "york"]
 SLOTS = ["O", "O", "O", "B-toloc", "I-toloc"]
@@ -25,13 +26,14 @@ INTENT = "find_flight"
 
 def test_forward_shapes():
     model = tiny_model()
-    out = model.forward(tiny_features(), WORDS)
+    example = tiny_example(model, WORDS)
+    out = model.forward(example)
     fa, fb = model.config.asr_hidden, model.config.nlu_hidden
     assert out.hcat.shape == (5, fa + fb)
     assert out.slot_scores.shape == (5, len(model.slot_tags))
     assert out.intent_logits.shape == (1, len(model.intents))
     assert out.asr_logits.shape[0] == out.ha.shape[0] + 1  # one extra row predicts EOS
-    assert out.asr_targets[-1] == model.eos_id
+    assert example.asr_targets[-1] == model.eos_id
 
 
 def test_forward_zeroed_nlu_gives_zero_block():
@@ -39,29 +41,30 @@ def test_forward_zeroed_nlu_gives_zero_block():
     for name, t in model.params.items():
         if name.startswith("nlu."):
             t.data = np.zeros_like(t.data)
-    out = model.forward(tiny_features(), WORDS)
+    out = model.forward(tiny_example(model, WORDS))
     fa = model.config.asr_hidden
     assert np.array_equal(out.hcat.data[:, fa:], np.zeros((5, model.config.nlu_hidden)))
     # transcript logits do not depend on the text branch
     fresh = tiny_model()
-    expected = fresh.forward(tiny_features(), WORDS).asr_logits.data
+    expected = fresh.forward(tiny_example(fresh, WORDS)).asr_logits.data
     assert np.array_equal(out.asr_logits.data, expected)
 
 
 def test_forward_deterministic():
-    a = tiny_model(3).forward(tiny_features(), WORDS)
-    b = tiny_model(3).forward(tiny_features(), WORDS)
+    example = tiny_example(tiny_model(), WORDS)  # examples do not depend on parameters
+    a = tiny_model(3).forward(example)
+    b = tiny_model(3).forward(example)
     assert np.array_equal(a.hcat.data, b.hcat.data)
     assert np.array_equal(a.intent_logits.data, b.intent_logits.data)
 
 
 def test_forward_hcat_matches_projection_contract():
     model = tiny_model()
-    out = model.forward(tiny_features(), WORDS)
+    out = model.forward(tiny_example(model, WORDS))
     ha, hb = out.ha.data, out.hb.data
     fa = model.config.asr_hidden
-    assert np.array_equal(out.hcat.data[:, :fa], ha[out.tok_a.first_index])
-    assert np.array_equal(out.hcat.data[:, fa:], hb[out.tok_b.first_index])
+    assert np.array_equal(out.hcat.data[:, :fa], ha[tokenize(WORDS, model.asr_vocab).first_index])
+    assert np.array_equal(out.hcat.data[:, fa:], hb[tokenize(WORDS, model.nlu_vocab).first_index])
 
 
 def test_loss_asr_uniform_logits():
@@ -110,7 +113,9 @@ def test_loss_nlu_linear_decomposes_per_token():
     scores = rng.normal(size=(4, len(model.slot_tags)))
     intent_logits = rng.normal(size=(1, len(model.intents)))
     slots = ["O", "B-toloc", "I-toloc", "O"]
-    loss = model.loss_nlu(Tensor(scores), Tensor(intent_logits), slots, "airfare").item()
+    loss = model.loss_nlu(
+        Tensor(scores), Tensor(intent_logits), model.tag_ids(slots), model.intent_id("airfare")
+    ).item()
     expected = 0.0
     for row, tag in zip(scores, model.tag_ids(slots)):
         logp = row - (np.log(np.sum(np.exp(row - row.max()))) + row.max())
@@ -129,7 +134,7 @@ def test_loss_nlu_crf_matches_enumeration():
     slots = ["O", "B-toloc", "B-day"]
     tags = model.tag_ids(slots)
     intent_logits = np.zeros((1, len(model.intents)))
-    loss = model.loss_nlu(Tensor(scores), Tensor(intent_logits), slots, "goodbye").item()
+    loss = model.loss_nlu(Tensor(scores), Tensor(intent_logits), tags, model.intent_id("goodbye")).item()
     log_z, _, path_scores = oracles.crf_enumerate(
         scores,
         model.params["sl.trans"].data,
@@ -141,31 +146,30 @@ def test_loss_nlu_crf_matches_enumeration():
 
 
 def test_loss_nlu_unknown_labels():
+    # labels become ids when the example is prepared, before any loss is built
     model = tiny_model()
-    scores = Tensor(np.zeros((1, len(model.slot_tags))))
-    intents = Tensor(np.zeros((1, len(model.intents))))
     with pytest.raises(ValidationError):
-        model.loss_nlu(scores, intents, ["B-nosuch"], "airfare")
+        tiny_example(model, ["show"], ["B-nosuch"], "airfare")
     with pytest.raises(ValidationError):
-        model.loss_nlu(scores, intents, ["O"], "nosuch")
+        tiny_example(model, ["show"], ["O"], "nosuch")
 
 
 def test_loss_slu_is_exact_sum():
     model = tiny_model()
-    total, asr, nlu = model.loss_slu(tiny_features(), WORDS, SLOTS, INTENT)
+    total, asr, nlu = joint_loss(model, tiny_example(model, WORDS, SLOTS, INTENT))
     assert total.item() == asr.item() + nlu.item()  # same floats, same order
 
 
 @pytest.mark.parametrize("slot_head", ["linear", "crf"])
 def test_gradients_match_finite_differences(slot_head):
     model = tiny_model(seed=5, slot_head=slot_head)
-    feats = tiny_features(4)
+    example = tiny_example(model, WORDS, SLOTS, INTENT, seed=4)
 
     def loss_value():
-        return model.loss_slu(feats, WORDS, SLOTS, INTENT)[0].item()
+        return joint_loss(model, example)[0].item()
 
     model.zero_grads()
-    total, _, _ = model.loss_slu(feats, WORDS, SLOTS, INTENT)
+    total, _, _ = joint_loss(model, example)
     total.backward()
     fd = oracles.finite_difference(loss_value, {n: t.data for n, t in model.params.items()}, h=1e-4)
     for name, tensor in model.params.items():
@@ -178,7 +182,7 @@ def test_gradients_match_finite_differences(slot_head):
 def test_joint_gradient_touches_every_block():
     model = tiny_model(seed=6)
     model.zero_grads()
-    total, _, _ = model.loss_slu(tiny_features(5), WORDS, SLOTS, INTENT)
+    total, _, _ = joint_loss(model, tiny_example(model, WORDS, SLOTS, INTENT, seed=5))
     total.backward()
     for block, names in model.param_blocks().items():
         norm = sum(
@@ -192,8 +196,9 @@ def test_joint_gradient_touches_every_block():
 def test_asr_only_loss_leaves_heads_untouched():
     model = tiny_model(seed=7)
     model.zero_grads()
-    out = model.forward(tiny_features(), WORDS)
-    model.loss_asr(out.asr_logits, out.asr_targets).backward()
+    example = tiny_example(model, WORDS)
+    out = model.forward(example)
+    model.loss_asr(out.asr_logits, example.asr_targets).backward()
     for name, tensor in model.params.items():
         if name.startswith(("ic.", "sl.", "nlu.")):
             assert tensor.grad is None, name
@@ -203,12 +208,12 @@ def test_asr_only_loss_leaves_heads_untouched():
 
 def test_stop_gradient_blocks_nlu_to_asr():
     model = tiny_model(seed=8)
-    feats = tiny_features(9)
+    example = tiny_example(model, WORDS, SLOTS, INTENT, seed=9)
 
     def nlu_grad_norm(stop):
         model.zero_grads()
-        out = model.forward(feats, WORDS, stop_asr_grad=stop)
-        model.loss_nlu(out.slot_scores, out.intent_logits, SLOTS, INTENT).backward()
+        out = model.forward(example, stop_asr_grad=stop)
+        model.loss_nlu(out.slot_scores, out.intent_logits, example.tag_ids, example.intent_id).backward()
         return sum(
             float(np.abs(t.grad).sum())
             for n, t in model.params.items()
@@ -229,7 +234,7 @@ def test_gradients_vanish_at_perfect_fit():
     intents = np.full((1, len(model.intents)), -60.0)
     intents[0, model.intent_id(INTENT)] = 60.0
     st, it = Tensor(scores, requires_grad=True), Tensor(intents, requires_grad=True)
-    model.loss_nlu(st, it, slots, INTENT).backward()
+    model.loss_nlu(st, it, model.tag_ids(slots), model.intent_id(INTENT)).backward()
     assert np.abs(st.grad).max() < 1e-12
     assert np.abs(it.grad).max() < 1e-12
 
@@ -259,16 +264,17 @@ def test_explicit_params_receive_every_gradient():
     model = tiny_model(seed=10, slot_head="crf")
     params = {n: Tensor(t.data.copy(), requires_grad=True) for n, t in model.params.items()}
     model.zero_grads()
-    out = model.forward(tiny_features(), WORDS, params)
-    model.loss_nlu(out.slot_scores, out.intent_logits, SLOTS, INTENT, params).backward()
+    example = tiny_example(model, WORDS, SLOTS, INTENT)
+    out = model.forward(example, params)
+    model.loss_nlu(out.slot_scores, out.intent_logits, example.tag_ids, example.intent_id, params).backward()
     for name in ("sl.trans", "sl.start", "sl.end"):
         assert params[name].grad is not None and np.abs(params[name].grad).sum() > 0, name
     assert all(t.grad is None for t in model.params.values())
     for t in params.values():
         t.zero_grad()
-    total, _, _ = model.loss_slu(tiny_features(), WORDS, SLOTS, INTENT, params=params)
+    total, _, _ = joint_loss(model, example, params)
     total.backward()
-    assert total.item() == model.loss_slu(tiny_features(), WORDS, SLOTS, INTENT)[0].item()
+    assert total.item() == joint_loss(model, example)[0].item()
     assert all(t.grad is not None for t in params.values())
     assert all(t.grad is None for t in model.params.values())
 
@@ -276,7 +282,7 @@ def test_explicit_params_receive_every_gradient():
 def test_empty_params_dict_is_not_the_default():
     model = tiny_model()
     with pytest.raises(KeyError):
-        model.forward(tiny_features(), WORDS, {})
+        model.forward(tiny_example(model, WORDS), {})
 
 
 def test_serialize_slots_round_trip():
@@ -312,8 +318,8 @@ def test_checkpoint_round_trip(tmp_path):
     assert again.asr_vocab == model.asr_vocab
     for name, tensor in model.params.items():
         assert np.array_equal(again.params[name].data, tensor.data), name
-    out_a = model.forward(tiny_features(), WORDS)
-    out_b = again.forward(tiny_features(), WORDS)
+    out_a = model.forward(tiny_example(model, WORDS))
+    out_b = again.forward(tiny_example(again, WORDS))
     assert np.array_equal(out_a.slot_scores.data, out_b.slot_scores.data)
 
 
@@ -339,21 +345,21 @@ def test_model_config_validation():
 
 def test_word_pooling_modes_change_projection():
     frozen = tiny_model(seed=13)
-    base = frozen.forward(tiny_features(), WORDS)
+    base = frozen.forward(tiny_example(frozen, WORDS))
     for mode in ("last", "mean"):
         model = tiny_model(seed=13)
         model.config.word_pooling = mode
-        out = model.forward(tiny_features(), WORDS)
+        out = model.forward(tiny_example(model, WORDS))
         assert out.hcat.shape == base.hcat.shape
     # single-subword words make first/last/mean pooling coincide
     single = ["show", "flights", "to"]
-    first = tiny_model(seed=13).forward(tiny_features(), single).hcat.data
+    first = frozen.forward(tiny_example(frozen, single)).hcat.data
     model = tiny_model(seed=13)
     model.config.word_pooling = "mean"
-    assert np.allclose(model.forward(tiny_features(), single).hcat.data, first)
+    assert np.allclose(model.forward(tiny_example(model, single)).hcat.data, first)
 
 
 def test_forward_rejects_alignment_word_mismatch():
     model = tiny_model()
     with pytest.raises(ValidationError):
-        model.forward(tiny_features(), [])
+        tiny_example(model, [])

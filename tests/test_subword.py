@@ -5,19 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_subword_instance
+from conftest import random_subword_instance, tiny_example, tiny_features, tiny_model
 from oracles import build_first_index_matrix, detokenize
 from slu.errors import DimensionError, ParseError, ValidationError
 from slu.subword import (
     BPE,
     WORDPIECE,
     SubwordVocab,
-    concat_hidden,
+    TokenizationResult,
     first_index_matrix,
     load_vocab,
     merge_tokens,
     pooling_matrix,
-    project_to_words,
     save_vocab,
     tokenize,
 )
@@ -85,32 +84,41 @@ def test_first_index_matrix_errors():
 
 
 def test_project_identity_and_row_selection():
+    # the word projection the model applies: pooling_matrix(...).T @ hidden
     h = np.arange(12.0).reshape(3, 4)
-    assert np.array_equal(project_to_words(np.eye(3), h), h)
-    m = first_index_matrix([0, 1], 3)
-    assert np.array_equal(project_to_words(m, h), h[[0, 1]])
+    one_piece_words = pooling_matrix(TokenizationResult(["a", "b", "c"], [0, 1, 2]))
+    assert np.array_equal(one_piece_words, np.eye(3))
+    assert np.array_equal(one_piece_words.T @ h, h)
+    m = pooling_matrix(TokenizationResult(["a", "b", "##c"], [0, 1]))
+    assert np.array_equal(m.T @ h, h[[0, 1]])
 
 
 def test_project_shape_mismatch():
+    # a word that starts past the last subword has no hidden row to pool
     with pytest.raises(DimensionError):
-        project_to_words(np.eye(3), np.zeros((4, 2)))
+        pooling_matrix(TokenizationResult(["a", "b", "c"], [0, 3]))
 
 
 def test_concat_hidden_shapes_and_zero_block():
-    rng = np.random.default_rng(0)
-    ma = first_index_matrix([0, 1, 3, 4], 6)
-    mb = first_index_matrix([0, 2, 3, 5], 7)
-    ha = rng.normal(size=(6, 2))
-    hb = np.zeros((7, 3))
-    cat = concat_hidden(ha, hb, ma, mb)
-    assert cat.shape == (4, 5)
-    assert np.array_equal(cat[:, 2:], np.zeros((4, 3)))
-    assert np.array_equal(cat[:, :2], ha[[0, 1, 3, 4]])
+    model = tiny_model(seed=1)
+    for name, t in model.params.items():
+        if name.startswith("nlu."):
+            t.data = np.zeros_like(t.data)  # zero text-branch states
+    words = ["show", "flights", "from", "austin", "to", "denver"]  # 8 ASR subwords, 6 NLU
+    out = model.forward(tiny_example(model, words))
+    fa, fb = model.config.asr_hidden, model.config.nlu_hidden
+    assert np.array_equal(out.hb.data, np.zeros_like(out.hb.data))
+    assert out.hcat.shape == (len(words), fa + fb)
+    assert np.array_equal(out.hcat.data[:, fa:], np.zeros((len(words), fb)))
+    first = tokenize(words, model.asr_vocab).first_index
+    assert np.array_equal(out.hcat.data[:, :fa], out.ha.data[first])
 
 
 def test_concat_hidden_word_count_mismatch():
+    model = tiny_model()
+    three_words = TokenizationResult(["▁show", "▁to", "▁york"], [0, 1, 2])
     with pytest.raises(DimensionError):
-        concat_hidden(np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2), np.eye(3))
+        model.prepare(model.subsample(tiny_features()), ["show", "to"], tok_a=three_words)
 
 
 @pytest.mark.parametrize("kind", [BPE, WORDPIECE])
@@ -149,7 +157,7 @@ def test_matrix_algebra_properties(kind):
         assert np.array_equal(m.T @ m, np.eye(len(words)))
         assert result.first_index == sorted(set(result.first_index))
         h = np.random.default_rng(0).normal(size=(result.num_tokens, 3))
-        assert np.array_equal(project_to_words(m, h), h[result.first_index])
+        assert np.array_equal(pooling_matrix(result).T @ h, h[result.first_index])
 
 
 def test_pooling_matrix_modes():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import slu.model
 from slu.audio import FeatureConfig
 from slu.data import Utterance, build_manifest
 from slu.decode import decode_two_step
@@ -76,6 +77,46 @@ def test_overfit_single_utterance_decodes_exactly():
     assert result.words == rec.words
     assert result.slots == rec.slots
     assert result.intent == rec.intent
+
+
+def test_train_tokenizes_each_record_once_per_vocabulary(monkeypatch):
+    corpus = small_corpus(3)
+    calls = []
+    tokenize = slu.model.tokenize
+
+    def counting_tokenize(words, vocab):
+        calls.append(vocab.kind)
+        return tokenize(words, vocab)
+
+    monkeypatch.setattr(slu.model, "tokenize", counting_tokenize)
+    cfg = TrainConfig(  # eval_every 0: no decode polls
+        seed=0,
+        stages=[
+            StageConfig("asr_pretrain", epochs=2, lr=0.05),
+            StageConfig("joint_finetune", epochs=3, lr=0.01),
+        ],
+    )
+    train(small_model(corpus), corpus, cfg, FEATURE)
+    assert len(calls) == 2 * len(corpus.records)
+
+
+def test_speech_stages_build_no_nlu_graph(monkeypatch):
+    corpus = small_corpus(2)
+    model = small_model(corpus, seed=3)
+    calls = []
+    nlu_states = model.nlu_states
+
+    def counting_nlu_states(*args):
+        calls.append(1)
+        return nlu_states(*args)
+
+    monkeypatch.setattr(model, "nlu_states", counting_nlu_states)
+    speech = [StageConfig("asr_pretrain", epochs=2, lr=0.05), StageConfig("asr_finetune", epochs=1, lr=0.05)]
+    train(model, corpus, TrainConfig(seed=0, stages=speech), FEATURE)
+    assert calls == []
+    joint = [StageConfig("joint_finetune", epochs=1, lr=0.01)]
+    train(model, corpus, TrainConfig(seed=0, stages=joint), FEATURE)
+    assert len(calls) == len(corpus.records)
 
 
 def test_stage_loss_selection():
