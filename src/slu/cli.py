@@ -10,6 +10,7 @@ outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -200,14 +201,17 @@ def cmd_augment(args) -> int:
     return 0
 
 
+_SETUP_KEYS = ("feature", "model", "asr_vocab", "nlu_vocab")  # train config keys beside TrainConfig's
+
+
 def _train_configs(obj: dict, config_dir: Path):
-    stages = [StageConfig(**stage) for stage in obj.get("stages", [])]
-    train_cfg = TrainConfig(
-        seed=obj.get("seed", 0),
-        beam_size=obj.get("beam_size", 5),
-        mode=obj.get("mode", "e2e"),
-        stages=stages,
-    )
+    allowed = [f.name for f in dataclasses.fields(TrainConfig)] + list(_SETUP_KEYS)
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ValidationError(f"unknown key {unknown[0]!r}; expected one of {allowed}")
+    fields = {key: value for key, value in obj.items() if key not in _SETUP_KEYS}
+    fields["stages"] = [StageConfig(**stage) for stage in obj.get("stages", [])]
+    train_cfg = TrainConfig(**fields)
     feature = audio.FeatureConfig(**obj.get("feature", {}))
     model_cfg = ModelConfig(feature_dim=feature.num_bands, **obj.get("model", {}))
     asr_vocab = load_vocab(config_dir / obj["asr_vocab"]) if "asr_vocab" in obj else synth.asr_vocab()

@@ -9,41 +9,32 @@ training graph for the exact partition function and path score.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import Tensor
 from .errors import DimensionError
 
 
-@dataclass
-class CrfParams:
-    transitions: np.ndarray  # (num_tags, num_tags), [from, to]
-    start: np.ndarray  # (num_tags,)
-    end: np.ndarray  # (num_tags,)
-
-
-def _check(emissions: np.ndarray, crf: CrfParams) -> np.ndarray:
+def _check(emissions: np.ndarray, transitions: np.ndarray) -> np.ndarray:
     emissions = np.asarray(emissions, dtype=np.float64)
     if emissions.ndim != 2 or emissions.shape[0] < 1:
         raise DimensionError(f"emissions must be (positions x tags), got {emissions.shape}")
-    if crf.transitions.shape != (emissions.shape[1], emissions.shape[1]):
+    if transitions.shape != (emissions.shape[1], emissions.shape[1]):
         raise DimensionError("transition matrix does not match emission tag count")
     return emissions
 
 
-def crf_viterbi(emissions: np.ndarray, crf: CrfParams) -> list[int]:
+def crf_viterbi(emissions: np.ndarray, transitions: np.ndarray, start: np.ndarray, end: np.ndarray) -> list[int]:
     """Highest-scoring tag path; ties resolve to the lowest tag index."""
-    emissions = _check(emissions, crf)
+    emissions = _check(emissions, transitions)
     n, k = emissions.shape
-    delta = crf.start + emissions[0]
+    delta = start + emissions[0]
     back = np.zeros((n, k), dtype=np.intp)
     for t in range(1, n):
-        scores = delta[:, None] + crf.transitions  # [from, to]
+        scores = delta[:, None] + transitions  # [from, to]
         back[t] = scores.argmax(axis=0)  # argmax takes the first (lowest) index
         delta = scores.max(axis=0) + emissions[t]
-    last = int(np.argmax(delta + crf.end))
+    last = int(np.argmax(delta + end))
     path = [last]
     for t in range(n - 1, 0, -1):
         last = int(back[t, last])

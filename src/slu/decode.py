@@ -6,7 +6,8 @@ of a prefix's extensions on ties, and stops as soon as no live prefix can
 beat or tie the best finished one; only the top-1 hypothesis survives.  Step
 two prepares an ``Example`` from that hypothesis and runs ``JointModel.forward``
 on it with the step-one encoding, as training does, then decodes the intent
-(argmax) and slot path (argmax per token, or Viterbi under the CRF head).
+(argmax) and slot path (``JointModel.decode_slots``).  Both steps run on
+``model.frozen()``, so decoding records no autodiff graph.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .crf import CrfParams, crf_viterbi
 from .errors import DecodeError
-from .model import JointModel, HEAD_CRF
+from .model import JointModel
 from .subword import TokenizationResult, merge_tokens
 
 
@@ -32,15 +32,11 @@ class DecodeResult:
 
 
 def beam_search_transcript(
-    model: JointModel,
-    enc: Tensor,
-    beam_size: int,
-    params: dict[str, Tensor],
-    max_len: int = 40,
+    model: JointModel, enc: Tensor, beam_size: int, max_len: int = 40
 ) -> tuple[list[int], float]:
     """Top-1 subword id sequence (without EOS) and its total log-probability.
 
-    ``enc`` is the output of ``model.encode_features`` under ``params``.
+    ``enc`` is the output of ``model.encode_features``.
 
     All live prefixes have the same length, so each step expands them in one
     batched ``decoder_states`` call.  EOS competes for beam slots like any
@@ -63,7 +59,7 @@ def beam_search_transcript(
 
     def logprobs(step: int) -> np.ndarray:
         prev = [tokens[-1] if tokens else model.bos_id for tokens in live]
-        _, logits = model.decoder_states(prev, [step] * len(live), enc, params)
+        _, logits = model.decoder_states(prev, [step] * len(live), enc)
         z = logits.data
         top = z.max(axis=1, keepdims=True)
         return z - np.log(np.exp(z - top).sum(axis=1, keepdims=True)) - top
@@ -93,29 +89,20 @@ def decode_two_step(
     beam_size: int = 5,
     max_len: int = 40,
 ) -> DecodeResult:
-    params = model.detached_params()
+    model = model.frozen()  # both steps read detached parameters and build no graph
     frames = model.subsample(features)
-    enc = model.encode_features(frames, params)
-    ids, logp = beam_search_transcript(model, enc, beam_size, params, max_len)
+    enc = model.encode_features(frames)
+    ids, logp = beam_search_transcript(model, enc, beam_size, max_len)
     tokens = model.asr_tokens(ids)
     words, first_index = merge_tokens(tokens, model.asr_vocab)
 
     if not words:
         # Degenerate transcript: intent from the sentinel row alone, no slots.
-        intent_logits = model.intent_logits_from([], params)
+        intent_logits = model.intent_logits_from([])
         intent = model.intents[int(np.argmax(intent_logits.data[0]))]
         return DecodeResult([], [], intent, tokens, logp)
 
     example = model.prepare(frames, words, tok_a=TokenizationResult(tokens, first_index))
-    out = model.forward(example, params, enc=enc)
+    out = model.forward(example, enc=enc)
     intent = model.intents[int(np.argmax(out.intent_logits.data[0]))]
-    slot_scores = out.slot_scores.data
-    if model.config.slot_head == HEAD_CRF:
-        crf = CrfParams(
-            params["sl.trans"].data, params["sl.start"].data, params["sl.end"].data
-        )
-        tag_ids = crf_viterbi(slot_scores, crf)
-    else:
-        tag_ids = [int(i) for i in slot_scores.argmax(axis=1)]
-    slots = [model.slot_tags[i] for i in tag_ids]
-    return DecodeResult(words, slots, intent, tokens, logp)
+    return DecodeResult(words, model.decode_slots(out.slot_scores), intent, tokens, logp)

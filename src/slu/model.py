@@ -12,6 +12,7 @@ All tensors are float64 so finite-difference gradient checks are meaningful.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -21,7 +22,7 @@ import numpy as np
 
 from .audio import FeatureConfig
 from .autodiff import Tensor, concat, linear, nll_rows, softmax_rows
-from .crf import crf_nll_t
+from .crf import crf_nll_t, crf_viterbi
 from .errors import DimensionError, ValidationError, check_field_types
 from .ioutil import atomic_write_text, read_json_object
 from .subword import (
@@ -103,7 +104,11 @@ def subsample_features(features: np.ndarray, stride: int) -> np.ndarray:
 
 
 class JointModel:
-    """Parameter container plus forward/loss graph builders."""
+    """Parameter container plus forward/loss graph builders.
+
+    Every pass reads ``self.params``; decoding runs on ``frozen()``, a view
+    whose parameters are detached, so it records no graph.
+    """
 
     def __init__(
         self,
@@ -196,8 +201,11 @@ class JointModel:
             p["sl.end"] = Tensor(rng.normal(0.0, 0.1, size=n_tags), requires_grad=True)
         self.params = p
 
-    def detached_params(self) -> dict[str, Tensor]:
-        return {name: t.detach() for name, t in self.params.items()}
+    def frozen(self) -> "JointModel":
+        """A shallow copy whose parameters are detached: its passes record no graph."""
+        view = copy.copy(self)
+        view.params = {name: t.detach() for name, t in self.params.items()}
+        return view
 
     def zero_grads(self) -> None:
         for t in self.params.values():
@@ -249,14 +257,15 @@ class JointModel:
 
     # -- forward pieces ---------------------------------------------------
 
-    def encode_features(self, frames: np.ndarray, params: dict[str, Tensor] | None = None) -> Tensor:
+    def encode_features(self, frames: np.ndarray) -> Tensor:
         """Encoder rows for ``subsample``'d frames."""
-        p = params if params is not None else self.params
+        p = self.params
         pos = p["asr.enc_pos"].gather_rows(list(range(frames.shape[0])))
         return (linear(frames, p["asr.enc_w"], p["asr.enc_b"]) + pos).tanh()
 
-    def decoder_states(self, prev_ids: list[int], steps: list[int], enc: Tensor, p) -> tuple[Tensor, Tensor]:
+    def decoder_states(self, prev_ids: list[int], steps: list[int], enc: Tensor) -> tuple[Tensor, Tensor]:
         """Hidden rows and logits for decoder steps given previous-token ids."""
+        p = self.params
         emb = p["asr.emb"].gather_rows(prev_ids) + p["asr.dec_pos"].gather_rows(steps)
         q = emb @ p["asr.attn_q"]
         scores = (q @ enc.T) * (1.0 / math.sqrt(self.config.asr_hidden))
@@ -265,7 +274,8 @@ class JointModel:
         logits = linear(hidden, p["asr.out_w"], p["asr.out_b"])
         return hidden, logits
 
-    def nlu_states(self, ids_b: list[int], p) -> Tensor:
+    def nlu_states(self, ids_b: list[int]) -> Tensor:
+        p = self.params
         emb = p["nlu.emb"].gather_rows(ids_b) + p["nlu.pos"].gather_rows(list(range(len(ids_b))))
         att = softmax_rows(
             (emb @ p["nlu.attn_q"]) @ (emb @ p["nlu.attn_k"]).T
@@ -274,27 +284,21 @@ class JointModel:
         ctx = att @ (emb @ p["nlu.attn_v"])
         return linear(emb + ctx, p["nlu.ff_w"], p["nlu.ff_b"]).tanh()
 
-    def intent_logits_from(self, hcat_rows: list[Tensor], p) -> Tensor:
+    def intent_logits_from(self, hcat_rows: list[Tensor]) -> Tensor:
+        p = self.params
         pooled = concat([p["ic.sentinel"], *hcat_rows], axis=0).mean(axis=0, keepdims=True)
         return linear(pooled, p["ic.w"], p["ic.b"])
 
-    def teacher_forced(self, example: Example, params=None, enc: Tensor | None = None) -> tuple[Tensor, Tensor]:
+    def teacher_forced(self, example: Example, enc: Tensor | None = None) -> tuple[Tensor, Tensor]:
         """Decoder rows and transcript logits with the transcript fed in: all
         that the speech-branch stages build.  ``enc`` is the encoding of
-        ``example.frames`` under ``params`` when the caller already has it.
+        ``example.frames`` when the caller already has it.
         """
-        p = params if params is not None else self.params
         if enc is None:
-            enc = self.encode_features(example.frames, p)
-        return self.decoder_states(example.asr_inputs, list(range(len(example.asr_inputs))), enc, p)
+            enc = self.encode_features(example.frames)
+        return self.decoder_states(example.asr_inputs, list(range(len(example.asr_inputs))), enc)
 
-    def forward(
-        self,
-        example: Example,
-        params: dict[str, Tensor] | None = None,
-        stop_asr_grad: bool = False,
-        enc: Tensor | None = None,
-    ) -> ForwardOutputs:
+    def forward(self, example: Example, stop_asr_grad: bool = False, enc: Tensor | None = None) -> ForwardOutputs:
         """Teacher-forced pass over one example, up to slot scores and intent logits.
 
         The transcript is the ground truth in training, the top-1 beam
@@ -303,38 +307,25 @@ class JointModel:
         decoder states, so slot/intent errors cannot reach the speech branch
         (the 2-stage baseline).  Transcript logits are unaffected by the flag.
         """
-        p = params if params is not None else self.params
-        h_dec, asr_logits = self.teacher_forced(example, p, enc)
+        h_dec, asr_logits = self.teacher_forced(example, enc)
         ha = h_dec.gather_rows(list(range(len(example.asr_targets) - 1)))
-        hb = self.nlu_states(example.nlu_ids, p)
+        hb = self.nlu_states(example.nlu_ids)
 
         ha_nlu = ha.detach() if stop_asr_grad else ha
         hcat = concat([example.pool_a @ ha_nlu, example.pool_b @ hb], axis=1)
-        slot_scores = linear(hcat, p["sl.w"], p["sl.b"])
-        intent_logits = self.intent_logits_from([hcat], p)
+        slot_scores = linear(hcat, self.params["sl.w"], self.params["sl.b"])
+        intent_logits = self.intent_logits_from([hcat])
         return ForwardOutputs(ha, hb, hcat, asr_logits, slot_scores, intent_logits)
 
     # -- losses ----------------------------------------------------------
 
-    def loss_asr(self, asr_logits: Tensor, targets: list[int], smoothing: float | None = None) -> Tensor:
+    def loss_asr(self, asr_logits: Tensor, targets: list[int]) -> Tensor:
         """Mean per-token negative log-likelihood with label smoothing."""
-        eps = self.config.label_smoothing if smoothing is None else smoothing
-        return nll_rows(asr_logits, targets, eps).mean()
+        return nll_rows(asr_logits, targets, self.config.label_smoothing).mean()
 
-    def loss_nlu(
-        self,
-        slot_scores: Tensor,
-        intent_logits: Tensor,
-        tag_ids: list[int],
-        intent_id: int,
-        params: dict[str, Tensor] | None = None,
-    ) -> Tensor:
-        """Slot sequence NLL (per-token sum or CRF) plus intent NLL.
-
-        The CRF head reads its transition, start and end scores from
-        ``params``, the dict the forward pass ran on (default: the model's).
-        """
-        p = params if params is not None else self.params
+    def loss_nlu(self, slot_scores: Tensor, intent_logits: Tensor, tag_ids: list[int], intent_id: int) -> Tensor:
+        """Slot sequence NLL (per-token sum or CRF) plus intent NLL."""
+        p = self.params
         n = slot_scores.shape[0]
         if n != len(tag_ids):
             raise DimensionError(f"{n} slot score rows vs {len(tag_ids)} tags")
@@ -343,6 +334,15 @@ class JointModel:
         else:
             slot_term = nll_rows(slot_scores, tag_ids).sum()
         return slot_term + nll_rows(intent_logits, [intent_id]).sum()
+
+    def decode_slots(self, slot_scores: Tensor) -> list[str]:
+        """One tag per word: the Viterbi path under the CRF head, else each row's argmax."""
+        scores, p = slot_scores.data, self.params
+        if self.config.slot_head == HEAD_CRF:
+            tag_ids = crf_viterbi(scores, p["sl.trans"].data, p["sl.start"].data, p["sl.end"].data)
+        else:
+            tag_ids = scores.argmax(axis=1)
+        return [self.slot_tags[i] for i in tag_ids]
 
     # -- checkpointing ------------------------------------------------------
 
@@ -398,7 +398,7 @@ def save_checkpoint(
     beam_size: int = 5,
 ) -> None:
     obj = model.to_dict()
-    obj["feature"] = asdict(feature or FeatureConfig())
+    obj["feature"] = asdict(feature or FeatureConfig(num_bands=model.config.feature_dim))
     obj["beam_size"] = beam_size
     atomic_write_text(path, json.dumps(obj))
 
@@ -413,4 +413,8 @@ def load_checkpoint(path: str | Path) -> tuple[JointModel, FeatureConfig, int]:
         raise ValidationError(f"{path}: malformed checkpoint: {exc}") from exc
     if beam_size < 1:
         raise ValidationError(f"{path}: beam_size must be >= 1, got {beam_size}")
+    if feature.num_bands != model.config.feature_dim:
+        raise ValidationError(
+            f"{path}: feature.num_bands {feature.num_bands} != model.feature_dim {model.config.feature_dim}"
+        )
     return model, feature, beam_size

@@ -89,19 +89,19 @@ def first_index_matrix(first_index, num_tokens: int) -> np.ndarray:
 
 def pooling_matrix(result: TokenizationResult, mode: str = POOL_FIRST) -> np.ndarray:
     """Token-to-word pooling matrix; first-index selection is the default."""
-    n_tok, n_words = result.num_tokens, result.num_words
+    first = first_index_matrix(result.first_index, result.num_tokens)  # checks range and order
     if mode == POOL_FIRST:
-        return first_index_matrix(result.first_index, n_tok)
+        return first
+    if mode not in (POOL_LAST, POOL_MEAN):
+        raise ValidationError(f"unknown pooling mode {mode!r}")
     starts = list(result.first_index)
-    ends = starts[1:] + [n_tok]
-    m = np.zeros((n_tok, n_words), dtype=np.float64)
+    ends = starts[1:] + [result.num_tokens]
+    m = np.zeros_like(first)
     for col, (lo, hi) in enumerate(zip(starts, ends)):
         if mode == POOL_LAST:
             m[hi - 1, col] = 1.0
-        elif mode == POOL_MEAN:
-            m[lo:hi, col] = 1.0 / (hi - lo)
         else:
-            raise ValidationError(f"unknown pooling mode {mode!r}")
+            m[lo:hi, col] = 1.0 / (hi - lo)
     return m
 
 

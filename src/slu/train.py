@@ -45,6 +45,8 @@ class StageConfig:
             raise ValidationError(f"unknown stage {self.stage!r}, expected one of {_STAGES}")
         if self.epochs < 0 or self.eval_every < 0 or not self.lr > 0:
             raise ValidationError("epochs and eval_every must be >= 0 and lr > 0")
+        if (self.target_slots_f1 is None) != (self.target_intent_acc is None):
+            raise ValidationError("target_slots_f1 and target_intent_acc must be set together")
 
 
 @dataclass
@@ -181,11 +183,12 @@ def train(
                     row["slots_edit_f1"], row["intent_accuracy"],
                 )
             history.append(row)
-            if polling and stage.target_slots_f1 is not None and stage.target_intent_acc is not None:
-                if (
-                    row["slots_edit_f1"] >= stage.target_slots_f1
-                    and row["intent_accuracy"] >= stage.target_intent_acc
-                ):
-                    log.info("targets reached, stopping stage %s early", stage.stage)
-                    break
+            if (
+                polling
+                and stage.target_slots_f1 is not None  # StageConfig sets both targets or neither
+                and row["slots_edit_f1"] >= stage.target_slots_f1
+                and row["intent_accuracy"] >= stage.target_intent_acc
+            ):
+                log.info("targets reached, stopping stage %s early", stage.stage)
+                break
     return history

@@ -103,11 +103,11 @@ def tiny_example(model: JointModel, words, slots=None, intent=None, seed: int = 
     return model.prepare(model.subsample(tiny_features(seed)), words, slots, intent)
 
 
-def joint_loss(model: JointModel, example: Example, params=None, stop_asr_grad: bool = False):
+def joint_loss(model: JointModel, example: Example, stop_asr_grad: bool = False):
     """(total, asr term, nlu term) of one joint-stage step, built as ``slu.train`` builds it."""
-    out = model.forward(example, params, stop_asr_grad)
+    out = model.forward(example, stop_asr_grad)
     asr = model.loss_asr(out.asr_logits, example.asr_targets)
-    nlu = model.loss_nlu(out.slot_scores, out.intent_logits, example.tag_ids, example.intent_id, params)
+    nlu = model.loss_nlu(out.slot_scores, out.intent_logits, example.tag_ids, example.intent_id)
     return asr + nlu, asr, nlu
 
 

@@ -15,11 +15,12 @@ import functools
 import itertools
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from slu.audio import AudioClip, mix_at_snr_report
-from slu.crf import CrfParams, _check
+from slu.crf import _check
 from slu.errors import DimensionError, ValidationError
 from slu.subword import SubwordVocab, TokenizationResult, first_index_matrix, merge_tokens
 
@@ -234,8 +235,16 @@ def crf_enumerate(emissions: np.ndarray, transitions, start, end):
     return log_z, list(best), scores
 
 
-def crf_zeros(num_tags: int) -> CrfParams:
-    return CrfParams(np.zeros((num_tags, num_tags)), np.zeros(num_tags), np.zeros(num_tags))
+class CrfScores(NamedTuple):
+    """A CRF's scores in ``crf_viterbi`` / ``crf_nll_t`` argument order: ``crf_viterbi(em, *crf)``."""
+
+    transitions: np.ndarray  # (num_tags, num_tags), [from, to]
+    start: np.ndarray  # (num_tags,)
+    end: np.ndarray  # (num_tags,)
+
+
+def crf_zeros(num_tags: int) -> CrfScores:
+    return CrfScores(np.zeros((num_tags, num_tags)), np.zeros(num_tags), np.zeros(num_tags))
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
@@ -243,17 +252,17 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(m, axis) + np.log(np.exp(x - m).sum(axis=axis))
 
 
-def crf_log_z(emissions: np.ndarray, crf: CrfParams) -> float:
+def crf_log_z(emissions: np.ndarray, crf: CrfScores) -> float:
     """Log of the sum over all tag paths of exp(path score)."""
-    emissions = _check(emissions, crf)
+    emissions = _check(emissions, crf.transitions)
     alpha = crf.start + emissions[0]
     for row in emissions[1:]:
         alpha = _logsumexp(alpha[:, None] + crf.transitions, axis=0) + row
     return float(_logsumexp(alpha + crf.end, axis=0))
 
 
-def crf_path_score(emissions: np.ndarray, tags, crf: CrfParams) -> float:
-    emissions = _check(emissions, crf)
+def crf_path_score(emissions: np.ndarray, tags, crf: CrfScores) -> float:
+    emissions = _check(emissions, crf.transitions)
     tags = list(tags)
     if len(tags) != emissions.shape[0]:
         raise DimensionError("tag path length does not match emissions")
@@ -263,9 +272,9 @@ def crf_path_score(emissions: np.ndarray, tags, crf: CrfParams) -> float:
     return float(score)
 
 
-def step_logprobs(model, params, enc, prev_id: int, step: int) -> np.ndarray:
+def step_logprobs(model, enc, prev_id: int, step: int) -> np.ndarray:
     """Log-probabilities over the ASR output vocabulary for one decoder step, one row."""
-    _, logits = model.decoder_states([prev_id], [step], enc, params)
+    _, logits = model.decoder_states([prev_id], [step], enc)
     row = logits.data[0]
     return row - np.log(np.exp(row - row.max()).sum()) - row.max()
 

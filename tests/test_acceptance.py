@@ -20,7 +20,7 @@ from slu.audio import AudioClip, AugmentSpec, NoisePool, augment_corpus, mix_at_
 from slu.cli import main as cli_main
 from slu.data import Utterance, build_manifest, parse_manifest, write_manifest
 from slu.decode import beam_search_transcript, decode_two_step
-from slu.crf import CrfParams, crf_viterbi
+from slu.crf import crf_viterbi
 from slu.metrics import slots_edit_f1, wer
 from slu.model import JointModel, ModelConfig
 from slu.subword import BPE, WORDPIECE, SubwordVocab, pooling_matrix, tokenize
@@ -199,10 +199,10 @@ def test_criterion_6_crf_exactness():
         for k in range(1, 6):
             for n in range(1, 7):
                 emissions = rng.normal(size=(n, k))
-                crf = CrfParams(rng.normal(size=(k, k)), rng.normal(size=k), rng.normal(size=k))
+                crf = oracles.CrfScores(rng.normal(size=(k, k)), rng.normal(size=k), rng.normal(size=k))
                 log_z, best, scores = oracles.crf_enumerate(emissions, crf.transitions, crf.start, crf.end)
                 assert abs(oracles.crf_log_z(emissions, crf) - log_z) < 1e-10
-                assert crf_viterbi(emissions, crf) == best
+                assert crf_viterbi(emissions, *crf) == best
                 z = oracles.crf_log_z(emissions, crf)
                 assert abs(sum(math.exp(s - z) for s in scores.values()) - 1.0) < 1e-10
 
@@ -217,20 +217,20 @@ def test_criterion_7_two_step_decoding():
             model = JointModel(config, asr, nlu, ["O", "B-x"], ["p", "q"])
             model.init_params(seed)
             feats = np.random.default_rng(seed).normal(size=(5, 4))
-            params = model.detached_params()
-            enc = model.encode_features(feats, params)
+            frozen = model.frozen()
+            enc = frozen.encode_features(feats)
 
             # greedy reference
             tokens, logp, prev = [], 0.0, model.bos_id
             for step in range(max_len + 1):
-                lp = oracles.step_logprobs(model, params, enc, prev, step)
+                lp = oracles.step_logprobs(frozen, enc, prev, step)
                 pick = int(np.argmax(lp)) if step < max_len else model.eos_id
                 logp += float(lp[pick])
                 if pick == model.eos_id:
                     break
                 tokens.append(pick)
                 prev = pick
-            beam_tokens, beam_logp = beam_search_transcript(model, enc, beam_size=1, params=params, max_len=max_len)
+            beam_tokens, beam_logp = beam_search_transcript(frozen, enc, beam_size=1, max_len=max_len)
             assert beam_tokens == tokens and beam_logp == pytest.approx(logp, abs=1e-12)
 
             # exhaustive argmax over all sequences up to the length bound
@@ -238,7 +238,7 @@ def test_criterion_7_two_step_decoding():
 
             def lp_at(prev_id, step):
                 if (prev_id, step) not in table:
-                    table[(prev_id, step)] = oracles.step_logprobs(model, params, enc, prev_id, step)
+                    table[(prev_id, step)] = oracles.step_logprobs(frozen, enc, prev_id, step)
                 return table[(prev_id, step)]
 
             import itertools
@@ -253,7 +253,7 @@ def test_criterion_7_two_step_decoding():
                         best = (seq, score)
             width = model.asr_output_size**max_len
             wide_tokens, wide_logp = beam_search_transcript(
-                model, model.encode_features(feats, params), beam_size=width, params=params, max_len=max_len
+                frozen, frozen.encode_features(feats), beam_size=width, max_len=max_len
             )
             assert wide_tokens == list(best[0])
             assert wide_logp == pytest.approx(best[1], abs=1e-10)

@@ -269,6 +269,28 @@ def test_train_toy_rejects_a_bad_record_before_training(capsys, tmp_path):
     assert not ckpt.exists() and not ckpt.with_suffix(".log.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"stage": [{"stage": "asr_pretrain", "epochs": 1, "lr": 0.05}]}, "unknown key 'stage'"),
+        ({"stages": [{"stage": "joint_finetune", "epochs": 1, "lr": 0.01, "eval_every": 1,
+                      "target_slots_f1": 0.5}]},
+         "target_slots_f1 and target_intent_acc must be set together"),
+    ],
+    ids=["misspelt-top-level-key", "one-early-stop-target"],
+)
+def test_train_toy_rejects_config_it_would_ignore(capsys, tmp_path, config, message):
+    paths = write_corpus(tmp_path / "corpus", 2, seed=5)
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(config))
+    ckpt = tmp_path / "ckpt.json"
+    code, _, err = run(capsys, "train-toy", "--config", str(config_path), "--manifest", str(paths.manifest),
+                       "--out", str(ckpt))
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and message in err
+    assert not ckpt.exists() and not ckpt.with_suffix(".log.jsonl").exists()
+
+
 def test_bad_config_and_checkpoint_exit_2(capsys, tmp_path, ref_manifest):
     bad_cfg = tmp_path / "cfg.json"
     bad_cfg.write_text("{not json")
@@ -321,22 +343,24 @@ def _decode_fails_cleanly(capsys, ckpt, manifest, out, *extra):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda params: params["asr.enc_w"].update(shape=[4, 20]), "parameter 'asr.enc_w': shape [4, 20]"),
-        (lambda params: params.pop("asr.enc_w"), "missing parameter 'asr.enc_w'"),
-        (lambda params: params["sl.b"].update(data=["abc", "abc"]), "parameter 'sl.b': bad data"),
-        (lambda params: params.update({"sl.extra": {"shape": [1], "data": [0.0]}}),
+        (lambda obj: obj["params"]["asr.enc_w"].update(shape=[4, 20]), "parameter 'asr.enc_w': shape [4, 20]"),
+        (lambda obj: obj["params"].pop("asr.enc_w"), "missing parameter 'asr.enc_w'"),
+        (lambda obj: obj["params"]["sl.b"].update(data=["abc", "abc"]), "parameter 'sl.b': bad data"),
+        (lambda obj: obj["params"].update({"sl.extra": {"shape": [1], "data": [0.0]}}),
          "unexpected parameter 'sl.extra'"),
-        (lambda params: params["sl.b"].update(data=[float("nan"), float("inf")]),
+        (lambda obj: obj["params"]["sl.b"].update(data=[float("nan"), float("inf")]),
          "parameter 'sl.b': non-finite data"),
+        (lambda obj: obj["feature"].update(num_bands=10), "feature.num_bands 10 != model.feature_dim 20"),
     ],
-    ids=["wrong-shape", "missing", "non-numeric", "extra", "non-finite"],
+    ids=["wrong-shape", "missing", "non-numeric", "extra", "non-finite", "feature-dim"],
 )
 def test_corrupt_checkpoint_param_exits_2(capsys, tmp_path, ref_manifest, edit, message):
     ckpt = _small_checkpoint(tmp_path / "ckpt.json")
     obj = json.loads(ckpt.read_text())
-    edit(obj["params"])
+    edit(obj)
     ckpt.write_text(json.dumps(obj))
-    assert message in _decode_fails_cleanly(capsys, ckpt, ref_manifest, tmp_path / "h.jsonl")
+    err = _decode_fails_cleanly(capsys, ckpt, ref_manifest, tmp_path / "h.jsonl")
+    assert str(ckpt) in err and message in err
 
 
 def test_decode_beam_size_flag_zero_exits_2(capsys, tmp_path, ref_manifest):

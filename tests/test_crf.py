@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import crf_log_z, crf_path_score, crf_zeros
+from oracles import CrfScores, crf_log_z, crf_path_score, crf_zeros
 from slu.autodiff import Tensor
-from slu.crf import CrfParams, crf_log_z_t, crf_nll_t, crf_path_score_t, crf_viterbi
+from slu.crf import crf_log_z_t, crf_nll_t, crf_path_score_t, crf_viterbi
 from slu.errors import DimensionError
 
 
@@ -16,7 +16,7 @@ def random_instance(rng, n, k, integer=False):
         draw = lambda size: rng.integers(-3, 4, size=size).astype(float)
     else:
         draw = lambda size: rng.normal(size=size)
-    return draw((n, k)), CrfParams(draw((k, k)), draw(k), draw(k))
+    return draw((n, k)), CrfScores(draw((k, k)), draw(k), draw(k))
 
 
 def test_uniform_scores_log_z():
@@ -33,7 +33,7 @@ def test_log_z_and_viterbi_match_enumeration():
             em, crf = random_instance(rng, n, k)
             log_z, best, scores = oracles.crf_enumerate(em, crf.transitions, crf.start, crf.end)
             assert crf_log_z(em, crf) == pytest.approx(log_z, abs=1e-10)
-            assert crf_viterbi(em, crf) == best
+            assert crf_viterbi(em, *crf) == best
             # normalized path probabilities sum to one
             z = crf_log_z(em, crf)
             total = sum(math.exp(s - z) for s in scores.values())
@@ -42,20 +42,20 @@ def test_log_z_and_viterbi_match_enumeration():
 
 def test_viterbi_tie_break_lowest_index():
     # all-zero scores tie every path; the lowest-index path must win
-    assert crf_viterbi(np.zeros((4, 3)), crf_zeros(3)) == [0, 0, 0, 0]
+    assert crf_viterbi(np.zeros((4, 3)), *crf_zeros(3)) == [0, 0, 0, 0]
     # integer-valued scores exercise exact ties beyond the trivial case
     rng = np.random.default_rng(11)
     for _ in range(40):
         n, k = int(rng.integers(1, 5)), int(rng.integers(2, 4))
         em, crf = random_instance(rng, n, k, integer=True)
         _, best, _ = oracles.crf_enumerate(em, crf.transitions, crf.start, crf.end)
-        assert crf_viterbi(em, crf) == best
+        assert crf_viterbi(em, *crf) == best
 
 
 def test_single_position_viterbi_is_argmax():
     em = np.array([[0.3, 2.0, -1.0]])
     crf = crf_zeros(3)
-    assert crf_viterbi(em, crf) == [1]
+    assert crf_viterbi(em, *crf) == [1]
 
 
 def test_path_score_matches_enumerated_score():

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import tiny_features, tiny_model
 from oracles import step_logprobs
+from slu.autodiff import Tensor
 from slu.decode import beam_search_transcript, decode_two_step
 from slu.errors import DecodeError
 from slu.model import JointModel, ModelConfig
@@ -23,32 +24,32 @@ def micro_model(seed=0):
 
 
 def greedy_reference(model, features, max_len):
-    params = model.detached_params()
-    enc = model.encode_features(features, params)
+    model = model.frozen()
+    enc = model.encode_features(features)
     tokens = []
     logp = 0.0
     prev = model.bos_id
     for step in range(max_len):
-        lp = step_logprobs(model, params, enc, prev, step)
+        lp = step_logprobs(model, enc, prev, step)
         best = int(np.argmax(lp))
         logp += float(lp[best])
         if best == model.eos_id:
             return tokens, logp
         tokens.append(best)
         prev = best
-    logp += float(step_logprobs(model, params, enc, prev, max_len)[model.eos_id])
+    logp += float(step_logprobs(model, enc, prev, max_len)[model.eos_id])
     return tokens, logp
 
 
 def exhaustive_reference(model, features, max_len):
     """Argmax over every token sequence up to the length bound, EOS included."""
-    params = model.detached_params()
-    enc = model.encode_features(features, params)
+    model = model.frozen()
+    enc = model.encode_features(features)
     table = {}
 
     def lp(prev, step):
         if (prev, step) not in table:
-            table[(prev, step)] = step_logprobs(model, params, enc, prev, step)
+            table[(prev, step)] = step_logprobs(model, enc, prev, step)
         return table[(prev, step)]
 
     best = None
@@ -67,9 +68,9 @@ def test_beam_one_is_greedy():
     for seed in range(5):
         model = micro_model(seed)
         feats = np.random.default_rng(seed).normal(size=(6, 4))
-        params = model.detached_params()
+        frozen = model.frozen()
         beam_tokens, beam_logp = beam_search_transcript(
-            model, model.encode_features(feats, params), beam_size=1, params=params, max_len=5
+            frozen, frozen.encode_features(feats), beam_size=1, max_len=5
         )
         greedy_tokens, greedy_logp = greedy_reference(model, feats, max_len=5)
         assert beam_tokens == greedy_tokens
@@ -82,9 +83,9 @@ def test_wide_beam_matches_exhaustive_argmax():
         model = micro_model(seed + 10)
         feats = np.random.default_rng(seed).normal(size=(5, 4))
         width = model.asr_output_size**max_len  # >= vocab^length: nothing is ever pruned
-        params = model.detached_params()
+        frozen = model.frozen()
         beam_tokens, beam_logp = beam_search_transcript(
-            model, model.encode_features(feats, params), beam_size=width, params=params, max_len=max_len
+            frozen, frozen.encode_features(feats), beam_size=width, max_len=max_len
         )
         exh_tokens, exh_logp = exhaustive_reference(model, feats, max_len)
         assert beam_logp == pytest.approx(exh_logp, abs=1e-10)
@@ -97,38 +98,37 @@ def test_all_ties_pick_the_empty_transcript():
     model.params["asr.out_w"].data[:] = 0.0
     model.params["asr.out_b"].data[:] = 0.0  # every step: uniform over V+1 outputs
     feats = np.random.default_rng(3).normal(size=(5, 4))
-    params = model.detached_params()
-    enc = model.encode_features(feats, params)
+    frozen = model.frozen()
+    enc = frozen.encode_features(feats)
     expected = ([], -math.log(model.asr_output_size))
     width = model.asr_output_size**max_len
     for beam_size in (1, 2, 3, width):
-        assert beam_search_transcript(model, enc, beam_size, params, max_len) == expected
+        assert beam_search_transcript(frozen, enc, beam_size, max_len) == expected
     assert exhaustive_reference(model, feats, max_len) == expected
 
 
 def test_search_stops_once_no_live_prefix_can_win(monkeypatch):
     model = micro_model(4)
     model.params["asr.out_b"].data[model.eos_id] += 50.0
-    params = model.detached_params()
-    enc = model.encode_features(np.random.default_rng(4).normal(size=(5, 4)), params)
+    model = model.frozen()
+    enc = model.encode_features(np.random.default_rng(4).normal(size=(5, 4)))
     calls = []
     decoder_states = model.decoder_states
 
-    def counting_decoder_states(prev_ids, steps, enc, p):
+    def counting_decoder_states(prev_ids, steps, enc):
         calls.append(len(prev_ids))
-        return decoder_states(prev_ids, steps, enc, p)
+        return decoder_states(prev_ids, steps, enc)
 
     monkeypatch.setattr(model, "decoder_states", counting_decoder_states)
-    tokens, logp = beam_search_transcript(model, enc, beam_size=5, params=params, max_len=40)
+    tokens, logp = beam_search_transcript(model, enc, beam_size=5, max_len=40)
     assert calls == [1]
     assert tokens == [] and -1e-12 < logp <= 0.0
 
 
 def test_beam_size_validation():
-    model = micro_model()
-    params = model.detached_params()
+    model = micro_model().frozen()
     with pytest.raises(DecodeError):
-        beam_search_transcript(model, model.encode_features(np.zeros((4, 4)), params), beam_size=0, params=params)
+        beam_search_transcript(model, model.encode_features(np.zeros((4, 4))), beam_size=0)
 
 
 def test_decode_result_invariants():
@@ -152,9 +152,9 @@ def test_decode_encodes_features_once(monkeypatch):
     calls = []
     encode = model.encode_features
 
-    def counting_encode(features, params=None):
+    def counting_encode(frames):
         calls.append(1)
-        return encode(features, params)
+        return encode(frames)
 
     monkeypatch.setattr(model, "encode_features", counting_encode)
     result = decode_two_step(model, tiny_features(4, frames=10), beam_size=3, max_len=8)
@@ -166,3 +166,23 @@ def test_decode_crf_head_uses_viterbi_path():
     model = tiny_model(seed=5, slot_head="crf")
     result = decode_two_step(model, tiny_features(7, frames=10), beam_size=3, max_len=8)
     assert len(result.slots) == len(result.words)
+
+
+@pytest.mark.parametrize("slot_head", ["linear", "crf"])
+def test_decode_records_no_graph_and_leaves_params_alone(monkeypatch, slot_head):
+    model = tiny_model(seed=5, slot_head=slot_head)
+    assert all(t.requires_grad for t in model.params.values())
+    arrays = {name: t.data for name, t in model.params.items()}
+    nodes = []
+    op = Tensor._op
+
+    def recording_op(data, parents, backward):
+        nodes.append(op(data, parents, backward))
+        return nodes[-1]
+
+    monkeypatch.setattr(Tensor, "_op", staticmethod(recording_op))
+    result = decode_two_step(model, tiny_features(7, frames=10), beam_size=3, max_len=8)
+    assert result.words  # step two ran, not only the beam search
+    assert nodes and all(not node._parents and not node.requires_grad for node in nodes)
+    for name, tensor in model.params.items():
+        assert tensor.data is arrays[name] and tensor.grad is None, name

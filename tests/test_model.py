@@ -69,19 +69,21 @@ def test_forward_hcat_matches_projection_contract():
 
 def test_loss_asr_uniform_logits():
     model = tiny_model()
+    model.config.label_smoothing = 0.0
     k = model.asr_output_size
     logits = Tensor(np.zeros((3, k)))
-    assert model.loss_asr(logits, [0, 1, 2], smoothing=0.0).item() == pytest.approx(math.log(k))
+    assert model.loss_asr(logits, [0, 1, 2]).item() == pytest.approx(math.log(k))
 
 
 def test_loss_asr_perfect_margin_goes_to_zero():
     model = tiny_model()
+    model.config.label_smoothing = 0.0
     k = model.asr_output_size
     targets = [1, 4, 2]
     data = np.full((3, k), -40.0)
     for i, t in enumerate(targets):
         data[i, t] = 40.0
-    assert model.loss_asr(Tensor(data), targets, smoothing=0.0).item() == pytest.approx(0.0, abs=1e-12)
+    assert model.loss_asr(Tensor(data), targets).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_loss_asr_matches_scalar_recomputation():
@@ -91,12 +93,13 @@ def test_loss_asr_matches_scalar_recomputation():
     logits = rng.normal(size=(4, k))
     targets = [2, 0, 5, 1]
     eps = 0.1
+    model.config.label_smoothing = eps
     expected = 0.0
     for row, t in zip(logits, targets):
         logp = row - (np.log(np.sum(np.exp(row - row.max()))) + row.max())
         expected += -((1 - eps) * logp[t] + eps * logp.mean())
     expected /= len(targets)
-    got = model.loss_asr(Tensor(logits), targets, smoothing=eps).item()
+    got = model.loss_asr(Tensor(logits), targets).item()
     # analytic smoothing over log-probabilities == lse - ((1-eps) picked + eps mean(logits))
     assert got == pytest.approx(expected, abs=1e-12)
 
@@ -258,31 +261,6 @@ def test_subsample_features_matches_per_group_loop(stride):
         feats = rng.normal(size=(frames, 5))
         expected = oracles.subsample_features_loop(feats, stride)
         assert np.array_equal(subsample_features(feats, stride), expected), frames
-
-
-def test_explicit_params_receive_every_gradient():
-    model = tiny_model(seed=10, slot_head="crf")
-    params = {n: Tensor(t.data.copy(), requires_grad=True) for n, t in model.params.items()}
-    model.zero_grads()
-    example = tiny_example(model, WORDS, SLOTS, INTENT)
-    out = model.forward(example, params)
-    model.loss_nlu(out.slot_scores, out.intent_logits, example.tag_ids, example.intent_id, params).backward()
-    for name in ("sl.trans", "sl.start", "sl.end"):
-        assert params[name].grad is not None and np.abs(params[name].grad).sum() > 0, name
-    assert all(t.grad is None for t in model.params.values())
-    for t in params.values():
-        t.zero_grad()
-    total, _, _ = joint_loss(model, example, params)
-    total.backward()
-    assert total.item() == joint_loss(model, example)[0].item()
-    assert all(t.grad is not None for t in params.values())
-    assert all(t.grad is None for t in model.params.values())
-
-
-def test_empty_params_dict_is_not_the_default():
-    model = tiny_model()
-    with pytest.raises(KeyError):
-        model.forward(tiny_example(model, WORDS), {})
 
 
 def test_serialize_slots_round_trip():

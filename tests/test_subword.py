@@ -99,6 +99,13 @@ def test_project_shape_mismatch():
         pooling_matrix(TokenizationResult(["a", "b", "c"], [0, 3]))
 
 
+@pytest.mark.parametrize("mode", ["first", "last", "mean"])
+def test_pooling_matrix_checks_first_index_in_every_mode(mode):
+    for first_index in ([0, 3], [0, -1], [1, 1], [2, 1]):  # out of range, or not strictly increasing
+        with pytest.raises(DimensionError):
+            pooling_matrix(TokenizationResult(["a", "b", "c"], first_index), mode)
+
+
 def test_concat_hidden_shapes_and_zero_block():
     model = tiny_model(seed=1)
     for name, t in model.params.items():
