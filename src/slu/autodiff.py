@@ -145,12 +145,6 @@ class Tensor:
 
         return Tensor._op(out_data, (self,), backward)
 
-    def log(self):
-        def backward(g):
-            self._accum(g / self.data)
-
-        return Tensor._op(np.log(self.data), (self,), backward)
-
     def sum(self, axis=None, keepdims: bool = False):
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
 

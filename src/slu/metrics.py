@@ -139,13 +139,12 @@ def _checked_pairs(refs, hyps):
         yield (idx, *pair)
 
 
-def slots_edit_f1(refs, hyps, require_value_match: bool = True) -> SlotScoreReport:
+def slots_edit_f1(refs, hyps) -> SlotScoreReport:
     """Alignment-based slot F1 over a corpus of (words, slots) pairs.
 
     A true positive requires the aligned words to be equal as well as the
     slot label (a recognition error on a slot word counts as a substitution
-    of its slot value).  Set ``require_value_match=False`` to count any
-    diagonally aligned position with matching labels as a TP.
+    of its slot value).
     """
     report = SlotScoreReport()
     for _, r_words, r_slots, h_words, h_slots in _checked_pairs(refs, hyps):
@@ -153,11 +152,10 @@ def slots_edit_f1(refs, hyps, require_value_match: bool = True) -> SlotScoreRepo
         for op in trace.ops:
             rv = base_label(r_slots[op.ref_idx]) if op.ref_idx is not None else None
             hv = base_label(h_slots[op.hyp_idx]) if op.hyp_idx is not None else None
-            if op.kind == MATCH or (op.kind == SUB and not require_value_match):
-                if rv == hv:
-                    if rv != OUTSIDE:
-                        report.tally(rv).tp += 1
-                    continue
+            if op.kind == MATCH and rv == hv:
+                if rv != OUTSIDE:
+                    report.tally(rv).tp += 1
+                continue
             if rv is not None and rv != OUTSIDE:
                 report.tally(rv).fn += 1
             if hv is not None and hv != OUTSIDE:

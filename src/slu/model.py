@@ -3,9 +3,10 @@
 Two branches share one loss: a feature encoder with a teacher-forced subword
 decoder produces per-subword states and transcript logits; a word-embedding
 plus single self-attention layer produces states for a second tokenization.
-Both are projected to word level through their pooling matrices and
-concatenated; intent and slot heads read the concatenated rows.  The slot
-head is a per-token linear layer or a linear layer plus CRF.
+Each branch keeps the state of every word's first subword (the BERT
+convention), and the two are concatenated; intent and slot heads read the
+concatenated rows.  The slot head is a per-token linear layer or a linear
+layer plus CRF.
 
 All tensors are float64 so finite-difference gradient checks are meaningful.
 """
@@ -25,14 +26,7 @@ from .autodiff import Tensor, concat, linear, nll_rows, softmax_rows
 from .crf import crf_nll_t, crf_viterbi
 from .errors import DimensionError, ValidationError, check_field_types
 from .ioutil import atomic_write_text, read_json_object
-from .subword import (
-    POOL_FIRST,
-    POOL_LAST,
-    POOL_MEAN,
-    SubwordVocab,
-    pooling_matrix,
-    tokenize,
-)
+from .subword import SubwordVocab, tokenize
 
 CHECKPOINT_VERSION = 1
 
@@ -52,7 +46,6 @@ class ModelConfig:
     slot_head: str = HEAD_LINEAR
     max_positions: int = 64
     label_smoothing: float = 0.1
-    word_pooling: str = POOL_FIRST  # how subword states map to word states
 
     def __post_init__(self):
         check_field_types(self)
@@ -62,8 +55,6 @@ class ModelConfig:
             raise ValidationError(f"unknown slot head {self.slot_head!r}")
         if self.subsample_stride < 1:
             raise ValidationError("subsample stride must be >= 1")
-        if self.word_pooling not in (POOL_FIRST, POOL_LAST, POOL_MEAN):
-            raise ValidationError(f"unknown word pooling {self.word_pooling!r}")
 
 
 @dataclass(frozen=True)
@@ -74,8 +65,8 @@ class Example:
     asr_inputs: list[int]  # BOS + ASR subword ids, the teacher-forced decoder input
     asr_targets: list[int]  # ASR subword ids + EOS
     nlu_ids: list[int]
-    pool_a: Tensor  # (words, asr subwords), the transposed pooling matrix
-    pool_b: Tensor  # (words, nlu subwords)
+    first_a: list[int]  # each word's first ASR subword
+    first_b: list[int]  # each word's first NLU subword
     tag_ids: list[int]  # one per word; empty for a decoded hypothesis
     intent_id: int | None
 
@@ -249,8 +240,8 @@ class JointModel:
             asr_inputs=[self.bos_id] + ids_a,
             asr_targets=ids_a + [self.eos_id],
             nlu_ids=[self._nlu_piece_id[t] for t in tok_b.tokens],
-            pool_a=Tensor(pooling_matrix(tok_a, self.config.word_pooling).T),
-            pool_b=Tensor(pooling_matrix(tok_b, self.config.word_pooling).T),
+            first_a=tok_a.first_index,
+            first_b=tok_b.first_index,
             tag_ids=[] if slots is None else self.tag_ids(slots),
             intent_id=None if intent is None else self.intent_id(intent),
         )
@@ -311,8 +302,10 @@ class JointModel:
         ha = h_dec.gather_rows(list(range(len(example.asr_targets) - 1)))
         hb = self.nlu_states(example.nlu_ids)
 
-        ha_nlu = ha.detach() if stop_asr_grad else ha
-        hcat = concat([example.pool_a @ ha_nlu, example.pool_b @ hb], axis=1)
+        # first_a indexes the subword rows of h_dec, whose extra last row only predicts EOS;
+        # gathering there rather than from ha keeps ha's gather out of the backward pass
+        h_nlu = h_dec.detach() if stop_asr_grad else h_dec
+        hcat = concat([h_nlu.gather_rows(example.first_a), hb.gather_rows(example.first_b)], axis=1)
         slot_scores = linear(hcat, self.params["sl.w"], self.params["sl.b"])
         intent_logits = self.intent_logits_from([hcat])
         return ForwardOutputs(ha, hb, hcat, asr_logits, slot_scores, intent_logits)
@@ -365,8 +358,12 @@ class JointModel:
         version = obj.get("format_version")
         if version != CHECKPOINT_VERSION:
             raise ValidationError(f"unsupported checkpoint version {version!r}")
+        fields = dict(obj["model"])
+        pooling = fields.pop("word_pooling", "first")  # older checkpoints store the then-default "first"
+        if pooling != "first":
+            raise ValidationError(f"model.word_pooling {pooling!r} is not supported, only 'first'")
         model = cls(
-            ModelConfig(**obj["model"]),
+            ModelConfig(**fields),
             SubwordVocab.create(obj["asr_vocab"]["kind"], obj["asr_vocab"]["pieces"], obj["asr_vocab"]["unk"]),
             SubwordVocab.create(obj["nlu_vocab"]["kind"], obj["nlu_vocab"]["pieces"], obj["nlu_vocab"]["unk"]),
             obj["slot_tags"],
@@ -408,9 +405,11 @@ def load_checkpoint(path: str | Path) -> tuple[JointModel, FeatureConfig, int]:
     try:
         model = JointModel.from_dict(obj)
         feature = FeatureConfig(**obj.get("feature", {}))
-        beam_size = int(obj.get("beam_size", 5))
+        beam_size = obj.get("beam_size", 5)
     except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"{path}: malformed checkpoint: {exc}") from exc
+    if isinstance(beam_size, bool) or not isinstance(beam_size, int):
+        raise ValidationError(f"{path}: beam_size must be int, got {type(beam_size).__name__}")
     if beam_size < 1:
         raise ValidationError(f"{path}: beam_size must be >= 1, got {beam_size}")
     if feature.num_bands != model.config.feature_dim:

@@ -1,4 +1,4 @@
-"""Subword tokenizers and word-level alignment matrices.
+"""Subword tokenizers and the word alignment of their pieces.
 
 Two marker conventions are supported:
 
@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import DimensionError, ParseError, ValidationError
 from .ioutil import atomic_write_text, read_text
 
@@ -26,10 +24,6 @@ WORDPIECE = "wordpiece"
 BPE_MARKER = "▁"
 WORDPIECE_MARKER = "##"
 DEFAULT_UNK = "<unk>"
-
-POOL_FIRST = "first"
-POOL_LAST = "last"
-POOL_MEAN = "mean"
 
 
 @dataclass(frozen=True)
@@ -58,10 +52,23 @@ class SubwordVocab:
 
 @dataclass
 class TokenizationResult:
-    """Subword tokens plus, for each word, the index of its first subword."""
+    """Subword tokens plus, for each word, the index of its first subword.
+
+    The indices are checked on construction (each names a token, and they
+    strictly increase), so a caller's result is safe to gather rows with.
+    """
 
     tokens: list[str]
     first_index: list[int]
+
+    def __post_init__(self):
+        prev = -1
+        for word, row in enumerate(self.first_index):
+            if not 0 <= row < len(self.tokens):
+                raise DimensionError(f"first_index[{word}]={row} out of range for {len(self.tokens)} tokens")
+            if row <= prev:
+                raise DimensionError("first_index must be strictly increasing")
+            prev = row
 
     @property
     def num_tokens(self) -> int:
@@ -70,39 +77,6 @@ class TokenizationResult:
     @property
     def num_words(self) -> int:
         return len(self.first_index)
-
-
-def first_index_matrix(first_index, num_tokens: int) -> np.ndarray:
-    """Binary (num_tokens x num_words) matrix with a 1 at each word's first subword."""
-    first_index = list(first_index)
-    m = np.zeros((num_tokens, len(first_index)), dtype=np.float64)
-    prev = -1
-    for col, row in enumerate(first_index):
-        if not 0 <= row < num_tokens:
-            raise DimensionError(f"first_index[{col}]={row} out of range for {num_tokens} tokens")
-        if row <= prev:
-            raise DimensionError("first_index must be strictly increasing")
-        prev = row
-        m[row, col] = 1.0
-    return m
-
-
-def pooling_matrix(result: TokenizationResult, mode: str = POOL_FIRST) -> np.ndarray:
-    """Token-to-word pooling matrix; first-index selection is the default."""
-    first = first_index_matrix(result.first_index, result.num_tokens)  # checks range and order
-    if mode == POOL_FIRST:
-        return first
-    if mode not in (POOL_LAST, POOL_MEAN):
-        raise ValidationError(f"unknown pooling mode {mode!r}")
-    starts = list(result.first_index)
-    ends = starts[1:] + [result.num_tokens]
-    m = np.zeros_like(first)
-    for col, (lo, hi) in enumerate(zip(starts, ends)):
-        if mode == POOL_LAST:
-            m[hi - 1, col] = 1.0
-        else:
-            m[lo:hi, col] = 1.0 / (hi - lo)
-    return m
 
 
 def _greedy_word(word: str, vocab: SubwordVocab) -> list[str] | None:

@@ -47,6 +47,13 @@ class StageConfig:
             raise ValidationError("epochs and eval_every must be >= 0 and lr > 0")
         if (self.target_slots_f1 is None) != (self.target_intent_acc is None):
             raise ValidationError("target_slots_f1 and target_intent_acc must be set together")
+        targets = self.target_slots_f1 is not None
+        if self.stage != STAGE_JOINT_FINETUNE and (self.eval_every or targets):
+            raise ValidationError(
+                f"stage {self.stage!r}: eval_every and early-stop targets apply only to {STAGE_JOINT_FINETUNE}"
+            )
+        if targets and not self.eval_every:
+            raise ValidationError("early-stop targets need eval_every >= 1 to be polled")
 
 
 @dataclass
@@ -135,6 +142,8 @@ def train(
     records = manifest.records
     if not records:
         raise ValidationError("cannot train on an empty manifest")
+    if pretrain_manifest is not None and STAGE_ASR_PRETRAIN not in [s.stage for s in config.stages]:
+        raise ValidationError(f"a pretraining manifest is read only by an {STAGE_ASR_PRETRAIN} stage; none is configured")
     features = corpus_features(manifest, feature)
     examples = pre_examples = _examples(model, records, features, labelled=True)
     if pretrain_manifest is not None:
@@ -170,11 +179,7 @@ def train(
                     f"training diverged: loss {mean_loss} in stage {stage.stage} epoch {epoch}"
                 )
             row = {"stage": stage.stage, "epoch": epoch, "loss": mean_loss}
-            polling = (
-                stage.eval_every
-                and stage.stage == STAGE_JOINT_FINETUNE
-                and (epoch + 1) % stage.eval_every == 0
-            )
+            polling = stage.eval_every and (epoch + 1) % stage.eval_every == 0
             if polling:
                 row.update(evaluate_train_set(model, manifest, features, config.beam_size))
                 log.info(

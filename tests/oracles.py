@@ -5,8 +5,9 @@ than the package code (memoized recursion instead of iterative tables,
 exhaustive enumeration instead of dynamic programming) so that agreement is
 evidence, not tautology.  Old loop versions of vectorised package code are
 kept here verbatim as bit-exact references, next to a few small helpers
-(slot serialisation, detokenisation, SNR mixing shorthand, the numpy CRF
-partition function and path score) that only the tests use.
+(slot serialisation, detokenisation, the first-subword pooling matrix, SNR
+mixing shorthand, the numpy CRF partition function and path score) that only
+the tests use.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from slu.audio import AudioClip, mix_at_snr_report
 from slu.crf import _check
 from slu.errors import DimensionError, ValidationError
-from slu.subword import SubwordVocab, TokenizationResult, first_index_matrix, merge_tokens
+from slu.subword import SubwordVocab, TokenizationResult, merge_tokens
 
 sys.setrecursionlimit(100_000)
 
@@ -331,7 +332,10 @@ def deserialize_slots(seq) -> tuple[list[str], list[str]]:
 
 
 def build_first_index_matrix(result: TokenizationResult) -> np.ndarray:
-    return first_index_matrix(result.first_index, result.num_tokens)
+    """Binary (tokens x words) matrix with a 1 at each word's first subword."""
+    m = np.zeros((result.num_tokens, result.num_words))
+    m[result.first_index, np.arange(result.num_words)] = 1.0
+    return m
 
 
 def detokenize(result: TokenizationResult, vocab: SubwordVocab) -> list[str]:

@@ -276,8 +276,18 @@ def test_train_toy_rejects_a_bad_record_before_training(capsys, tmp_path):
         ({"stages": [{"stage": "joint_finetune", "epochs": 1, "lr": 0.01, "eval_every": 1,
                       "target_slots_f1": 0.5}]},
          "target_slots_f1 and target_intent_acc must be set together"),
+        ({"stages": [{"stage": "asr_pretrain", "epochs": 3, "lr": 0.01, "eval_every": 2}]},
+         "stage 'asr_pretrain': eval_every and early-stop targets apply only to joint_finetune"),
+        ({"stages": [{"stage": "asr_finetune", "epochs": 3, "lr": 0.01, "eval_every": 1,
+                      "target_slots_f1": 0.9, "target_intent_acc": 1.0}]},
+         "stage 'asr_finetune': eval_every and early-stop targets apply only to joint_finetune"),
+        ({"stages": [{"stage": "joint_finetune", "epochs": 3, "lr": 0.01, "eval_every": 0,
+                      "target_slots_f1": 0.9, "target_intent_acc": 1.0}]},
+         "early-stop targets need eval_every >= 1"),
+        ({"model": {"word_pooling": "first"}, "stages": []}, "'word_pooling'"),
     ],
-    ids=["misspelt-top-level-key", "one-early-stop-target"],
+    ids=["misspelt-top-level-key", "one-early-stop-target", "eval-every-on-speech-stage",
+         "targets-on-speech-stage", "targets-never-polled", "model-word-pooling"],
 )
 def test_train_toy_rejects_config_it_would_ignore(capsys, tmp_path, config, message):
     paths = write_corpus(tmp_path / "corpus", 2, seed=5)
@@ -288,6 +298,21 @@ def test_train_toy_rejects_config_it_would_ignore(capsys, tmp_path, config, mess
                        "--out", str(ckpt))
     assert code == 2
     assert len(err.strip().splitlines()) == 1 and message in err
+    assert not ckpt.exists() and not ckpt.with_suffix(".log.jsonl").exists()
+
+
+def test_pretrain_manifest_without_pretrain_stage_exits_2(capsys, tmp_path):
+    paths = write_corpus(tmp_path / "corpus", 2, seed=5)
+    # the pretraining corpus names WAVs that do not exist: reading its audio would exit 1, not 2
+    pretrain = tmp_path / "pretrain.jsonl"
+    write_manifest(build_manifest([Utterance("p0", ["show"], ["O"], "find_flight", "missing.wav")]), pretrain)
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"stages": [{"stage": "joint_finetune", "epochs": 1, "lr": 0.01}]}))
+    ckpt = tmp_path / "ckpt.json"
+    code, _, err = run(capsys, "train-toy", "--config", str(config_path), "--manifest", str(paths.manifest),
+                       "--pretrain-manifest", str(pretrain), "--out", str(ckpt))
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and "none is configured" in err
     assert not ckpt.exists() and not ckpt.with_suffix(".log.jsonl").exists()
 
 
@@ -351,8 +376,13 @@ def _decode_fails_cleanly(capsys, ckpt, manifest, out, *extra):
         (lambda obj: obj["params"]["sl.b"].update(data=[float("nan"), float("inf")]),
          "parameter 'sl.b': non-finite data"),
         (lambda obj: obj["feature"].update(num_bands=10), "feature.num_bands 10 != model.feature_dim 20"),
+        (lambda obj: obj["model"].update(word_pooling="mean"), "model.word_pooling 'mean'"),
+        (lambda obj: obj.update(beam_size=2.5), "beam_size must be int, got float"),
+        (lambda obj: obj.update(beam_size=True), "beam_size must be int, got bool"),
+        (lambda obj: obj.update(beam_size="3"), "beam_size must be int, got str"),
     ],
-    ids=["wrong-shape", "missing", "non-numeric", "extra", "non-finite", "feature-dim"],
+    ids=["wrong-shape", "missing", "non-numeric", "extra", "non-finite", "feature-dim", "word-pooling-mean",
+         "beam-size-float", "beam-size-bool", "beam-size-str"],
 )
 def test_corrupt_checkpoint_param_exits_2(capsys, tmp_path, ref_manifest, edit, message):
     ckpt = _small_checkpoint(tmp_path / "ckpt.json")

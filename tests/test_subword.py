@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -8,15 +9,14 @@ from hypothesis import strategies as st
 from conftest import random_subword_instance, tiny_example, tiny_features, tiny_model
 from oracles import build_first_index_matrix, detokenize
 from slu.errors import DimensionError, ParseError, ValidationError
+from slu.model import load_checkpoint, save_checkpoint
 from slu.subword import (
     BPE,
     WORDPIECE,
     SubwordVocab,
     TokenizationResult,
-    first_index_matrix,
     load_vocab,
     merge_tokens,
-    pooling_matrix,
     save_vocab,
     tokenize,
 )
@@ -27,7 +27,7 @@ def test_word_in_vocab_is_single_token():
     result = tokenize(["show"], vocab)
     assert result.tokens == ["show"]
     assert result.first_index == [0]
-    assert np.array_equal(first_index_matrix(result.first_index, result.num_tokens), np.eye(1))
+    assert np.array_equal(build_first_index_matrix(result), np.eye(1))
 
 
 def test_greedy_longest_match_wordpiece():
@@ -64,46 +64,61 @@ def test_empty_word_rejected():
 
 
 def test_first_index_matrix_examples():
-    m = first_index_matrix([0, 1], 3)
+    m = build_first_index_matrix(TokenizationResult(["a", "b", "c"], [0, 1]))
     assert m.shape == (3, 2)
     assert m[0, 0] == 1 and m[1, 1] == 1 and m.sum() == 2
 
-    assert np.array_equal(first_index_matrix(range(4), 4), np.eye(4))
+    assert np.array_equal(build_first_index_matrix(TokenizationResult(list("abcd"), [0, 1, 2, 3])), np.eye(4))
 
-    m = first_index_matrix([0, 2, 3], 5)
+    m = build_first_index_matrix(TokenizationResult(list("abcde"), [0, 2, 3]))
     expected = np.zeros((5, 3))
     expected[0, 0] = expected[2, 1] = expected[3, 2] = 1
     assert np.array_equal(m, expected)
 
 
 def test_first_index_matrix_errors():
-    with pytest.raises(DimensionError):
-        first_index_matrix([0, 5], 3)
-    with pytest.raises(DimensionError):
-        first_index_matrix([2, 1], 3)
+    # a TokenizationResult checks its first_index when built, so the model can gather by it
+    for first_index in ([0, 3], [0, -1], [1, 1], [2, 1]):  # out of range, or not strictly increasing
+        with pytest.raises(DimensionError):
+            TokenizationResult(["a", "b", "c"], first_index)
 
 
 def test_project_identity_and_row_selection():
-    # the word projection the model applies: pooling_matrix(...).T @ hidden
+    # the word projection the model applies is a row gather; the one-hot matrix states it as algebra
     h = np.arange(12.0).reshape(3, 4)
-    one_piece_words = pooling_matrix(TokenizationResult(["a", "b", "c"], [0, 1, 2]))
+    one_piece_words = build_first_index_matrix(TokenizationResult(["a", "b", "c"], [0, 1, 2]))
     assert np.array_equal(one_piece_words, np.eye(3))
     assert np.array_equal(one_piece_words.T @ h, h)
-    m = pooling_matrix(TokenizationResult(["a", "b", "##c"], [0, 1]))
+    m = build_first_index_matrix(TokenizationResult(["a", "b", "##c"], [0, 1]))
     assert np.array_equal(m.T @ h, h[[0, 1]])
 
 
 def test_project_shape_mismatch():
-    # a word that starts past the last subword has no hidden row to pool
-    with pytest.raises(DimensionError):
-        pooling_matrix(TokenizationResult(["a", "b", "c"], [0, 3]))
+    # a word that starts past the last subword has no hidden row to gather
+    with pytest.raises(DimensionError, match=r"first_index\[1\]=3 out of range for 3 tokens"):
+        TokenizationResult(["a", "b", "c"], [0, 3])
 
 
 @pytest.mark.parametrize("mode", ["first", "last", "mean"])
-def test_pooling_matrix_checks_first_index_in_every_mode(mode):
+def test_pooling_matrix_checks_first_index_in_every_mode(mode, tmp_path):
+    # a checkpoint may still store a pooling mode: "first" loads into a model whose caller
+    # tokenizations are checked before any row is gathered; any other mode is refused at load
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(tiny_model(seed=5), path)
+    obj = json.loads(path.read_text())
+    obj["model"]["word_pooling"] = mode
+    path.write_text(json.dumps(obj))
+    if mode != "first":
+        with pytest.raises(ValidationError, match="model.word_pooling"):
+            load_checkpoint(path)
+        return
+    model, _, _ = load_checkpoint(path)
+    words = ["from", "austin"]
+    tokens = tokenize(words, model.asr_vocab).tokens  # 3 ASR subwords
+    frames = model.subsample(tiny_features())
     for first_index in ([0, 3], [0, -1], [1, 1], [2, 1]):  # out of range, or not strictly increasing
         with pytest.raises(DimensionError):
-            pooling_matrix(TokenizationResult(["a", "b", "c"], first_index), mode)
+            model.prepare(frames, words, tok_a=TokenizationResult(tokens, first_index))
 
 
 def test_concat_hidden_shapes_and_zero_block():
@@ -164,20 +179,7 @@ def test_matrix_algebra_properties(kind):
         assert np.array_equal(m.T @ m, np.eye(len(words)))
         assert result.first_index == sorted(set(result.first_index))
         h = np.random.default_rng(0).normal(size=(result.num_tokens, 3))
-        assert np.array_equal(pooling_matrix(result).T @ h, h[result.first_index])
-
-
-def test_pooling_matrix_modes():
-    vocab = SubwordVocab.create(WORDPIECE, {"fl", "##ights", "show"})
-    result = tokenize(["show", "flights"], vocab)
-    first = pooling_matrix(result, "first")
-    assert np.array_equal(first, first_index_matrix(result.first_index, result.num_tokens))
-    last = pooling_matrix(result, "last")
-    assert last[0, 0] == 1 and last[2, 1] == 1 and last.sum() == 2
-    mean = pooling_matrix(result, "mean")
-    assert np.allclose(mean[:, 1], [0, 0.5, 0.5])
-    with pytest.raises(ValidationError):
-        pooling_matrix(result, "median")
+        assert np.array_equal(m.T @ h, h[result.first_index])
 
 
 def test_vocab_validation():
