@@ -1,8 +1,9 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
 Only the ops the joint model needs: broadcast add/sub/mul, 2-D matmul, a
-fused affine layer (``linear``), tanh, exp/log, sum/mean, stable logsumexp,
-concat, row gather, reshape, transpose.
+fused affine layer (``linear``), tanh, exp, sum/mean, stable logsumexp,
+concat, row gather, reshape, transpose, and a fused softmax cross-entropy
+(``nll_rows``) whose backward is written by hand.
 Nodes record parents only when a gradient is required, so inference builds
 no graph.
 """
@@ -277,13 +278,32 @@ def nll_rows(logits: Tensor, targets, smoothing: float = 0.0) -> Tensor:
     """Per-row negative log-likelihood of one target class per (N, K) logits row.
 
     With ``smoothing`` the picked log-probability is mixed with the mean
-    log-probability over all K classes (label smoothing).
+    log-probability over all K classes (label smoothing).  One node: the
+    forward is a row-wise stable logsumexp minus the picked (or mixed) logit,
+    and the gradient of row i is ``g[i] * (softmax - (1 - s) * onehot - s / K)``.
     """
-    n, k = logits.shape
+    x = logits.data
+    n, k = x.shape
     if n != len(targets):
         raise DimensionError(f"{n} logit rows vs {len(targets)} targets")
-    lse = logits.logsumexp(axis=1)
-    picked = logits.reshape(n * k).gather_rows([i * k + t for i, t in enumerate(targets)])
+    rows = np.arange(n)
+    cols = np.asarray(targets, dtype=np.intp)
+    m = x.max(axis=1, keepdims=True)
+    shifted = np.exp(x - m)
+    total = shifted.sum(axis=1, keepdims=True)
+    lse = (m + np.log(total))[:, 0]
+    picked = x[rows, cols]
     if smoothing == 0.0:
-        return lse - picked
-    return lse - ((1.0 - smoothing) * picked + smoothing * logits.mean(axis=1))
+        out_data = lse - picked
+    else:
+        out_data = lse - ((1.0 - smoothing) * picked + smoothing * (x.sum(axis=1) * (1.0 / k)))
+
+    def backward(g):
+        g = np.asarray(g)[:, None]
+        grad = shifted / total
+        grad[rows, cols] -= 1.0 - smoothing
+        if smoothing != 0.0:
+            grad -= smoothing / k
+        logits._accum(g * grad)
+
+    return Tensor._op(out_data, (logits,), backward)

@@ -3,8 +3,10 @@
 Path score = start[y_0] + sum_t emissions[t, y_t] + sum_t transitions[y_{t-1}, y_t]
            + end[y_{N-1}].
 
-Viterbi is plain numpy, for decoding; the Tensor functions build the
-training graph for the exact partition function and path score.
+Viterbi is plain numpy, for decoding.  ``crf_nll_t`` is one autodiff node
+for training: its forward is the alpha recursion for the exact partition
+function minus the path score, and its backward is the forward-backward
+marginals (Lafferty et al. 2001).
 """
 
 from __future__ import annotations
@@ -43,32 +45,68 @@ def crf_viterbi(emissions: np.ndarray, transitions: np.ndarray, start: np.ndarra
     return path
 
 
-def crf_log_z_t(emissions: Tensor, transitions: Tensor, start: Tensor, end: Tensor) -> Tensor:
-    """Differentiable partition function for (N, K) emission scores."""
-    n, k = emissions.shape
-    alpha = start.reshape(1, k) + emissions.gather_rows([0])
-    for t in range(1, n):
-        step = alpha.reshape(k, 1) + transitions
-        alpha = step.logsumexp(axis=0, keepdims=True) + emissions.gather_rows([t])
-    return (alpha + end.reshape(1, k)).logsumexp(axis=1).sum()
-
-
-def crf_path_score_t(emissions: Tensor, tags, transitions: Tensor, start: Tensor, end: Tensor) -> Tensor:
-    tags = list(tags)
-    n, k = emissions.shape
-    emitted = emissions.reshape(n * k).gather_rows(
-        [t * k + tag for t, tag in enumerate(tags)]
-    ).sum()
-    score = emitted + start.gather_rows([tags[0]]).sum() + end.gather_rows([tags[-1]]).sum()
-    if n > 1:
-        flat = transitions.reshape(k * k)
-        moves = flat.gather_rows([tags[t - 1] * k + tags[t] for t in range(1, n)]).sum()
-        score = score + moves
-    return score
-
-
 def crf_nll_t(emissions: Tensor, tags, transitions: Tensor, start: Tensor, end: Tensor) -> Tensor:
-    """Negative sequence log-likelihood: logZ - path score."""
-    return crf_log_z_t(emissions, transitions, start, end) - crf_path_score_t(
-        emissions, tags, transitions, start, end
-    )
+    """Negative sequence log-likelihood, logZ - path score, as one node.
+
+    The forward is the alpha recursion for logZ.  Each of its steps keeps the
+    share every previous tag has in each next tag's alpha, and the backward
+    runs the beta recursion through those shares in normalised form: it
+    carries the unary marginals from the last position to the first, and a
+    share times the next position's marginals is the pairwise marginal of
+    that step.  Each score's gradient is its expected count under the model
+    (its marginal) minus its count on the ``tags`` path.  With one position
+    no transition is used, so ``transitions`` gets no gradient.
+    """
+    em = _check(emissions.data, transitions.data)
+    trans, first, last = transitions.data, start.data, end.data
+    n, k = em.shape
+    tags = list(tags)
+    if len(tags) != n:
+        raise DimensionError(f"{n} emission rows vs {len(tags)} tags")
+    steps = []  # per position t >= 1: exp-shifted [from, to] scores and their column sums
+    alpha = first + em[0]
+    for t in range(1, n):
+        step = alpha[:, None] + trans
+        m = step.max(axis=0, keepdims=True)
+        shifted = np.exp(step - m)
+        total = shifted.sum(axis=0, keepdims=True)
+        steps.append((shifted, total))
+        alpha = (m + np.log(total))[0] + em[t]
+    final = alpha + last
+    m = final.max()
+    final_shifted = np.exp(final - m)
+    final_total = final_shifted.sum()
+    log_z = m + np.log(final_total)
+    rows = np.arange(n)
+    score = em.reshape(n * k)[rows * k + tags].sum() + first[tags[0]] + last[tags[-1]]
+    if n > 1:
+        score = score + trans.reshape(k * k)[[tags[t - 1] * k + tags[t] for t in range(1, n)]].sum()
+
+    def backward(g):
+        marginal = final_shifted / final_total  # of each tag at the last position
+        d_end = marginal.copy()
+        d_em = np.empty((n, k))
+        d_trans = np.zeros((k, k))
+        for t in range(n - 1, 0, -1):
+            d_em[t] = marginal
+            step_shifted, step_total = steps[t - 1]
+            pairwise = step_shifted / step_total * marginal  # [from, to] at positions t-1, t
+            d_trans += pairwise
+            marginal = pairwise.sum(axis=1)
+        d_em[0] = marginal
+        d_start = marginal.copy()
+        d_em[rows, tags] -= 1.0
+        d_start[tags[0]] -= 1.0
+        d_end[tags[-1]] -= 1.0
+        for a, b in zip(tags, tags[1:]):
+            d_trans[a, b] -= 1.0
+        if emissions.requires_grad:
+            emissions._accum(g * d_em)
+        if start.requires_grad:
+            start._accum(g * d_start)
+        if end.requires_grad:
+            end._accum(g * d_end)
+        if n > 1 and transitions.requires_grad:
+            transitions._accum(g * d_trans)
+
+    return Tensor._op(log_z - score, (emissions, transitions, start, end), backward)

@@ -26,7 +26,7 @@ from .autodiff import Tensor, concat, linear, nll_rows, softmax_rows
 from .crf import crf_nll_t, crf_viterbi
 from .errors import DimensionError, ValidationError, check_field_types
 from .ioutil import atomic_write_text, read_json_object
-from .subword import SubwordVocab, tokenize
+from .subword import SubwordVocab, TokenizationResult, tokenize
 
 CHECKPOINT_VERSION = 1
 
@@ -229,7 +229,9 @@ class JointModel:
             raise ValidationError("an example needs at least one word")
         if tok_a is None:
             tok_a = tokenize(words, self.asr_vocab)
-        elif tok_a.num_words != len(words):
+        else:  # checked again, on a copy: the caller's lists may have changed since
+            tok_a = TokenizationResult(list(tok_a.tokens), list(tok_a.first_index))
+        if tok_a.num_words != len(words):
             raise DimensionError(f"ASR tokenization has {tok_a.num_words} words, transcript {len(words)}")
         tok_b = tokenize(words, self.nlu_vocab)
         ids_a = [self._asr_piece_id[t] for t in tok_a.tokens]  # tokenizers emit vocabulary pieces only

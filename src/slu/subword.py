@@ -55,7 +55,8 @@ class TokenizationResult:
     """Subword tokens plus, for each word, the index of its first subword.
 
     The indices are checked on construction (each names a token, and they
-    strictly increase), so a caller's result is safe to gather rows with.
+    strictly increase).  The lists stay mutable, so ``JointModel.prepare``
+    checks a caller's result again, on a copy, before gathering rows with it.
     """
 
     tokens: list[str]

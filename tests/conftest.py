@@ -5,6 +5,8 @@ import random
 import numpy as np
 import pytest
 
+from oracles import finite_difference
+from slu.autodiff import Tensor
 from slu.data import Utterance, build_manifest
 from slu.model import Example, JointModel, ModelConfig
 from slu.subword import BPE, BPE_MARKER, WORDPIECE, WORDPIECE_MARKER, SubwordVocab
@@ -109,6 +111,33 @@ def joint_loss(model: JointModel, example: Example, stop_asr_grad: bool = False)
     asr = model.loss_asr(out.asr_logits, example.asr_targets)
     nlu = model.loss_nlu(out.slot_scores, out.intent_logits, example.tag_ids, example.intent_id)
     return asr + nlu, asr, nlu
+
+
+def check_gradients(build, arrays, h=1e-5, tol=1e-6):
+    """Compare analytic gradients of build(tensors).backward() to FD; returns the tensors.
+
+    A gradient left as None counts as zeros here."""
+    tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+    loss = build(tensors)
+    loss.backward()
+    fd = finite_difference(lambda: build({k: Tensor(t.data) for k, t in tensors.items()}).item(), {k: t.data for k, t in tensors.items()}, h)
+    for name, t in tensors.items():
+        got = t.grad if t.grad is not None else np.zeros_like(t.data)
+        assert np.allclose(got, fd[name], rtol=tol, atol=tol), name
+    return tensors
+
+
+def assert_fused_matches(fused, unfused, scale=0.0, tol=1e-12):
+    """Within ``tol`` relative to the larger of the unfused array's largest entry and
+    ``scale`` (the upstream gradient): a gradient that cancels to about zero, as
+    with one class, has no relative precision of its own."""
+    if unfused is None:
+        assert fused is None
+        return
+    unfused = np.asarray(unfused)
+    assert fused.shape == unfused.shape
+    bound = tol * max(np.abs(unfused).max(), scale)
+    assert np.abs(fused - unfused).max() <= bound
 
 
 @pytest.fixture

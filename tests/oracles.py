@@ -7,7 +7,10 @@ evidence, not tautology.  Old loop versions of vectorised package code are
 kept here verbatim as bit-exact references, next to a few small helpers
 (slot serialisation, detokenisation, the first-subword pooling matrix, SNR
 mixing shorthand, the numpy CRF partition function and path score) that only
-the tests use.
+the tests use.  The two fused loss nodes (``autodiff.nll_rows`` and
+``crf.crf_nll_t``) are gated against their unfused compositions of
+elementary ``Tensor`` ops, kept here as ``nll_rows_unfused`` and
+``crf_nll_t_unfused``.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from slu.audio import AudioClip, mix_at_snr_report
+from slu.autodiff import Tensor
 from slu.crf import _check
 from slu.errors import DimensionError, ValidationError
 from slu.subword import SubwordVocab, TokenizationResult, merge_tokens
@@ -271,6 +275,49 @@ def crf_path_score(emissions: np.ndarray, tags, crf: CrfScores) -> float:
     for t in range(1, len(tags)):
         score += crf.transitions[tags[t - 1], tags[t]] + emissions[t, tags[t]]
     return float(score)
+
+
+def nll_rows_unfused(logits: Tensor, targets, smoothing: float = 0.0) -> Tensor:
+    """``autodiff.nll_rows`` as a composition of logsumexp, reshape, gather and sub nodes."""
+    n, k = logits.shape
+    if n != len(targets):
+        raise DimensionError(f"{n} logit rows vs {len(targets)} targets")
+    lse = logits.logsumexp(axis=1)
+    picked = logits.reshape(n * k).gather_rows([i * k + t for i, t in enumerate(targets)])
+    if smoothing == 0.0:
+        return lse - picked
+    return lse - ((1.0 - smoothing) * picked + smoothing * logits.mean(axis=1))
+
+
+def crf_log_z_t(emissions: Tensor, transitions: Tensor, start: Tensor, end: Tensor) -> Tensor:
+    """Differentiable partition function: one reshape/add/logsumexp/gather/add chain per position."""
+    n, k = emissions.shape
+    alpha = start.reshape(1, k) + emissions.gather_rows([0])
+    for t in range(1, n):
+        step = alpha.reshape(k, 1) + transitions
+        alpha = step.logsumexp(axis=0, keepdims=True) + emissions.gather_rows([t])
+    return (alpha + end.reshape(1, k)).logsumexp(axis=1).sum()
+
+
+def crf_path_score_t(emissions: Tensor, tags, transitions: Tensor, start: Tensor, end: Tensor) -> Tensor:
+    tags = list(tags)
+    n, k = emissions.shape
+    emitted = emissions.reshape(n * k).gather_rows(
+        [t * k + tag for t, tag in enumerate(tags)]
+    ).sum()
+    score = emitted + start.gather_rows([tags[0]]).sum() + end.gather_rows([tags[-1]]).sum()
+    if n > 1:
+        flat = transitions.reshape(k * k)
+        moves = flat.gather_rows([tags[t - 1] * k + tags[t] for t in range(1, n)]).sum()
+        score = score + moves
+    return score
+
+
+def crf_nll_t_unfused(emissions: Tensor, tags, transitions: Tensor, start: Tensor, end: Tensor) -> Tensor:
+    """``crf.crf_nll_t`` as the difference of the two compositions above."""
+    return crf_log_z_t(emissions, transitions, start, end) - crf_path_score_t(
+        emissions, tags, transitions, start, end
+    )
 
 
 def step_logprobs(model, enc, prev_id: int, step: int) -> np.ndarray:

@@ -1,20 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import finite_difference
+from conftest import assert_fused_matches, check_gradients
+from oracles import nll_rows_unfused
 from slu.autodiff import Tensor, concat, linear, nll_rows, softmax_rows, wrap
 from slu.errors import DimensionError, NumericError
-
-
-def check_gradients(build, arrays, h=1e-5, tol=1e-6):
-    """Compare analytic gradients of build(tensors).backward() to FD."""
-    tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
-    loss = build(tensors)
-    loss.backward()
-    fd = finite_difference(lambda: build({k: Tensor(t.data) for k, t in tensors.items()}).item(), {k: t.data for k, t in tensors.items()}, h)
-    for name, t in tensors.items():
-        got = t.grad if t.grad is not None else np.zeros_like(t.data)
-        assert np.allclose(got, fd[name], rtol=tol, atol=tol), name
 
 
 def test_add_mul_matmul_grads():
@@ -144,6 +134,34 @@ def test_nll_rows_multi_row_smoothing_grad():
     arrays = {"x": rng.normal(size=(3, 6))}
     weights = np.array([0.5, -1.0, 2.0])  # distinct per-row weights catch row mix-ups
     check_gradients(lambda t: (nll_rows(t["x"], [3, 0, 5], smoothing=0.1) * weights).sum(), arrays)
+
+
+def test_nll_rows_matches_unfused_composition():
+    rng = np.random.default_rng(12)
+    for n in range(1, 8):
+        for k in range(1, 12):
+            x = rng.normal(scale=3.0, size=(n, k))
+            targets = [int(t) for t in rng.integers(0, k, size=n)]
+            weights = rng.normal(size=n)  # distinct per-row upstream gradients
+            for smoothing in (0.0, 0.1):
+                fused, unfused = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+                out = nll_rows(fused, targets, smoothing)
+                ref = nll_rows_unfused(unfused, targets, smoothing)
+                assert out._parents == (fused,)  # one node
+                assert_fused_matches(out.data, ref.data)
+                (out * weights).sum().backward()
+                (ref * weights).sum().backward()
+                assert_fused_matches(fused.grad, unfused.grad, scale=np.abs(weights).max())
+
+
+@pytest.mark.parametrize("smoothing", [0.0, 0.1])
+def test_nll_rows_grads_across_shapes(smoothing):
+    rng = np.random.default_rng(13)
+    for n, k in [(1, 1), (1, 4), (4, 1), (5, 7)]:
+        arrays = {"x": rng.normal(size=(n, k))}
+        targets = [int(t) for t in rng.integers(0, k, size=n)]
+        weights = rng.normal(size=n)
+        check_gradients(lambda t: (nll_rows(t["x"], targets, smoothing) * weights).sum(), arrays)
 
 
 def test_detach_blocks_gradient():

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import CrfScores, crf_log_z, crf_path_score, crf_zeros
+from conftest import assert_fused_matches, check_gradients, joint_loss, tiny_example, tiny_model
+from oracles import CrfScores, crf_log_z, crf_log_z_t, crf_path_score, crf_path_score_t, crf_zeros
 from slu.autodiff import Tensor
-from slu.crf import crf_log_z_t, crf_nll_t, crf_path_score_t, crf_viterbi
+from slu.crf import crf_nll_t, crf_viterbi
 from slu.errors import DimensionError
+from slu.train import _Sgd
 
 
 def random_instance(rng, n, k, integer=False):
@@ -76,31 +78,78 @@ def test_tensor_variants_agree_with_numpy():
     assert crf_path_score_t(em_t, tags, trans, start, end).item() == pytest.approx(
         crf_path_score(em, tags, crf), abs=1e-12
     )
+    assert crf_nll_t(em_t, tags, trans, start, end).item() == pytest.approx(
+        crf_log_z(em, crf) - crf_path_score(em, tags, crf), abs=1e-12
+    )
+
+
+def crf_arrays(em, crf):
+    """Named copies of the scores, in ``crf_nll_t`` argument order (emissions first)."""
+    arrays = {"em": em, "trans": crf.transitions, "start": crf.start, "end": crf.end}
+    return {name: np.array(v) for name, v in arrays.items()}
+
+
+def crf_tensors(em, crf):
+    return {name: Tensor(v, requires_grad=True) for name, v in crf_arrays(em, crf).items()}
+
+
+def crf_nll_of(tags):
+    return lambda t: crf_nll_t(t["em"], tags, t["trans"], t["start"], t["end"])
 
 
 def test_crf_nll_gradients():
     rng = np.random.default_rng(9)
     em, crf = random_instance(rng, 4, 3)
-    tags = [2, 0, 1, 0]
-    arrays = {
-        "em": em.copy(),
-        "trans": crf.transitions.copy(),
-        "start": crf.start.copy(),
-        "end": crf.end.copy(),
-    }
-    tensors = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
-    loss = crf_nll_t(tensors["em"], tags, tensors["trans"], tensors["start"], tensors["end"])
-    loss.backward()
-    fd = oracles.finite_difference(
-        lambda: crf_nll_t(
-            Tensor(tensors["em"].data), tags,
-            Tensor(tensors["trans"].data), Tensor(tensors["start"].data), Tensor(tensors["end"].data),
-        ).item(),
-        {k: t.data for k, t in tensors.items()},
-        h=1e-5,
-    )
-    for name, t in tensors.items():
-        assert np.allclose(t.grad, fd[name], rtol=1e-6, atol=1e-6), name
+    check_gradients(crf_nll_of([2, 0, 1, 0]), crf_arrays(em, crf))
+    for n, k in [(2, 1), (3, 5), (6, 4)]:
+        em, crf = random_instance(rng, n, k)
+        check_gradients(crf_nll_of([int(t) for t in rng.integers(0, k, size=n)]), crf_arrays(em, crf))
+
+
+def test_crf_nll_matches_unfused_composition():
+    rng = np.random.default_rng(14)
+    for n in range(1, 8):
+        for k in range(1, 12):
+            em, crf = random_instance(rng, n, k)
+            em = 3.0 * em  # peaked enough that some marginals near 1 cancel their indicator
+            tags = [int(t) for t in rng.integers(0, k, size=n)]
+            upstream = float(rng.normal())
+            fused, unfused = crf_tensors(em, crf), crf_tensors(em, crf)
+            out = crf_nll_t(fused["em"], tags, fused["trans"], fused["start"], fused["end"])
+            ref = oracles.crf_nll_t_unfused(unfused["em"], tags, unfused["trans"], unfused["start"], unfused["end"])
+            assert out._parents == tuple(fused.values())  # one node
+            assert_fused_matches(out.data, ref.data)
+            (out * upstream).backward()
+            (ref * upstream).backward()
+            for name in fused:
+                assert_fused_matches(fused[name].grad, unfused[name].grad, scale=abs(upstream))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_one_position_gives_transitions_no_gradient(k):
+    rng = np.random.default_rng(15 + k)
+    em, crf = random_instance(rng, 1, k)
+    tensors = check_gradients(crf_nll_of([k - 1]), crf_arrays(em, crf))
+    assert tensors["trans"].grad is None
+
+
+def test_one_word_step_leaves_transitions_and_their_velocity_unchanged():
+    model = tiny_model(seed=3, slot_head="crf")
+    several = tiny_example(model, ["show", "flights", "to", "boston"], ["O", "O", "O", "B-toloc"], "find_flight")
+    one = tiny_example(model, ["boston"], ["B-toloc"], "find_flight", seed=1)
+    opt = _Sgd(model.params, lr=0.05, momentum=0.9)
+    model.zero_grads()
+    joint_loss(model, several)[0].backward()
+    opt.step()  # the transitions now carry velocity
+    trans, velocity = model.params["sl.trans"].data.copy(), opt.velocity["sl.trans"].copy()
+    assert np.abs(velocity).max() > 0
+    model.zero_grads()
+    joint_loss(model, one)[0].backward()
+    assert model.params["sl.trans"].grad is None
+    assert model.params["sl.start"].grad is not None
+    opt.step()
+    assert np.array_equal(model.params["sl.trans"].data, trans)
+    assert np.array_equal(opt.velocity["sl.trans"], velocity)
 
 
 def test_perfect_fit_nll_approaches_zero():

@@ -121,6 +121,22 @@ def test_pooling_matrix_checks_first_index_in_every_mode(mode, tmp_path):
             model.prepare(frames, words, tok_a=TokenizationResult(tokens, first_index))
 
 
+def test_prepare_checks_a_tokenization_changed_after_construction():
+    model = tiny_model()
+    words = ["show", "to"]
+    frames = model.subsample(tiny_features())
+    tok = tokenize(words, model.asr_vocab)
+    good = list(tok.first_index)
+    tok.first_index[1] = -1  # passed the check when built; would gather the last row
+    with pytest.raises(DimensionError, match=r"first_index\[1\]=-1"):
+        model.prepare(frames, words, tok_a=tok)
+    tok.first_index[1] = good[1]
+    example = model.prepare(frames, words, tok_a=tok)
+    tok.first_index[1] = -1  # the example holds its own checked copy
+    assert example.first_a == good
+    model.forward(example)
+
+
 def test_concat_hidden_shapes_and_zero_block():
     model = tiny_model(seed=1)
     for name, t in model.params.items():

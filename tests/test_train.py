@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 import slu.model
 from slu.audio import FeatureConfig
 from slu.data import Utterance, build_manifest
@@ -17,12 +18,12 @@ def small_corpus(n=4, seed=1):
     return build_corpus(n, seed=seed)
 
 
-def small_model(corpus, seed=0, stride=3):
+def small_model(corpus, seed=0, stride=3, slot_head="linear"):
     tags = sorted({t for rec in corpus.records for t in rec.slots})
     intents = sorted(corpus.intent_vocabulary)
     config = ModelConfig(
         feature_dim=FEATURE.num_bands, asr_hidden=12, nlu_hidden=10,
-        subsample_stride=stride, max_positions=64,
+        subsample_stride=stride, max_positions=64, slot_head=slot_head,
     )
     model = JointModel(config, asr_vocab(), nlu_vocab(), tags, intents)
     model.init_params(seed)
@@ -77,6 +78,51 @@ def test_overfit_single_utterance_decodes_exactly():
     assert result.words == rec.words
     assert result.slots == rec.slots
     assert result.intent == rec.intent
+
+
+# Largest relative epoch-loss gap measured between the fused loss nodes and their
+# unfused compositions: 2.4e-15 over this schedule on corpus seeds 0-5 under both
+# heads, and 3.9e-15 over the 200 epochs (about 10,000 momentum-SGD steps) of the
+# smoke pipeline.  The bound leaves a margin of about 25x over the larger figure.
+FUSION_LOSS_RTOL = 1e-13
+# Largest parameter gap measured on the same runs: 2.0e-14 (smoke pipeline); margin 50x.
+FUSION_PARAM_ATOL = 1e-12
+
+
+@pytest.mark.parametrize("slot_head", ["linear", "crf"])
+def test_fused_losses_train_like_their_unfused_compositions(slot_head, monkeypatch):
+    corpus = build_corpus(6, seed=4)
+    cfg = TrainConfig(
+        seed=4,
+        stages=[
+            StageConfig("asr_pretrain", epochs=8, lr=0.05, momentum=0.9),
+            StageConfig("joint_finetune", epochs=12, lr=0.02, momentum=0.9),
+        ],
+    )
+    fused = small_model(corpus, seed=4, slot_head=slot_head)
+    fused_history = train(fused, corpus, cfg, FEATURE)
+    calls = {"nll_rows": 0, "crf_nll_t": 0}
+
+    def counted(name, composition):
+        def call(*args):
+            calls[name] += 1
+            return composition(*args)
+        return call
+
+    monkeypatch.setattr(slu.model, "nll_rows", counted("nll_rows", oracles.nll_rows_unfused))
+    monkeypatch.setattr(slu.model, "crf_nll_t", counted("crf_nll_t", oracles.crf_nll_t_unfused))
+    unfused = small_model(corpus, seed=4, slot_head=slot_head)
+    unfused_history = train(unfused, corpus, cfg, FEATURE)
+    assert calls["nll_rows"] > 0 and (calls["crf_nll_t"] > 0) == (slot_head == "crf")
+
+    assert [(r["stage"], r["epoch"]) for r in fused_history] == [(r["stage"], r["epoch"]) for r in unfused_history]
+    for a, b in zip(fused_history, unfused_history):
+        assert abs(a["loss"] - b["loss"]) <= FUSION_LOSS_RTOL * abs(b["loss"]), (a, b)
+    for name, tensor in fused.params.items():
+        assert np.abs(tensor.data - unfused.params[name].data).max() <= FUSION_PARAM_ATOL, name
+    for feats in corpus_features(corpus, FEATURE):
+        a, b = decode_two_step(fused, feats, beam_size=3), decode_two_step(unfused, feats, beam_size=3)
+        assert (a.words, a.slots, a.intent) == (b.words, b.slots, b.intent)
 
 
 def test_train_tokenizes_each_record_once_per_vocabulary(monkeypatch):
