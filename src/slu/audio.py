@@ -90,15 +90,13 @@ def rms(clip: AudioClip | np.ndarray) -> float:
     return float(np.sqrt(np.mean(samples**2)))
 
 
-def fit_length(samples: np.ndarray, length: int, offset: int = 0) -> np.ndarray:
-    """Loop (tile) or truncate a signal to an exact length, starting at offset."""
+def fit_length(samples: np.ndarray, length: int) -> np.ndarray:
+    """Loop (tile) or truncate a signal to an exact length."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         raise ValidationError("cannot fit an empty signal")
-    offset = offset % samples.size
-    rolled = np.concatenate([samples[offset:], samples[:offset]])
-    reps = math.ceil(length / rolled.size)
-    return np.tile(rolled, reps)[:length]
+    reps = math.ceil(length / samples.size)
+    return np.tile(samples, reps)[:length]
 
 
 @dataclass
@@ -108,7 +106,7 @@ class MixResult:
     clipped: int
 
 
-def mix_at_snr_report(clean: AudioClip, noise: AudioClip, snr_db: float, offset: int = 0) -> MixResult:
+def mix_at_snr_report(clean: AudioClip, noise: AudioClip, snr_db: float) -> MixResult:
     """Add noise to a clean clip at an exact SNR.
 
     The noise is looped or truncated to the clean clip's length first, and
@@ -123,7 +121,7 @@ def mix_at_snr_report(clean: AudioClip, noise: AudioClip, snr_db: float, offset:
     clean_rms = rms(clean)
     if clean_rms == 0.0:
         raise ValidationError("SNR is undefined for a silent clean signal")
-    fitted = fit_length(noise.samples, clean.samples.size, offset)
+    fitted = fit_length(noise.samples, clean.samples.size)
     noise_rms = rms(fitted)
     if noise_rms == 0.0:
         raise ValidationError("SNR is undefined for a silent noise signal")
@@ -177,7 +175,6 @@ class AugmentSpec:
     snr_levels_db: tuple[float, ...] = DEFAULT_SNR_LEVELS
     noises_per_clip: int = len(DEFAULT_SNR_LEVELS)
     seed: int = 0
-    random_offset: bool = False
 
     def __post_init__(self):
         if self.noises_per_clip != len(self.snr_levels_db):
@@ -232,8 +229,7 @@ def augment_corpus(
             if noise_file not in noise_cache:
                 noise_cache[noise_file] = read_wav(noise_file)
             noise = noise_cache[noise_file]
-            offset = rng.randrange(noise.samples.size) if spec.random_offset else 0
-            mixed = mix_at_snr_report(clean, noise, level, offset)
+            mixed = mix_at_snr_report(clean, noise, level)
             new_id = f"{rec.id}#snr{level:g}"
             wav_name = f"{new_id}.wav"
             write_wav(mixed.audio, out_dir / wav_name)

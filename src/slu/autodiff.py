@@ -6,9 +6,21 @@ concat, row gather, reshape, transpose, and a fused softmax cross-entropy
 (``nll_rows``) whose backward is written by hand.
 Nodes record parents only when a gradient is required, so inference builds
 no graph.
+
+The op contract: an op builds its output with ``Tensor._op(data, parents,
+backward)``, where ``backward`` maps the output's gradient to a sequence with
+exactly one gradient per parent, in ``parents`` order, or ``None`` for a
+parent that gets no gradient.  A gradient may have a broadcast shape; it is
+summed back to its parent's shape.  ``Tensor.backward`` alone decides which
+parents receive gradients and adds them up, so an op never reads
+``requires_grad`` and never touches another tensor's ``.grad``.  A ``.grad``
+array may be shared with other tensors or be a read-only view, so it must
+not be written in place.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -64,53 +76,26 @@ class Tensor:
 
     def _accum(self, grad: np.ndarray) -> None:
         grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
-        if self.grad is None:
-            # A copy: callers pass one array to several parents, or a read-only view.
-            self.grad = np.array(grad)
-        else:
-            self.grad += grad
+        self.grad = grad if self.grad is None else self.grad + grad
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
         other = wrap(other)
-        out_data = self.data + other.data
-
-        def backward(g):
-            if self.requires_grad:
-                self._accum(g)
-            if other.requires_grad:
-                other._accum(g)
-
-        return Tensor._op(out_data, (self, other), backward)
+        return Tensor._op(self.data + other.data, (self, other), lambda g: (g, g))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = wrap(other)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accum(g)
-            if other.requires_grad:
-                other._accum(-g)
-
-        return Tensor._op(self.data - other.data, (self, other), backward)
+        return Tensor._op(self.data - other.data, (self, other), lambda g: (g, -g))
 
     def __rsub__(self, other):
         return wrap(other) - self
 
     def __mul__(self, other):
         other = wrap(other)
-        out_data = self.data * other.data
-
-        def backward(g):
-            if self.requires_grad:
-                self._accum(g * other.data)
-            if other.requires_grad:
-                other._accum(g * self.data)
-
-        return Tensor._op(out_data, (self, other), backward)
+        return Tensor._op(self.data * other.data, (self, other), lambda g: (g * other.data, g * self.data))
 
     __rmul__ = __mul__
 
@@ -118,33 +103,17 @@ class Tensor:
         other = wrap(other)
         if self.data.ndim != 2 or other.data.ndim != 2:
             raise NumericError("matmul requires 2-D operands")
-        out_data = self.data @ other.data
-
-        def backward(g):
-            if self.requires_grad:
-                self._accum(g @ other.data.T)
-            if other.requires_grad:
-                other._accum(self.data.T @ g)
-
-        return Tensor._op(out_data, (self, other), backward)
+        return Tensor._op(self.data @ other.data, (self, other), lambda g: (g @ other.data.T, self.data.T @ g))
 
     # -- nonlinearities and reductions ------------------------------------
 
     def tanh(self):
         out_data = np.tanh(self.data)
-
-        def backward(g):
-            self._accum(g * (1.0 - out_data**2))
-
-        return Tensor._op(out_data, (self,), backward)
+        return Tensor._op(out_data, (self,), lambda g: (g * (1.0 - out_data**2),))
 
     def exp(self):
         out_data = np.exp(self.data)
-
-        def backward(g):
-            self._accum(g * out_data)
-
-        return Tensor._op(out_data, (self,), backward)
+        return Tensor._op(out_data, (self,), lambda g: (g * out_data,))
 
     def sum(self, axis=None, keepdims: bool = False):
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
@@ -153,7 +122,7 @@ class Tensor:
             g = np.asarray(g)
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accum(np.broadcast_to(g, self.data.shape))
+            return (np.broadcast_to(g, self.data.shape),)
 
         return Tensor._op(out_data, (self,), backward)
 
@@ -174,7 +143,7 @@ class Tensor:
             g = np.asarray(g)
             if not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accum(g * softmax)
+            return (g * softmax,)
 
         return Tensor._op(out_data, (self,), backward)
 
@@ -182,18 +151,11 @@ class Tensor:
 
     def reshape(self, *shape):
         original = self.data.shape
-
-        def backward(g):
-            self._accum(g.reshape(original))
-
-        return Tensor._op(self.data.reshape(*shape), (self,), backward)
+        return Tensor._op(self.data.reshape(*shape), (self,), lambda g: (g.reshape(original),))
 
     @property
     def T(self):
-        def backward(g):
-            self._accum(g.T)
-
-        return Tensor._op(self.data.T, (self,), backward)
+        return Tensor._op(self.data.T, (self,), lambda g: (g.T,))
 
     def gather_rows(self, indices):
         indices = np.asarray(indices, dtype=np.intp)
@@ -201,7 +163,7 @@ class Tensor:
         def backward(g):
             full = np.zeros_like(self.data)
             np.add.at(full, indices, g)
-            self._accum(full)
+            return (full,)
 
         return Tensor._op(self.data[indices], (self,), backward)
 
@@ -230,7 +192,10 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward(node.grad)
+                # strict: a backward with the wrong number of gradients fails instead of dropping some
+                for parent, grad in zip(node._parents, node._backward(node.grad), strict=True):
+                    if grad is not None and parent.requires_grad:
+                        parent._accum(grad)
 
 
 def wrap(value) -> Tensor:
@@ -242,30 +207,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x, w, b = wrap(x), wrap(w), wrap(b)
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise NumericError("matmul requires 2-D operands")
-
-    def backward(g):
-        if b.requires_grad:
-            b._accum(g)
-        if x.requires_grad:
-            x._accum(g @ w.data.T)
-        if w.requires_grad:
-            w._accum(x.data.T @ g)
-
-    return Tensor._op(x.data @ w.data + b.data, (x, w, b), backward)
+    return Tensor._op(x.data @ w.data + b.data, (x, w, b), lambda g: (g @ w.data.T, x.data.T @ g, g))
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
     tensors = [wrap(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = list(itertools.accumulate((t.data.shape[axis] for t in tensors), initial=0))
+    lead = (slice(None),) * axis
 
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                t._accum(g[tuple(sl)])
+    def backward(g):  # one slice of g per input: what np.split returns, at a fraction of its cost
+        return [g[lead + (slice(lo, hi),)] for lo, hi in zip(offsets, offsets[1:])]
 
     return Tensor._op(out_data, tuple(tensors), backward)
 
@@ -304,6 +256,6 @@ def nll_rows(logits: Tensor, targets, smoothing: float = 0.0) -> Tensor:
         grad[rows, cols] -= 1.0 - smoothing
         if smoothing != 0.0:
             grad -= smoothing / k
-        logits._accum(g * grad)
+        return (g * grad,)
 
     return Tensor._op(out_data, (logits,), backward)

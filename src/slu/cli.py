@@ -68,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("train", "test"), required=True)
     p.add_argument("--snr", default="0,10,20,30,40", help="comma-separated dB levels")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--random-offset", action="store_true")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("train-toy", help="train the toy joint model")
@@ -187,12 +186,7 @@ def cmd_augment(args) -> int:
         raise ValidationError(f"--snr levels must lie within +-300 dB, got {args.snr!r}")
     manifest = data.parse_manifest(args.manifest)
     pool = audio.NoisePool.from_directory(args.noise_dir)
-    spec = audio.AugmentSpec(
-        snr_levels_db=levels,
-        noises_per_clip=len(levels),
-        seed=args.seed,
-        random_offset=args.random_offset,
-    )
+    spec = audio.AugmentSpec(snr_levels_db=levels, noises_per_clip=len(levels), seed=args.seed)
     with staged_dir(args.out) as stage:  # a failed run leaves --out as it was
         augmented, provenance = audio.augment_corpus(manifest, pool, spec, args.split, stage)
         data.write_manifest(augmented, stage / "manifest.jsonl")

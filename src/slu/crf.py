@@ -54,8 +54,10 @@ def crf_nll_t(emissions: Tensor, tags, transitions: Tensor, start: Tensor, end: 
     carries the unary marginals from the last position to the first, and a
     share times the next position's marginals is the pairwise marginal of
     that step.  Each score's gradient is its expected count under the model
-    (its marginal) minus its count on the ``tags`` path.  With one position
-    no transition is used, so ``transitions`` gets no gradient.
+    (its marginal) minus its count on the ``tags`` path, and the backward
+    returns the four gradients in argument order (emissions, transitions,
+    start, end), as the op contract of ``slu.autodiff`` asks.  With one
+    position no transition is used, so the transitions' gradient is ``None``.
     """
     em = _check(emissions.data, transitions.data)
     trans, first, last = transitions.data, start.data, end.data
@@ -100,13 +102,6 @@ def crf_nll_t(emissions: Tensor, tags, transitions: Tensor, start: Tensor, end: 
         d_end[tags[-1]] -= 1.0
         for a, b in zip(tags, tags[1:]):
             d_trans[a, b] -= 1.0
-        if emissions.requires_grad:
-            emissions._accum(g * d_em)
-        if start.requires_grad:
-            start._accum(g * d_start)
-        if end.requires_grad:
-            end._accum(g * d_end)
-        if n > 1 and transitions.requires_grad:
-            transitions._accum(g * d_trans)
+        return g * d_em, g * d_trans if n > 1 else None, g * d_start, g * d_end
 
     return Tensor._op(log_z - score, (emissions, transitions, start, end), backward)

@@ -234,9 +234,14 @@ class JointModel:
         if tok_a.num_words != len(words):
             raise DimensionError(f"ASR tokenization has {tok_a.num_words} words, transcript {len(words)}")
         tok_b = tokenize(words, self.nlu_vocab)
-        ids_a = [self._asr_piece_id[t] for t in tok_a.tokens]  # tokenizers emit vocabulary pieces only
+        try:
+            ids_a = [self._asr_piece_id[t] for t in tok_a.tokens]
+        except KeyError as exc:
+            raise DimensionError(f"ASR token {exc.args[0]!r} not in the ASR vocabulary") from exc
         if len(ids_a) + 1 > self.config.max_positions:
             raise DimensionError("utterance exceeds max decoder positions")
+        if tok_b.num_tokens > self.config.max_positions:
+            raise DimensionError(f"{tok_b.num_tokens} NLU subwords exceed max_positions {self.config.max_positions}")
         return Example(
             frames=frames,
             asr_inputs=[self.bos_id] + ids_a,

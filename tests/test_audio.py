@@ -97,7 +97,6 @@ def test_fit_length_loops_and_truncates():
     x = np.array([1.0, 2.0, 3.0])
     assert np.array_equal(fit_length(x, 7), [1, 2, 3, 1, 2, 3, 1])
     assert np.array_equal(fit_length(x, 2), [1, 2])
-    assert np.array_equal(fit_length(x, 4, offset=1), [2, 3, 1, 2])
 
 
 def test_mix_gain_examples():

@@ -70,6 +70,14 @@ def test_read_only_first_gradient_can_accumulate(sum_first):
     assert np.array_equal(x.grad, np.full((2, 3), 3.0))
 
 
+@pytest.mark.parametrize("grads", [lambda g: (g,), lambda g: (g, g, g)], ids=["too-few", "too-many"])
+def test_backward_with_the_wrong_number_of_gradients_raises(grads):
+    a, b = Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(2), requires_grad=True)
+    out = Tensor._op(a.data + b.data, (a, b), grads)
+    with pytest.raises(ValueError, match="zip"):
+        out.sum().backward()
+
+
 def test_tanh_exp_log_grads():
     rng = np.random.default_rng(1)
     arrays = {"x": rng.uniform(0.5, 2.0, size=(4, 3))}

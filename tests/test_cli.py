@@ -220,14 +220,15 @@ def test_every_repo_sample_manifest_validates(capsys):
         assert code == 0, manifest
 
 
-def test_train_decode_rerun_is_byte_identical(capsys, tmp_path):
+@pytest.mark.parametrize("slot_head", ["linear", "crf"])
+def test_train_decode_rerun_is_byte_identical(capsys, tmp_path, slot_head):
     paths = write_corpus(tmp_path / "corpus", 6, seed=11)
     config = {
         "seed": 3,
         "beam_size": 2,
         "asr_vocab": "vocab_asr.txt",
         "nlu_vocab": "vocab_nlu.txt",
-        "model": {"asr_hidden": 8, "nlu_hidden": 8, "subsample_stride": 3},
+        "model": {"asr_hidden": 8, "nlu_hidden": 8, "subsample_stride": 3, "slot_head": slot_head},
         "stages": [
             {"stage": "asr_pretrain", "epochs": 2, "lr": 0.05, "momentum": 0.9},
             {"stage": "joint_finetune", "epochs": 2, "lr": 0.01, "momentum": 0.9},
@@ -266,6 +267,25 @@ def test_train_toy_rejects_a_bad_record_before_training(capsys, tmp_path):
                        "--out", str(ckpt))
     assert code == 2
     assert err.startswith("slu train-toy: record 'long1': ") and "160 frames exceed max_positions 64" in err
+    assert not ckpt.exists() and not ckpt.with_suffix(".log.jsonl").exists()
+
+
+def test_train_toy_rejects_a_record_past_the_nlu_positions(capsys, tmp_path):
+    wav_dir = tmp_path / "corpus"
+    wav_dir.mkdir()
+    # at stride 12 this is 40 encoder frames and 41 decoder positions, but "boston" is two NLU subwords
+    words = ["boston"] * 40
+    write_wav(utterance_audio(words), wav_dir / "long.wav")
+    manifest_path = wav_dir / "m.jsonl"
+    write_manifest(build_manifest([Utterance("long", words, ["O"] * 40, "find_flight", "long.wav")]), manifest_path)
+    config_path = wav_dir / "cfg.json"
+    config_path.write_text(json.dumps({"model": {"subsample_stride": 12},
+                                       "stages": [{"stage": "joint_finetune", "epochs": 1, "lr": 0.01}]}))
+    ckpt = tmp_path / "ckpt.json"
+    code, _, err = run(capsys, "train-toy", "--config", str(config_path), "--manifest", str(manifest_path),
+                       "--out", str(ckpt))
+    assert code == 2
+    assert err.startswith("slu train-toy: record 'long': ") and "80 NLU subwords exceed max_positions 64" in err
     assert not ckpt.exists() and not ckpt.with_suffix(".log.jsonl").exists()
 
 
@@ -418,3 +438,19 @@ def test_decode_error_names_failing_record(capsys, tmp_path):
     write_manifest(build_manifest(records), manifest_path)
     err = _decode_fails_cleanly(capsys, ckpt, manifest_path, tmp_path / "h.jsonl", "--beam-size", "1")
     assert "record 'long1'" in err and "max_positions 64" in err
+
+
+def test_decode_error_names_a_hypothesis_past_the_nlu_positions(capsys, tmp_path):
+    write_wav(AudioClip(0.3 * np.sin(np.linspace(0, 40, 4800)), 16000), tmp_path / "u0.wav")
+    manifest_path = tmp_path / "m.jsonl"
+    write_manifest(build_manifest([Utterance("u0", ["boston"], ["O"], "find_flight", "u0.wav")]), manifest_path)
+    ckpt = _small_checkpoint(tmp_path / "ckpt.json")
+    obj = json.loads(ckpt.read_text())
+    pieces = obj["asr_vocab"]["pieces"]
+    bias = [-50.0] * (len(pieces) + 1)  # the last output is EOS
+    bias[pieces.index("▁boston")] = 50.0
+    obj["params"]["asr.out_b"]["data"] = bias
+    ckpt.write_text(json.dumps(obj))
+    # the beam emits "boston" up to its 40-token limit: 41 decoder positions, but 80 NLU subwords
+    err = _decode_fails_cleanly(capsys, ckpt, manifest_path, tmp_path / "h.jsonl", "--beam-size", "1")
+    assert "record 'u0'" in err and "80 NLU subwords exceed max_positions 64" in err

@@ -159,6 +159,12 @@ def test_concat_hidden_word_count_mismatch():
         model.prepare(model.subsample(tiny_features()), ["show", "to"], tok_a=three_words)
 
 
+def test_prepare_rejects_a_token_outside_the_asr_vocabulary():
+    model = tiny_model()
+    with pytest.raises(DimensionError, match="ASR token 'zzz' not in the ASR vocabulary"):
+        model.prepare(model.subsample(tiny_features()), ["show"], tok_a=TokenizationResult(["zzz"], [0]))
+
+
 @pytest.mark.parametrize("kind", [BPE, WORDPIECE])
 def test_detokenize_inverts_tokenize(kind):
     rng = random.Random(123)
