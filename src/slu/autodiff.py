@@ -1,9 +1,9 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
 Only the ops the joint model needs: broadcast add/sub/mul, 2-D matmul, a
-fused affine layer (``linear``), tanh, exp, sum/mean, stable logsumexp,
-concat, row gather, reshape, transpose, and a fused softmax cross-entropy
-(``nll_rows``) whose backward is written by hand.
+fused affine layer (``linear``), tanh, sum/mean, concat, row gather, and two
+nodes whose backward is written by hand: scaled dot-product attention
+(``attention``) and a fused softmax cross-entropy (``nll_rows``).
 Nodes record parents only when a gradient is required, so inference builds
 no graph.
 
@@ -21,6 +21,7 @@ not be written in place.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -111,10 +112,6 @@ class Tensor:
         out_data = np.tanh(self.data)
         return Tensor._op(out_data, (self,), lambda g: (g * (1.0 - out_data**2),))
 
-    def exp(self):
-        out_data = np.exp(self.data)
-        return Tensor._op(out_data, (self,), lambda g: (g * out_data,))
-
     def sum(self, axis=None, keepdims: bool = False):
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
 
@@ -130,32 +127,7 @@ class Tensor:
         count = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    def logsumexp(self, axis: int, keepdims: bool = False):
-        m = self.data.max(axis=axis, keepdims=True)
-        shifted = np.exp(self.data - m)
-        total = shifted.sum(axis=axis, keepdims=True)
-        out_data = m + np.log(total)
-        softmax = shifted / total
-        if not keepdims:
-            out_data = np.squeeze(out_data, axis=axis)
-
-        def backward(g):
-            g = np.asarray(g)
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            return (g * softmax,)
-
-        return Tensor._op(out_data, (self,), backward)
-
     # -- shape ops ---------------------------------------------------------
-
-    def reshape(self, *shape):
-        original = self.data.shape
-        return Tensor._op(self.data.reshape(*shape), (self,), lambda g: (g.reshape(original),))
-
-    @property
-    def T(self):
-        return Tensor._op(self.data.T, (self,), lambda g: (g.T,))
 
     def gather_rows(self, indices):
         indices = np.asarray(indices, dtype=np.intp)
@@ -222,8 +194,29 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
     return Tensor._op(out_data, tuple(tensors), backward)
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    return (x - x.logsumexp(axis=1, keepdims=True)).exp()
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """``softmax(q kᵀ / sqrt(d)) v`` as one node, with ``d`` the keys' width
+    (scaled dot-product attention, Vaswani et al. 2017).  ``k`` and ``v`` may
+    be one tensor; the engine adds its two gradients.
+    """
+    scale = 1.0 / math.sqrt(k.data.shape[1])
+    s = (q.data @ k.data.T) * scale
+    m = s.max(axis=1, keepdims=True)
+    shifted = np.exp(s - m)
+    total = shifted.sum(axis=1, keepdims=True)
+    p = np.exp(s - (m + np.log(total)))
+
+    def backward(g):
+        # Bit for bit the gradients of the composition q @ kᵀ, scale, softmax rows
+        # (log-sum-exp, sub, exp), @ v: its log-sum-exp node takes the row-sum
+        # term times shifted / total, which is not always p to the last bit, and
+        # its transpose node gives the keys' gradient as (qᵀ dS)ᵀ, which a BLAS
+        # need not round like dSᵀ q.
+        dx = (g @ v.data.T) * p
+        ds = (dx - dx.sum(axis=1, keepdims=True) * (shifted / total)) * scale
+        return ds @ k.data, (q.data.T @ ds).T, p.T @ g
+
+    return Tensor._op(p @ v.data, (q, k, v), backward)
 
 
 def nll_rows(logits: Tensor, targets, smoothing: float = 0.0) -> Tensor:
@@ -231,7 +224,7 @@ def nll_rows(logits: Tensor, targets, smoothing: float = 0.0) -> Tensor:
 
     With ``smoothing`` the picked log-probability is mixed with the mean
     log-probability over all K classes (label smoothing).  One node: the
-    forward is a row-wise stable logsumexp minus the picked (or mixed) logit,
+    forward is a row-wise stable log-sum-exp minus the picked (or mixed) logit,
     and the gradient of row i is ``g[i] * (softmax - (1 - s) * onehot - s / K)``.
     """
     x = logits.data

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import FeatureConfig
-from .autodiff import Tensor, concat, linear, nll_rows, softmax_rows
+from .autodiff import Tensor, attention, concat, linear, nll_rows
 from .crf import crf_nll_t, crf_viterbi
 from .errors import DimensionError, ValidationError, check_field_types
 from .ioutil import atomic_write_text, read_json_object
@@ -73,7 +73,6 @@ class Example:
 
 @dataclass
 class ForwardOutputs:
-    ha: Tensor  # (asr subwords, asr_hidden)
     hb: Tensor  # (nlu subwords, nlu_hidden)
     hcat: Tensor  # (words, asr_hidden + nlu_hidden)
     asr_logits: Tensor  # (asr subwords + 1, asr output vocab), last row predicts EOS
@@ -265,9 +264,7 @@ class JointModel:
         """Hidden rows and logits for decoder steps given previous-token ids."""
         p = self.params
         emb = p["asr.emb"].gather_rows(prev_ids) + p["asr.dec_pos"].gather_rows(steps)
-        q = emb @ p["asr.attn_q"]
-        scores = (q @ enc.T) * (1.0 / math.sqrt(self.config.asr_hidden))
-        ctx = softmax_rows(scores) @ enc
+        ctx = attention(emb @ p["asr.attn_q"], enc, enc)
         hidden = linear(concat([emb, ctx], axis=1), p["asr.dec_w"], p["asr.dec_b"]).tanh()
         logits = linear(hidden, p["asr.out_w"], p["asr.out_b"])
         return hidden, logits
@@ -275,11 +272,7 @@ class JointModel:
     def nlu_states(self, ids_b: list[int]) -> Tensor:
         p = self.params
         emb = p["nlu.emb"].gather_rows(ids_b) + p["nlu.pos"].gather_rows(list(range(len(ids_b))))
-        att = softmax_rows(
-            (emb @ p["nlu.attn_q"]) @ (emb @ p["nlu.attn_k"]).T
-            * (1.0 / math.sqrt(self.config.nlu_hidden))
-        )
-        ctx = att @ (emb @ p["nlu.attn_v"])
+        ctx = attention(emb @ p["nlu.attn_q"], emb @ p["nlu.attn_k"], emb @ p["nlu.attn_v"])
         return linear(emb + ctx, p["nlu.ff_w"], p["nlu.ff_b"]).tanh()
 
     def intent_logits_from(self, hcat_rows: list[Tensor]) -> Tensor:
@@ -306,16 +299,14 @@ class JointModel:
         (the 2-stage baseline).  Transcript logits are unaffected by the flag.
         """
         h_dec, asr_logits = self.teacher_forced(example, enc)
-        ha = h_dec.gather_rows(list(range(len(example.asr_targets) - 1)))
         hb = self.nlu_states(example.nlu_ids)
 
-        # first_a indexes the subword rows of h_dec, whose extra last row only predicts EOS;
-        # gathering there rather than from ha keeps ha's gather out of the backward pass
+        # first_a indexes the subword rows of h_dec, whose extra last row only predicts EOS
         h_nlu = h_dec.detach() if stop_asr_grad else h_dec
         hcat = concat([h_nlu.gather_rows(example.first_a), hb.gather_rows(example.first_b)], axis=1)
         slot_scores = linear(hcat, self.params["sl.w"], self.params["sl.b"])
         intent_logits = self.intent_logits_from([hcat])
-        return ForwardOutputs(ha, hb, hcat, asr_logits, slot_scores, intent_logits)
+        return ForwardOutputs(hb, hcat, asr_logits, slot_scores, intent_logits)
 
     # -- losses ----------------------------------------------------------
 

@@ -7,10 +7,13 @@ evidence, not tautology.  Old loop versions of vectorised package code are
 kept here verbatim as bit-exact references, next to a few small helpers
 (slot serialisation, detokenisation, the first-subword pooling matrix, SNR
 mixing shorthand, the numpy CRF partition function and path score) that only
-the tests use.  The two fused loss nodes (``autodiff.nll_rows`` and
-``crf.crf_nll_t``) are gated against their unfused compositions of
-elementary ``Tensor`` ops, kept here as ``nll_rows_unfused`` and
-``crf_nll_t_unfused``.
+the tests use.  The three fused nodes (``autodiff.attention``,
+``autodiff.nll_rows`` and ``crf.crf_nll_t``) are gated against their unfused
+compositions of elementary ``Tensor`` ops, kept here as ``attention_unfused``,
+``nll_rows_unfused`` and ``crf_nll_t_unfused``.  The elementary ops only
+those compositions use (``exp``, ``logsumexp``, ``reshape``, ``transpose``
+and ``softmax_rows``) are here too, as free functions built on
+``Tensor._op``.
 """
 
 from __future__ import annotations
@@ -277,13 +280,55 @@ def crf_path_score(emissions: np.ndarray, tags, crf: CrfScores) -> float:
     return float(score)
 
 
+def exp(x: Tensor) -> Tensor:
+    out_data = np.exp(x.data)
+    return Tensor._op(out_data, (x,), lambda g: (g * out_data,))
+
+
+def logsumexp(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
+    """Stable log-sum-exp along ``axis``; its backward is ``g * softmax``."""
+    m = x.data.max(axis=axis, keepdims=True)
+    shifted = np.exp(x.data - m)
+    total = shifted.sum(axis=axis, keepdims=True)
+    out_data = m + np.log(total)
+    softmax = shifted / total
+    if not keepdims:
+        out_data = np.squeeze(out_data, axis=axis)
+
+    def backward(g):
+        g = np.asarray(g)
+        if not keepdims:
+            g = np.expand_dims(g, axis)
+        return (g * softmax,)
+
+    return Tensor._op(out_data, (x,), backward)
+
+
+def reshape(x: Tensor, *shape) -> Tensor:
+    original = x.data.shape
+    return Tensor._op(x.data.reshape(*shape), (x,), lambda g: (g.reshape(original),))
+
+
+def transpose(x: Tensor) -> Tensor:
+    return Tensor._op(x.data.T, (x,), lambda g: (g.T,))
+
+
+def softmax_rows(x: Tensor) -> Tensor:
+    return exp(x - logsumexp(x, axis=1, keepdims=True))
+
+
+def attention_unfused(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """``autodiff.attention`` as the chain matmul, transpose, scale, softmax rows, matmul."""
+    return softmax_rows((q @ transpose(k)) * (1.0 / math.sqrt(k.shape[1]))) @ v
+
+
 def nll_rows_unfused(logits: Tensor, targets, smoothing: float = 0.0) -> Tensor:
     """``autodiff.nll_rows`` as a composition of logsumexp, reshape, gather and sub nodes."""
     n, k = logits.shape
     if n != len(targets):
         raise DimensionError(f"{n} logit rows vs {len(targets)} targets")
-    lse = logits.logsumexp(axis=1)
-    picked = logits.reshape(n * k).gather_rows([i * k + t for i, t in enumerate(targets)])
+    lse = logsumexp(logits, axis=1)
+    picked = reshape(logits, n * k).gather_rows([i * k + t for i, t in enumerate(targets)])
     if smoothing == 0.0:
         return lse - picked
     return lse - ((1.0 - smoothing) * picked + smoothing * logits.mean(axis=1))
@@ -292,22 +337,22 @@ def nll_rows_unfused(logits: Tensor, targets, smoothing: float = 0.0) -> Tensor:
 def crf_log_z_t(emissions: Tensor, transitions: Tensor, start: Tensor, end: Tensor) -> Tensor:
     """Differentiable partition function: one reshape/add/logsumexp/gather/add chain per position."""
     n, k = emissions.shape
-    alpha = start.reshape(1, k) + emissions.gather_rows([0])
+    alpha = reshape(start, 1, k) + emissions.gather_rows([0])
     for t in range(1, n):
-        step = alpha.reshape(k, 1) + transitions
-        alpha = step.logsumexp(axis=0, keepdims=True) + emissions.gather_rows([t])
-    return (alpha + end.reshape(1, k)).logsumexp(axis=1).sum()
+        step = reshape(alpha, k, 1) + transitions
+        alpha = logsumexp(step, axis=0, keepdims=True) + emissions.gather_rows([t])
+    return logsumexp(alpha + reshape(end, 1, k), axis=1).sum()
 
 
 def crf_path_score_t(emissions: Tensor, tags, transitions: Tensor, start: Tensor, end: Tensor) -> Tensor:
     tags = list(tags)
     n, k = emissions.shape
-    emitted = emissions.reshape(n * k).gather_rows(
+    emitted = reshape(emissions, n * k).gather_rows(
         [t * k + tag for t, tag in enumerate(tags)]
     ).sum()
     score = emitted + start.gather_rows([tags[0]]).sum() + end.gather_rows([tags[-1]]).sum()
     if n > 1:
-        flat = transitions.reshape(k * k)
+        flat = reshape(transitions, k * k)
         moves = flat.gather_rows([tags[t - 1] * k + tags[t] for t in range(1, n)]).sum()
         score = score + moves
     return score

@@ -5,6 +5,7 @@ lines and timings.
 """
 
 import contextlib
+import hashlib
 import json
 import math
 import random
@@ -24,7 +25,7 @@ from slu.crf import crf_viterbi
 from slu.metrics import slots_edit_f1, wer
 from slu.model import JointModel, ModelConfig
 from slu.subword import BPE, WORDPIECE, SubwordVocab, tokenize
-from slu.synth import write_corpus, write_train_config
+from slu.synth import write_corpus, write_noise_dir, write_train_config
 
 
 @contextlib.contextmanager
@@ -93,12 +94,14 @@ def test_criterion_3_alignment_matrix_algebra():
             # the concatenation JointModel.forward builds from the two tokenizations
             model = JointModel(config, vocab, other_vocab, ["O"], ["x"])
             model.init_params(i)
-            out = model.forward(model.prepare(model.subsample(np_rng.normal(size=(3, 2))), words))
-            assert (out.ha.shape, out.hb.shape) == ((result.num_tokens, fa), (result_b.num_tokens, fb))
+            example = model.prepare(model.subsample(np_rng.normal(size=(3, 2))), words)
+            out = model.forward(example)
+            ha = model.teacher_forced(example)[0].data[:-1]
+            assert (ha.shape, out.hb.shape) == ((result.num_tokens, fa), (result_b.num_tokens, fb))
             cat = out.hcat.data
             assert cat.shape == (n, fa + fb)
             m_b = build_first_index_matrix(result_b)
-            assert np.array_equal(cat, np.concatenate([m.T @ out.ha.data, m_b.T @ out.hb.data], axis=1))
+            assert np.array_equal(cat, np.concatenate([m.T @ ha, m_b.T @ out.hb.data], axis=1))
 
 
 def test_criterion_4_snr_fidelity_and_fivefold(tmp_path):
@@ -261,39 +264,86 @@ def test_criterion_7_two_step_decoding():
             assert len(result.slots) == len(result.words)
 
 
-def test_criterion_8_end_to_end_smoke(tmp_path):
-    with criterion(8, "staged schedule reaches slots edit F1 >= 0.95 and intent acc >= 0.99; CLI round trip"):
-        start = time.time()
-        paths = write_corpus(tmp_path / "corpus", 50, seed=7)
-        config_path = tmp_path / "corpus" / "train_config.json"
-        write_train_config(config_path)
-        config = json.loads(config_path.read_text())
-        config["asr_vocab"] = "vocab_asr.txt"
-        config["nlu_vocab"] = "vocab_nlu.txt"
-        config_path.write_text(json.dumps(config))
-        total_epochs = sum(stage["epochs"] for stage in config["stages"])
-        assert total_epochs <= 500
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
-        ckpt = tmp_path / "ckpt.json"
-        assert cli_main(["train-toy", "--config", str(config_path),
-                         "--manifest", str(paths.manifest), "--out", str(ckpt)]) == 0
-        history = [json.loads(line) for line in ckpt.with_suffix(".log.jsonl").read_text().splitlines()]
+
+@pytest.fixture(scope="module")
+def smoke_run(tmp_path_factory):
+    """The smoke pipeline once, as ``scripts/run_smoke_pipeline.py`` runs it: the
+    default config (linear head), a clean decode, and a noisy decode of the
+    test-split augmentation; each report is ``slu score``'s JSON."""
+    root = tmp_path_factory.mktemp("smoke")
+    start = time.time()
+    paths = write_corpus(root / "corpus", 50, seed=7)
+    config_path = root / "corpus" / "train_config.json"
+    write_train_config(config_path)
+    config = json.loads(config_path.read_text())
+    config["asr_vocab"] = "vocab_asr.txt"
+    config["nlu_vocab"] = "vocab_nlu.txt"
+    config_path.write_text(json.dumps(config))
+    ckpt = root / "ckpt.json"
+
+    def slu(*argv):
+        assert cli_main([str(a) for a in argv]) == 0, argv
+
+    def decode_and_score(manifest, name):
+        hyp = root / f"hyp_{name}.jsonl"
+        slu("decode", "--ckpt", ckpt, "--manifest", manifest, "--out", hyp)
+        report = root / f"report_{name}.json"
+        slu("score", "--refs", manifest, "--hyps", hyp, "--metrics", "wer,slots-edit-f1,intent-f1", "--out", report)
+        return hyp, json.loads(report.read_text())
+
+    slu("train-toy", "--config", config_path, "--manifest", paths.manifest, "--out", ckpt)
+    hyp_clean, report_clean = decode_and_score(paths.manifest, "clean")
+    seconds = time.time() - start
+    noise_dir = write_noise_dir(root / "noise", count=12, seed=3)
+    slu("augment", "--manifest", paths.manifest, "--noise-dir", noise_dir, "--split", "test",
+        "--snr", "0,10,20,30,40", "--seed", "17", "--out", root / "noisy")
+    hyp_noisy, report_noisy = decode_and_score(root / "noisy" / "manifest.jsonl", "noisy")
+    return {
+        "config": config,
+        "history": [json.loads(line) for line in ckpt.with_suffix(".log.jsonl").read_text().splitlines()],
+        "seconds": seconds,  # train, clean decode and score
+        "hyp_clean": hyp_clean,
+        "report_clean": report_clean,
+        "hyp_noisy": hyp_noisy,
+        "report_noisy": report_noisy,
+    }
+
+
+def test_criterion_8_end_to_end_smoke(smoke_run):
+    with criterion(8, "staged schedule reaches slots edit F1 >= 0.95 and intent acc >= 0.99; CLI round trip"):
+        total_epochs = sum(stage["epochs"] for stage in smoke_run["config"]["stages"])
+        assert total_epochs <= 500
+        history = smoke_run["history"]
         assert len(history) <= 500
         reached = [row for row in history if row.get("slots_edit_f1", 0) >= 0.95
                    and row.get("intent_accuracy", 0) >= 0.99]
         assert reached, "training never reached the target metrics"
-
-        hyp_path = tmp_path / "hyp.jsonl"
-        assert cli_main(["decode", "--ckpt", str(ckpt), "--manifest", str(paths.manifest),
-                         "--out", str(hyp_path)]) == 0
-        report_path = tmp_path / "report.json"
-        assert cli_main(["score", "--refs", str(paths.manifest), "--hyps", str(hyp_path),
-                         "--metrics", "wer,slots-edit-f1,intent-f1",
-                         "--out", str(report_path)]) == 0
-        report = json.loads(report_path.read_text())
+        report = smoke_run["report_clean"]
         assert report["slots_edit_f1"]["f1"] >= 0.95
         assert report["intent_f1"] >= 0.99
-        assert time.time() - start < 300.0
+        assert smoke_run["seconds"] < 300.0
+
+
+def test_smoke_pipeline_decisions_are_pinned(smoke_run):
+    """The smoke pipeline's decodes, stop epoch and noisy scores, byte for byte.
+
+    The hypothesis files hold words, slots and intents only, so they pin every
+    decision without pinning float bits; checkpoints are not pinned, because
+    their last bits depend on the BLAS.  A change that means to alter a
+    decode updates these pins and says why.
+    """
+    assert _sha256(smoke_run["hyp_clean"]) == "eee1bf691a3aff39cf91b8b09067cfc6335f586893e4dc8c8bf8559f36135ac4"
+    assert _sha256(smoke_run["hyp_noisy"]) == "cc000070bdedea22c9ffb670a1c5c89babd80d8e6929b58baa697b0d1ce14564"
+    history = smoke_run["history"]
+    assert len(history) == 200
+    assert (history[-1]["stage"], history[-1]["epoch"]) == ("joint_finetune", 19)
+    noisy = smoke_run["report_noisy"]
+    assert noisy["wer"] == 253 / 1110
+    assert noisy["slots_edit_f1"]["f1"] == 0.8303886925795053
+    assert noisy["intent_f1"] == 0.976
 
 
 def test_criterion_9_round_trips(tmp_path):

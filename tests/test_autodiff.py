@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import assert_fused_matches, check_gradients
-from oracles import nll_rows_unfused
-from slu.autodiff import Tensor, concat, linear, nll_rows, softmax_rows, wrap
+from oracles import attention_unfused, exp, logsumexp, nll_rows_unfused, reshape, softmax_rows, transpose
+from slu.autodiff import Tensor, attention, concat, linear, nll_rows, wrap
 from slu.errors import DimensionError, NumericError
 
 
@@ -78,16 +78,20 @@ def test_backward_with_the_wrong_number_of_gradients_raises(grads):
         out.sum().backward()
 
 
+# exp, logsumexp, reshape, transpose and softmax_rows are the oracles' elementary
+# ops: the fused nodes are gated against compositions of them, so they are checked here
+
+
 def test_tanh_exp_log_grads():
     rng = np.random.default_rng(1)
     arrays = {"x": rng.uniform(0.5, 2.0, size=(4, 3))}
-    check_gradients(lambda t: (t["x"].tanh() + t["x"].exp()).sum(), arrays)
+    check_gradients(lambda t: (t["x"].tanh() + exp(t["x"])).sum(), arrays)
 
 
 def test_logsumexp_and_softmax_grads():
     rng = np.random.default_rng(2)
     arrays = {"x": rng.normal(size=(5, 4))}
-    check_gradients(lambda t: t["x"].logsumexp(axis=1).sum(), arrays)
+    check_gradients(lambda t: logsumexp(t["x"], axis=1).sum(), arrays)
     check_gradients(lambda t: (softmax_rows(t["x"]) * np.arange(4.0)).sum(), arrays)
 
 
@@ -95,14 +99,59 @@ def test_mean_axis_and_reshape_grads():
     rng = np.random.default_rng(3)
     arrays = {"x": rng.normal(size=(4, 6))}
     check_gradients(lambda t: t["x"].mean(axis=0, keepdims=True).sum(), arrays)
-    check_gradients(lambda t: t["x"].reshape(24).gather_rows([0, 5, 5, 23]).sum(), arrays)
+    check_gradients(lambda t: reshape(t["x"], 24).gather_rows([0, 5, 5, 23]).sum(), arrays)
 
 
 def test_concat_and_transpose_grads():
     rng = np.random.default_rng(4)
     arrays = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=(3, 5))}
     check_gradients(lambda t: (concat([t["a"], t["b"]], axis=1) @ np.ones((7, 1))).sum(), arrays)
-    check_gradients(lambda t: (t["a"].T @ np.ones((3, 1))).sum(), arrays)
+    check_gradients(lambda t: (transpose(t["a"]) @ np.ones((3, 1))).sum(), arrays)
+
+
+def _attention_pair(q, k, v, shared: bool, weights):
+    """Output and (q, k, v) gradients of ``attention`` and of its unfused composition
+    under the upstream gradient ``weights``; with ``shared`` the keys are the values."""
+    results = []
+    for op in (attention, attention_unfused):
+        tq, tk = Tensor(q, requires_grad=True), Tensor(k, requires_grad=True)
+        tv = tk if shared else Tensor(v, requires_grad=True)
+        out = op(tq, tk, tv)
+        (out * weights).sum().backward()
+        results.append((out, tq.grad, tk.grad, None if shared else tv.grad))
+    return results
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["k-v", "k-is-v"])
+def test_attention_is_bit_identical_to_its_unfused_composition(shared):
+    rng = np.random.default_rng(14)
+    for n in range(1, 8):
+        for m in range(1, 8):
+            for d, e in [(1, 1), (3, 5), (5, 5), (16, 16)]:
+                e = d if shared else e
+                q, k, v = rng.normal(size=(n, d)), rng.normal(scale=2.0, size=(m, d)), rng.normal(size=(m, e))
+                (out, *grads), (ref, *ref_grads) = _attention_pair(q, k, v, shared, rng.normal(size=(n, e)))
+                assert len(out._parents) == 3  # one node
+                assert np.array_equal(out.data, ref.data), (n, m, d, e)
+                for got, want, name in zip(grads, ref_grads, "qkv"):
+                    assert (got is None and want is None) or np.array_equal(got, want), (n, m, d, e, name)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["k-v", "k-is-v"])
+def test_attention_grads(shared):
+    rng = np.random.default_rng(15)
+    arrays = {"q": rng.normal(size=(3, 4)), "k": rng.normal(size=(5, 4)), "v": rng.normal(size=(5, 4))}
+    weights = rng.normal(size=(3, 4))
+    if shared:
+        del arrays["v"]
+    check_gradients(lambda t: (attention(t["q"], t["k"], t["k" if shared else "v"]) * weights).sum(), arrays)
+
+
+def test_attention_scales_by_the_keys_width():
+    q, k = np.ones((1, 4)), np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]])  # scores 1 and 0 before scaling
+    v = np.array([[1.0], [0.0]])
+    expected = np.exp(0.5) / (np.exp(0.5) + 1.0)  # 1 / sqrt(4) = 0.5
+    assert attention(Tensor(q), Tensor(k), Tensor(v)).data[0, 0] == pytest.approx(expected, rel=1e-15)
 
 
 def test_gather_rows_accumulates_repeats():

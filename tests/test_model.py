@@ -32,7 +32,7 @@ def test_forward_shapes():
     assert out.hcat.shape == (5, fa + fb)
     assert out.slot_scores.shape == (5, len(model.slot_tags))
     assert out.intent_logits.shape == (1, len(model.intents))
-    assert out.asr_logits.shape[0] == out.ha.shape[0] + 1  # one extra row predicts EOS
+    assert out.asr_logits.shape[0] == tokenize(WORDS, model.asr_vocab).num_tokens + 1  # one extra row predicts EOS
     assert example.asr_targets[-1] == model.eos_id
 
 
@@ -60,8 +60,9 @@ def test_forward_deterministic():
 
 def test_forward_hcat_matches_projection_contract():
     model = tiny_model()
-    out = model.forward(tiny_example(model, WORDS))
-    ha, hb = out.ha.data, out.hb.data
+    example = tiny_example(model, WORDS)
+    out = model.forward(example)
+    ha, hb = model.teacher_forced(example)[0].data[:-1], out.hb.data
     fa = model.config.asr_hidden
     assert np.array_equal(out.hcat.data[:, :fa], ha[tokenize(WORDS, model.asr_vocab).first_index])
     assert np.array_equal(out.hcat.data[:, fa:], hb[tokenize(WORDS, model.nlu_vocab).first_index])
@@ -314,7 +315,7 @@ def test_checkpoint_with_stored_first_pooling_loads(tmp_path):
     assert again.config == model.config
     out_a = model.forward(tiny_example(model, WORDS))
     out_b = again.forward(tiny_example(again, WORDS))
-    for name in ("ha", "hb", "hcat", "asr_logits", "slot_scores", "intent_logits"):
+    for name in ("hb", "hcat", "asr_logits", "slot_scores", "intent_logits"):
         assert np.array_equal(getattr(out_a, name).data, getattr(out_b, name).data), name
 
 

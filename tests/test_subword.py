@@ -143,13 +143,14 @@ def test_concat_hidden_shapes_and_zero_block():
         if name.startswith("nlu."):
             t.data = np.zeros_like(t.data)  # zero text-branch states
     words = ["show", "flights", "from", "austin", "to", "denver"]  # 8 ASR subwords, 6 NLU
-    out = model.forward(tiny_example(model, words))
+    example = tiny_example(model, words)
+    out = model.forward(example)
     fa, fb = model.config.asr_hidden, model.config.nlu_hidden
     assert np.array_equal(out.hb.data, np.zeros_like(out.hb.data))
     assert out.hcat.shape == (len(words), fa + fb)
     assert np.array_equal(out.hcat.data[:, fa:], np.zeros((len(words), fb)))
     first = tokenize(words, model.asr_vocab).first_index
-    assert np.array_equal(out.hcat.data[:, :fa], out.ha.data[first])
+    assert np.array_equal(out.hcat.data[:, :fa], model.teacher_forced(example)[0].data[:-1][first])
 
 
 def test_concat_hidden_word_count_mismatch():

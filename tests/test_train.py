@@ -89,9 +89,8 @@ FUSION_LOSS_RTOL = 1e-13
 FUSION_PARAM_ATOL = 1e-12
 
 
-@pytest.mark.parametrize("slot_head", ["linear", "crf"])
-def test_fused_losses_train_like_their_unfused_compositions(slot_head, monkeypatch):
-    corpus = build_corpus(6, seed=4)
+def train_fusion_schedule(corpus, slot_head):
+    """A fresh model and its history after both stages of a short momentum-SGD schedule."""
     cfg = TrainConfig(
         seed=4,
         stages=[
@@ -99,8 +98,14 @@ def test_fused_losses_train_like_their_unfused_compositions(slot_head, monkeypat
             StageConfig("joint_finetune", epochs=12, lr=0.02, momentum=0.9),
         ],
     )
-    fused = small_model(corpus, seed=4, slot_head=slot_head)
-    fused_history = train(fused, corpus, cfg, FEATURE)
+    model = small_model(corpus, seed=4, slot_head=slot_head)
+    return model, train(model, corpus, cfg, FEATURE)
+
+
+@pytest.mark.parametrize("slot_head", ["linear", "crf"])
+def test_fused_losses_train_like_their_unfused_compositions(slot_head, monkeypatch):
+    corpus = build_corpus(6, seed=4)
+    fused, fused_history = train_fusion_schedule(corpus, slot_head)
     calls = {"nll_rows": 0, "crf_nll_t": 0}
 
     def counted(name, composition):
@@ -111,8 +116,7 @@ def test_fused_losses_train_like_their_unfused_compositions(slot_head, monkeypat
 
     monkeypatch.setattr(slu.model, "nll_rows", counted("nll_rows", oracles.nll_rows_unfused))
     monkeypatch.setattr(slu.model, "crf_nll_t", counted("crf_nll_t", oracles.crf_nll_t_unfused))
-    unfused = small_model(corpus, seed=4, slot_head=slot_head)
-    unfused_history = train(unfused, corpus, cfg, FEATURE)
+    unfused, unfused_history = train_fusion_schedule(corpus, slot_head)
     assert calls["nll_rows"] > 0 and (calls["crf_nll_t"] > 0) == (slot_head == "crf")
 
     assert [(r["stage"], r["epoch"]) for r in fused_history] == [(r["stage"], r["epoch"]) for r in unfused_history]
@@ -123,6 +127,28 @@ def test_fused_losses_train_like_their_unfused_compositions(slot_head, monkeypat
     for feats in corpus_features(corpus, FEATURE):
         a, b = decode_two_step(fused, feats, beam_size=3), decode_two_step(unfused, feats, beam_size=3)
         assert (a.words, a.slots, a.intent) == (b.words, b.slots, b.intent)
+
+
+@pytest.mark.parametrize("slot_head", ["linear", "crf"])
+def test_attention_node_trains_bit_identically_to_its_composition(slot_head, monkeypatch):
+    corpus = build_corpus(6, seed=4)
+    fused, fused_history = train_fusion_schedule(corpus, slot_head)
+    keys_are_values = set()
+
+    def composition(q, k, v):
+        keys_are_values.add(k is v)
+        return oracles.attention_unfused(q, k, v)
+
+    monkeypatch.setattr(slu.model, "attention", composition)
+    unfused, unfused_history = train_fusion_schedule(corpus, slot_head)
+    assert keys_are_values == {True, False}  # the decoder's cross-attention and the NLU self-attention
+
+    def losses(history):
+        return [(r["stage"], r["epoch"], r["loss"]) for r in history]
+
+    assert losses(fused_history) == losses(unfused_history)
+    for name, tensor in fused.params.items():
+        assert np.array_equal(tensor.data, unfused.params[name].data), name
 
 
 def test_train_tokenizes_each_record_once_per_vocabulary(monkeypatch):
