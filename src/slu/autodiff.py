@@ -8,24 +8,29 @@ Nodes record parents only when a gradient is required, so inference builds
 no graph.
 
 The op contract: an op builds its output with ``Tensor._op(data, parents,
-backward)``, where ``backward`` maps the output's gradient to a sequence with
-exactly one gradient per parent, in ``parents`` order, or ``None`` for a
-parent that gets no gradient.  A gradient may have a broadcast shape; it is
-summed back to its parent's shape.  ``Tensor.backward`` alone decides which
-parents receive gradients and adds them up, so an op never reads
-``requires_grad`` and never touches another tensor's ``.grad``.  A ``.grad``
-array may be shared with other tensors or be a read-only view, so it must
-not be written in place.
+backward)``, where ``backward`` maps the output's gradient to one gradient
+per parent, in ``parents`` order and of that parent's shape (the broadcasting
+``+ - *`` sum theirs back), or ``None`` for a parent that gets none.
+``Tensor.backward`` alone decides which parents receive gradients (an op
+never reads ``requires_grad``) and adds them up without writing any ``.grad``
+in place, since one may be shared or a read-only view.  ``_op`` stamps each
+node it records from one counter, so a node is newer than its inputs, and
+``Tensor.backward`` runs nodes newest first off a heap (reverse creation
+order; Griewank & Walther, *Evaluating Derivatives*): a node runs after all
+its consumers, and no list of nodes is kept.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
 import numpy as np
 
 from .errors import DimensionError, NumericError
+
+_stamps = itertools.count()
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -36,11 +41,16 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     for axis, size in enumerate(shape):
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
+    return grad
+
+
+def _sum_back(a: "Tensor", b: "Tensor", grad_a, grad_b) -> tuple[np.ndarray, np.ndarray]:
+    """The gradients of a broadcasting ``a (op) b``, each summed back to its operand's shape."""
+    return _unbroadcast(grad_a, a.data.shape), _unbroadcast(grad_b, b.data.shape)
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_stamp")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -72,31 +82,28 @@ class Tensor:
                 out.requires_grad = True
                 out._parents = parents
                 out._backward = backward
+                out._stamp = next(_stamps)
                 break
         return out
-
-    def _accum(self, grad: np.ndarray) -> None:
-        grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
-        self.grad = grad if self.grad is None else self.grad + grad
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
         other = wrap(other)
-        return Tensor._op(self.data + other.data, (self, other), lambda g: (g, g))
+        return Tensor._op(self.data + other.data, (self, other), lambda g: _sum_back(self, other, g, g))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = wrap(other)
-        return Tensor._op(self.data - other.data, (self, other), lambda g: (g, -g))
+        return Tensor._op(self.data - other.data, (self, other), lambda g: _sum_back(self, other, g, -g))
 
     def __rsub__(self, other):
         return wrap(other) - self
 
     def __mul__(self, other):
         other = wrap(other)
-        return Tensor._op(self.data * other.data, (self, other), lambda g: (g * other.data, g * self.data))
+        return Tensor._op(self.data * other.data, (self, other), lambda g: _sum_back(self, other, g * other.data, g * self.data))
 
     __rmul__ = __mul__
 
@@ -146,28 +153,19 @@ class Tensor:
             raise NumericError("backward() expects a scalar loss")
         if not np.isfinite(self.data).all():
             raise NumericError("loss is not finite")
-        topo: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad and id(parent) not in visited:
-                    stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None:
-                # strict: a backward with the wrong number of gradients fails instead of dropping some
-                for parent, grad in zip(node._parents, node._backward(node.grad), strict=True):
-                    if grad is not None and parent.requires_grad:
-                        parent._accum(grad)
+        heap = [(-self._stamp, self)] if self._backward is not None else []
+        queued = {id(self)}  # per pass: a second backward() adds onto the grads the first one left
+        while heap:
+            node = heapq.heappop(heap)[1]  # newest first: all its consumers have run
+            # strict: a backward with the wrong number of gradients fails instead of dropping some
+            for parent, grad in zip(node._parents, node._backward(node.grad), strict=True):
+                if grad is None or not parent.requires_grad:
+                    continue
+                parent.grad = grad if parent.grad is None else parent.grad + grad
+                if parent._backward is not None and id(parent) not in queued:
+                    queued.add(id(parent))
+                    heapq.heappush(heap, (-parent._stamp, parent))
 
 
 def wrap(value) -> Tensor:
@@ -179,7 +177,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x, w, b = wrap(x), wrap(w), wrap(b)
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise NumericError("matmul requires 2-D operands")
-    return Tensor._op(x.data @ w.data + b.data, (x, w, b), lambda g: (g @ w.data.T, x.data.T @ g, g))
+    return Tensor._op(x.data @ w.data + b.data, (x, w, b), lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:

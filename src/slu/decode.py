@@ -4,7 +4,8 @@ Step one beam-searches subword space for the best transcript under the
 first-order decoder, one batched decoder call per step, with EOS ranked ahead
 of a prefix's extensions on ties, and stops as soon as no live prefix can
 beat or tie the best finished one; only the top-1 hypothesis survives.  Step
-two prepares an ``Example`` from that hypothesis and runs ``JointModel.forward``
+two prepares an ``Example`` from that hypothesis, cut to the longest prefix of
+words whose NLU subwords fit ``max_positions``, and runs ``JointModel.forward``
 on it with the step-one encoding, as training does, then decodes the intent
 (argmax) and slot path (``JointModel.decode_slots``).  Both steps run on
 ``model.frozen()``, so decoding records no autodiff graph.
@@ -12,6 +13,7 @@ on it with the step-one encoding, as training does, then decodes the intent
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +21,7 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import DecodeError
 from .model import JointModel
-from .subword import TokenizationResult, merge_tokens
+from .subword import TokenizationResult, merge_tokens, tokenize
 
 
 @dataclass
@@ -95,6 +97,11 @@ def decode_two_step(
     ids, logp = beam_search_transcript(model, enc, beam_size, max_len)
     tokens = model.asr_tokens(ids)
     words, first_index = merge_tokens(tokens, model.asr_vocab)
+    # step two reads the longest prefix of words whose NLU subwords fit max_positions
+    tok_b = tokenize(words, model.nlu_vocab)
+    keep = bisect.bisect_right(tok_b.first_index[1:] + [tok_b.num_tokens], model.config.max_positions)
+    tok_a = TokenizationResult(tokens[: first_index[keep]] if keep < len(words) else tokens, first_index[:keep])
+    words = words[:keep]
 
     if not words:
         # Degenerate transcript: intent from the sentinel row alone, no slots.
@@ -102,7 +109,7 @@ def decode_two_step(
         intent = model.intents[int(np.argmax(intent_logits.data[0]))]
         return DecodeResult([], [], intent, tokens, logp)
 
-    example = model.prepare(frames, words, tok_a=TokenizationResult(tokens, first_index))
+    example = model.prepare(frames, words, tok_a=tok_a)
     out = model.forward(example, enc=enc)
     intent = model.intents[int(np.argmax(out.intent_logits.data[0]))]
     return DecodeResult(words, model.decode_slots(out.slot_scores), intent, tokens, logp)

@@ -272,7 +272,9 @@ class JointModel:
     def nlu_states(self, ids_b: list[int]) -> Tensor:
         p = self.params
         emb = p["nlu.emb"].gather_rows(ids_b) + p["nlu.pos"].gather_rows(list(range(len(ids_b))))
-        ctx = attention(emb @ p["nlu.attn_q"], emb @ p["nlu.attn_k"], emb @ p["nlu.attn_v"])
+        # v, k, then q: newest-first backward sums emb's gradients as (emb + ctx), q, k, v, which keeps checkpoint bits
+        v, k = emb @ p["nlu.attn_v"], emb @ p["nlu.attn_k"]
+        ctx = attention(emb @ p["nlu.attn_q"], k, v)
         return linear(emb + ctx, p["nlu.ff_w"], p["nlu.ff_b"]).tanh()
 
     def intent_logits_from(self, hcat_rows: list[Tensor]) -> Tensor:

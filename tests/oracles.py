@@ -13,7 +13,10 @@ compositions of elementary ``Tensor`` ops, kept here as ``attention_unfused``,
 ``nll_rows_unfused`` and ``crf_nll_t_unfused``.  The elementary ops only
 those compositions use (``exp``, ``logsumexp``, ``reshape``, ``transpose``
 and ``softmax_rows``) are here too, as free functions built on
-``Tensor._op``.
+``Tensor._op``.  ``backward_dfs`` is the engine's old two-pass backward
+(DFS topological sort, then the list in reverse), the reference that the
+one-pass, newest-first ``Tensor.backward`` matches bit for bit on a graph's
+first backward pass.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from typing import NamedTuple
 import numpy as np
 
 from slu.audio import AudioClip, mix_at_snr_report
-from slu.autodiff import Tensor
+from slu.autodiff import Tensor, _unbroadcast
 from slu.crf import _check
-from slu.errors import DimensionError, ValidationError
+from slu.errors import DimensionError, NumericError, ValidationError
 from slu.subword import SubwordVocab, TokenizationResult, merge_tokens
 
 sys.setrecursionlimit(100_000)
@@ -278,6 +281,38 @@ def crf_path_score(emissions: np.ndarray, tags, crf: CrfScores) -> float:
     for t in range(1, len(tags)):
         score += crf.transitions[tags[t - 1], tags[t]] + emissions[t, tags[t]]
     return float(score)
+
+
+def backward_dfs(loss: Tensor) -> None:
+    """``Tensor.backward`` as it was before the creation-stamp heap: a DFS builds a
+    topological list, and a second loop runs it in reverse, summing each gradient
+    back to its parent's shape before adding it to the parent's ``.grad``."""
+    if loss.data.size != 1:
+        raise NumericError("backward() expects a scalar loss")
+    if not np.isfinite(loss.data).all():
+        raise NumericError("loss is not finite")
+    topo: list[Tensor] = []
+    visited: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in visited:
+                stack.append((parent, False))
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        if node._backward is not None:
+            for parent, grad in zip(node._parents, node._backward(node.grad), strict=True):
+                if grad is not None and parent.requires_grad:
+                    grad = _unbroadcast(np.asarray(grad, dtype=np.float64), parent.data.shape)
+                    parent.grad = grad if parent.grad is None else parent.grad + grad
 
 
 def exp(x: Tensor) -> Tensor:

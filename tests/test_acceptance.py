@@ -270,10 +270,21 @@ def _sha256(path) -> str:
 
 @pytest.fixture(scope="module")
 def smoke_run(tmp_path_factory):
-    """The smoke pipeline once, as ``scripts/run_smoke_pipeline.py`` runs it: the
-    default config (linear head), a clean decode, and a noisy decode of the
-    test-split augmentation; each report is ``slu score``'s JSON."""
-    root = tmp_path_factory.mktemp("smoke")
+    """The smoke pipeline, as ``scripts/run_smoke_pipeline.py`` runs it, once per
+    slot head and only when a test asks for that head: ``smoke_run(head)`` trains
+    the default config with that head, decodes the clean set and the test-split
+    augmentation, and returns the log rows and each ``slu score`` JSON report."""
+    runs = {}
+
+    def run(slot_head):
+        if slot_head not in runs:
+            runs[slot_head] = _smoke_pipeline(tmp_path_factory.mktemp(f"smoke_{slot_head}"), slot_head)
+        return runs[slot_head]
+
+    return run
+
+
+def _smoke_pipeline(root, slot_head):
     start = time.time()
     paths = write_corpus(root / "corpus", 50, seed=7)
     config_path = root / "corpus" / "train_config.json"
@@ -281,6 +292,7 @@ def smoke_run(tmp_path_factory):
     config = json.loads(config_path.read_text())
     config["asr_vocab"] = "vocab_asr.txt"
     config["nlu_vocab"] = "vocab_nlu.txt"
+    config["model"]["slot_head"] = slot_head
     config_path.write_text(json.dumps(config))
     ckpt = root / "ckpt.json"
 
@@ -313,18 +325,19 @@ def smoke_run(tmp_path_factory):
 
 
 def test_criterion_8_end_to_end_smoke(smoke_run):
+    run = smoke_run("linear")  # the smoke config's head
     with criterion(8, "staged schedule reaches slots edit F1 >= 0.95 and intent acc >= 0.99; CLI round trip"):
-        total_epochs = sum(stage["epochs"] for stage in smoke_run["config"]["stages"])
+        total_epochs = sum(stage["epochs"] for stage in run["config"]["stages"])
         assert total_epochs <= 500
-        history = smoke_run["history"]
+        history = run["history"]
         assert len(history) <= 500
         reached = [row for row in history if row.get("slots_edit_f1", 0) >= 0.95
                    and row.get("intent_accuracy", 0) >= 0.99]
         assert reached, "training never reached the target metrics"
-        report = smoke_run["report_clean"]
+        report = run["report_clean"]
         assert report["slots_edit_f1"]["f1"] >= 0.95
         assert report["intent_f1"] >= 0.99
-        assert smoke_run["seconds"] < 300.0
+        assert run["seconds"] < 300.0
 
 
 def test_smoke_pipeline_decisions_are_pinned(smoke_run):
@@ -335,15 +348,27 @@ def test_smoke_pipeline_decisions_are_pinned(smoke_run):
     their last bits depend on the BLAS.  A change that means to alter a
     decode updates these pins and says why.
     """
-    assert _sha256(smoke_run["hyp_clean"]) == "eee1bf691a3aff39cf91b8b09067cfc6335f586893e4dc8c8bf8559f36135ac4"
-    assert _sha256(smoke_run["hyp_noisy"]) == "cc000070bdedea22c9ffb670a1c5c89babd80d8e6929b58baa697b0d1ce14564"
-    history = smoke_run["history"]
+    _assert_smoke_pins(smoke_run("linear"), "cc000070bdedea22c9ffb670a1c5c89babd80d8e6929b58baa697b0d1ce14564",
+                       253 / 1110, 0.8303886925795053, 0.976)
+
+
+def test_smoke_pipeline_crf_decisions_are_pinned(smoke_run):
+    """The same pins for the smoke config with the CRF slot head: Viterbi
+    decoding and the forward-backward loss node."""
+    _assert_smoke_pins(smoke_run("crf"), "52c6d081f781377753169bf71c74abcd36c9f042310334f13bc71bb30307f0d2",
+                       243 / 1110, 0.8283185840707965, 0.984)
+
+
+def _assert_smoke_pins(run, hyp_noisy_sha256, noisy_wer, noisy_slots_f1, noisy_intent_f1):
+    assert _sha256(run["hyp_clean"]) == "eee1bf691a3aff39cf91b8b09067cfc6335f586893e4dc8c8bf8559f36135ac4"
+    assert _sha256(run["hyp_noisy"]) == hyp_noisy_sha256
+    history = run["history"]
     assert len(history) == 200
     assert (history[-1]["stage"], history[-1]["epoch"]) == ("joint_finetune", 19)
-    noisy = smoke_run["report_noisy"]
-    assert noisy["wer"] == 253 / 1110
-    assert noisy["slots_edit_f1"]["f1"] == 0.8303886925795053
-    assert noisy["intent_f1"] == 0.976
+    noisy = run["report_noisy"]
+    assert noisy["wer"] == noisy_wer
+    assert noisy["slots_edit_f1"]["f1"] == noisy_slots_f1
+    assert noisy["intent_f1"] == noisy_intent_f1
 
 
 def test_criterion_9_round_trips(tmp_path):

@@ -1,8 +1,19 @@
+import collections
+
 import numpy as np
 import pytest
 
-from conftest import assert_fused_matches, check_gradients
-from oracles import attention_unfused, exp, logsumexp, nll_rows_unfused, reshape, softmax_rows, transpose
+from conftest import assert_fused_matches, check_gradients, joint_loss, tiny_example, tiny_model
+from oracles import (
+    attention_unfused,
+    backward_dfs,
+    exp,
+    logsumexp,
+    nll_rows_unfused,
+    reshape,
+    softmax_rows,
+    transpose,
+)
 from slu.autodiff import Tensor, attention, concat, linear, nll_rows, wrap
 from slu.errors import DimensionError, NumericError
 
@@ -248,3 +259,129 @@ def test_no_graph_without_requires_grad():
     x = wrap(np.ones((2, 2)))
     y = (x @ x).tanh()
     assert y._parents == () and y._backward is None
+
+
+# -- the one-pass, newest-first backward against the two-pass DFS reference ----
+
+
+def _backward_twice(build, run):
+    """``build()`` gives (loss, tensors); ``run`` backpropagates the loss twice.
+    Returns each tensor's ``.grad`` after the first and after the second pass."""
+    loss, tensors = build()
+    passes = []
+    for _ in range(2):
+        run(loss)
+        passes.append([t.grad for t in tensors])
+    return passes
+
+
+def _assert_backward_matches_dfs(build, second_pass_bitwise=True):
+    """The gradients of both passes are those of ``oracles.backward_dfs``, bit for
+    bit.  A second pass adds onto the gradients the first left on inner nodes, so
+    an inner node with two consumers sums three terms there, in an order that
+    differs between the two traversals; without ``second_pass_bitwise`` (float
+    graphs) that pass is compared to 1e-12 instead."""
+    got = _backward_twice(build, Tensor.backward)
+    want = _backward_twice(build, backward_dfs)
+    for n, (got_grads, want_grads) in enumerate(zip(got, want)):
+        for g, w in zip(got_grads, want_grads, strict=True):
+            if n == 0 or second_pass_bitwise or g is None:
+                assert (g is None and w is None) or (g.shape == w.shape and np.array_equal(g, w))
+            else:
+                assert_fused_matches(g, w)
+    return got
+
+
+@pytest.mark.parametrize("slot_head", ["linear", "crf"])
+@pytest.mark.parametrize("graph", ["joint-e2e", "joint-two_stage", "speech"])
+@pytest.mark.parametrize(
+    "words, slots",
+    [
+        (["show", "flights", "to", "new", "york"], ["O", "O", "O", "B-toloc", "I-toloc"]),
+        (["boston"], ["B-toloc"]),  # one position: the CRF transitions get no gradient
+    ],
+    ids=["five-words", "one-word"],
+)
+def test_backward_matches_the_dfs_reference_on_model_graphs(slot_head, graph, words, slots):
+    model = tiny_model(seed=11, slot_head=slot_head)
+    example = tiny_example(model, words, slots, "find_flight", seed=3)
+
+    def build():
+        model.zero_grads()
+        if graph == "speech":
+            loss = model.loss_asr(model.teacher_forced(example)[1], example.asr_targets)
+        else:
+            loss = joint_loss(model, example, stop_asr_grad=graph == "joint-two_stage")[0]
+        return loss, list(model.params.values())
+
+    first, _ = _assert_backward_matches_dfs(build, second_pass_bitwise=False)
+    assert first[0] is not None  # asr.enc_w: every graph reaches the encoder
+
+
+def _exact_random_graph(seed: int, n: int = 4):
+    """A random graph of broadcasting ``+ - *``, matmul, linear, concat, gather,
+    sum and mean nodes over small integers, so that every float operation in it
+    and in its backward is exact and the order of a sum of gradients cannot
+    matter.  Returns the loss and every tensor that requires a gradient."""
+    rng = np.random.default_rng(seed)
+
+    def leaf(*shape):
+        return Tensor(rng.integers(-2, 3, size=shape).astype(np.float64), requires_grad=True)
+
+    squares = [leaf(n, n), leaf(n, n)]
+    small = [leaf(1, n), leaf(n, 1), leaf(n), leaf()]  # operands that broadcast against a square
+    wide = leaf(2 * n, n)
+    const = Tensor(rng.integers(-2, 3, size=(n, n)).astype(np.float64))
+    leaves = squares + small + [wide]
+
+    def pick(pool):
+        return pool[rng.integers(len(pool))]
+
+    def bounded(*ts):  # products of these stay small, and so do their gradients
+        return all(np.abs(t.data).max() <= 16 for t in ts)
+
+    for _ in range(16):
+        a, b, kind = pick(squares), pick(squares + small + [const]), rng.integers(7)
+        if kind == 2 and bounded(a, b):
+            out = a * b if rng.integers(2) else b * a
+        elif kind == 3 and bounded(a, b := pick(squares + [const])):
+            out = a @ b
+        elif kind == 4 and bounded(a, b := pick(squares)):
+            out = linear(a, b, pick([t for t in small if t.data.shape == (n,)]))
+        elif kind == 5:
+            out = concat([a, pick(squares)], axis=0).gather_rows(rng.integers(0, 2 * n, size=n))
+        elif kind == 6 and bounded(a, wide):
+            out = concat([a, pick(squares)], axis=1) @ wide
+        else:
+            out = a + b if kind % 2 else b - a
+        squares.append(out)
+        axis, keepdims = pick([None, 0, 1]), bool(rng.integers(2))
+        small.append(a.mean(axis=axis, keepdims=keepdims) if rng.integers(2) else a.sum(axis=axis, keepdims=keepdims))
+    loss = squares[-1].sum()
+    for t in squares[:-1] + small:
+        loss = loss + t.sum()
+    return loss, leaves + [t for t in squares + small if t not in leaves]
+
+
+def test_backward_matches_the_dfs_reference_on_random_graphs():
+    for seed in range(40):
+        loss, tensors = _exact_random_graph(seed)
+        consumers = collections.Counter(parent for t in tensors + [loss] for parent in set(t._parents))
+        assert max(consumers.values()) >= 3, seed
+        first, second = _assert_backward_matches_dfs(lambda: _exact_random_graph(seed))
+        for g in [g for g in first + second if g is not None]:
+            assert np.abs(g).max() < 2.0**20 and np.array_equal(g * 2.0**30, np.round(g * 2.0**30)), seed
+
+
+def test_backward_matches_the_dfs_reference_when_keys_are_values():
+    rng = np.random.default_rng(16)
+    for m, d in [(1, 1), (3, 4), (6, 5)]:
+        arrays = [rng.normal(size=(m, d)), rng.normal(size=(d, d)), rng.normal(size=(d, d)), rng.normal(size=(m, d))]
+
+        def build():
+            x_in, w_in, w_q, weights = (Tensor(a, requires_grad=True) for a in arrays)
+            x = (x_in @ w_in).tanh()  # three gradients reach x: the query's, the keys' and the values'
+            loss = (attention(x @ w_q, x, x) * weights).sum()
+            return loss, [x_in, w_in, w_q, weights, x]
+
+        _assert_backward_matches_dfs(build)

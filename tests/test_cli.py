@@ -440,7 +440,7 @@ def test_decode_error_names_failing_record(capsys, tmp_path):
     assert "record 'long1'" in err and "max_positions 64" in err
 
 
-def test_decode_error_names_a_hypothesis_past_the_nlu_positions(capsys, tmp_path):
+def test_decode_cuts_a_hypothesis_past_the_nlu_positions(capsys, tmp_path):
     write_wav(AudioClip(0.3 * np.sin(np.linspace(0, 40, 4800)), 16000), tmp_path / "u0.wav")
     manifest_path = tmp_path / "m.jsonl"
     write_manifest(build_manifest([Utterance("u0", ["boston"], ["O"], "find_flight", "u0.wav")]), manifest_path)
@@ -451,6 +451,11 @@ def test_decode_error_names_a_hypothesis_past_the_nlu_positions(capsys, tmp_path
     bias[pieces.index("▁boston")] = 50.0
     obj["params"]["asr.out_b"]["data"] = bias
     ckpt.write_text(json.dumps(obj))
-    # the beam emits "boston" up to its 40-token limit: 41 decoder positions, but 80 NLU subwords
-    err = _decode_fails_cleanly(capsys, ckpt, manifest_path, tmp_path / "h.jsonl", "--beam-size", "1")
-    assert "record 'u0'" in err and "80 NLU subwords exceed max_positions 64" in err
+    # the beam emits "boston" up to its 40-token limit: 41 decoder positions, but 80 NLU
+    # subwords, so step two reads the first 32 words, whose 64 subwords fit
+    hyp = tmp_path / "h.jsonl"
+    code, _, err = run(capsys, "decode", "--ckpt", str(ckpt), "--manifest", str(manifest_path),
+                       "--out", str(hyp), "--beam-size", "1")
+    assert (code, err) == (0, "")
+    row = json.loads(hyp.read_text())
+    assert row["words"] == ["boston"] * 32 and len(row["slots"]) == 32

@@ -11,6 +11,7 @@ from slu.decode import beam_search_transcript, decode_two_step
 from slu.errors import DecodeError
 from slu.model import JointModel, ModelConfig
 from slu.subword import BPE, WORDPIECE, SubwordVocab
+from slu.synth import asr_vocab, nlu_vocab
 
 
 def micro_model(seed=0):
@@ -166,6 +167,22 @@ def test_decode_crf_head_uses_viterbi_path():
     model = tiny_model(seed=5, slot_head="crf")
     result = decode_two_step(model, tiny_features(7, frames=10), beam_size=3, max_len=8)
     assert len(result.slots) == len(result.words)
+
+
+@pytest.mark.parametrize("slot_head", ["linear", "crf"])
+def test_step_two_reads_the_words_that_fit_the_nlu_positions(slot_head):
+    config = ModelConfig(feature_dim=20, slot_head=slot_head)
+    model = JointModel(config, asr_vocab(), nlu_vocab(), ["O", "B-toloc"], ["find_flight", "airfare"])
+    model.init_params()
+    model.params["asr.out_b"].data[model.asr_pieces.index("▁boston")] = 50.0
+    feats = np.random.default_rng(0).normal(size=(30, 20))
+    result = decode_two_step(model, feats)
+    # 40 beam tokens, one word each, but two NLU subwords per word: 32 words fit 64 positions
+    assert result.words == ["boston"] * 32 and len(result.slots) == 32
+    frozen = model.frozen()
+    assert (result.asr_tokens, result.asr_logprob) == (
+        ["▁boston"] * 40, beam_search_transcript(frozen, frozen.encode_features(frozen.subsample(feats)), 5)[1]
+    )
 
 
 @pytest.mark.parametrize("slot_head", ["linear", "crf"])
