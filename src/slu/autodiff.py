@@ -1,9 +1,12 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
 Only the ops the joint model needs: broadcast add/sub/mul, 2-D matmul, a
-fused affine layer (``linear``), tanh, sum/mean, concat, row gather, and two
-nodes whose backward is written by hand: scaled dot-product attention
-(``attention``) and a fused softmax cross-entropy (``nll_rows``).
+fused affine layer (``linear``), tanh, sum, mean (one node: the sum times the
+constant ``1 / count``, with no node for the constant), concat, row gather (by
+index list, or by ``slice``, whose backward adds onto zeros with no
+``np.add.at``), and two nodes whose backward is written by hand: scaled
+dot-product attention (``attention``) and a fused softmax cross-entropy
+(``nll_rows``).
 Nodes record parents only when a gradient is required, so inference builds
 no graph.
 
@@ -120,28 +123,25 @@ class Tensor:
         return Tensor._op(out_data, (self,), lambda g: (g * (1.0 - out_data**2),))
 
     def sum(self, axis=None, keepdims: bool = False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(g):
-            g = np.asarray(g)
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, self.data.shape),)
-
-        return Tensor._op(out_data, (self,), backward)
+        return _sum_node(self, axis, keepdims)
 
     def mean(self, axis=None, keepdims: bool = False):
         count = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+        return _sum_node(self, axis, keepdims, np.asarray(1.0 / count))
 
     # -- shape ops ---------------------------------------------------------
 
     def gather_rows(self, indices):
-        indices = np.asarray(indices, dtype=np.intp)
+        """Rows of a tensor by int indices (repeats add up in the backward) or by a ``slice``."""
+        if not isinstance(indices, slice):
+            indices = np.asarray(indices, dtype=np.intp)
 
         def backward(g):
             full = np.zeros_like(self.data)
-            np.add.at(full, indices, g)
+            if isinstance(indices, slice):
+                full[indices] += g  # onto zeros: the floats, zero signs included, that np.add.at gives
+            else:
+                np.add.at(full, indices, g)
             return (full,)
 
         return Tensor._op(self.data[indices], (self,), backward)
@@ -166,6 +166,23 @@ class Tensor:
                 if parent._backward is not None and id(parent) not in queued:
                     queued.add(id(parent))
                     heapq.heappush(heap, (-parent._stamp, parent))
+
+
+def _sum_node(x: Tensor, axis, keepdims: bool, scale: np.ndarray | None = None) -> Tensor:
+    """``x.sum(axis, keepdims)``, times the constant ``scale`` when one is given,
+    as one node: bit for bit what a sum node and a product node with the
+    constant gave, in the forward and in ``x``'s gradient."""
+    out_data = x.data.sum(axis=axis, keepdims=keepdims)
+    if scale is not None:
+        out_data = out_data * scale
+
+    def backward(g):
+        g = np.asarray(g) if scale is None else g * scale
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, x.data.shape),)
+
+    return Tensor._op(out_data, (x,), backward)
 
 
 def wrap(value) -> Tensor:

@@ -192,7 +192,13 @@ class JointModel:
         self.params = p
 
     def frozen(self) -> "JointModel":
-        """A shallow copy whose parameters are detached: its passes record no graph."""
+        """A shallow copy whose parameters are detached: its passes record no graph.
+
+        The detached tensors share their ``data`` arrays with the model's.  In
+        training those are views of the optimizer's flat buffer, which each
+        step updates in place, so a frozen copy reads the current values; that
+        is safe because decoding never overlaps a step.
+        """
         view = copy.copy(self)
         view.params = {name: t.detach() for name, t in self.params.items()}
         return view
@@ -257,11 +263,12 @@ class JointModel:
     def encode_features(self, frames: np.ndarray) -> Tensor:
         """Encoder rows for ``subsample``'d frames."""
         p = self.params
-        pos = p["asr.enc_pos"].gather_rows(list(range(frames.shape[0])))
+        pos = p["asr.enc_pos"].gather_rows(slice(frames.shape[0]))
         return (linear(frames, p["asr.enc_w"], p["asr.enc_b"]) + pos).tanh()
 
-    def decoder_states(self, prev_ids: list[int], steps: list[int], enc: Tensor) -> tuple[Tensor, Tensor]:
-        """Hidden rows and logits for decoder steps given previous-token ids."""
+    def decoder_states(self, prev_ids: list[int], steps: list[int] | slice, enc: Tensor) -> tuple[Tensor, Tensor]:
+        """Hidden rows and logits for decoder steps given previous-token ids; ``steps``
+        are their positions, as a list or, for positions 0 to n - 1, as ``slice(n)``."""
         p = self.params
         emb = p["asr.emb"].gather_rows(prev_ids) + p["asr.dec_pos"].gather_rows(steps)
         ctx = attention(emb @ p["asr.attn_q"], enc, enc)
@@ -271,7 +278,7 @@ class JointModel:
 
     def nlu_states(self, ids_b: list[int]) -> Tensor:
         p = self.params
-        emb = p["nlu.emb"].gather_rows(ids_b) + p["nlu.pos"].gather_rows(list(range(len(ids_b))))
+        emb = p["nlu.emb"].gather_rows(ids_b) + p["nlu.pos"].gather_rows(slice(len(ids_b)))
         # v, k, then q: newest-first backward sums emb's gradients as (emb + ctx), q, k, v, which keeps checkpoint bits
         v, k = emb @ p["nlu.attn_v"], emb @ p["nlu.attn_k"]
         ctx = attention(emb @ p["nlu.attn_q"], k, v)
@@ -289,7 +296,7 @@ class JointModel:
         """
         if enc is None:
             enc = self.encode_features(example.frames)
-        return self.decoder_states(example.asr_inputs, list(range(len(example.asr_inputs))), enc)
+        return self.decoder_states(example.asr_inputs, slice(len(example.asr_inputs)), enc)
 
     def forward(self, example: Example, stop_asr_grad: bool = False, enc: Tensor | None = None) -> ForwardOutputs:
         """Teacher-forced pass over one example, up to slot scores and intent logits.

@@ -8,6 +8,7 @@ the configured targets are met.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import random
 from dataclasses import dataclass, field
@@ -87,22 +88,60 @@ def _examples(model: JointModel, records, features, labelled: bool) -> list[Exam
 
 
 class _Sgd:
+    """Plain or momentum SGD over one flat float64 buffer.
+
+    On construction the parameters are copied, in ``params`` order, into one
+    buffer, and each ``Tensor.data`` is rebound to a reshaped view of it; the
+    velocity is a second buffer, with ``velocity`` mapping each name to its
+    view.  A step updates the views in place, so anything holding a
+    parameter's ``data`` (``JointModel.frozen()`` too) sees the new values;
+    the optimizer in turn never sees a ``data`` rebound after it was built.
+    """
+
     def __init__(self, params, lr: float, momentum: float):
         self.params = params
         self.lr = lr
         self.momentum = momentum
-        self.velocity = {name: np.zeros_like(t.data) for name, t in params.items()}
+        self._tensors = list(params.values())
+        self._bounds = list(itertools.accumulate((t.data.size for t in self._tensors), initial=0))
+        self._data = np.empty(self._bounds[-1])
+        self._velocity = np.zeros(self._bounds[-1])
+        self.velocity = {}
+        for (name, t), lo, hi in zip(params.items(), self._bounds, self._bounds[1:]):
+            view = self._data[lo:hi].reshape(t.data.shape)
+            view[...] = t.data
+            t.data = view
+            self.velocity[name] = self._velocity[lo:hi].reshape(view.shape)
+
+    def _runs(self) -> list[tuple[int, int]]:
+        """The ``[i, j)`` index ranges of the longest runs of parameters that have a gradient."""
+        runs, start = [], None
+        for i, t in enumerate(self._tensors):
+            if t.grad is None:
+                if start is not None:
+                    runs.append((start, i))
+                    start = None
+            elif start is None:
+                start = i
+        if start is not None:
+            runs.append((start, len(self._tensors)))
+        return runs
 
     def step(self) -> None:
-        for name, tensor in self.params.items():
-            if tensor.grad is None:
-                continue
-            if not np.isfinite(tensor.grad).all():
-                raise NumericError(f"non-finite gradient for parameter {name!r}")
-            v = self.velocity[name]
+        """``v = momentum * v - lr * grad; data += v`` for each parameter with a
+        gradient, one run of them at a time; the others keep their value and
+        velocity.  All or nothing: a non-finite gradient anywhere raises before
+        any parameter or velocity is written, naming the first such parameter."""
+        runs = [(i, j, np.concatenate([t.grad for t in self._tensors[i:j]], axis=None)) for i, j in self._runs()]
+        if not all(np.isfinite(grad).all() for _, _, grad in runs):
+            name = next(n for n, t in self.params.items() if t.grad is not None and not np.isfinite(t.grad).all())
+            raise NumericError(f"non-finite gradient for parameter {name!r}")
+        for i, j, grad in runs:
+            lo, hi = self._bounds[i], self._bounds[j]
+            v = self._velocity[lo:hi]
             v *= self.momentum
-            v -= self.lr * tensor.grad
-            tensor.data = tensor.data + v
+            v -= self.lr * grad
+            self._data[lo:hi] += v
 
 
 def evaluate_train_set(
@@ -136,6 +175,9 @@ def train(
     stages optimize the transcript loss only; the joint stage optimizes the
     full sum.  ``pretrain_manifest`` (when given, labels unread) feeds the
     first stage, mirroring pretraining on an external transcribed corpus.
+    Each stage builds its ``_Sgd`` over ``model.params``, which rebinds every
+    parameter's ``data`` to a view of that optimizer's flat buffer: the
+    tensors stay the model's, and end the run holding views.
     """
     if not model.params:
         model.init_params(config.seed)

@@ -16,7 +16,10 @@ and ``softmax_rows``) are here too, as free functions built on
 ``Tensor._op``.  ``backward_dfs`` is the engine's old two-pass backward
 (DFS topological sort, then the list in reverse), the reference that the
 one-pass, newest-first ``Tensor.backward`` matches bit for bit on a graph's
-first backward pass.
+first backward pass.  ``mean_unfused`` is ``Tensor.mean`` as a sum node and a
+product node, and ``sgd_step_per_param`` the optimizer step as a loop over
+parameters, each the bit-exact reference for the one node or flat-buffer pass
+that replaced it.
 """
 
 from __future__ import annotations
@@ -352,6 +355,13 @@ def softmax_rows(x: Tensor) -> Tensor:
     return exp(x - logsumexp(x, axis=1, keepdims=True))
 
 
+def mean_unfused(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    """``Tensor.mean`` as it was before it became one node: a sum node, then a
+    product node with the constant ``1 / count``."""
+    count = x.data.size if axis is None else x.data.shape[axis]
+    return x.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+
+
 def attention_unfused(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """``autodiff.attention`` as the chain matmul, transpose, scale, softmax rows, matmul."""
     return softmax_rows((q @ transpose(k)) * (1.0 / math.sqrt(k.shape[1]))) @ v
@@ -366,7 +376,7 @@ def nll_rows_unfused(logits: Tensor, targets, smoothing: float = 0.0) -> Tensor:
     picked = reshape(logits, n * k).gather_rows([i * k + t for i, t in enumerate(targets)])
     if smoothing == 0.0:
         return lse - picked
-    return lse - ((1.0 - smoothing) * picked + smoothing * logits.mean(axis=1))
+    return lse - ((1.0 - smoothing) * picked + smoothing * mean_unfused(logits, axis=1))
 
 
 def crf_log_z_t(emissions: Tensor, transitions: Tensor, start: Tensor, end: Tensor) -> Tensor:
@@ -398,6 +408,22 @@ def crf_nll_t_unfused(emissions: Tensor, tags, transitions: Tensor, start: Tenso
     return crf_log_z_t(emissions, transitions, start, end) - crf_path_score_t(
         emissions, tags, transitions, start, end
     )
+
+
+def sgd_step_per_param(params: dict[str, Tensor], velocity: dict[str, np.ndarray], lr: float, momentum: float) -> None:
+    """``slu.train._Sgd.step`` as it was before the flat buffers: one pass per
+    parameter with a gradient, which checks it, updates that parameter's
+    ``velocity`` entry in place and rebinds its ``data`` to a new array.  A
+    non-finite gradient raises there, after the parameters before it moved."""
+    for name, tensor in params.items():
+        if tensor.grad is None:
+            continue
+        if not np.isfinite(tensor.grad).all():
+            raise NumericError(f"non-finite gradient for parameter {name!r}")
+        v = velocity[name]
+        v *= momentum
+        v -= lr * tensor.grad
+        tensor.data = tensor.data + v
 
 
 def step_logprobs(model, enc, prev_id: int, step: int) -> np.ndarray:

@@ -9,6 +9,7 @@ from oracles import (
     backward_dfs,
     exp,
     logsumexp,
+    mean_unfused,
     nll_rows_unfused,
     reshape,
     softmax_rows,
@@ -170,6 +171,60 @@ def test_gather_rows_accumulates_repeats():
     out = x.gather_rows([1, 1, 0]).sum()
     out.backward()
     assert np.array_equal(x.grad, [[1, 1], [2, 2], [0, 0]])
+
+
+def test_gather_rows_slice_is_bit_identical_to_its_index_list():
+    rng = np.random.default_rng(17)
+    for n in range(1, 7):
+        x = rng.normal(size=(6, 3))
+        weights = rng.normal(size=(n, 3))
+        weights[0, 1] = -0.0  # np.add.at onto zeros gives +0.0 here, and so must the slice
+        grads = []
+        for indices in (slice(n), list(range(n))):
+            t = Tensor(x, requires_grad=True)
+            out = t.gather_rows(indices)
+            assert out._parents == (t,) and out.data.tobytes() == x[:n].tobytes()
+            (out * weights).sum().backward()  # out's gradient is weights, -0.0 included
+            grads.append(t.grad)
+        assert grads[0].tobytes() == grads[1].tobytes(), n
+        assert not np.signbit(grads[0][0, 1])
+
+
+def test_gather_rows_slice_grads():
+    rng = np.random.default_rng(18)
+    arrays = {"x": rng.normal(size=(5, 3))}
+    weights = rng.normal(size=(5, 3))
+    for n in (1, 3, 5):
+        check_gradients(lambda t: (t["x"].gather_rows(slice(n)) * weights[:n]).sum(), arrays)
+
+
+MEAN_CASES = [(axis, keepdims) for axis in (None, 0, 1) for keepdims in (False, True)]
+
+
+@pytest.mark.parametrize("axis, keepdims", MEAN_CASES)
+def test_mean_is_one_node_bit_identical_to_sum_then_scale(axis, keepdims):
+    rng = np.random.default_rng(19)
+    for shape in [(1, 1), (3, 1), (1, 4), (5, 7)]:
+        x = rng.normal(size=shape)
+        weights = rng.normal(size=np.asarray(x).sum(axis=axis, keepdims=keepdims).shape)
+        results = []
+        for op in (Tensor.mean, mean_unfused):
+            t = Tensor(x, requires_grad=True)
+            out = op(t, axis=axis, keepdims=keepdims)
+            (out * weights).sum().backward()
+            results.append((t, out, t.grad))
+        (t, out, grad), (_, ref, ref_grad) = results
+        assert out._parents == (t,)  # one node, straight onto x
+        assert out.data.shape == ref.data.shape and out.data.tobytes() == ref.data.tobytes(), shape
+        assert grad.shape == ref_grad.shape and grad.tobytes() == ref_grad.tobytes(), shape
+
+
+@pytest.mark.parametrize("axis, keepdims", MEAN_CASES)
+def test_mean_grads(axis, keepdims):
+    rng = np.random.default_rng(20)
+    arrays = {"x": rng.normal(size=(4, 6))}
+    weights = rng.normal(size=arrays["x"].sum(axis=axis, keepdims=keepdims).shape)
+    check_gradients(lambda t: (t["x"].mean(axis=axis, keepdims=keepdims) * weights).sum(), arrays)
 
 
 def test_broadcast_bias_grad():

@@ -4,12 +4,13 @@ import pytest
 import oracles
 import slu.model
 from slu.audio import FeatureConfig
+from slu.autodiff import Tensor
 from slu.data import Utterance, build_manifest
 from slu.decode import decode_two_step
 from slu.errors import NumericError, ValidationError
 from slu.model import JointModel, ModelConfig
 from slu.synth import asr_vocab, build_corpus, nlu_vocab, utterance_audio, word_waveform
-from slu.train import StageConfig, TrainConfig, corpus_features, evaluate_train_set, train
+from slu.train import StageConfig, TrainConfig, _Sgd, corpus_features, evaluate_train_set, train
 
 FEATURE = FeatureConfig()
 
@@ -252,6 +253,106 @@ def test_non_finite_gradient_names_parameter():
     opt = _Sgd({"sl.w": weight}, lr=0.1, momentum=0.0)
     with pytest.raises(NumericError, match="sl.w"):
         opt.step()
+
+
+SGD_SHAPES = {"a.w": (3, 4), "a.b": (4,), "b.w": (2, 3), "b.b": (3,), "c.w": (4, 2), "c.b": (2,)}
+# which parameters (by position) get a gradient on every step: gaps at the start,
+# in the middle and at the end give the flat step several runs, or none
+GRADIENT_PATTERNS = {
+    "all": [0, 1, 2, 3, 4, 5],
+    "none": [],
+    "gap-start": [2, 3, 4, 5],
+    "gap-middle": [0, 1, 3, 5],
+    "gap-end": [0, 1, 2],
+}
+
+
+def sgd_params(seed=0):
+    rng = np.random.default_rng(seed)
+    return {name: Tensor(rng.normal(size=shape), requires_grad=True) for name, shape in SGD_SHAPES.items()}
+
+
+def give_gradients(params, with_grad, rng):
+    for i, tensor in enumerate(params.values()):
+        tensor.grad = rng.normal(size=tensor.data.shape) if i in with_grad else None
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+@pytest.mark.parametrize("pattern", GRADIENT_PATTERNS)
+def test_sgd_matches_the_per_parameter_loop_bitwise(pattern, momentum):
+    flat, loop = sgd_params(), sgd_params()
+    opt = _Sgd(flat, lr=0.05, momentum=momentum)
+    velocity = {name: np.zeros_like(t.data) for name, t in loop.items()}
+    rng = np.random.default_rng(3)
+    for step in range(5):
+        with_grad = GRADIENT_PATTERNS[pattern] if step % 2 else range(len(SGD_SHAPES))  # alternate with full steps
+        give_gradients(flat, with_grad, rng)
+        for a, b in zip(flat.values(), loop.values()):
+            b.grad = None if a.grad is None else a.grad.copy()
+        opt.step()
+        oracles.sgd_step_per_param(loop, velocity, lr=0.05, momentum=momentum)
+        for name in SGD_SHAPES:
+            assert flat[name].data.tobytes() == loop[name].data.tobytes(), (step, name)
+            assert opt.velocity[name].tobytes() == velocity[name].tobytes(), (step, name)
+
+
+def test_sgd_step_is_all_or_nothing_on_a_non_finite_gradient():
+    params = sgd_params(1)
+    opt = _Sgd(params, lr=0.05, momentum=0.9)
+    rng = np.random.default_rng(4)
+    give_gradients(params, range(len(SGD_SHAPES)), rng)
+    opt.step()  # every velocity is now non-zero
+    data = {name: t.data.copy() for name, t in params.items()}
+    velocity = {name: v.copy() for name, v in opt.velocity.items()}
+    give_gradients(params, GRADIENT_PATTERNS["gap-middle"], rng)  # runs a.w, a.b | b.b | c.b
+    params["c.b"].grad[1] = np.nan  # in the last run
+    params["b.b"].grad[0] = np.inf  # in an earlier run: the one the error names
+    with pytest.raises(NumericError, match="'b.b'"):
+        opt.step()
+    for name, tensor in params.items():
+        assert tensor.data.tobytes() == data[name].tobytes(), name
+        assert opt.velocity[name].tobytes() == velocity[name].tobytes(), name
+
+
+def test_sgd_parameters_are_views_of_one_buffer_that_frozen_shares():
+    corpus = small_corpus(2)
+    model = small_model(corpus, seed=9)
+    before = {name: t.data.copy() for name, t in model.params.items()}
+    opt = _Sgd(model.params, lr=0.05, momentum=0.9)
+    tensors = list(model.params.values())
+    buffer = tensors[0].data.base
+    assert buffer is not None and buffer.ndim == 1
+    offset = 0
+    for name, tensor in model.params.items():
+        assert tensor.data.base is buffer and np.array_equal(tensor.data, before[name]), name
+        start = tensor.data.__array_interface__["data"][0] - buffer.__array_interface__["data"][0]
+        assert start == offset * buffer.itemsize, name  # laid out in params order, with no gaps
+        offset += tensor.data.size
+        assert opt.velocity[name].shape == tensor.data.shape and not opt.velocity[name].any(), name
+    assert offset == buffer.size
+    frozen = model.frozen()
+    give_gradients(model.params, range(len(tensors)), np.random.default_rng(5))
+    opt.step()
+    for name, tensor in frozen.params.items():
+        assert tensor.data is model.params[name].data and not tensor.requires_grad, name
+        assert not np.array_equal(tensor.data, before[name]), name  # a step moves what frozen() reads
+
+
+def test_a_new_stage_optimizer_reads_values_rebound_before_it_was_built():
+    params = sgd_params(2)
+    first = _Sgd(params, lr=0.05, momentum=0.9)
+    give_gradients(params, range(len(SGD_SHAPES)), np.random.default_rng(6))
+    first.step()
+    rebound = np.full(SGD_SHAPES["b.w"], 0.25)
+    params["b.w"].data = rebound  # e.g. a parameter set between two stages
+    kept = {name: t.data.copy() for name, t in params.items()}
+    second = _Sgd(params, lr=0.05, momentum=0.9)
+    for name, tensor in params.items():
+        assert np.array_equal(tensor.data, kept[name]) and not second.velocity[name].any(), name
+    assert params["b.w"].data is not rebound
+    give_gradients(params, [2], np.random.default_rng(7))
+    second.step()
+    assert params["b.w"].data.tobytes() == (rebound - 0.05 * params["b.w"].grad).tobytes()
 
 
 def test_empty_manifest_rejected():
