@@ -20,7 +20,9 @@ in place, since one may be shared or a read-only view.  ``_op`` stamps each
 node it records from one counter, so a node is newer than its inputs, and
 ``Tensor.backward`` runs nodes newest first off a heap (reverse creation
 order; Griewank & Walther, *Evaluating Derivatives*): a node runs after all
-its consumers, and no list of nodes is kept.
+its consumers, and no list of nodes is kept.  Only leaves (tensors built
+directly, such as parameters) keep ``.grad``, and each pass adds onto it; an
+inner node holds its gradient from its first one in a pass until it runs.
 """
 
 from __future__ import annotations
@@ -71,9 +73,6 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     # -- graph construction ---------------------------------------------
 
@@ -149,23 +148,23 @@ class Tensor:
     # -- autodiff ----------------------------------------------------------
 
     def backward(self) -> None:
+        """Add this scalar's gradient onto each leaf's ``.grad``; an inner ``.grad`` is ``None`` outside a pass."""
         if self.data.size != 1:
             raise NumericError("backward() expects a scalar loss")
         if not np.isfinite(self.data).all():
             raise NumericError("loss is not finite")
         self.grad = np.ones_like(self.data)
         heap = [(-self._stamp, self)] if self._backward is not None else []
-        queued = {id(self)}  # per pass: a second backward() adds onto the grads the first one left
         while heap:
             node = heapq.heappop(heap)[1]  # newest first: all its consumers have run
+            grad, node.grad = node.grad, None  # an inner node's gradient lives until it runs
             # strict: a backward with the wrong number of gradients fails instead of dropping some
-            for parent, grad in zip(node._parents, node._backward(node.grad), strict=True):
-                if grad is None or not parent.requires_grad:
+            for parent, g in zip(node._parents, node._backward(grad), strict=True):
+                if g is None or not parent.requires_grad:
                     continue
-                parent.grad = grad if parent.grad is None else parent.grad + grad
-                if parent._backward is not None and id(parent) not in queued:
-                    queued.add(id(parent))
+                if parent.grad is None and parent._backward is not None:  # its first gradient of this pass
                     heapq.heappush(heap, (-parent._stamp, parent))
+                parent.grad = g if parent.grad is None else parent.grad + g
 
 
 def _sum_node(x: Tensor, axis, keepdims: bool, scale: np.ndarray | None = None) -> Tensor:

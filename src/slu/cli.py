@@ -150,6 +150,8 @@ def _score_report(refs_manifest, hyps_manifest, names: list[str]) -> dict:
 
 def cmd_score(args) -> int:
     names = [n.strip() for n in args.metrics.split(",") if n.strip()]
+    if not names:
+        raise ValidationError(f"--metrics names no metric; choose from {KNOWN_METRICS}")
     unknown = [n for n in names if n not in KNOWN_METRICS]
     if unknown:
         raise ValidationError(f"unknown metric(s) {unknown}; choose from {KNOWN_METRICS}")

@@ -55,6 +55,8 @@ class ModelConfig:
             raise ValidationError(f"unknown slot head {self.slot_head!r}")
         if self.subsample_stride < 1:
             raise ValidationError("subsample stride must be >= 1")
+        if not 0 <= self.label_smoothing < 1:
+            raise ValidationError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
 
 
 @dataclass(frozen=True)
@@ -205,7 +207,7 @@ class JointModel:
 
     def zero_grads(self) -> None:
         for t in self.params.values():
-            t.zero_grad()
+            t.grad = None
 
     def param_blocks(self) -> dict[str, list[str]]:
         blocks: dict[str, list[str]] = {}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -44,10 +45,17 @@ class StageConfig:
         check_field_types(self)
         if self.stage not in _STAGES:
             raise ValidationError(f"unknown stage {self.stage!r}, expected one of {_STAGES}")
-        if self.epochs < 0 or self.eval_every < 0 or not self.lr > 0:
-            raise ValidationError("epochs and eval_every must be >= 0 and lr > 0")
+        if self.epochs < 0 or self.eval_every < 0:
+            raise ValidationError("epochs and eval_every must be >= 0")
+        if not 0 < self.lr < math.inf:
+            raise ValidationError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0 <= self.momentum < 1:
+            raise ValidationError(f"momentum must be in [0, 1), got {self.momentum}")
         if (self.target_slots_f1 is None) != (self.target_intent_acc is None):
             raise ValidationError("target_slots_f1 and target_intent_acc must be set together")
+        for name, value in (("target_slots_f1", self.target_slots_f1), ("target_intent_acc", self.target_intent_acc)):
+            if value is not None and not 0 <= value <= 1:
+                raise ValidationError(f"{name} must be in [0, 1], got {value}")
         targets = self.target_slots_f1 is not None
         if self.stage != STAGE_JOINT_FINETUNE and (self.eval_every or targets):
             raise ValidationError(
@@ -95,7 +103,8 @@ class _Sgd:
     velocity is a second buffer, with ``velocity`` mapping each name to its
     view.  A step updates the views in place, so anything holding a
     parameter's ``data`` (``JointModel.frozen()`` too) sees the new values;
-    the optimizer in turn never sees a ``data`` rebound after it was built.
+    a ``data`` rebound after the optimizer was built would miss its updates,
+    so a step refuses it.
     """
 
     def __init__(self, params, lr: float, momentum: float):
@@ -103,6 +112,7 @@ class _Sgd:
         self.lr = lr
         self.momentum = momentum
         self._tensors = list(params.values())
+        self._views = []
         self._bounds = list(itertools.accumulate((t.data.size for t in self._tensors), initial=0))
         self._data = np.empty(self._bounds[-1])
         self._velocity = np.zeros(self._bounds[-1])
@@ -111,12 +121,16 @@ class _Sgd:
             view = self._data[lo:hi].reshape(t.data.shape)
             view[...] = t.data
             t.data = view
+            self._views.append(view)
             self.velocity[name] = self._velocity[lo:hi].reshape(view.shape)
 
     def _runs(self) -> list[tuple[int, int]]:
-        """The ``[i, j)`` index ranges of the longest runs of parameters that have a gradient."""
+        """The ``[i, j)`` index ranges of the longest runs of parameters that have a gradient;
+        raises ``ValidationError`` for the first parameter whose ``data`` is no longer its view."""
         runs, start = [], None
-        for i, t in enumerate(self._tensors):
+        for i, (name, t, view) in enumerate(zip(self.params, self._tensors, self._views)):
+            if t.data is not view:
+                raise ValidationError(f"parameter {name!r} was rebound after its optimizer was built")
             if t.grad is None:
                 if start is not None:
                     runs.append((start, i))
@@ -131,7 +145,8 @@ class _Sgd:
         """``v = momentum * v - lr * grad; data += v`` for each parameter with a
         gradient, one run of them at a time; the others keep their value and
         velocity.  All or nothing: a non-finite gradient anywhere raises before
-        any parameter or velocity is written, naming the first such parameter."""
+        any parameter or velocity is written, naming the first such parameter;
+        so does a parameter whose ``data`` was rebound after this optimizer was built."""
         runs = [(i, j, np.concatenate([t.grad for t in self._tensors[i:j]], axis=None)) for i, j in self._runs()]
         if not all(np.isfinite(grad).all() for _, _, grad in runs):
             name = next(n for n, t in self.params.items() if t.grad is not None and not np.isfinite(t.grad).all())

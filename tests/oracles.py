@@ -289,7 +289,8 @@ def crf_path_score(emissions: np.ndarray, tags, crf: CrfScores) -> float:
 def backward_dfs(loss: Tensor) -> None:
     """``Tensor.backward`` as it was before the creation-stamp heap: a DFS builds a
     topological list, and a second loop runs it in reverse, summing each gradient
-    back to its parent's shape before adding it to the parent's ``.grad``."""
+    back to its parent's shape before adding it to the parent's ``.grad``.  Inner
+    nodes keep theirs: the gradient ``Tensor.backward`` hands each node to run with."""
     if loss.data.size != 1:
         raise NumericError("backward() expects a scalar loss")
     if not np.isfinite(loss.data).all():

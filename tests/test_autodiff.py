@@ -319,32 +319,91 @@ def test_no_graph_without_requires_grad():
 # -- the one-pass, newest-first backward against the two-pass DFS reference ----
 
 
-def _backward_twice(build, run):
-    """``build()`` gives (loss, tensors); ``run`` backpropagates the loss twice.
-    Returns each tensor's ``.grad`` after the first and after the second pass."""
-    loss, tensors = build()
-    passes = []
-    for _ in range(2):
-        run(loss)
-        passes.append([t.grad for t in tensors])
-    return passes
+def _inner_nodes(loss):
+    """Every node an op made in ``loss``'s graph that requires a gradient, in an order
+    fixed by the graph's structure, so that two builds of one graph list them alike."""
+    nodes, seen, stack = [], set(), [loss]
+    while stack:
+        node = stack.pop()
+        if node._backward is not None and id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(p for p in node._parents if p.requires_grad)
+    return nodes
 
 
 def _assert_backward_matches_dfs(build, second_pass_bitwise=True):
-    """The gradients of both passes are those of ``oracles.backward_dfs``, bit for
-    bit.  A second pass adds onto the gradients the first left on inner nodes, so
-    an inner node with two consumers sums three terms there, in an order that
-    differs between the two traversals; without ``second_pass_bitwise`` (float
-    graphs) that pass is compared to 1e-12 instead."""
-    got = _backward_twice(build, Tensor.backward)
-    want = _backward_twice(build, backward_dfs)
-    for n, (got_grads, want_grads) in enumerate(zip(got, want)):
-        for g, w in zip(got_grads, want_grads, strict=True):
-            if n == 0 or second_pass_bitwise or g is None:
-                assert (g is None and w is None) or (g.shape == w.shape and np.array_equal(g, w))
-            else:
-                assert_fused_matches(g, w)
-    return got
+    """``build()`` gives (loss, tensors).  After one ``Tensor.backward`` the leaves
+    among ``tensors`` hold the gradients of ``oracles.backward_dfs``, and each inner
+    node ran once, with the gradient the DFS leaves on it, bit for bit.  A second
+    pass runs each inner node with that gradient again and doubles the leaves'; a
+    leaf with several contributions adds them onto its first-pass sum one at a
+    time, so without ``second_pass_bitwise`` (float graphs) the doubling is
+    compared to 1e-12.  After each pass every inner ``.grad`` is ``None``.
+    Returns the leaves' gradients after each pass and every inner node's of the
+    first pass."""
+    loss, tensors = build()
+    leaves = [t for t in tensors if t._backward is None]
+    inner = _inner_nodes(loss)
+    received = [[] for _ in inner]
+    for node, log in zip(inner, received):
+
+        def recording(g, run=node._backward, log=log):
+            log.append(g)
+            return run(g)
+
+        node._backward = recording
+    passes = []
+    for n in range(2):
+        loss.backward()
+        passes.append([t.grad for t in leaves])
+        assert all(node.grad is None for node in inner)
+        assert all(len(log) == n + 1 for log in received)
+    ref_loss, ref_tensors = build()
+    backward_dfs(ref_loss)
+    want = [t.grad for t in ref_tensors if t._backward is None]
+    want_inner = [node.grad for node in _inner_nodes(ref_loss)]
+    assert len(want_inner) == len(inner)
+    first, second = passes
+    for g, w in zip(first, want, strict=True):
+        assert (g is None and w is None) or (g.shape == w.shape and np.array_equal(g, w))
+    for (g, again), w in zip(received, want_inner):
+        assert g.shape == w.shape and np.array_equal(g, w) and np.array_equal(again, g)
+    for g, w in zip(second, first):
+        if g is None or second_pass_bitwise:
+            assert (g is None and w is None) or np.array_equal(g, 2.0 * w)
+        else:
+            assert_fused_matches(g, 2.0 * w)
+    return first, second, [log[0] for log in received]
+
+
+@pytest.mark.parametrize(
+    "chain, once",
+    [
+        (lambda p: (p * 2.0) * 1.0 * 1.0 * 1.0, lambda x: np.full_like(x, 2.0)),
+        (lambda p: (p * 2.0).tanh() * 1.0, lambda x: 2.0 * (1.0 - np.tanh(2.0 * x) ** 2)),
+    ],
+    ids=["scale-chain", "tanh-chain"],
+)
+def test_a_second_backward_adds_exactly_one_more_pass(chain, once):
+    x = np.array([0.5, 1.0])
+
+    def build():
+        p = Tensor(x, requires_grad=True)
+        return chain(p).sum(), [p]
+
+    (first,), (second,), _ = _assert_backward_matches_dfs(build)
+    np.testing.assert_allclose(first, once(x), rtol=1e-15)
+    np.testing.assert_allclose(second, 2.0 * once(x), rtol=1e-15)
+
+
+def test_a_second_loss_on_shared_inner_nodes_adds_only_its_own_gradient():
+    x = Tensor(np.ones(3), requires_grad=True)
+    s = x * 2.0
+    s.sum().backward()
+    assert np.array_equal(x.grad, np.full(3, 2.0)) and s.grad is None
+    (s * 3.0).sum().backward()  # 2 from the first loss, 6 from this one
+    assert np.array_equal(x.grad, np.full(3, 8.0)) and s.grad is None
 
 
 @pytest.mark.parametrize("slot_head", ["linear", "crf"])
@@ -369,7 +428,7 @@ def test_backward_matches_the_dfs_reference_on_model_graphs(slot_head, graph, wo
             loss = joint_loss(model, example, stop_asr_grad=graph == "joint-two_stage")[0]
         return loss, list(model.params.values())
 
-    first, _ = _assert_backward_matches_dfs(build, second_pass_bitwise=False)
+    first, _, _ = _assert_backward_matches_dfs(build, second_pass_bitwise=False)
     assert first[0] is not None  # asr.enc_w: every graph reaches the encoder
 
 
@@ -423,8 +482,8 @@ def test_backward_matches_the_dfs_reference_on_random_graphs():
         loss, tensors = _exact_random_graph(seed)
         consumers = collections.Counter(parent for t in tensors + [loss] for parent in set(t._parents))
         assert max(consumers.values()) >= 3, seed
-        first, second = _assert_backward_matches_dfs(lambda: _exact_random_graph(seed))
-        for g in [g for g in first + second if g is not None]:
+        first, second, inner = _assert_backward_matches_dfs(lambda: _exact_random_graph(seed))
+        for g in [g for g in first + second + inner if g is not None]:
             assert np.abs(g).max() < 2.0**20 and np.array_equal(g * 2.0**30, np.round(g * 2.0**30)), seed
 
 

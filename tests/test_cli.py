@@ -92,6 +92,14 @@ def test_score_all_metrics_and_jobs(capsys, ref_manifest, tmp_path):
     assert out2 == out
 
 
+def test_score_with_no_metric_exits_2(capsys, ref_manifest, tmp_path):
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "score", "--refs", str(ref_manifest), "--hyps", str(ref_manifest),
+                         "--metrics", ",", "--out", str(report))
+    assert code == 2 and out == "" and not report.exists()
+    assert len(err.strip().splitlines()) == 1 and "--metrics names no metric" in err
+
+
 def test_score_unknown_metric(capsys, ref_manifest):
     code, _, err = run(capsys, "score", "--refs", str(ref_manifest), "--hyps", str(ref_manifest),
                        "--metrics", "bleu")
@@ -305,9 +313,20 @@ def test_train_toy_rejects_a_record_past_the_nlu_positions(capsys, tmp_path):
                       "target_slots_f1": 0.9, "target_intent_acc": 1.0}]},
          "early-stop targets need eval_every >= 1"),
         ({"model": {"word_pooling": "first"}, "stages": []}, "'word_pooling'"),
+        *[({"stages": [{"stage": "asr_pretrain", "epochs": 1, "lr": 0.05, "momentum": m}]}, "momentum must be in [0, 1)")
+          for m in (1.5, -5.0, float("nan"))],
+        *[({"stages": [{"stage": "asr_pretrain", "epochs": 1, "lr": lr}]}, "lr must be finite and > 0")
+          for lr in (float("inf"), float("nan"))],
+        *[({"stages": [{"stage": "joint_finetune", "epochs": 3, "lr": 0.01, "eval_every": 1,
+                        "target_slots_f1": 0.5, "target_intent_acc": 0.5, name: 2.0}]}, f"{name} must be in [0, 1]")
+          for name in ("target_slots_f1", "target_intent_acc")],
+        *[({"model": {"label_smoothing": s}, "stages": []}, "label_smoothing must be in [0, 1)")
+          for s in (5.0, float("nan"))],
     ],
     ids=["misspelt-top-level-key", "one-early-stop-target", "eval-every-on-speech-stage",
-         "targets-on-speech-stage", "targets-never-polled", "model-word-pooling"],
+         "targets-on-speech-stage", "targets-never-polled", "model-word-pooling",
+         "momentum-above-one", "momentum-negative", "momentum-nan", "lr-infinite", "lr-nan",
+         "slots-f1-target-above-one", "intent-target-above-one", "label-smoothing-above-one", "label-smoothing-nan"],
 )
 def test_train_toy_rejects_config_it_would_ignore(capsys, tmp_path, config, message):
     paths = write_corpus(tmp_path / "corpus", 2, seed=5)

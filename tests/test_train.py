@@ -355,6 +355,22 @@ def test_a_new_stage_optimizer_reads_values_rebound_before_it_was_built():
     assert params["b.w"].data.tobytes() == (rebound - 0.05 * params["b.w"].grad).tobytes()
 
 
+def test_sgd_step_refuses_a_parameter_rebound_after_it_was_built():
+    params = sgd_params(3)
+    opt = _Sgd(params, lr=0.05, momentum=0.9)
+    give_gradients(params, range(len(SGD_SHAPES)), np.random.default_rng(8))
+    opt.step()  # every velocity is now non-zero
+    params["b.w"].data = np.full(SGD_SHAPES["b.w"], 0.25)
+    params["c.b"].data = np.zeros(SGD_SHAPES["c.b"])
+    data = {name: t.data.copy() for name, t in params.items()}
+    velocity = {name: v.copy() for name, v in opt.velocity.items()}
+    with pytest.raises(ValidationError, match="'b.w'"):
+        opt.step()
+    for name, tensor in params.items():
+        assert tensor.data.tobytes() == data[name].tobytes(), name
+        assert opt.velocity[name].tobytes() == velocity[name].tobytes(), name
+
+
 def test_empty_manifest_rejected():
     corpus = build_manifest([])
     model = small_model(small_corpus(1))
