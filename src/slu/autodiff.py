@@ -188,12 +188,19 @@ def wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` for (N, I) rows, (I, O) weights and an (O,) bias, as one node."""
-    x, w, b = wrap(x), wrap(w), wrap(b)
-    if x.data.ndim != 2 or w.data.ndim != 2:
+def linear(x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for (N, I) rows, (I, O) weights and an (O,) bias, as one
+    node.  An ``x`` that is not a ``Tensor`` is a constant, not a parent, so
+    no gradient is computed for it."""
+    w, b = wrap(w), wrap(b)
+    xd = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+    if xd.ndim != 2 or w.data.ndim != 2:
         raise NumericError("matmul requires 2-D operands")
-    return Tensor._op(x.data @ w.data + b.data, (x, w, b), lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
+    if isinstance(x, Tensor):
+        parents, backward = (x, w, b), lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0))
+    else:
+        parents, backward = (w, b), lambda g: (xd.T @ g, g.sum(axis=0))
+    return Tensor._op(xd @ w.data + b.data, parents, backward)
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:

@@ -4,13 +4,15 @@ Exit codes: 0 success, 1 runtime error, 2 validation or usage error.
 Verbosity is controlled by the SLU_LOG environment variable (DEBUG/INFO/...).
 All randomness flows from --seed / config seeds, and artifacts are written
 atomically, so re-running a pipeline with identical flags reproduces its
-outputs byte for byte.
+outputs byte for byte.  The argument parser is built once per process and
+reused by every ``main`` call.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -39,6 +41,7 @@ def _setup_logging() -> None:
     )
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="slu", description="Spoken language understanding toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -158,6 +161,8 @@ def cmd_score(args) -> int:
     refs_manifest = data.parse_manifest(args.refs)
     hyps_manifest = data.parse_manifest(args.hyps)
     report = _score_report(refs_manifest, hyps_manifest, names)
+    if args.out:  # written before anything is printed, as every command does
+        atomic_write_text(args.out, json.dumps(report) + "\n")
     if args.pretty:
         for key in ("wer", "span_f1", "intent_f1"):
             if key in report:
@@ -168,8 +173,6 @@ def cmd_score(args) -> int:
                 print(f"{label:>14}: tp={tally['tp']} fp={tally['fp']} fn={tally['fn']}")
     else:
         print(json.dumps(report))
-    if args.out:
-        atomic_write_text(args.out, json.dumps(report) + "\n")
     return 0
 
 
@@ -284,7 +287,8 @@ def main(argv: list[str] | None = None) -> int:
     if empty:
         print(f"slu {args.command}: --{empty[0].replace('_', '-')} expected a value, got '--'", file=sys.stderr)
         return 2
-    log.info("resolved config: %s", json.dumps({k: v for k, v in vars(args).items()}))
+    if log.isEnabledFor(logging.INFO):
+        log.info("resolved config: %s", json.dumps(vars(args)))
     try:
         return _COMMANDS[args.command](args)
     except (ValidationError, ParseError) as exc:

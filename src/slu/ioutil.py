@@ -20,9 +20,11 @@ def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, target)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):  # name the target, not the temp file that is gone
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

@@ -47,6 +47,22 @@ def test_linear_is_bit_identical_to_matmul_plus_bias():
         assert np.array_equal(fused[name].grad, split[name].grad), name
 
 
+def test_linear_on_a_plain_array_makes_it_a_constant_not_a_parent():
+    rng = np.random.default_rng(9)
+    x, weights = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
+    arrays = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=3)}
+    const = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+    wrapped = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+    out_const = linear(x, const["w"], const["b"])
+    out_wrapped = linear(Tensor(x), wrapped["w"], wrapped["b"])
+    assert out_const._parents == (const["w"], const["b"])
+    assert np.array_equal(out_const.data, out_wrapped.data)
+    (out_const * weights).sum().backward()
+    (out_wrapped * weights).sum().backward()
+    for name in arrays:
+        assert np.array_equal(const[name].grad, wrapped[name].grad), name
+
+
 def test_sub_grads():
     rng = np.random.default_rng(9)
     arrays = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(1, 4))}

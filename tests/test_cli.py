@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from slu import cli
 from slu.audio import AudioClip, FeatureConfig, write_wav
 from slu.cli import main
 from slu.data import Utterance, build_manifest, write_manifest
@@ -202,6 +203,42 @@ def test_score_pretty_output(capsys, ref_manifest):
     assert "slots_edit_f1: 1.0000" in out
     assert "wer: 0.0000" in out
     assert "toloc" in out
+
+
+def test_the_parser_is_built_once_and_reused(capsys, monkeypatch, ref_manifest):
+    assert cli.build_parser() is cli.build_parser()
+    good = ["score", "--refs", str(ref_manifest), "--hyps", str(ref_manifest)]
+    code, out, err = run(capsys, "score", "--refs", str(ref_manifest))  # missing --hyps
+    assert code == 2 and out == "" and "--hyps" in err
+    code, out, err = run(capsys, *good)
+    assert (code, err) == (0, "")
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)  # a fresh parser per call
+    assert run(capsys, *good) == (0, out, "")
+
+
+def test_score_flags_do_not_carry_over_to_the_next_call(capsys, tmp_path, ref_manifest):
+    good = ["score", "--refs", str(ref_manifest), "--hyps", str(ref_manifest)]
+    code, pretty, _ = run(capsys, *good, "--pretty")
+    assert code == 0 and "wer:" in pretty
+    code, out, _ = run(capsys, *good)
+    assert code == 0 and json.loads(out)["wer"] == 0.0
+    report = tmp_path / "report.json"
+    assert run(capsys, *good, "--out", str(report)) == (0, out, "")
+    assert report.read_text() == out
+    report.unlink()
+    assert run(capsys, *good) == (0, out, "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["refs.jsonl"]
+
+
+def test_score_out_failure_prints_no_report(capsys, tmp_path, ref_manifest):
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    code, out, err = run(capsys, "score", "--refs", str(ref_manifest), "--hyps", str(ref_manifest),
+                         "--out", str(taken))
+    assert code == 1 and out == ""
+    assert err.startswith("slu score: ") and err.rstrip().endswith(repr(str(taken)))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["refs.jsonl", "taken"]
+    assert list(taken.iterdir()) == []
 
 
 def test_console_entry_point_and_log_env(tmp_path, ref_manifest):
