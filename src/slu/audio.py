@@ -8,6 +8,7 @@ noise pools never share files.
 
 from __future__ import annotations
 
+import functools
 import io
 import logging
 import math
@@ -229,7 +230,10 @@ def augment_corpus(
             if noise_file not in noise_cache:
                 noise_cache[noise_file] = read_wav(noise_file)
             noise = noise_cache[noise_file]
-            mixed = mix_at_snr_report(clean, noise, level)
+            try:
+                mixed = mix_at_snr_report(clean, noise, level)
+            except ValidationError as exc:
+                raise ValidationError(f"record {rec.id!r}, noise {noise_file}: {exc}") from exc
             new_id = f"{rec.id}#snr{level:g}"
             wav_name = f"{new_id}.wav"
             write_wav(mixed.audio, out_dir / wav_name)
@@ -262,15 +266,34 @@ class FeatureConfig:
             )
 
 
+@functools.cache
+def _hann(frame_length: int) -> np.ndarray:
+    window = np.hanning(frame_length)
+    window.flags.writeable = False
+    return window
+
+
 def log_power_features(clip: AudioClip, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
-    """Banded log-power spectrogram, standardized per utterance (time x bands)."""
+    """Banded log-power spectrogram, standardized per utterance (time x bands).
+
+    Frames are Hann-windowed, ``1 + (n - frame_length) // hop`` of them (a clip
+    shorter than one frame is zero-padded to one); bands split the FFT bins as
+    ``np.array_split`` does, so the first ``bins % num_bands`` are one bin wider.
+    """
     x = clip.samples
     if x.size < config.frame_length:
         x = np.pad(x, (0, config.frame_length - x.size))
-    count = 1 + (x.size - config.frame_length) // config.hop
-    idx = np.arange(config.frame_length)[None, :] + config.hop * np.arange(count)[:, None]
-    frames = x[idx] * np.hanning(config.frame_length)
-    power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
-    bands = np.array_split(power, config.num_bands, axis=1)
-    feats = np.log(np.stack([b.mean(axis=1) for b in bands], axis=1) + 1e-10)
+    frames = np.lib.stride_tricks.sliding_window_view(x, config.frame_length)[:: config.hop]
+    power = np.abs(np.fft.rfft(frames * _hann(config.frame_length), axis=1)) ** 2
+    count, bins = power.shape
+    width, wide = divmod(bins, config.num_bands)
+    cut = wide * (width + 1)  # one mean per band, each over its own bins in order
+    bands = np.concatenate(
+        [
+            power[:, :cut].reshape(count, wide, width + 1).mean(axis=2),
+            power[:, cut:].reshape(count, config.num_bands - wide, width).mean(axis=2),
+        ],
+        axis=1,
+    )
+    feats = np.log(bands + 1e-10)
     return (feats - feats.mean()) / (feats.std() + 1e-8)

@@ -66,14 +66,15 @@ def beam_search_transcript(
         top = z.max(axis=1, keepdims=True)
         return z - np.log(np.exp(z - top).sum(axis=1, keepdims=True)) - top
 
+    width = model.asr_output_size
+    eos_first = np.roll(np.arange(width), 1)  # score column 0 is EOS, column c is token c - 1
     for step in range(max_len):
-        scores = live_logp[:, None] + np.roll(logprobs(step), 1, axis=1)  # column 0 is EOS
-        flat = np.sort(np.argsort(-scores.ravel(), kind="stable")[:beam_size])
-        rows, cols = np.divmod(flat, scores.shape[1])
-        done += [(-float(scores[r, 0]), live[r]) for r in rows[cols == 0]]
-        rows, cols = rows[cols > 0], cols[cols > 0]
-        live = [live[r] + (int(c) - 1,) for r, c in zip(rows, cols)]
-        live_logp = scores[rows, cols]
+        scores = (live_logp[:, None] + logprobs(step)[:, eos_first]).ravel()
+        picks = np.sort(np.argsort(-scores, kind="stable")[:beam_size]).tolist()
+        done += [(-float(scores[p]), live[p // width]) for p in picks if p % width == 0]
+        kept = [p for p in picks if p % width]
+        live = [live[p // width] + (p % width - 1,) for p in kept]
+        live_logp = scores[kept]
         if not live or (done and -min(done)[0] > live_logp.max()):
             break
     else:  # close out prefixes that hit the length bound
@@ -97,10 +98,15 @@ def decode_two_step(
     ids, logp = beam_search_transcript(model, enc, beam_size, max_len)
     tokens = model.asr_tokens(ids)
     words, first_index = merge_tokens(tokens, model.asr_vocab)
-    # step two reads the longest prefix of words whose NLU subwords fit max_positions
+    # step two reads the longest prefix of words whose NLU subwords fit max_positions;
+    # tokenization is per word, so both tokenizations cut to that prefix exactly
     tok_b = tokenize(words, model.nlu_vocab)
     keep = bisect.bisect_right(tok_b.first_index[1:] + [tok_b.num_tokens], model.config.max_positions)
-    tok_a = TokenizationResult(tokens[: first_index[keep]] if keep < len(words) else tokens, first_index[:keep])
+    if keep < len(words):
+        tok_a = TokenizationResult(tokens[: first_index[keep]], first_index[:keep])
+        tok_b = TokenizationResult(tok_b.tokens[: tok_b.first_index[keep]], tok_b.first_index[:keep])
+    else:
+        tok_a = TokenizationResult(tokens, first_index)
     words = words[:keep]
 
     if not words:
@@ -109,7 +115,7 @@ def decode_two_step(
         intent = model.intents[int(np.argmax(intent_logits.data[0]))]
         return DecodeResult([], [], intent, tokens, logp)
 
-    example = model.prepare(frames, words, tok_a=tok_a)
+    example = model.prepare(frames, words, tok_a=tok_a, tok_b=tok_b)
     out = model.forward(example, enc=enc)
     intent = model.intents[int(np.argmax(out.intent_logits.data[0]))]
     return DecodeResult(words, model.decode_slots(out.slot_scores), intent, tokens, logp)

@@ -227,38 +227,43 @@ class JointModel:
             raise DimensionError(f"{frames.shape[0]} frames exceed max_positions {cfg.max_positions}")
         return frames
 
-    def prepare(self, frames: np.ndarray, words, slots=None, intent=None, tok_a=None) -> Example:
+    def prepare(self, frames: np.ndarray, words, slots=None, intent=None, tok_a=None, tok_b=None) -> Example:
         """The ``Example`` for ``subsample``'d frames and their transcript, with
-        ``tok_a`` when the caller has it (a decoded hypothesis) and label ids
-        when ``slots`` and ``intent`` are given."""
+        ``tok_a`` and ``tok_b`` when the caller has them (a decoded hypothesis)
+        and label ids when ``slots`` and ``intent`` are given."""
         words = list(words)
         if not words:
             raise ValidationError("an example needs at least one word")
-        if tok_a is None:
-            tok_a = tokenize(words, self.asr_vocab)
-        else:  # checked again, on a copy: the caller's lists may have changed since
-            tok_a = TokenizationResult(list(tok_a.tokens), list(tok_a.first_index))
-        if tok_a.num_words != len(words):
-            raise DimensionError(f"ASR tokenization has {tok_a.num_words} words, transcript {len(words)}")
-        tok_b = tokenize(words, self.nlu_vocab)
-        try:
-            ids_a = [self._asr_piece_id[t] for t in tok_a.tokens]
-        except KeyError as exc:
-            raise DimensionError(f"ASR token {exc.args[0]!r} not in the ASR vocabulary") from exc
+        ids_a, first_a = self._piece_ids(words, tok_a, self.asr_vocab, self._asr_piece_id, "ASR")
+        ids_b, first_b = self._piece_ids(words, tok_b, self.nlu_vocab, self._nlu_piece_id, "NLU")
         if len(ids_a) + 1 > self.config.max_positions:
             raise DimensionError("utterance exceeds max decoder positions")
-        if tok_b.num_tokens > self.config.max_positions:
-            raise DimensionError(f"{tok_b.num_tokens} NLU subwords exceed max_positions {self.config.max_positions}")
+        if len(ids_b) > self.config.max_positions:
+            raise DimensionError(f"{len(ids_b)} NLU subwords exceed max_positions {self.config.max_positions}")
         return Example(
             frames=frames,
             asr_inputs=[self.bos_id] + ids_a,
             asr_targets=ids_a + [self.eos_id],
-            nlu_ids=[self._nlu_piece_id[t] for t in tok_b.tokens],
-            first_a=tok_a.first_index,
-            first_b=tok_b.first_index,
+            nlu_ids=ids_b,
+            first_a=first_a,
+            first_b=first_b,
             tag_ids=[] if slots is None else self.tag_ids(slots),
             intent_id=None if intent is None else self.intent_id(intent),
         )
+
+    @staticmethod
+    def _piece_ids(words, tok, vocab, piece_id, name) -> tuple[list[int], list[int]]:
+        """Piece ids and first-subword indices of ``words``, tokenized here or taken from ``tok``."""
+        if tok is None:
+            tok = tokenize(words, vocab)
+        else:  # checked again, on a copy: the caller's lists may have changed since
+            tok = TokenizationResult(list(tok.tokens), list(tok.first_index))
+        if tok.num_words != len(words):
+            raise DimensionError(f"{name} tokenization has {tok.num_words} words, transcript {len(words)}")
+        try:
+            return [piece_id[t] for t in tok.tokens], tok.first_index
+        except KeyError as exc:
+            raise DimensionError(f"{name} token {exc.args[0]!r} not in the {name} vocabulary") from exc
 
     # -- forward pieces ---------------------------------------------------
 

@@ -19,7 +19,10 @@ one-pass, newest-first ``Tensor.backward`` matches bit for bit on a graph's
 first backward pass.  ``mean_unfused`` is ``Tensor.mean`` as a sum node and a
 product node, and ``sgd_step_per_param`` the optimizer step as a loop over
 parameters, each the bit-exact reference for the one node or flat-buffer pass
-that replaced it.
+that replaced it.  ``log_power_features_reference`` (fancy-index framing, one
+mean per ``np.array_split`` band) and ``beam_search_reference`` (``np.roll``
+and numpy bookkeeping on each step's picks) are the same for the strided,
+grouped-mean features and the index-permuted beam step.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from slu.audio import AudioClip, mix_at_snr_report
+from slu.audio import AudioClip, FeatureConfig, mix_at_snr_report
 from slu.autodiff import Tensor, _unbroadcast
 from slu.crf import _check
 from slu.errors import DimensionError, NumericError, ValidationError
@@ -506,3 +509,52 @@ def measured_snr_db(clean: np.ndarray, scaled_noise: np.ndarray) -> float:
         return math.sqrt(float(np.mean(np.square(x))))
 
     return 20.0 * math.log10(level(clean) / level(scaled_noise))
+
+
+def log_power_features_reference(clip: AudioClip, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """``log_power_features`` as a fancy-index framing and one ``mean`` per
+    ``np.array_split`` band: the bit-exact reference for the strided frame view
+    and the grouped band means."""
+    x = clip.samples
+    if x.size < config.frame_length:
+        x = np.pad(x, (0, config.frame_length - x.size))
+    count = 1 + (x.size - config.frame_length) // config.hop
+    idx = np.arange(config.frame_length)[None, :] + config.hop * np.arange(count)[:, None]
+    frames = x[idx] * np.hanning(config.frame_length)
+    power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
+    bands = np.array_split(power, config.num_bands, axis=1)
+    feats = np.log(np.stack([b.mean(axis=1) for b in bands], axis=1) + 1e-10)
+    return (feats - feats.mean()) / (feats.std() + 1e-8)
+
+
+def beam_search_reference(model, enc: Tensor, beam_size: int, max_len: int = 40) -> tuple[list[int], float]:
+    """``decode.beam_search_transcript`` with its step as numpy bookkeeping (``np.roll``,
+    ``np.divmod`` and boolean masks over the picks): the bit-exact reference for the
+    permuted-column, Python-index step."""
+    max_len = min(max_len, model.config.max_positions - 1)
+    live: list[tuple[int, ...]] = [()]
+    live_logp = np.zeros(1)
+    done: list[tuple[float, tuple[int, ...]]] = []
+
+    def logprobs(step: int) -> np.ndarray:
+        prev = [tokens[-1] if tokens else model.bos_id for tokens in live]
+        _, logits = model.decoder_states(prev, [step] * len(live), enc)
+        z = logits.data
+        top = z.max(axis=1, keepdims=True)
+        return z - np.log(np.exp(z - top).sum(axis=1, keepdims=True)) - top
+
+    for step in range(max_len):
+        scores = live_logp[:, None] + np.roll(logprobs(step), 1, axis=1)  # column 0 is EOS
+        flat = np.sort(np.argsort(-scores.ravel(), kind="stable")[:beam_size])
+        rows, cols = np.divmod(flat, scores.shape[1])
+        done += [(-float(scores[r, 0]), live[r]) for r in rows[cols == 0]]
+        rows, cols = rows[cols > 0], cols[cols > 0]
+        live = [live[r] + (int(c) - 1,) for r, c in zip(rows, cols)]
+        live_logp = scores[rows, cols]
+        if not live or (done and -min(done)[0] > live_logp.max()):
+            break
+    else:
+        closed = live_logp + logprobs(max_len)[:, model.eos_id]
+        done += [(-float(logp), tokens) for tokens, logp in zip(live, closed)]
+    neg_logp, tokens = min(done)
+    return list(tokens), -neg_logp

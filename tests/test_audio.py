@@ -1,10 +1,11 @@
+import itertools
 import math
 import wave
 
 import numpy as np
 import pytest
 
-from oracles import measured_snr_db, mix_at_snr
+from oracles import log_power_features_reference, measured_snr_db, mix_at_snr
 from slu.audio import (
     AudioClip,
     AugmentSpec,
@@ -17,9 +18,11 @@ from slu.audio import (
     read_wav,
     rms,
     write_wav,
+    _hann,
 )
 from slu.data import Utterance, build_manifest
 from slu.errors import AudioFormatError, ValidationError
+from slu.synth import utterance_audio
 
 
 def tone(freq=440.0, seconds=1.0, rate=16000, amp=0.5):
@@ -236,3 +239,27 @@ def test_log_power_features_shape_and_determinism():
     assert feats.shape == (expected_frames, 20)
     assert np.array_equal(feats, log_power_features(clip, config))
     assert np.isfinite(feats).all()
+
+
+def test_log_power_features_match_the_reference_bit_for_bit():
+    rng = np.random.default_rng(11)
+    corpus_clip = utterance_audio(["show", "flights", "to", "boston"])
+    for frame_length in (64, 256, 401):
+        for num_bands, hop, size in itertools.product(
+            (1, 7, 20, frame_length // 2 + 1),
+            (frame_length // 3, frame_length, frame_length + 7),
+            (1, frame_length - 1, frame_length, frame_length + 1, None),
+        ):
+            config = FeatureConfig(frame_length, hop, num_bands)
+            clip = corpus_clip if size is None else AudioClip(0.3 * rng.standard_normal(size), 16000)
+            got = log_power_features(clip, config)
+            want = log_power_features_reference(clip, config)
+            assert got.shape == want.shape, (config, size)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), (config, size)
+
+
+def test_log_power_features_window_is_shared_and_read_only():
+    window = _hann(256)
+    assert _hann(256) is window and np.array_equal(window, np.hanning(256))
+    with pytest.raises(ValueError):
+        window[0] = 1.0

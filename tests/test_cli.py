@@ -423,6 +423,37 @@ def test_augment_rejects_small_pool(capsys, tmp_path):
     assert "pool" in err
 
 
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("silent-clean", "SNR is undefined for a silent clean signal"),
+        ("silent-noise", "SNR is undefined for a silent noise signal"),
+        ("rate-mismatch", "sample rate mismatch: clean 8000 Hz vs noise 16000 Hz"),
+    ],
+)
+def test_augment_mix_error_names_the_record_and_the_noise(capsys, tmp_path, fault, message):
+    wav_dir = tmp_path / "clean"
+    wav_dir.mkdir()
+    clean = 0.0 if fault == "silent-clean" else 0.3
+    rate = 8000 if fault == "rate-mismatch" else 16000
+    write_wav(AudioClip(clean * np.ones(1000), rate), wav_dir / "synth001.wav")
+    manifest_path = wav_dir / "m.jsonl"
+    write_manifest(build_manifest([Utterance("synth001", ["a"], ["O"], "x", "synth001.wav")]), manifest_path)
+    noise_dir = tmp_path / "noise"
+    noise_dir.mkdir()
+    noise = 0.0 if fault == "silent-noise" else 0.2
+    for name in ("n0.wav", "n1.wav"):  # n0 is the train split's only file
+        write_wav(AudioClip(noise * np.ones(500), 16000), noise_dir / name)
+    out_dir = tmp_path / "aug"
+    out_dir.mkdir()
+    (out_dir / "keep.txt").write_text("earlier run\n")
+    code, _, err = run(capsys, "augment", "--manifest", str(manifest_path), "--noise-dir", str(noise_dir),
+                       "--split", "train", "--snr", "10", "--seed", "0", "--out", str(out_dir))
+    assert code == 2
+    assert err.strip() == f"slu augment: record 'synth001', noise {noise_dir / 'n0.wav'}: {message}"
+    assert [p.name for p in out_dir.iterdir()] == ["keep.txt"]
+
+
 def _small_checkpoint(path, beam_size=2):
     """A randomly initialised checkpoint whose features match the default FeatureConfig."""
     config = ModelConfig(feature_dim=FeatureConfig().num_bands, asr_hidden=4, nlu_hidden=4)

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import tiny_features, tiny_model
-from oracles import step_logprobs
+from oracles import beam_search_reference, step_logprobs
+import slu.decode
+import slu.model
 from slu.autodiff import Tensor
 from slu.decode import beam_search_transcript, decode_two_step
 from slu.errors import DecodeError
 from slu.model import JointModel, ModelConfig
-from slu.subword import BPE, WORDPIECE, SubwordVocab
+from slu.subword import BPE, WORDPIECE, SubwordVocab, tokenize
 from slu.synth import asr_vocab, nlu_vocab
 
 
@@ -163,6 +165,21 @@ def test_decode_encodes_features_once(monkeypatch):
     assert len(result.slots) == len(result.words)
 
 
+def test_decode_tokenizes_the_nlu_transcript_once(monkeypatch):
+    model = tiny_model(seed=3)
+    calls = []
+
+    def counting_tokenize(words, vocab):
+        calls.append(vocab is model.nlu_vocab)
+        return tokenize(words, vocab)
+
+    monkeypatch.setattr(slu.decode, "tokenize", counting_tokenize)
+    monkeypatch.setattr(slu.model, "tokenize", counting_tokenize)
+    result = decode_two_step(model, tiny_features(4, frames=10), beam_size=3, max_len=8)
+    assert result.words  # step two ran
+    assert calls == [True]
+
+
 def test_decode_crf_head_uses_viterbi_path():
     model = tiny_model(seed=5, slot_head="crf")
     result = decode_two_step(model, tiny_features(7, frames=10), beam_size=3, max_len=8)
@@ -203,3 +220,33 @@ def test_decode_records_no_graph_and_leaves_params_alone(monkeypatch, slot_head)
     assert nodes and all(not node._parents and not node.requires_grad for node in nodes)
     for name, tensor in model.params.items():
         assert tensor.data is arrays[name] and tensor.grad is None, name
+
+
+@pytest.mark.parametrize("variant", ["random", "all-ties", "eos-penalised"])
+def test_beam_step_matches_the_reference_bit_for_bit(variant):
+    closed_out = []  # per search: did it reach the max_len close-out (a decoder call at step max_len)?
+    for seed in range(8):
+        model = micro_model(seed)
+        if variant == "all-ties":
+            model.params["asr.out_w"].data[:] = 0.0
+            model.params["asr.out_b"].data[:] = 0.0
+        elif variant == "eos-penalised":  # no finished prefix stops the search early
+            model.params["asr.out_b"].data[model.eos_id] -= 50.0
+        frozen = model.frozen()
+        enc = frozen.encode_features(np.random.default_rng(seed).normal(size=(5, 4)))
+        steps = []
+        decoder_states = frozen.decoder_states
+
+        def recording_decoder_states(prev_ids, positions, enc):
+            steps.extend(positions)
+            return decoder_states(prev_ids, positions, enc)
+
+        frozen.decoder_states = recording_decoder_states
+        for beam_size in (1, 2, 3, 5, model.asr_output_size):
+            for max_len in (0, 1, 4):
+                want = beam_search_reference(frozen, enc, beam_size, max_len)
+                steps.clear()
+                got = beam_search_transcript(frozen, enc, beam_size, max_len)
+                assert got[0] == want[0] and got[1] == want[1], (seed, beam_size, max_len)
+                closed_out.append(max(steps) == max_len)
+    assert any(closed_out) and (variant != "eos-penalised" or all(closed_out))

@@ -137,6 +137,24 @@ def test_prepare_checks_a_tokenization_changed_after_construction():
     model.forward(example)
 
 
+def test_prepare_checks_a_given_nlu_tokenization_as_it_does_the_asr_one():
+    model = tiny_model()
+    words = ["show", "to", "boston"]
+    frames = model.subsample(tiny_features())
+    tok = tokenize(words, model.nlu_vocab)  # 4 NLU subwords: boston is two
+    given = model.prepare(frames, words, tok_b=tok)
+    own = model.prepare(frames, words)
+    assert (given.nlu_ids, given.first_b) == (own.nlu_ids, own.first_b)
+    tok.first_index[2] = -1  # passed the check when built; would gather the last row
+    with pytest.raises(DimensionError, match=r"first_index\[2\]=-1"):
+        model.prepare(frames, words, tok_b=tok)
+    assert given.first_b == [0, 1, 2]  # the example holds its own checked copy
+    with pytest.raises(DimensionError, match="NLU tokenization has 2 words, transcript 3"):
+        model.prepare(frames, words, tok_b=TokenizationResult(["show", "to"], [0, 1]))
+    with pytest.raises(DimensionError, match="NLU token 'zzz' not in the NLU vocabulary"):
+        model.prepare(frames, ["show"], tok_b=TokenizationResult(["zzz"], [0]))
+
+
 def test_concat_hidden_shapes_and_zero_block():
     model = tiny_model(seed=1)
     for name, t in model.params.items():
