@@ -183,6 +183,9 @@ class AugmentSpec:
                 "noises_per_clip must equal the number of SNR levels "
                 f"({self.noises_per_clip} vs {len(self.snr_levels_db)})"
             )
+        for i, level in enumerate(self.snr_levels_db):
+            if level in self.snr_levels_db[:i]:  # by value: 0 and -0 are one level and one record id
+                raise ValidationError(f"SNR level {level:g} dB is repeated in {list(self.snr_levels_db)}")
 
 
 def record_clip(rec: Utterance, base_dir: Path | None) -> AudioClip:

@@ -1,19 +1,20 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-Only the ops the joint model needs: broadcast add/sub/mul, 2-D matmul, a
-fused affine layer (``linear``), tanh, sum, mean (one node: the sum times the
-constant ``1 / count``, with no node for the constant), concat, row gather (by
-index list, or by ``slice``, whose backward adds onto zeros with no
+Only the ops the joint model calls: ``+`` of two tensors of one shape, 2-D
+``@``, a fused affine layer (``linear``), tanh, sum, mean (one node: the sum
+times the constant ``1 / count``, with no node for the constant), concat, row
+gather (by index list, or by ``slice``, whose backward adds onto zeros with no
 ``np.add.at``), and two nodes whose backward is written by hand: scaled
 dot-product attention (``attention``) and a fused softmax cross-entropy
-(``nll_rows``).
+(``nll_rows``).  No op broadcasts, and an operand of ``+`` or ``@`` that is
+not a ``Tensor`` is a ``TypeError``; only ``linear`` takes a plain array.
 Nodes record parents only when a gradient is required, so inference builds
 no graph.
 
 The op contract: an op builds its output with ``Tensor._op(data, parents,
 backward)``, where ``backward`` maps the output's gradient to one gradient
-per parent, in ``parents`` order and of that parent's shape (the broadcasting
-``+ - *`` sum theirs back), or ``None`` for a parent that gets none.
+per parent, in ``parents`` order and of that parent's shape, or ``None`` for a
+parent that gets none.
 ``Tensor.backward`` alone decides which parents receive gradients (an op
 never reads ``requires_grad``) and adds them up without writing any ``.grad``
 in place, since one may be shared or a read-only view.  ``_op`` stamps each
@@ -38,24 +39,9 @@ from .errors import DimensionError, NumericError
 _stamps = itertools.count()
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    if grad.shape == shape:
-        return grad
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
-def _sum_back(a: "Tensor", b: "Tensor", grad_a, grad_b) -> tuple[np.ndarray, np.ndarray]:
-    """The gradients of a broadcasting ``a (op) b``, each summed back to its operand's shape."""
-    return _unbroadcast(grad_a, a.data.shape), _unbroadcast(grad_b, b.data.shape)
-
-
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_stamp")
+    __array_ufunc__ = None  # numpy's operators defer to Tensor's, so an array operand is a TypeError
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -91,26 +77,15 @@ class Tensor:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        other = wrap(other)
-        return Tensor._op(self.data + other.data, (self, other), lambda g: _sum_back(self, other, g, g))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = wrap(other)
-        return Tensor._op(self.data - other.data, (self, other), lambda g: _sum_back(self, other, g, -g))
-
-    def __rsub__(self, other):
-        return wrap(other) - self
-
-    def __mul__(self, other):
-        other = wrap(other)
-        return Tensor._op(self.data * other.data, (self, other), lambda g: _sum_back(self, other, g * other.data, g * self.data))
-
-    __rmul__ = __mul__
+        if not isinstance(other, Tensor):
+            return NotImplemented
+        if self.data.shape != other.data.shape:
+            raise DimensionError(f"cannot add shapes {self.data.shape} and {other.data.shape}")
+        return Tensor._op(self.data + other.data, (self, other), lambda g: (g, g))
 
     def __matmul__(self, other):
-        other = wrap(other)
+        if not isinstance(other, Tensor):
+            return NotImplemented
         if self.data.ndim != 2 or other.data.ndim != 2:
             raise NumericError("matmul requires 2-D operands")
         return Tensor._op(self.data @ other.data, (self, other), lambda g: (g @ other.data.T, self.data.T @ g))
@@ -184,15 +159,10 @@ def _sum_node(x: Tensor, axis, keepdims: bool, scale: np.ndarray | None = None) 
     return Tensor._op(out_data, (x,), backward)
 
 
-def wrap(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
-
-
 def linear(x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` for (N, I) rows, (I, O) weights and an (O,) bias, as one
     node.  An ``x`` that is not a ``Tensor`` is a constant, not a parent, so
     no gradient is computed for it."""
-    w, b = wrap(w), wrap(b)
     xd = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
     if xd.ndim != 2 or w.data.ndim != 2:
         raise NumericError("matmul requires 2-D operands")
@@ -204,7 +174,6 @@ def linear(x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> Tensor:
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
-    tensors = [wrap(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     offsets = list(itertools.accumulate((t.data.shape[axis] for t in tensors), initial=0))
     lead = (slice(None),) * axis

@@ -189,9 +189,9 @@ def cmd_augment(args) -> int:
         raise ValidationError(f"--snr must be comma-separated dB levels, got {args.snr!r}") from exc
     if not all(abs(level) <= 300 for level in levels):  # also rejects nan; 10 ** (level / 20) stays finite
         raise ValidationError(f"--snr levels must lie within +-300 dB, got {args.snr!r}")
+    spec = audio.AugmentSpec(snr_levels_db=levels, noises_per_clip=len(levels), seed=args.seed)
     manifest = data.parse_manifest(args.manifest)
     pool = audio.NoisePool.from_directory(args.noise_dir)
-    spec = audio.AugmentSpec(snr_levels_db=levels, noises_per_clip=len(levels), seed=args.seed)
     with staged_dir(args.out) as stage:  # a failed run leaves --out as it was
         augmented, provenance = audio.augment_corpus(manifest, pool, spec, args.split, stage)
         data.write_manifest(augmented, stage / "manifest.jsonl")

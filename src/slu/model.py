@@ -75,8 +75,6 @@ class Example:
 
 @dataclass
 class ForwardOutputs:
-    hb: Tensor  # (nlu subwords, nlu_hidden)
-    hcat: Tensor  # (words, asr_hidden + nlu_hidden)
     asr_logits: Tensor  # (asr subwords + 1, asr output vocab), last row predicts EOS
     slot_scores: Tensor  # (words, num_tags)
     intent_logits: Tensor  # (1, num_intents)
@@ -322,7 +320,7 @@ class JointModel:
         hcat = concat([h_nlu.gather_rows(example.first_a), hb.gather_rows(example.first_b)], axis=1)
         slot_scores = linear(hcat, self.params["sl.w"], self.params["sl.b"])
         intent_logits = self.intent_logits_from([hcat])
-        return ForwardOutputs(hb, hcat, asr_logits, slot_scores, intent_logits)
+        return ForwardOutputs(asr_logits, slot_scores, intent_logits)
 
     # -- losses ----------------------------------------------------------
 

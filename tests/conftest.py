@@ -97,6 +97,16 @@ def tiny_model(seed: int = 0, slot_head: str = "linear") -> JointModel:
     return model
 
 
+def identity_slot_head(model: JointModel) -> JointModel:
+    """``model``'s parameters with one slot tag per concatenated feature, ``sl.w`` = I
+    and ``sl.b`` = 0: its ``slot_scores`` are the concatenation ``forward`` builds
+    of each word's first ASR and NLU subword rows, (words, asr_hidden + nlu_hidden)."""
+    width = model.config.asr_hidden + model.config.nlu_hidden
+    twin = JointModel(model.config, model.asr_vocab, model.nlu_vocab, [f"B-f{i}" for i in range(width)], model.intents)
+    twin.params = dict(model.params, **{"sl.w": Tensor(np.eye(width)), "sl.b": Tensor(np.zeros(width))})
+    return twin
+
+
 def tiny_features(seed: int = 0, frames: int = 12) -> np.ndarray:
     return np.random.default_rng(seed).normal(size=(frames, 6))
 

@@ -11,12 +11,14 @@ the tests use.  The three fused nodes (``autodiff.attention``,
 ``autodiff.nll_rows`` and ``crf.crf_nll_t``) are gated against their unfused
 compositions of elementary ``Tensor`` ops, kept here as ``attention_unfused``,
 ``nll_rows_unfused`` and ``crf_nll_t_unfused``.  The elementary ops only
-those compositions use (``exp``, ``logsumexp``, ``reshape``, ``transpose``
-and ``softmax_rows``) are here too, as free functions built on
-``Tensor._op``.  ``backward_dfs`` is the engine's old two-pass backward
-(DFS topological sort, then the list in reverse), the reference that the
-one-pass, newest-first ``Tensor.backward`` matches bit for bit on a graph's
-first backward pass.  ``mean_unfused`` is ``Tensor.mean`` as a sum node and a
+those compositions and the tests use are here too, as free functions built
+on ``Tensor._op``: the broadcasting ``add``, ``sub`` and ``mul`` (an operand
+that is not a ``Tensor`` is a constant, and ``_unbroadcast`` sums each
+gradient back to its operand's shape), ``exp``, ``logsumexp``, ``reshape``,
+``transpose`` and ``softmax_rows``.  ``backward_dfs`` is the engine's old
+two-pass backward (DFS topological sort, then the list in reverse), the
+reference that the one-pass, newest-first ``Tensor.backward`` matches bit for
+bit on a graph's first backward pass.  ``mean_unfused`` is ``Tensor.mean`` as a sum node and a
 product node, and ``sgd_step_per_param`` the optimizer step as a loop over
 parameters, each the bit-exact reference for the one node or flat-buffer pass
 that replaced it.  ``log_power_features_reference`` (fancy-index framing, one
@@ -36,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from slu.audio import AudioClip, FeatureConfig, mix_at_snr_report
-from slu.autodiff import Tensor, _unbroadcast
+from slu.autodiff import Tensor
 from slu.crf import _check
 from slu.errors import DimensionError, NumericError, ValidationError
 from slu.subword import SubwordVocab, TokenizationResult, merge_tokens
@@ -322,6 +324,42 @@ def backward_dfs(loss: Tensor) -> None:
                     parent.grad = grad if parent.grad is None else parent.grad + grad
 
 
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``grad`` summed back to ``shape`` over the axes that broadcasting added or stretched."""
+    if grad.shape == shape:
+        return grad
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, size in enumerate(shape):
+        if size == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad
+
+
+def _tensor(value) -> Tensor:
+    return value if isinstance(value, Tensor) else Tensor(value)
+
+
+def add(a, b) -> Tensor:
+    """Broadcasting ``a + b``; an operand that is not a ``Tensor`` is a constant."""
+    a, b = _tensor(a), _tensor(b)
+    return Tensor._op(a.data + b.data, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
+
+
+def sub(a, b) -> Tensor:
+    """Broadcasting ``a - b`` as one node; an operand that is not a ``Tensor`` is a constant."""
+    a, b = _tensor(a), _tensor(b)
+    return Tensor._op(a.data - b.data, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
+
+
+def mul(a, b) -> Tensor:
+    """Broadcasting ``a * b``; an operand that is not a ``Tensor`` is a constant."""
+    a, b = _tensor(a), _tensor(b)
+    return Tensor._op(
+        a.data * b.data, (a, b), lambda g: (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape))
+    )
+
+
 def exp(x: Tensor) -> Tensor:
     out_data = np.exp(x.data)
     return Tensor._op(out_data, (x,), lambda g: (g * out_data,))
@@ -356,19 +394,19 @@ def transpose(x: Tensor) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    return exp(x - logsumexp(x, axis=1, keepdims=True))
+    return exp(sub(x, logsumexp(x, axis=1, keepdims=True)))
 
 
 def mean_unfused(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     """``Tensor.mean`` as it was before it became one node: a sum node, then a
     product node with the constant ``1 / count``."""
     count = x.data.size if axis is None else x.data.shape[axis]
-    return x.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+    return mul(x.sum(axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 def attention_unfused(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """``autodiff.attention`` as the chain matmul, transpose, scale, softmax rows, matmul."""
-    return softmax_rows((q @ transpose(k)) * (1.0 / math.sqrt(k.shape[1]))) @ v
+    return softmax_rows(mul(q @ transpose(k), 1.0 / math.sqrt(k.shape[1]))) @ v
 
 
 def nll_rows_unfused(logits: Tensor, targets, smoothing: float = 0.0) -> Tensor:
@@ -379,8 +417,8 @@ def nll_rows_unfused(logits: Tensor, targets, smoothing: float = 0.0) -> Tensor:
     lse = logsumexp(logits, axis=1)
     picked = reshape(logits, n * k).gather_rows([i * k + t for i, t in enumerate(targets)])
     if smoothing == 0.0:
-        return lse - picked
-    return lse - ((1.0 - smoothing) * picked + smoothing * mean_unfused(logits, axis=1))
+        return sub(lse, picked)
+    return sub(lse, add(mul(picked, 1.0 - smoothing), mul(mean_unfused(logits, axis=1), smoothing)))
 
 
 def crf_log_z_t(emissions: Tensor, transitions: Tensor, start: Tensor, end: Tensor) -> Tensor:
@@ -388,7 +426,7 @@ def crf_log_z_t(emissions: Tensor, transitions: Tensor, start: Tensor, end: Tens
     n, k = emissions.shape
     alpha = reshape(start, 1, k) + emissions.gather_rows([0])
     for t in range(1, n):
-        step = reshape(alpha, k, 1) + transitions
+        step = add(reshape(alpha, k, 1), transitions)
         alpha = logsumexp(step, axis=0, keepdims=True) + emissions.gather_rows([t])
     return logsumexp(alpha + reshape(end, 1, k), axis=1).sum()
 
@@ -409,8 +447,8 @@ def crf_path_score_t(emissions: Tensor, tags, transitions: Tensor, start: Tensor
 
 def crf_nll_t_unfused(emissions: Tensor, tags, transitions: Tensor, start: Tensor, end: Tensor) -> Tensor:
     """``crf.crf_nll_t`` as the difference of the two compositions above."""
-    return crf_log_z_t(emissions, transitions, start, end) - crf_path_score_t(
-        emissions, tags, transitions, start, end
+    return sub(
+        crf_log_z_t(emissions, transitions, start, end), crf_path_score_t(emissions, tags, transitions, start, end)
     )
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import joint_loss, random_pair_corpus, random_subword_instance
+from conftest import identity_slot_head, joint_loss, random_pair_corpus, random_subword_instance
 from oracles import build_first_index_matrix, deserialize_slots, serialize_slots
 from slu.audio import AudioClip, AugmentSpec, NoisePool, augment_corpus, mix_at_snr_report, read_wav, write_wav
 from slu.cli import main as cli_main
@@ -95,13 +95,12 @@ def test_criterion_3_alignment_matrix_algebra():
             model = JointModel(config, vocab, other_vocab, ["O"], ["x"])
             model.init_params(i)
             example = model.prepare(model.subsample(np_rng.normal(size=(3, 2))), words)
-            out = model.forward(example)
-            ha = model.teacher_forced(example)[0].data[:-1]
-            assert (ha.shape, out.hb.shape) == ((result.num_tokens, fa), (result_b.num_tokens, fb))
-            cat = out.hcat.data
+            cat = identity_slot_head(model).forward(example).slot_scores.data
+            ha, hb = model.teacher_forced(example)[0].data[:-1], model.nlu_states(example.nlu_ids).data
+            assert (ha.shape, hb.shape) == ((result.num_tokens, fa), (result_b.num_tokens, fb))
             assert cat.shape == (n, fa + fb)
             m_b = build_first_index_matrix(result_b)
-            assert np.array_equal(cat, np.concatenate([m.T @ ha, m_b.T @ out.hb.data], axis=1))
+            assert np.array_equal(cat, np.concatenate([m.T @ ha, m_b.T @ hb], axis=1))
 
 
 def test_criterion_4_snr_fidelity_and_fivefold(tmp_path):

@@ -168,6 +168,16 @@ def test_augment_spec_requires_matched_lengths():
         AugmentSpec(snr_levels_db=(0.0, 10.0), noises_per_clip=5)
 
 
+@pytest.mark.parametrize(
+    "levels, repeated",
+    [((10.0, 10.0), "10"), ((0.0, -0.0), "-0"), ((0.0, 10.0, 20.0, 10), "10")],
+    ids=["same", "signed-zero", "int-and-float"],
+)
+def test_augment_spec_rejects_a_repeated_snr_level(levels, repeated):
+    with pytest.raises(ValidationError, match=rf"SNR level {repeated} dB is repeated"):
+        AugmentSpec(snr_levels_db=levels, noises_per_clip=len(levels))
+
+
 def _noise_dir(tmp_path, count=12):
     rng = np.random.default_rng(5)
     d = tmp_path / "noise"

@@ -5,31 +5,34 @@ import pytest
 
 from conftest import assert_fused_matches, check_gradients, joint_loss, tiny_example, tiny_model
 from oracles import (
+    add,
     attention_unfused,
     backward_dfs,
     exp,
     logsumexp,
     mean_unfused,
+    mul,
     nll_rows_unfused,
     reshape,
     softmax_rows,
+    sub,
     transpose,
 )
-from slu.autodiff import Tensor, attention, concat, linear, nll_rows, wrap
+from slu.autodiff import Tensor, attention, concat, linear, nll_rows
 from slu.errors import DimensionError, NumericError
 
 
 def test_add_mul_matmul_grads():
     rng = np.random.default_rng(0)
     arrays = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4, 2)), "c": rng.normal(size=(1, 2))}
-    check_gradients(lambda t: ((t["a"] @ t["b"] + t["c"]) * 0.5).sum(), arrays)
+    check_gradients(lambda t: mul(add(t["a"] @ t["b"], t["c"]), 0.5).sum(), arrays)
 
 
 def test_linear_grads_with_bias_broadcast_over_rows():
     rng = np.random.default_rng(7)
     arrays = {"x": rng.normal(size=(3, 4)), "w": rng.normal(size=(4, 2)), "b": rng.normal(size=2)}
     weights = rng.normal(size=(3, 2))
-    check_gradients(lambda t: (linear(t["x"], t["w"], t["b"]) * weights).sum(), arrays)
+    check_gradients(lambda t: mul(linear(t["x"], t["w"], t["b"]), weights).sum(), arrays)
 
 
 def test_linear_is_bit_identical_to_matmul_plus_bias():
@@ -39,10 +42,10 @@ def test_linear_is_bit_identical_to_matmul_plus_bias():
     fused = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
     split = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
     out_fused = linear(fused["x"], fused["w"], fused["b"])
-    out_split = split["x"] @ split["w"] + split["b"]
+    out_split = add(split["x"] @ split["w"], split["b"])
     assert np.array_equal(out_fused.data, out_split.data)
-    (out_fused * weights).sum().backward()
-    (out_split * weights).sum().backward()
+    mul(out_fused, weights).sum().backward()
+    mul(out_split, weights).sum().backward()
     for name in arrays:
         assert np.array_equal(fused[name].grad, split[name].grad), name
 
@@ -57,8 +60,8 @@ def test_linear_on_a_plain_array_makes_it_a_constant_not_a_parent():
     out_wrapped = linear(Tensor(x), wrapped["w"], wrapped["b"])
     assert out_const._parents == (const["w"], const["b"])
     assert np.array_equal(out_const.data, out_wrapped.data)
-    (out_const * weights).sum().backward()
-    (out_wrapped * weights).sum().backward()
+    mul(out_const, weights).sum().backward()
+    mul(out_wrapped, weights).sum().backward()
     for name in arrays:
         assert np.array_equal(const[name].grad, wrapped[name].grad), name
 
@@ -67,25 +70,25 @@ def test_sub_grads():
     rng = np.random.default_rng(9)
     arrays = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(1, 4))}
     weights = rng.normal(size=(3, 4))
-    check_gradients(lambda t: ((t["a"] - t["b"]) * weights).sum(), arrays)
-    check_gradients(lambda t: ((t["a"] - 1.5) * weights).sum(), arrays)
-    check_gradients(lambda t: ((2.0 - t["a"]) * weights).sum(), arrays)
+    check_gradients(lambda t: mul(sub(t["a"], t["b"]), weights).sum(), arrays)
+    check_gradients(lambda t: mul(sub(t["a"], 1.5), weights).sum(), arrays)
+    check_gradients(lambda t: mul(sub(2.0, t["a"]), weights).sum(), arrays)
 
 
 def test_sub_is_one_node_equal_to_adding_the_negation():
     a = Tensor(np.array([[0.1, -2.5, 3.0]]), requires_grad=True)
     b = Tensor(np.array([0.3, 1e-17, -3.0]), requires_grad=True)
-    diff = a - b
+    diff = sub(a, b)
     assert diff._parents == (a, b)
     assert np.array_equal(diff.data, a.data + (-b.data))
-    assert (1.0 - a)._parents[1] is a
+    assert sub(1.0, a)._parents[1] is a
 
 
 def test_first_gradient_is_not_shared_between_parents():
     x = Tensor(np.ones((2, 3)), requires_grad=True)
     y = Tensor(np.ones((2, 3)), requires_grad=True)
     z = x + y  # both parents get the same gradient array
-    (z + 3.0 * x).sum().backward()
+    (z + mul(x, 3.0)).sum().backward()
     assert np.array_equal(y.grad, np.ones((2, 3)))
     assert np.array_equal(x.grad, np.full((2, 3), 4.0))
 
@@ -93,7 +96,7 @@ def test_first_gradient_is_not_shared_between_parents():
 @pytest.mark.parametrize("sum_first", [True, False])
 def test_read_only_first_gradient_can_accumulate(sum_first):
     x = Tensor(np.ones((2, 3)), requires_grad=True)
-    plain, scaled = x.sum(), (2.0 * x).sum()  # sum passes a read-only broadcast view
+    plain, scaled = x.sum(), mul(x, 2.0).sum()  # sum passes a read-only broadcast view
     (plain + scaled if sum_first else scaled + plain).backward()
     assert np.array_equal(x.grad, np.full((2, 3), 3.0))
 
@@ -106,7 +109,26 @@ def test_backward_with_the_wrong_number_of_gradients_raises(grads):
         out.sum().backward()
 
 
-# exp, logsumexp, reshape, transpose and softmax_rows are the oracles' elementary
+@pytest.mark.parametrize(
+    "op, error",
+    [
+        (lambda t: t + Tensor(np.ones(3)), DimensionError),
+        (lambda t: t + 1.0, TypeError),
+        (lambda t: 1.0 + t, TypeError),
+        (lambda t: t + np.ones((2, 3)), TypeError),
+        (lambda t: t * 2.0, TypeError),
+        (lambda t: 2.0 - t, TypeError),
+        (lambda t: t @ np.ones((3, 1)), TypeError),
+    ],
+    ids=["other-shape", "float", "float-left", "ndarray", "mul", "sub", "matmul-ndarray"],
+)
+def test_tensor_operands_are_tensors_and_a_sum_is_same_shape(op, error):
+    t = Tensor(np.ones((2, 3)), requires_grad=True)
+    with pytest.raises(error):
+        op(t)
+
+
+# add, sub, mul, exp, logsumexp, reshape, transpose and softmax_rows are the oracles' elementary
 # ops: the fused nodes are gated against compositions of them, so they are checked here
 
 
@@ -120,7 +142,7 @@ def test_logsumexp_and_softmax_grads():
     rng = np.random.default_rng(2)
     arrays = {"x": rng.normal(size=(5, 4))}
     check_gradients(lambda t: logsumexp(t["x"], axis=1).sum(), arrays)
-    check_gradients(lambda t: (softmax_rows(t["x"]) * np.arange(4.0)).sum(), arrays)
+    check_gradients(lambda t: mul(softmax_rows(t["x"]), np.arange(4.0)).sum(), arrays)
 
 
 def test_mean_axis_and_reshape_grads():
@@ -133,8 +155,8 @@ def test_mean_axis_and_reshape_grads():
 def test_concat_and_transpose_grads():
     rng = np.random.default_rng(4)
     arrays = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=(3, 5))}
-    check_gradients(lambda t: (concat([t["a"], t["b"]], axis=1) @ np.ones((7, 1))).sum(), arrays)
-    check_gradients(lambda t: (transpose(t["a"]) @ np.ones((3, 1))).sum(), arrays)
+    check_gradients(lambda t: (concat([t["a"], t["b"]], axis=1) @ Tensor(np.ones((7, 1)))).sum(), arrays)
+    check_gradients(lambda t: (transpose(t["a"]) @ Tensor(np.ones((3, 1)))).sum(), arrays)
 
 
 def _attention_pair(q, k, v, shared: bool, weights):
@@ -145,7 +167,7 @@ def _attention_pair(q, k, v, shared: bool, weights):
         tq, tk = Tensor(q, requires_grad=True), Tensor(k, requires_grad=True)
         tv = tk if shared else Tensor(v, requires_grad=True)
         out = op(tq, tk, tv)
-        (out * weights).sum().backward()
+        mul(out, weights).sum().backward()
         results.append((out, tq.grad, tk.grad, None if shared else tv.grad))
     return results
 
@@ -172,7 +194,7 @@ def test_attention_grads(shared):
     weights = rng.normal(size=(3, 4))
     if shared:
         del arrays["v"]
-    check_gradients(lambda t: (attention(t["q"], t["k"], t["k" if shared else "v"]) * weights).sum(), arrays)
+    check_gradients(lambda t: mul(attention(t["q"], t["k"], t["k" if shared else "v"]), weights).sum(), arrays)
 
 
 def test_attention_scales_by_the_keys_width():
@@ -200,7 +222,7 @@ def test_gather_rows_slice_is_bit_identical_to_its_index_list():
             t = Tensor(x, requires_grad=True)
             out = t.gather_rows(indices)
             assert out._parents == (t,) and out.data.tobytes() == x[:n].tobytes()
-            (out * weights).sum().backward()  # out's gradient is weights, -0.0 included
+            mul(out, weights).sum().backward()  # out's gradient is weights, -0.0 included
             grads.append(t.grad)
         assert grads[0].tobytes() == grads[1].tobytes(), n
         assert not np.signbit(grads[0][0, 1])
@@ -211,7 +233,7 @@ def test_gather_rows_slice_grads():
     arrays = {"x": rng.normal(size=(5, 3))}
     weights = rng.normal(size=(5, 3))
     for n in (1, 3, 5):
-        check_gradients(lambda t: (t["x"].gather_rows(slice(n)) * weights[:n]).sum(), arrays)
+        check_gradients(lambda t: mul(t["x"].gather_rows(slice(n)), weights[:n]).sum(), arrays)
 
 
 MEAN_CASES = [(axis, keepdims) for axis in (None, 0, 1) for keepdims in (False, True)]
@@ -227,7 +249,7 @@ def test_mean_is_one_node_bit_identical_to_sum_then_scale(axis, keepdims):
         for op in (Tensor.mean, mean_unfused):
             t = Tensor(x, requires_grad=True)
             out = op(t, axis=axis, keepdims=keepdims)
-            (out * weights).sum().backward()
+            mul(out, weights).sum().backward()
             results.append((t, out, t.grad))
         (t, out, grad), (_, ref, ref_grad) = results
         assert out._parents == (t,)  # one node, straight onto x
@@ -240,13 +262,13 @@ def test_mean_grads(axis, keepdims):
     rng = np.random.default_rng(20)
     arrays = {"x": rng.normal(size=(4, 6))}
     weights = rng.normal(size=arrays["x"].sum(axis=axis, keepdims=keepdims).shape)
-    check_gradients(lambda t: (t["x"].mean(axis=axis, keepdims=keepdims) * weights).sum(), arrays)
+    check_gradients(lambda t: mul(t["x"].mean(axis=axis, keepdims=keepdims), weights).sum(), arrays)
 
 
 def test_broadcast_bias_grad():
     b = Tensor(np.zeros(3), requires_grad=True)
     x = Tensor(np.ones((4, 3)))
-    (x + b).sum().backward()
+    add(x, b).sum().backward()
     assert np.array_equal(b.grad, [4, 4, 4])
 
 
@@ -272,7 +294,7 @@ def test_nll_rows_multi_row_smoothing_grad():
     rng = np.random.default_rng(6)
     arrays = {"x": rng.normal(size=(3, 6))}
     weights = np.array([0.5, -1.0, 2.0])  # distinct per-row weights catch row mix-ups
-    check_gradients(lambda t: (nll_rows(t["x"], [3, 0, 5], smoothing=0.1) * weights).sum(), arrays)
+    check_gradients(lambda t: mul(nll_rows(t["x"], [3, 0, 5], smoothing=0.1), weights).sum(), arrays)
 
 
 def test_nll_rows_matches_unfused_composition():
@@ -288,8 +310,8 @@ def test_nll_rows_matches_unfused_composition():
                 ref = nll_rows_unfused(unfused, targets, smoothing)
                 assert out._parents == (fused,)  # one node
                 assert_fused_matches(out.data, ref.data)
-                (out * weights).sum().backward()
-                (ref * weights).sum().backward()
+                mul(out, weights).sum().backward()
+                mul(ref, weights).sum().backward()
                 assert_fused_matches(fused.grad, unfused.grad, scale=np.abs(weights).max())
 
 
@@ -300,12 +322,12 @@ def test_nll_rows_grads_across_shapes(smoothing):
         arrays = {"x": rng.normal(size=(n, k))}
         targets = [int(t) for t in rng.integers(0, k, size=n)]
         weights = rng.normal(size=n)
-        check_gradients(lambda t: (nll_rows(t["x"], targets, smoothing) * weights).sum(), arrays)
+        check_gradients(lambda t: mul(nll_rows(t["x"], targets, smoothing), weights).sum(), arrays)
 
 
 def test_detach_blocks_gradient():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
-    y = (x.detach() * 3.0).sum() + (x * 2.0).sum()
+    y = mul(x.detach(), 3.0).sum() + mul(x, 2.0).sum()
     y.backward()
     assert np.array_equal(x.grad, np.full((2, 2), 2.0))
 
@@ -313,21 +335,21 @@ def test_detach_blocks_gradient():
 def test_backward_requires_scalar_and_finite():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(NumericError):
-        (x * 2.0).backward()
+        mul(x, 2.0).backward()
     bad = Tensor(np.array(np.inf), requires_grad=True)
     with pytest.raises(NumericError):
-        (bad * 1.0).backward()
+        mul(bad, 1.0).backward()
 
 
 def test_grad_accumulates_across_paths():
     x = Tensor(np.array([[2.0]]), requires_grad=True)
-    y = x * x + x * 3.0  # dy/dx = 2x + 3 = 7
+    y = mul(x, x) + mul(x, 3.0)  # dy/dx = 2x + 3 = 7
     y.sum().backward()
     assert x.grad[0, 0] == pytest.approx(7.0)
 
 
 def test_no_graph_without_requires_grad():
-    x = wrap(np.ones((2, 2)))
+    x = Tensor(np.ones((2, 2)))
     y = (x @ x).tanh()
     assert y._parents == () and y._backward is None
 
@@ -396,8 +418,8 @@ def _assert_backward_matches_dfs(build, second_pass_bitwise=True):
 @pytest.mark.parametrize(
     "chain, once",
     [
-        (lambda p: (p * 2.0) * 1.0 * 1.0 * 1.0, lambda x: np.full_like(x, 2.0)),
-        (lambda p: (p * 2.0).tanh() * 1.0, lambda x: 2.0 * (1.0 - np.tanh(2.0 * x) ** 2)),
+        (lambda p: mul(mul(mul(mul(p, 2.0), 1.0), 1.0), 1.0), lambda x: np.full_like(x, 2.0)),
+        (lambda p: mul(mul(p, 2.0).tanh(), 1.0), lambda x: 2.0 * (1.0 - np.tanh(2.0 * x) ** 2)),
     ],
     ids=["scale-chain", "tanh-chain"],
 )
@@ -415,10 +437,10 @@ def test_a_second_backward_adds_exactly_one_more_pass(chain, once):
 
 def test_a_second_loss_on_shared_inner_nodes_adds_only_its_own_gradient():
     x = Tensor(np.ones(3), requires_grad=True)
-    s = x * 2.0
+    s = mul(x, 2.0)
     s.sum().backward()
     assert np.array_equal(x.grad, np.full(3, 2.0)) and s.grad is None
-    (s * 3.0).sum().backward()  # 2 from the first loss, 6 from this one
+    mul(s, 3.0).sum().backward()  # 2 from the first loss, 6 from this one
     assert np.array_equal(x.grad, np.full(3, 8.0)) and s.grad is None
 
 
@@ -449,7 +471,7 @@ def test_backward_matches_the_dfs_reference_on_model_graphs(slot_head, graph, wo
 
 
 def _exact_random_graph(seed: int, n: int = 4):
-    """A random graph of broadcasting ``+ - *``, matmul, linear, concat, gather,
+    """A random graph of broadcasting ``add``, ``sub`` and ``mul``, matmul, linear, concat, gather,
     sum and mean nodes over small integers, so that every float operation in it
     and in its backward is exact and the order of a sum of gradients cannot
     matter.  Returns the loss and every tensor that requires a gradient."""
@@ -473,7 +495,7 @@ def _exact_random_graph(seed: int, n: int = 4):
     for _ in range(16):
         a, b, kind = pick(squares), pick(squares + small + [const]), rng.integers(7)
         if kind == 2 and bounded(a, b):
-            out = a * b if rng.integers(2) else b * a
+            out = mul(a, b) if rng.integers(2) else mul(b, a)
         elif kind == 3 and bounded(a, b := pick(squares + [const])):
             out = a @ b
         elif kind == 4 and bounded(a, b := pick(squares)):
@@ -483,7 +505,7 @@ def _exact_random_graph(seed: int, n: int = 4):
         elif kind == 6 and bounded(a, wide):
             out = concat([a, pick(squares)], axis=1) @ wide
         else:
-            out = a + b if kind % 2 else b - a
+            out = add(a, b) if kind % 2 else sub(b, a)
         squares.append(out)
         axis, keepdims = pick([None, 0, 1]), bool(rng.integers(2))
         small.append(a.mean(axis=axis, keepdims=keepdims) if rng.integers(2) else a.sum(axis=axis, keepdims=keepdims))
@@ -511,7 +533,7 @@ def test_backward_matches_the_dfs_reference_when_keys_are_values():
         def build():
             x_in, w_in, w_q, weights = (Tensor(a, requires_grad=True) for a in arrays)
             x = (x_in @ w_in).tanh()  # three gradients reach x: the query's, the keys' and the values'
-            loss = (attention(x @ w_q, x, x) * weights).sum()
+            loss = mul(attention(x @ w_q, x, x), weights).sum()
             return loss, [x_in, w_in, w_q, weights, x]
 
         _assert_backward_matches_dfs(build)

@@ -454,6 +454,27 @@ def test_augment_mix_error_names_the_record_and_the_noise(capsys, tmp_path, faul
     assert [p.name for p in out_dir.iterdir()] == ["keep.txt"]
 
 
+@pytest.mark.parametrize("snr, level", [("10,10", "10"), ("0,-0", "-0")])
+def test_augment_rejects_a_repeated_snr_level_before_mixing(capsys, tmp_path, snr, level):
+    wav_dir = tmp_path / "clean"
+    wav_dir.mkdir()
+    write_wav(AudioClip(0.3 * np.ones(1000), 16000), wav_dir / "synth001.wav")
+    manifest_path = wav_dir / "m.jsonl"
+    write_manifest(build_manifest([Utterance("synth001", ["a"], ["O"], "x", "synth001.wav")]), manifest_path)
+    noise_dir = tmp_path / "noise"
+    noise_dir.mkdir()
+    for name in ("n0.wav", "n1.wav"):
+        write_wav(AudioClip(0.2 * np.ones(500), 16000), noise_dir / name)
+    out_dir = tmp_path / "aug"
+    out_dir.mkdir()
+    (out_dir / "keep.txt").write_text("earlier run\n")
+    code, out, err = run(capsys, "augment", "--manifest", str(manifest_path), "--noise-dir", str(noise_dir),
+                         "--split", "train", "--snr", snr, "--seed", "0", "--out", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err.strip().startswith(f"slu augment: SNR level {level} dB is repeated")
+    assert [p.name for p in out_dir.iterdir()] == ["keep.txt"]
+
+
 def _small_checkpoint(path, beam_size=2):
     """A randomly initialised checkpoint whose features match the default FeatureConfig."""
     config = ModelConfig(feature_dim=FeatureConfig().num_bands, asr_hidden=4, nlu_hidden=4)

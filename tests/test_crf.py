@@ -119,8 +119,8 @@ def test_crf_nll_matches_unfused_composition():
             ref = oracles.crf_nll_t_unfused(unfused["em"], tags, unfused["trans"], unfused["start"], unfused["end"])
             assert out._parents == tuple(fused.values())  # one node
             assert_fused_matches(out.data, ref.data)
-            (out * upstream).backward()
-            (ref * upstream).backward()
+            oracles.mul(out, upstream).backward()
+            oracles.mul(ref, upstream).backward()
             for name in fused:
                 assert_fused_matches(fused[name].grad, unfused[name].grad, scale=abs(upstream))
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import joint_loss, tiny_example, tiny_model
+from conftest import identity_slot_head, joint_loss, tiny_example, tiny_model
 from oracles import deserialize_slots, serialize_slots
 from slu.autodiff import Tensor
 from slu.errors import DimensionError, ValidationError
@@ -29,7 +29,7 @@ def test_forward_shapes():
     example = tiny_example(model, WORDS)
     out = model.forward(example)
     fa, fb = model.config.asr_hidden, model.config.nlu_hidden
-    assert out.hcat.shape == (5, fa + fb)
+    assert identity_slot_head(model).forward(example).slot_scores.shape == (5, fa + fb)
     assert out.slot_scores.shape == (5, len(model.slot_tags))
     assert out.intent_logits.shape == (1, len(model.intents))
     assert out.asr_logits.shape[0] == tokenize(WORDS, model.asr_vocab).num_tokens + 1  # one extra row predicts EOS
@@ -41,9 +41,11 @@ def test_forward_zeroed_nlu_gives_zero_block():
     for name, t in model.params.items():
         if name.startswith("nlu."):
             t.data = np.zeros_like(t.data)
-    out = model.forward(tiny_example(model, WORDS))
+    example = tiny_example(model, WORDS)
+    out = model.forward(example)
     fa = model.config.asr_hidden
-    assert np.array_equal(out.hcat.data[:, fa:], np.zeros((5, model.config.nlu_hidden)))
+    hcat = identity_slot_head(model).forward(example).slot_scores
+    assert np.array_equal(hcat.data[:, fa:], np.zeros((5, model.config.nlu_hidden)))
     # transcript logits do not depend on the text branch
     fresh = tiny_model()
     expected = fresh.forward(tiny_example(fresh, WORDS)).asr_logits.data
@@ -52,20 +54,20 @@ def test_forward_zeroed_nlu_gives_zero_block():
 
 def test_forward_deterministic():
     example = tiny_example(tiny_model(), WORDS)  # examples do not depend on parameters
-    a = tiny_model(3).forward(example)
-    b = tiny_model(3).forward(example)
-    assert np.array_equal(a.hcat.data, b.hcat.data)
+    a = identity_slot_head(tiny_model(3)).forward(example)
+    b = identity_slot_head(tiny_model(3)).forward(example)
+    assert np.array_equal(a.slot_scores.data, b.slot_scores.data)  # the concatenation
     assert np.array_equal(a.intent_logits.data, b.intent_logits.data)
 
 
 def test_forward_hcat_matches_projection_contract():
     model = tiny_model()
     example = tiny_example(model, WORDS)
-    out = model.forward(example)
-    ha, hb = model.teacher_forced(example)[0].data[:-1], out.hb.data
+    hcat = identity_slot_head(model).forward(example).slot_scores.data
+    ha, hb = model.teacher_forced(example)[0].data[:-1], model.nlu_states(example.nlu_ids).data
     fa = model.config.asr_hidden
-    assert np.array_equal(out.hcat.data[:, :fa], ha[tokenize(WORDS, model.asr_vocab).first_index])
-    assert np.array_equal(out.hcat.data[:, fa:], hb[tokenize(WORDS, model.nlu_vocab).first_index])
+    assert np.array_equal(hcat[:, :fa], ha[tokenize(WORDS, model.asr_vocab).first_index])
+    assert np.array_equal(hcat[:, fa:], hb[tokenize(WORDS, model.nlu_vocab).first_index])
 
 
 def test_loss_asr_uniform_logits():
@@ -313,10 +315,13 @@ def test_checkpoint_with_stored_first_pooling_loads(tmp_path):
     path.write_text(json.dumps(obj))
     again, _, _ = load_checkpoint(path)
     assert again.config == model.config
-    out_a = model.forward(tiny_example(model, WORDS))
-    out_b = again.forward(tiny_example(again, WORDS))
-    for name in ("hb", "hcat", "asr_logits", "slot_scores", "intent_logits"):
+    example = tiny_example(model, WORDS)  # examples do not depend on parameters
+    out_a, out_b = model.forward(example), again.forward(example)
+    for name in ("asr_logits", "slot_scores", "intent_logits"):
         assert np.array_equal(getattr(out_a, name).data, getattr(out_b, name).data), name
+    assert np.array_equal(model.nlu_states(example.nlu_ids).data, again.nlu_states(example.nlu_ids).data)
+    hcat_a, hcat_b = (identity_slot_head(m).forward(example).slot_scores for m in (model, again))
+    assert np.array_equal(hcat_a.data, hcat_b.data)
 
 
 def test_checkpoint_version_guard(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_subword_instance, tiny_example, tiny_features, tiny_model
+from conftest import identity_slot_head, random_subword_instance, tiny_example, tiny_features, tiny_model
 from oracles import build_first_index_matrix, detokenize
 from slu.errors import DimensionError, ParseError, ValidationError
 from slu.model import load_checkpoint, save_checkpoint
@@ -162,13 +162,14 @@ def test_concat_hidden_shapes_and_zero_block():
             t.data = np.zeros_like(t.data)  # zero text-branch states
     words = ["show", "flights", "from", "austin", "to", "denver"]  # 8 ASR subwords, 6 NLU
     example = tiny_example(model, words)
-    out = model.forward(example)
+    hcat = identity_slot_head(model).forward(example).slot_scores
     fa, fb = model.config.asr_hidden, model.config.nlu_hidden
-    assert np.array_equal(out.hb.data, np.zeros_like(out.hb.data))
-    assert out.hcat.shape == (len(words), fa + fb)
-    assert np.array_equal(out.hcat.data[:, fa:], np.zeros((len(words), fb)))
+    hb = model.nlu_states(example.nlu_ids).data
+    assert np.array_equal(hb, np.zeros_like(hb))
+    assert hcat.shape == (len(words), fa + fb)
+    assert np.array_equal(hcat.data[:, fa:], np.zeros((len(words), fb)))
     first = tokenize(words, model.asr_vocab).first_index
-    assert np.array_equal(out.hcat.data[:, :fa], model.teacher_forced(example)[0].data[:-1][first])
+    assert np.array_equal(hcat.data[:, :fa], model.teacher_forced(example)[0].data[:-1][first])
 
 
 def test_concat_hidden_word_count_mismatch():

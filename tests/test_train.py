@@ -1,7 +1,11 @@
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
 import oracles
+import slu.autodiff
 import slu.model
 from slu.audio import FeatureConfig
 from slu.autodiff import Tensor
@@ -171,6 +175,42 @@ def test_train_tokenizes_each_record_once_per_vocabulary(monkeypatch):
     )
     train(small_model(corpus), corpus, cfg, FEATURE)
     assert len(calls) == 2 * len(corpus.records)
+
+
+def _engine_surface() -> dict[str, object]:
+    """The code of every public ``slu.autodiff`` function and ``Tensor`` method (operators included), by name."""
+    surface = {
+        name: f.__code__
+        for name, f in vars(slu.autodiff).items()
+        if inspect.isfunction(f) and f.__module__ == "slu.autodiff" and not name.startswith("_")
+    }
+    for name, member in vars(Tensor).items():
+        func = member.fget if isinstance(member, property) else member
+        if inspect.isfunction(func) and (name.endswith("__") or not name.startswith("_")):
+            surface[f"Tensor.{name}"] = func.__code__
+    return surface
+
+
+def test_train_and_decode_reach_every_public_engine_op():
+    # the engine keeps only what the package calls: an op that only tests use fails here
+    corpus = small_corpus(2)
+    cfg = TrainConfig(seed=0, beam_size=2, stages=[StageConfig("joint_finetune", epochs=1, lr=0.01, eval_every=1)])
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        history = train(small_model(corpus), corpus, cfg, FEATURE)
+    finally:
+        sys.setprofile(previous)
+    assert "slots_edit_f1" in history[0]  # the epoch was polled: the corpus was decoded
+    surface = _engine_surface()
+    assert {"Tensor.__add__", "Tensor.__matmul__", "Tensor.backward", "linear"} <= set(surface)
+    assert sorted(name for name, code in surface.items() if code not in reached) == []
 
 
 def test_speech_stages_build_no_nlu_graph(monkeypatch):
