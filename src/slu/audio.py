@@ -115,24 +115,38 @@ def mix_at_snr_report(clean: AudioClip, noise: AudioClip, snr_db: float) -> MixR
     (clean, scaled noise) returns the target exactly (pre-clipping).  Samples
     pushed outside [-1, 1] are hard-clipped and counted.
     """
-    if clean.sample_rate != noise.sample_rate:
-        raise ValidationError(
-            f"sample rate mismatch: clean {clean.sample_rate} Hz vs noise {noise.sample_rate} Hz"
-        )
-    clean_rms = rms(clean)
-    if clean_rms == 0.0:
-        raise ValidationError("SNR is undefined for a silent clean signal")
-    fitted = fit_length(noise.samples, clean.samples.size)
-    noise_rms = rms(fitted)
-    if noise_rms == 0.0:
-        raise ValidationError("SNR is undefined for a silent noise signal")
-    gain = clean_rms / (noise_rms * 10.0 ** (snr_db / 20.0))
-    mixed = clean.samples + gain * fitted
-    clipped = int(np.count_nonzero((mixed < -1.0) | (mixed > 1.0)))
-    if clipped:
-        log.warning("mix at %.1f dB clipped %d samples", snr_db, clipped)
-        mixed = np.clip(mixed, -1.0, 1.0)
-    return MixResult(AudioClip(mixed, clean.sample_rate), gain, clipped)
+    return _mixer(clean)(noise, snr_db)
+
+
+def _mixer(clean: AudioClip):
+    """``mix_at_snr_report`` for one clean clip, as a function of the noise and
+    the SNR that takes the clip's RMS once, at its first call, and checks
+    what ``mix_at_snr_report`` checks, in the same order, at every call."""
+    clean_rms = None
+
+    def mix(noise: AudioClip, snr_db: float) -> MixResult:
+        nonlocal clean_rms
+        if clean.sample_rate != noise.sample_rate:
+            raise ValidationError(
+                f"sample rate mismatch: clean {clean.sample_rate} Hz vs noise {noise.sample_rate} Hz"
+            )
+        if clean_rms is None:
+            clean_rms = rms(clean)
+        if clean_rms == 0.0:
+            raise ValidationError("SNR is undefined for a silent clean signal")
+        fitted = fit_length(noise.samples, clean.samples.size)
+        noise_rms = rms(fitted)
+        if noise_rms == 0.0:
+            raise ValidationError("SNR is undefined for a silent noise signal")
+        gain = clean_rms / (noise_rms * 10.0 ** (snr_db / 20.0))
+        mixed = clean.samples + gain * fitted
+        clipped = int(np.count_nonzero((mixed < -1.0) | (mixed > 1.0)))
+        if clipped:
+            log.warning("mix at %.1f dB clipped %d samples", snr_db, clipped)
+            mixed = np.clip(mixed, -1.0, 1.0)
+        return MixResult(AudioClip(mixed, clean.sample_rate), gain, clipped)
+
+    return mix
 
 
 @dataclass
@@ -226,7 +240,7 @@ def augment_corpus(
     records: list[Utterance] = []
     provenance: list[dict] = []
     for rec in manifest.records:
-        clean = record_clip(rec, manifest.base_dir)
+        mix = _mixer(record_clip(rec, manifest.base_dir))  # the clean clip's RMS is taken once
         rng = random.Random(f"{spec.seed}:{rec.id}")
         chosen = rng.sample(list(noise_files), spec.noises_per_clip)
         for noise_file, level in zip(chosen, spec.snr_levels_db):
@@ -234,7 +248,7 @@ def augment_corpus(
                 noise_cache[noise_file] = read_wav(noise_file)
             noise = noise_cache[noise_file]
             try:
-                mixed = mix_at_snr_report(clean, noise, level)
+                mixed = mix(noise, level)
             except ValidationError as exc:
                 raise ValidationError(f"record {rec.id!r}, noise {noise_file}: {exc}") from exc
             new_id = f"{rec.id}#snr{level:g}"

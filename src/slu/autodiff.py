@@ -1,13 +1,18 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
 Only the ops the joint model calls: ``+`` of two tensors of one shape, 2-D
-``@``, a fused affine layer (``linear``), tanh, sum, mean (one node: the sum
-times the constant ``1 / count``, with no node for the constant), concat, row
-gather (by index list, or by ``slice``, whose backward adds onto zeros with no
-``np.add.at``), and two nodes whose backward is written by hand: scaled
-dot-product attention (``attention``) and a fused softmax cross-entropy
-(``nll_rows``).  No op broadcasts, and an operand of ``+`` or ``@`` that is
-not a ``Tensor`` is a ``TypeError``; only ``linear`` takes a plain array.
+``@``, a fused affine layer (``linear``), tanh, mean (one node: the sum times
+the constant ``1 / count``, with no node for the constant), concat, row
+gather (``gather_rows``, by index list or by ``slice``), token plus position
+embeddings (``embed``: two gathers and their ``+`` as one node), and two
+nodes whose backward is written by hand: scaled dot-product attention
+(``attention``) and a fused softmax cross-entropy reduced to one loss
+(``nll``, summed or averaged over the rows).  No op broadcasts, and an
+operand of ``+`` or ``@`` that is not a ``Tensor`` is a ``TypeError``; only
+``linear`` takes a plain array.  The mean's backward returns a filled,
+writable array, not a broadcast view.  A gather's backward (``embed``'s too)
+adds the gradient rows onto ``np.zeros``: with ``+=`` for a ``slice``, and
+with ``np.add.at`` for an index list, which may name a row twice.
 Nodes record parents only when a gradient is required, so inference builds
 no graph.
 
@@ -96,29 +101,27 @@ class Tensor:
         out_data = np.tanh(self.data)
         return Tensor._op(out_data, (self,), lambda g: (g * (1.0 - out_data**2),))
 
-    def sum(self, axis=None, keepdims: bool = False):
-        return _sum_node(self, axis, keepdims)
-
     def mean(self, axis=None, keepdims: bool = False):
-        count = self.data.size if axis is None else self.data.shape[axis]
-        return _sum_node(self, axis, keepdims, np.asarray(1.0 / count))
+        """The mean as one node: the sum times the constant ``1 / count``, with
+        no node for the constant.  Its backward fills a new, writable array of
+        ``self``'s shape with the scaled gradient, the values of its broadcast."""
+        scale = 1.0 / (self.data.size if axis is None else self.data.shape[axis])
+        shape = self.data.shape
+
+        def backward(g):
+            g = g * scale
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return (np.full(shape, g),)
+
+        return Tensor._op(self.data.sum(axis=axis, keepdims=keepdims) * scale, (self,), backward)
 
     # -- shape ops ---------------------------------------------------------
 
     def gather_rows(self, indices):
         """Rows of a tensor by int indices (repeats add up in the backward) or by a ``slice``."""
-        if not isinstance(indices, slice):
-            indices = np.asarray(indices, dtype=np.intp)
-
-        def backward(g):
-            full = np.zeros_like(self.data)
-            if isinstance(indices, slice):
-                full[indices] += g  # onto zeros: the floats, zero signs included, that np.add.at gives
-            else:
-                np.add.at(full, indices, g)
-            return (full,)
-
-        return Tensor._op(self.data[indices], (self,), backward)
+        rows, shape = _rows(indices), self.data.shape
+        return Tensor._op(self.data[rows], (self,), lambda g: (_scatter_rows(shape, rows, g),))
 
     # -- autodiff ----------------------------------------------------------
 
@@ -142,21 +145,22 @@ class Tensor:
                 parent.grad = g if parent.grad is None else parent.grad + g
 
 
-def _sum_node(x: Tensor, axis, keepdims: bool, scale: np.ndarray | None = None) -> Tensor:
-    """``x.sum(axis, keepdims)``, times the constant ``scale`` when one is given,
-    as one node: bit for bit what a sum node and a product node with the
-    constant gave, in the forward and in ``x``'s gradient."""
-    out_data = x.data.sum(axis=axis, keepdims=keepdims)
-    if scale is not None:
-        out_data = out_data * scale
+def _rows(indices):
+    """Row indices as numpy reads them: a ``slice`` as it is, else an int array."""
+    return indices if isinstance(indices, slice) else np.asarray(indices, dtype=np.intp)
 
-    def backward(g):
-        g = np.asarray(g) if scale is None else g * scale
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.data.shape),)
 
-    return Tensor._op(out_data, (x,), backward)
+def _scatter_rows(shape, rows, g: np.ndarray) -> np.ndarray:
+    """Zeros of ``shape`` with each row of ``g`` added onto the row that ``rows``
+    names: ``+=`` for a slice, whose rows are distinct, and ``np.add.at`` for
+    an index list, which may repeat one.  Onto zeros the two give the same
+    floats, zero signs included (0.0 + -0.0 is 0.0)."""
+    full = np.zeros(shape)
+    if isinstance(rows, slice):
+        full[rows] += g
+    else:
+        np.add.at(full, rows, g)
+    return full
 
 
 def linear(x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> Tensor:
@@ -171,6 +175,22 @@ def linear(x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> Tensor:
     else:
         parents, backward = (w, b), lambda g: (xd.T @ g, g.sum(axis=0))
     return Tensor._op(xd @ w.data + b.data, parents, backward)
+
+
+def embed(table: Tensor, ids, pos: Tensor, positions) -> Tensor:
+    """``table[ids] + pos[positions]`` as one node: token plus position
+    embeddings, the input layer of BERT (Devlin et al. 2019).  ``ids`` and
+    ``positions`` take what ``Tensor.gather_rows`` takes, and the node gives
+    the floats of two gathers and their ``+``, in the forward and backward."""
+    ids, positions = _rows(ids), _rows(positions)
+    tokens, places = table.data[ids], pos.data[positions]
+    if tokens.shape != places.shape:
+        raise DimensionError(f"cannot add shapes {tokens.shape} and {places.shape}")
+
+    def backward(g):
+        return _scatter_rows(table.data.shape, ids, g), _scatter_rows(pos.data.shape, positions, g)
+
+    return Tensor._op(tokens + places, (table, pos), backward)
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
@@ -209,13 +229,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return Tensor._op(p @ v.data, (q, k, v), backward)
 
 
-def nll_rows(logits: Tensor, targets, smoothing: float = 0.0) -> Tensor:
-    """Per-row negative log-likelihood of one target class per (N, K) logits row.
+def nll(logits: Tensor, targets, smoothing: float = 0.0, mean: bool = False) -> Tensor:
+    """Negative log-likelihood of one target class per (N, K) logits row, summed
+    over the rows or, with ``mean``, averaged (the sum times ``1 / N``).
 
     With ``smoothing`` the picked log-probability is mixed with the mean
     log-probability over all K classes (label smoothing).  One node: the
     forward is a row-wise stable log-sum-exp minus the picked (or mixed) logit,
-    and the gradient of row i is ``g[i] * (softmax - (1 - s) * onehot - s / K)``.
+    reduced, and the gradient of row i is ``g * (softmax - (1 - s) * onehot - s / K)``,
+    with ``g`` times ``1 / N`` under ``mean``.
     """
     x = logits.data
     n, k = x.shape
@@ -229,16 +251,21 @@ def nll_rows(logits: Tensor, targets, smoothing: float = 0.0) -> Tensor:
     lse = (m + np.log(total))[:, 0]
     picked = x[rows, cols]
     if smoothing == 0.0:
-        out_data = lse - picked
+        per_row = lse - picked
     else:
-        out_data = lse - ((1.0 - smoothing) * picked + smoothing * (x.sum(axis=1) * (1.0 / k)))
+        per_row = lse - ((1.0 - smoothing) * picked + smoothing * (x.sum(axis=1) * (1.0 / k)))
+    out_data = per_row.sum()
+    if mean:
+        out_data = out_data * (1.0 / n)
 
     def backward(g):
-        g = np.asarray(g)[:, None]
+        if mean:
+            g = g * (1.0 / n)
         grad = shifted / total
         grad[rows, cols] -= 1.0 - smoothing
         if smoothing != 0.0:
             grad -= smoothing / k
-        return (g * grad,)
+        grad *= g
+        return (grad,)
 
     return Tensor._op(out_data, (logits,), backward)

@@ -8,7 +8,8 @@ two prepares an ``Example`` from that hypothesis, cut to the longest prefix of
 words whose NLU subwords fit ``max_positions``, and runs ``JointModel.forward``
 on it with the step-one encoding, as training does, then decodes the intent
 (argmax) and slot path (``JointModel.decode_slots``).  Both steps run on
-``model.frozen()``, so decoding records no autodiff graph.
+``model.cached_frozen()``, so decoding records no autodiff graph, and
+utterances decoded with unchanged parameters share one frozen view.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def decode_two_step(
     beam_size: int = 5,
     max_len: int = 40,
 ) -> DecodeResult:
-    model = model.frozen()  # both steps read detached parameters and build no graph
+    model = model.cached_frozen()  # both steps read detached parameters and build no graph
     frames = model.subsample(features)
     enc = model.encode_features(frames)
     ids, logp = beam_search_transcript(model, enc, beam_size, max_len)

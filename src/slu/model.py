@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import FeatureConfig
-from .autodiff import Tensor, attention, concat, linear, nll_rows
+from .autodiff import Tensor, attention, concat, embed, linear, nll
 from .crf import crf_nll_t, crf_viterbi
 from .errors import DimensionError, ValidationError, check_field_types
 from .ioutil import atomic_write_text, read_json_object
@@ -96,8 +96,9 @@ def subsample_features(features: np.ndarray, stride: int) -> np.ndarray:
 class JointModel:
     """Parameter container plus forward/loss graph builders.
 
-    Every pass reads ``self.params``; decoding runs on ``frozen()``, a view
-    whose parameters are detached, so it records no graph.
+    Every pass reads ``self.params``; decoding runs on ``cached_frozen()``, a
+    view whose parameters are detached, so it records no graph, and which is
+    reused for as long as the parameters are unchanged.
     """
 
     def __init__(
@@ -123,6 +124,7 @@ class JointModel:
         self._tag_id = {t: i for i, t in enumerate(self.slot_tags)}
         self._intent_id = {t: i for i, t in enumerate(self.intents)}
         self.params: dict[str, Tensor] = {}
+        self._cached_frozen: JointModel | None = None
 
     # -- vocabulary plumbing ------------------------------------------------
 
@@ -200,7 +202,23 @@ class JointModel:
         is safe because decoding never overlaps a step.
         """
         view = copy.copy(self)
+        view._cached_frozen = None
         view.params = {name: t.detach() for name, t in self.params.items()}
+        return view
+
+    def cached_frozen(self) -> "JointModel":
+        """``frozen()``, built once and reused for as long as the parameters are
+        unchanged: the same names, each with the same ``data`` array.  A step
+        that updates those arrays in place shows through them; an optimizer
+        that rebinds ``data`` (a new ``_Sgd``), ``init_params`` or a replaced
+        parameter gets a fresh view.  The view keeps the arrays it compares
+        alive, so an identity cannot pass to a new array.
+        """
+        view = self._cached_frozen
+        if view is None or view.params.keys() != self.params.keys() or any(
+            view.params[name].data is not t.data for name, t in self.params.items()
+        ):
+            view = self._cached_frozen = self.frozen()
         return view
 
     def zero_grads(self) -> None:
@@ -275,7 +293,7 @@ class JointModel:
         """Hidden rows and logits for decoder steps given previous-token ids; ``steps``
         are their positions, as a list or, for positions 0 to n - 1, as ``slice(n)``."""
         p = self.params
-        emb = p["asr.emb"].gather_rows(prev_ids) + p["asr.dec_pos"].gather_rows(steps)
+        emb = embed(p["asr.emb"], prev_ids, p["asr.dec_pos"], steps)
         ctx = attention(emb @ p["asr.attn_q"], enc, enc)
         hidden = linear(concat([emb, ctx], axis=1), p["asr.dec_w"], p["asr.dec_b"]).tanh()
         logits = linear(hidden, p["asr.out_w"], p["asr.out_b"])
@@ -283,7 +301,7 @@ class JointModel:
 
     def nlu_states(self, ids_b: list[int]) -> Tensor:
         p = self.params
-        emb = p["nlu.emb"].gather_rows(ids_b) + p["nlu.pos"].gather_rows(slice(len(ids_b)))
+        emb = embed(p["nlu.emb"], ids_b, p["nlu.pos"], slice(len(ids_b)))
         # v, k, then q: newest-first backward sums emb's gradients as (emb + ctx), q, k, v, which keeps checkpoint bits
         v, k = emb @ p["nlu.attn_v"], emb @ p["nlu.attn_k"]
         ctx = attention(emb @ p["nlu.attn_q"], k, v)
@@ -326,7 +344,7 @@ class JointModel:
 
     def loss_asr(self, asr_logits: Tensor, targets: list[int]) -> Tensor:
         """Mean per-token negative log-likelihood with label smoothing."""
-        return nll_rows(asr_logits, targets, self.config.label_smoothing).mean()
+        return nll(asr_logits, targets, self.config.label_smoothing, mean=True)
 
     def loss_nlu(self, slot_scores: Tensor, intent_logits: Tensor, tag_ids: list[int], intent_id: int) -> Tensor:
         """Slot sequence NLL (per-token sum or CRF) plus intent NLL."""
@@ -337,8 +355,8 @@ class JointModel:
         if self.config.slot_head == HEAD_CRF:
             slot_term = crf_nll_t(slot_scores, tag_ids, p["sl.trans"], p["sl.start"], p["sl.end"])
         else:
-            slot_term = nll_rows(slot_scores, tag_ids).sum()
-        return slot_term + nll_rows(intent_logits, [intent_id]).sum()
+            slot_term = nll(slot_scores, tag_ids)
+        return slot_term + nll(intent_logits, [intent_id])
 
     def decode_slots(self, slot_scores: Tensor) -> list[str]:
         """One tag per word: the Viterbi path under the CRF head, else each row's argmax."""

@@ -8,14 +8,18 @@ kept here verbatim as bit-exact references, next to a few small helpers
 (slot serialisation, detokenisation, the first-subword pooling matrix, SNR
 mixing shorthand, the numpy CRF partition function and path score) that only
 the tests use.  The three fused nodes (``autodiff.attention``,
-``autodiff.nll_rows`` and ``crf.crf_nll_t``) are gated against their unfused
+``autodiff.nll`` and ``crf.crf_nll_t``) are gated against their unfused
 compositions of elementary ``Tensor`` ops, kept here as ``attention_unfused``,
-``nll_rows_unfused`` and ``crf_nll_t_unfused``.  The elementary ops only
-those compositions and the tests use are here too, as free functions built
-on ``Tensor._op``: the broadcasting ``add``, ``sub`` and ``mul`` (an operand
-that is not a ``Tensor`` is a constant, and ``_unbroadcast`` sums each
-gradient back to its operand's shape), ``exp``, ``logsumexp``, ``reshape``,
-``transpose`` and ``softmax_rows``.  ``backward_dfs`` is the engine's old
+``nll_unfused`` (``nll_rows_unfused``, then a sum or a mean) and
+``crf_nll_t_unfused``.  The elementary ops only those compositions and the
+tests use are here too, as free functions built on ``Tensor._op``: the
+broadcasting ``add``, ``sub`` and ``mul`` (an operand that is not a
+``Tensor`` is a constant, and ``_unbroadcast`` sums each gradient back to its
+operand's shape), ``reduce_sum`` (``Tensor.sum`` as it was), ``exp``,
+``logsumexp``, ``reshape``, ``transpose`` and ``softmax_rows``.
+``nll_rows`` is the per-row NLL node that ``autodiff.nll`` reduces, its
+bit-exact reference when followed by ``reduce_sum`` or ``Tensor.mean``.
+``backward_dfs`` is the engine's old
 two-pass backward (DFS topological sort, then the list in reverse), the
 reference that the one-pass, newest-first ``Tensor.backward`` matches bit for
 bit on a graph's first backward pass.  ``mean_unfused`` is ``Tensor.mean`` as a sum node and a
@@ -397,11 +401,25 @@ def softmax_rows(x: Tensor) -> Tensor:
     return exp(sub(x, logsumexp(x, axis=1, keepdims=True)))
 
 
+def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    """``x.sum(axis, keepdims)`` as one node: ``Tensor.sum`` as it was while the
+    model's losses summed rows, with the backward ``Tensor.mean`` has, a filled,
+    writable array of ``x``'s shape."""
+    shape = x.data.shape
+
+    def backward(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.full(shape, g),)
+
+    return Tensor._op(x.data.sum(axis=axis, keepdims=keepdims), (x,), backward)
+
+
 def mean_unfused(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     """``Tensor.mean`` as it was before it became one node: a sum node, then a
     product node with the constant ``1 / count``."""
     count = x.data.size if axis is None else x.data.shape[axis]
-    return mul(x.sum(axis=axis, keepdims=keepdims), 1.0 / count)
+    return mul(reduce_sum(x, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 def attention_unfused(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -409,8 +427,41 @@ def attention_unfused(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return softmax_rows(mul(q @ transpose(k), 1.0 / math.sqrt(k.shape[1]))) @ v
 
 
+def nll_rows(logits: Tensor, targets, smoothing: float = 0.0) -> Tensor:
+    """Per-row negative log-likelihood of one target class per (N, K) logits row,
+    as one node: ``autodiff.nll`` before it reduced the rows, the reference that
+    ``nll`` matches bit for bit when this is followed by ``reduce_sum`` (or, with
+    ``mean``, by ``Tensor.mean``).  The gradient of row i is
+    ``g[i] * (softmax - (1 - s) * onehot - s / K)``."""
+    x = logits.data
+    n, k = x.shape
+    if n != len(targets):
+        raise DimensionError(f"{n} logit rows vs {len(targets)} targets")
+    rows = np.arange(n)
+    cols = np.asarray(targets, dtype=np.intp)
+    m = x.max(axis=1, keepdims=True)
+    shifted = np.exp(x - m)
+    total = shifted.sum(axis=1, keepdims=True)
+    lse = (m + np.log(total))[:, 0]
+    picked = x[rows, cols]
+    if smoothing == 0.0:
+        out_data = lse - picked
+    else:
+        out_data = lse - ((1.0 - smoothing) * picked + smoothing * (x.sum(axis=1) * (1.0 / k)))
+
+    def backward(g):
+        g = np.asarray(g)[:, None]
+        grad = shifted / total
+        grad[rows, cols] -= 1.0 - smoothing
+        if smoothing != 0.0:
+            grad -= smoothing / k
+        return (g * grad,)
+
+    return Tensor._op(out_data, (logits,), backward)
+
+
 def nll_rows_unfused(logits: Tensor, targets, smoothing: float = 0.0) -> Tensor:
-    """``autodiff.nll_rows`` as a composition of logsumexp, reshape, gather and sub nodes."""
+    """``nll_rows`` as a composition of logsumexp, reshape, gather and sub nodes."""
     n, k = logits.shape
     if n != len(targets):
         raise DimensionError(f"{n} logit rows vs {len(targets)} targets")
@@ -421,6 +472,13 @@ def nll_rows_unfused(logits: Tensor, targets, smoothing: float = 0.0) -> Tensor:
     return sub(lse, add(mul(picked, 1.0 - smoothing), mul(mean_unfused(logits, axis=1), smoothing)))
 
 
+def nll_unfused(logits: Tensor, targets, smoothing: float = 0.0, mean: bool = False) -> Tensor:
+    """``autodiff.nll`` as ``nll_rows_unfused`` followed by a sum node or, with
+    ``mean``, by the sum and product nodes of ``mean_unfused``."""
+    per_row = nll_rows_unfused(logits, targets, smoothing)
+    return mean_unfused(per_row) if mean else reduce_sum(per_row)
+
+
 def crf_log_z_t(emissions: Tensor, transitions: Tensor, start: Tensor, end: Tensor) -> Tensor:
     """Differentiable partition function: one reshape/add/logsumexp/gather/add chain per position."""
     n, k = emissions.shape
@@ -428,19 +486,17 @@ def crf_log_z_t(emissions: Tensor, transitions: Tensor, start: Tensor, end: Tens
     for t in range(1, n):
         step = add(reshape(alpha, k, 1), transitions)
         alpha = logsumexp(step, axis=0, keepdims=True) + emissions.gather_rows([t])
-    return logsumexp(alpha + reshape(end, 1, k), axis=1).sum()
+    return reduce_sum(logsumexp(alpha + reshape(end, 1, k), axis=1))
 
 
 def crf_path_score_t(emissions: Tensor, tags, transitions: Tensor, start: Tensor, end: Tensor) -> Tensor:
     tags = list(tags)
     n, k = emissions.shape
-    emitted = reshape(emissions, n * k).gather_rows(
-        [t * k + tag for t, tag in enumerate(tags)]
-    ).sum()
-    score = emitted + start.gather_rows([tags[0]]).sum() + end.gather_rows([tags[-1]]).sum()
+    emitted = reduce_sum(reshape(emissions, n * k).gather_rows([t * k + tag for t, tag in enumerate(tags)]))
+    score = emitted + reduce_sum(start.gather_rows([tags[0]])) + reduce_sum(end.gather_rows([tags[-1]]))
     if n > 1:
         flat = reshape(transitions, k * k)
-        moves = flat.gather_rows([tags[t - 1] * k + tags[t] for t in range(1, n)]).sum()
+        moves = reduce_sum(flat.gather_rows([tags[t - 1] * k + tags[t] for t in range(1, n)]))
         score = score + moves
     return score
 

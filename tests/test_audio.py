@@ -17,10 +17,12 @@ from slu.audio import (
     mix_at_snr_report,
     read_wav,
     rms,
+    wav_bytes,
     write_wav,
     _hann,
 )
 from slu.data import Utterance, build_manifest
+import slu.audio
 from slu.errors import AudioFormatError, ValidationError
 from slu.synth import utterance_audio
 
@@ -229,6 +231,39 @@ def test_augment_deterministic_and_job_independent(tmp_path):
         b1 = (tmp_path / "a1" / rec.audio_path).read_bytes()
         b2 = (tmp_path / "a2" / rec.audio_path).read_bytes()
         assert b1 == b2
+
+
+def test_augment_takes_each_clean_rms_once_and_mixes_as_mix_at_snr_report(tmp_path, monkeypatch):
+    manifest = _clean_manifest(tmp_path, 4)
+    pool = NoisePool.from_directory(_noise_dir(tmp_path))
+    spec = AugmentSpec(seed=3)
+    measured = []
+
+    def counting_rms(clip):
+        measured.append(clip)
+        return rms(clip)
+
+    monkeypatch.setattr(slu.audio, "rms", counting_rms)
+    out, provenance = augment_corpus(manifest, pool, spec, "test", tmp_path / "aug")
+    monkeypatch.undo()
+    assert len(measured) == 4 + 4 * spec.noises_per_clip  # one per clean clip, one per fitted noise
+    for rec, entry in zip(out.records, provenance, strict=True):
+        clean = read_wav(manifest.base_dir / f"{entry['source_id']}.wav")
+        mixed = mix_at_snr_report(clean, read_wav(entry["noise"]), entry["snr_db"])
+        assert (tmp_path / "aug" / rec.audio_path).read_bytes() == wav_bytes(mixed.audio)
+        assert (entry["gain"], entry["clipped"]) == (mixed.gain, mixed.clipped)
+
+
+def test_augment_names_the_record_of_a_silent_clean_clip(tmp_path):
+    wavs = tmp_path / "clean"
+    wavs.mkdir()
+    write_wav(AudioClip(np.zeros(400), 16000), wavs / "quiet.wav")
+    manifest = build_manifest([Utterance("quiet", ["a"], ["O"], "x", "quiet.wav")], wavs)
+    pool = NoisePool.from_directory(_noise_dir(tmp_path))
+    with pytest.raises(ValidationError, match=r"record 'quiet', noise .*silent clean signal"):
+        augment_corpus(manifest, pool, AugmentSpec(seed=0), "train", tmp_path / "o")
+    with pytest.raises(ValidationError, match="sample rate"):  # checked before the clean clip's RMS
+        mix_at_snr_report(AudioClip(np.zeros(400), 8000), tone(), 10.0)
 
 
 def test_augment_requires_audio_and_enough_noises(tmp_path):

@@ -12,27 +12,30 @@ from oracles import (
     logsumexp,
     mean_unfused,
     mul,
+    nll_rows,
     nll_rows_unfused,
+    nll_unfused,
+    reduce_sum,
     reshape,
     softmax_rows,
     sub,
     transpose,
 )
-from slu.autodiff import Tensor, attention, concat, linear, nll_rows
+from slu.autodiff import Tensor, attention, concat, embed, linear, nll
 from slu.errors import DimensionError, NumericError
 
 
 def test_add_mul_matmul_grads():
     rng = np.random.default_rng(0)
     arrays = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4, 2)), "c": rng.normal(size=(1, 2))}
-    check_gradients(lambda t: mul(add(t["a"] @ t["b"], t["c"]), 0.5).sum(), arrays)
+    check_gradients(lambda t: reduce_sum(mul(add(t["a"] @ t["b"], t["c"]), 0.5)), arrays)
 
 
 def test_linear_grads_with_bias_broadcast_over_rows():
     rng = np.random.default_rng(7)
     arrays = {"x": rng.normal(size=(3, 4)), "w": rng.normal(size=(4, 2)), "b": rng.normal(size=2)}
     weights = rng.normal(size=(3, 2))
-    check_gradients(lambda t: mul(linear(t["x"], t["w"], t["b"]), weights).sum(), arrays)
+    check_gradients(lambda t: reduce_sum(mul(linear(t["x"], t["w"], t["b"]), weights)), arrays)
 
 
 def test_linear_is_bit_identical_to_matmul_plus_bias():
@@ -44,8 +47,8 @@ def test_linear_is_bit_identical_to_matmul_plus_bias():
     out_fused = linear(fused["x"], fused["w"], fused["b"])
     out_split = add(split["x"] @ split["w"], split["b"])
     assert np.array_equal(out_fused.data, out_split.data)
-    mul(out_fused, weights).sum().backward()
-    mul(out_split, weights).sum().backward()
+    reduce_sum(mul(out_fused, weights)).backward()
+    reduce_sum(mul(out_split, weights)).backward()
     for name in arrays:
         assert np.array_equal(fused[name].grad, split[name].grad), name
 
@@ -60,8 +63,8 @@ def test_linear_on_a_plain_array_makes_it_a_constant_not_a_parent():
     out_wrapped = linear(Tensor(x), wrapped["w"], wrapped["b"])
     assert out_const._parents == (const["w"], const["b"])
     assert np.array_equal(out_const.data, out_wrapped.data)
-    mul(out_const, weights).sum().backward()
-    mul(out_wrapped, weights).sum().backward()
+    reduce_sum(mul(out_const, weights)).backward()
+    reduce_sum(mul(out_wrapped, weights)).backward()
     for name in arrays:
         assert np.array_equal(const[name].grad, wrapped[name].grad), name
 
@@ -70,9 +73,9 @@ def test_sub_grads():
     rng = np.random.default_rng(9)
     arrays = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(1, 4))}
     weights = rng.normal(size=(3, 4))
-    check_gradients(lambda t: mul(sub(t["a"], t["b"]), weights).sum(), arrays)
-    check_gradients(lambda t: mul(sub(t["a"], 1.5), weights).sum(), arrays)
-    check_gradients(lambda t: mul(sub(2.0, t["a"]), weights).sum(), arrays)
+    check_gradients(lambda t: reduce_sum(mul(sub(t["a"], t["b"]), weights)), arrays)
+    check_gradients(lambda t: reduce_sum(mul(sub(t["a"], 1.5), weights)), arrays)
+    check_gradients(lambda t: reduce_sum(mul(sub(2.0, t["a"]), weights)), arrays)
 
 
 def test_sub_is_one_node_equal_to_adding_the_negation():
@@ -88,15 +91,20 @@ def test_first_gradient_is_not_shared_between_parents():
     x = Tensor(np.ones((2, 3)), requires_grad=True)
     y = Tensor(np.ones((2, 3)), requires_grad=True)
     z = x + y  # both parents get the same gradient array
-    (z + mul(x, 3.0)).sum().backward()
+    reduce_sum(z + mul(x, 3.0)).backward()
     assert np.array_equal(y.grad, np.ones((2, 3)))
     assert np.array_equal(x.grad, np.full((2, 3), 4.0))
+
+
+def _broadcast_sum(x: Tensor) -> Tensor:
+    """A sum node whose backward passes a read-only broadcast view."""
+    return Tensor._op(x.data.sum(), (x,), lambda g: (np.broadcast_to(g, x.data.shape),))
 
 
 @pytest.mark.parametrize("sum_first", [True, False])
 def test_read_only_first_gradient_can_accumulate(sum_first):
     x = Tensor(np.ones((2, 3)), requires_grad=True)
-    plain, scaled = x.sum(), mul(x, 2.0).sum()  # sum passes a read-only broadcast view
+    plain, scaled = _broadcast_sum(x), _broadcast_sum(mul(x, 2.0))
     (plain + scaled if sum_first else scaled + plain).backward()
     assert np.array_equal(x.grad, np.full((2, 3), 3.0))
 
@@ -106,7 +114,7 @@ def test_backward_with_the_wrong_number_of_gradients_raises(grads):
     a, b = Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(2), requires_grad=True)
     out = Tensor._op(a.data + b.data, (a, b), grads)
     with pytest.raises(ValueError, match="zip"):
-        out.sum().backward()
+        reduce_sum(out).backward()
 
 
 @pytest.mark.parametrize(
@@ -135,28 +143,28 @@ def test_tensor_operands_are_tensors_and_a_sum_is_same_shape(op, error):
 def test_tanh_exp_log_grads():
     rng = np.random.default_rng(1)
     arrays = {"x": rng.uniform(0.5, 2.0, size=(4, 3))}
-    check_gradients(lambda t: (t["x"].tanh() + exp(t["x"])).sum(), arrays)
+    check_gradients(lambda t: reduce_sum(t["x"].tanh() + exp(t["x"])), arrays)
 
 
 def test_logsumexp_and_softmax_grads():
     rng = np.random.default_rng(2)
     arrays = {"x": rng.normal(size=(5, 4))}
-    check_gradients(lambda t: logsumexp(t["x"], axis=1).sum(), arrays)
-    check_gradients(lambda t: mul(softmax_rows(t["x"]), np.arange(4.0)).sum(), arrays)
+    check_gradients(lambda t: reduce_sum(logsumexp(t["x"], axis=1)), arrays)
+    check_gradients(lambda t: reduce_sum(mul(softmax_rows(t["x"]), np.arange(4.0))), arrays)
 
 
 def test_mean_axis_and_reshape_grads():
     rng = np.random.default_rng(3)
     arrays = {"x": rng.normal(size=(4, 6))}
-    check_gradients(lambda t: t["x"].mean(axis=0, keepdims=True).sum(), arrays)
-    check_gradients(lambda t: reshape(t["x"], 24).gather_rows([0, 5, 5, 23]).sum(), arrays)
+    check_gradients(lambda t: reduce_sum(t["x"].mean(axis=0, keepdims=True)), arrays)
+    check_gradients(lambda t: reduce_sum(reshape(t["x"], 24).gather_rows([0, 5, 5, 23])), arrays)
 
 
 def test_concat_and_transpose_grads():
     rng = np.random.default_rng(4)
     arrays = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=(3, 5))}
-    check_gradients(lambda t: (concat([t["a"], t["b"]], axis=1) @ Tensor(np.ones((7, 1)))).sum(), arrays)
-    check_gradients(lambda t: (transpose(t["a"]) @ Tensor(np.ones((3, 1)))).sum(), arrays)
+    check_gradients(lambda t: reduce_sum(concat([t["a"], t["b"]], axis=1) @ Tensor(np.ones((7, 1)))), arrays)
+    check_gradients(lambda t: reduce_sum(transpose(t["a"]) @ Tensor(np.ones((3, 1)))), arrays)
 
 
 def _attention_pair(q, k, v, shared: bool, weights):
@@ -167,7 +175,7 @@ def _attention_pair(q, k, v, shared: bool, weights):
         tq, tk = Tensor(q, requires_grad=True), Tensor(k, requires_grad=True)
         tv = tk if shared else Tensor(v, requires_grad=True)
         out = op(tq, tk, tv)
-        mul(out, weights).sum().backward()
+        reduce_sum(mul(out, weights)).backward()
         results.append((out, tq.grad, tk.grad, None if shared else tv.grad))
     return results
 
@@ -194,7 +202,7 @@ def test_attention_grads(shared):
     weights = rng.normal(size=(3, 4))
     if shared:
         del arrays["v"]
-    check_gradients(lambda t: mul(attention(t["q"], t["k"], t["k" if shared else "v"]), weights).sum(), arrays)
+    check_gradients(lambda t: reduce_sum(mul(attention(t["q"], t["k"], t["k" if shared else "v"]), weights)), arrays)
 
 
 def test_attention_scales_by_the_keys_width():
@@ -206,7 +214,7 @@ def test_attention_scales_by_the_keys_width():
 
 def test_gather_rows_accumulates_repeats():
     x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-    out = x.gather_rows([1, 1, 0]).sum()
+    out = reduce_sum(x.gather_rows([1, 1, 0]))
     out.backward()
     assert np.array_equal(x.grad, [[1, 1], [2, 2], [0, 0]])
 
@@ -222,7 +230,7 @@ def test_gather_rows_slice_is_bit_identical_to_its_index_list():
             t = Tensor(x, requires_grad=True)
             out = t.gather_rows(indices)
             assert out._parents == (t,) and out.data.tobytes() == x[:n].tobytes()
-            mul(out, weights).sum().backward()  # out's gradient is weights, -0.0 included
+            reduce_sum(mul(out, weights)).backward()  # out's gradient is weights, -0.0 included
             grads.append(t.grad)
         assert grads[0].tobytes() == grads[1].tobytes(), n
         assert not np.signbit(grads[0][0, 1])
@@ -233,7 +241,83 @@ def test_gather_rows_slice_grads():
     arrays = {"x": rng.normal(size=(5, 3))}
     weights = rng.normal(size=(5, 3))
     for n in (1, 3, 5):
-        check_gradients(lambda t: mul(t["x"].gather_rows(slice(n)), weights[:n]).sum(), arrays)
+        check_gradients(lambda t: reduce_sum(mul(t["x"].gather_rows(slice(n)), weights[:n])), arrays)
+
+
+def _signed_zero_weights(rng, n, width=3):
+    """An upstream gradient with a -0.0 entry in each row: a row added onto zeros
+    once must come out +0.0 there, as ``np.add.at`` gives."""
+    weights = rng.normal(size=(n, width))
+    weights[:, 1] = -0.0
+    return weights
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [[3], [0, 1, 2, 3, 4, 5], [5, 0, 3], [4, 1], np.array([2, 5, 0]), [1, 1, 0], [0, 2, 0, 2], [-1, 5], [-2, -6]],
+    ids=["one", "all", "unsorted", "pair", "ndarray", "repeat", "two-repeats", "negative-alias", "negative"],
+)
+def test_gather_rows_backward_equals_np_add_at_onto_zeros(indices):
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(6, 3))
+    weights = _signed_zero_weights(rng, len(indices))
+    t = Tensor(x, requires_grad=True)
+    out = t.gather_rows(indices)
+    assert out.data.tobytes() == x[np.asarray(indices)].tobytes()
+    reduce_sum(mul(out, weights)).backward()
+    want = np.zeros_like(x)
+    np.add.at(want, np.asarray(indices), weights)
+    assert t.grad.tobytes() == want.tobytes()  # zero signs included
+    assert np.array_equal(np.signbit(t.grad), np.signbit(want))
+
+
+def _embed_pair(table, ids, pos, positions, weights):
+    """Output and (table, pos) gradients of ``embed`` and of two ``gather_rows``
+    nodes and their ``+``, under the upstream gradient ``weights``."""
+    results = []
+    for fused in (True, False):
+        tt, tp = Tensor(table, requires_grad=True), Tensor(pos, requires_grad=True)
+        out = embed(tt, ids, tp, positions) if fused else tt.gather_rows(ids) + tp.gather_rows(positions)
+        reduce_sum(mul(out, weights)).backward()
+        results.append((out, tt.grad, tp.grad))
+    return results
+
+
+EMBED_CASES = [
+    ([3, 0, 5], slice(3)),  # distinct ids, training's slice of positions
+    ([2, 2, 1, 2], slice(4)),  # repeated ids
+    ([4], slice(1)),
+    ([1, 3, 3, 0, 1], [2] * 5),  # the beam search: one position for every live prefix
+    ([5, 2], [3, 0]),  # distinct position lists
+]
+
+
+@pytest.mark.parametrize("ids, positions", EMBED_CASES, ids=["slice", "repeat-ids", "one", "beam-step", "lists"])
+def test_embed_is_bit_identical_to_two_gathers_and_their_sum(ids, positions):
+    rng = np.random.default_rng(22)
+    table, pos = rng.normal(size=(6, 3)), rng.normal(size=(8, 3))
+    (out, *grads), (ref, *ref_grads) = _embed_pair(table, ids, pos, positions, _signed_zero_weights(rng, len(ids)))
+    assert len(out._parents) == 2  # one node
+    assert out.data.tobytes() == ref.data.tobytes()
+    for got, want in zip(grads, ref_grads):
+        assert got.tobytes() == want.tobytes()  # zero signs included
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("ids, positions", EMBED_CASES, ids=["slice", "repeat-ids", "one", "beam-step", "lists"])
+def test_embed_grads(ids, positions):
+    rng = np.random.default_rng(23)
+    arrays = {"table": rng.normal(size=(6, 3)), "pos": rng.normal(size=(8, 3))}
+    weights = rng.normal(size=(len(ids), 3))
+    check_gradients(lambda t: reduce_sum(mul(embed(t["table"], ids, t["pos"], positions), weights)), arrays)
+
+
+def test_embed_rejects_row_counts_that_differ():
+    table, pos = Tensor(np.ones((4, 2))), Tensor(np.ones((3, 2)))
+    with pytest.raises(DimensionError):
+        embed(table, [0, 1], pos, slice(3))
+    with pytest.raises(DimensionError):
+        embed(table, [0], pos, [0, 1])  # one row would broadcast
 
 
 MEAN_CASES = [(axis, keepdims) for axis in (None, 0, 1) for keepdims in (False, True)]
@@ -249,7 +333,7 @@ def test_mean_is_one_node_bit_identical_to_sum_then_scale(axis, keepdims):
         for op in (Tensor.mean, mean_unfused):
             t = Tensor(x, requires_grad=True)
             out = op(t, axis=axis, keepdims=keepdims)
-            mul(out, weights).sum().backward()
+            reduce_sum(mul(out, weights)).backward()
             results.append((t, out, t.grad))
         (t, out, grad), (_, ref, ref_grad) = results
         assert out._parents == (t,)  # one node, straight onto x
@@ -262,24 +346,40 @@ def test_mean_grads(axis, keepdims):
     rng = np.random.default_rng(20)
     arrays = {"x": rng.normal(size=(4, 6))}
     weights = rng.normal(size=arrays["x"].sum(axis=axis, keepdims=keepdims).shape)
-    check_gradients(lambda t: mul(t["x"].mean(axis=axis, keepdims=keepdims), weights).sum(), arrays)
+    check_gradients(lambda t: reduce_sum(mul(t["x"].mean(axis=axis, keepdims=keepdims), weights)), arrays)
+
+
+@pytest.mark.parametrize("axis, keepdims", MEAN_CASES)
+@pytest.mark.parametrize("op", ["sum", "mean"])
+def test_sum_and_mean_backwards_are_writable_arrays_equal_to_the_broadcast(op, axis, keepdims):
+    rng = np.random.default_rng(24)
+    x = rng.normal(size=(4, 6))
+    count = x.size if axis is None else x.shape[axis]
+    t = Tensor(x, requires_grad=True)
+    out = reduce_sum(t, axis=axis, keepdims=keepdims) if op == "sum" else t.mean(axis=axis, keepdims=keepdims)
+    g = np.asarray(rng.normal(size=out.data.shape))
+    (grad,) = out._backward(g)
+    scaled = g if op == "sum" else g * (1.0 / count)
+    want = np.broadcast_to(scaled if axis is None or keepdims else np.expand_dims(scaled, axis), x.shape)
+    assert grad.flags.writeable and grad.shape == x.shape
+    assert grad.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_broadcast_bias_grad():
     b = Tensor(np.zeros(3), requires_grad=True)
     x = Tensor(np.ones((4, 3)))
-    add(x, b).sum().backward()
+    reduce_sum(add(x, b)).backward()
     assert np.array_equal(b.grad, [4, 4, 4])
 
 
 def test_nll_rows_values():
     logits = Tensor(np.zeros((1, 5)), requires_grad=True)
-    loss = nll_rows(logits, [2]).sum()
+    loss = reduce_sum(nll_rows(logits, [2]))
     assert loss.item() == pytest.approx(np.log(5))
     # a large margin on the right class drives the loss to zero
     sharp = Tensor(np.full((1, 5), -50.0))
     sharp.data[0, 2] = 50.0
-    assert nll_rows(sharp, [2]).sum().item() == pytest.approx(0.0, abs=1e-12)
+    assert reduce_sum(nll_rows(sharp, [2])).item() == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(DimensionError):
         nll_rows(logits, [2, 0])
 
@@ -287,14 +387,14 @@ def test_nll_rows_values():
 def test_nll_rows_smoothing_grad():
     rng = np.random.default_rng(5)
     arrays = {"x": rng.normal(size=(1, 6))}
-    check_gradients(lambda t: nll_rows(t["x"], [3], smoothing=0.1).sum(), arrays)
+    check_gradients(lambda t: reduce_sum(nll_rows(t["x"], [3], smoothing=0.1)), arrays)
 
 
 def test_nll_rows_multi_row_smoothing_grad():
     rng = np.random.default_rng(6)
     arrays = {"x": rng.normal(size=(3, 6))}
     weights = np.array([0.5, -1.0, 2.0])  # distinct per-row weights catch row mix-ups
-    check_gradients(lambda t: mul(nll_rows(t["x"], [3, 0, 5], smoothing=0.1), weights).sum(), arrays)
+    check_gradients(lambda t: reduce_sum(mul(nll_rows(t["x"], [3, 0, 5], smoothing=0.1), weights)), arrays)
 
 
 def test_nll_rows_matches_unfused_composition():
@@ -310,8 +410,8 @@ def test_nll_rows_matches_unfused_composition():
                 ref = nll_rows_unfused(unfused, targets, smoothing)
                 assert out._parents == (fused,)  # one node
                 assert_fused_matches(out.data, ref.data)
-                mul(out, weights).sum().backward()
-                mul(ref, weights).sum().backward()
+                reduce_sum(mul(out, weights)).backward()
+                reduce_sum(mul(ref, weights)).backward()
                 assert_fused_matches(fused.grad, unfused.grad, scale=np.abs(weights).max())
 
 
@@ -322,12 +422,75 @@ def test_nll_rows_grads_across_shapes(smoothing):
         arrays = {"x": rng.normal(size=(n, k))}
         targets = [int(t) for t in rng.integers(0, k, size=n)]
         weights = rng.normal(size=n)
-        check_gradients(lambda t: mul(nll_rows(t["x"], targets, smoothing), weights).sum(), arrays)
+        check_gradients(lambda t: reduce_sum(mul(nll_rows(t["x"], targets, smoothing), weights)), arrays)
+
+
+NLL_SHAPES = [(1, 1), (1, 6), (3, 1), (5, 7)]
+
+
+@pytest.mark.parametrize("mean", [False, True], ids=["sum", "mean"])
+@pytest.mark.parametrize("smoothing", [0.0, 0.1])
+def test_nll_is_one_node_bit_identical_to_the_per_row_node_and_its_reduction(smoothing, mean):
+    rng = np.random.default_rng(25)
+    for n, k in NLL_SHAPES * 4:
+        x = rng.normal(scale=3.0, size=(n, k))
+        targets = [int(t) for t in rng.integers(0, k, size=n)]
+        upstream = rng.normal()
+        results = []
+        for fused in (True, False):
+            t = Tensor(x, requires_grad=True)
+            if fused:
+                out = nll(t, targets, smoothing, mean=mean)
+            else:
+                rows = nll_rows(t, targets, smoothing)
+                out = rows.mean() if mean else reduce_sum(rows)
+            mul(out, upstream).backward()
+            results.append((t, out, t.grad))
+        (t, out, grad), (_, ref, ref_grad) = results
+        assert out._parents == (t,) and out.data.shape == ()  # one node, straight onto the logits
+        assert out.data.tobytes() == ref.data.tobytes(), (n, k)
+        assert grad.tobytes() == ref_grad.tobytes(), (n, k)
+
+
+@pytest.mark.parametrize("mean", [False, True], ids=["sum", "mean"])
+def test_nll_matches_unfused_composition(mean):
+    rng = np.random.default_rng(26)
+    for n in range(1, 6):
+        for k in range(1, 8):
+            x = rng.normal(scale=3.0, size=(n, k))
+            targets = [int(t) for t in rng.integers(0, k, size=n)]
+            for smoothing in (0.0, 0.1):
+                fused, unfused = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+                out = nll(fused, targets, smoothing, mean=mean)
+                ref = nll_unfused(unfused, targets, smoothing, mean=mean)
+                assert_fused_matches(out.data, ref.data)
+                out.backward()
+                ref.backward()
+                assert_fused_matches(fused.grad, unfused.grad, scale=1.0)
+
+
+@pytest.mark.parametrize("mean", [False, True], ids=["sum", "mean"])
+@pytest.mark.parametrize("smoothing", [0.0, 0.1])
+def test_nll_grads(smoothing, mean):
+    rng = np.random.default_rng(27)
+    for n, k in NLL_SHAPES:
+        arrays = {"x": rng.normal(size=(n, k))}
+        targets = [int(t) for t in rng.integers(0, k, size=n)]
+        check_gradients(lambda t: nll(t["x"], targets, smoothing, mean=mean), arrays)
+
+
+def test_nll_checks_one_target_per_row():
+    logits = Tensor(np.zeros((2, 5)), requires_grad=True)
+    assert nll(logits, [2, 0]).item() == pytest.approx(2 * np.log(5))
+    assert nll(logits, [2, 0], mean=True).item() == pytest.approx(np.log(5))
+    for targets in ([2], [2, 0, 1]):
+        with pytest.raises(DimensionError):
+            nll(logits, targets)
 
 
 def test_detach_blocks_gradient():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
-    y = mul(x.detach(), 3.0).sum() + mul(x, 2.0).sum()
+    y = reduce_sum(mul(x.detach(), 3.0)) + reduce_sum(mul(x, 2.0))
     y.backward()
     assert np.array_equal(x.grad, np.full((2, 2), 2.0))
 
@@ -344,7 +507,7 @@ def test_backward_requires_scalar_and_finite():
 def test_grad_accumulates_across_paths():
     x = Tensor(np.array([[2.0]]), requires_grad=True)
     y = mul(x, x) + mul(x, 3.0)  # dy/dx = 2x + 3 = 7
-    y.sum().backward()
+    reduce_sum(y).backward()
     assert x.grad[0, 0] == pytest.approx(7.0)
 
 
@@ -428,7 +591,7 @@ def test_a_second_backward_adds_exactly_one_more_pass(chain, once):
 
     def build():
         p = Tensor(x, requires_grad=True)
-        return chain(p).sum(), [p]
+        return reduce_sum(chain(p)), [p]
 
     (first,), (second,), _ = _assert_backward_matches_dfs(build)
     np.testing.assert_allclose(first, once(x), rtol=1e-15)
@@ -438,9 +601,9 @@ def test_a_second_backward_adds_exactly_one_more_pass(chain, once):
 def test_a_second_loss_on_shared_inner_nodes_adds_only_its_own_gradient():
     x = Tensor(np.ones(3), requires_grad=True)
     s = mul(x, 2.0)
-    s.sum().backward()
+    reduce_sum(s).backward()
     assert np.array_equal(x.grad, np.full(3, 2.0)) and s.grad is None
-    mul(s, 3.0).sum().backward()  # 2 from the first loss, 6 from this one
+    reduce_sum(mul(s, 3.0)).backward()  # 2 from the first loss, 6 from this one
     assert np.array_equal(x.grad, np.full(3, 8.0)) and s.grad is None
 
 
@@ -468,6 +631,19 @@ def test_backward_matches_the_dfs_reference_on_model_graphs(slot_head, graph, wo
 
     first, _, _ = _assert_backward_matches_dfs(build, second_pass_bitwise=False)
     assert first[0] is not None  # asr.enc_w: every graph reaches the encoder
+
+
+@pytest.mark.parametrize("slot_head", ["linear", "crf"])
+def test_a_train_step_records_the_nodes_of_its_fused_ops(slot_head):
+    # speech step: encoder (linear, position gather, +, tanh), decoder (embed, query @, attention,
+    # concat, linear, tanh, output linear) and nll; the joint step adds the NLU branch (embed,
+    # three @, attention, +, linear, tanh), the word gathers and concat, the slot linear, the
+    # intent concat, mean and linear, the slot and intent losses and two + nodes
+    model = tiny_model(seed=11, slot_head=slot_head)
+    example = tiny_example(model, ["show", "flights", "to", "boston"], ["O", "O", "O", "B-toloc"], "find_flight")
+    speech = model.loss_asr(model.teacher_forced(example)[1], example.asr_targets)
+    assert len(_inner_nodes(speech)) == 12
+    assert len(_inner_nodes(joint_loss(model, example)[0])) == 31
 
 
 def _exact_random_graph(seed: int, n: int = 4):
@@ -508,10 +684,10 @@ def _exact_random_graph(seed: int, n: int = 4):
             out = add(a, b) if kind % 2 else sub(b, a)
         squares.append(out)
         axis, keepdims = pick([None, 0, 1]), bool(rng.integers(2))
-        small.append(a.mean(axis=axis, keepdims=keepdims) if rng.integers(2) else a.sum(axis=axis, keepdims=keepdims))
-    loss = squares[-1].sum()
+        small.append(a.mean(axis=axis, keepdims=keepdims) if rng.integers(2) else reduce_sum(a, axis=axis, keepdims=keepdims))
+    loss = reduce_sum(squares[-1])
     for t in squares[:-1] + small:
-        loss = loss + t.sum()
+        loss = loss + reduce_sum(t)
     return loss, leaves + [t for t in squares + small if t not in leaves]
 
 
@@ -533,7 +709,7 @@ def test_backward_matches_the_dfs_reference_when_keys_are_values():
         def build():
             x_in, w_in, w_q, weights = (Tensor(a, requires_grad=True) for a in arrays)
             x = (x_in @ w_in).tanh()  # three gradients reach x: the query's, the keys' and the values'
-            loss = mul(attention(x @ w_q, x, x), weights).sum()
+            loss = reduce_sum(mul(attention(x @ w_q, x, x), weights))
             return loss, [x_in, w_in, w_q, weights, x]
 
         _assert_backward_matches_dfs(build)

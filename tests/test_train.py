@@ -7,6 +7,7 @@ import pytest
 import oracles
 import slu.autodiff
 import slu.model
+import slu.train
 from slu.audio import FeatureConfig
 from slu.autodiff import Tensor
 from slu.data import Utterance, build_manifest
@@ -111,18 +112,18 @@ def train_fusion_schedule(corpus, slot_head):
 def test_fused_losses_train_like_their_unfused_compositions(slot_head, monkeypatch):
     corpus = build_corpus(6, seed=4)
     fused, fused_history = train_fusion_schedule(corpus, slot_head)
-    calls = {"nll_rows": 0, "crf_nll_t": 0}
+    calls = {"nll": 0, "crf_nll_t": 0}
 
     def counted(name, composition):
-        def call(*args):
+        def call(*args, **kwargs):
             calls[name] += 1
-            return composition(*args)
+            return composition(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(slu.model, "nll_rows", counted("nll_rows", oracles.nll_rows_unfused))
+    monkeypatch.setattr(slu.model, "nll", counted("nll", oracles.nll_unfused))
     monkeypatch.setattr(slu.model, "crf_nll_t", counted("crf_nll_t", oracles.crf_nll_t_unfused))
     unfused, unfused_history = train_fusion_schedule(corpus, slot_head)
-    assert calls["nll_rows"] > 0 and (calls["crf_nll_t"] > 0) == (slot_head == "crf")
+    assert calls["nll"] > 0 and (calls["crf_nll_t"] > 0) == (slot_head == "crf")
 
     assert [(r["stage"], r["epoch"]) for r in fused_history] == [(r["stage"], r["epoch"]) for r in unfused_history]
     for a, b in zip(fused_history, unfused_history):
@@ -409,6 +410,52 @@ def test_sgd_step_refuses_a_parameter_rebound_after_it_was_built():
     for name, tensor in params.items():
         assert tensor.data.tobytes() == data[name].tobytes(), name
         assert opt.velocity[name].tobytes() == velocity[name].tobytes(), name
+
+
+def test_decoding_reuses_one_frozen_view_while_the_parameter_arrays_stay():
+    corpus = small_corpus(2)
+    model = small_model(corpus, seed=6)
+    view = model.cached_frozen()
+    assert model.cached_frozen() is view
+    for name, tensor in view.params.items():
+        assert tensor.data is model.params[name].data and not tensor.requires_grad, name
+    opt = _Sgd(model.params, lr=0.05, momentum=0.9)  # rebinds every parameter's data
+    stepped = model.cached_frozen()
+    assert stepped is not view
+    before = {name: t.data.copy() for name, t in stepped.params.items()}
+    give_gradients(model.params, range(len(model.params)), np.random.default_rng(7))
+    opt.step()  # in place: the view reads the new values
+    assert model.cached_frozen() is stepped
+    assert all(not np.array_equal(t.data, before[name]) for name, t in stepped.params.items())
+    model.params["sl.b"] = Tensor(np.ones(model.params["sl.b"].shape), requires_grad=True)  # a replaced parameter
+    replaced = model.cached_frozen()
+    assert replaced is not stepped and replaced.params["sl.b"].data is model.params["sl.b"].data
+    assert model.cached_frozen() is replaced
+    model.init_params(8)
+    fresh = model.cached_frozen()
+    assert fresh is not replaced and model.cached_frozen() is fresh
+    del model.params["sl.b"]  # one name fewer, every other array the same
+    assert model.cached_frozen() is not fresh and "sl.b" not in model.cached_frozen().params
+
+
+@pytest.mark.parametrize("stages", [1, 2])
+def test_decoding_mid_training_equals_decoding_a_freshly_frozen_model(monkeypatch, stages):
+    corpus = small_corpus(2)
+    model = small_model(corpus, seed=7)
+    views = []
+    decode = slu.train.decode_two_step
+
+    def checked(m, feats, beam_size):
+        got = decode(m, feats, beam_size=beam_size)
+        assert got == decode(m.frozen(), feats, beam_size=beam_size)  # the log-probability too, bit for bit
+        views.append(m.cached_frozen())
+        return got
+
+    monkeypatch.setattr(slu.train, "decode_two_step", checked)
+    joint = [StageConfig("joint_finetune", epochs=2, lr=0.05, momentum=0.9, eval_every=1)] * stages
+    train(model, corpus, TrainConfig(seed=0, beam_size=2, stages=joint), FEATURE)
+    assert len(views) == 2 * stages * len(corpus.records)
+    assert len({id(view) for view in views}) == stages  # one view per stage's optimizer, reused across its polls
 
 
 def test_empty_manifest_rejected():
