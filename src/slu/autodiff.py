@@ -13,8 +13,8 @@ operand of ``+`` or ``@`` that is not a ``Tensor`` is a ``TypeError``; only
 writable array, not a broadcast view.  A gather's backward (``embed``'s too)
 adds the gradient rows onto ``np.zeros``: with ``+=`` for a ``slice``, and
 with ``np.add.at`` for an index list, which may name a row twice.
-Nodes record parents only when a gradient is required, so inference builds
-no graph.
+Nodes record parents only when a gradient is required and recording is
+on: under ``no_grad()`` no op records any, so decoding builds no graph.
 
 The op contract: an op builds its output with ``Tensor._op(data, parents,
 backward)``, where ``backward`` maps the output's gradient to one gradient
@@ -33,6 +33,7 @@ inner node holds its gradient from its first one in a pass until it runs.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import itertools
 import math
@@ -42,6 +43,19 @@ import numpy as np
 from .errors import DimensionError, NumericError
 
 _stamps = itertools.count()
+_recording = True  # off inside no_grad(); the package runs in one thread
+
+
+@contextlib.contextmanager
+def no_grad():
+    """A block in which ``Tensor._op`` records no parents, whatever its inputs require (the no-grad
+    mode of define-by-run autodiff, Paszke et al. 2019); it restores the previous state, so blocks nest."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 class Tensor:
@@ -70,6 +84,8 @@ class Tensor:
     @staticmethod
     def _op(data, parents, backward) -> "Tensor":
         out = Tensor(data)
+        if not _recording:
+            return out
         for p in parents:
             if p.requires_grad:
                 out.requires_grad = True

@@ -64,6 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wer", help="corpus word error rate only")
     p.add_argument("--refs", required=True)
     p.add_argument("--hyps", required=True)
+    p.set_defaults(metrics="wer", pretty=False, out=None)  # run as score --metrics wer
 
     p = sub.add_parser("augment", help="noise-augment a corpus at fixed SNR levels")
     p.add_argument("--manifest", required=True)
@@ -176,12 +177,6 @@ def cmd_score(args) -> int:
     return 0
 
 
-def cmd_wer(args) -> int:
-    report = _score_report(data.parse_manifest(args.refs), data.parse_manifest(args.hyps), ["wer"])
-    print(json.dumps(report))
-    return 0
-
-
 def cmd_augment(args) -> int:
     try:
         levels = tuple(float(s) for s in args.snr.split(","))
@@ -269,7 +264,7 @@ _COMMANDS = {
     "validate": cmd_validate,
     "tokenize": cmd_tokenize,
     "score": cmd_score,
-    "wer": cmd_wer,
+    "wer": cmd_score,
     "augment": cmd_augment,
     "train-toy": cmd_train_toy,
     "decode": cmd_decode,

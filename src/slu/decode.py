@@ -7,9 +7,9 @@ beat or tie the best finished one; only the top-1 hypothesis survives.  Step
 two prepares an ``Example`` from that hypothesis, cut to the longest prefix of
 words whose NLU subwords fit ``max_positions``, and runs ``JointModel.forward``
 on it with the step-one encoding, as training does, then decodes the intent
-(argmax) and slot path (``JointModel.decode_slots``).  Both steps run on
-``model.cached_frozen()``, so decoding records no autodiff graph, and
-utterances decoded with unchanged parameters share one frozen view.
+(argmax) and slot path (``JointModel.decode_slots``).  Both steps read the
+model's own parameters under ``autodiff.no_grad()``, so decoding records no
+autodiff graph.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .errors import DecodeError
 from .model import JointModel
 from .subword import TokenizationResult, merge_tokens, tokenize
@@ -39,7 +39,8 @@ def beam_search_transcript(
 ) -> tuple[list[int], float]:
     """Top-1 subword id sequence (without EOS) and its total log-probability.
 
-    ``enc`` is the output of ``model.encode_features``.
+    ``enc`` is the output of ``model.encode_features``.  Run under
+    ``no_grad()``, as ``decode_two_step`` does, the search records no graph.
 
     All live prefixes have the same length, so each step expands them in one
     batched ``decoder_states`` call.  EOS competes for beam slots like any
@@ -93,30 +94,30 @@ def decode_two_step(
     beam_size: int = 5,
     max_len: int = 40,
 ) -> DecodeResult:
-    model = model.cached_frozen()  # both steps read detached parameters and build no graph
-    frames = model.subsample(features)
-    enc = model.encode_features(frames)
-    ids, logp = beam_search_transcript(model, enc, beam_size, max_len)
-    tokens = model.asr_tokens(ids)
-    words, first_index = merge_tokens(tokens, model.asr_vocab)
-    # step two reads the longest prefix of words whose NLU subwords fit max_positions;
-    # tokenization is per word, so both tokenizations cut to that prefix exactly
-    tok_b = tokenize(words, model.nlu_vocab)
-    keep = bisect.bisect_right(tok_b.first_index[1:] + [tok_b.num_tokens], model.config.max_positions)
-    if keep < len(words):
-        tok_a = TokenizationResult(tokens[: first_index[keep]], first_index[:keep])
-        tok_b = TokenizationResult(tok_b.tokens[: tok_b.first_index[keep]], tok_b.first_index[:keep])
-    else:
-        tok_a = TokenizationResult(tokens, first_index)
-    words = words[:keep]
+    with no_grad():  # both steps read the live parameters and record no graph
+        frames = model.subsample(features)
+        enc = model.encode_features(frames)
+        ids, logp = beam_search_transcript(model, enc, beam_size, max_len)
+        tokens = model.asr_tokens(ids)
+        words, first_index = merge_tokens(tokens, model.asr_vocab)
+        # step two reads the longest prefix of words whose NLU subwords fit max_positions;
+        # tokenization is per word, so both tokenizations cut to that prefix exactly
+        tok_b = tokenize(words, model.nlu_vocab)
+        keep = bisect.bisect_right(tok_b.first_index[1:] + [tok_b.num_tokens], model.config.max_positions)
+        if keep < len(words):
+            tok_a = TokenizationResult(tokens[: first_index[keep]], first_index[:keep])
+            tok_b = TokenizationResult(tok_b.tokens[: tok_b.first_index[keep]], tok_b.first_index[:keep])
+        else:
+            tok_a = TokenizationResult(tokens, first_index)
+        words = words[:keep]
 
-    if not words:
-        # Degenerate transcript: intent from the sentinel row alone, no slots.
-        intent_logits = model.intent_logits_from([])
-        intent = model.intents[int(np.argmax(intent_logits.data[0]))]
-        return DecodeResult([], [], intent, tokens, logp)
+        if not words:
+            # Degenerate transcript: intent from the sentinel row alone, no slots.
+            intent_logits = model.intent_logits_from([])
+            intent = model.intents[int(np.argmax(intent_logits.data[0]))]
+            return DecodeResult([], [], intent, tokens, logp)
 
-    example = model.prepare(frames, words, tok_a=tok_a, tok_b=tok_b)
-    out = model.forward(example, enc=enc)
-    intent = model.intents[int(np.argmax(out.intent_logits.data[0]))]
-    return DecodeResult(words, model.decode_slots(out.slot_scores), intent, tokens, logp)
+        example = model.prepare(frames, words, tok_a=tok_a, tok_b=tok_b)
+        out = model.forward(example, enc=enc)
+        intent = model.intents[int(np.argmax(out.intent_logits.data[0]))]
+        return DecodeResult(words, model.decode_slots(out.slot_scores), intent, tokens, logp)

@@ -13,7 +13,6 @@ All tensors are float64 so finite-difference gradient checks are meaningful.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -96,9 +95,8 @@ def subsample_features(features: np.ndarray, stride: int) -> np.ndarray:
 class JointModel:
     """Parameter container plus forward/loss graph builders.
 
-    Every pass reads ``self.params``; decoding runs on ``cached_frozen()``, a
-    view whose parameters are detached, so it records no graph, and which is
-    reused for as long as the parameters are unchanged.
+    Every pass reads ``self.params``, in training and in decoding alike;
+    decoding runs under ``autodiff.no_grad()``, so it records no graph.
     """
 
     def __init__(
@@ -124,7 +122,6 @@ class JointModel:
         self._tag_id = {t: i for i, t in enumerate(self.slot_tags)}
         self._intent_id = {t: i for i, t in enumerate(self.intents)}
         self.params: dict[str, Tensor] = {}
-        self._cached_frozen: JointModel | None = None
 
     # -- vocabulary plumbing ------------------------------------------------
 
@@ -192,34 +189,6 @@ class JointModel:
             p["sl.start"] = Tensor(rng.normal(0.0, 0.1, size=n_tags), requires_grad=True)
             p["sl.end"] = Tensor(rng.normal(0.0, 0.1, size=n_tags), requires_grad=True)
         self.params = p
-
-    def frozen(self) -> "JointModel":
-        """A shallow copy whose parameters are detached: its passes record no graph.
-
-        The detached tensors share their ``data`` arrays with the model's.  In
-        training those are views of the optimizer's flat buffer, which each
-        step updates in place, so a frozen copy reads the current values; that
-        is safe because decoding never overlaps a step.
-        """
-        view = copy.copy(self)
-        view._cached_frozen = None
-        view.params = {name: t.detach() for name, t in self.params.items()}
-        return view
-
-    def cached_frozen(self) -> "JointModel":
-        """``frozen()``, built once and reused for as long as the parameters are
-        unchanged: the same names, each with the same ``data`` array.  A step
-        that updates those arrays in place shows through them; an optimizer
-        that rebinds ``data`` (a new ``_Sgd``), ``init_params`` or a replaced
-        parameter gets a fresh view.  The view keeps the arrays it compares
-        alive, so an identity cannot pass to a new array.
-        """
-        view = self._cached_frozen
-        if view is None or view.params.keys() != self.params.keys() or any(
-            view.params[name].data is not t.data for name, t in self.params.items()
-        ):
-            view = self._cached_frozen = self.frozen()
-        return view
 
     def zero_grads(self) -> None:
         for t in self.params.values():
@@ -394,10 +363,10 @@ class JointModel:
             raise ValidationError(f"model.word_pooling {pooling!r} is not supported, only 'first'")
         model = cls(
             ModelConfig(**fields),
-            SubwordVocab.create(obj["asr_vocab"]["kind"], obj["asr_vocab"]["pieces"], obj["asr_vocab"]["unk"]),
-            SubwordVocab.create(obj["nlu_vocab"]["kind"], obj["nlu_vocab"]["pieces"], obj["nlu_vocab"]["unk"]),
-            obj["slot_tags"],
-            obj["intents"],
+            _stored_vocab(obj["asr_vocab"], "asr_vocab"),
+            _stored_vocab(obj["nlu_vocab"], "nlu_vocab"),
+            _string_list(obj["slot_tags"], "slot_tags", distinct=True),
+            _string_list(obj["intents"], "intents", distinct=True),
         )
         model.init_params()  # the names and shapes this config expects
         stored = obj["params"]
@@ -416,6 +385,22 @@ class JointModel:
                 raise ValidationError(f"parameter {name!r}: non-finite data")
             model.params[name] = Tensor(arr, requires_grad=True)
         return model
+
+
+def _string_list(value, field: str, distinct: bool = False) -> list[str]:
+    """``value`` if it is a list of strings, all different when ``distinct``; else an error naming ``field``."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValidationError(f"{field} must be a list of strings")
+    repeated = [v for i, v in enumerate(value) if v in value[:i]] if distinct else []
+    if repeated:
+        raise ValidationError(f"{field} lists {repeated[0]!r} more than once")
+    return value
+
+
+def _stored_vocab(spec: dict, field: str) -> SubwordVocab:
+    if not isinstance(spec["unk"], str):
+        raise ValidationError(f"{field}.unk must be a string, got {type(spec['unk']).__name__}")
+    return SubwordVocab.create(spec["kind"], _string_list(spec["pieces"], f"{field}.pieces"), spec["unk"])
 
 
 def save_checkpoint(

@@ -101,10 +101,9 @@ class _Sgd:
     On construction the parameters are copied, in ``params`` order, into one
     buffer, and each ``Tensor.data`` is rebound to a reshaped view of it; the
     velocity is a second buffer, with ``velocity`` mapping each name to its
-    view.  A step updates the views in place, so anything holding a
-    parameter's ``data`` (``JointModel.frozen()`` too) sees the new values;
-    a ``data`` rebound after the optimizer was built would miss its updates,
-    so a step refuses it.
+    view.  A step updates the views in place, so the model's next pass,
+    a decoding poll too, reads the new values; a ``data`` rebound after the
+    optimizer was built would miss its updates, so a step refuses it.
     """
 
     def __init__(self, params, lr: float, momentum: float):

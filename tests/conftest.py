@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from slu.data import Utterance, build_manifest
 from slu.model import Example, JointModel, ModelConfig
 from slu.subword import BPE, BPE_MARKER, WORDPIECE, WORDPIECE_MARKER, SubwordVocab
 from slu.synth import asr_vocab, nlu_vocab
+
+# the memoized-recursion oracles in oracles.py recurse as deep as the two sequences are long together
+sys.setrecursionlimit(100_000)
 
 SLOT_LABELS = ["toloc", "fromloc", "airline", "day"]
 WORD_POOL = ["show", "flights", "to", "from", "boston", "austin", "on", "monday", "list", "me"]

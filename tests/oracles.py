@@ -36,7 +36,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -46,8 +45,6 @@ from slu.autodiff import Tensor
 from slu.crf import _check
 from slu.errors import DimensionError, NumericError, ValidationError
 from slu.subword import SubwordVocab, TokenizationResult, merge_tokens
-
-sys.setrecursionlimit(100_000)
 
 _RANK = {"match": 0, "sub": 1, "del": 2, "ins": 3}
 

@@ -18,6 +18,7 @@ import oracles
 from conftest import identity_slot_head, joint_loss, random_pair_corpus, random_subword_instance
 from oracles import build_first_index_matrix, deserialize_slots, serialize_slots
 from slu.audio import AudioClip, AugmentSpec, NoisePool, augment_corpus, mix_at_snr_report, read_wav, write_wav
+from slu.autodiff import no_grad
 from slu.cli import main as cli_main
 from slu.data import Utterance, build_manifest, parse_manifest, write_manifest
 from slu.decode import beam_search_transcript, decode_two_step
@@ -209,7 +210,7 @@ def test_criterion_6_crf_exactness():
 
 
 def test_criterion_7_two_step_decoding():
-    with criterion(7, "beam 1 equals greedy; width >= vocab^length equals exhaustive argmax"):
+    with criterion(7, "beam 1 equals greedy; width >= vocab^length equals exhaustive argmax"), no_grad():
         asr = SubwordVocab.create(BPE, {"▁a", "▁b", "c"})
         nlu = SubwordVocab.create(WORDPIECE, {"a", "b", "##c"})
         config = ModelConfig(feature_dim=4, asr_hidden=4, nlu_hidden=3, subsample_stride=1, max_positions=16)
@@ -218,20 +219,19 @@ def test_criterion_7_two_step_decoding():
             model = JointModel(config, asr, nlu, ["O", "B-x"], ["p", "q"])
             model.init_params(seed)
             feats = np.random.default_rng(seed).normal(size=(5, 4))
-            frozen = model.frozen()
-            enc = frozen.encode_features(feats)
+            enc = model.encode_features(feats)
 
             # greedy reference
             tokens, logp, prev = [], 0.0, model.bos_id
             for step in range(max_len + 1):
-                lp = oracles.step_logprobs(frozen, enc, prev, step)
+                lp = oracles.step_logprobs(model, enc, prev, step)
                 pick = int(np.argmax(lp)) if step < max_len else model.eos_id
                 logp += float(lp[pick])
                 if pick == model.eos_id:
                     break
                 tokens.append(pick)
                 prev = pick
-            beam_tokens, beam_logp = beam_search_transcript(frozen, enc, beam_size=1, max_len=max_len)
+            beam_tokens, beam_logp = beam_search_transcript(model, enc, beam_size=1, max_len=max_len)
             assert beam_tokens == tokens and beam_logp == pytest.approx(logp, abs=1e-12)
 
             # exhaustive argmax over all sequences up to the length bound
@@ -239,7 +239,7 @@ def test_criterion_7_two_step_decoding():
 
             def lp_at(prev_id, step):
                 if (prev_id, step) not in table:
-                    table[(prev_id, step)] = oracles.step_logprobs(frozen, enc, prev_id, step)
+                    table[(prev_id, step)] = oracles.step_logprobs(model, enc, prev_id, step)
                 return table[(prev_id, step)]
 
             import itertools
@@ -254,7 +254,7 @@ def test_criterion_7_two_step_decoding():
                         best = (seq, score)
             width = model.asr_output_size**max_len
             wide_tokens, wide_logp = beam_search_transcript(
-                frozen, frozen.encode_features(feats), beam_size=width, max_len=max_len
+                model, model.encode_features(feats), beam_size=width, max_len=max_len
             )
             assert wide_tokens == list(best[0])
             assert wide_logp == pytest.approx(best[1], abs=1e-10)

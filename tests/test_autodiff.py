@@ -21,7 +21,7 @@ from oracles import (
     sub,
     transpose,
 )
-from slu.autodiff import Tensor, attention, concat, embed, linear, nll
+from slu.autodiff import Tensor, attention, concat, embed, linear, nll, no_grad
 from slu.errors import DimensionError, NumericError
 
 
@@ -713,3 +713,33 @@ def test_backward_matches_the_dfs_reference_when_keys_are_values():
             return loss, [x_in, w_in, w_q, weights, x]
 
         _assert_backward_matches_dfs(build)
+
+
+def _every_op(a: Tensor, b: Tensor, bias: Tensor) -> list[Tensor]:
+    """One output of each public op, on (3, 3) ``a`` and ``b`` and a (3,) ``bias``."""
+    return [
+        a + b, a @ b, a.tanh(), a.mean(), a.mean(axis=0), a.gather_rows([0, 2, 0]), linear(a, b, bias),
+        embed(b, [2, 0], a, slice(2)), concat([a, b], axis=0), attention(a, b, b), nll(a, [0, 1, 2], 0.1),
+    ]
+
+
+def test_no_grad_ops_record_no_parents_and_give_the_same_values():
+    rng = np.random.default_rng(12)
+    a, b, bias = (Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((3, 3), (3, 3), (3,)))
+    recorded = _every_op(a, b, bias)
+    with no_grad():
+        unrecorded = _every_op(a, b, bias)
+    assert all(out._parents and out.requires_grad for out in recorded)
+    for i, (want, out) in enumerate(zip(recorded, unrecorded)):
+        assert not out._parents and out._backward is None and not out.requires_grad, i
+        assert out.data.tobytes() == want.data.tobytes(), i
+    assert (a + b)._parents == (a, b)  # recording is back once the block has ended
+
+
+def test_no_grad_blocks_nest():
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    with no_grad():
+        with no_grad():
+            assert not (x + x).requires_grad
+        assert not (x + x).requires_grad  # leaving the inner block keeps the outer one's state
+    assert (x + x).requires_grad

@@ -508,9 +508,17 @@ def _decode_fails_cleanly(capsys, ckpt, manifest, out, *extra):
         (lambda obj: obj.update(beam_size=2.5), "beam_size must be int, got float"),
         (lambda obj: obj.update(beam_size=True), "beam_size must be int, got bool"),
         (lambda obj: obj.update(beam_size="3"), "beam_size must be int, got str"),
+        (lambda obj: obj.update(slot_tags="OB"), "slot_tags must be a list of strings"),
+        (lambda obj: obj.update(slot_tags=[0, 1]), "slot_tags must be a list of strings"),
+        (lambda obj: obj.update(intents=["airfare", "airfare"]), "intents lists 'airfare' more than once"),
+        (lambda obj: obj.update(intents=None), "intents must be a list of strings"),
+        (lambda obj: obj["asr_vocab"].update(pieces=[3, 1, 2]), "asr_vocab.pieces must be a list of strings"),
+        (lambda obj: obj["nlu_vocab"].update(pieces="abc"), "nlu_vocab.pieces must be a list of strings"),
+        (lambda obj: obj["asr_vocab"].update(unk=0), "asr_vocab.unk must be a string, got int"),
     ],
     ids=["wrong-shape", "missing", "non-numeric", "extra", "non-finite", "feature-dim", "word-pooling-mean",
-         "beam-size-float", "beam-size-bool", "beam-size-str"],
+         "beam-size-float", "beam-size-bool", "beam-size-str", "slot-tags-str", "slot-tags-int",
+         "intents-repeated", "intents-null", "asr-pieces-int", "nlu-pieces-str", "asr-unk-int"],
 )
 def test_corrupt_checkpoint_param_exits_2(capsys, tmp_path, ref_manifest, edit, message):
     ckpt = _small_checkpoint(tmp_path / "ckpt.json")

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import tiny_features, tiny_model
+from conftest import joint_loss, tiny_example, tiny_features, tiny_model
 from oracles import beam_search_reference, step_logprobs
 import slu.decode
 import slu.model
-from slu.autodiff import Tensor
+from slu.autodiff import Tensor, no_grad
 from slu.decode import beam_search_transcript, decode_two_step
 from slu.errors import DecodeError
 from slu.model import JointModel, ModelConfig
@@ -27,7 +27,6 @@ def micro_model(seed=0):
 
 
 def greedy_reference(model, features, max_len):
-    model = model.frozen()
     enc = model.encode_features(features)
     tokens = []
     logp = 0.0
@@ -46,7 +45,6 @@ def greedy_reference(model, features, max_len):
 
 def exhaustive_reference(model, features, max_len):
     """Argmax over every token sequence up to the length bound, EOS included."""
-    model = model.frozen()
     enc = model.encode_features(features)
     table = {}
 
@@ -71,11 +69,11 @@ def test_beam_one_is_greedy():
     for seed in range(5):
         model = micro_model(seed)
         feats = np.random.default_rng(seed).normal(size=(6, 4))
-        frozen = model.frozen()
-        beam_tokens, beam_logp = beam_search_transcript(
-            frozen, frozen.encode_features(feats), beam_size=1, max_len=5
-        )
-        greedy_tokens, greedy_logp = greedy_reference(model, feats, max_len=5)
+        with no_grad():
+            beam_tokens, beam_logp = beam_search_transcript(
+                model, model.encode_features(feats), beam_size=1, max_len=5
+            )
+            greedy_tokens, greedy_logp = greedy_reference(model, feats, max_len=5)
         assert beam_tokens == greedy_tokens
         assert beam_logp == pytest.approx(greedy_logp, abs=1e-12)
 
@@ -86,11 +84,11 @@ def test_wide_beam_matches_exhaustive_argmax():
         model = micro_model(seed + 10)
         feats = np.random.default_rng(seed).normal(size=(5, 4))
         width = model.asr_output_size**max_len  # >= vocab^length: nothing is ever pruned
-        frozen = model.frozen()
-        beam_tokens, beam_logp = beam_search_transcript(
-            frozen, frozen.encode_features(feats), beam_size=width, max_len=max_len
-        )
-        exh_tokens, exh_logp = exhaustive_reference(model, feats, max_len)
+        with no_grad():
+            beam_tokens, beam_logp = beam_search_transcript(
+                model, model.encode_features(feats), beam_size=width, max_len=max_len
+            )
+            exh_tokens, exh_logp = exhaustive_reference(model, feats, max_len)
         assert beam_logp == pytest.approx(exh_logp, abs=1e-10)
         assert beam_tokens == exh_tokens
 
@@ -101,20 +99,18 @@ def test_all_ties_pick_the_empty_transcript():
     model.params["asr.out_w"].data[:] = 0.0
     model.params["asr.out_b"].data[:] = 0.0  # every step: uniform over V+1 outputs
     feats = np.random.default_rng(3).normal(size=(5, 4))
-    frozen = model.frozen()
-    enc = frozen.encode_features(feats)
     expected = ([], -math.log(model.asr_output_size))
     width = model.asr_output_size**max_len
-    for beam_size in (1, 2, 3, width):
-        assert beam_search_transcript(frozen, enc, beam_size, max_len) == expected
-    assert exhaustive_reference(model, feats, max_len) == expected
+    with no_grad():
+        enc = model.encode_features(feats)
+        for beam_size in (1, 2, 3, width):
+            assert beam_search_transcript(model, enc, beam_size, max_len) == expected
+        assert exhaustive_reference(model, feats, max_len) == expected
 
 
 def test_search_stops_once_no_live_prefix_can_win(monkeypatch):
     model = micro_model(4)
     model.params["asr.out_b"].data[model.eos_id] += 50.0
-    model = model.frozen()
-    enc = model.encode_features(np.random.default_rng(4).normal(size=(5, 4)))
     calls = []
     decoder_states = model.decoder_states
 
@@ -123,14 +119,16 @@ def test_search_stops_once_no_live_prefix_can_win(monkeypatch):
         return decoder_states(prev_ids, steps, enc)
 
     monkeypatch.setattr(model, "decoder_states", counting_decoder_states)
-    tokens, logp = beam_search_transcript(model, enc, beam_size=5, max_len=40)
+    with no_grad():
+        enc = model.encode_features(np.random.default_rng(4).normal(size=(5, 4)))
+        tokens, logp = beam_search_transcript(model, enc, beam_size=5, max_len=40)
     assert calls == [1]
     assert tokens == [] and -1e-12 < logp <= 0.0
 
 
 def test_beam_size_validation():
-    model = micro_model().frozen()
-    with pytest.raises(DecodeError):
+    model = micro_model()
+    with no_grad(), pytest.raises(DecodeError):
         beam_search_transcript(model, model.encode_features(np.zeros((4, 4))), beam_size=0)
 
 
@@ -196,10 +194,9 @@ def test_step_two_reads_the_words_that_fit_the_nlu_positions(slot_head):
     result = decode_two_step(model, feats)
     # 40 beam tokens, one word each, but two NLU subwords per word: 32 words fit 64 positions
     assert result.words == ["boston"] * 32 and len(result.slots) == 32
-    frozen = model.frozen()
-    assert (result.asr_tokens, result.asr_logprob) == (
-        ["▁boston"] * 40, beam_search_transcript(frozen, frozen.encode_features(frozen.subsample(feats)), 5)[1]
-    )
+    with no_grad():
+        logp = beam_search_transcript(model, model.encode_features(model.subsample(feats)), 5)[1]
+    assert (result.asr_tokens, result.asr_logprob) == (["▁boston"] * 40, logp)
 
 
 @pytest.mark.parametrize("slot_head", ["linear", "crf"])
@@ -232,21 +229,33 @@ def test_beam_step_matches_the_reference_bit_for_bit(variant):
             model.params["asr.out_b"].data[:] = 0.0
         elif variant == "eos-penalised":  # no finished prefix stops the search early
             model.params["asr.out_b"].data[model.eos_id] -= 50.0
-        frozen = model.frozen()
-        enc = frozen.encode_features(np.random.default_rng(seed).normal(size=(5, 4)))
         steps = []
-        decoder_states = frozen.decoder_states
+        decoder_states = model.decoder_states
 
         def recording_decoder_states(prev_ids, positions, enc):
             steps.extend(positions)
             return decoder_states(prev_ids, positions, enc)
 
-        frozen.decoder_states = recording_decoder_states
-        for beam_size in (1, 2, 3, 5, model.asr_output_size):
-            for max_len in (0, 1, 4):
-                want = beam_search_reference(frozen, enc, beam_size, max_len)
-                steps.clear()
-                got = beam_search_transcript(frozen, enc, beam_size, max_len)
-                assert got[0] == want[0] and got[1] == want[1], (seed, beam_size, max_len)
-                closed_out.append(max(steps) == max_len)
+        model.decoder_states = recording_decoder_states
+        with no_grad():
+            enc = model.encode_features(np.random.default_rng(seed).normal(size=(5, 4)))
+            for beam_size in (1, 2, 3, 5, model.asr_output_size):
+                for max_len in (0, 1, 4):
+                    want = beam_search_reference(model, enc, beam_size, max_len)
+                    steps.clear()
+                    got = beam_search_transcript(model, enc, beam_size, max_len)
+                    assert got[0] == want[0] and got[1] == want[1], (seed, beam_size, max_len)
+                    closed_out.append(max(steps) == max_len)
     assert any(closed_out) and (variant != "eos-penalised" or all(closed_out))
+
+
+def test_a_decode_that_raises_leaves_recording_on_for_training():
+    model = tiny_model(seed=6)
+    with pytest.raises(DecodeError, match="beam size"):
+        decode_two_step(model, tiny_features(2, frames=10), beam_size=0)  # raises inside its no_grad block
+    example = tiny_example(model, ["show", "flights", "to", "boston"], ["O", "O", "O", "B-toloc"], "find_flight")
+    loss = joint_loss(model, example)[0]
+    assert loss._parents and loss.requires_grad
+    loss.backward()
+    for name, tensor in model.params.items():
+        assert tensor.grad is not None and tensor.grad.any(), name

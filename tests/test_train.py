@@ -181,7 +181,7 @@ def test_train_tokenizes_each_record_once_per_vocabulary(monkeypatch):
 def _engine_surface() -> dict[str, object]:
     """The code of every public ``slu.autodiff`` function and ``Tensor`` method (operators included), by name."""
     surface = {
-        name: f.__code__
+        name: inspect.unwrap(f).__code__  # a context manager's own generator, not contextlib's wrapper
         for name, f in vars(slu.autodiff).items()
         if inspect.isfunction(f) and f.__module__ == "slu.autodiff" and not name.startswith("_")
     }
@@ -195,7 +195,7 @@ def _engine_surface() -> dict[str, object]:
 def test_train_and_decode_reach_every_public_engine_op():
     # the engine keeps only what the package calls: an op that only tests use fails here
     corpus = small_corpus(2)
-    cfg = TrainConfig(seed=0, beam_size=2, stages=[StageConfig("joint_finetune", epochs=1, lr=0.01, eval_every=1)])
+    joint = [StageConfig("joint_finetune", epochs=1, lr=0.01, eval_every=1)]
     reached = set()
 
     def profile(frame, event, arg):
@@ -205,12 +205,16 @@ def test_train_and_decode_reach_every_public_engine_op():
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        history = train(small_model(corpus), corpus, cfg, FEATURE)
+        histories = [
+            train(small_model(corpus), corpus, TrainConfig(seed=0, beam_size=2, mode=mode, stages=joint), FEATURE)
+            for mode in ("e2e", "two_stage")  # two_stage is the only caller of Tensor.detach
+        ]
     finally:
         sys.setprofile(previous)
-    assert "slots_edit_f1" in history[0]  # the epoch was polled: the corpus was decoded
+    assert all("slots_edit_f1" in history[0] for history in histories)  # each epoch was polled: decoded
     surface = _engine_surface()
-    assert {"Tensor.__add__", "Tensor.__matmul__", "Tensor.backward", "linear"} <= set(surface)
+    required = {"Tensor.__add__", "Tensor.__matmul__", "Tensor.backward", "Tensor.detach", "linear", "no_grad"}
+    assert required <= set(surface)
     assert sorted(name for name, code in surface.items() if code not in reached) == []
 
 
@@ -355,7 +359,7 @@ def test_sgd_step_is_all_or_nothing_on_a_non_finite_gradient():
         assert opt.velocity[name].tobytes() == velocity[name].tobytes(), name
 
 
-def test_sgd_parameters_are_views_of_one_buffer_that_frozen_shares():
+def test_sgd_parameters_are_views_of_one_buffer_updated_in_place():
     corpus = small_corpus(2)
     model = small_model(corpus, seed=9)
     before = {name: t.data.copy() for name, t in model.params.items()}
@@ -371,12 +375,12 @@ def test_sgd_parameters_are_views_of_one_buffer_that_frozen_shares():
         offset += tensor.data.size
         assert opt.velocity[name].shape == tensor.data.shape and not opt.velocity[name].any(), name
     assert offset == buffer.size
-    frozen = model.frozen()
+    arrays = {name: t.data for name, t in model.params.items()}
     give_gradients(model.params, range(len(tensors)), np.random.default_rng(5))
     opt.step()
-    for name, tensor in frozen.params.items():
-        assert tensor.data is model.params[name].data and not tensor.requires_grad, name
-        assert not np.array_equal(tensor.data, before[name]), name  # a step moves what frozen() reads
+    for name, tensor in model.params.items():
+        assert tensor.data is arrays[name], name  # in place: the model's next pass, a decode too, reads the step
+        assert not np.array_equal(tensor.data, before[name]), name
 
 
 def test_a_new_stage_optimizer_reads_values_rebound_before_it_was_built():
@@ -412,50 +416,24 @@ def test_sgd_step_refuses_a_parameter_rebound_after_it_was_built():
         assert opt.velocity[name].tobytes() == velocity[name].tobytes(), name
 
 
-def test_decoding_reuses_one_frozen_view_while_the_parameter_arrays_stay():
-    corpus = small_corpus(2)
-    model = small_model(corpus, seed=6)
-    view = model.cached_frozen()
-    assert model.cached_frozen() is view
-    for name, tensor in view.params.items():
-        assert tensor.data is model.params[name].data and not tensor.requires_grad, name
-    opt = _Sgd(model.params, lr=0.05, momentum=0.9)  # rebinds every parameter's data
-    stepped = model.cached_frozen()
-    assert stepped is not view
-    before = {name: t.data.copy() for name, t in stepped.params.items()}
-    give_gradients(model.params, range(len(model.params)), np.random.default_rng(7))
-    opt.step()  # in place: the view reads the new values
-    assert model.cached_frozen() is stepped
-    assert all(not np.array_equal(t.data, before[name]) for name, t in stepped.params.items())
-    model.params["sl.b"] = Tensor(np.ones(model.params["sl.b"].shape), requires_grad=True)  # a replaced parameter
-    replaced = model.cached_frozen()
-    assert replaced is not stepped and replaced.params["sl.b"].data is model.params["sl.b"].data
-    assert model.cached_frozen() is replaced
-    model.init_params(8)
-    fresh = model.cached_frozen()
-    assert fresh is not replaced and model.cached_frozen() is fresh
-    del model.params["sl.b"]  # one name fewer, every other array the same
-    assert model.cached_frozen() is not fresh and "sl.b" not in model.cached_frozen().params
-
-
 @pytest.mark.parametrize("stages", [1, 2])
 def test_decoding_mid_training_equals_decoding_a_freshly_frozen_model(monkeypatch, stages):
     corpus = small_corpus(2)
     model = small_model(corpus, seed=7)
-    views = []
+    polls = []
     decode = slu.train.decode_two_step
 
     def checked(m, feats, beam_size):
         got = decode(m, feats, beam_size=beam_size)
-        assert got == decode(m.frozen(), feats, beam_size=beam_size)  # the log-probability too, bit for bit
-        views.append(m.cached_frozen())
+        snapshot = JointModel.from_dict(m.to_dict())  # the current values, frozen as a checkpoint holds them
+        assert got == decode(snapshot, feats, beam_size=beam_size)  # the log-probability too, bit for bit
+        polls.append(m is model)
         return got
 
     monkeypatch.setattr(slu.train, "decode_two_step", checked)
     joint = [StageConfig("joint_finetune", epochs=2, lr=0.05, momentum=0.9, eval_every=1)] * stages
     train(model, corpus, TrainConfig(seed=0, beam_size=2, stages=joint), FEATURE)
-    assert len(views) == 2 * stages * len(corpus.records)
-    assert len({id(view) for view in views}) == stages  # one view per stage's optimizer, reused across its polls
+    assert polls == [True] * (2 * stages * len(corpus.records))  # every poll decodes the trained model itself
 
 
 def test_empty_manifest_rejected():
