@@ -1,7 +1,7 @@
 """Desk-scale spoken language understanding toolkit."""
 
 from .data import Manifest, Utterance, normalize_text, parse_manifest, write_manifest
-from .metrics import align, intent_f1, slots_edit_f1, span_slot_f1, wer
+from .metrics import align, intent_f1, slots_edit_f1, span_slot_f1
 from .subword import SubwordVocab, tokenize
 
 __version__ = "0.1.0"
@@ -17,7 +17,6 @@ __all__ = [
     "slots_edit_f1",
     "span_slot_f1",
     "tokenize",
-    "wer",
     "write_manifest",
     "__version__",
 ]

@@ -57,7 +57,21 @@ def base_label(tag: str) -> str:
 
 
 def build_manifest(records: Iterable[Utterance], base_dir: Path | None = None) -> Manifest:
-    """Validate records and derive the closed slot/intent vocabularies."""
+    """Validate records and derive the closed slot/intent vocabularies.
+
+    The manifest holds copies of the records with their slots in canonical
+    BIO form; the records passed in are left as they are.
+    """
+    copies = (
+        Utterance(rec.id, list(rec.words), list(rec.slots), rec.intent, rec.audio_path, rec.samples)
+        for rec in records
+    )
+    return _manifest_of(copies, base_dir)
+
+
+def _manifest_of(records: Iterable[Utterance], base_dir: Path | None = None) -> Manifest:
+    """build_manifest on records that no caller keeps: each record's slot
+    list is put in canonical form in place."""
     out: list[Utterance] = []
     seen_ids: set[str] = set()
     slot_vocab: set[str] = {OUTSIDE}
@@ -76,11 +90,14 @@ def build_manifest(records: Iterable[Utterance], base_dir: Path | None = None) -
             raise ValidationError(f"record {rec.id!r}: empty word string")
         if not rec.intent:
             raise ValidationError(f"record {rec.id!r}: empty intent label")
-        slots = [canonical_slot(tag) for tag in rec.slots]
-        if any(len(base_label(t)) == 0 for t in slots):
-            raise ValidationError(f"record {rec.id!r}: empty slot label")
-        rec = Utterance(rec.id, list(rec.words), slots, rec.intent, rec.audio_path, rec.samples)
-        slot_vocab.update(base_label(t) for t in slots if t != OUTSIDE)
+        slots = rec.slots
+        for k, tag in enumerate(slots):
+            tag = slots[k] = canonical_slot(tag)
+            label = base_label(tag)
+            if not label:
+                raise ValidationError(f"record {rec.id!r}: empty slot label")
+            if tag != OUTSIDE:
+                slot_vocab.add(label)
         intent_vocab.add(rec.intent)
         out.append(rec)
     return Manifest(out, frozenset(slot_vocab), frozenset(intent_vocab), base_dir)
@@ -119,7 +136,7 @@ def parse_manifest_lines(lines: Iterable[str], source: str = "<memory>") -> Mani
         except json.JSONDecodeError as exc:
             raise ParseError(f"{source}:{lineno}: invalid JSON: {exc}") from exc
         records.append(_record_from_obj(obj, f"{source}:{lineno}"))
-    return build_manifest(records)
+    return _manifest_of(records)
 
 
 def parse_manifest(path: str | Path) -> Manifest:

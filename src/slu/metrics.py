@@ -65,50 +65,61 @@ class SlotScoreReport:
 def align(ref, hyp) -> AlignmentTrace:
     """Minimum-edit-distance alignment with unit SUB/DEL/INS costs.
 
+    A full-table Wagner-Fischer DP, then a backtrace from the last cell.
     Among optimal traces, ties are broken during the backtrace by preferring
     MATCH > SUB > DEL > INS, which makes the trace deterministic.
     """
     ref = list(ref)
     hyp = list(hyp)
-    n, m = len(ref), len(hyp)
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        dist[i][0] = i
-    for j in range(1, m + 1):
-        dist[0][j] = j
-    for i in range(1, n + 1):
-        row, prev = dist[i], dist[i - 1]
-        ri = ref[i - 1]
-        for j in range(1, m + 1):
-            diag = prev[j - 1] + (0 if ri == hyp[j - 1] else 1)
-            row[j] = min(diag, prev[j] + 1, row[j - 1] + 1)
+    # Neighbouring cells of the table differ by at most 1, so a cell whose
+    # words match equals its diagonal, and any other cell is 1 + the least of
+    # its diagonal, upper and left neighbours.
+    prev = list(range(len(hyp) + 1))
+    dist = [prev]
+    for i, r in enumerate(ref, 1):
+        row = [i]
+        append = row.append
+        left = i
+        for h, diag, up in zip(hyp, prev, prev[1:]):
+            left = diag if r == h else min(diag, up, left) + 1
+            append(left)
+        dist.append(row)
+        prev = row
 
+    # Backtrace. By the same bound a MATCH is always optimal where the words
+    # match, so the MATCH > SUB > DEL > INS preference takes it there.
+    i, j = len(ref), len(hyp)
+    cost = prev[j]
     ops: list[AlignOp] = []
-    i, j = n, m
-    while i > 0 or j > 0:
-        here = dist[i][j]
-        if i > 0 and j > 0 and ref[i - 1] == hyp[j - 1] and here == dist[i - 1][j - 1]:
-            ops.append(AlignOp(MATCH, i - 1, j - 1))
-            i, j = i - 1, j - 1
-        elif i > 0 and j > 0 and ref[i - 1] != hyp[j - 1] and here == dist[i - 1][j - 1] + 1:
-            ops.append(AlignOp(SUB, i - 1, j - 1))
-            i, j = i - 1, j - 1
-        elif i > 0 and here == dist[i - 1][j] + 1:
-            ops.append(AlignOp(DEL, i - 1, None))
+    append = ops.append
+    row = prev
+    while i and j:
+        up = dist[i - 1]
+        if ref[i - 1] == hyp[j - 1]:
             i -= 1
-        else:
-            ops.append(AlignOp(INS, None, j - 1))
             j -= 1
+            append(AlignOp(MATCH, i, j))
+            row = up
+        elif row[j] == up[j - 1] + 1:
+            i -= 1
+            j -= 1
+            append(AlignOp(SUB, i, j))
+            row = up
+        elif row[j] == up[j] + 1:
+            i -= 1
+            append(AlignOp(DEL, i, None))
+            row = up
+        else:
+            j -= 1
+            append(AlignOp(INS, None, j))
+    while i:
+        i -= 1
+        append(AlignOp(DEL, i, None))
+    while j:
+        j -= 1
+        append(AlignOp(INS, None, j))
     ops.reverse()
-    return AlignmentTrace(ops, dist[n][m])
-
-
-def wer(ref, hyp) -> float:
-    """(S + D + I) / len(ref), the alignment cost; undefined for an empty reference."""
-    ref = list(ref)
-    if not ref:
-        raise ValidationError("WER is undefined for an empty reference")
-    return align(ref, hyp).cost / len(ref)
+    return AlignmentTrace(ops, cost)
 
 
 def corpus_wer(refs, hyps) -> float:

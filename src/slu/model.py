@@ -357,7 +357,7 @@ class JointModel:
         version = obj.get("format_version")
         if version != CHECKPOINT_VERSION:
             raise ValidationError(f"unsupported checkpoint version {version!r}")
-        fields = dict(obj["model"])
+        fields = dict(_json_object(obj["model"], "model"))
         pooling = fields.pop("word_pooling", "first")  # older checkpoints store the then-default "first"
         if pooling != "first":
             raise ValidationError(f"model.word_pooling {pooling!r} is not supported, only 'first'")
@@ -369,22 +369,30 @@ class JointModel:
             _string_list(obj["intents"], "intents", distinct=True),
         )
         model.init_params()  # the names and shapes this config expects
-        stored = obj["params"]
+        stored = _json_object(obj["params"], "params")
         if set(stored) != set(model.params):
             name = min(set(stored) ^ set(model.params))
             raise ValidationError(f"{'missing' if name in model.params else 'unexpected'} parameter {name!r}")
         for name, expected in model.params.items():
-            shape = stored[name]["shape"]
+            entry = _json_object(stored[name], f"parameter {name!r}")
+            shape = entry["shape"]
             if shape != list(expected.shape):
                 raise ValidationError(f"parameter {name!r}: shape {shape} != expected {list(expected.shape)}")
             try:
-                arr = np.asarray(stored[name]["data"], dtype=np.float64).reshape(expected.shape)
+                arr = np.asarray(entry["data"], dtype=np.float64).reshape(expected.shape)
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"parameter {name!r}: bad data: {exc}") from exc
             if not np.isfinite(arr).all():
                 raise ValidationError(f"parameter {name!r}: non-finite data")
             model.params[name] = Tensor(arr, requires_grad=True)
         return model
+
+
+def _json_object(value, field: str) -> dict:
+    """``value`` if it is a JSON object; else an error naming ``field``."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{field} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def _string_list(value, field: str, distinct: bool = False) -> list[str]:
@@ -397,7 +405,8 @@ def _string_list(value, field: str, distinct: bool = False) -> list[str]:
     return value
 
 
-def _stored_vocab(spec: dict, field: str) -> SubwordVocab:
+def _stored_vocab(spec, field: str) -> SubwordVocab:
+    spec = _json_object(spec, field)
     if not isinstance(spec["unk"], str):
         raise ValidationError(f"{field}.unk must be a string, got {type(spec['unk']).__name__}")
     return SubwordVocab.create(spec["kind"], _string_list(spec["pieces"], f"{field}.pieces"), spec["unk"])
@@ -419,7 +428,7 @@ def load_checkpoint(path: str | Path) -> tuple[JointModel, FeatureConfig, int]:
     obj = read_json_object(path)
     try:
         model = JointModel.from_dict(obj)
-        feature = FeatureConfig(**obj.get("feature", {}))
+        feature = FeatureConfig(**_json_object(obj.get("feature", {}), "feature"))
         beam_size = obj.get("beam_size", 5)
     except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"{path}: malformed checkpoint: {exc}") from exc

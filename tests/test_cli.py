@@ -529,6 +529,29 @@ def test_corrupt_checkpoint_param_exits_2(capsys, tmp_path, ref_manifest, edit, 
     assert str(ckpt) in err and message in err
 
 
+@pytest.mark.parametrize(
+    "section, value, message",
+    [
+        ("model", [["feature_dim", 20]], "model must be a JSON object, got list"),
+        ("asr_vocab", ["bpe"], "asr_vocab must be a JSON object, got list"),
+        ("nlu_vocab", "wordpiece", "nlu_vocab must be a JSON object, got str"),
+        ("params", ["sl.b"], "params must be a JSON object, got list"),
+        ("params/sl.b", [0.0, 0.0], "parameter 'sl.b' must be a JSON object, got list"),
+        ("params/asr.enc_w", None, "parameter 'asr.enc_w' must be a JSON object, got NoneType"),
+        ("feature", 20, "feature must be a JSON object, got int"),
+    ],
+    ids=["model", "asr-vocab", "nlu-vocab", "params", "param-sl.b", "param-asr.enc_w", "feature"],
+)
+def test_checkpoint_section_that_is_not_an_object_is_named(capsys, tmp_path, ref_manifest, section, value, message):
+    ckpt = _small_checkpoint(tmp_path / "ckpt.json")
+    obj = json.loads(ckpt.read_text())
+    parent, _, key = section.rpartition("/")
+    (obj[parent] if parent else obj)[key] = value
+    ckpt.write_text(json.dumps(obj))
+    err = _decode_fails_cleanly(capsys, ckpt, ref_manifest, tmp_path / "h.jsonl")
+    assert err == f"slu decode: {ckpt}: malformed checkpoint: {message}\n"
+
+
 def test_decode_beam_size_flag_zero_exits_2(capsys, tmp_path, ref_manifest):
     ckpt = _small_checkpoint(tmp_path / "ckpt.json")
     err = _decode_fails_cleanly(capsys, ckpt, ref_manifest, tmp_path / "h.jsonl", "--beam-size", "0")

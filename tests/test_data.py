@@ -82,6 +82,37 @@ def test_bare_labels_promoted_to_bio():
     assert manifest.slot_vocabulary == {"O", "toloc"}
 
 
+def test_build_manifest_canonicalises_copies_and_leaves_the_inputs_alone():
+    words, slots = ["to", "boston"], ["O", "toloc"]
+    rec = Utterance("u", words, slots, "x")
+    manifest = build_manifest([rec])
+    assert manifest.records[0].slots == ["O", "B-toloc"]
+    assert manifest.slot_vocabulary == {"O", "toloc"}
+    assert rec == Utterance("u", ["to", "boston"], ["O", "toloc"], "x")
+    assert rec.words is words and rec.slots is slots
+    assert manifest.records[0].words is not words and manifest.records[0].slots is not slots
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (("", ["a", "b"], ["B-"], ""), "record with empty id"),
+        (("u", ["", "b"], ["B-"], ""), "record 'u': words length 2 != slots length 1"),
+        (("u", [""], ["B-"], ""), "record 'u': empty word string"),
+        (("u", ["a"], ["B-"], ""), "record 'u': empty intent label"),
+        (("u", ["a", "b"], ["toloc", "I-"], "x"), "record 'u': empty slot label"),
+    ],
+)
+def test_manifest_checks_run_in_order(fields, message):
+    # each record fails its message's check and every later one; only the first is reported
+    rid, words, slots, intent = fields
+    line = json.dumps({"id": rid, "words": words, "slots": slots, "intent": intent})
+    for build in (lambda: build_manifest([Utterance(*fields)]), lambda: parse_manifest_lines([line])):
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert str(err.value) == message
+
+
 def test_slot_conflict_detection():
     lines = [
         '{"id":"a","words":["boston"],"slots":["toloc"],"intent":"x"}',

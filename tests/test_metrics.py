@@ -15,7 +15,6 @@ from slu.metrics import (
     intent_f1,
     slots_edit_f1,
     span_slot_f1,
-    wer,
 )
 
 
@@ -66,12 +65,32 @@ def test_align_matches_exhaustive_canonical_trace():
         assert as_tuples(align(ref, hyp)) == oracles.reference_align(ref, hyp)
 
 
+def _long_side(words):
+    return st.one_of(st.just([]), st.lists(st.sampled_from(words), min_size=20, max_size=40))
+
+
+@given(
+    st.sampled_from([("to", "from"), ("to", "from", "boston")]).flatmap(
+        lambda words: st.tuples(_long_side(words), _long_side(words))
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_align_matches_reference_trace_on_long_tie_heavy_pairs(pair):
+    # 20-40 words over two or three distinct words: most cells have tied
+    # predecessors, so every step of the tie-break is exercised
+    ref, hyp = pair
+    trace = align(ref, hyp)
+    assert as_tuples(trace) == oracles.reference_align(ref, hyp)
+    assert trace.cost == oracles.lev_distance(ref, hyp)
+
+
 def test_wer_examples():
-    assert wer(["a", "b", "c"], ["a", "b", "c"]) == 0.0
-    assert wer(["show", "me", "flights"], ["show", "flights"]) == pytest.approx(1 / 3)
-    assert wer(["a"], ["b", "c"]) == 2.0
+    assert corpus_wer([["a", "b", "c"]], [["a", "b", "c"]]) == 0.0
+    assert corpus_wer([["show", "me", "flights"]], [["show", "flights"]]) == pytest.approx(1 / 3)
+    assert corpus_wer([["a"]], [["b", "c"]]) == 2.0
+    assert align(["a"], ["b", "c"]).cost == 2
     with pytest.raises(ValidationError):
-        wer([], ["a"])
+        corpus_wer([[]], [["a"]])
 
 
 def test_wer_cost_symmetry_and_relabel_invariance():
@@ -80,7 +99,7 @@ def test_wer_cost_symmetry_and_relabel_invariance():
         a, b = random_words(rng), random_words(rng)
         assert align(a, b).cost == align(b, a).cost
         mapping = {w: f"w{idx}" for idx, w in enumerate(dict.fromkeys(a + b))}
-        assert wer(a, b) == wer([mapping[w] for w in a], [mapping[w] for w in b])
+        assert align(a, b).cost == align([mapping[w] for w in a], [mapping[w] for w in b]).cost
 
 
 def test_slots_edit_f1_perfect_hyps():
@@ -230,7 +249,8 @@ def test_intent_f1_matches_confusion_matrix_oracle():
 )
 @settings(max_examples=200, deadline=None)
 def test_wer_matches_distance_oracle(ref, hyp):
-    assert wer(ref, hyp) == oracles.lev_distance(ref, hyp) / len(ref)
+    assert align(ref, hyp).cost == oracles.lev_distance(ref, hyp)
+    assert corpus_wer([ref], [hyp]) == oracles.lev_distance(ref, hyp) / len(ref)
 
 
 def test_corpus_wer_is_total_edits_over_total_words():
