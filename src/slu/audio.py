@@ -53,23 +53,28 @@ def read_wav(path: str | Path) -> AudioClip:
                 raise AudioFormatError(f"{path}: expected mono, got {fh.getnchannels()} channels")
             if fh.getsampwidth() != 2:
                 raise AudioFormatError(f"{path}: expected 16-bit PCM, got {8 * fh.getsampwidth()}-bit")
+            rate = fh.getframerate()
+            if rate == 0:  # the fmt chunk stores it unsigned
+                raise AudioFormatError(f"{path}: bad sample rate {rate}")
             frames = fh.getnframes()
             if frames == 0:
                 raise AudioFormatError(f"{path}: empty data chunk")
             raw = fh.readframes(frames)
-            rate = fh.getframerate()
     except wave.Error as exc:
         raise AudioFormatError(f"{path}: not a readable WAV file: {exc}") from exc
     except (EOFError, RuntimeError) as exc:  # wave's errors for chunks cut short or overrunning the file
         raise AudioFormatError(f"{path}: not a readable WAV file: truncated or inconsistent chunks") from exc
     if len(raw) != 2 * frames:
         raise AudioFormatError(f"{path}: data chunk truncated: {len(raw)} of {2 * frames} bytes")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM_SCALE
+    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+    samples /= PCM_SCALE
     return AudioClip(samples, rate)
 
 
 def wav_bytes(clip: AudioClip) -> bytes:
-    ints = np.clip(np.rint(clip.samples * PCM_SCALE), -32768, 32767).astype("<i2")
+    scaled = clip.samples * PCM_SCALE
+    np.rint(scaled, out=scaled)
+    ints = np.clip(scaled, -32768, 32767, out=scaled).astype("<i2")
     buf = io.BytesIO()
     with wave.open(buf, "wb") as fh:
         fh.setnchannels(1)
@@ -92,12 +97,16 @@ def rms(clip: AudioClip | np.ndarray) -> float:
 
 
 def fit_length(samples: np.ndarray, length: int) -> np.ndarray:
-    """Loop (tile) or truncate a signal to an exact length."""
+    """Loop (tile) or truncate a signal to an exact length; a truncation is a
+    read-only view of ``samples``."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         raise ValidationError("cannot fit an empty signal")
-    reps = math.ceil(length / samples.size)
-    return np.tile(samples, reps)[:length]
+    if samples.size < length:
+        return np.tile(samples, math.ceil(length / samples.size))[:length]
+    view = samples[:length]
+    view.flags.writeable = False
+    return view
 
 
 @dataclass
@@ -107,21 +116,15 @@ class MixResult:
     clipped: int
 
 
-def mix_at_snr_report(clean: AudioClip, noise: AudioClip, snr_db: float) -> MixResult:
-    """Add noise to a clean clip at an exact SNR.
+def _mixer(clean: AudioClip):
+    """Add noise to ``clean`` at an exact SNR, as a function of the noise and
+    the SNR that takes the clip's RMS once, at its first call.
 
     The noise is looped or truncated to the clean clip's length first, and
     the gain is computed from the fitted segment, so re-measuring the SNR of
     (clean, scaled noise) returns the target exactly (pre-clipping).  Samples
     pushed outside [-1, 1] are hard-clipped and counted.
     """
-    return _mixer(clean)(noise, snr_db)
-
-
-def _mixer(clean: AudioClip):
-    """``mix_at_snr_report`` for one clean clip, as a function of the noise and
-    the SNR that takes the clip's RMS once, at its first call, and checks
-    what ``mix_at_snr_report`` checks, in the same order, at every call."""
     clean_rms = None
 
     def mix(noise: AudioClip, snr_db: float) -> MixResult:
@@ -139,9 +142,11 @@ def _mixer(clean: AudioClip):
         if noise_rms == 0.0:
             raise ValidationError("SNR is undefined for a silent noise signal")
         gain = clean_rms / (noise_rms * 10.0 ** (snr_db / 20.0))
-        mixed = clean.samples + gain * fitted
-        clipped = int(np.count_nonzero((mixed < -1.0) | (mixed > 1.0)))
-        if clipped:
+        mixed = gain * fitted
+        mixed += clean.samples
+        clipped = 0
+        if np.abs(mixed).max() > 1.0:  # the count's three temporaries only when a sample clips
+            clipped = int(np.count_nonzero((mixed < -1.0) | (mixed > 1.0)))
             log.warning("mix at %.1f dB clipped %d samples", snr_db, clipped)
             mixed = np.clip(mixed, -1.0, 1.0)
         return MixResult(AudioClip(mixed, clean.sample_rate), gain, clipped)
@@ -290,27 +295,42 @@ def _hann(frame_length: int) -> np.ndarray:
     return window
 
 
+@functools.cache
+def _band_widths(bins: int, num_bands: int) -> np.ndarray:
+    """Bins per band as ``np.array_split`` deals them: the first ``bins % num_bands`` one wider."""
+    width, wide = divmod(bins, num_bands)
+    widths = np.array([width + 1] * wide + [width] * (num_bands - wide), dtype=np.float64)
+    widths.flags.writeable = False
+    return widths
+
+
 def log_power_features(clip: AudioClip, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
     """Banded log-power spectrogram, standardized per utterance (time x bands).
 
     Frames are Hann-windowed, ``1 + (n - frame_length) // hop`` of them (a clip
     shorter than one frame is zero-padded to one); bands split the FFT bins as
     ``np.array_split`` does, so the first ``bins % num_bands`` are one bin wider.
+    A band's mean is its bins' sum divided by its width, and the standardization
+    takes the floats of ``(f - f.mean()) / (f.std() + 1e-8)`` from one centred array.
     """
     x = clip.samples
-    if x.size < config.frame_length:
-        x = np.pad(x, (0, config.frame_length - x.size))
-    frames = np.lib.stride_tricks.sliding_window_view(x, config.frame_length)[:: config.hop]
-    power = np.abs(np.fft.rfft(frames * _hann(config.frame_length), axis=1)) ** 2
-    count, bins = power.shape
-    width, wide = divmod(bins, config.num_bands)
-    cut = wide * (width + 1)  # one mean per band, each over its own bins in order
-    bands = np.concatenate(
-        [
-            power[:, :cut].reshape(count, wide, width + 1).mean(axis=2),
-            power[:, cut:].reshape(count, config.num_bands - wide, width).mean(axis=2),
-        ],
-        axis=1,
-    )
-    feats = np.log(bands + 1e-10)
-    return (feats - feats.mean()) / (feats.std() + 1e-8)
+    length, num_bands = config.frame_length, config.num_bands
+    if x.size < length:
+        x = np.pad(x, (0, length - x.size))
+    count = 1 + (x.size - length) // config.hop
+    step = x.strides[0]
+    frames = np.lib.stride_tricks.as_strided(x, (count, length), (config.hop * step, step), writeable=False)
+    power = np.abs(np.fft.rfft(frames * _hann(length), axis=1))
+    power *= power
+    bins = power.shape[1]
+    width, wide = divmod(bins, num_bands)
+    cut = wide * (width + 1)  # one sum per band, each over its own bins in order
+    feats = np.empty((count, num_bands))
+    power[:, :cut].reshape(count, wide, width + 1).sum(axis=2, out=feats[:, :wide])
+    power[:, cut:].reshape(count, num_bands - wide, width).sum(axis=2, out=feats[:, wide:])
+    feats /= _band_widths(bins, num_bands)
+    feats += 1e-10
+    np.log(feats, out=feats)
+    feats -= feats.sum() / feats.size
+    feats /= np.sqrt((feats * feats).sum() / feats.size) + 1e-8
+    return feats

@@ -14,16 +14,20 @@ from .errors import ParseError
 
 def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
     target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
+    tmp = None
     try:
+        try:
+            fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
+        except FileNotFoundError:  # the directory is made only when it is missing
+            target.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, target)
     except BaseException as exc:
-        if os.path.exists(tmp):
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        if isinstance(exc, OSError):  # name the target, not the temp file that is gone
+        if isinstance(exc, OSError):  # name the target, not a temp file that is gone or never was
             raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 

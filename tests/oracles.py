@@ -5,8 +5,8 @@ than the package code (memoized recursion instead of iterative tables,
 exhaustive enumeration instead of dynamic programming) so that agreement is
 evidence, not tautology.  Old loop versions of vectorised package code are
 kept here verbatim as bit-exact references, next to a few small helpers
-(slot serialisation, detokenisation, the first-subword pooling matrix, SNR
-mixing shorthand, the numpy CRF partition function and path score) that only
+(slot serialisation, detokenisation, the first-subword pooling matrix, one
+SNR mix per call, the numpy CRF partition function and path score) that only
 the tests use.  The three fused nodes (``autodiff.attention``,
 ``autodiff.nll`` and ``crf.crf_nll_t``) are gated against their unfused
 compositions of elementary ``Tensor`` ops, kept here as ``attention_unfused``,
@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from slu.audio import AudioClip, FeatureConfig, mix_at_snr_report
+from slu.audio import AudioClip, FeatureConfig, MixResult, _mixer
 from slu.autodiff import Tensor
 from slu.crf import _check
 from slu.errors import DimensionError, NumericError, ValidationError
@@ -589,6 +589,11 @@ def build_first_index_matrix(result: TokenizationResult) -> np.ndarray:
 def detokenize(result: TokenizationResult, vocab: SubwordVocab) -> list[str]:
     """Inverse of tokenize for fully covered words (unknowns merge to the unk string)."""
     return merge_tokens(result.tokens, vocab)[0]
+
+
+def mix_at_snr_report(clean: AudioClip, noise: AudioClip, snr_db: float) -> MixResult:
+    """One mix of ``clean`` and ``noise`` at ``snr_db``, as ``augment_corpus`` makes it."""
+    return _mixer(clean)(noise, snr_db)
 
 
 def mix_at_snr(clean: AudioClip, noise: AudioClip, snr_db: float) -> AudioClip:

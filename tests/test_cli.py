@@ -564,6 +564,32 @@ def test_checkpoint_beam_size_zero_exits_2(capsys, tmp_path, ref_manifest):
     assert "beam_size must be >= 1" in err
 
 
+@pytest.mark.parametrize("command", ["decode", "augment", "train-toy"])
+def test_a_wav_with_a_zero_sample_rate_is_named(capsys, tmp_path, command):
+    paths = write_corpus(tmp_path / "corpus", 2, seed=5)
+    wav = paths.wav_dir / "synth001.wav"
+    blob = bytearray(wav.read_bytes())
+    blob[24:28] = bytes(4)  # the fmt chunk's sample rate
+    wav.write_bytes(bytes(blob))
+    out = tmp_path / "out" / "result"
+    if command == "decode":
+        extra = ["--ckpt", str(_small_checkpoint(tmp_path / "ckpt.json"))]
+    elif command == "augment":
+        noise_dir = tmp_path / "noise"
+        noise_dir.mkdir()
+        for name in ("n0.wav", "n1.wav"):
+            write_wav(AudioClip(0.2 * np.ones(500), 16000), noise_dir / name)
+        extra = ["--noise-dir", str(noise_dir), "--split", "train", "--snr", "10"]
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"stages": [{"stage": "asr_pretrain", "epochs": 1, "lr": 0.05}]}))
+        extra = ["--config", str(config)]
+    code, out_text, err = run(capsys, command, "--manifest", str(paths.manifest), "--out", str(out), *extra)
+    assert (code, out_text) == (1, "")
+    assert err == f"slu {command}: {wav}: bad sample rate 0\n"
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
 def test_decode_error_names_failing_record(capsys, tmp_path):
     ckpt = _small_checkpoint(tmp_path / "ckpt.json")
     wav_dir = tmp_path / "clean"

@@ -7,6 +7,7 @@ value, and runs one command through ``cli.main``.  Whatever the input, the
 command must exit 0, 1 (I/O) or 2 (bad input), print at most the one-line
 ``slu <cmd>: ...`` message on stderr, and leave no ``--out`` file behind
 when ``decode``, ``tokenize``, ``score``, ``augment`` or ``train-toy`` fails.
+A failure on a mutated WAV names that file, or the record it belongs to.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ READERS = {
     "snr": ("augment",),
 }
 JSON_TARGETS = ("manifest", "config", "ckpt")
+# Audio targets: a failure must name the file, or (for the corpus WAVs) its record.
+AUDIO_RECORDS = {"wav": "synth000", "wav2": "synth001", "noise": None}
 WAV_HEADER = 44
 LOG_LINE = re.compile(r"^(DEBUG|INFO|WARNING|ERROR|CRITICAL) ")
 
@@ -203,6 +206,8 @@ def cases(draw):
 @example(case=("augment", "snr", ("snr", "--")))
 @example(case=("decode", "wav", ("replace", b"RIFF\x00\x00")))
 @example(case=("augment", "wav2", ("replace", b"RIFF\x00\x00")))  # after the first record's WAVs
+@example(case=("train-toy", "wav", ("overwrite", 24, b"\x00\x00\x00\x00")))  # sample rate 0
+@example(case=("augment", "noise", ("overwrite", 24, b"\x00\x00\x00\x00")))
 @settings(max_examples=150, deadline=None)
 def test_mutated_inputs_fail_cleanly(base, case):
     command, target, mutation = case
@@ -225,5 +230,8 @@ def test_mutated_inputs_fail_cleanly(base, case):
             assert message == []
         else:
             assert len(message) == 1 and message[0].startswith(f"slu {command}: "), message
+            if target in AUDIO_RECORDS:
+                record = AUDIO_RECORDS[target]
+                assert str(path) in message[0] or (record and f"record {record!r}" in message[0]), message
             if out is not None:  # nor a temporary file or directory next to it
                 assert not out.exists() and not (out.parent.exists() and any(out.parent.iterdir()))
