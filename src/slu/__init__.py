@@ -1,6 +1,6 @@
 """Desk-scale spoken language understanding toolkit."""
 
-from .data import Manifest, Utterance, normalize_text, parse_manifest, write_manifest
+from .data import Manifest, Utterance, parse_manifest, write_manifest
 from .metrics import align, intent_f1, slots_edit_f1, span_slot_f1
 from .subword import SubwordVocab, tokenize
 
@@ -12,7 +12,6 @@ __all__ = [
     "Utterance",
     "align",
     "intent_f1",
-    "normalize_text",
     "parse_manifest",
     "slots_edit_f1",
     "span_slot_f1",

@@ -211,9 +211,9 @@ def record_clip(rec: Utterance, base_dir: Path | None) -> AudioClip:
     """In-memory samples (16 kHz), else the WAV file, relative to base_dir."""
     if rec.samples is not None:
         return AudioClip(np.asarray(rec.samples), 16000)
-    if rec.audio_path is None:
+    if rec.audio is None:
         raise ValidationError(f"record {rec.id!r} has no audio")
-    path = Path(rec.audio_path)
+    path = Path(rec.audio)
     if not path.is_absolute() and base_dir is not None:
         path = base_dir / path
     return read_wav(path)

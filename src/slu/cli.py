@@ -11,18 +11,18 @@ reused by every ``main`` call.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import logging
 import os
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import audio, data, metrics, synth
 from .decode import decode_two_step
-from .errors import ParseError, SluError, ValidationError
-from .ioutil import atomic_write_text, read_json_object, staged_dir
+from .errors import ParseError, SluError, ValidationError, read_config
+from .ioutil import atomic_write_text, read_json, staged_dir
 from .model import JointModel, ModelConfig, load_checkpoint, save_checkpoint
 from .subword import load_vocab, tokenize
 from .train import StageConfig, TrainConfig, corpus_features, train
@@ -195,29 +195,32 @@ def cmd_augment(args) -> int:
     return 0
 
 
-_SETUP_KEYS = ("feature", "model", "asr_vocab", "nlu_vocab")  # train config keys beside TrainConfig's
+@dataclass
+class TrainFile(TrainConfig):
+    """A train config file: the ``TrainConfig`` keys, its stages still JSON, then the model set-up."""
+
+    feature: dict = field(default_factory=dict)
+    model: dict = field(default_factory=dict)
+    asr_vocab: str | None = None  # paths relative to the config file; the synthetic vocabularies when None
+    nlu_vocab: str | None = None
 
 
-def _train_configs(obj: dict, config_dir: Path):
-    allowed = [f.name for f in dataclasses.fields(TrainConfig)] + list(_SETUP_KEYS)
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ValidationError(f"unknown key {unknown[0]!r}; expected one of {allowed}")
-    fields = {key: value for key, value in obj.items() if key not in _SETUP_KEYS}
-    fields["stages"] = [StageConfig(**stage) for stage in obj.get("stages", [])]
-    train_cfg = TrainConfig(**fields)
-    feature = audio.FeatureConfig(**obj.get("feature", {}))
-    model_cfg = ModelConfig(feature_dim=feature.num_bands, **obj.get("model", {}))
-    asr_vocab = load_vocab(config_dir / obj["asr_vocab"]) if "asr_vocab" in obj else synth.asr_vocab()
-    nlu_vocab = load_vocab(config_dir / obj["nlu_vocab"]) if "nlu_vocab" in obj else synth.nlu_vocab()
-    return train_cfg, feature, model_cfg, asr_vocab, nlu_vocab
+def _train_configs(path: Path):
+    spec = read_config(TrainFile, read_json(path))
+    if not isinstance(spec.stages, list):
+        raise ValidationError(f"stages must be a list, got {type(spec.stages).__name__}")
+    spec.stages = [read_config(StageConfig, stage, f"stages[{i}]") for i, stage in enumerate(spec.stages)]
+    feature = read_config(audio.FeatureConfig, spec.feature, "feature")
+    model_cfg = read_config(ModelConfig, spec.model, "model", feature_dim=feature.num_bands)
+    asr_vocab = synth.asr_vocab() if spec.asr_vocab is None else load_vocab(path.parent / spec.asr_vocab)
+    nlu_vocab = synth.nlu_vocab() if spec.nlu_vocab is None else load_vocab(path.parent / spec.nlu_vocab)
+    return spec, feature, model_cfg, asr_vocab, nlu_vocab  # spec is the TrainConfig
 
 
 def cmd_train_toy(args) -> int:
-    obj = read_json_object(args.config)
     try:
-        train_cfg, feature, model_cfg, asr_vocab, nlu_vocab = _train_configs(obj, Path(args.config).parent)
-    except (TypeError, KeyError, ValidationError) as exc:
+        train_cfg, feature, model_cfg, asr_vocab, nlu_vocab = _train_configs(Path(args.config))
+    except ValidationError as exc:
         raise ValidationError(f"{args.config}: bad train config: {exc}") from exc
     manifest = data.parse_manifest(args.manifest)
     pretrain = data.parse_manifest(args.pretrain_manifest) if args.pretrain_manifest else None

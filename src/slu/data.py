@@ -1,8 +1,8 @@
-"""Dataset records, JSONL manifest ingestion, and light text normalization.
+"""Dataset records and JSONL manifest ingestion.
 
-A manifest is one JSON object per line with fields
-``{id, words, slots, intent, audio?}``.  Slot tags are stored internally in
-BIO form; bare labels are promoted to ``B-<label>`` on parse.
+A manifest is one JSON object per line, ``{id, words, slots, intent, audio?}``,
+which ``errors.read_config`` reads into an ``Utterance``.  Slot tags are stored
+internally in BIO form; bare labels are promoted to ``B-<label>`` on parse.
 """
 
 from __future__ import annotations
@@ -12,12 +12,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, read_config
 from .ioutil import atomic_write_text, read_text
 
 OUTSIDE = "O"
-
-_RECORD_FIELDS = {"id", "words", "slots", "intent", "audio"}
 
 
 @dataclass
@@ -28,7 +26,7 @@ class Utterance:
     words: list[str]
     slots: list[str]
     intent: str
-    audio_path: str | None = None
+    audio: str | None = None  # the WAV's path, relative to the manifest's directory
     samples: object | None = field(default=None, compare=False, repr=False)
 
 
@@ -63,7 +61,7 @@ def build_manifest(records: Iterable[Utterance], base_dir: Path | None = None) -
     BIO form; the records passed in are left as they are.
     """
     copies = (
-        Utterance(rec.id, list(rec.words), list(rec.slots), rec.intent, rec.audio_path, rec.samples)
+        Utterance(rec.id, list(rec.words), list(rec.slots), rec.intent, rec.audio, rec.samples)
         for rec in records
     )
     return _manifest_of(copies, base_dir)
@@ -104,26 +102,20 @@ def _manifest_of(records: Iterable[Utterance], base_dir: Path | None = None) -> 
 
 
 def _record_from_obj(obj: object, where: str) -> Utterance:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected a JSON object, got {type(obj).__name__}")
-    unknown = set(obj) - _RECORD_FIELDS
-    if unknown:
-        raise ParseError(f"{where}: unknown field(s) {sorted(unknown)}")
-    for name in ("id", "words", "slots", "intent"):
-        if name not in obj:
-            raise ParseError(f"{where}: missing field {name!r}")
-    if not isinstance(obj["id"], str):
-        raise ParseError(f"{where}: field 'id' must be a string")
+    try:
+        rec = read_config(Utterance, obj, where, samples=None)
+    except ValidationError as exc:  # a record of the wrong shape is malformed, as a mistyped field is
+        raise ParseError(str(exc)) from exc
+    for name in ("id", "intent"):
+        if not isinstance(getattr(rec, name), str):
+            raise ParseError(f"{where}: field {name!r} must be a string")
     for name in ("words", "slots"):
-        value = obj[name]
+        value = getattr(rec, name)
         if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
             raise ParseError(f"{where}: field {name!r} must be a list of strings")
-    if not isinstance(obj["intent"], str):
-        raise ParseError(f"{where}: field 'intent' must be a string")
-    audio = obj.get("audio")
-    if audio is not None and not isinstance(audio, str):
+    if rec.audio is not None and not isinstance(rec.audio, str):
         raise ParseError(f"{where}: field 'audio' must be a string path")
-    return Utterance(obj["id"], obj["words"], obj["slots"], obj["intent"], audio)
+    return rec
 
 
 def parse_manifest_lines(lines: Iterable[str], source: str = "<memory>") -> Manifest:
@@ -154,8 +146,8 @@ def record_to_json(rec: Utterance) -> str:
         "slots": rec.slots,
         "intent": rec.intent,
     }
-    if rec.audio_path is not None:
-        obj["audio"] = rec.audio_path
+    if rec.audio is not None:
+        obj["audio"] = rec.audio
     return json.dumps(obj, ensure_ascii=False)
 
 
@@ -174,47 +166,6 @@ def find_slot_conflicts(manifest: Manifest) -> dict[str, list[str]]:
         for word, tag in zip(rec.words, rec.slots):
             labels_by_word.setdefault(word, set()).add(base_label(tag))
     return {w: sorted(ls) for w, ls in sorted(labels_by_word.items()) if len(ls) > 1}
-
-
-# --- text normalization -----------------------------------------------------
-
-_UNITS = (
-    "zero one two three four five six seven eight nine ten eleven twelve "
-    "thirteen fourteen fifteen sixteen seventeen eighteen nineteen"
-).split()
-_TENS = "twenty thirty forty fifty sixty seventy eighty ninety".split()
-_PUNCT_TABLE = str.maketrans("", "", '.,?!;:"()')
-
-
-def number_to_words(n: int) -> list[str]:
-    """Spell an integer in 0..9999 as lowercase words ("21" -> twenty one)."""
-    if not 0 <= n <= 9999:
-        raise ValueError(f"number out of range for expansion: {n}")
-    if n < 20:
-        return [_UNITS[n]]
-    if n < 100:
-        tens, rest = divmod(n, 10)
-        return [_TENS[tens - 2]] + ([_UNITS[rest]] if rest else [])
-    if n < 1000:
-        hundreds, rest = divmod(n, 100)
-        return [_UNITS[hundreds], "hundred"] + (number_to_words(rest) if rest else [])
-    thousands, rest = divmod(n, 1000)
-    return [_UNITS[thousands], "thousand"] + (number_to_words(rest) if rest else [])
-
-
-def normalize_text(raw: str) -> list[str]:
-    """Lowercase, strip punctuation, split on whitespace, expand small integers.
-
-    Standalone integers up to 9999 are expanded by table; anything larger (or
-    mixed alphanumeric) passes through unchanged.  Total function: never raises.
-    """
-    out: list[str] = []
-    for token in raw.lower().translate(_PUNCT_TABLE).split():
-        if token.isascii() and token.isdigit() and int(token) <= 9999:
-            out.extend(number_to_words(int(token)))
-        else:
-            out.append(token)
-    return out
 
 
 def iter_pairs(manifest: Manifest) -> list[tuple[Sequence[str], Sequence[str]]]:

@@ -57,12 +57,9 @@ def read_text(path: str | os.PathLike) -> str:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def read_json_object(path: str | os.PathLike) -> dict:
-    """Load a UTF-8 JSON file whose top level must be an object."""
+def read_json(path: str | os.PathLike):
+    """The value of a UTF-8 JSON file."""
     try:
-        obj = json.loads(read_text(path))
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path}: expected a JSON object, got {type(obj).__name__}")
-    return obj

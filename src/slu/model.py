@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +23,8 @@ import numpy as np
 from .audio import FeatureConfig
 from .autodiff import Tensor, attention, concat, embed, linear, nll
 from .crf import crf_nll_t, crf_viterbi
-from .errors import DimensionError, ValidationError, check_field_types
-from .ioutil import atomic_write_text, read_json_object
+from .errors import DimensionError, ValidationError, check_field_types, read_config
+from .ioutil import atomic_write_text, read_json
 from .subword import SubwordVocab, TokenizationResult, tokenize
 
 CHECKPOINT_VERSION = 1
@@ -353,33 +353,32 @@ class JointModel:
         }
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "JointModel":
-        version = obj.get("format_version")
-        if version != CHECKPOINT_VERSION:
-            raise ValidationError(f"unsupported checkpoint version {version!r}")
-        fields = dict(_json_object(obj["model"], "model"))
-        pooling = fields.pop("word_pooling", "first")  # older checkpoints store the then-default "first"
-        if pooling != "first":
-            raise ValidationError(f"model.word_pooling {pooling!r} is not supported, only 'first'")
+    def from_checkpoint(cls, ckpt: Checkpoint) -> "JointModel":
+        """The model of ``read_config(Checkpoint, obj)``, where ``obj`` is ``to_dict``'s or a checkpoint file's."""
+        section = ckpt.model
+        if isinstance(section, dict) and "word_pooling" in section:  # older checkpoints store the then-default "first"
+            if section["word_pooling"] != "first":
+                raise ValidationError(f"model.word_pooling {section['word_pooling']!r} is not supported, only 'first'")
+            section = {key: value for key, value in section.items() if key != "word_pooling"}
         model = cls(
-            ModelConfig(**fields),
-            _stored_vocab(obj["asr_vocab"], "asr_vocab"),
-            _stored_vocab(obj["nlu_vocab"], "nlu_vocab"),
-            _string_list(obj["slot_tags"], "slot_tags", distinct=True),
-            _string_list(obj["intents"], "intents", distinct=True),
+            read_config(ModelConfig, section, "model"),
+            _stored_vocab(ckpt.asr_vocab, "asr_vocab"),
+            _stored_vocab(ckpt.nlu_vocab, "nlu_vocab"),
+            _string_list(ckpt.slot_tags, "slot_tags", distinct=True),
+            _string_list(ckpt.intents, "intents", distinct=True),
         )
         model.init_params()  # the names and shapes this config expects
-        stored = _json_object(obj["params"], "params")
-        if set(stored) != set(model.params):
-            name = min(set(stored) ^ set(model.params))
+        if not isinstance(ckpt.params, dict):
+            raise ValidationError(f"params must be a JSON object, got {type(ckpt.params).__name__}")
+        if set(ckpt.params) != set(model.params):
+            name = min(set(ckpt.params) ^ set(model.params))
             raise ValidationError(f"{'missing' if name in model.params else 'unexpected'} parameter {name!r}")
         for name, expected in model.params.items():
-            entry = _json_object(stored[name], f"parameter {name!r}")
-            shape = entry["shape"]
-            if shape != list(expected.shape):
-                raise ValidationError(f"parameter {name!r}: shape {shape} != expected {list(expected.shape)}")
+            entry = read_config(_StoredParam, ckpt.params[name], f"parameter {name!r}")
+            if entry.shape != list(expected.shape):
+                raise ValidationError(f"parameter {name!r}: shape {entry.shape} != expected {list(expected.shape)}")
             try:
-                arr = np.asarray(entry["data"], dtype=np.float64).reshape(expected.shape)
+                arr = np.asarray(entry.data, dtype=np.float64).reshape(expected.shape)
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"parameter {name!r}: bad data: {exc}") from exc
             if not np.isfinite(arr).all():
@@ -388,28 +387,56 @@ class JointModel:
         return model
 
 
-def _json_object(value, field: str) -> dict:
-    """``value`` if it is a JSON object; else an error naming ``field``."""
-    if not isinstance(value, dict):
-        raise ValidationError(f"{field} must be a JSON object, got {type(value).__name__}")
-    return value
+@dataclass
+class Checkpoint:
+    """A checkpoint's top level: ``JointModel.to_dict``'s sections, still JSON, then ``feature`` and ``beam_size``."""
+
+    format_version: int
+    model: dict
+    asr_vocab: dict
+    nlu_vocab: dict
+    slot_tags: list
+    intents: list
+    params: dict
+    feature: dict = field(default_factory=dict)
+    beam_size: int = 5
+
+    def __post_init__(self):
+        check_field_types(self)
+        if self.format_version != CHECKPOINT_VERSION:
+            raise ValidationError(f"unsupported checkpoint version {self.format_version!r}")
+        if self.beam_size < 1:
+            raise ValidationError(f"beam_size must be >= 1, got {self.beam_size}")
 
 
-def _string_list(value, field: str, distinct: bool = False) -> list[str]:
-    """``value`` if it is a list of strings, all different when ``distinct``; else an error naming ``field``."""
+@dataclass
+class _StoredParam:  # a params entry; from_checkpoint checks both against the parameter it fills
+    shape: list
+    data: list
+
+
+@dataclass
+class _StoredVocab:  # asr_vocab or nlu_vocab; _stored_vocab checks the values
+    kind: str
+    pieces: list
+    unk: str
+
+
+def _string_list(value, path: str, distinct: bool = False) -> list[str]:
+    """``value`` if it is a list of strings, all different when ``distinct``; else an error naming ``path``."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ValidationError(f"{field} must be a list of strings")
+        raise ValidationError(f"{path} must be a list of strings")
     repeated = [v for i, v in enumerate(value) if v in value[:i]] if distinct else []
     if repeated:
-        raise ValidationError(f"{field} lists {repeated[0]!r} more than once")
+        raise ValidationError(f"{path} lists {repeated[0]!r} more than once")
     return value
 
 
-def _stored_vocab(spec, field: str) -> SubwordVocab:
-    spec = _json_object(spec, field)
-    if not isinstance(spec["unk"], str):
-        raise ValidationError(f"{field}.unk must be a string, got {type(spec['unk']).__name__}")
-    return SubwordVocab.create(spec["kind"], _string_list(spec["pieces"], f"{field}.pieces"), spec["unk"])
+def _stored_vocab(section, path: str) -> SubwordVocab:
+    spec = read_config(_StoredVocab, section, path)
+    if not isinstance(spec.unk, str):
+        raise ValidationError(f"{path}.unk must be a string, got {type(spec.unk).__name__}")
+    return SubwordVocab.create(spec.kind, _string_list(spec.pieces, f"{path}.pieces"), spec.unk)
 
 
 def save_checkpoint(
@@ -425,19 +452,14 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[JointModel, FeatureConfig, int]:
-    obj = read_json_object(path)
     try:
-        model = JointModel.from_dict(obj)
-        feature = FeatureConfig(**_json_object(obj.get("feature", {}), "feature"))
-        beam_size = obj.get("beam_size", 5)
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        ckpt = read_config(Checkpoint, read_json(path))
+        model = JointModel.from_checkpoint(ckpt)
+        feature = read_config(FeatureConfig, ckpt.feature, "feature")
+    except ValidationError as exc:
         raise ValidationError(f"{path}: malformed checkpoint: {exc}") from exc
-    if isinstance(beam_size, bool) or not isinstance(beam_size, int):
-        raise ValidationError(f"{path}: beam_size must be int, got {type(beam_size).__name__}")
-    if beam_size < 1:
-        raise ValidationError(f"{path}: beam_size must be >= 1, got {beam_size}")
     if feature.num_bands != model.config.feature_dim:
         raise ValidationError(
             f"{path}: feature.num_bands {feature.num_bands} != model.feature_dim {model.config.feature_dim}"
         )
-    return model, feature, beam_size
+    return model, feature, ckpt.beam_size

@@ -161,12 +161,9 @@ def load_vocab(path: str | Path) -> SubwordVocab:
     lines = read_text(path).splitlines()
     if not lines or not lines[0].startswith("#kind:"):
         raise ParseError(f"{path}: missing '#kind: bpe|wordpiece' header line")
-    kind = lines[0].split(":", 1)[1].strip()
-    if kind not in (BPE, WORDPIECE):
-        raise ParseError(f"{path}: unknown tokenizer kind {kind!r}")
     pieces = [line for line in lines[1:] if line]
-    try:
-        return SubwordVocab.create(kind, pieces)
+    try:  # SubwordVocab checks the kind and the pieces
+        return SubwordVocab.create(lines[0].split(":", 1)[1].strip(), pieces)
     except ValidationError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

@@ -207,35 +207,6 @@ def confusion_f1(refs, hyps) -> float:
     return num / denom if denom else 0.0
 
 
-_SMALL = {
-    0: "zero", 1: "one", 2: "two", 3: "three", 4: "four", 5: "five",
-    6: "six", 7: "seven", 8: "eight", 9: "nine", 10: "ten", 11: "eleven",
-    12: "twelve", 13: "thirteen", 14: "fourteen", 15: "fifteen",
-    16: "sixteen", 17: "seventeen", 18: "eighteen", 19: "nineteen",
-}
-_TENS = {2: "twenty", 3: "thirty", 4: "forty", 5: "fifty", 6: "sixty",
-         7: "seventy", 8: "eighty", 9: "ninety"}
-
-
-def spell_number(n: int) -> list[str]:
-    parts: list[str] = []
-    thousands, rem = divmod(n, 1000)
-    if thousands:
-        parts += [_SMALL[thousands], "thousand"]
-    hundreds, rem = divmod(rem, 100)
-    if hundreds:
-        parts += [_SMALL[hundreds], "hundred"]
-    if rem or not parts:
-        if rem < 20:
-            parts.append(_SMALL[rem])
-        else:
-            tens, ones = divmod(rem, 10)
-            parts.append(_TENS[tens])
-            if ones:
-                parts.append(_SMALL[ones])
-    return parts
-
-
 def crf_enumerate(emissions: np.ndarray, transitions, start, end):
     """(logZ, best path, all path scores) by explicit enumeration."""
     n, k = emissions.shape

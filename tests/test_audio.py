@@ -256,8 +256,8 @@ def test_augment_deterministic_and_job_independent(tmp_path):
     assert [r.id for r in out1.records] == [r.id for r in out2.records]
     assert prov1 == prov2
     for rec in out1.records:
-        b1 = (tmp_path / "a1" / rec.audio_path).read_bytes()
-        b2 = (tmp_path / "a2" / rec.audio_path).read_bytes()
+        b1 = (tmp_path / "a1" / rec.audio).read_bytes()
+        b2 = (tmp_path / "a2" / rec.audio).read_bytes()
         assert b1 == b2
 
 
@@ -278,7 +278,7 @@ def test_augment_takes_each_clean_rms_once_and_mixes_as_mix_at_snr_report(tmp_pa
     for rec, entry in zip(out.records, provenance, strict=True):
         clean = read_wav(manifest.base_dir / f"{entry['source_id']}.wav")
         mixed = mix_at_snr_report(clean, read_wav(entry["noise"]), entry["snr_db"])
-        assert (tmp_path / "aug" / rec.audio_path).read_bytes() == wav_bytes(mixed.audio)
+        assert (tmp_path / "aug" / rec.audio).read_bytes() == wav_bytes(mixed.audio)
         assert (entry["gain"], entry["clipped"]) == (mixed.gain, mixed.clipped)
 
 

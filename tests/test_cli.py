@@ -359,11 +359,20 @@ def test_train_toy_rejects_a_record_past_the_nlu_positions(capsys, tmp_path):
           for name in ("target_slots_f1", "target_intent_acc")],
         *[({"model": {"label_smoothing": s}, "stages": []}, "label_smoothing must be in [0, 1)")
           for s in (5.0, float("nan"))],
+        ({"stages": [{"stage": "asr_pretrain", "epochs": 1, "lr": 0.05}, {"stage": "asr_finetune", "epoch": 1}]},
+         "stages[1]: unknown key 'epoch'"),
+        ({"stages": [{"stage": "asr_pretrain", "epochs": 1, "lr": "x"}]}, "stages[0]: StageConfig.lr must be float"),
+        ({"stages": {"stage": "asr_pretrain", "epochs": 1, "lr": 0.05}}, "stages must be a list, got dict"),
+        ({"feature": {"bands": 20}, "stages": []}, "feature: unknown key 'bands'"),
+        ({"model": {"feature_dim": 20}, "stages": []}, "model: unknown key 'feature_dim'"),
+        ({"asr_vocab": ["vocab_asr.txt"], "stages": []}, "asr_vocab must be str | None, got list"),
     ],
     ids=["misspelt-top-level-key", "one-early-stop-target", "eval-every-on-speech-stage",
          "targets-on-speech-stage", "targets-never-polled", "model-word-pooling",
          "momentum-above-one", "momentum-negative", "momentum-nan", "lr-infinite", "lr-nan",
-         "slots-f1-target-above-one", "intent-target-above-one", "label-smoothing-above-one", "label-smoothing-nan"],
+         "slots-f1-target-above-one", "intent-target-above-one", "label-smoothing-above-one", "label-smoothing-nan",
+         "stage-unknown-key", "stage-lr-str", "stages-not-a-list", "feature-unknown-key", "model-feature-dim",
+         "vocab-path-not-a-string"],
 )
 def test_train_toy_rejects_config_it_would_ignore(capsys, tmp_path, config, message):
     paths = write_corpus(tmp_path / "corpus", 2, seed=5)
@@ -515,10 +524,19 @@ def _decode_fails_cleanly(capsys, ckpt, manifest, out, *extra):
         (lambda obj: obj["asr_vocab"].update(pieces=[3, 1, 2]), "asr_vocab.pieces must be a list of strings"),
         (lambda obj: obj["nlu_vocab"].update(pieces="abc"), "nlu_vocab.pieces must be a list of strings"),
         (lambda obj: obj["asr_vocab"].update(unk=0), "asr_vocab.unk must be a string, got int"),
+        (lambda obj: obj.update(format_version=True), "format_version must be int, got bool"),
+        (lambda obj: obj.update(format_version=1.0), "format_version must be int, got float"),
+        (lambda obj: obj.pop("format_version"), "malformed checkpoint: missing key 'format_version'"),
+        (lambda obj: obj.update(step=3), "malformed checkpoint: unknown key 'step'"),
+        (lambda obj: obj["feature"].update(bands=20), "feature: unknown key 'bands'"),
+        (lambda obj: obj["nlu_vocab"].pop("kind"), "nlu_vocab: missing key 'kind'"),
+        (lambda obj: obj["params"]["sl.b"].pop("shape"), "parameter 'sl.b': missing key 'shape'"),
     ],
     ids=["wrong-shape", "missing", "non-numeric", "extra", "non-finite", "feature-dim", "word-pooling-mean",
          "beam-size-float", "beam-size-bool", "beam-size-str", "slot-tags-str", "slot-tags-int",
-         "intents-repeated", "intents-null", "asr-pieces-int", "nlu-pieces-str", "asr-unk-int"],
+         "intents-repeated", "intents-null", "asr-pieces-int", "nlu-pieces-str", "asr-unk-int",
+         "format-version-true", "format-version-float", "format-version-missing", "top-level-unknown-key",
+         "feature-unknown-key", "vocab-missing-key", "param-missing-key"],
 )
 def test_corrupt_checkpoint_param_exits_2(capsys, tmp_path, ref_manifest, edit, message):
     ckpt = _small_checkpoint(tmp_path / "ckpt.json")

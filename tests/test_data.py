@@ -4,14 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import spell_number
 from slu.data import (
     Manifest,
     Utterance,
     build_manifest,
     find_slot_conflicts,
-    normalize_text,
-    number_to_words,
     parse_manifest,
     parse_manifest_lines,
     write_manifest,
@@ -60,6 +57,9 @@ def test_malformed_json_names_line_number():
         '{"id":"a","words":"w","slots":["O"],"intent":"x"}',
         '{"id":"a","words":["w"],"slots":[1],"intent":"x"}',
         '{"id":"a","words":["w"],"slots":["O"],"intent":"x","bogus":true}',
+        '{"id":"a","words":["w"],"slots":["O"],"intent":"x","samples":[0.5]}',
+        '{"id":"a","words":["w"],"slots":["O"]}',
+        '{"id":"a","words":["w"],"slots":["O"],"intent":"x","audio":3}',
         '["not","an","object"]',
     ],
 )
@@ -155,29 +155,9 @@ def test_manifest_round_trip(tmp_path_factory, manifest: Manifest):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_normalize_examples():
-    assert normalize_text("Show me Flights.") == ["show", "me", "flights"]
-    assert normalize_text("flight 21") == ["flight", "twenty", "one"]
-    assert normalize_text("") == []
-    assert normalize_text('What; is: "this"? (a test)!') == ["what", "is", "this", "a", "test"]
-    assert normalize_text("gate 10022") == ["gate", "10022"]  # beyond the table
-
-
-def test_number_words_match_independent_speller():
-    for n in range(10000):
-        assert number_to_words(n) == spell_number(n), n
-
-
-@given(st.text(alphabet="abc 019.,?!;:\"()", max_size=40))
-@settings(max_examples=200, deadline=None)
-def test_normalize_idempotent(raw):
-    once = normalize_text(raw)
-    assert normalize_text(" ".join(once)) == once
-
-
 def test_records_are_json_lines(tmp_path):
     manifest = build_manifest(
-        [Utterance("u0", ["a"], ["O"], "x", audio_path="a.wav")]
+        [Utterance("u0", ["a"], ["O"], "x", audio="a.wav")]
     )
     path = tmp_path / "m.jsonl"
     write_manifest(manifest, path)

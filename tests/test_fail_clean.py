@@ -8,6 +8,8 @@ command must exit 0, 1 (I/O) or 2 (bad input), print at most the one-line
 ``slu <cmd>: ...`` message on stderr, and leave no ``--out`` file behind
 when ``decode``, ``tokenize``, ``score``, ``augment`` or ``train-toy`` fails.
 A failure on a mutated WAV names that file, or the record it belongs to.
+A config or checkpoint with one JSON node swapped for a value of another type
+loads or fails naming the swapped key (or, inside ``params``, the parameter).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from slu.audio import FeatureConfig
@@ -235,3 +237,44 @@ def test_mutated_inputs_fail_cleanly(base, case):
                 assert str(path) in message[0] or (record and f"record {record!r}" in message[0]), message
             if out is not None:  # nor a temporary file or directory next to it
                 assert not out.exists() and not (out.parent.exists() and any(out.parent.iterdir()))
+
+
+SWAP_VALUES = ([], "x", 1, None, {})
+
+
+def _json_kind(value) -> str:
+    return "number" if isinstance(value, (int, float)) and not isinstance(value, bool) else type(value).__name__
+
+
+@given(target=st.sampled_from(("config", "ckpt")), pick=st.integers(0, 1 << 16), value=st.sampled_from(SWAP_VALUES))
+@example(target="config", pick=0, value="x")  # seed
+@example(target="config", pick=8, value=[])  # stages[0]
+@example(target="ckpt", pick=1, value=[])  # model
+@settings(max_examples=80, deadline=None)
+def test_a_json_node_swapped_for_another_type_is_named(base, target, pick, value):
+    command = READERS[target][0]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        shutil.copytree(base, root, dirs_exist_ok=True)
+        path = root / FILES[target]
+        obj = json.loads(path.read_text())
+        # every node but the top level and the numbers of a parameter's data
+        nodes = [node for node in _json_paths(obj) if node and "data" not in node[:-1]]
+        node = nodes[pick % len(nodes)]
+        parent = obj
+        for key in node[:-1]:
+            parent = parent[key]
+        assume(_json_kind(parent[node[-1]]) != _json_kind(value))
+        parent[node[-1]] = value
+        path.write_text(json.dumps(obj))
+        argv, out = _argv(command, root, "0,10")
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        message = [line for line in stderr.getvalue().splitlines() if not LOG_LINE.match(line)]
+        assert code in (0, 2), message
+        if code:
+            keys = [key for key in node if isinstance(key, str)]  # the swapped key, or within params the parameter
+            name = repr(node[1]) if node[0] == "params" and len(node) > 1 else keys[-1]
+            assert len(message) == 1 and str(path) in message[0] and name in message[0], (node, value, message)
+            assert not out.exists() and not (out.parent.exists() and any(out.parent.iterdir()))

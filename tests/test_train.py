@@ -1,19 +1,15 @@
-import inspect
-import sys
-
 import numpy as np
 import pytest
 
 import oracles
-import slu.autodiff
 import slu.model
 import slu.train
 from slu.audio import FeatureConfig
 from slu.autodiff import Tensor
 from slu.data import Utterance, build_manifest
 from slu.decode import decode_two_step
-from slu.errors import NumericError, ValidationError
-from slu.model import JointModel, ModelConfig
+from slu.errors import NumericError, ValidationError, read_config
+from slu.model import Checkpoint, JointModel, ModelConfig
 from slu.synth import asr_vocab, build_corpus, nlu_vocab, utterance_audio, word_waveform
 from slu.train import StageConfig, TrainConfig, _Sgd, corpus_features, evaluate_train_set, train
 
@@ -176,46 +172,6 @@ def test_train_tokenizes_each_record_once_per_vocabulary(monkeypatch):
     )
     train(small_model(corpus), corpus, cfg, FEATURE)
     assert len(calls) == 2 * len(corpus.records)
-
-
-def _engine_surface() -> dict[str, object]:
-    """The code of every public ``slu.autodiff`` function and ``Tensor`` method (operators included), by name."""
-    surface = {
-        name: inspect.unwrap(f).__code__  # a context manager's own generator, not contextlib's wrapper
-        for name, f in vars(slu.autodiff).items()
-        if inspect.isfunction(f) and f.__module__ == "slu.autodiff" and not name.startswith("_")
-    }
-    for name, member in vars(Tensor).items():
-        func = member.fget if isinstance(member, property) else member
-        if inspect.isfunction(func) and (name.endswith("__") or not name.startswith("_")):
-            surface[f"Tensor.{name}"] = func.__code__
-    return surface
-
-
-def test_train_and_decode_reach_every_public_engine_op():
-    # the engine keeps only what the package calls: an op that only tests use fails here
-    corpus = small_corpus(2)
-    joint = [StageConfig("joint_finetune", epochs=1, lr=0.01, eval_every=1)]
-    reached = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            reached.add(frame.f_code)
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        histories = [
-            train(small_model(corpus), corpus, TrainConfig(seed=0, beam_size=2, mode=mode, stages=joint), FEATURE)
-            for mode in ("e2e", "two_stage")  # two_stage is the only caller of Tensor.detach
-        ]
-    finally:
-        sys.setprofile(previous)
-    assert all("slots_edit_f1" in history[0] for history in histories)  # each epoch was polled: decoded
-    surface = _engine_surface()
-    required = {"Tensor.__add__", "Tensor.__matmul__", "Tensor.backward", "Tensor.detach", "linear", "no_grad"}
-    assert required <= set(surface)
-    assert sorted(name for name, code in surface.items() if code not in reached) == []
 
 
 def test_speech_stages_build_no_nlu_graph(monkeypatch):
@@ -425,7 +381,7 @@ def test_decoding_mid_training_equals_decoding_a_freshly_frozen_model(monkeypatc
 
     def checked(m, feats, beam_size):
         got = decode(m, feats, beam_size=beam_size)
-        snapshot = JointModel.from_dict(m.to_dict())  # the current values, frozen as a checkpoint holds them
+        snapshot = JointModel.from_checkpoint(read_config(Checkpoint, m.to_dict()))  # the current values, frozen as a checkpoint holds them
         assert got == decode(snapshot, feats, beam_size=beam_size)  # the log-probability too, bit for bit
         polls.append(m is model)
         return got
