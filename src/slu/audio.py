@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Manifest, Utterance, build_manifest
-from .errors import AudioFormatError, ValidationError, check_field_types
+from .errors import AudioFormatError, ValidationError
 from .ioutil import atomic_write_bytes
 
 log = logging.getLogger(__name__)
@@ -280,7 +280,6 @@ class FeatureConfig:
     num_bands: int = 20
 
     def __post_init__(self):
-        check_field_types(self)
         if min(self.frame_length, self.hop) < 1 or not 1 <= self.num_bands <= self.frame_length // 2 + 1:
             raise ValidationError(
                 "feature config needs frame_length, hop >= 1 and "
@@ -293,15 +292,6 @@ def _hann(frame_length: int) -> np.ndarray:
     window = np.hanning(frame_length)
     window.flags.writeable = False
     return window
-
-
-@functools.cache
-def _band_widths(bins: int, num_bands: int) -> np.ndarray:
-    """Bins per band as ``np.array_split`` deals them: the first ``bins % num_bands`` one wider."""
-    width, wide = divmod(bins, num_bands)
-    widths = np.array([width + 1] * wide + [width] * (num_bands - wide), dtype=np.float64)
-    widths.flags.writeable = False
-    return widths
 
 
 def log_power_features(clip: AudioClip, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
@@ -328,7 +318,8 @@ def log_power_features(clip: AudioClip, config: FeatureConfig = FeatureConfig())
     feats = np.empty((count, num_bands))
     power[:, :cut].reshape(count, wide, width + 1).sum(axis=2, out=feats[:, :wide])
     power[:, cut:].reshape(count, num_bands - wide, width).sum(axis=2, out=feats[:, wide:])
-    feats /= _band_widths(bins, num_bands)
+    feats[:, :wide] /= width + 1
+    feats[:, wide:] /= width
     feats += 1e-10
     np.log(feats, out=feats)
     feats -= feats.sum() / feats.size

@@ -207,8 +207,6 @@ class TrainFile(TrainConfig):
 
 def _train_configs(path: Path):
     spec = read_config(TrainFile, read_json(path))
-    if not isinstance(spec.stages, list):
-        raise ValidationError(f"stages must be a list, got {type(spec.stages).__name__}")
     spec.stages = [read_config(StageConfig, stage, f"stages[{i}]") for i, stage in enumerate(spec.stages)]
     feature = read_config(audio.FeatureConfig, spec.feature, "feature")
     model_cfg = read_config(ModelConfig, spec.model, "model", feature_dim=feature.num_bands)

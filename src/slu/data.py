@@ -1,7 +1,8 @@
 """Dataset records and JSONL manifest ingestion.
 
 A manifest is one JSON object per line, ``{id, words, slots, intent, audio?}``,
-which ``errors.read_config`` reads into an ``Utterance``.  Slot tags are stored
+which ``errors.read_config`` reads into an ``Utterance``, each value checked
+against its field's annotation.  Slot tags are stored
 internally in BIO form; bare labels are promoted to ``B-<label>`` on parse.
 """
 
@@ -103,19 +104,9 @@ def _manifest_of(records: Iterable[Utterance], base_dir: Path | None = None) -> 
 
 def _record_from_obj(obj: object, where: str) -> Utterance:
     try:
-        rec = read_config(Utterance, obj, where, samples=None)
-    except ValidationError as exc:  # a record of the wrong shape is malformed, as a mistyped field is
+        return read_config(Utterance, obj, where, samples=None)
+    except ValidationError as exc:  # a record of the wrong shape or type is malformed
         raise ParseError(str(exc)) from exc
-    for name in ("id", "intent"):
-        if not isinstance(getattr(rec, name), str):
-            raise ParseError(f"{where}: field {name!r} must be a string")
-    for name in ("words", "slots"):
-        value = getattr(rec, name)
-        if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-            raise ParseError(f"{where}: field {name!r} must be a list of strings")
-    if rec.audio is not None and not isinstance(rec.audio, str):
-        raise ParseError(f"{where}: field 'audio' must be a string path")
-    return rec
 
 
 def parse_manifest_lines(lines: Iterable[str], source: str = "<memory>") -> Manifest:

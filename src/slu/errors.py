@@ -1,9 +1,13 @@
-"""Exception types shared across the toolkit, the config field check, and the JSON section reader."""
+"""Exception types shared across the toolkit, and the reader that turns a JSON
+section into a config dataclass, checking each value against its field's annotation."""
 
 import dataclasses
 import functools
 
-_ANNOTATED = {"int": (int,), "float": (int, float), "str": (str,), "None": (type(None),)}
+# The Python types of the JSON values that each annotation name admits.
+_JSON_TYPES = {
+    "int": (int,), "float": (int, float), "str": (str,), "dict": (dict,), "list": (list,), "None": (type(None),)
+}
 
 
 class SluError(Exception):
@@ -34,44 +38,64 @@ class NumericError(SluError):
     """Non-finite value encountered during training or gradient computation."""
 
 
-def check_field_types(config) -> None:
-    """Raise ValidationError for the first field of a config dataclass whose
-    value does not have its annotated type.
-
-    Fields annotated ``int``, ``float``, ``str``, or a union of those with
-    ``None``, are checked (an int is a float, a bool is neither); other
-    annotations are left alone.  The config modules use postponed (string)
-    annotations, which is what ``dataclasses.fields`` reports here.
-    """
-    for f in dataclasses.fields(config):
-        names = f.type.split(" | ")
-        if not set(names) <= set(_ANNOTATED):
-            continue
-        value = getattr(config, f.name)
-        if isinstance(value, bool) or not isinstance(value, tuple(t for n in names for t in _ANNOTATED[n])):
-            raise ValidationError(
-                f"{type(config).__name__}.{f.name} must be {f.type}, got {type(value).__name__}"
-            )
-
-
 @functools.cache
-def _required(cls) -> list[str]:
-    """The fields of dataclass ``cls`` that have no default."""
-    return [f.name for f in dataclasses.fields(cls) if f.default is f.default_factory is dataclasses.MISSING]
+def _fields(cls) -> tuple[dict, list[str]]:
+    """The fields of dataclass ``cls`` that JSON may hold, each with the JSON
+    types its annotation admits, the types of a list's items (None when the
+    items are not checked here) and the annotation as a message names it;
+    and the names of those without a default.
+
+    The annotations are strings (the config modules postpone them).  One is a
+    union, joined by `` | ``, of ``int``, ``float`` (an int is a float),
+    ``str``, ``dict``, ``list``, ``list[str]``, ``list[int]``, ``list[float]``
+    and ``None``; types are matched exactly, so a bool is never a number.
+    ``list[X]`` of another ``X`` checks only the list, and any other
+    annotation is not checked.
+    """
+    fields, required = {}, []
+    for f in dataclasses.fields(cls):
+        if not f.init:
+            continue
+        types, items = frozenset(), None
+        for name in f.type.split(" | "):
+            outer, _, inner = name.partition("[")
+            if outer not in _JSON_TYPES or inner and outer != "list":
+                types = items = None
+                break
+            types = types.union(_JSON_TYPES[outer])
+            if inner:
+                items = frozenset(_JSON_TYPES.get(inner[:-1], ())) or None
+        fields[f.name] = (types, items, "a JSON object" if f.type == "dict" else f.type)
+        if f.default is f.default_factory is dataclasses.MISSING:
+            required.append(f.name)
+    return fields, required
 
 
 def read_config(cls, obj, path: str = "", **given):
     """Dataclass ``cls`` built from ``obj``, the JSON object at ``path`` (empty for a
     file's top level), with ``given`` supplying the fields that the JSON must not hold.
-    A value that is not an object, its first unknown or missing key, and whatever
-    ``cls`` itself rejects raise ValidationError naming ``path``."""
+    A value that is not an object, its first unknown key, a value that its field's
+    annotation does not admit (see ``_fields``), the first missing key, and whatever
+    ``cls`` itself rejects raise ValidationError naming ``path``, in the form
+    ``<path>: <key> must be <annotation>, got <JSON type>`` for a mistyped value."""
     if not isinstance(obj, dict):
         raise ValidationError(f"{path or 'the top level'} must be a JSON object, got {type(obj).__name__}")
     where = f"{path}: " if path else ""
-    for key in obj:
-        if key not in cls.__dataclass_fields__ or key in given:
+    fields, required = _fields(cls)
+    for key, value in obj.items():
+        spec = fields.get(key)
+        if spec is None or key in given:
             raise ValidationError(f"{where}unknown key {key!r}")
-    for name in _required(cls):
+        types, items, annotation = spec
+        kind = type(value)
+        if types is not None and kind not in types:
+            got = kind.__name__
+        elif items and kind is list and not items.issuperset(map(type, value)):
+            got = f"list[{' | '.join(sorted({type(v).__name__ for v in value}))}]"
+        else:
+            continue
+        raise ValidationError(f"{where}{key} must be {annotation}, got {got}")
+    for name in required:
         if name not in obj and name not in given:
             raise ValidationError(f"{where}missing key {name!r}")
     try:

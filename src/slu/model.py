@@ -23,7 +23,7 @@ import numpy as np
 from .audio import FeatureConfig
 from .autodiff import Tensor, attention, concat, embed, linear, nll
 from .crf import crf_nll_t, crf_viterbi
-from .errors import DimensionError, ValidationError, check_field_types, read_config
+from .errors import DimensionError, ValidationError, read_config
 from .ioutil import atomic_write_text, read_json
 from .subword import SubwordVocab, TokenizationResult, tokenize
 
@@ -47,7 +47,6 @@ class ModelConfig:
     label_smoothing: float = 0.1
 
     def __post_init__(self):
-        check_field_types(self)
         if min(self.feature_dim, self.asr_hidden, self.nlu_hidden, self.max_positions) < 1:
             raise ValidationError("feature_dim, asr_hidden, nlu_hidden and max_positions must be >= 1")
         if self.slot_head not in (HEAD_LINEAR, HEAD_CRF):
@@ -356,20 +355,18 @@ class JointModel:
     def from_checkpoint(cls, ckpt: Checkpoint) -> "JointModel":
         """The model of ``read_config(Checkpoint, obj)``, where ``obj`` is ``to_dict``'s or a checkpoint file's."""
         section = ckpt.model
-        if isinstance(section, dict) and "word_pooling" in section:  # older checkpoints store the then-default "first"
+        if "word_pooling" in section:  # older checkpoints store the then-default "first"
             if section["word_pooling"] != "first":
                 raise ValidationError(f"model.word_pooling {section['word_pooling']!r} is not supported, only 'first'")
             section = {key: value for key, value in section.items() if key != "word_pooling"}
         model = cls(
             read_config(ModelConfig, section, "model"),
-            _stored_vocab(ckpt.asr_vocab, "asr_vocab"),
-            _stored_vocab(ckpt.nlu_vocab, "nlu_vocab"),
-            _string_list(ckpt.slot_tags, "slot_tags", distinct=True),
-            _string_list(ckpt.intents, "intents", distinct=True),
+            read_config(_StoredVocab, ckpt.asr_vocab, "asr_vocab").vocab,
+            read_config(_StoredVocab, ckpt.nlu_vocab, "nlu_vocab").vocab,
+            ckpt.slot_tags,
+            ckpt.intents,
         )
         model.init_params()  # the names and shapes this config expects
-        if not isinstance(ckpt.params, dict):
-            raise ValidationError(f"params must be a JSON object, got {type(ckpt.params).__name__}")
         if set(ckpt.params) != set(model.params):
             name = min(set(ckpt.params) ^ set(model.params))
             raise ValidationError(f"{'missing' if name in model.params else 'unexpected'} parameter {name!r}")
@@ -377,10 +374,11 @@ class JointModel:
             entry = read_config(_StoredParam, ckpt.params[name], f"parameter {name!r}")
             if entry.shape != list(expected.shape):
                 raise ValidationError(f"parameter {name!r}: shape {entry.shape} != expected {list(expected.shape)}")
-            try:
-                arr = np.asarray(entry.data, dtype=np.float64).reshape(expected.shape)
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"parameter {name!r}: bad data: {exc}") from exc
+            if len(entry.data) != expected.data.size:
+                raise ValidationError(
+                    f"parameter {name!r}: {len(entry.data)} values, shape {entry.shape} needs {expected.data.size}"
+                )
+            arr = np.asarray(entry.data, dtype=np.float64).reshape(expected.shape)
             if not np.isfinite(arr).all():
                 raise ValidationError(f"parameter {name!r}: non-finite data")
             model.params[name] = Tensor(arr, requires_grad=True)
@@ -395,48 +393,38 @@ class Checkpoint:
     model: dict
     asr_vocab: dict
     nlu_vocab: dict
-    slot_tags: list
-    intents: list
+    slot_tags: list[str]
+    intents: list[str]
     params: dict
     feature: dict = field(default_factory=dict)
     beam_size: int = 5
 
     def __post_init__(self):
-        check_field_types(self)
         if self.format_version != CHECKPOINT_VERSION:
             raise ValidationError(f"unsupported checkpoint version {self.format_version!r}")
         if self.beam_size < 1:
             raise ValidationError(f"beam_size must be >= 1, got {self.beam_size}")
+        for name, labels in (("slot_tags", self.slot_tags), ("intents", self.intents)):
+            if len(set(labels)) < len(labels):
+                repeated = next(v for i, v in enumerate(labels) if v in labels[:i])
+                raise ValidationError(f"{name} lists {repeated!r} more than once")
 
 
 @dataclass
-class _StoredParam:  # a params entry; from_checkpoint checks both against the parameter it fills
-    shape: list
-    data: list
+class _StoredParam:  # a params entry; from_checkpoint checks it against the parameter it fills
+    shape: list[int]
+    data: list[float]
 
 
 @dataclass
-class _StoredVocab:  # asr_vocab or nlu_vocab; _stored_vocab checks the values
+class _StoredVocab:  # asr_vocab or nlu_vocab, built here so that read_config names the section in its errors
     kind: str
-    pieces: list
+    pieces: list[str]
     unk: str
+    vocab: SubwordVocab = field(init=False)
 
-
-def _string_list(value, path: str, distinct: bool = False) -> list[str]:
-    """``value`` if it is a list of strings, all different when ``distinct``; else an error naming ``path``."""
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ValidationError(f"{path} must be a list of strings")
-    repeated = [v for i, v in enumerate(value) if v in value[:i]] if distinct else []
-    if repeated:
-        raise ValidationError(f"{path} lists {repeated[0]!r} more than once")
-    return value
-
-
-def _stored_vocab(section, path: str) -> SubwordVocab:
-    spec = read_config(_StoredVocab, section, path)
-    if not isinstance(spec.unk, str):
-        raise ValidationError(f"{path}.unk must be a string, got {type(spec.unk).__name__}")
-    return SubwordVocab.create(spec.kind, _string_list(spec.pieces, f"{path}.pieces"), spec.unk)
+    def __post_init__(self):
+        self.vocab = SubwordVocab.create(self.kind, self.pieces, self.unk)
 
 
 def save_checkpoint(

@@ -19,7 +19,7 @@ import numpy as np
 from .audio import FeatureConfig, log_power_features, record_clip
 from .data import Manifest
 from .decode import decode_two_step
-from .errors import NumericError, SluError, ValidationError, check_field_types
+from .errors import NumericError, SluError, ValidationError
 from .metrics import intent_accuracy, slots_edit_f1
 from .model import Example, JointModel, MODE_E2E, MODE_TWO_STAGE
 
@@ -42,7 +42,6 @@ class StageConfig:
     target_intent_acc: float | None = None
 
     def __post_init__(self):
-        check_field_types(self)
         if self.stage not in _STAGES:
             raise ValidationError(f"unknown stage {self.stage!r}, expected one of {_STAGES}")
         if self.epochs < 0 or self.eval_every < 0:
@@ -73,7 +72,6 @@ class TrainConfig:
     stages: list[StageConfig] = field(default_factory=list)
 
     def __post_init__(self):
-        check_field_types(self)
         if self.seed < 0 or self.beam_size < 1:
             raise ValidationError("seed must be >= 0 and beam_size >= 1")
         if self.mode not in (MODE_E2E, MODE_TWO_STAGE):

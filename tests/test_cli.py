@@ -361,8 +361,8 @@ def test_train_toy_rejects_a_record_past_the_nlu_positions(capsys, tmp_path):
           for s in (5.0, float("nan"))],
         ({"stages": [{"stage": "asr_pretrain", "epochs": 1, "lr": 0.05}, {"stage": "asr_finetune", "epoch": 1}]},
          "stages[1]: unknown key 'epoch'"),
-        ({"stages": [{"stage": "asr_pretrain", "epochs": 1, "lr": "x"}]}, "stages[0]: StageConfig.lr must be float"),
-        ({"stages": {"stage": "asr_pretrain", "epochs": 1, "lr": 0.05}}, "stages must be a list, got dict"),
+        ({"stages": [{"stage": "asr_pretrain", "epochs": 1, "lr": "x"}]}, "stages[0]: lr must be float, got str"),
+        ({"stages": {"stage": "asr_pretrain", "epochs": 1, "lr": 0.05}}, "stages must be list[StageConfig], got dict"),
         ({"feature": {"bands": 20}, "stages": []}, "feature: unknown key 'bands'"),
         ({"model": {"feature_dim": 20}, "stages": []}, "model: unknown key 'feature_dim'"),
         ({"asr_vocab": ["vocab_asr.txt"], "stages": []}, "asr_vocab must be str | None, got list"),
@@ -484,10 +484,10 @@ def test_augment_rejects_a_repeated_snr_level_before_mixing(capsys, tmp_path, sn
     assert [p.name for p in out_dir.iterdir()] == ["keep.txt"]
 
 
-def _small_checkpoint(path, beam_size=2):
+def _small_checkpoint(path, beam_size=2, intents=("find_flight", "airfare")):
     """A randomly initialised checkpoint whose features match the default FeatureConfig."""
     config = ModelConfig(feature_dim=FeatureConfig().num_bands, asr_hidden=4, nlu_hidden=4)
-    model = JointModel(config, asr_vocab(), nlu_vocab(), ["O", "B-toloc"], ["find_flight", "airfare"])
+    model = JointModel(config, asr_vocab(), nlu_vocab(), ["O", "B-toloc"], list(intents))
     model.init_params(0)
     save_checkpoint(model, path, beam_size=beam_size)
     return path
@@ -507,7 +507,8 @@ def _decode_fails_cleanly(capsys, ckpt, manifest, out, *extra):
     [
         (lambda obj: obj["params"]["asr.enc_w"].update(shape=[4, 20]), "parameter 'asr.enc_w': shape [4, 20]"),
         (lambda obj: obj["params"].pop("asr.enc_w"), "missing parameter 'asr.enc_w'"),
-        (lambda obj: obj["params"]["sl.b"].update(data=["abc", "abc"]), "parameter 'sl.b': bad data"),
+        (lambda obj: obj["params"]["sl.b"].update(data=["abc", "abc"]),
+         "parameter 'sl.b': data must be list[float], got list[str]"),
         (lambda obj: obj["params"].update({"sl.extra": {"shape": [1], "data": [0.0]}}),
          "unexpected parameter 'sl.extra'"),
         (lambda obj: obj["params"]["sl.b"].update(data=[float("nan"), float("inf")]),
@@ -517,13 +518,13 @@ def _decode_fails_cleanly(capsys, ckpt, manifest, out, *extra):
         (lambda obj: obj.update(beam_size=2.5), "beam_size must be int, got float"),
         (lambda obj: obj.update(beam_size=True), "beam_size must be int, got bool"),
         (lambda obj: obj.update(beam_size="3"), "beam_size must be int, got str"),
-        (lambda obj: obj.update(slot_tags="OB"), "slot_tags must be a list of strings"),
-        (lambda obj: obj.update(slot_tags=[0, 1]), "slot_tags must be a list of strings"),
+        (lambda obj: obj.update(slot_tags="OB"), "slot_tags must be list[str], got str"),
+        (lambda obj: obj.update(slot_tags=[0, 1]), "slot_tags must be list[str], got list[int]"),
         (lambda obj: obj.update(intents=["airfare", "airfare"]), "intents lists 'airfare' more than once"),
-        (lambda obj: obj.update(intents=None), "intents must be a list of strings"),
-        (lambda obj: obj["asr_vocab"].update(pieces=[3, 1, 2]), "asr_vocab.pieces must be a list of strings"),
-        (lambda obj: obj["nlu_vocab"].update(pieces="abc"), "nlu_vocab.pieces must be a list of strings"),
-        (lambda obj: obj["asr_vocab"].update(unk=0), "asr_vocab.unk must be a string, got int"),
+        (lambda obj: obj.update(intents=None), "intents must be list[str], got NoneType"),
+        (lambda obj: obj["asr_vocab"].update(pieces=[3, 1, 2]), "asr_vocab: pieces must be list[str], got list[int]"),
+        (lambda obj: obj["nlu_vocab"].update(pieces="abc"), "nlu_vocab: pieces must be list[str], got str"),
+        (lambda obj: obj["asr_vocab"].update(unk=0), "asr_vocab: unk must be str, got int"),
         (lambda obj: obj.update(format_version=True), "format_version must be int, got bool"),
         (lambda obj: obj.update(format_version=1.0), "format_version must be int, got float"),
         (lambda obj: obj.pop("format_version"), "malformed checkpoint: missing key 'format_version'"),
@@ -565,6 +566,31 @@ def test_checkpoint_section_that_is_not_an_object_is_named(capsys, tmp_path, ref
     obj = json.loads(ckpt.read_text())
     parent, _, key = section.rpartition("/")
     (obj[parent] if parent else obj)[key] = value
+    ckpt.write_text(json.dumps(obj))
+    err = _decode_fails_cleanly(capsys, ckpt, ref_manifest, tmp_path / "h.jsonl")
+    assert err == f"slu decode: {ckpt}: malformed checkpoint: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda obj: obj["asr_vocab"].update(kind=["bpe"]), "asr_vocab: kind must be str, got list"),
+        (lambda obj: obj["asr_vocab"].update(kind="sentencepiece"), "asr_vocab: unknown tokenizer kind 'sentencepiece'"),
+        (lambda obj: obj["params"]["ic.b"].update(data=1), "parameter 'ic.b': data must be list[float], got int"),
+        (lambda obj: obj["params"]["ic.b"].update(shape=[True]),
+         "parameter 'ic.b': shape must be list[int], got list[bool]"),
+        (lambda obj: obj["params"]["sl.b"].update(data=[True, 0.0]),
+         "parameter 'sl.b': data must be list[float], got list[bool | float]"),
+        (lambda obj: obj["params"]["sl.b"].update(data=[0.0, 0.0, 0.0]), "parameter 'sl.b': 3 values, shape [2] needs 2"),
+    ],
+    ids=["vocab-kind-list", "vocab-kind-unknown", "param-data-number", "param-shape-bool", "param-data-bool",
+         "param-data-count"],
+)
+def test_checkpoint_value_the_format_does_not_allow_is_named(capsys, tmp_path, ref_manifest, edit, message):
+    # one intent, so that ic.b has one value: a bare number or a shape of [true] would fit it
+    ckpt = _small_checkpoint(tmp_path / "ckpt.json", intents=["find_flight"])
+    obj = json.loads(ckpt.read_text())
+    edit(obj)
     ckpt.write_text(json.dumps(obj))
     err = _decode_fails_cleanly(capsys, ckpt, ref_manifest, tmp_path / "h.jsonl")
     assert err == f"slu decode: {ckpt}: malformed checkpoint: {message}\n"

@@ -10,13 +10,20 @@ when ``decode``, ``tokenize``, ``score``, ``augment`` or ``train-toy`` fails.
 A failure on a mutated WAV names that file, or the record it belongs to.
 A config or checkpoint with one JSON node swapped for a value of another type
 loads or fails naming the swapped key (or, inside ``params``, the parameter).
+Every field that ``errors.read_config`` fills from JSON has an annotation
+whose type the reader checks, or is listed with the reason it is not.
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
+import dataclasses
+import importlib
+import inspect
 import io
 import json
+import pkgutil
 import re
 import shutil
 import tempfile
@@ -26,9 +33,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import slu
 from slu.audio import FeatureConfig
 from slu.cli import main
 from slu.data import parse_manifest
+from slu.errors import ValidationError, read_config
 from slu.model import JointModel, ModelConfig, save_checkpoint
 from slu.synth import asr_vocab, nlu_vocab, write_corpus, write_noise_dir
 
@@ -278,3 +287,62 @@ def test_a_json_node_swapped_for_another_type_is_named(base, target, pick, value
             name = repr(node[1]) if node[0] == "params" and len(node) > 1 else keys[-1]
             assert len(message) == 1 and str(path) in message[0] and name in message[0], (node, value, message)
             assert not out.exists() and not (out.parent.exists() and any(out.parent.iterdir()))
+
+
+# The annotations whose JSON types read_config checks, alone or joined by " | ".
+CHECKED_ANNOTATIONS = {"int", "float", "str", "dict", "list", "list[str]", "list[int]", "list[float]", "None"}
+# Fields that read_config fills without checking their type, each with the reason.
+UNCHECKED_FIELDS = {
+    "Utterance.samples": "given by the caller; a manifest record may not hold it",
+    "TrainFile.stages": "the reader checks the list; its items are read one at a time as StageConfig",
+}
+
+
+def _read_config_classes() -> dict[str, type]:
+    """Every class that src/slu passes to read_config, by name."""
+    found = {}
+    for info in pkgutil.iter_modules(slu.__path__):
+        module = importlib.import_module(f"slu.{info.name}")
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "read_config":
+                cls = eval(ast.unparse(node.args[0]), vars(module))
+                found[cls.__name__] = cls
+    return found
+
+
+def test_read_config_checks_the_type_of_every_field_it_reads():
+    classes = _read_config_classes()
+    assert {"Checkpoint", "_StoredParam", "_StoredVocab", "TrainFile", "StageConfig", "Utterance"} <= set(classes)
+    unchecked = {
+        f"{name}.{f.name}"
+        for name, cls in classes.items()
+        for f in dataclasses.fields(cls)
+        if f.init and not set(f.type.split(" | ")) <= CHECKED_ANNOTATIONS
+    }
+    assert unchecked == set(UNCHECKED_FIELDS)
+
+
+def _admits(annotation: str, value) -> bool:
+    """Whether JSON ``value`` has a type of ``annotation``: an int is a float, a bool is no number."""
+    for part in annotation.split(" | "):
+        outer, _, inner = part.partition("[")
+        if outer == "list" and inner:
+            ok = type(value) is list and all(_admits(inner[:-1], item) for item in value)
+        else:
+            ok = type(value) in {"int": (int,), "float": (int, float), "str": (str,), "dict": (dict,),
+                                 "list": (list,), "None": (type(None),)}[part]
+        if ok:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("annotation", sorted(CHECKED_ANNOTATIONS) + ["float | None", "list[str] | None"])
+def test_read_config_admits_exactly_the_json_types_of_an_annotation(annotation):
+    probe = dataclasses.make_dataclass("Probe", [("x", annotation)])
+    for value in (0, 1.5, True, "s", None, {}, [], ["s"], [0], [1.5], [True], [None], ["s", 0], [[]]):
+        if _admits(annotation, value):
+            assert read_config(probe, {"x": value}, "probe").x is value
+        else:
+            shown = "a JSON object" if annotation == "dict" else annotation
+            with pytest.raises(ValidationError, match=re.escape(f"probe: x must be {shown}, got ")):
+                read_config(probe, {"x": value}, "probe")
