@@ -27,6 +27,8 @@ log = logging.getLogger(__name__)
 
 PCM_SCALE = 32768.0
 DEFAULT_SNR_LEVELS = (0.0, 10.0, 20.0, 30.0, 40.0)
+# The longest frame, in samples, that a feature config may ask for; its window is allocated whole.
+MAX_FRAME_LENGTH = 2**16
 
 
 @dataclass
@@ -280,6 +282,8 @@ class FeatureConfig:
     num_bands: int = 20
 
     def __post_init__(self):
+        if self.frame_length > MAX_FRAME_LENGTH:
+            raise ValidationError(f"frame_length must be <= {MAX_FRAME_LENGTH}, got {self.frame_length}")
         if min(self.frame_length, self.hop) < 1 or not 1 <= self.num_bands <= self.frame_length // 2 + 1:
             raise ValidationError(
                 "feature config needs frame_length, hop >= 1 and "

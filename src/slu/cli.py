@@ -224,8 +224,10 @@ def cmd_train_toy(args) -> int:
     pretrain = data.parse_manifest(args.pretrain_manifest) if args.pretrain_manifest else None
     slot_tags = sorted({tag for rec in manifest.records for tag in rec.slots})
     intents = sorted(manifest.intent_vocabulary)
-    model = JointModel(model_cfg, asr_vocab, nlu_vocab, slot_tags, intents)
-    model.init_params(train_cfg.seed)
+    try:
+        model = JointModel(model_cfg, asr_vocab, nlu_vocab, slot_tags, intents)
+    except ValidationError as exc:  # its parameters are over the budget
+        raise ValidationError(f"{args.config}: bad train config: model: {exc}") from exc
     history = train(model, manifest, train_cfg, feature, pretrain)
     save_checkpoint(model, args.out, feature, train_cfg.beam_size)
     atomic_write_text(

@@ -3,6 +3,7 @@ section into a config dataclass, checking each value against its field's annotat
 
 import dataclasses
 import functools
+import sys
 
 # The Python types of the JSON values that each annotation name admits.
 _JSON_TYPES = {
@@ -50,7 +51,8 @@ def _fields(cls) -> tuple[dict, list[str]]:
     ``str``, ``dict``, ``list``, ``list[str]``, ``list[int]``, ``list[float]``
     and ``None``; types are matched exactly, so a bool is never a number.
     ``list[X]`` of another ``X`` checks only the list, and any other
-    annotation is not checked.
+    annotation is not checked.  Where a float is admitted, alone or as a
+    list's items, an int beyond the float range is not.
     """
     fields, required = {}, []
     for f in dataclasses.fields(cls):
@@ -92,6 +94,10 @@ def read_config(cls, obj, path: str = "", **given):
             got = kind.__name__
         elif items and kind is list and not items.issuperset(map(type, value)):
             got = f"list[{' | '.join(sorted({type(v).__name__ for v in value}))}]"
+        elif float in ((items if kind is list else types) or ()) and any(
+            type(v) is int and abs(v) > sys.float_info.max for v in (value if kind is list else [value])
+        ):
+            got = "an int beyond the float range"
         else:
             continue
         raise ValidationError(f"{where}{key} must be {annotation}, got {got}")

@@ -29,6 +29,9 @@ from .subword import SubwordVocab, TokenizationResult, tokenize
 
 CHECKPOINT_VERSION = 1
 
+# The most floats a model's parameters may hold (80 MB), checked before any is allocated.
+MAX_PARAM_FLOATS = 10**7
+
 HEAD_LINEAR = "linear"
 HEAD_CRF = "crf"
 
@@ -121,6 +124,14 @@ class JointModel:
         self._tag_id = {t: i for i, t in enumerate(self.slot_tags)}
         self._intent_id = {t: i for i, t in enumerate(self.intents)}
         self.params: dict[str, Tensor] = {}
+        table = self.param_shapes()
+        total = sum(math.prod(shape) for shape, _ in table.values())
+        if total > MAX_PARAM_FLOATS:
+            name = max(table, key=lambda n: math.prod(table[n][0]))
+            raise ValidationError(
+                f"the parameters hold {total} floats, over the budget of {MAX_PARAM_FLOATS}; "
+                f"the largest is {name!r} with shape {list(table[name][0])}"
+            )
 
     # -- vocabulary plumbing ------------------------------------------------
 
@@ -145,21 +156,20 @@ class JointModel:
 
     # -- parameters -----------------------------------------------------------
 
-    def init_params(self, seed: int = 0) -> None:
-        rng = np.random.default_rng(seed)
+    def param_shapes(self) -> dict[str, tuple[tuple[int, ...], float | None]]:
+        """Each parameter's shape and initial std (None: zeros) by name, in ``init_params``'s draw order."""
         cfg = self.config
         fa, fb = cfg.asr_hidden, cfg.nlu_hidden
         fcat = fa + fb
         n_tags, n_intents = len(self.slot_tags), len(self.intents)
 
         def mat(rows, cols, scale=None):
-            scale = scale if scale is not None else 1.0 / math.sqrt(max(rows, 1))
-            return Tensor(rng.normal(0.0, scale, size=(rows, cols)), requires_grad=True)
+            return (rows, cols), scale if scale is not None else 1.0 / math.sqrt(max(rows, 1))
 
-        def vec(size):
-            return Tensor(np.zeros(size), requires_grad=True)
+        def vec(size, scale=None):
+            return (size,), scale
 
-        p = {
+        table = {
             "asr.enc_w": mat(cfg.feature_dim, fa),
             "asr.enc_b": vec(fa),
             "asr.enc_pos": mat(cfg.max_positions, fa, scale=0.1),
@@ -184,20 +194,21 @@ class JointModel:
             "sl.b": vec(n_tags),
         }
         if cfg.slot_head == HEAD_CRF:
-            p["sl.trans"] = mat(n_tags, n_tags, scale=0.1)
-            p["sl.start"] = Tensor(rng.normal(0.0, 0.1, size=n_tags), requires_grad=True)
-            p["sl.end"] = Tensor(rng.normal(0.0, 0.1, size=n_tags), requires_grad=True)
-        self.params = p
+            table["sl.trans"] = mat(n_tags, n_tags, scale=0.1)
+            table["sl.start"] = vec(n_tags, scale=0.1)
+            table["sl.end"] = vec(n_tags, scale=0.1)
+        return table
+
+    def init_params(self, seed: int = 0) -> None:
+        rng = np.random.default_rng(seed)
+        self.params = {
+            name: Tensor(np.zeros(shape) if scale is None else rng.normal(0.0, scale, size=shape), requires_grad=True)
+            for name, (shape, scale) in self.param_shapes().items()
+        }
 
     def zero_grads(self) -> None:
         for t in self.params.values():
             t.grad = None
-
-    def param_blocks(self) -> dict[str, list[str]]:
-        blocks: dict[str, list[str]] = {}
-        for name in self.params:
-            blocks.setdefault(name.split(".", 1)[0], []).append(name)
-        return blocks
 
     # -- examples ---------------------------------------------------------
 
@@ -366,19 +377,17 @@ class JointModel:
             ckpt.slot_tags,
             ckpt.intents,
         )
-        model.init_params()  # the names and shapes this config expects
-        if set(ckpt.params) != set(model.params):
-            name = min(set(ckpt.params) ^ set(model.params))
-            raise ValidationError(f"{'missing' if name in model.params else 'unexpected'} parameter {name!r}")
-        for name, expected in model.params.items():
+        table = model.param_shapes()
+        if ckpt.params.keys() != table.keys():
+            name = min(ckpt.params.keys() ^ table.keys())
+            raise ValidationError(f"{'missing' if name in table else 'unexpected'} parameter {name!r}")
+        for name, (shape, _) in table.items():
             entry = read_config(_StoredParam, ckpt.params[name], f"parameter {name!r}")
-            if entry.shape != list(expected.shape):
-                raise ValidationError(f"parameter {name!r}: shape {entry.shape} != expected {list(expected.shape)}")
-            if len(entry.data) != expected.data.size:
-                raise ValidationError(
-                    f"parameter {name!r}: {len(entry.data)} values, shape {entry.shape} needs {expected.data.size}"
-                )
-            arr = np.asarray(entry.data, dtype=np.float64).reshape(expected.shape)
+            if entry.shape != list(shape):
+                raise ValidationError(f"parameter {name!r}: shape {entry.shape} != expected {list(shape)}")
+            if len(entry.data) != (size := math.prod(shape)):
+                raise ValidationError(f"parameter {name!r}: {len(entry.data)} values, shape {entry.shape} needs {size}")
+            arr = np.asarray(entry.data, dtype=np.float64).reshape(shape)
             if not np.isfinite(arr).all():
                 raise ValidationError(f"parameter {name!r}: non-finite data")
             model.params[name] = Tensor(arr, requires_grad=True)

@@ -10,6 +10,8 @@ when ``decode``, ``tokenize``, ``score``, ``augment`` or ``train-toy`` fails.
 A failure on a mutated WAV names that file, or the record it belongs to.
 A config or checkpoint with one JSON node swapped for a value of another type
 loads or fails naming the swapped key (or, inside ``params``, the parameter).
+A size too large to allocate, or an int too large for a float, fails naming
+its key or the parameter it would size, before anything is allocated for it.
 Every field that ``errors.read_config`` fills from JSON has an annotation
 whose type the reader checks, or is listed with the reason it is not.
 """
@@ -26,7 +28,9 @@ import json
 import pkgutil
 import re
 import shutil
+import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -219,6 +223,12 @@ def cases(draw):
 @example(case=("augment", "wav2", ("replace", b"RIFF\x00\x00")))  # after the first record's WAVs
 @example(case=("train-toy", "wav", ("overwrite", 24, b"\x00\x00\x00\x00")))  # sample rate 0
 @example(case=("augment", "noise", ("overwrite", 24, b"\x00\x00\x00\x00")))
+@example(case=("decode", "ckpt", ("json", 8, 10**6, False)))  # model.max_positions
+@example(case=("decode", "ckpt", ("json", 8, 10**9, False)))
+@example(case=("train-toy", "config", ("json", 6, 10**5, False)))  # model.asr_hidden
+@example(case=("decode", "ckpt", ("json", 1519, 10**9, False)))  # feature.frame_length
+@example(case=("train-toy", "config", ("json", 12, 10**400, False)))  # stages[0].lr
+@example(case=("decode", "ckpt", ("json", 1515, 10**400, False)))  # params['sl.b'].data[0]
 @settings(max_examples=150, deadline=None)
 def test_mutated_inputs_fail_cleanly(base, case):
     command, target, mutation = case
@@ -246,6 +256,39 @@ def test_mutated_inputs_fail_cleanly(base, case):
                 assert str(path) in message[0] or (record and f"record {record!r}" in message[0]), message
             if out is not None:  # nor a temporary file or directory next to it
                 assert not out.exists() and not (out.parent.exists() and any(out.parent.iterdir()))
+
+
+# Values too large to allocate for, or to hold in a float, by the JSON node they replace, each
+# with the parameter or key its refusal names (test_mutated_inputs_fail_cleanly has them as examples).
+OVERSIZED = [
+    pytest.param("ckpt", ("model", "max_positions"), 10**6, "'asr.enc_pos'", id="ckpt-max_positions-10**6"),
+    pytest.param("ckpt", ("model", "max_positions"), 10**9, "'asr.enc_pos'", id="ckpt-max_positions-10**9"),
+    pytest.param("config", ("model", "asr_hidden"), 10**5, "'asr.dec_w'", id="config-asr_hidden-10**5"),
+    pytest.param("ckpt", ("feature", "frame_length"), 10**9, "frame_length", id="ckpt-frame_length-10**9"),
+    pytest.param("config", ("stages", 0, "lr"), 10**400, "lr", id="config-lr-10**400"),
+    pytest.param("ckpt", ("params", "sl.b", "data", 0), 10**400, "'sl.b'", id="ckpt-sl.b-data-10**400"),
+]
+
+
+@pytest.mark.parametrize("target, node, value, name", OVERSIZED)
+def test_an_oversized_value_is_named_before_anything_is_allocated_for_it(base, tmp_path, target, node, value, name):
+    shutil.copytree(base, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / FILES[target]
+    pick = list(_json_paths(json.loads(path.read_text()))).index(node)
+    path.write_bytes(_mutate(path.read_bytes(), target, ("json", pick, value, False)))
+    argv, out = _argv(READERS[target][0], tmp_path, "0,10")
+    stderr = io.StringIO()
+    tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    message = [line for line in stderr.getvalue().splitlines() if not LOG_LINE.match(line)]
+    assert code == 2 and len(message) == 1 and name in message[0], message
+    assert peak < 32 << 20, peak
+    assert not out.exists()
 
 
 SWAP_VALUES = ([], "x", 1, None, {})
@@ -323,13 +366,16 @@ def test_read_config_checks_the_type_of_every_field_it_reads():
 
 
 def _admits(annotation: str, value) -> bool:
-    """Whether JSON ``value`` has a type of ``annotation``: an int is a float, a bool is no number."""
+    """Whether JSON ``value`` has a type of ``annotation``: an int is a float unless no float can
+    hold it, and a bool is no number."""
     for part in annotation.split(" | "):
         outer, _, inner = part.partition("[")
         if outer == "list" and inner:
             ok = type(value) is list and all(_admits(inner[:-1], item) for item in value)
+        elif part == "float" and type(value) is int:
+            ok = abs(value) <= sys.float_info.max
         else:
-            ok = type(value) in {"int": (int,), "float": (int, float), "str": (str,), "dict": (dict,),
+            ok = type(value) in {"int": (int,), "float": (float,), "str": (str,), "dict": (dict,),
                                  "list": (list,), "None": (type(None),)}[part]
         if ok:
             return True
@@ -339,7 +385,8 @@ def _admits(annotation: str, value) -> bool:
 @pytest.mark.parametrize("annotation", sorted(CHECKED_ANNOTATIONS) + ["float | None", "list[str] | None"])
 def test_read_config_admits_exactly_the_json_types_of_an_annotation(annotation):
     probe = dataclasses.make_dataclass("Probe", [("x", annotation)])
-    for value in (0, 1.5, True, "s", None, {}, [], ["s"], [0], [1.5], [True], [None], ["s", 0], [[]]):
+    for value in (0, 1.5, True, "s", None, {}, [], ["s"], [0], [1.5], [True], [None], ["s", 0], [[]],
+                  10**400, -(10**400), [1.5, 10**400]):
         if _admits(annotation, value):
             assert read_config(probe, {"x": value}, "probe").x is value
         else:

@@ -12,6 +12,7 @@ from oracles import deserialize_slots, serialize_slots
 from slu.autodiff import Tensor
 from slu.errors import DimensionError, ValidationError
 from slu.model import (
+    JointModel,
     ModelConfig,
     load_checkpoint,
     save_checkpoint,
@@ -190,12 +191,11 @@ def test_joint_gradient_touches_every_block():
     model.zero_grads()
     total, _, _ = joint_loss(model, tiny_example(model, WORDS, SLOTS, INTENT, seed=5))
     total.backward()
-    for block, names in model.param_blocks().items():
-        norm = sum(
-            float(np.abs(model.params[n].grad).sum())
-            for n in names
-            if model.params[n].grad is not None
-        )
+    blocks: dict[str, list[Tensor]] = {}
+    for name, tensor in model.params.items():
+        blocks.setdefault(name.split(".", 1)[0], []).append(tensor)
+    for block, tensors in blocks.items():
+        norm = sum(float(np.abs(t.grad).sum()) for t in tensors if t.grad is not None)
         assert norm > 0, block
 
 
@@ -302,6 +302,22 @@ def test_checkpoint_round_trip(tmp_path):
     out_a = model.forward(tiny_example(model, WORDS))
     out_b = again.forward(tiny_example(again, WORDS))
     assert np.array_equal(out_a.slot_scores.data, out_b.slot_scores.data)
+
+
+def test_loading_a_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
+    model = tiny_model(seed=11, slot_head="crf")
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(model, path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("loading a checkpoint drew an initialisation")
+
+    monkeypatch.setattr(JointModel, "init_params", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    again, _, _ = load_checkpoint(path)
+    assert list(again.params) == list(model.params)  # to_dict writes them in this order
+    for name, tensor in model.params.items():
+        assert np.array_equal(again.params[name].data, tensor.data), name
 
 
 def test_checkpoint_with_stored_first_pooling_loads(tmp_path):

@@ -27,7 +27,6 @@ MODULES = [importlib.import_module(f"slu.{info.name}") for info in pkgutil.iter_
 # Functions no command calls, each with the reason it stays.
 UNREACHED = {
     "cli.entrypoint": "the console script `slu`; the commands run through main",
-    "model.JointModel.param_blocks": "kept for per-block gradient norms in training telemetry (ROADMAP item 5)",
     "subword.save_vocab": "writes the vocab file format; only synth.write_corpus calls it",
     **{f"synth.{name}": "corpus and schedule synthesis, which only scripts/ (and tests) call"
        for name in ("word_waveform", "utterance_audio", "_fill", "build_corpus", "write_corpus",
