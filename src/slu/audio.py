@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import io
+import json
 import logging
 import math
 import random
@@ -19,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Manifest, Utterance, build_manifest
+from .data import Manifest, Utterance, build_manifest, write_manifest
 from .errors import AudioFormatError, ValidationError
-from .ioutil import atomic_write_bytes
+from .ioutil import atomic_write_bytes, staged_dir
 
 log = logging.getLogger(__name__)
 
@@ -231,48 +232,55 @@ def augment_corpus(
     """Mix every record with sampled noises at the requested SNR ladder.
 
     Emits ``noises_per_clip`` records per input record with ids
-    ``{id}#snr{level}``, writes the mixed WAVs under out_dir, and returns the
-    augmented manifest plus a provenance entry per output record.  The noise
-    draw is seeded per (seed, record id), so results are independent of
-    processing order.
+    ``{id}#snr{level}``, and returns the augmented manifest (its ``base_dir``
+    is out_dir) plus a provenance entry per output record.  The noise draw is
+    seeded per (seed, record id), so results are independent of processing
+    order.
+
+    The mixed WAVs, ``manifest.jsonl`` and ``provenance.json`` are written
+    into a stage beside out_dir and moved in only when every record has been
+    mixed, so a call that raises leaves out_dir as it was.
     """
     noise_files = pool.split(split)
     if len(noise_files) < spec.noises_per_clip:
         raise ValidationError(
             f"{split} noise pool has {len(noise_files)} files, need {spec.noises_per_clip}"
         )
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     noise_cache: dict[str, AudioClip] = {}
     records: list[Utterance] = []
     provenance: list[dict] = []
-    for rec in manifest.records:
-        mix = _mixer(record_clip(rec, manifest.base_dir))  # the clean clip's RMS is taken once
-        rng = random.Random(f"{spec.seed}:{rec.id}")
-        chosen = rng.sample(list(noise_files), spec.noises_per_clip)
-        for noise_file, level in zip(chosen, spec.snr_levels_db):
-            if noise_file not in noise_cache:
-                noise_cache[noise_file] = read_wav(noise_file)
-            noise = noise_cache[noise_file]
-            try:
-                mixed = mix(noise, level)
-            except ValidationError as exc:
-                raise ValidationError(f"record {rec.id!r}, noise {noise_file}: {exc}") from exc
-            new_id = f"{rec.id}#snr{level:g}"
-            wav_name = f"{new_id}.wav"
-            write_wav(mixed.audio, out_dir / wav_name)
-            records.append(Utterance(new_id, list(rec.words), list(rec.slots), rec.intent, wav_name))
-            provenance.append(
-                {
-                    "id": new_id,
-                    "source_id": rec.id,
-                    "noise": noise_file,
-                    "snr_db": level,
-                    "gain": mixed.gain,
-                    "clipped": mixed.clipped,
-                }
-            )
-    return build_manifest(records, out_dir), provenance
+    with staged_dir(out_dir) as stage:
+        for rec in manifest.records:
+            mix = _mixer(record_clip(rec, manifest.base_dir))  # the clean clip's RMS is taken once
+            rng = random.Random(f"{spec.seed}:{rec.id}")
+            chosen = rng.sample(list(noise_files), spec.noises_per_clip)
+            for noise_file, level in zip(chosen, spec.snr_levels_db):
+                if noise_file not in noise_cache:
+                    noise_cache[noise_file] = read_wav(noise_file)
+                noise = noise_cache[noise_file]
+                try:
+                    mixed = mix(noise, level)
+                except ValidationError as exc:
+                    raise ValidationError(f"record {rec.id!r}, noise {noise_file}: {exc}") from exc
+                new_id = f"{rec.id}#snr{level:g}"
+                wav_name = f"{new_id}.wav"
+                (stage / wav_name).parent.mkdir(parents=True, exist_ok=True)  # an id holding "/" names a subdirectory
+                (stage / wav_name).write_bytes(wav_bytes(mixed.audio))
+                records.append(Utterance(new_id, list(rec.words), list(rec.slots), rec.intent, wav_name))
+                provenance.append(
+                    {
+                        "id": new_id,
+                        "source_id": rec.id,
+                        "noise": noise_file,
+                        "snr_db": level,
+                        "gain": mixed.gain,
+                        "clipped": mixed.clipped,
+                    }
+                )
+        augmented = build_manifest(records, Path(out_dir))
+        write_manifest(augmented, stage / "manifest.jsonl")
+        (stage / "provenance.json").write_text(json.dumps(provenance, indent=2) + "\n", encoding="utf-8")
+    return augmented, provenance
 
 
 @dataclass

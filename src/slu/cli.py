@@ -2,10 +2,14 @@
 
 Exit codes: 0 success, 1 runtime error, 2 validation or usage error.
 Verbosity is controlled by the SLU_LOG environment variable (DEBUG/INFO/...).
-All randomness flows from --seed / config seeds, and artifacts are written
-atomically, so re-running a pipeline with identical flags reproduces its
-outputs byte for byte.  The argument parser is built once per process and
-reused by every ``main`` call.
+All randomness flows from --seed / config seeds, so re-running a pipeline
+with identical flags reproduces its outputs byte for byte.  A failed command
+leaves no partial artifact: a single output file is written to a temporary
+file and renamed into place; ``augment``'s directory is staged by
+``audio.augment_corpus`` and moved in whole; and ``train-toy`` writes its
+log, then its checkpoint, removing the log if the checkpoint write fails.
+The argument parser is built once per process and reused by every ``main``
+call.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from pathlib import Path
 from . import audio, data, metrics, synth
 from .decode import decode_two_step
 from .errors import ParseError, SluError, ValidationError, read_config
-from .ioutil import atomic_write_text, read_json, staged_dir
+from .ioutil import atomic_write_text, read_json
 from .model import JointModel, ModelConfig, load_checkpoint, save_checkpoint
 from .subword import load_vocab, tokenize
 from .train import StageConfig, TrainConfig, corpus_features, train
@@ -187,10 +191,7 @@ def cmd_augment(args) -> int:
     spec = audio.AugmentSpec(snr_levels_db=levels, noises_per_clip=len(levels), seed=args.seed)
     manifest = data.parse_manifest(args.manifest)
     pool = audio.NoisePool.from_directory(args.noise_dir)
-    with staged_dir(args.out) as stage:  # a failed run leaves --out as it was
-        augmented, provenance = audio.augment_corpus(manifest, pool, spec, args.split, stage)
-        data.write_manifest(augmented, stage / "manifest.jsonl")
-        atomic_write_text(stage / "provenance.json", json.dumps(provenance, indent=2) + "\n")
+    augmented, _ = audio.augment_corpus(manifest, pool, spec, args.split, args.out)
     print(json.dumps({"records": len(augmented.records), "out": str(Path(args.out))}))
     return 0
 
@@ -229,11 +230,13 @@ def cmd_train_toy(args) -> int:
     except ValidationError as exc:  # its parameters are over the budget
         raise ValidationError(f"{args.config}: bad train config: model: {exc}") from exc
     history = train(model, manifest, train_cfg, feature, pretrain)
-    save_checkpoint(model, args.out, feature, train_cfg.beam_size)
-    atomic_write_text(
-        Path(args.out).with_suffix(".log.jsonl"),
-        "".join(json.dumps(row) + "\n" for row in history),
-    )
+    log_path = Path(args.out).with_suffix(".log.jsonl")
+    atomic_write_text(log_path, "".join(json.dumps(row) + "\n" for row in history))
+    try:
+        save_checkpoint(model, args.out, feature, train_cfg.beam_size)
+    except BaseException:  # the log and the checkpoint are committed together or not at all
+        log_path.unlink()
+        raise
     final = history[-1] if history else {}
     print(json.dumps({"checkpoint": args.out, "epochs": len(history), "final": final}))
     return 0

@@ -116,7 +116,7 @@ def parse_manifest_lines(lines: Iterable[str], source: str = "<memory>") -> Mani
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
             raise ParseError(f"{source}:{lineno}: invalid JSON: {exc}") from exc
         records.append(_record_from_obj(obj, f"{source}:{lineno}"))
     return _manifest_of(records)

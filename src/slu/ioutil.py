@@ -61,5 +61,5 @@ def read_json(path: str | os.PathLike):
     """The value of a UTF-8 JSON file."""
     try:
         return json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc

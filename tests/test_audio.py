@@ -309,13 +309,32 @@ def test_augment_leaves_its_cached_noises_unchanged(tmp_path, monkeypatch):
 def test_augment_names_the_record_of_a_silent_clean_clip(tmp_path):
     wavs = tmp_path / "clean"
     wavs.mkdir()
+    write_wav(tone(seconds=0.05), wavs / "loud.wav")
     write_wav(AudioClip(np.zeros(400), 16000), wavs / "quiet.wav")
-    manifest = build_manifest([Utterance("quiet", ["a"], ["O"], "x", "quiet.wav")], wavs)
+    manifest = build_manifest(
+        [Utterance("loud", ["a"], ["O"], "x", "loud.wav"), Utterance("quiet", ["a"], ["O"], "x", "quiet.wav")], wavs
+    )
     pool = NoisePool.from_directory(_noise_dir(tmp_path))
     with pytest.raises(ValidationError, match=r"record 'quiet', noise .*silent clean signal"):
         augment_corpus(manifest, pool, AugmentSpec(seed=0), "train", tmp_path / "o")
+    # the loud record's five WAVs were mixed first, and went with the stage
+    assert not (tmp_path / "o").exists()
+    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".")]
     with pytest.raises(ValidationError, match="sample rate"):  # checked before the clean clip's RMS
         mix_at_snr_report(AudioClip(np.zeros(400), 8000), tone(), 10.0)
+
+
+def test_augment_writes_an_id_holding_a_slash_into_a_subdirectory(tmp_path):
+    wavs = tmp_path / "clean"
+    wavs.mkdir()
+    write_wav(tone(seconds=0.05), wavs / "u0.wav")
+    manifest = build_manifest([Utterance("spk/u0", ["a"], ["O"], "x", "u0.wav")], wavs)
+    pool = NoisePool.from_directory(_noise_dir(tmp_path))
+    out, _ = augment_corpus(manifest, pool, AugmentSpec(seed=0), "train", tmp_path / "o")
+    assert [rec.audio for rec in out.records] == [f"spk/u0#snr{level}.wav" for level in (0, 10, 20, 30, 40)]
+    assert sorted(p.name for p in (tmp_path / "o" / "spk").iterdir()) == sorted(
+        rec.audio.removeprefix("spk/") for rec in out.records
+    )
 
 
 def test_augment_requires_audio_and_enough_noises(tmp_path):

@@ -241,6 +241,22 @@ def test_score_out_failure_prints_no_report(capsys, tmp_path, ref_manifest):
     assert list(taken.iterdir()) == []
 
 
+@pytest.mark.parametrize("taken", ["ckpt.log.jsonl", "ckpt.json"])
+def test_train_toy_commits_its_checkpoint_and_log_together(capsys, tmp_path, taken):
+    paths = write_corpus(tmp_path / "corpus", 2, seed=5)
+    config_path = tmp_path / "corpus" / "cfg.json"
+    config_path.write_text(json.dumps({"stages": [{"stage": "asr_pretrain", "epochs": 1, "lr": 0.05}]}))
+    out_dir = tmp_path / "out"
+    (out_dir / taken).mkdir(parents=True)
+    code, out, err = run(capsys, "train-toy", "--config", str(config_path), "--manifest", str(paths.manifest),
+                         "--out", str(out_dir / "ckpt.json"))
+    assert code == 1 and out == ""
+    assert err.startswith("slu train-toy: ") and err.endswith(f"{str(out_dir / taken)!r}\n")
+    assert len(err.splitlines()) == 1
+    assert [p.name for p in out_dir.iterdir()] == [taken]
+    assert list((out_dir / taken).iterdir()) == []
+
+
 def test_console_entry_point_and_log_env(tmp_path, ref_manifest):
     import shutil
     import subprocess
@@ -632,6 +648,23 @@ def test_a_wav_with_a_zero_sample_rate_is_named(capsys, tmp_path, command):
     assert (code, out_text) == (1, "")
     assert err == f"slu {command}: {wav}: bad sample rate 0\n"
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def test_checkpoint_int_past_the_digit_limit_exits_2(capsys, tmp_path, ref_manifest):
+    ckpt = _small_checkpoint(tmp_path / "ckpt.json")
+    obj = json.loads(ckpt.read_text())
+    obj["beam_size"] = "BIG"
+    ckpt.write_text(json.dumps(obj).replace('"BIG"', "9" * 5000))  # json.dumps of such an int raises
+    err = _decode_fails_cleanly(capsys, ckpt, ref_manifest, tmp_path / "h.jsonl")
+    assert err.startswith(f"slu decode: {ckpt}: invalid JSON: ")
+
+
+def test_manifest_int_past_the_digit_limit_exits_2(capsys, tmp_path, ref_manifest):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(ref_manifest.read_text() + '{"id": ' + "9" * 5000 + "}\n")
+    code, out, err = run(capsys, "validate", "--manifest", str(manifest))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"slu validate: {manifest}:3: invalid JSON: ") and len(err.splitlines()) == 1
 
 
 def test_decode_error_names_failing_record(capsys, tmp_path):

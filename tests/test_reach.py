@@ -27,6 +27,7 @@ MODULES = [importlib.import_module(f"slu.{info.name}") for info in pkgutil.iter_
 # Functions no command calls, each with the reason it stays.
 UNREACHED = {
     "cli.entrypoint": "the console script `slu`; the commands run through main",
+    "audio.write_wav": "writes one WAV file atomically; only synth.write_corpus and synth.write_noise_dir call it",
     "subword.save_vocab": "writes the vocab file format; only synth.write_corpus calls it",
     **{f"synth.{name}": "corpus and schedule synthesis, which only scripts/ (and tests) call"
        for name in ("word_waveform", "utterance_audio", "_fill", "build_corpus", "write_corpus",
