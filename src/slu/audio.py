@@ -231,11 +231,11 @@ def augment_corpus(
 ) -> tuple[Manifest, list[dict]]:
     """Mix every record with sampled noises at the requested SNR ladder.
 
-    Emits ``noises_per_clip`` records per input record with ids
-    ``{id}#snr{level}``, and returns the augmented manifest (its ``base_dir``
-    is out_dir) plus a provenance entry per output record.  The noise draw is
-    seeded per (seed, record id), so results are independent of processing
-    order.
+    Emits ``noises_per_clip`` records per input record with ids and WAVs
+    ``{id}#snr{level}`` under out_dir (an absolute id, or one with a ``..``
+    part, is refused), and returns the augmented manifest (its ``base_dir``
+    is out_dir) plus a provenance entry per output record.  The noise draw
+    is seeded per (seed, record id), so results do not depend on order.
 
     The mixed WAVs, ``manifest.jsonl`` and ``provenance.json`` are written
     into a stage beside out_dir and moved in only when every record has been
@@ -251,6 +251,8 @@ def augment_corpus(
     provenance: list[dict] = []
     with staged_dir(out_dir) as stage:
         for rec in manifest.records:
+            if Path(rec.id).is_absolute() or ".." in Path(rec.id).parts:  # its WAVs would land outside the stage
+                raise ValidationError(f"record {rec.id!r}: an id may not be an absolute path or hold a '..' part")
             mix = _mixer(record_clip(rec, manifest.base_dir))  # the clean clip's RMS is taken once
             rng = random.Random(f"{spec.seed}:{rec.id}")
             chosen = rng.sample(list(noise_files), spec.noises_per_clip)

@@ -7,7 +7,7 @@ with identical flags reproduces its outputs byte for byte.  A failed command
 leaves no partial artifact: a single output file is written to a temporary
 file and renamed into place; ``augment``'s directory is staged by
 ``audio.augment_corpus`` and moved in whole; and ``train-toy`` writes its
-log, then its checkpoint, removing the log if the checkpoint write fails.
+checkpoint and its log in full before either replaces an earlier one.
 The argument parser is built once per process and reused by every ``main``
 call.
 """
@@ -20,6 +20,7 @@ import json
 import logging
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -230,13 +231,20 @@ def cmd_train_toy(args) -> int:
     except ValidationError as exc:  # its parameters are over the budget
         raise ValidationError(f"{args.config}: bad train config: model: {exc}") from exc
     history = train(model, manifest, train_cfg, feature, pretrain)
-    log_path = Path(args.out).with_suffix(".log.jsonl")
-    atomic_write_text(log_path, "".join(json.dumps(row) + "\n" for row in history))
-    try:
-        save_checkpoint(model, args.out, feature, train_cfg.beam_size)
-    except BaseException:  # the log and the checkpoint are committed together or not at all
-        log_path.unlink()
-        raise
+    out = Path(args.out)
+    log_path = out.with_suffix(".log.jsonl")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=out.parent, prefix=f".{out.name}.") as stage:
+        try:  # both files are written in full before either replaces its path: an earlier pair stays whole
+            save_checkpoint(model, Path(stage, out.name), feature, train_cfg.beam_size)
+        except OSError as exc:  # name out, not its copy in the stage
+            raise OSError(exc.errno, exc.strerror, str(out)) from exc
+        atomic_write_text(log_path, "".join(json.dumps(row) + "\n" for row in history))
+        try:
+            os.replace(Path(stage, out.name), out)
+        except OSError as exc:  # a directory at out: the log written beside it goes too
+            log_path.unlink()
+            raise OSError(exc.errno, exc.strerror, str(out)) from exc
     final = history[-1] if history else {}
     print(json.dumps({"checkpoint": args.out, "epochs": len(history), "final": final}))
     return 0

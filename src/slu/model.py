@@ -346,57 +346,10 @@ class JointModel:
             tag_ids = scores.argmax(axis=1)
         return [self.slot_tags[i] for i in tag_ids]
 
-    # -- checkpointing ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": CHECKPOINT_VERSION,
-            "model": asdict(self.config),
-            "asr_vocab": {"kind": self.asr_vocab.kind, "pieces": self.asr_vocab.sorted_pieces(), "unk": self.asr_vocab.unk},
-            "nlu_vocab": {"kind": self.nlu_vocab.kind, "pieces": self.nlu_vocab.sorted_pieces(), "unk": self.nlu_vocab.unk},
-            "slot_tags": self.slot_tags,
-            "intents": self.intents,
-            "params": {
-                name: {"shape": list(t.data.shape), "data": t.data.ravel().tolist()}
-                for name, t in self.params.items()
-            },
-        }
-
-    @classmethod
-    def from_checkpoint(cls, ckpt: Checkpoint) -> "JointModel":
-        """The model of ``read_config(Checkpoint, obj)``, where ``obj`` is ``to_dict``'s or a checkpoint file's."""
-        section = ckpt.model
-        if "word_pooling" in section:  # older checkpoints store the then-default "first"
-            if section["word_pooling"] != "first":
-                raise ValidationError(f"model.word_pooling {section['word_pooling']!r} is not supported, only 'first'")
-            section = {key: value for key, value in section.items() if key != "word_pooling"}
-        model = cls(
-            read_config(ModelConfig, section, "model"),
-            read_config(_StoredVocab, ckpt.asr_vocab, "asr_vocab").vocab,
-            read_config(_StoredVocab, ckpt.nlu_vocab, "nlu_vocab").vocab,
-            ckpt.slot_tags,
-            ckpt.intents,
-        )
-        table = model.param_shapes()
-        if ckpt.params.keys() != table.keys():
-            name = min(ckpt.params.keys() ^ table.keys())
-            raise ValidationError(f"{'missing' if name in table else 'unexpected'} parameter {name!r}")
-        for name, (shape, _) in table.items():
-            entry = read_config(_StoredParam, ckpt.params[name], f"parameter {name!r}")
-            if entry.shape != list(shape):
-                raise ValidationError(f"parameter {name!r}: shape {entry.shape} != expected {list(shape)}")
-            if len(entry.data) != (size := math.prod(shape)):
-                raise ValidationError(f"parameter {name!r}: {len(entry.data)} values, shape {entry.shape} needs {size}")
-            arr = np.asarray(entry.data, dtype=np.float64).reshape(shape)
-            if not np.isfinite(arr).all():
-                raise ValidationError(f"parameter {name!r}: non-finite data")
-            model.params[name] = Tensor(arr, requires_grad=True)
-        return model
-
 
 @dataclass
 class Checkpoint:
-    """A checkpoint's top level: ``JointModel.to_dict``'s sections, still JSON, then ``feature`` and ``beam_size``."""
+    """A checkpoint file's top level, keys in field order, sections still JSON: ``save_checkpoint`` fills it."""
 
     format_version: int
     model: dict
@@ -420,7 +373,7 @@ class Checkpoint:
 
 
 @dataclass
-class _StoredParam:  # a params entry; from_checkpoint checks it against the parameter it fills
+class _StoredParam:  # a params entry; load_checkpoint checks it against the parameter it fills
     shape: list[int]
     data: list[float]
 
@@ -442,16 +395,53 @@ def save_checkpoint(
     feature: FeatureConfig | None = None,
     beam_size: int = 5,
 ) -> None:
-    obj = model.to_dict()
-    obj["feature"] = asdict(feature or FeatureConfig(num_bands=model.config.feature_dim))
-    obj["beam_size"] = beam_size
-    atomic_write_text(path, json.dumps(obj))
+    """Write ``model``, the features it reads (by default ``feature_dim`` bands) and its decoding beam
+    to ``path`` as one JSON ``Checkpoint``; ``Checkpoint`` refuses a ``beam_size`` below 1."""
+    ckpt = Checkpoint(
+        format_version=CHECKPOINT_VERSION,
+        model=asdict(model.config),
+        asr_vocab={"kind": model.asr_vocab.kind, "pieces": model.asr_vocab.sorted_pieces(), "unk": model.asr_vocab.unk},
+        nlu_vocab={"kind": model.nlu_vocab.kind, "pieces": model.nlu_vocab.sorted_pieces(), "unk": model.nlu_vocab.unk},
+        slot_tags=model.slot_tags,
+        intents=model.intents,
+        params={name: {"shape": list(t.data.shape), "data": t.data.ravel().tolist()} for name, t in model.params.items()},
+        feature=asdict(feature or FeatureConfig(num_bands=model.config.feature_dim)),
+        beam_size=beam_size,
+    )
+    atomic_write_text(path, json.dumps(vars(ckpt)))  # vars, not asdict: the parameter lists are not copied again
 
 
 def load_checkpoint(path: str | Path) -> tuple[JointModel, FeatureConfig, int]:
+    """The model, feature config and beam size of a ``save_checkpoint`` file, each section checked as it
+    is read and each parameter against ``param_shapes``; a fault is a ValidationError naming ``path``."""
     try:
         ckpt = read_config(Checkpoint, read_json(path))
-        model = JointModel.from_checkpoint(ckpt)
+        section = ckpt.model
+        if "word_pooling" in section:  # older checkpoints store the then-default "first"
+            if section["word_pooling"] != "first":
+                raise ValidationError(f"model.word_pooling {section['word_pooling']!r} is not supported, only 'first'")
+            section = {key: value for key, value in section.items() if key != "word_pooling"}
+        model = JointModel(
+            read_config(ModelConfig, section, "model"),
+            read_config(_StoredVocab, ckpt.asr_vocab, "asr_vocab").vocab,
+            read_config(_StoredVocab, ckpt.nlu_vocab, "nlu_vocab").vocab,
+            ckpt.slot_tags,
+            ckpt.intents,
+        )
+        table = model.param_shapes()
+        if ckpt.params.keys() != table.keys():
+            name = min(ckpt.params.keys() ^ table.keys())
+            raise ValidationError(f"{'missing' if name in table else 'unexpected'} parameter {name!r}")
+        for name, (shape, _) in table.items():
+            entry = read_config(_StoredParam, ckpt.params[name], f"parameter {name!r}")
+            if entry.shape != list(shape):
+                raise ValidationError(f"parameter {name!r}: shape {entry.shape} != expected {list(shape)}")
+            if len(entry.data) != (size := math.prod(shape)):
+                raise ValidationError(f"parameter {name!r}: {len(entry.data)} values, shape {entry.shape} needs {size}")
+            arr = np.asarray(entry.data, dtype=np.float64).reshape(shape)
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"parameter {name!r}: non-finite data")
+            model.params[name] = Tensor(arr, requires_grad=True)
         feature = read_config(FeatureConfig, ckpt.feature, "feature")
     except ValidationError as exc:
         raise ValidationError(f"{path}: malformed checkpoint: {exc}") from exc

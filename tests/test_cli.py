@@ -257,6 +257,28 @@ def test_train_toy_commits_its_checkpoint_and_log_together(capsys, tmp_path, tak
     assert list((out_dir / taken).iterdir()) == []
 
 
+def test_a_failed_train_toy_write_leaves_the_earlier_pair_whole(capsys, tmp_path, monkeypatch):
+    paths = write_corpus(tmp_path / "corpus", 2, seed=5)
+    config_path = tmp_path / "corpus" / "cfg.json"
+    config_path.write_text(json.dumps({"stages": [{"stage": "asr_pretrain", "epochs": 1, "lr": 0.05}]}))
+    out_dir = tmp_path / "out"
+    argv = ["train-toy", "--config", str(config_path), "--manifest", str(paths.manifest),
+            "--out", str(out_dir / "ckpt.json")]
+    assert run(capsys, *argv)[0] == 0
+    earlier = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert sorted(earlier) == ["ckpt.json", "ckpt.log.jsonl"]
+
+    def full_disk(model, path, *args):
+        raise OSError(28, "No space left on device", str(path))
+
+    monkeypatch.setattr(cli, "save_checkpoint", full_disk)
+    config_path.write_text(json.dumps({"stages": [{"stage": "asr_pretrain", "epochs": 2, "lr": 0.05}]}))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"slu train-toy: [Errno 28] No space left on device: {str(out_dir / 'ckpt.json')!r}\n"
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == earlier
+
+
 def test_console_entry_point_and_log_env(tmp_path, ref_manifest):
     import shutil
     import subprocess
@@ -500,12 +522,34 @@ def test_augment_rejects_a_repeated_snr_level_before_mixing(capsys, tmp_path, sn
     assert [p.name for p in out_dir.iterdir()] == ["keep.txt"]
 
 
-def _small_checkpoint(path, beam_size=2, intents=("find_flight", "airfare")):
+@pytest.mark.parametrize("where", ["dotdot", "absolute"])
+def test_augment_refuses_an_id_that_leaves_the_output_directory(capsys, tmp_path, where):
+    record_id = "../esc" if where == "dotdot" else str(tmp_path / "abs" / "esc")
+    wav_dir = tmp_path / "clean"
+    wav_dir.mkdir()
+    write_wav(AudioClip(0.3 * np.ones(1000), 16000), wav_dir / "u0.wav")
+    manifest_path = wav_dir / "m.jsonl"
+    write_manifest(build_manifest([Utterance(record_id, ["a"], ["O"], "x", "u0.wav")]), manifest_path)
+    noise_dir = tmp_path / "noise"
+    noise_dir.mkdir()
+    for name in ("n0.wav", "n1.wav", "n2.wav", "n3.wav"):
+        write_wav(AudioClip(0.2 * np.ones(500), 16000), noise_dir / name)
+    work = tmp_path / "work"
+    work.mkdir()
+    code, out, err = run(capsys, "augment", "--manifest", str(manifest_path), "--noise-dir", str(noise_dir),
+                         "--split", "train", "--snr", "0,10", "--seed", "0", "--out", str(work / "aug"))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and f"record {record_id!r}" in err
+    assert list(work.iterdir()) == []  # no --out, and nothing beside it
+    assert not (tmp_path / "abs").exists()
+
+
+def _small_checkpoint(path, intents=("find_flight", "airfare")):
     """A randomly initialised checkpoint whose features match the default FeatureConfig."""
     config = ModelConfig(feature_dim=FeatureConfig().num_bands, asr_hidden=4, nlu_hidden=4)
     model = JointModel(config, asr_vocab(), nlu_vocab(), ["O", "B-toloc"], list(intents))
     model.init_params(0)
-    save_checkpoint(model, path, beam_size=beam_size)
+    save_checkpoint(model, path, beam_size=2)
     return path
 
 
@@ -619,7 +663,10 @@ def test_decode_beam_size_flag_zero_exits_2(capsys, tmp_path, ref_manifest):
 
 
 def test_checkpoint_beam_size_zero_exits_2(capsys, tmp_path, ref_manifest):
-    ckpt = _small_checkpoint(tmp_path / "ckpt.json", beam_size=0)
+    ckpt = _small_checkpoint(tmp_path / "ckpt.json")  # save_checkpoint itself refuses a beam of 0
+    obj = json.loads(ckpt.read_text())
+    obj["beam_size"] = 0
+    ckpt.write_text(json.dumps(obj))
     err = _decode_fails_cleanly(capsys, ckpt, ref_manifest, tmp_path / "h.jsonl")
     assert "beam_size must be >= 1" in err
 

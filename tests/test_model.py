@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -12,6 +13,7 @@ from oracles import deserialize_slots, serialize_slots
 from slu.autodiff import Tensor
 from slu.errors import DimensionError, ValidationError
 from slu.model import (
+    Checkpoint,
     JointModel,
     ModelConfig,
     load_checkpoint,
@@ -304,6 +306,18 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(out_a.slot_scores.data, out_b.slot_scores.data)
 
 
+def test_checkpoint_file_keys_are_the_checkpoint_fields_in_order(tmp_path):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(tiny_model(seed=11, slot_head="crf"), path)
+    assert list(json.loads(path.read_text())) == [f.name for f in dataclasses.fields(Checkpoint)]
+
+
+def test_save_checkpoint_refuses_a_beam_below_one(tmp_path):
+    with pytest.raises(ValidationError, match="beam_size must be >= 1, got 0"):
+        save_checkpoint(tiny_model(), tmp_path / "ckpt.json", beam_size=0)
+    assert not (tmp_path / "ckpt.json").exists()
+
+
 def test_loading_a_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
     model = tiny_model(seed=11, slot_head="crf")
     path = tmp_path / "ckpt.json"
@@ -315,7 +329,7 @@ def test_loading_a_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
     monkeypatch.setattr(JointModel, "init_params", refuse)
     monkeypatch.setattr(np.random, "default_rng", refuse)
     again, _, _ = load_checkpoint(path)
-    assert list(again.params) == list(model.params)  # to_dict writes them in this order
+    assert list(again.params) == list(model.params)  # save_checkpoint writes them in this order
     for name, tensor in model.params.items():
         assert np.array_equal(again.params[name].data, tensor.data), name
 

@@ -8,8 +8,8 @@ from slu.audio import FeatureConfig
 from slu.autodiff import Tensor
 from slu.data import Utterance, build_manifest
 from slu.decode import decode_two_step
-from slu.errors import NumericError, ValidationError, read_config
-from slu.model import Checkpoint, JointModel, ModelConfig
+from slu.errors import NumericError, ValidationError
+from slu.model import JointModel, ModelConfig, load_checkpoint, save_checkpoint
 from slu.synth import asr_vocab, build_corpus, nlu_vocab, utterance_audio, word_waveform
 from slu.train import StageConfig, TrainConfig, _Sgd, corpus_features, evaluate_train_set, train
 
@@ -373,7 +373,7 @@ def test_sgd_step_refuses_a_parameter_rebound_after_it_was_built():
 
 
 @pytest.mark.parametrize("stages", [1, 2])
-def test_decoding_mid_training_equals_decoding_a_freshly_frozen_model(monkeypatch, stages):
+def test_decoding_mid_training_equals_decoding_a_freshly_frozen_model(monkeypatch, tmp_path, stages):
     corpus = small_corpus(2)
     model = small_model(corpus, seed=7)
     polls = []
@@ -381,7 +381,8 @@ def test_decoding_mid_training_equals_decoding_a_freshly_frozen_model(monkeypatc
 
     def checked(m, feats, beam_size):
         got = decode(m, feats, beam_size=beam_size)
-        snapshot = JointModel.from_checkpoint(read_config(Checkpoint, m.to_dict()))  # the current values, frozen as a checkpoint holds them
+        save_checkpoint(m, tmp_path / "snapshot.json")  # the current values, frozen as a checkpoint holds them
+        snapshot, _, _ = load_checkpoint(tmp_path / "snapshot.json")
         assert got == decode(snapshot, feats, beam_size=beam_size)  # the log-probability too, bit for bit
         polls.append(m is model)
         return got
