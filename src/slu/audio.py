@@ -92,8 +92,7 @@ def write_wav(clip: AudioClip, path: str | Path) -> None:
     atomic_write_bytes(path, wav_bytes(clip))
 
 
-def rms(clip: AudioClip | np.ndarray) -> float:
-    samples = clip.samples if isinstance(clip, AudioClip) else np.asarray(clip, dtype=np.float64)
+def rms(samples: np.ndarray) -> float:
     if samples.size == 0:
         raise ValidationError("RMS of an empty signal is undefined")
     return float(np.sqrt(np.mean(samples**2)))
@@ -121,23 +120,20 @@ class MixResult:
 
 def _mixer(clean: AudioClip):
     """Add noise to ``clean`` at an exact SNR, as a function of the noise and
-    the SNR that takes the clip's RMS once, at its first call.
+    the SNR; the clip's RMS is taken once, here.
 
     The noise is looped or truncated to the clean clip's length first, and
     the gain is computed from the fitted segment, so re-measuring the SNR of
     (clean, scaled noise) returns the target exactly (pre-clipping).  Samples
     pushed outside [-1, 1] are hard-clipped and counted.
     """
-    clean_rms = None
+    clean_rms = rms(clean.samples)
 
     def mix(noise: AudioClip, snr_db: float) -> MixResult:
-        nonlocal clean_rms
         if clean.sample_rate != noise.sample_rate:
             raise ValidationError(
                 f"sample rate mismatch: clean {clean.sample_rate} Hz vs noise {noise.sample_rate} Hz"
             )
-        if clean_rms is None:
-            clean_rms = rms(clean)
         if clean_rms == 0.0:
             raise ValidationError("SNR is undefined for a silent clean signal")
         fitted = fit_length(noise.samples, clean.samples.size)
@@ -176,21 +172,10 @@ class NoisePool:
 
     @classmethod
     def from_directory(cls, directory: str | Path) -> "NoisePool":
-        """Build a pool from a directory of WAVs.
-
-        Subdirectories ``train/`` and ``test/`` are used when both exist;
-        otherwise the sorted file list is split alternately, which keeps the
-        two halves disjoint and deterministic.
-        """
-        directory = Path(directory)
-        train_dir, test_dir = directory / "train", directory / "test"
-        if train_dir.is_dir() and test_dir.is_dir():
-            train = tuple(str(p) for p in sorted(train_dir.glob("*.wav")))
-            test = tuple(str(p) for p in sorted(test_dir.glob("*.wav")))
-        else:
-            files = [str(p) for p in sorted(directory.glob("*.wav"))]
-            train, test = tuple(files[0::2]), tuple(files[1::2])
-        return cls(train, test)
+        """Build a pool from the sorted WAVs of one flat directory, split
+        alternately, which keeps the two halves disjoint and deterministic."""
+        files = [str(p) for p in sorted(Path(directory).glob("*.wav"))]
+        return cls(tuple(files[0::2]), tuple(files[1::2]))
 
 
 @dataclass
@@ -211,9 +196,9 @@ class AugmentSpec:
 
 
 def record_clip(rec: Utterance, base_dir: Path | None) -> AudioClip:
-    """In-memory samples (16 kHz), else the WAV file, relative to base_dir."""
-    if rec.samples is not None:
-        return AudioClip(np.asarray(rec.samples), 16000)
+    """The record's in-memory clip, else its WAV file, relative to base_dir."""
+    if rec.clip is not None:
+        return rec.clip
     if rec.audio is None:
         raise ValidationError(f"record {rec.id!r} has no audio")
     path = Path(rec.audio)
@@ -232,10 +217,11 @@ def augment_corpus(
     """Mix every record with sampled noises at the requested SNR ladder.
 
     Emits ``noises_per_clip`` records per input record with ids and WAVs
-    ``{id}#snr{level}`` under out_dir (an absolute id, or one with a ``..``
-    part, is refused), and returns the augmented manifest (its ``base_dir``
-    is out_dir) plus a provenance entry per output record.  The noise draw
-    is seeded per (seed, record id), so results do not depend on order.
+    ``{id}#snr{level}`` under out_dir (an absolute id, one with a ``..``
+    part, or one holding a NUL character is refused), and returns the
+    augmented manifest (its ``base_dir`` is out_dir) plus a provenance entry
+    per output record.  The noise draw is seeded per (seed, record id), so
+    results do not depend on order.
 
     The mixed WAVs, ``manifest.jsonl`` and ``provenance.json`` are written
     into a stage beside out_dir and moved in only when every record has been
@@ -253,6 +239,8 @@ def augment_corpus(
         for rec in manifest.records:
             if Path(rec.id).is_absolute() or ".." in Path(rec.id).parts:  # its WAVs would land outside the stage
                 raise ValidationError(f"record {rec.id!r}: an id may not be an absolute path or hold a '..' part")
+            if "\0" in rec.id:  # no file name may hold one
+                raise ValidationError(f"record {rec.id!r}: an id may not hold a NUL character")
             mix = _mixer(record_clip(rec, manifest.base_dir))  # the clean clip's RMS is taken once
             rng = random.Random(f"{spec.seed}:{rec.id}")
             chosen = rng.sample(list(noise_files), spec.noises_per_clip)

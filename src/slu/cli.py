@@ -127,8 +127,8 @@ def cmd_tokenize(args) -> int:
 
 
 def _score_report(refs_manifest, hyps_manifest, names: list[str]) -> dict:
-    refs = data.iter_pairs(refs_manifest)
-    hyps = data.iter_pairs(hyps_manifest)
+    refs = [(r.words, r.slots) for r in refs_manifest.records]
+    hyps = [(h.words, h.slots) for h in hyps_manifest.records]
     if len(refs) != len(hyps):
         raise ValidationError(f"ref/hyp record counts differ: {len(refs)} vs {len(hyps)}")
     mismatched = sum(

@@ -11,10 +11,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import ParseError, ValidationError, read_config
 from .ioutil import atomic_write_text, read_text
+
+if TYPE_CHECKING:
+    from .audio import AudioClip
 
 OUTSIDE = "O"
 
@@ -28,7 +31,7 @@ class Utterance:
     slots: list[str]
     intent: str
     audio: str | None = None  # the WAV's path, relative to the manifest's directory
-    samples: object | None = field(default=None, compare=False, repr=False)
+    clip: AudioClip | None = field(default=None, compare=False, repr=False)  # in-memory audio, used before `audio`
 
 
 @dataclass
@@ -61,16 +64,6 @@ def build_manifest(records: Iterable[Utterance], base_dir: Path | None = None) -
     The manifest holds copies of the records with their slots in canonical
     BIO form; the records passed in are left as they are.
     """
-    copies = (
-        Utterance(rec.id, list(rec.words), list(rec.slots), rec.intent, rec.audio, rec.samples)
-        for rec in records
-    )
-    return _manifest_of(copies, base_dir)
-
-
-def _manifest_of(records: Iterable[Utterance], base_dir: Path | None = None) -> Manifest:
-    """build_manifest on records that no caller keeps: each record's slot
-    list is put in canonical form in place."""
     out: list[Utterance] = []
     seen_ids: set[str] = set()
     slot_vocab: set[str] = {OUTSIDE}
@@ -89,7 +82,7 @@ def _manifest_of(records: Iterable[Utterance], base_dir: Path | None = None) -> 
             raise ValidationError(f"record {rec.id!r}: empty word string")
         if not rec.intent:
             raise ValidationError(f"record {rec.id!r}: empty intent label")
-        slots = rec.slots
+        slots = list(rec.slots)
         for k, tag in enumerate(slots):
             tag = slots[k] = canonical_slot(tag)
             label = base_label(tag)
@@ -98,15 +91,8 @@ def _manifest_of(records: Iterable[Utterance], base_dir: Path | None = None) -> 
             if tag != OUTSIDE:
                 slot_vocab.add(label)
         intent_vocab.add(rec.intent)
-        out.append(rec)
+        out.append(Utterance(rec.id, list(rec.words), slots, rec.intent, rec.audio, rec.clip))
     return Manifest(out, frozenset(slot_vocab), frozenset(intent_vocab), base_dir)
-
-
-def _record_from_obj(obj: object, where: str) -> Utterance:
-    try:
-        return read_config(Utterance, obj, where, samples=None)
-    except ValidationError as exc:  # a record of the wrong shape or type is malformed
-        raise ParseError(str(exc)) from exc
 
 
 def parse_manifest_lines(lines: Iterable[str], source: str = "<memory>") -> Manifest:
@@ -118,8 +104,8 @@ def parse_manifest_lines(lines: Iterable[str], source: str = "<memory>") -> Mani
             obj = json.loads(line)
         except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
             raise ParseError(f"{source}:{lineno}: invalid JSON: {exc}") from exc
-        records.append(_record_from_obj(obj, f"{source}:{lineno}"))
-    return _manifest_of(records)
+        records.append(read_config(Utterance, obj, f"{source}:{lineno}", clip=None))
+    return build_manifest(records)
 
 
 def parse_manifest(path: str | Path) -> Manifest:
@@ -157,8 +143,3 @@ def find_slot_conflicts(manifest: Manifest) -> dict[str, list[str]]:
         for word, tag in zip(rec.words, rec.slots):
             labels_by_word.setdefault(word, set()).add(base_label(tag))
     return {w: sorted(ls) for w, ls in sorted(labels_by_word.items()) if len(ls) > 1}
-
-
-def iter_pairs(manifest: Manifest) -> list[tuple[Sequence[str], Sequence[str]]]:
-    """(words, slots) view of a manifest, in record order."""
-    return [(rec.words, rec.slots) for rec in manifest.records]

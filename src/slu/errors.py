@@ -16,7 +16,7 @@ class SluError(Exception):
 
 
 class ParseError(SluError):
-    """Malformed input file: bad JSON, bad vocab header, wrong field type."""
+    """Malformed input file: bad JSON, bad vocab header."""
 
 
 class ValidationError(SluError):

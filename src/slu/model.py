@@ -231,10 +231,11 @@ class JointModel:
             raise ValidationError("an example needs at least one word")
         ids_a, first_a = self._piece_ids(words, tok_a, self.asr_vocab, self._asr_piece_id, "ASR")
         ids_b, first_b = self._piece_ids(words, tok_b, self.nlu_vocab, self._nlu_piece_id, "NLU")
-        if len(ids_a) + 1 > self.config.max_positions:
-            raise DimensionError("utterance exceeds max decoder positions")
-        if len(ids_b) > self.config.max_positions:
-            raise DimensionError(f"{len(ids_b)} NLU subwords exceed max_positions {self.config.max_positions}")
+        limit = self.config.max_positions
+        if len(ids_a) + 1 > limit:
+            raise DimensionError(f"{len(ids_a) + 1} ASR decoder positions exceed max_positions {limit}")
+        if len(ids_b) > limit:
+            raise DimensionError(f"{len(ids_b)} NLU subwords exceed max_positions {limit}")
         return Example(
             frames=frames,
             asr_inputs=[self.bos_id] + ids_a,

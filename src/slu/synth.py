@@ -107,13 +107,13 @@ def _fill(template_idx: int, rng: random.Random) -> tuple[list[str], list[str], 
 
 
 def build_corpus(num_utterances: int = 50, seed: int = 7, with_audio: bool = True) -> Manifest:
-    """In-memory corpus; records carry raw samples instead of file paths."""
+    """In-memory corpus; records carry their ``AudioClip`` instead of a file path."""
     rng = random.Random(seed)
     records = []
     for i in range(num_utterances):
         words, slots, intent = _fill(i % len(TEMPLATES), rng)
-        samples = utterance_audio(words).samples if with_audio else None
-        records.append(Utterance(f"synth{i:03d}", words, slots, intent, None, samples))
+        clip = utterance_audio(words) if with_audio else None
+        records.append(Utterance(f"synth{i:03d}", words, slots, intent, None, clip))
     return build_manifest(records)
 
 
@@ -161,7 +161,7 @@ def write_corpus(out_dir: str | Path, num_utterances: int = 50, seed: int = 7) -
     records = []
     for rec in manifest.records:
         rel = f"wavs/{rec.id}.wav"
-        write_wav(AudioClip(np.asarray(rec.samples), SAMPLE_RATE), out_dir / rel)
+        write_wav(rec.clip, out_dir / rel)
         records.append(Utterance(rec.id, rec.words, rec.slots, rec.intent, rel))
     on_disk = build_manifest(records, out_dir)
     paths = CorpusPaths(

@@ -100,10 +100,10 @@ def test_not_a_wav_rejected(tmp_path):
 
 
 def test_rms_values():
-    assert rms(AudioClip(np.full(100, 0.5), 16000)) == pytest.approx(0.5)
-    assert rms(AudioClip(np.zeros(10), 16000)) == 0.0
+    assert rms(np.full(100, 0.5)) == pytest.approx(0.5)
+    assert rms(np.zeros(10)) == 0.0
     sine = tone(freq=100.0, seconds=1.0, amp=1.0)  # 100 periods
-    assert rms(sine) == pytest.approx(1 / math.sqrt(2), abs=1e-3)
+    assert rms(sine.samples) == pytest.approx(1 / math.sqrt(2), abs=1e-3)
     with pytest.raises(ValidationError):
         rms(np.array([]))
 
@@ -136,10 +136,10 @@ def test_mix_gain_examples():
     clean = tone(freq=300, amp=0.3)
     noise = AudioClip(np.resize([0.3, -0.3], clean.samples.size), 16000)
     # equal RMS at 0 dB -> unit gain
-    r0 = mix_at_snr_report(clean, AudioClip(noise.samples * rms(clean) / rms(noise), 16000), 0.0)
+    r0 = mix_at_snr_report(clean, AudioClip(noise.samples * rms(clean.samples) / rms(noise.samples), 16000), 0.0)
     assert r0.gain == pytest.approx(1.0)
     # equal RMS at 20 dB -> gain 0.1
-    r20 = mix_at_snr_report(clean, AudioClip(noise.samples * rms(clean) / rms(noise), 16000), 20.0)
+    r20 = mix_at_snr_report(clean, AudioClip(noise.samples * rms(clean.samples) / rms(noise.samples), 16000), 20.0)
     assert r20.gain == pytest.approx(0.1)
 
 
@@ -261,15 +261,24 @@ def test_augment_deterministic_and_job_independent(tmp_path):
         assert b1 == b2
 
 
+def test_an_in_memory_record_keeps_its_own_rate(tmp_path):
+    manifest = build_manifest([Utterance("slow", ["hello"], ["O"], "greet", clip=tone(seconds=0.2, rate=8000))])
+    pool = NoisePool.from_directory(_noise_dir(tmp_path))  # 16 kHz noises
+    with pytest.raises(ValidationError) as err:
+        augment_corpus(manifest, pool, AugmentSpec(seed=1), "test", tmp_path / "aug")
+    assert "record 'slow'" in str(err.value) and "clean 8000 Hz vs noise 16000 Hz" in str(err.value)
+    assert not (tmp_path / "aug").exists()
+
+
 def test_augment_takes_each_clean_rms_once_and_mixes_as_mix_at_snr_report(tmp_path, monkeypatch):
     manifest = _clean_manifest(tmp_path, 4)
     pool = NoisePool.from_directory(_noise_dir(tmp_path))
     spec = AugmentSpec(seed=3)
     measured = []
 
-    def counting_rms(clip):
-        measured.append(clip)
-        return rms(clip)
+    def counting_rms(samples):
+        measured.append(samples)
+        return rms(samples)
 
     monkeypatch.setattr(slu.audio, "rms", counting_rms)
     out, provenance = augment_corpus(manifest, pool, spec, "test", tmp_path / "aug")

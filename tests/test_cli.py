@@ -157,6 +157,17 @@ def test_tokenize_jsonl(capsys, tmp_path, ref_manifest):
     assert [json.loads(line) for line in out.splitlines()] == rows
 
 
+def test_tokenize_rejects_a_vocab_of_an_unknown_kind(capsys, tmp_path, ref_manifest):
+    vocab_path = tmp_path / "v.txt"
+    vocab_path.write_text("#kind: sentencepiece\nshow\n")
+    out_path = tmp_path / "toks.jsonl"
+    code, out, err = run(capsys, "tokenize", "--vocab", str(vocab_path),
+                         "--manifest", str(ref_manifest), "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == f"slu tokenize: {vocab_path}: unknown tokenizer kind 'sentencepiece'\n"
+    assert not out_path.exists()
+
+
 def test_augment_pipeline_and_determinism(capsys, tmp_path):
     wav_dir = tmp_path / "clean"
     wav_dir.mkdir()
@@ -372,6 +383,26 @@ def test_train_toy_rejects_a_record_past_the_nlu_positions(capsys, tmp_path):
     assert not ckpt.exists() and not ckpt.with_suffix(".log.jsonl").exists()
 
 
+def test_train_toy_rejects_a_record_past_the_asr_decoder_positions(capsys, tmp_path):
+    wav_dir = tmp_path / "corpus"
+    wav_dir.mkdir()
+    # "show" is one subword in both vocabularies: 70 of them take 71 ASR decoder positions
+    words = ["show"] * 70
+    write_wav(utterance_audio(words), wav_dir / "long.wav")
+    manifest_path = wav_dir / "m.jsonl"
+    write_manifest(build_manifest([Utterance("long", words, ["O"] * 70, "find_flight", "long.wav")]), manifest_path)
+    config_path = wav_dir / "cfg.json"
+    config_path.write_text(json.dumps({"model": {"subsample_stride": 16},
+                                       "stages": [{"stage": "asr_pretrain", "epochs": 1, "lr": 0.05}]}))
+    ckpt = tmp_path / "ckpt.json"
+    code, _, err = run(capsys, "train-toy", "--config", str(config_path), "--manifest", str(manifest_path),
+                       "--out", str(ckpt))
+    assert code == 2
+    assert err.startswith("slu train-toy: record 'long': ")
+    assert "71 ASR decoder positions exceed max_positions 64" in err
+    assert not ckpt.exists() and not ckpt.with_suffix(".log.jsonl").exists()
+
+
 @pytest.mark.parametrize(
     "config, message",
     [
@@ -404,13 +435,18 @@ def test_train_toy_rejects_a_record_past_the_nlu_positions(capsys, tmp_path):
         ({"feature": {"bands": 20}, "stages": []}, "feature: unknown key 'bands'"),
         ({"model": {"feature_dim": 20}, "stages": []}, "model: unknown key 'feature_dim'"),
         ({"asr_vocab": ["vocab_asr.txt"], "stages": []}, "asr_vocab must be str | None, got list"),
+        ({"model": {"asr_hidden": 0}, "stages": []},
+         "model: feature_dim, asr_hidden, nlu_hidden and max_positions must be >= 1"),
+        ({"feature": {"num_bands": 0}, "stages": []}, "feature: feature config needs frame_length, hop >= 1"),
+        ({"stages": [{"stage": "asr_pretrain", "epochs": -1, "lr": 0.05}]},
+         "stages[0]: epochs and eval_every must be >= 0"),
     ],
     ids=["misspelt-top-level-key", "one-early-stop-target", "eval-every-on-speech-stage",
          "targets-on-speech-stage", "targets-never-polled", "model-word-pooling",
          "momentum-above-one", "momentum-negative", "momentum-nan", "lr-infinite", "lr-nan",
          "slots-f1-target-above-one", "intent-target-above-one", "label-smoothing-above-one", "label-smoothing-nan",
          "stage-unknown-key", "stage-lr-str", "stages-not-a-list", "feature-unknown-key", "model-feature-dim",
-         "vocab-path-not-a-string"],
+         "vocab-path-not-a-string", "model-asr-hidden-zero", "feature-num-bands-zero", "stage-epochs-negative"],
 )
 def test_train_toy_rejects_config_it_would_ignore(capsys, tmp_path, config, message):
     paths = write_corpus(tmp_path / "corpus", 2, seed=5)
@@ -522,9 +558,9 @@ def test_augment_rejects_a_repeated_snr_level_before_mixing(capsys, tmp_path, sn
     assert [p.name for p in out_dir.iterdir()] == ["keep.txt"]
 
 
-@pytest.mark.parametrize("where", ["dotdot", "absolute"])
+@pytest.mark.parametrize("where", ["dotdot", "absolute", "nul"])
 def test_augment_refuses_an_id_that_leaves_the_output_directory(capsys, tmp_path, where):
-    record_id = "../esc" if where == "dotdot" else str(tmp_path / "abs" / "esc")
+    record_id = {"dotdot": "../esc", "absolute": str(tmp_path / "abs" / "esc"), "nul": "a\0b"}[where]
     wav_dir = tmp_path / "clean"
     wav_dir.mkdir()
     write_wav(AudioClip(0.3 * np.ones(1000), 16000), wav_dir / "u0.wav")

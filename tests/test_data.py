@@ -64,7 +64,7 @@ def test_malformed_json_names_line_number():
     ],
 )
 def test_bad_field_types_rejected(line):
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError):
         parse_manifest_lines([line])
 
 

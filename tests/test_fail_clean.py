@@ -336,7 +336,7 @@ def test_a_json_node_swapped_for_another_type_is_named(base, target, pick, value
 CHECKED_ANNOTATIONS = {"int", "float", "str", "dict", "list", "list[str]", "list[int]", "list[float]", "None"}
 # Fields that read_config fills without checking their type, each with the reason.
 UNCHECKED_FIELDS = {
-    "Utterance.samples": "given by the caller; a manifest record may not hold it",
+    "Utterance.clip": "given by the caller; a manifest record may not hold it",
     "TrainFile.stages": "the reader checks the list; its items are read one at a time as StageConfig",
 }
 

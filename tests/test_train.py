@@ -432,7 +432,7 @@ def test_corpus_records_carry_playable_audio():
     corpus = build_corpus(3, seed=2)
     for rec in corpus.records:
         clip = utterance_audio(rec.words)
-        assert np.array_equal(clip.samples, np.asarray(rec.samples))
+        assert np.array_equal(clip.samples, rec.clip.samples) and rec.clip.sample_rate == clip.sample_rate
         assert np.abs(clip.samples).max() <= 1.0
 
 
