@@ -16,7 +16,7 @@ import math
 import random
 import wave
 from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import numpy as np
 
@@ -218,7 +218,8 @@ def augment_corpus(
 
     Emits ``noises_per_clip`` records per input record with ids and WAVs
     ``{id}#snr{level}`` under out_dir (an absolute id, one with a ``..``
-    part, or one holding a NUL character is refused), and returns the
+    part, one holding a NUL character, or one that is not its own normal
+    path, such as ``a/./b`` or ``a//b``, is refused), and returns the
     augmented manifest (its ``base_dir`` is out_dir) plus a provenance entry
     per output record.  The noise draw is seeded per (seed, record id), so
     results do not depend on order.
@@ -241,6 +242,8 @@ def augment_corpus(
                 raise ValidationError(f"record {rec.id!r}: an id may not be an absolute path or hold a '..' part")
             if "\0" in rec.id:  # no file name may hold one
                 raise ValidationError(f"record {rec.id!r}: an id may not hold a NUL character")
+            if (normal := PurePosixPath(rec.id).as_posix()) != rec.id:  # else 'a/./b' and 'a/b' share WAVs
+                raise ValidationError(f"record {rec.id!r}: an id must be written as its normal path {normal!r}")
             mix = _mixer(record_clip(rec, manifest.base_dir))  # the clean clip's RMS is taken once
             rng = random.Random(f"{spec.seed}:{rec.id}")
             chosen = rng.sample(list(noise_files), spec.noises_per_clip)

@@ -210,14 +210,14 @@ def embed(table: Tensor, ids, pos: Tensor, positions) -> Tensor:
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = list(itertools.accumulate((t.data.shape[axis] for t in tensors), initial=0))
-    lead = (slice(None),) * axis
+    parents = tuple(tensors)
 
     def backward(g):  # one slice of g per input: what np.split returns, at a fraction of its cost
+        offsets = list(itertools.accumulate((t.data.shape[axis] for t in parents), initial=0))
+        lead = (slice(None),) * axis
         return [g[lead + (slice(lo, hi),)] for lo, hi in zip(offsets, offsets[1:])]
 
-    return Tensor._op(out_data, tuple(tensors), backward)
+    return Tensor._op(np.concatenate([t.data for t in parents], axis=axis), parents, backward)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:

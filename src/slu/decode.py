@@ -3,18 +3,22 @@
 Step one beam-searches subword space for the best transcript under the
 first-order decoder, one batched decoder call per step, with EOS ranked ahead
 of a prefix's extensions on ties, and stops as soon as no live prefix can
-beat or tie the best finished one; only the top-1 hypothesis survives.  Step
-two prepares an ``Example`` from that hypothesis, cut to the longest prefix of
-words whose NLU subwords fit ``max_positions``, and runs ``JointModel.forward``
-on it with the step-one encoding, as training does, then decodes the intent
-(argmax) and slot path (``JointModel.decode_slots``).  Both steps read the
-model's own parameters under ``autodiff.no_grad()``, so decoding records no
-autodiff graph.
+beat or tie the best finished one; only the top-1 hypothesis survives, with
+the decoder rows the search computed for it.  Step two prepares an
+``Example`` from that hypothesis, cut to the longest prefix of words whose
+NLU subwords fit ``max_positions``, and runs ``JointModel.heads`` on it over
+those rows, the heads training runs over the teacher-forced rows, then
+decodes the intent (argmax) and slot path (``JointModel.decode_slots``); it
+makes no decoder call of its own.  Both steps read the model's own
+parameters under ``autodiff.no_grad()``, so decoding records no autodiff
+graph.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +38,20 @@ class DecodeResult:
     asr_logprob: float
 
 
+@functools.cache
+def _eos_first(width: int) -> np.ndarray:
+    """The score column order for ``width`` outputs, read-only and built once per width:
+    column 0 is EOS, column c is token c - 1."""
+    order = np.roll(np.arange(width), 1)
+    order.flags.writeable = False
+    return order
+
+
 def beam_search_transcript(
     model: JointModel, enc: Tensor, beam_size: int, max_len: int = 40
-) -> tuple[list[int], float]:
-    """Top-1 subword id sequence (without EOS) and its total log-probability.
+) -> tuple[list[int], float, np.ndarray]:
+    """Top-1 subword id sequence (without EOS), its total log-probability and
+    its decoder hidden rows, one per step including the EOS step.
 
     ``enc`` is the output of ``model.encode_features``.  Run under
     ``no_grad()``, as ``decode_two_step`` does, the search records no graph.
@@ -52,40 +66,61 @@ def beam_search_transcript(
     matrix is the tuple order.  Every step adds a log-probability <= 0, so
     the search stops once the best finished log-probability is strictly
     greater than every live one; a live prefix that could still tie it is
-    searched on.
+    searched on.  Each step's hidden rows are kept with each live prefix's
+    row a step back, and the winner's rows are read back once at the end.
     """
     if beam_size < 1:
         raise DecodeError(f"beam size must be >= 1, got {beam_size}")
+    if max_len < 0:
+        raise DecodeError(f"max_len must be >= 0, got {max_len}")
     max_len = min(max_len, model.config.max_positions - 1)
+    width = model.asr_output_size
+    order = _eos_first(width)
     live: list[tuple[int, ...]] = [()]  # in token-tuple order
-    live_logp = np.zeros(1)
-    done: list[tuple[float, tuple[int, ...]]] = []  # (-logp, tokens), the tie-break key
+    live_logp = [0.0]
+    prev = [model.bos_id]  # each live prefix's last token
+    parents = [0]  # each live prefix's row in the previous step's hidden rows
+    trail: list[tuple[np.ndarray, list[int]]] = []  # per step: its hidden rows and their parents
+    done: list[tuple[float, tuple[int, ...], int, int]] = []  # (-logp, tokens), the tie-break key; step, row
+    best = -math.inf  # the best finished log-probability
 
     def logprobs(step: int) -> np.ndarray:
-        prev = [tokens[-1] if tokens else model.bos_id for tokens in live]
-        _, logits = model.decoder_states(prev, [step] * len(live), enc)
+        hidden, logits = model.decoder_states(prev, [step] * len(prev), enc)
+        trail.append((hidden.data, parents))
         z = logits.data
         top = z.max(axis=1, keepdims=True)
-        return z - np.log(np.exp(z - top).sum(axis=1, keepdims=True)) - top
+        z -= np.log(np.exp(z - top).sum(axis=1, keepdims=True))
+        z -= top
+        return z
 
-    width = model.asr_output_size
-    eos_first = np.roll(np.arange(width), 1)  # score column 0 is EOS, column c is token c - 1
     for step in range(max_len):
-        scores = (live_logp[:, None] + logprobs(step)[:, eos_first]).ravel()
-        picks = np.sort(np.argsort(-scores, kind="stable")[:beam_size]).tolist()
-        done += [(-float(scores[p]), live[p // width]) for p in picks if p % width == 0]
-        kept = [p for p in picks if p % width]
-        live = [live[p // width] + (p % width - 1,) for p in kept]
-        live_logp = scores[kept]
-        if not live or (done and -min(done)[0] > live_logp.max()):
+        scores = (np.array(live_logp)[:, None] + logprobs(step).take(order, axis=1)).ravel()
+        picks = sorted(np.argsort(-scores, kind="stable")[:beam_size].tolist())
+        extended, live_logp, prev, parents = [], [], [], []
+        for pick, logp in zip(picks, scores[picks].tolist()):
+            row, col = divmod(pick, width)
+            if col:
+                extended.append(live[row] + (col - 1,))
+                live_logp.append(logp)
+                prev.append(col - 1)
+                parents.append(row)
+            else:
+                done.append((-logp, live[row], step, row))
+                best = max(best, logp)
+        live = extended
+        if not live or best > max(live_logp):
             break
     else:  # close out prefixes that hit the length bound
-        closed = live_logp + logprobs(max_len)[:, model.eos_id]
-        done += [(-float(logp), tokens) for tokens, logp in zip(live, closed)]
+        closed = (np.array(live_logp) + logprobs(max_len)[:, model.eos_id]).tolist()
+        done += [(-logp, tokens, max_len, row) for row, (tokens, logp) in enumerate(zip(live, closed))]
     if not done:
         raise DecodeError("beam search produced no complete hypothesis")
-    neg_logp, tokens = min(done)
-    return list(tokens), -neg_logp
+    neg_logp, tokens, step, row = min(done)
+    rows = []
+    for hidden, back in reversed(trail[: step + 1]):
+        rows.append(hidden[row])
+        row = back[row]
+    return list(tokens), -neg_logp, np.array(rows[::-1])
 
 
 def decode_two_step(
@@ -97,7 +132,7 @@ def decode_two_step(
     with no_grad():  # both steps read the live parameters and record no graph
         frames = model.subsample(features)
         enc = model.encode_features(frames)
-        ids, logp = beam_search_transcript(model, enc, beam_size, max_len)
+        ids, logp, rows = beam_search_transcript(model, enc, beam_size, max_len)
         tokens = model.asr_tokens(ids)
         words, first_index = merge_tokens(tokens, model.asr_vocab)
         # step two reads the longest prefix of words whose NLU subwords fit max_positions;
@@ -118,6 +153,6 @@ def decode_two_step(
             return DecodeResult([], [], intent, tokens, logp)
 
         example = model.prepare(frames, words, tok_a=tok_a, tok_b=tok_b)
-        out = model.forward(example, enc=enc)
-        intent = model.intents[int(np.argmax(out.intent_logits.data[0]))]
-        return DecodeResult(words, model.decode_slots(out.slot_scores), intent, tokens, logp)
+        slot_scores, intent_logits = model.heads(example, Tensor(rows))
+        intent = model.intents[int(np.argmax(intent_logits.data[0]))]
+        return DecodeResult(words, model.decode_slots(slot_scores), intent, tokens, logp)

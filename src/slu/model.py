@@ -82,16 +82,20 @@ class ForwardOutputs:
 
 
 def subsample_features(features: np.ndarray, stride: int) -> np.ndarray:
-    """Strided mean-pooling over time; output length is ceil(T / stride)."""
+    """Strided mean-pooling over time; output length is ceil(T / stride).  Each
+    mean is a sum divided in place, the floats ``np.mean`` gives."""
     features = np.asarray(features, dtype=np.float64)
     if stride < 1:
         raise ValidationError(f"stride must be >= 1, got {stride}")
     t = features.shape[0]
     full = t - t % stride  # frames in complete groups; a shorter last group is pooled on its own
-    pooled = features[:full].reshape((full // stride, stride) + features.shape[1:]).mean(axis=1)
+    pooled = features[:full].reshape((full // stride, stride) + features.shape[1:]).sum(axis=1)
+    pooled /= stride
     if full == t:
         return pooled
-    return np.concatenate([pooled, features[full:].mean(axis=0, keepdims=True)])
+    rest = features[full:].sum(axis=0, keepdims=True)
+    rest /= t - full
+    return np.concatenate([pooled, rest])
 
 
 class JointModel:
@@ -292,33 +296,38 @@ class JointModel:
         pooled = concat([p["ic.sentinel"], *hcat_rows], axis=0).mean(axis=0, keepdims=True)
         return linear(pooled, p["ic.w"], p["ic.b"])
 
-    def teacher_forced(self, example: Example, enc: Tensor | None = None) -> tuple[Tensor, Tensor]:
+    def teacher_forced(self, example: Example) -> tuple[Tensor, Tensor]:
         """Decoder rows and transcript logits with the transcript fed in: all
-        that the speech-branch stages build.  ``enc`` is the encoding of
-        ``example.frames`` when the caller already has it.
-        """
-        if enc is None:
-            enc = self.encode_features(example.frames)
+        that the speech-branch stages build."""
+        enc = self.encode_features(example.frames)
         return self.decoder_states(example.asr_inputs, slice(len(example.asr_inputs)), enc)
 
-    def forward(self, example: Example, stop_asr_grad: bool = False, enc: Tensor | None = None) -> ForwardOutputs:
-        """Teacher-forced pass over one example, up to slot scores and intent logits.
+    def heads(self, example: Example, h_dec: Tensor) -> tuple[Tensor, Tensor]:
+        """Slot scores and intent logits over decoder rows ``h_dec``: the NLU
+        branch, the word-level concatenation and both heads.
 
-        The transcript is the ground truth in training, the top-1 beam
-        hypothesis in decoding (which passes its ``enc``).  With
-        ``stop_asr_grad`` the concatenation reads a detached copy of the
-        decoder states, so slot/intent errors cannot reach the speech branch
-        (the 2-stage baseline).  Transcript logits are unaffected by the flag.
+        ``h_dec`` holds a row per decoder step of ``example``'s transcript,
+        the teacher-forced rows in training and the beam's own rows in
+        decoding; ``example.first_a`` picks each word's row, so a row past
+        the last ASR subword (the one that predicts EOS) is never read.
         """
-        h_dec, asr_logits = self.teacher_forced(example, enc)
         hb = self.nlu_states(example.nlu_ids)
-
-        # first_a indexes the subword rows of h_dec, whose extra last row only predicts EOS
-        h_nlu = h_dec.detach() if stop_asr_grad else h_dec
-        hcat = concat([h_nlu.gather_rows(example.first_a), hb.gather_rows(example.first_b)], axis=1)
+        hcat = concat([h_dec.gather_rows(example.first_a), hb.gather_rows(example.first_b)], axis=1)
         slot_scores = linear(hcat, self.params["sl.w"], self.params["sl.b"])
-        intent_logits = self.intent_logits_from([hcat])
-        return ForwardOutputs(asr_logits, slot_scores, intent_logits)
+        return slot_scores, self.intent_logits_from([hcat])
+
+    def forward(self, example: Example, stop_asr_grad: bool = False) -> ForwardOutputs:
+        """Teacher-forced pass over one ground-truth example, up to slot scores
+        and intent logits: ``teacher_forced`` and then ``heads``.
+
+        With ``stop_asr_grad`` the heads read a detached copy of the decoder
+        states, so slot/intent errors cannot reach the speech branch (the
+        2-stage baseline).  Transcript logits are unaffected by the flag.
+        Decoding does not call it: step two runs ``heads`` over the rows the
+        beam search computed.
+        """
+        h_dec, asr_logits = self.teacher_forced(example)
+        return ForwardOutputs(asr_logits, *self.heads(example, h_dec.detach() if stop_asr_grad else h_dec))
 
     # -- losses ----------------------------------------------------------
 

@@ -231,7 +231,7 @@ def test_criterion_7_two_step_decoding():
                     break
                 tokens.append(pick)
                 prev = pick
-            beam_tokens, beam_logp = beam_search_transcript(model, enc, beam_size=1, max_len=max_len)
+            beam_tokens, beam_logp, _ = beam_search_transcript(model, enc, beam_size=1, max_len=max_len)
             assert beam_tokens == tokens and beam_logp == pytest.approx(logp, abs=1e-12)
 
             # exhaustive argmax over all sequences up to the length bound
@@ -253,7 +253,7 @@ def test_criterion_7_two_step_decoding():
                     if best is None or score > best[1] or (score == best[1] and seq < best[0]):
                         best = (seq, score)
             width = model.asr_output_size**max_len
-            wide_tokens, wide_logp = beam_search_transcript(
+            wide_tokens, wide_logp, _ = beam_search_transcript(
                 model, model.encode_features(feats), beam_size=width, max_len=max_len
             )
             assert wide_tokens == list(best[0])

@@ -580,6 +580,32 @@ def test_augment_refuses_an_id_that_leaves_the_output_directory(capsys, tmp_path
     assert not (tmp_path / "abs").exists()
 
 
+@pytest.mark.parametrize("ids, refused", [
+    pytest.param(["a/b", "a/./b", "c//d", "c/d"], "a/./b", id="dot-part"),
+    pytest.param(["c/d", "c//d"], "c//d", id="double-slash"),
+    pytest.param(["./a"], "./a", id="leading-dot"),
+    pytest.param(["a/"], "a/", id="trailing-slash"),
+])
+def test_augment_refuses_an_id_that_is_not_its_normal_path(capsys, tmp_path, ids, refused):
+    # 'a/b' and 'a/./b' (or 'c//d' and 'c/d') name one WAV, so one record's mix would overwrite the other's
+    wav_dir = tmp_path / "clean"
+    wav_dir.mkdir()
+    write_wav(AudioClip(0.3 * np.ones(1000), 16000), wav_dir / "u0.wav")
+    manifest_path = wav_dir / "m.jsonl"
+    write_manifest(build_manifest([Utterance(i, ["a"], ["O"], "x", "u0.wav") for i in ids]), manifest_path)
+    noise_dir = tmp_path / "noise"
+    noise_dir.mkdir()
+    for name in ("n0.wav", "n1.wav", "n2.wav", "n3.wav"):
+        write_wav(AudioClip(0.2 * np.ones(500), 16000), noise_dir / name)
+    work = tmp_path / "work"
+    work.mkdir()
+    code, out, err = run(capsys, "augment", "--manifest", str(manifest_path), "--noise-dir", str(noise_dir),
+                         "--split", "train", "--snr", "0,10", "--seed", "0", "--out", str(work / "aug"))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and f"record {refused!r}" in err
+    assert list(work.iterdir()) == []
+
+
 def _small_checkpoint(path, intents=("find_flight", "airfare")):
     """A randomly initialised checkpoint whose features match the default FeatureConfig."""
     config = ModelConfig(feature_dim=FeatureConfig().num_bands, asr_hidden=4, nlu_hidden=4)

@@ -11,7 +11,7 @@ import slu.model
 from slu.autodiff import Tensor, no_grad
 from slu.decode import beam_search_transcript, decode_two_step
 from slu.errors import DecodeError
-from slu.model import JointModel, ModelConfig
+from slu.model import Example, JointModel, ModelConfig
 from slu.subword import BPE, WORDPIECE, SubwordVocab, tokenize
 from slu.synth import asr_vocab, nlu_vocab
 
@@ -70,7 +70,7 @@ def test_beam_one_is_greedy():
         model = micro_model(seed)
         feats = np.random.default_rng(seed).normal(size=(6, 4))
         with no_grad():
-            beam_tokens, beam_logp = beam_search_transcript(
+            beam_tokens, beam_logp, _ = beam_search_transcript(
                 model, model.encode_features(feats), beam_size=1, max_len=5
             )
             greedy_tokens, greedy_logp = greedy_reference(model, feats, max_len=5)
@@ -85,7 +85,7 @@ def test_wide_beam_matches_exhaustive_argmax():
         feats = np.random.default_rng(seed).normal(size=(5, 4))
         width = model.asr_output_size**max_len  # >= vocab^length: nothing is ever pruned
         with no_grad():
-            beam_tokens, beam_logp = beam_search_transcript(
+            beam_tokens, beam_logp, _ = beam_search_transcript(
                 model, model.encode_features(feats), beam_size=width, max_len=max_len
             )
             exh_tokens, exh_logp = exhaustive_reference(model, feats, max_len)
@@ -104,7 +104,7 @@ def test_all_ties_pick_the_empty_transcript():
     with no_grad():
         enc = model.encode_features(feats)
         for beam_size in (1, 2, 3, width):
-            assert beam_search_transcript(model, enc, beam_size, max_len) == expected
+            assert beam_search_transcript(model, enc, beam_size, max_len)[:2] == expected
         assert exhaustive_reference(model, feats, max_len) == expected
 
 
@@ -121,7 +121,7 @@ def test_search_stops_once_no_live_prefix_can_win(monkeypatch):
     monkeypatch.setattr(model, "decoder_states", counting_decoder_states)
     with no_grad():
         enc = model.encode_features(np.random.default_rng(4).normal(size=(5, 4)))
-        tokens, logp = beam_search_transcript(model, enc, beam_size=5, max_len=40)
+        tokens, logp, _ = beam_search_transcript(model, enc, beam_size=5, max_len=40)
     assert calls == [1]
     assert tokens == [] and -1e-12 < logp <= 0.0
 
@@ -130,6 +130,103 @@ def test_beam_size_validation():
     model = micro_model()
     with no_grad(), pytest.raises(DecodeError):
         beam_search_transcript(model, model.encode_features(np.zeros((4, 4))), beam_size=0)
+
+
+def test_a_negative_max_len_is_refused_naming_it():
+    model = micro_model()
+    with no_grad(), pytest.raises(DecodeError, match="max_len must be >= 0, got -3"):
+        beam_search_transcript(model, model.encode_features(np.zeros((4, 4))), beam_size=5, max_len=-3)
+    with pytest.raises(DecodeError, match="got -3"):
+        decode_two_step(model, np.zeros((4, 4)), max_len=-3)
+
+
+def _hypothesis_example(model, frames, ids):
+    """An ``Example`` of the transcript ``ids``, enough for ``teacher_forced`` (which reads only
+    the frames and the decoder inputs), whatever words those ids would merge into."""
+    return Example(frames, [model.bos_id] + ids, ids + [model.eos_id], [], [], [], [], None)
+
+
+@pytest.mark.parametrize("variant, max_len", [
+    ("random", 6),  # stops early or closes out at max_len
+    ("eos-penalised", 4),  # always closes out at max_len
+    ("eos-penalised", 40),  # closes out at max_positions - 1, the cut
+])
+def test_beam_rows_are_the_teacher_forced_rows_of_the_hypothesis(variant, max_len):
+    lengths = set()
+    for seed in range(6):
+        model = micro_model(seed)
+        if variant == "eos-penalised":
+            model.params["asr.out_b"].data[model.eos_id] -= 50.0
+        feats = np.random.default_rng(seed).normal(size=(5, 4))
+        with no_grad():
+            enc = model.encode_features(feats)
+            for beam_size in (1, 3, 5):
+                ids, _, rows = beam_search_transcript(model, enc, beam_size, max_len)
+                want = model.teacher_forced(_hypothesis_example(model, feats, ids))[0].data
+                assert rows.shape == want.shape == (len(ids) + 1, model.config.asr_hidden)
+                assert np.abs(rows - want).max() <= 1e-12, (seed, beam_size)
+                lengths.add(len(ids))
+    if variant == "eos-penalised":  # beams narrower than the width never pick EOS before the close-out
+        assert max(lengths) == min(max_len, model.config.max_positions - 1)
+    else:
+        assert len(lengths) > 1
+
+
+def _step_two_outputs(monkeypatch, model):
+    """Record each ``heads`` call of a decode: its example and its two outputs."""
+    seen = []
+    heads = model.heads
+
+    def recording_heads(example, h_dec):
+        seen.append((example, *heads(example, h_dec)))
+        return seen[-1][1:]
+
+    monkeypatch.setattr(model, "heads", recording_heads)
+    return seen
+
+
+def _assert_heads_match_forward(model, seen, result):
+    (example, slot_scores, intent_logits), = seen
+    with no_grad():
+        out = model.forward(example)
+    assert np.abs(slot_scores.data - out.slot_scores.data).max() <= 1e-12
+    assert np.abs(intent_logits.data - out.intent_logits.data).max() <= 1e-12
+    assert model.decode_slots(out.slot_scores) == result.slots
+    assert model.intents[int(np.argmax(out.intent_logits.data[0]))] == result.intent
+
+
+@pytest.mark.parametrize("slot_head", ["linear", "crf"])
+def test_step_two_scores_equal_forward_on_the_hypothesis(monkeypatch, slot_head):
+    ran = 0
+    for seed in range(6):
+        model = tiny_model(seed=seed, slot_head=slot_head)
+        seen = _step_two_outputs(monkeypatch, model)
+        for beam_size in (1, 3, 5):
+            seen.clear()
+            result = decode_two_step(model, tiny_features(seed, frames=10), beam_size=beam_size, max_len=8)
+            if result.words:
+                _assert_heads_match_forward(model, seen, result)
+                ran += 1
+    assert ran >= 10
+
+
+def test_a_decode_makes_one_decoder_call_per_beam_step_and_no_teacher_forced_call(monkeypatch):
+    model = tiny_model(seed=3)
+    steps, forced = [], []
+    decoder_states = model.decoder_states
+
+    def counting_decoder_states(prev_ids, positions, enc):
+        assert len(set(positions)) == 1  # one beam step: every live prefix at one position
+        steps.append(positions[0])
+        return decoder_states(prev_ids, positions, enc)
+
+    monkeypatch.setattr(model, "decoder_states", counting_decoder_states)
+    monkeypatch.setattr(model, "teacher_forced", lambda *args: forced.append(args))
+    monkeypatch.setattr(model, "forward", lambda *args: forced.append(args))
+    result = decode_two_step(model, tiny_features(4, frames=10), beam_size=3, max_len=8)
+    assert result.words  # step two ran
+    assert steps == list(range(len(steps))) and len(steps) >= len(result.asr_tokens) + 1
+    assert forced == []
 
 
 def test_decode_result_invariants():
@@ -185,15 +282,17 @@ def test_decode_crf_head_uses_viterbi_path():
 
 
 @pytest.mark.parametrize("slot_head", ["linear", "crf"])
-def test_step_two_reads_the_words_that_fit_the_nlu_positions(slot_head):
+def test_step_two_reads_the_words_that_fit_the_nlu_positions(monkeypatch, slot_head):
     config = ModelConfig(feature_dim=20, slot_head=slot_head)
     model = JointModel(config, asr_vocab(), nlu_vocab(), ["O", "B-toloc"], ["find_flight", "airfare"])
     model.init_params()
     model.params["asr.out_b"].data[model.asr_pieces.index("▁boston")] = 50.0
     feats = np.random.default_rng(0).normal(size=(30, 20))
+    seen = _step_two_outputs(monkeypatch, model)
     result = decode_two_step(model, feats)
     # 40 beam tokens, one word each, but two NLU subwords per word: 32 words fit 64 positions
     assert result.words == ["boston"] * 32 and len(result.slots) == 32
+    _assert_heads_match_forward(model, seen, result)  # over 41 beam rows, of which the cut example reads 32
     with no_grad():
         logp = beam_search_transcript(model, model.encode_features(model.subsample(feats)), 5)[1]
     assert (result.asr_tokens, result.asr_logprob) == (["▁boston"] * 40, logp)

@@ -7,6 +7,7 @@ value, and runs one command through ``cli.main``.  Whatever the input, the
 command must exit 0, 1 (I/O) or 2 (bad input), print at most the one-line
 ``slu <cmd>: ...`` message on stderr, and leave no ``--out`` file behind
 when ``decode``, ``tokenize``, ``score``, ``augment`` or ``train-toy`` fails.
+An ``augment`` that succeeds leaves one WAV per augmented record.
 A failure on a mutated WAV names that file, or the record it belongs to.
 A config or checkpoint with one JSON node swapped for a value of another type
 loads or fails naming the swapped key (or, inside ``params``, the parameter).
@@ -229,6 +230,7 @@ def cases(draw):
 @example(case=("decode", "ckpt", ("json", 1519, 10**9, False)))  # feature.frame_length
 @example(case=("train-toy", "config", ("json", 12, 10**400, False)))  # stages[0].lr
 @example(case=("decode", "ckpt", ("json", 1515, 10**400, False)))  # params['sl.b'].data[0]
+@example(case=("augment", "manifest", ("json", 16, "./synth000", False)))  # records[1].id names synth000's WAVs
 @settings(max_examples=150, deadline=None)
 def test_mutated_inputs_fail_cleanly(base, case):
     command, target, mutation = case
@@ -249,6 +251,9 @@ def test_mutated_inputs_fail_cleanly(base, case):
         message = [line for line in stderr.getvalue().splitlines() if not LOG_LINE.match(line)]
         if code == 0:
             assert message == []
+            if command == "augment":  # one WAV per augmented record: no record's mix overwrote another's
+                records = (out / "manifest.jsonl").read_text().splitlines()
+                assert len(list(out.rglob("*.wav"))) == len(records)
         else:
             assert len(message) == 1 and message[0].startswith(f"slu {command}: "), message
             if target in AUDIO_RECORDS:
