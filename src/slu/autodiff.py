@@ -1,18 +1,21 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-Only the ops the joint model calls: ``+`` of two tensors of one shape, 2-D
-``@``, a fused affine layer (``linear``), tanh, mean (one node: the sum times
-the constant ``1 / count``, with no node for the constant), concat, row
-gather (``gather_rows``, by index list or by ``slice``), token plus position
-embeddings (``embed``: two gathers and their ``+`` as one node), and two
-nodes whose backward is written by hand: scaled dot-product attention
-(``attention``) and a fused softmax cross-entropy reduced to one loss
-(``nll``, summed or averaged over the rows).  No op broadcasts, and an
-operand of ``+`` or ``@`` that is not a ``Tensor`` is a ``TypeError``; only
-``linear`` takes a plain array.  The mean's backward returns a filled,
-writable array, not a broadcast view.  A gather's backward (``embed``'s too)
-adds the gradient rows onto ``np.zeros``: with ``+=`` for a ``slice``, and
-with ``np.add.at`` for an index list, which may name a row twice.
+Only the ops the joint model calls: ``+`` of two tensors of one shape, a
+fused affine layer (``linear``), mean (one node: the sum times the constant
+``1 / count``, with no node for the constant), concat, row gather
+(``gather_rows``, by index list or by ``slice``), a fused softmax
+cross-entropy reduced to one loss (``nll``, summed or averaged over the
+rows), and one node per model layer (``encoder_layer``, ``decoder_layer``
+and ``nlu_layer``), so a speech train step records 4 nodes and a joint step
+16.  A layer node runs the numpy operations of its composition of elementary
+ops in their order, and its hand-written backward returns that composition's
+gradients bit for bit; both attention layers share one array-level attention
+(``_attend``) and embedding (``_embed``).  No op broadcasts, and an operand
+of ``+`` that is not a ``Tensor`` is a ``TypeError``.  The mean's backward
+returns a filled, writable array, not a broadcast view.  A gather's backward
+(the embeddings' too) adds the gradient rows onto ``np.zeros``: with ``+=``
+for a ``slice``, and with ``np.add.at`` for an index list, which may name a
+row twice.
 Nodes record parents only when a gradient is required and recording is
 on: under ``no_grad()`` no op records any, so decoding builds no graph.
 
@@ -104,18 +107,7 @@ class Tensor:
             raise DimensionError(f"cannot add shapes {self.data.shape} and {other.data.shape}")
         return Tensor._op(self.data + other.data, (self, other), lambda g: (g, g))
 
-    def __matmul__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        if self.data.ndim != 2 or other.data.ndim != 2:
-            raise NumericError("matmul requires 2-D operands")
-        return Tensor._op(self.data @ other.data, (self, other), lambda g: (g @ other.data.T, self.data.T @ g))
-
-    # -- nonlinearities and reductions ------------------------------------
-
-    def tanh(self):
-        out_data = np.tanh(self.data)
-        return Tensor._op(out_data, (self,), lambda g: (g * (1.0 - out_data**2),))
+    # -- reductions ---------------------------------------------------------
 
     def mean(self, axis=None, keepdims: bool = False):
         """The mean as one node: the sum times the constant ``1 / count``, with
@@ -179,34 +171,11 @@ def _scatter_rows(shape, rows, g: np.ndarray) -> np.ndarray:
     return full
 
 
-def linear(x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` for (N, I) rows, (I, O) weights and an (O,) bias, as one
-    node.  An ``x`` that is not a ``Tensor`` is a constant, not a parent, so
-    no gradient is computed for it."""
-    xd = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    if xd.ndim != 2 or w.data.ndim != 2:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for (N, I) rows, (I, O) weights and an (O,) bias, as one node."""
+    if x.data.ndim != 2 or w.data.ndim != 2:
         raise NumericError("matmul requires 2-D operands")
-    if isinstance(x, Tensor):
-        parents, backward = (x, w, b), lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0))
-    else:
-        parents, backward = (w, b), lambda g: (xd.T @ g, g.sum(axis=0))
-    return Tensor._op(xd @ w.data + b.data, parents, backward)
-
-
-def embed(table: Tensor, ids, pos: Tensor, positions) -> Tensor:
-    """``table[ids] + pos[positions]`` as one node: token plus position
-    embeddings, the input layer of BERT (Devlin et al. 2019).  ``ids`` and
-    ``positions`` take what ``Tensor.gather_rows`` takes, and the node gives
-    the floats of two gathers and their ``+``, in the forward and backward."""
-    ids, positions = _rows(ids), _rows(positions)
-    tokens, places = table.data[ids], pos.data[positions]
-    if tokens.shape != places.shape:
-        raise DimensionError(f"cannot add shapes {tokens.shape} and {places.shape}")
-
-    def backward(g):
-        return _scatter_rows(table.data.shape, ids, g), _scatter_rows(pos.data.shape, positions, g)
-
-    return Tensor._op(tokens + places, (table, pos), backward)
+    return Tensor._op(x.data @ w.data + b.data, (x, w, b), lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
@@ -220,13 +189,26 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
     return Tensor._op(np.concatenate([t.data for t in parents], axis=axis), parents, backward)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """``softmax(q kᵀ / sqrt(d)) v`` as one node, with ``d`` the keys' width
-    (scaled dot-product attention, Vaswani et al. 2017).  ``k`` and ``v`` may
-    be one tensor; the engine adds its two gradients.
-    """
-    scale = 1.0 / math.sqrt(k.data.shape[1])
-    s = (q.data @ k.data.T) * scale
+def _embed(table: np.ndarray, ids, pos: np.ndarray, positions):
+    """Token plus position embeddings ``table[ids] + pos[positions]`` (BERT's input layer, Devlin et al.
+    2019) and their backward, the two gathers' scatters; ``ids`` and ``positions`` are read as
+    ``Tensor.gather_rows`` reads them, and row counts that differ are a ``DimensionError``, not a broadcast."""
+    ids, positions = _rows(ids), _rows(positions)
+    tokens, places = table[ids], pos[positions]
+    if tokens.shape != places.shape:
+        raise DimensionError(f"cannot add shapes {tokens.shape} and {places.shape}")
+
+    def backward(g):
+        return _scatter_rows(table.shape, ids, g), _scatter_rows(pos.shape, positions, g)
+
+    return tokens + places, backward
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray):
+    """``softmax(q kᵀ / sqrt(d)) v``, with ``d`` the keys' width (scaled dot-product attention, Vaswani
+    et al. 2017), and its backward, which maps the output's gradient to (dq, dk, dv)."""
+    scale = 1.0 / math.sqrt(k.shape[1])
+    s = (q @ k.T) * scale
     m = s.max(axis=1, keepdims=True)
     shifted = np.exp(s - m)
     total = shifted.sum(axis=1, keepdims=True)
@@ -238,11 +220,64 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         # term times shifted / total, which is not always p to the last bit, and
         # its transpose node gives the keys' gradient as (qᵀ dS)ᵀ, which a BLAS
         # need not round like dSᵀ q.
-        dx = (g @ v.data.T) * p
-        ds = (dx - dx.sum(axis=1, keepdims=True) * (shifted / total)) * scale
-        return ds @ k.data, (q.data.T @ ds).T, p.T @ g
+        dp = (g @ v.T) * p
+        ds = (dp - dp.sum(axis=1, keepdims=True) * (shifted / total)) * scale
+        return ds @ k, (q.T @ ds).T, p.T @ g
 
-    return Tensor._op(p @ v.data, (q, k, v), backward)
+    return p @ v, backward
+
+
+def encoder_layer(frames: np.ndarray, w: Tensor, b: Tensor, pos: Tensor) -> Tensor:
+    """``tanh(frames @ w + b + pos[:n])`` for n constant (n, I) frames, as one node; more frames than
+    position rows is a ``DimensionError``."""
+    n = frames.shape[0]
+    pre, places = frames @ w.data + b.data, pos.data[:n]
+    if pre.shape != places.shape:
+        raise DimensionError(f"cannot add shapes {pre.shape} and {places.shape}")
+    out = np.tanh(pre + places)
+
+    def backward(g):
+        g = g * (1.0 - out**2)
+        return frames.T @ g, g.sum(axis=0), _scatter_rows(pos.data.shape, slice(n), g)
+
+    return Tensor._op(out, (w, b, pos), backward)
+
+
+def decoder_layer(table: Tensor, ids, pos: Tensor, positions, w_q: Tensor, enc: Tensor, w: Tensor, b: Tensor):
+    """The decoder's hidden rows ``tanh([e, ctx] @ w + b)`` as one node, where ``e`` embeds ``ids`` at
+    ``positions`` and ``ctx`` is ``e @ w_q`` attending over the encoder rows ``enc``, its keys and values."""
+    e, embed_backward = _embed(table.data, ids, pos.data, positions)
+    ctx, attend_backward = _attend(e @ w_q.data, enc.data, enc.data)
+    x = np.concatenate([e, ctx], axis=1)
+    out = np.tanh(x @ w.data + b.data)
+
+    def backward(g):
+        g = g * (1.0 - out**2)
+        dx = g @ w.data.T
+        width = e.shape[1]
+        dq, dk, dv = attend_backward(dx[:, width:])
+        return (*embed_backward(dx[:, :width] + dq @ w_q.data.T), e.T @ dq, dk + dv, x.T @ g, g.sum(axis=0))
+
+    return Tensor._op(out, (table, pos, w_q, enc, w, b), backward)
+
+
+def nlu_layer(table: Tensor, ids, pos: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, w: Tensor, b: Tensor):
+    """The NLU rows ``tanh((e + ctx) @ w + b)`` as one node, where ``e`` embeds ``ids`` at positions
+    0 to n - 1 and ``ctx`` is self-attention with queries, keys and values ``e @ w_q``, ``e @ w_k``, ``e @ w_v``."""
+    e, embed_backward = _embed(table.data, ids, pos.data, slice(len(ids)))
+    ctx, attend_backward = _attend(e @ w_q.data, e @ w_k.data, e @ w_v.data)
+    x = e + ctx
+    out = np.tanh(x @ w.data + b.data)
+
+    def backward(g):
+        g = g * (1.0 - out**2)
+        dx = g @ w.data.T
+        dq, dk, dv = attend_backward(dx)
+        # e's gradients in the order the composition's newest-first backward adds them, which keeps checkpoint bits
+        de = ((dx + dq @ w_q.data.T) + dk @ w_k.data.T) + dv @ w_v.data.T
+        return (*embed_backward(de), e.T @ dq, e.T @ dk, e.T @ dv, x.T @ g, g.sum(axis=0))
+
+    return Tensor._op(out, (table, pos, w_q, w_k, w_v, w, b), backward)
 
 
 def nll(logits: Tensor, targets, smoothing: float = 0.0, mean: bool = False) -> Tensor:

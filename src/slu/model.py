@@ -8,6 +8,10 @@ convention), and the two are concatenated; intent and slot heads read the
 concatenated rows.  The slot head is a per-token linear layer or a linear
 layer plus CRF.
 
+The encoder, the decoder's hidden layer and the NLU layer are one autodiff
+node each (``autodiff.encoder_layer``, ``decoder_layer`` and ``nlu_layer``),
+so a speech-branch train step records 4 nodes and a joint step 16.
+
 All tensors are float64 so finite-difference gradient checks are meaningful.
 """
 
@@ -21,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import FeatureConfig
-from .autodiff import Tensor, attention, concat, embed, linear, nll
+from .autodiff import Tensor, concat, decoder_layer, encoder_layer, linear, nll, nlu_layer
 from .crf import crf_nll_t, crf_viterbi
 from .errors import DimensionError, ValidationError, read_config
 from .ioutil import atomic_write_text, read_json
@@ -268,28 +272,26 @@ class JointModel:
     # -- forward pieces ---------------------------------------------------
 
     def encode_features(self, frames: np.ndarray) -> Tensor:
-        """Encoder rows for ``subsample``'d frames."""
+        """Encoder rows for ``subsample``'d frames: one ``encoder_layer`` node."""
         p = self.params
-        pos = p["asr.enc_pos"].gather_rows(slice(frames.shape[0]))
-        return (linear(frames, p["asr.enc_w"], p["asr.enc_b"]) + pos).tanh()
+        return encoder_layer(frames, p["asr.enc_w"], p["asr.enc_b"], p["asr.enc_pos"])
 
     def decoder_states(self, prev_ids: list[int], steps: list[int] | slice, enc: Tensor) -> tuple[Tensor, Tensor]:
-        """Hidden rows and logits for decoder steps given previous-token ids; ``steps``
-        are their positions, as a list or, for positions 0 to n - 1, as ``slice(n)``."""
+        """Hidden rows (one ``decoder_layer`` node) and logits for decoder steps given previous-token
+        ids; ``steps`` are their positions, as a list or, for positions 0 to n - 1, as ``slice(n)``."""
         p = self.params
-        emb = embed(p["asr.emb"], prev_ids, p["asr.dec_pos"], steps)
-        ctx = attention(emb @ p["asr.attn_q"], enc, enc)
-        hidden = linear(concat([emb, ctx], axis=1), p["asr.dec_w"], p["asr.dec_b"]).tanh()
-        logits = linear(hidden, p["asr.out_w"], p["asr.out_b"])
-        return hidden, logits
+        hidden = decoder_layer(
+            p["asr.emb"], prev_ids, p["asr.dec_pos"], steps, p["asr.attn_q"], enc, p["asr.dec_w"], p["asr.dec_b"]
+        )
+        return hidden, linear(hidden, p["asr.out_w"], p["asr.out_b"])
 
     def nlu_states(self, ids_b: list[int]) -> Tensor:
+        """NLU rows for NLU subword ids: one ``nlu_layer`` node."""
         p = self.params
-        emb = embed(p["nlu.emb"], ids_b, p["nlu.pos"], slice(len(ids_b)))
-        # v, k, then q: newest-first backward sums emb's gradients as (emb + ctx), q, k, v, which keeps checkpoint bits
-        v, k = emb @ p["nlu.attn_v"], emb @ p["nlu.attn_k"]
-        ctx = attention(emb @ p["nlu.attn_q"], k, v)
-        return linear(emb + ctx, p["nlu.ff_w"], p["nlu.ff_b"]).tanh()
+        return nlu_layer(
+            p["nlu.emb"], ids_b, p["nlu.pos"], p["nlu.attn_q"], p["nlu.attn_k"], p["nlu.attn_v"],
+            p["nlu.ff_w"], p["nlu.ff_b"],
+        )
 
     def intent_logits_from(self, hcat_rows: list[Tensor]) -> Tensor:
         p = self.params

@@ -7,16 +7,26 @@ evidence, not tautology.  Old loop versions of vectorised package code are
 kept here verbatim as bit-exact references, next to a few small helpers
 (slot serialisation, detokenisation, the first-subword pooling matrix, one
 SNR mix per call, the numpy CRF partition function and path score) that only
-the tests use.  The three fused nodes (``autodiff.attention``,
-``autodiff.nll`` and ``crf.crf_nll_t``) are gated against their unfused
-compositions of elementary ``Tensor`` ops, kept here as ``attention_unfused``,
-``nll_unfused`` (``nll_rows_unfused``, then a sum or a mean) and
-``crf_nll_t_unfused``.  The elementary ops only those compositions and the
-tests use are here too, as free functions built on ``Tensor._op``: the
-broadcasting ``add``, ``sub`` and ``mul`` (an operand that is not a
-``Tensor`` is a constant, and ``_unbroadcast`` sums each gradient back to its
-operand's shape), ``reduce_sum`` (``Tensor.sum`` as it was), ``exp``,
-``logsumexp``, ``reshape``, ``transpose`` and ``softmax_rows``.
+the tests use.  The fused nodes are gated against their unfused
+compositions of elementary ``Tensor`` ops, kept here: the three layer nodes
+(``autodiff.encoder_layer``, ``decoder_layer`` and ``nlu_layer``) as
+``encoder_layer_unfused``, ``decoder_layer_unfused`` and
+``nlu_layer_unfused`` (gathers, ``matmul``, ``attention_unfused``, concat,
+``linear``, ``tanh``), ``autodiff.nll`` as ``nll_unfused``
+(``nll_rows_unfused``, then a sum or a mean) and ``crf.crf_nll_t`` as
+``crf_nll_t_unfused``.  ``attention`` and ``embed`` are the one-node
+attention and embedding that the layer nodes replaced, built on the
+array-level ``autodiff._attend`` and ``autodiff._embed`` that both attention
+layers share, so that their tests gate those two against
+``attention_unfused`` and two gathers and their ``+``.  The elementary ops
+only the compositions and the tests use are here too, as free functions
+built on ``Tensor._op``: ``matmul`` (``Tensor.__matmul__`` as it was, an
+operand that is not a ``Tensor`` a ``TypeError``), ``tanh``
+(``Tensor.tanh`` as it was), the broadcasting ``add``, ``sub`` and ``mul``
+(an operand that is not a ``Tensor`` is a constant, and ``_unbroadcast``
+sums each gradient back to its operand's shape), ``reduce_sum``
+(``Tensor.sum`` as it was), ``exp``, ``logsumexp``, ``reshape``,
+``transpose`` and ``softmax_rows``.
 ``nll_rows`` is the per-row NLL node that ``autodiff.nll`` reduces, its
 bit-exact reference when followed by ``reduce_sum`` or ``Tensor.mean``.
 ``backward_dfs`` is the engine's old
@@ -41,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from slu.audio import AudioClip, FeatureConfig, MixResult, _mixer
-from slu.autodiff import Tensor
+from slu.autodiff import Tensor, _attend, _embed, concat, linear
 from slu.crf import _check
 from slu.errors import DimensionError, NumericError, ValidationError
 from slu.subword import SubwordVocab, TokenizationResult, merge_tokens
@@ -390,9 +400,63 @@ def mean_unfused(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return mul(reduce_sum(x, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """2-D ``a @ b`` as one node, ``Tensor.__matmul__`` as it was: an operand
+    that is not a ``Tensor`` is a ``TypeError``."""
+    if not (isinstance(a, Tensor) and isinstance(b, Tensor)):
+        raise TypeError(f"matmul takes two Tensors, not {type(a).__name__} and {type(b).__name__}")
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise NumericError("matmul requires 2-D operands")
+    return Tensor._op(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+
+
+def tanh(x: Tensor) -> Tensor:
+    """Elementwise tanh, ``Tensor.tanh`` as it was; its backward is ``g * (1 - tanh²)``."""
+    out_data = np.tanh(x.data)
+    return Tensor._op(out_data, (x,), lambda g: (g * (1.0 - out_data**2),))
+
+
+def embed(table: Tensor, ids, pos: Tensor, positions) -> Tensor:
+    """``table[ids] + pos[positions]`` as one node on ``autodiff._embed``, the
+    embedding both attention layers share: ``autodiff.embed`` as it was."""
+    out, backward = _embed(table.data, ids, pos.data, positions)
+    return Tensor._op(out, (table, pos), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """``softmax(q kᵀ / sqrt(d)) v`` as one node on ``autodiff._attend``, the
+    attention both attention layers share: ``autodiff.attention`` as it was."""
+    out, backward = _attend(q.data, k.data, v.data)
+    return Tensor._op(out, (q, k, v), backward)
+
+
 def attention_unfused(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """``autodiff.attention`` as the chain matmul, transpose, scale, softmax rows, matmul."""
-    return softmax_rows(mul(q @ transpose(k), 1.0 / math.sqrt(k.shape[1]))) @ v
+    """``attention`` as the chain matmul, transpose, scale, softmax rows, matmul."""
+    return matmul(softmax_rows(mul(matmul(q, transpose(k)), 1.0 / math.sqrt(k.shape[1]))), v)
+
+
+def encoder_layer_unfused(frames: np.ndarray, w: Tensor, b: Tensor, pos: Tensor) -> Tensor:
+    """``autodiff.encoder_layer`` as ``linear`` over the constant frames, a position gather, ``+`` and tanh."""
+    return tanh(linear(Tensor(frames), w, b) + pos.gather_rows(slice(frames.shape[0])))
+
+
+def decoder_layer_unfused(table, ids, pos, positions, w_q, enc, w, b) -> Tensor:
+    """``autodiff.decoder_layer`` as two gathers and their ``+``, the query
+    matmul, ``attention_unfused`` over ``enc`` as keys and values, concat,
+    ``linear`` and tanh."""
+    emb = table.gather_rows(ids) + pos.gather_rows(positions)
+    ctx = attention_unfused(matmul(emb, w_q), enc, enc)
+    return tanh(linear(concat([emb, ctx], axis=1), w, b))
+
+
+def nlu_layer_unfused(table, ids, pos, w_q, w_k, w_v, w, b) -> Tensor:
+    """``autodiff.nlu_layer`` as two gathers and their ``+``, three matmuls,
+    ``attention_unfused``, the residual ``+``, ``linear`` and tanh."""
+    emb = table.gather_rows(ids) + pos.gather_rows(slice(len(ids)))
+    # v, k, then q: newest first, emb's gradients add up as the residual's, q's, k's, v's, the fused node's order
+    v, k = matmul(emb, w_v), matmul(emb, w_k)
+    ctx = attention_unfused(matmul(emb, w_q), k, v)
+    return tanh(linear(emb + ctx, w, b))
 
 
 def nll_rows(logits: Tensor, targets, smoothing: float = 0.0) -> Tensor:

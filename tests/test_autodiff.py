@@ -3,13 +3,16 @@ import collections
 import numpy as np
 import pytest
 
-from conftest import assert_fused_matches, check_gradients, joint_loss, tiny_example, tiny_model
+from conftest import assert_fused_matches, check_gradients, joint_loss, tiny_example, tiny_features, tiny_model
 from oracles import (
     add,
+    attention,
     attention_unfused,
     backward_dfs,
+    embed,
     exp,
     logsumexp,
+    matmul,
     mean_unfused,
     mul,
     nll_rows,
@@ -19,16 +22,17 @@ from oracles import (
     reshape,
     softmax_rows,
     sub,
+    tanh,
     transpose,
 )
-from slu.autodiff import Tensor, attention, concat, embed, linear, nll, no_grad
+from slu.autodiff import Tensor, concat, linear, nll, no_grad
 from slu.errors import DimensionError, NumericError
 
 
 def test_add_mul_matmul_grads():
     rng = np.random.default_rng(0)
     arrays = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4, 2)), "c": rng.normal(size=(1, 2))}
-    check_gradients(lambda t: reduce_sum(mul(add(t["a"] @ t["b"], t["c"]), 0.5)), arrays)
+    check_gradients(lambda t: reduce_sum(mul(add(matmul(t["a"], t["b"]), t["c"]), 0.5)), arrays)
 
 
 def test_linear_grads_with_bias_broadcast_over_rows():
@@ -45,28 +49,12 @@ def test_linear_is_bit_identical_to_matmul_plus_bias():
     fused = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
     split = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
     out_fused = linear(fused["x"], fused["w"], fused["b"])
-    out_split = add(split["x"] @ split["w"], split["b"])
+    out_split = add(matmul(split["x"], split["w"]), split["b"])
     assert np.array_equal(out_fused.data, out_split.data)
     reduce_sum(mul(out_fused, weights)).backward()
     reduce_sum(mul(out_split, weights)).backward()
     for name in arrays:
         assert np.array_equal(fused[name].grad, split[name].grad), name
-
-
-def test_linear_on_a_plain_array_makes_it_a_constant_not_a_parent():
-    rng = np.random.default_rng(9)
-    x, weights = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
-    arrays = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=3)}
-    const = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
-    wrapped = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
-    out_const = linear(x, const["w"], const["b"])
-    out_wrapped = linear(Tensor(x), wrapped["w"], wrapped["b"])
-    assert out_const._parents == (const["w"], const["b"])
-    assert np.array_equal(out_const.data, out_wrapped.data)
-    reduce_sum(mul(out_const, weights)).backward()
-    reduce_sum(mul(out_wrapped, weights)).backward()
-    for name in arrays:
-        assert np.array_equal(const[name].grad, wrapped[name].grad), name
 
 
 def test_sub_grads():
@@ -126,7 +114,7 @@ def test_backward_with_the_wrong_number_of_gradients_raises(grads):
         (lambda t: t + np.ones((2, 3)), TypeError),
         (lambda t: t * 2.0, TypeError),
         (lambda t: 2.0 - t, TypeError),
-        (lambda t: t @ np.ones((3, 1)), TypeError),
+        (lambda t: matmul(t, np.ones((3, 1))), TypeError),
     ],
     ids=["other-shape", "float", "float-left", "ndarray", "mul", "sub", "matmul-ndarray"],
 )
@@ -136,14 +124,14 @@ def test_tensor_operands_are_tensors_and_a_sum_is_same_shape(op, error):
         op(t)
 
 
-# add, sub, mul, exp, logsumexp, reshape, transpose and softmax_rows are the oracles' elementary
-# ops: the fused nodes are gated against compositions of them, so they are checked here
+# matmul, tanh, add, sub, mul, exp, logsumexp, reshape, transpose and softmax_rows are the oracles'
+# elementary ops: the fused nodes are gated against compositions of them, so they are checked here
 
 
 def test_tanh_exp_log_grads():
     rng = np.random.default_rng(1)
     arrays = {"x": rng.uniform(0.5, 2.0, size=(4, 3))}
-    check_gradients(lambda t: reduce_sum(t["x"].tanh() + exp(t["x"])), arrays)
+    check_gradients(lambda t: reduce_sum(tanh(t["x"]) + exp(t["x"])), arrays)
 
 
 def test_logsumexp_and_softmax_grads():
@@ -163,8 +151,8 @@ def test_mean_axis_and_reshape_grads():
 def test_concat_and_transpose_grads():
     rng = np.random.default_rng(4)
     arrays = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=(3, 5))}
-    check_gradients(lambda t: reduce_sum(concat([t["a"], t["b"]], axis=1) @ Tensor(np.ones((7, 1)))), arrays)
-    check_gradients(lambda t: reduce_sum(transpose(t["a"]) @ Tensor(np.ones((3, 1)))), arrays)
+    check_gradients(lambda t: reduce_sum(matmul(concat([t["a"], t["b"]], axis=1), Tensor(np.ones((7, 1))))), arrays)
+    check_gradients(lambda t: reduce_sum(matmul(transpose(t["a"]), Tensor(np.ones((3, 1))))), arrays)
 
 
 def _attention_pair(q, k, v, shared: bool, weights):
@@ -513,7 +501,7 @@ def test_grad_accumulates_across_paths():
 
 def test_no_graph_without_requires_grad():
     x = Tensor(np.ones((2, 2)))
-    y = (x @ x).tanh()
+    y = tanh(matmul(x, x))
     assert y._parents == () and y._backward is None
 
 
@@ -582,7 +570,7 @@ def _assert_backward_matches_dfs(build, second_pass_bitwise=True):
     "chain, once",
     [
         (lambda p: mul(mul(mul(mul(p, 2.0), 1.0), 1.0), 1.0), lambda x: np.full_like(x, 2.0)),
-        (lambda p: mul(mul(p, 2.0).tanh(), 1.0), lambda x: 2.0 * (1.0 - np.tanh(2.0 * x) ** 2)),
+        (lambda p: mul(tanh(mul(p, 2.0)), 1.0), lambda x: 2.0 * (1.0 - np.tanh(2.0 * x) ** 2)),
     ],
     ids=["scale-chain", "tanh-chain"],
 )
@@ -635,15 +623,32 @@ def test_backward_matches_the_dfs_reference_on_model_graphs(slot_head, graph, wo
 
 @pytest.mark.parametrize("slot_head", ["linear", "crf"])
 def test_a_train_step_records_the_nodes_of_its_fused_ops(slot_head):
-    # speech step: encoder (linear, position gather, +, tanh), decoder (embed, query @, attention,
-    # concat, linear, tanh, output linear) and nll; the joint step adds the NLU branch (embed,
-    # three @, attention, +, linear, tanh), the word gathers and concat, the slot linear, the
-    # intent concat, mean and linear, the slot and intent losses and two + nodes
+    # speech step: the encoder layer, the decoder layer, the output linear and nll; the joint step
+    # adds the NLU layer, the word gathers and concat, the slot linear, the intent concat, mean and
+    # linear, the slot and intent losses and two + nodes
     model = tiny_model(seed=11, slot_head=slot_head)
     example = tiny_example(model, ["show", "flights", "to", "boston"], ["O", "O", "O", "B-toloc"], "find_flight")
     speech = model.loss_asr(model.teacher_forced(example)[1], example.asr_targets)
-    assert len(_inner_nodes(speech)) == 12
-    assert len(_inner_nodes(joint_loss(model, example)[0])) == 31
+    assert len(_inner_nodes(speech)) == 4
+    assert len(_inner_nodes(joint_loss(model, example)[0])) == 16
+
+
+def test_a_beam_step_constructs_two_tensors(monkeypatch):
+    # one decoder_states call under no_grad(): the decoder layer's rows and the output linear's logits
+    model = tiny_model(seed=11)
+    with no_grad():
+        enc = model.encode_features(tiny_features(4))
+    built = []
+    init = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    with no_grad():
+        hidden, logits = model.decoder_states([model.bos_id, 3, 3], [2] * 3, enc)
+    assert built == [hidden, logits]
 
 
 def _exact_random_graph(seed: int, n: int = 4):
@@ -673,13 +678,13 @@ def _exact_random_graph(seed: int, n: int = 4):
         if kind == 2 and bounded(a, b):
             out = mul(a, b) if rng.integers(2) else mul(b, a)
         elif kind == 3 and bounded(a, b := pick(squares + [const])):
-            out = a @ b
+            out = matmul(a, b)
         elif kind == 4 and bounded(a, b := pick(squares)):
             out = linear(a, b, pick([t for t in small if t.data.shape == (n,)]))
         elif kind == 5:
             out = concat([a, pick(squares)], axis=0).gather_rows(rng.integers(0, 2 * n, size=n))
         elif kind == 6 and bounded(a, wide):
-            out = concat([a, pick(squares)], axis=1) @ wide
+            out = matmul(concat([a, pick(squares)], axis=1), wide)
         else:
             out = add(a, b) if kind % 2 else sub(b, a)
         squares.append(out)
@@ -708,18 +713,19 @@ def test_backward_matches_the_dfs_reference_when_keys_are_values():
 
         def build():
             x_in, w_in, w_q, weights = (Tensor(a, requires_grad=True) for a in arrays)
-            x = (x_in @ w_in).tanh()  # three gradients reach x: the query's, the keys' and the values'
-            loss = reduce_sum(mul(attention(x @ w_q, x, x), weights))
+            x = tanh(matmul(x_in, w_in))  # three gradients reach x: the query's, the keys' and the values'
+            loss = reduce_sum(mul(attention(matmul(x, w_q), x, x), weights))
             return loss, [x_in, w_in, w_q, weights, x]
 
         _assert_backward_matches_dfs(build)
 
 
 def _every_op(a: Tensor, b: Tensor, bias: Tensor) -> list[Tensor]:
-    """One output of each public op, on (3, 3) ``a`` and ``b`` and a (3,) ``bias``."""
+    """One output of each public op but the layer nodes (``test_model`` checks those), on (3, 3)
+    ``a`` and ``b`` and a (3,) ``bias``."""
     return [
-        a + b, a @ b, a.tanh(), a.mean(), a.mean(axis=0), a.gather_rows([0, 2, 0]), linear(a, b, bias),
-        embed(b, [2, 0], a, slice(2)), concat([a, b], axis=0), attention(a, b, b), nll(a, [0, 1, 2], 0.1),
+        a + b, a.mean(), a.mean(axis=0), a.gather_rows([0, 2, 0]), linear(a, b, bias), concat([a, b], axis=0),
+        nll(a, [0, 1, 2], 0.1),
     ]
 
 

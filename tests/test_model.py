@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import identity_slot_head, joint_loss, tiny_example, tiny_model
-from oracles import deserialize_slots, serialize_slots
-from slu.autodiff import Tensor
+from conftest import check_gradients, identity_slot_head, joint_loss, tiny_example, tiny_features, tiny_model
+from oracles import deserialize_slots, mul, reduce_sum, serialize_slots
+from slu.autodiff import Tensor, decoder_layer, encoder_layer, nlu_layer, no_grad
 from slu.errors import DimensionError, ValidationError
 from slu.model import (
     Checkpoint,
@@ -245,6 +245,132 @@ def test_gradients_vanish_at_perfect_fit():
     model.loss_nlu(st, it, model.tag_ids(slots), model.intent_id(INTENT)).backward()
     assert np.abs(st.grad).max() < 1e-12
     assert np.abs(it.grad).max() < 1e-12
+
+
+# -- the three layer nodes against their compositions -------------------------
+#
+# Each case: the node, its composition in oracles, the leaf arrays (tables of 7 tokens and 6
+# positions, width 3, so a layer's row count runs up to 6) and a call of either on the leaves.
+
+
+def _encoder_case(rng, n):
+    frames = rng.normal(size=(n, 4))
+    arrays = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=3), "pos": rng.normal(size=(6, 3))}
+    return encoder_layer, oracles.encoder_layer_unfused, arrays, lambda op, t: op(frames, t["w"], t["b"], t["pos"])
+
+
+def _decoder_case(rng, ids, positions):
+    arrays = {
+        "table": rng.normal(size=(7, 3)), "pos": rng.normal(size=(6, 3)), "w_q": rng.normal(size=(3, 3)),
+        "enc": rng.normal(size=(5, 3)), "w": rng.normal(size=(6, 3)), "b": rng.normal(size=3),
+    }
+
+    def call(op, t):
+        return op(t["table"], ids, t["pos"], positions, t["w_q"], t["enc"], t["w"], t["b"])
+
+    return decoder_layer, oracles.decoder_layer_unfused, arrays, call
+
+
+def _nlu_case(rng, ids):
+    arrays = {"table": rng.normal(size=(7, 3)), "pos": rng.normal(size=(6, 3))}
+    arrays.update((name, rng.normal(size=(3, 3))) for name in ("w_q", "w_k", "w_v", "w"))
+    arrays["b"] = rng.normal(size=3)
+
+    def call(op, t):
+        return op(t["table"], ids, t["pos"], t["w_q"], t["w_k"], t["w_v"], t["w"], t["b"])
+
+    return nlu_layer, oracles.nlu_layer_unfused, arrays, call
+
+
+LAYER_CASES = {
+    "encoder-one-frame": lambda rng: _encoder_case(rng, 1),
+    "encoder-every-position": lambda rng: _encoder_case(rng, 6),
+    "decoder-slice": lambda rng: _decoder_case(rng, [3, 0, 5], slice(3)),
+    "decoder-repeat-ids": lambda rng: _decoder_case(rng, [2, 2, 1, 2], slice(4)),
+    "decoder-one-row-beam-step": lambda rng: _decoder_case(rng, [4], [2]),
+    "decoder-beam-step": lambda rng: _decoder_case(rng, [1, 3, 3, 0, 1], [5] * 5),
+    "decoder-lists": lambda rng: _decoder_case(rng, [5, 2], [3, 0]),
+    "nlu-one-id": lambda rng: _nlu_case(rng, [4]),
+    "nlu-distinct-ids": lambda rng: _nlu_case(rng, [3, 0, 5]),
+    "nlu-repeat-ids": lambda rng: _nlu_case(rng, [2, 2, 1, 2, 2, 6]),
+}
+
+
+@pytest.mark.parametrize("case", LAYER_CASES)
+def test_a_layer_node_is_bit_identical_to_its_composition(case):
+    rng = np.random.default_rng(sorted(LAYER_CASES).index(case))
+    node, composition, arrays, call = LAYER_CASES[case](rng)
+    results = []
+    for op in (node, composition):
+        tensors = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
+        out = call(op, tensors)
+        weights = np.random.default_rng(0).normal(size=out.data.shape)
+        weights[:, 1] = -0.0  # a row added onto zeros once must come out +0.0, as np.add.at gives
+        reduce_sum(mul(out, weights)).backward()
+        results.append((out, tensors))
+    (out, tensors), (ref, ref_tensors) = results
+    assert out._parents == tuple(tensors.values())  # one node straight onto the leaves
+    assert out.data.tobytes() == ref.data.tobytes()
+    for name, tensor in tensors.items():
+        got, want = tensor.grad, ref_tensors[name].grad
+        assert got.tobytes() == want.tobytes(), name  # zero signs included
+        assert np.array_equal(np.signbit(got), np.signbit(want)), name
+
+
+@pytest.mark.parametrize("case", LAYER_CASES)
+def test_a_layer_node_matches_finite_differences(case):
+    rng = np.random.default_rng(20 + sorted(LAYER_CASES).index(case))
+    node, _, arrays, call = LAYER_CASES[case](rng)
+    weights = rng.normal(size=call(node, {k: Tensor(a) for k, a in arrays.items()}).data.shape)
+    check_gradients(lambda t: reduce_sum(mul(call(node, t), weights)), arrays)
+
+
+@pytest.mark.parametrize("case", LAYER_CASES)
+def test_a_layer_node_records_no_parents_under_no_grad(case):
+    node, _, arrays, call = LAYER_CASES[case](np.random.default_rng(1))
+    tensors = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
+    recorded = call(node, tensors)
+    with no_grad():
+        out = call(node, tensors)
+    assert recorded._parents and not out._parents and out._backward is None and not out.requires_grad
+    assert out.data.tobytes() == recorded.data.tobytes()
+
+
+def test_layer_nodes_refuse_rows_that_differ_instead_of_broadcasting():
+    rng = np.random.default_rng(2)
+    t = {name: Tensor(a) for name, a in _decoder_case(rng, [0], [0])[2].items()}
+    w_in, one_position = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(1, 3)))
+
+    def decoder(ids, positions):
+        return decoder_layer(t["table"], ids, t["pos"], positions, t["w_q"], t["enc"], t["w"], t["b"])
+
+    def nlu(ids, pos):
+        return nlu_layer(t["table"], ids, pos, t["w_q"], t["w_q"], t["w_q"], t["w_q"], t["b"])
+
+    cases = [
+        lambda: encoder_layer(rng.normal(size=(7, 4)), w_in, t["b"], t["pos"]),  # past the last position
+        lambda: encoder_layer(rng.normal(size=(2, 4)), w_in, t["b"], one_position),  # one row would broadcast
+        lambda: decoder([0, 1], slice(3)),
+        lambda: decoder([0], [0, 1]),  # one row would broadcast
+        lambda: decoder([0] * 7, slice(7)),  # past the last position
+        lambda: nlu([0] * 7, t["pos"]),  # past the last position
+        lambda: nlu([0, 1], one_position),  # one row would broadcast
+    ]
+    for build in cases:
+        with pytest.raises(DimensionError, match="cannot add shapes"):
+            build()
+
+
+def test_the_model_layers_refuse_more_rows_than_max_positions():
+    model = tiny_model()
+    limit = model.config.max_positions
+    with pytest.raises(DimensionError):
+        model.encode_features(tiny_features(frames=limit + 1))
+    enc = model.encode_features(tiny_features(frames=limit))
+    with pytest.raises(DimensionError):
+        model.decoder_states([model.bos_id] * (limit + 1), slice(limit + 1), enc)
+    with pytest.raises(DimensionError):
+        model.nlu_states([0] * (limit + 1))
 
 
 def test_subsample_features():

@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -91,10 +93,11 @@ FUSION_LOSS_RTOL = 1e-13
 FUSION_PARAM_ATOL = 1e-12
 
 
-def train_fusion_schedule(corpus, slot_head):
+def train_fusion_schedule(corpus, slot_head, mode="e2e"):
     """A fresh model and its history after both stages of a short momentum-SGD schedule."""
     cfg = TrainConfig(
         seed=4,
+        mode=mode,
         stages=[
             StageConfig("asr_pretrain", epochs=8, lr=0.05, momentum=0.9),
             StageConfig("joint_finetune", epochs=12, lr=0.02, momentum=0.9),
@@ -131,19 +134,29 @@ def test_fused_losses_train_like_their_unfused_compositions(slot_head, monkeypat
         assert (a.words, a.slots, a.intent) == (b.words, b.slots, b.intent)
 
 
+@pytest.mark.parametrize("mode", ["e2e", "two_stage"])
 @pytest.mark.parametrize("slot_head", ["linear", "crf"])
-def test_attention_node_trains_bit_identically_to_its_composition(slot_head, monkeypatch):
+def test_layer_nodes_train_and_decode_bit_identically_to_their_compositions(slot_head, mode, monkeypatch):
     corpus = build_corpus(6, seed=4)
-    fused, fused_history = train_fusion_schedule(corpus, slot_head)
-    keys_are_values = set()
+    features = corpus_features(corpus, FEATURE)
 
-    def composition(q, k, v):
-        keys_are_values.add(k is v)
-        return oracles.attention_unfused(q, k, v)
+    def run():
+        model, history = train_fusion_schedule(corpus, slot_head, mode)
+        return model, history, [decode_two_step(model, feats, beam_size=3) for feats in features]
 
-    monkeypatch.setattr(slu.model, "attention", composition)
-    unfused, unfused_history = train_fusion_schedule(corpus, slot_head)
-    assert keys_are_values == {True, False}  # the decoder's cross-attention and the NLU self-attention
+    fused, fused_history, fused_decodes = run()
+    calls = collections.Counter()
+
+    def counted(name, composition):
+        def call(*args):
+            calls[name] += 1
+            return composition(*args)
+        return call
+
+    for name in ("encoder_layer", "decoder_layer", "nlu_layer"):
+        monkeypatch.setattr(slu.model, name, counted(name, getattr(oracles, f"{name}_unfused")))
+    unfused, unfused_history, unfused_decodes = run()
+    assert set(calls) == {"encoder_layer", "decoder_layer", "nlu_layer"}
 
     def losses(history):
         return [(r["stage"], r["epoch"], r["loss"]) for r in history]
@@ -151,6 +164,7 @@ def test_attention_node_trains_bit_identically_to_its_composition(slot_head, mon
     assert losses(fused_history) == losses(unfused_history)
     for name, tensor in fused.params.items():
         assert np.array_equal(tensor.data, unfused.params[name].data), name
+    assert fused_decodes == unfused_decodes  # words, slots, intent, subwords and asr_logprob
 
 
 def test_train_tokenizes_each_record_once_per_vocabulary(monkeypatch):
