@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import finite_difference
+from model_oracles import finite_difference
 from slu.autodiff import Tensor
 from slu.data import Utterance, build_manifest
 from slu.model import Example, JointModel, ModelConfig

@@ -14,9 +14,10 @@ import time
 import numpy as np
 import pytest
 
+import model_oracles
 import oracles
 from conftest import identity_slot_head, joint_loss, random_pair_corpus, random_subword_instance
-from oracles import build_first_index_matrix, deserialize_slots, serialize_slots
+from model_oracles import build_first_index_matrix, deserialize_slots, serialize_slots
 from slu.audio import AudioClip, AugmentSpec, NoisePool, augment_corpus, read_wav, write_wav
 from slu.autodiff import no_grad
 from slu.cli import main as cli_main
@@ -113,10 +114,10 @@ def test_criterion_4_snr_fidelity_and_fivefold(tmp_path):
             clean = AudioClip(0.2 * np.sin(np.linspace(0, rng.uniform(50, 300), length)), 16000)
             noise = AudioClip(0.1 * rng.standard_normal(int(rng.integers(500, 3000))), 16000)
             target = levels[i % len(levels)]
-            result = oracles.mix_at_snr_report(clean, noise, target)
+            result = model_oracles.mix_at_snr_report(clean, noise, target)
             assert result.clipped == 0
             scaled = result.audio.samples - clean.samples
-            assert abs(oracles.measured_snr_db(clean.samples, scaled) - target) < 1e-6
+            assert abs(model_oracles.measured_snr_db(clean.samples, scaled) - target) < 1e-6
 
         wav_dir = tmp_path / "clean"
         wav_dir.mkdir()
@@ -169,7 +170,7 @@ def test_criterion_5_gradient_checks():
             model.zero_grads()
             total, _, _ = joint_loss(model, example)
             total.backward()
-            fd = oracles.finite_difference(
+            fd = model_oracles.finite_difference(
                 lambda: joint_loss(model, example)[0].item(),
                 {name: t.data for name, t in model.params.items()},
                 h=h,
@@ -201,11 +202,11 @@ def test_criterion_6_crf_exactness():
         for k in range(1, 6):
             for n in range(1, 7):
                 emissions = rng.normal(size=(n, k))
-                crf = oracles.CrfScores(rng.normal(size=(k, k)), rng.normal(size=k), rng.normal(size=k))
-                log_z, best, scores = oracles.crf_enumerate(emissions, crf.transitions, crf.start, crf.end)
-                assert abs(oracles.crf_log_z(emissions, crf) - log_z) < 1e-10
+                crf = model_oracles.CrfScores(rng.normal(size=(k, k)), rng.normal(size=k), rng.normal(size=k))
+                log_z, best, scores = model_oracles.crf_enumerate(emissions, crf.transitions, crf.start, crf.end)
+                assert abs(model_oracles.crf_log_z(emissions, crf) - log_z) < 1e-10
                 assert crf_viterbi(emissions, *crf) == best
-                z = oracles.crf_log_z(emissions, crf)
+                z = model_oracles.crf_log_z(emissions, crf)
                 assert abs(sum(math.exp(s - z) for s in scores.values()) - 1.0) < 1e-10
 
 
@@ -224,7 +225,7 @@ def test_criterion_7_two_step_decoding():
             # greedy reference
             tokens, logp, prev = [], 0.0, model.bos_id
             for step in range(max_len + 1):
-                lp = oracles.step_logprobs(model, enc, prev, step)
+                lp = model_oracles.step_logprobs(model, enc, prev, step)
                 pick = int(np.argmax(lp)) if step < max_len else model.eos_id
                 logp += float(lp[pick])
                 if pick == model.eos_id:
@@ -239,7 +240,7 @@ def test_criterion_7_two_step_decoding():
 
             def lp_at(prev_id, step):
                 if (prev_id, step) not in table:
-                    table[(prev_id, step)] = oracles.step_logprobs(model, enc, prev_id, step)
+                    table[(prev_id, step)] = model_oracles.step_logprobs(model, enc, prev_id, step)
                 return table[(prev_id, step)]
 
             import itertools
@@ -340,7 +341,7 @@ def test_criterion_8_end_to_end_smoke(smoke_run):
 
 
 def test_smoke_pipeline_decisions_are_pinned(smoke_run):
-    """The smoke pipeline's decodes, stop epoch and noisy scores, byte for byte.
+    """The smoke pipeline's decodes, stop epoch and score reports, byte for byte.
 
     The hypothesis files hold words, slots and intents only, so they pin every
     decision without pinning float bits; checkpoints are not pinned, because
@@ -348,6 +349,7 @@ def test_smoke_pipeline_decisions_are_pinned(smoke_run):
     decode updates these pins and says why.
     """
     _assert_smoke_pins(smoke_run("linear"), "cc000070bdedea22c9ffb670a1c5c89babd80d8e6929b58baa697b0d1ce14564",
+                       "6e6b49db51de63ea39e3c03ab17b591d7cdaad048cfc98a0fd7b0115b0807910",
                        253 / 1110, 0.8303886925795053, 0.976)
 
 
@@ -355,10 +357,11 @@ def test_smoke_pipeline_crf_decisions_are_pinned(smoke_run):
     """The same pins for the smoke config with the CRF slot head: Viterbi
     decoding and the forward-backward loss node."""
     _assert_smoke_pins(smoke_run("crf"), "52c6d081f781377753169bf71c74abcd36c9f042310334f13bc71bb30307f0d2",
+                       "32380a2fe2abb9afe62c6766cae619eebd1754cb64952191ab1137456ec1c9fd",
                        243 / 1110, 0.8283185840707965, 0.984)
 
 
-def _assert_smoke_pins(run, hyp_noisy_sha256, noisy_wer, noisy_slots_f1, noisy_intent_f1):
+def _assert_smoke_pins(run, hyp_noisy_sha256, report_noisy_sha256, noisy_wer, noisy_slots_f1, noisy_intent_f1):
     assert _sha256(run["hyp_clean"]) == "eee1bf691a3aff39cf91b8b09067cfc6335f586893e4dc8c8bf8559f36135ac4"
     assert _sha256(run["hyp_noisy"]) == hyp_noisy_sha256
     history = run["history"]
@@ -368,6 +371,10 @@ def _assert_smoke_pins(run, hyp_noisy_sha256, noisy_wer, noisy_slots_f1, noisy_i
     assert noisy["wer"] == noisy_wer
     assert noisy["slots_edit_f1"]["f1"] == noisy_slots_f1
     assert noisy["intent_f1"] == noisy_intent_f1
+    # both score reports, byte for byte: every per-label tally, not only the three scores above
+    reports = run["hyp_clean"].parent
+    assert _sha256(reports / "report_clean.json") == "76d71748766e040919d2e082d1057f7b3bef33bd1138ec8c43e9ed847ff10064"
+    assert _sha256(reports / "report_noisy.json") == report_noisy_sha256
 
 
 def test_criterion_9_round_trips(tmp_path):

@@ -5,7 +5,7 @@ import wave
 import numpy as np
 import pytest
 
-from oracles import log_power_features_reference, measured_snr_db, mix_at_snr, mix_at_snr_report
+from model_oracles import log_power_features_reference, measured_snr_db, mix_at_snr, mix_at_snr_report
 from slu.audio import (
     AudioClip,
     AugmentSpec,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_fused_matches, check_gradients, joint_loss, tiny_example, tiny_features, tiny_model
-from oracles import (
+from model_oracles import (
     add,
     attention,
     attention_unfused,
@@ -523,7 +523,7 @@ def _inner_nodes(loss):
 
 def _assert_backward_matches_dfs(build, second_pass_bitwise=True):
     """``build()`` gives (loss, tensors).  After one ``Tensor.backward`` the leaves
-    among ``tensors`` hold the gradients of ``oracles.backward_dfs``, and each inner
+    among ``tensors`` hold the gradients of ``model_oracles.backward_dfs``, and each inner
     node ran once, with the gradient the DFS leaves on it, bit for bit.  A second
     pass runs each inner node with that gradient again and doubles the leaves'; a
     leaf with several contributions adds them onto its first-pass sum one at a

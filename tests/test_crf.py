@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-import oracles
+import model_oracles as oracles
 from conftest import assert_fused_matches, check_gradients, joint_loss, tiny_example, tiny_model
-from oracles import CrfScores, crf_log_z, crf_log_z_t, crf_path_score, crf_path_score_t, crf_zeros
+from model_oracles import CrfScores, crf_log_z, crf_log_z_t, crf_path_score, crf_path_score_t, crf_zeros
 from slu.autodiff import Tensor
 from slu.crf import crf_nll_t, crf_viterbi
 from slu.errors import DimensionError

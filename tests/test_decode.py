@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import joint_loss, tiny_example, tiny_features, tiny_model
-from oracles import beam_search_reference, step_logprobs
+from model_oracles import beam_search_reference, step_logprobs
 import slu.decode
 import slu.model
 from slu.autodiff import Tensor, no_grad

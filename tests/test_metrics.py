@@ -84,6 +84,22 @@ def test_align_matches_reference_trace_on_long_tie_heavy_pairs(pair):
     assert trace.cost == oracles.lev_distance(ref, hyp)
 
 
+def test_align_equals_its_min_fill_reference_on_seeded_pairs():
+    # the compare-and-assign fill must build the min() fill's table cell for
+    # cell, so every trace and cost is the same: an empty side, 1-7 and 20-40
+    # words a side, over two- and three-word alphabets (most cells tie) and an
+    # eight-word one (most cells mismatch); 4,050 pairs
+    rng = random.Random(32)
+    sizes = [(0, 0), (1, 7), (20, 40)]
+    for alphabet in [("a", "b"), ("to", "from", "boston"), tuple("abcdefgh")]:
+        for ref_size in sizes:
+            for hyp_size in sizes:
+                for _ in range(150):
+                    ref = [rng.choice(alphabet) for _ in range(rng.randint(*ref_size))]
+                    hyp = [rng.choice(alphabet) for _ in range(rng.randint(*hyp_size))]
+                    assert align(ref, hyp) == oracles.align_min_fill(ref, hyp), (ref, hyp)
+
+
 def test_wer_examples():
     assert corpus_wer([["a", "b", "c"]], [["a", "b", "c"]]) == 0.0
     assert corpus_wer([["show", "me", "flights"]], [["show", "flights"]]) == pytest.approx(1 / 3)

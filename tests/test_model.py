@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import oracles
+import model_oracles as oracles
 from conftest import check_gradients, identity_slot_head, joint_loss, tiny_example, tiny_features, tiny_model
-from oracles import deserialize_slots, mul, reduce_sum, serialize_slots
+from model_oracles import deserialize_slots, mul, reduce_sum, serialize_slots
 from slu.autodiff import Tensor, decoder_layer, encoder_layer, nlu_layer, no_grad
 from slu.errors import DimensionError, ValidationError
 from slu.model import (

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import identity_slot_head, random_subword_instance, tiny_example, tiny_features, tiny_model
-from oracles import build_first_index_matrix, detokenize
+from model_oracles import build_first_index_matrix, detokenize
 from slu.errors import DimensionError, ParseError, ValidationError
 from slu.model import load_checkpoint, save_checkpoint
 from slu.subword import (

@@ -3,7 +3,7 @@ import collections
 import numpy as np
 import pytest
 
-import oracles
+import model_oracles as oracles
 import slu.model
 import slu.train
 from slu.audio import FeatureConfig
