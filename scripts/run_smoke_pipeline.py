@@ -61,9 +61,10 @@ def main() -> None:
             "--metrics", "wer,slots-edit-f1,intent-f1", "--out", str(out / "report_noisy.json"))
         clean = json.loads((out / "report_clean.json").read_text())
         noisy = json.loads((out / "report_noisy.json").read_text())
-        print("\nclean test:  wer %.4f  slots edit F1 %.4f  intent F1 %.4f" % (
+        # both decode the training corpus; only the noise is held out
+        print("\nclean train set:  wer %.4f  slots edit F1 %.4f  intent F1 %.4f" % (
             clean["wer"], clean["slots_edit_f1"]["f1"], clean["intent_f1"]))
-        print("noisy test:  wer %.4f  slots edit F1 %.4f  intent F1 %.4f" % (
+        print("noisy train set:  wer %.4f  slots edit F1 %.4f  intent F1 %.4f" % (
             noisy["wer"], noisy["slots_edit_f1"]["f1"], noisy["intent_f1"]))
     print(f"\ndone in {time.time() - started:.1f}s; artifacts under {out}/")
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import audio, data, metrics, synth
-from .decode import decode_two_step
+from .decode import decode_corpus
 from .errors import ParseError, SluError, ValidationError, read_config
 from .ioutil import atomic_write_text, read_json
 from .model import JointModel, ModelConfig, load_checkpoint, save_checkpoint
@@ -257,20 +257,9 @@ def cmd_decode(args) -> int:
             raise ValidationError(f"--beam-size must be >= 1, got {args.beam_size}")
         beam_size = args.beam_size
     manifest = data.parse_manifest(args.manifest)
-    features = corpus_features(manifest, feature)
-    lines = []
-    for rec, feats in zip(manifest.records, features):
-        try:
-            result = decode_two_step(model, feats, beam_size=beam_size)
-        except SluError as exc:
-            raise ValidationError(f"record {rec.id!r}: {exc}") from exc
-        lines.append(
-            data.record_to_json(
-                data.Utterance(rec.id, result.words, result.slots, result.intent)
-            )
-        )
-    atomic_write_text(args.out, "".join(line + "\n" for line in lines))
-    print(json.dumps({"records": len(lines), "out": args.out}))
+    hyps = decode_corpus(model, manifest.records, corpus_features(manifest, feature), beam_size)
+    atomic_write_text(args.out, "".join(data.record_to_json(hyp) + "\n" for hyp in hyps))
+    print(json.dumps({"records": len(hyps), "out": args.out}))
     return 0
 
 

@@ -4,19 +4,19 @@ Step one beam-searches subword space for the best transcript under the
 first-order decoder, one batched decoder call per step, with EOS ranked ahead
 of a prefix's extensions on ties, and stops as soon as no live prefix can
 beat or tie the best finished one; only the top-1 hypothesis survives, with
-the decoder rows the search computed for it.  Step two prepares an
-``Example`` from that hypothesis, cut to the longest prefix of words whose
-NLU subwords fit ``max_positions``, and runs ``JointModel.heads`` on it over
-those rows, the heads training runs over the teacher-forced rows, then
-decodes the intent (argmax) and slot path (``JointModel.decode_slots``); it
-makes no decoder call of its own.  Both steps read the model's own
-parameters under ``autodiff.no_grad()``, so decoding records no autodiff
-graph.
+the decoder rows the search computed for it.  Step two builds its
+``Example`` from the hypothesis's ids with ``JointModel.hypothesis``, cut to
+the longest prefix of words whose NLU subwords fit ``max_positions``, and
+runs ``JointModel.heads`` on it over those rows, the heads training runs
+over the teacher-forced rows, then decodes the intent (argmax) and slot path
+(``JointModel.decode_slots``); it makes no decoder call of its own.  Both
+steps read the model's own parameters under ``autodiff.no_grad()``, so
+decoding records no autodiff graph.  ``decode_corpus`` is the one loop that
+decodes a corpus: ``slu decode`` and the training polls both run it.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, no_grad
-from .errors import DecodeError
+from .data import Utterance
+from .errors import DecodeError, SluError, ValidationError
 from .model import JointModel
-from .subword import TokenizationResult, merge_tokens, tokenize
 
 
 @dataclass
@@ -131,28 +131,27 @@ def decode_two_step(
 ) -> DecodeResult:
     with no_grad():  # both steps read the live parameters and record no graph
         frames = model.subsample(features)
-        enc = model.encode_features(frames)
-        ids, logp, rows = beam_search_transcript(model, enc, beam_size, max_len)
-        tokens = model.asr_tokens(ids)
-        words, first_index = merge_tokens(tokens, model.asr_vocab)
-        # step two reads the longest prefix of words whose NLU subwords fit max_positions;
-        # tokenization is per word, so both tokenizations cut to that prefix exactly
-        tok_b = tokenize(words, model.nlu_vocab)
-        keep = bisect.bisect_right(tok_b.first_index[1:] + [tok_b.num_tokens], model.config.max_positions)
-        if keep < len(words):
-            tok_a = TokenizationResult(tokens[: first_index[keep]], first_index[:keep])
-            tok_b = TokenizationResult(tok_b.tokens[: tok_b.first_index[keep]], tok_b.first_index[:keep])
+        ids, logp, rows = beam_search_transcript(model, model.encode_features(frames), beam_size, max_len)
+        words, example = model.hypothesis(frames, ids)
+        if example is None:  # degenerate transcript: intent from the sentinel row alone, no slots
+            slots, intent_logits = [], model.intent_logits_from([])
         else:
-            tok_a = TokenizationResult(tokens, first_index)
-        words = words[:keep]
-
-        if not words:
-            # Degenerate transcript: intent from the sentinel row alone, no slots.
-            intent_logits = model.intent_logits_from([])
-            intent = model.intents[int(np.argmax(intent_logits.data[0]))]
-            return DecodeResult([], [], intent, tokens, logp)
-
-        example = model.prepare(frames, words, tok_a=tok_a, tok_b=tok_b)
-        slot_scores, intent_logits = model.heads(example, Tensor(rows))
+            slot_scores, intent_logits = model.heads(example, Tensor(rows))
+            slots = model.decode_slots(slot_scores)
         intent = model.intents[int(np.argmax(intent_logits.data[0]))]
-        return DecodeResult(words, model.decode_slots(slot_scores), intent, tokens, logp)
+        return DecodeResult(words, slots, intent, model.asr_tokens(ids), logp)
+
+
+def decode_corpus(
+    model: JointModel, records: list[Utterance], features: list[np.ndarray], beam_size: int
+) -> list[Utterance]:
+    """``decode_two_step`` over each record's features, each hypothesis an ``Utterance`` under its
+    record's id; a record that fails to decode is a ValidationError naming it."""
+    hyps = []
+    for rec, feats in zip(records, features):
+        try:
+            result = decode_two_step(model, feats, beam_size=beam_size)
+        except SluError as exc:
+            raise ValidationError(f"record {rec.id!r}: {exc}") from exc
+        hyps.append(Utterance(rec.id, result.words, result.slots, result.intent))
+    return hyps

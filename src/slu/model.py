@@ -8,6 +8,10 @@ convention), and the two are concatenated; intent and slot heads read the
 concatenated rows.  The slot head is a per-token linear layer or a linear
 layer plus CRF.
 
+An utterance enters as an ``Example``: ``JointModel.prepare`` builds one from
+a transcript, tokenizing it for both branches, and ``JointModel.hypothesis``
+one from the subword ids the beam search decoded, for step two of decoding.
+
 The encoder, the decoder's hidden layer and the NLU layer are one autodiff
 node each (``autodiff.encoder_layer``, ``decoder_layer`` and ``nlu_layer``),
 so a speech-branch train step records 4 nodes and a joint step 16.
@@ -17,6 +21,7 @@ All tensors are float64 so finite-difference gradient checks are meaningful.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -29,7 +34,7 @@ from .autodiff import Tensor, concat, decoder_layer, encoder_layer, linear, nll,
 from .crf import crf_nll_t, crf_viterbi
 from .errors import DimensionError, ValidationError, read_config
 from .ioutil import atomic_write_text, read_json
-from .subword import SubwordVocab, TokenizationResult, tokenize
+from .subword import SubwordVocab, merge_tokens, tokenize
 
 CHECKPOINT_VERSION = 1
 
@@ -66,7 +71,8 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class Example:
-    """One utterance as the model reads it, built once by ``JointModel.prepare``."""
+    """One utterance as the model reads it, built once by ``JointModel.prepare``
+    from a transcript or by ``JointModel.hypothesis`` from decoded ids."""
 
     frames: np.ndarray  # (subsampled frames, feature_dim), the encoder input
     asr_inputs: list[int]  # BOS + ASR subword ids, the teacher-forced decoder input
@@ -230,44 +236,47 @@ class JointModel:
             raise DimensionError(f"{frames.shape[0]} frames exceed max_positions {cfg.max_positions}")
         return frames
 
-    def prepare(self, frames: np.ndarray, words, slots=None, intent=None, tok_a=None, tok_b=None) -> Example:
+    def prepare(self, frames: np.ndarray, words, slots=None, intent=None) -> Example:
         """The ``Example`` for ``subsample``'d frames and their transcript, with
-        ``tok_a`` and ``tok_b`` when the caller has them (a decoded hypothesis)
-        and label ids when ``slots`` and ``intent`` are given."""
+        label ids when ``slots`` and ``intent`` are given."""
         words = list(words)
         if not words:
             raise ValidationError("an example needs at least one word")
-        ids_a, first_a = self._piece_ids(words, tok_a, self.asr_vocab, self._asr_piece_id, "ASR")
-        ids_b, first_b = self._piece_ids(words, tok_b, self.nlu_vocab, self._nlu_piece_id, "NLU")
+        tok_a, tok_b = tokenize(words, self.asr_vocab), tokenize(words, self.nlu_vocab)
+        ids_a = [self._asr_piece_id[t] for t in tok_a.tokens]
         limit = self.config.max_positions
         if len(ids_a) + 1 > limit:
             raise DimensionError(f"{len(ids_a) + 1} ASR decoder positions exceed max_positions {limit}")
-        if len(ids_b) > limit:
-            raise DimensionError(f"{len(ids_b)} NLU subwords exceed max_positions {limit}")
+        if tok_b.num_tokens > limit:
+            raise DimensionError(f"{tok_b.num_tokens} NLU subwords exceed max_positions {limit}")
         return Example(
             frames=frames,
             asr_inputs=[self.bos_id] + ids_a,
             asr_targets=ids_a + [self.eos_id],
-            nlu_ids=ids_b,
-            first_a=first_a,
-            first_b=first_b,
+            nlu_ids=[self._nlu_piece_id[t] for t in tok_b.tokens],
+            first_a=tok_a.first_index,
+            first_b=tok_b.first_index,
             tag_ids=[] if slots is None else self.tag_ids(slots),
             intent_id=None if intent is None else self.intent_id(intent),
         )
 
-    @staticmethod
-    def _piece_ids(words, tok, vocab, piece_id, name) -> tuple[list[int], list[int]]:
-        """Piece ids and first-subword indices of ``words``, tokenized here or taken from ``tok``."""
-        if tok is None:
-            tok = tokenize(words, vocab)
-        else:  # checked again, on a copy: the caller's lists may have changed since
-            tok = TokenizationResult(list(tok.tokens), list(tok.first_index))
-        if tok.num_words != len(words):
-            raise DimensionError(f"{name} tokenization has {tok.num_words} words, transcript {len(words)}")
-        try:
-            return [piece_id[t] for t in tok.tokens], tok.first_index
-        except KeyError as exc:
-            raise DimensionError(f"{name} token {exc.args[0]!r} not in the {name} vocabulary") from exc
+    def hypothesis(self, frames: np.ndarray, ids: list[int]) -> tuple[list[str], Example | None]:
+        """Step two's words and ``Example`` for ``subsample``'d frames and the ASR subword ids the
+        beam search decoded: the ids merge into words, tokenized for the NLU branch once and cut to
+        the longest prefix whose NLU subwords fit ``max_positions``; ``([], None)`` if none fits."""
+        words, first_a = merge_tokens(self.asr_tokens(ids), self.asr_vocab)
+        tok_b = tokenize(words, self.nlu_vocab)
+        keep = bisect.bisect_right(tok_b.first_index[1:] + [tok_b.num_tokens], self.config.max_positions)
+        words = words[:keep]  # with no words, keep is 1: the cut words tell emptiness, not keep
+        if not words:
+            return [], None
+        cut = keep < tok_b.num_words  # tokenization is per word, so both sides cut at a word boundary
+        ids_a = list(ids[: first_a[keep]] if cut else ids)  # the decoded ids themselves, not a re-tokenization
+        pieces_b = tok_b.tokens[: tok_b.first_index[keep]] if cut else tok_b.tokens
+        return words, Example(
+            frames, [self.bos_id] + ids_a, ids_a + [self.eos_id], [self._nlu_piece_id[t] for t in pieces_b],
+            first_a[:keep], tok_b.first_index[:keep], [], None,
+        )
 
     # -- forward pieces ---------------------------------------------------
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DimensionError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .ioutil import atomic_write_text, read_text
 
 BPE = "bpe"
@@ -54,22 +54,12 @@ class SubwordVocab:
 class TokenizationResult:
     """Subword tokens plus, for each word, the index of its first subword.
 
-    The indices are checked on construction (each names a token, and they
-    strictly increase).  The lists stay mutable, so ``JointModel.prepare``
-    checks a caller's result again, on a copy, before gathering rows with it.
+    ``tokenize`` builds it, so each index names a token and they strictly
+    increase.
     """
 
     tokens: list[str]
     first_index: list[int]
-
-    def __post_init__(self):
-        prev = -1
-        for word, row in enumerate(self.first_index):
-            if not 0 <= row < len(self.tokens):
-                raise DimensionError(f"first_index[{word}]={row} out of range for {len(self.tokens)} tokens")
-            if row <= prev:
-                raise DimensionError("first_index must be strictly increasing")
-            prev = row
 
     @property
     def num_tokens(self) -> int:

@@ -9,6 +9,7 @@ including one multi-word slot value to exercise I- tags.
 from __future__ import annotations
 
 import functools
+import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -222,7 +223,5 @@ def default_train_config() -> dict:
     }
 
 
-def write_train_config(path: str | Path, config: dict | None = None) -> None:
-    import json
-
-    atomic_write_text(path, json.dumps(config or default_train_config(), indent=2) + "\n")
+def write_train_config(path: str | Path) -> None:
+    atomic_write_text(path, json.dumps(default_train_config(), indent=2) + "\n")

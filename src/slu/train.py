@@ -18,7 +18,7 @@ import numpy as np
 
 from .audio import FeatureConfig, log_power_features, record_clip
 from .data import Manifest
-from .decode import decode_two_step
+from .decode import decode_corpus
 from .errors import NumericError, SluError, ValidationError
 from .metrics import intent_accuracy, slots_edit_f1
 from .model import Example, JointModel, MODE_E2E, MODE_TWO_STAGE
@@ -160,17 +160,12 @@ def evaluate_train_set(
     model: JointModel, manifest: Manifest, features: list[np.ndarray], beam_size: int
 ) -> dict[str, float]:
     """Decode the training corpus and score it end to end."""
-    hyps, ref_pairs, ref_intents, hyp_intents = [], [], [], []
-    for rec, feats in zip(manifest.records, features):
-        result = decode_two_step(model, feats, beam_size=beam_size)
-        hyps.append((result.words, result.slots))
-        ref_pairs.append((rec.words, rec.slots))
-        ref_intents.append(rec.intent)
-        hyp_intents.append(result.intent)
-    report = slots_edit_f1(ref_pairs, hyps)
+    records = manifest.records
+    hyps = decode_corpus(model, records, features, beam_size)
+    report = slots_edit_f1([(r.words, r.slots) for r in records], [(h.words, h.slots) for h in hyps])
     return {
         "slots_edit_f1": report.f1,
-        "intent_accuracy": intent_accuracy(ref_intents, hyp_intents),
+        "intent_accuracy": intent_accuracy([r.intent for r in records], [h.intent for h in hyps]),
     }
 
 
@@ -198,6 +193,8 @@ def train(
         raise ValidationError("cannot train on an empty manifest")
     if pretrain_manifest is not None and STAGE_ASR_PRETRAIN not in [s.stage for s in config.stages]:
         raise ValidationError(f"a pretraining manifest is read only by an {STAGE_ASR_PRETRAIN} stage; none is configured")
+    if pretrain_manifest is not None and not pretrain_manifest.records:
+        raise ValidationError("cannot pretrain on an empty pretraining manifest")
     features = corpus_features(manifest, feature)
     examples = pre_examples = _examples(model, records, features, labelled=True)
     if pretrain_manifest is not None:

@@ -475,6 +475,20 @@ def test_pretrain_manifest_without_pretrain_stage_exits_2(capsys, tmp_path):
     assert not ckpt.exists() and not ckpt.with_suffix(".log.jsonl").exists()
 
 
+def test_an_empty_pretrain_manifest_exits_2_before_any_step(capsys, tmp_path):
+    paths = write_corpus(tmp_path / "corpus", 2, seed=5)
+    pretrain = tmp_path / "empty.jsonl"
+    pretrain.write_text("")
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"stages": [{"stage": "asr_pretrain", "epochs": 1, "lr": 0.05}]}))
+    ckpt = tmp_path / "ckpt.json"
+    code, out, err = run(capsys, "train-toy", "--config", str(config_path), "--manifest", str(paths.manifest),
+                         "--pretrain-manifest", str(pretrain), "--out", str(ckpt))
+    assert (code, out) == (2, "")
+    assert err == "slu train-toy: cannot pretrain on an empty pretraining manifest\n"
+    assert not ckpt.exists() and not ckpt.with_suffix(".log.jsonl").exists()
+
+
 def test_bad_config_and_checkpoint_exit_2(capsys, tmp_path, ref_manifest):
     bad_cfg = tmp_path / "cfg.json"
     bad_cfg.write_text("{not json")

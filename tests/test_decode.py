@@ -3,17 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import joint_loss, tiny_example, tiny_features, tiny_model
 from model_oracles import beam_search_reference, step_logprobs
 import slu.decode
 import slu.model
 from slu.autodiff import Tensor, no_grad
-from slu.decode import beam_search_transcript, decode_two_step
-from slu.errors import DecodeError
+from slu.data import Utterance
+from slu.decode import beam_search_transcript, decode_corpus, decode_two_step
+from slu.errors import DecodeError, ValidationError
 from slu.model import Example, JointModel, ModelConfig
-from slu.subword import BPE, WORDPIECE, SubwordVocab, tokenize
-from slu.synth import asr_vocab, nlu_vocab
+from slu.subword import BPE, WORDPIECE, SubwordVocab, merge_tokens, tokenize
+from slu.synth import asr_vocab, lexicon, nlu_vocab
 
 
 def micro_model(seed=0):
@@ -268,11 +271,62 @@ def test_decode_tokenizes_the_nlu_transcript_once(monkeypatch):
         calls.append(vocab is model.nlu_vocab)
         return tokenize(words, vocab)
 
-    monkeypatch.setattr(slu.decode, "tokenize", counting_tokenize)
     monkeypatch.setattr(slu.model, "tokenize", counting_tokenize)
     result = decode_two_step(model, tiny_features(4, frames=10), beam_size=3, max_len=8)
     assert result.words  # step two ran
     assert calls == [True]
+
+
+def _labels_apart(example):
+    """``example``'s fields but its frames, read by identity, and its labels."""
+    return {k: v for k, v in vars(example).items() if k not in ("frames", "tag_ids", "intent_id")}
+
+
+@given(st.lists(st.sampled_from(lexicon()), min_size=1, max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_the_hypothesis_of_a_transcripts_greedy_ids_is_its_prepared_example(words):
+    model = tiny_model()
+    frames = model.subsample(tiny_features())
+    ids = [model.asr_pieces.index(t) for t in tokenize(words, model.asr_vocab).tokens]
+    hyp_words, example = model.hypothesis(frames, ids)
+    want = model.prepare(frames, words, ["O"] * len(words), "airfare")  # 12 words take at most 24 of 32 positions
+    assert hyp_words == words and example.frames is frames
+    assert _labels_apart(example) == _labels_apart(want)
+    assert (example.tag_ids, example.intent_id) == ([], None)
+
+
+def test_a_hypothesis_takes_its_first_asr_subwords_from_merge_tokens():
+    model = tiny_model()
+    frames = model.subsample(tiny_features())
+    # a leading continuation piece opens a word, and the unknown piece always stands alone
+    tokens = ["tin", "▁show", model.asr_vocab.unk, "▁to", "▁aus", "tin", model.asr_vocab.unk, "ver"]
+    ids = [model.asr_pieces.index(t) for t in tokens]
+    words, example = model.hypothesis(frames, ids)
+    assert (words, example.first_a) == merge_tokens(tokens, model.asr_vocab)
+    assert words == ["tin", "show", "<unk>", "to", "austin", "<unk>", "ver"]
+    assert example.first_a == [0, 1, 2, 3, 4, 6, 7]
+    assert example.asr_inputs == [model.bos_id] + ids and example.asr_targets == ids + [model.eos_id]
+    nlu = tokenize(words, model.nlu_vocab)
+    assert example.first_b == nlu.first_index
+    assert example.nlu_ids == [model.nlu_pieces.index(t) for t in nlu.tokens]
+
+
+def test_an_empty_hypothesis_has_no_example():
+    model = tiny_model()
+    assert model.hypothesis(model.subsample(tiny_features()), []) == ([], None)
+
+
+def test_decode_corpus_decodes_each_record_and_names_the_one_that_fails():
+    model = tiny_model(seed=3)
+    records = [Utterance(f"u{i}", ["show"], ["O"], "airfare") for i in range(3)]
+    features = [tiny_features(seed, frames=10) for seed in (4, 5)] + [tiny_features(6, frames=80)]
+    hyps = decode_corpus(model, records[:2], features[:2], beam_size=3)
+    for rec, feats, hyp in zip(records, features, hyps):
+        result = decode_two_step(model, feats, beam_size=3)
+        assert hyp == Utterance(rec.id, result.words, result.slots, result.intent)
+    # 80 frames at stride 2 are 40 encoder frames, past max_positions 32
+    with pytest.raises(ValidationError, match="record 'u2': 40 frames exceed max_positions 32"):
+        decode_corpus(model, records, features, beam_size=3)
 
 
 def test_decode_crf_head_uses_viterbi_path():
@@ -292,6 +346,8 @@ def test_step_two_reads_the_words_that_fit_the_nlu_positions(monkeypatch, slot_h
     result = decode_two_step(model, feats)
     # 40 beam tokens, one word each, but two NLU subwords per word: 32 words fit 64 positions
     assert result.words == ["boston"] * 32 and len(result.slots) == 32
+    boston = model.asr_pieces.index("▁boston")
+    assert seen[0][0].asr_targets == [boston] * 32 + [model.eos_id]  # the ASR side is cut at the same word
     _assert_heads_match_forward(model, seen, result)  # over 41 beam rows, of which the cut example reads 32
     with no_grad():
         logp = beam_search_transcript(model, model.encode_features(model.subsample(feats)), 5)[1]

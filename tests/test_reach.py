@@ -131,7 +131,7 @@ def test_the_commands_reach_every_function_in_the_package(tmp_path):
     code = _package_code()
     # the walk sees operators, contextmanager and memoized functions, properties and staticmethods
     assert {"autodiff.Tensor.__add__", "autodiff.no_grad", "audio._hann", "model.JointModel.asr_output_size",
-            "model.JointModel._piece_ids", "errors.read_config"} <= set(code)
+            "autodiff.Tensor._op", "errors.read_config"} <= set(code)
     reached = set()
 
     def profile(frame, event, arg):

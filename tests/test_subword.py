@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_slot_head, random_subword_instance, tiny_example, tiny_features, tiny_model
+from conftest import identity_slot_head, random_subword_instance, tiny_example, tiny_model
 from model_oracles import build_first_index_matrix, detokenize
-from slu.errors import DimensionError, ParseError, ValidationError
+from slu.errors import ParseError, ValidationError
 from slu.model import load_checkpoint, save_checkpoint
 from slu.subword import (
     BPE,
@@ -76,13 +76,6 @@ def test_first_index_matrix_examples():
     assert np.array_equal(m, expected)
 
 
-def test_first_index_matrix_errors():
-    # a TokenizationResult checks its first_index when built, so the model can gather by it
-    for first_index in ([0, 3], [0, -1], [1, 1], [2, 1]):  # out of range, or not strictly increasing
-        with pytest.raises(DimensionError):
-            TokenizationResult(["a", "b", "c"], first_index)
-
-
 def test_project_identity_and_row_selection():
     # the word projection the model applies is a row gather; the one-hot matrix states it as algebra
     h = np.arange(12.0).reshape(3, 4)
@@ -93,16 +86,9 @@ def test_project_identity_and_row_selection():
     assert np.array_equal(m.T @ h, h[[0, 1]])
 
 
-def test_project_shape_mismatch():
-    # a word that starts past the last subword has no hidden row to gather
-    with pytest.raises(DimensionError, match=r"first_index\[1\]=3 out of range for 3 tokens"):
-        TokenizationResult(["a", "b", "c"], [0, 3])
-
-
 @pytest.mark.parametrize("mode", ["first", "last", "mean"])
 def test_pooling_matrix_checks_first_index_in_every_mode(mode, tmp_path):
-    # a checkpoint may still store a pooling mode: "first" loads into a model whose caller
-    # tokenizations are checked before any row is gathered; any other mode is refused at load
+    # a checkpoint may still store a pooling mode: "first" loads, any other mode is refused at load
     path = tmp_path / "ckpt.json"
     save_checkpoint(tiny_model(seed=5), path)
     obj = json.loads(path.read_text())
@@ -113,46 +99,7 @@ def test_pooling_matrix_checks_first_index_in_every_mode(mode, tmp_path):
             load_checkpoint(path)
         return
     model, _, _ = load_checkpoint(path)
-    words = ["from", "austin"]
-    tokens = tokenize(words, model.asr_vocab).tokens  # 3 ASR subwords
-    frames = model.subsample(tiny_features())
-    for first_index in ([0, 3], [0, -1], [1, 1], [2, 1]):  # out of range, or not strictly increasing
-        with pytest.raises(DimensionError):
-            model.prepare(frames, words, tok_a=TokenizationResult(tokens, first_index))
-
-
-def test_prepare_checks_a_tokenization_changed_after_construction():
-    model = tiny_model()
-    words = ["show", "to"]
-    frames = model.subsample(tiny_features())
-    tok = tokenize(words, model.asr_vocab)
-    good = list(tok.first_index)
-    tok.first_index[1] = -1  # passed the check when built; would gather the last row
-    with pytest.raises(DimensionError, match=r"first_index\[1\]=-1"):
-        model.prepare(frames, words, tok_a=tok)
-    tok.first_index[1] = good[1]
-    example = model.prepare(frames, words, tok_a=tok)
-    tok.first_index[1] = -1  # the example holds its own checked copy
-    assert example.first_a == good
-    model.forward(example)
-
-
-def test_prepare_checks_a_given_nlu_tokenization_as_it_does_the_asr_one():
-    model = tiny_model()
-    words = ["show", "to", "boston"]
-    frames = model.subsample(tiny_features())
-    tok = tokenize(words, model.nlu_vocab)  # 4 NLU subwords: boston is two
-    given = model.prepare(frames, words, tok_b=tok)
-    own = model.prepare(frames, words)
-    assert (given.nlu_ids, given.first_b) == (own.nlu_ids, own.first_b)
-    tok.first_index[2] = -1  # passed the check when built; would gather the last row
-    with pytest.raises(DimensionError, match=r"first_index\[2\]=-1"):
-        model.prepare(frames, words, tok_b=tok)
-    assert given.first_b == [0, 1, 2]  # the example holds its own checked copy
-    with pytest.raises(DimensionError, match="NLU tokenization has 2 words, transcript 3"):
-        model.prepare(frames, words, tok_b=TokenizationResult(["show", "to"], [0, 1]))
-    with pytest.raises(DimensionError, match="NLU token 'zzz' not in the NLU vocabulary"):
-        model.prepare(frames, ["show"], tok_b=TokenizationResult(["zzz"], [0]))
+    assert model.config == tiny_model(seed=5).config  # the stored key is dropped on load
 
 
 def test_concat_hidden_shapes_and_zero_block():
@@ -170,19 +117,6 @@ def test_concat_hidden_shapes_and_zero_block():
     assert np.array_equal(hcat.data[:, fa:], np.zeros((len(words), fb)))
     first = tokenize(words, model.asr_vocab).first_index
     assert np.array_equal(hcat.data[:, :fa], model.teacher_forced(example)[0].data[:-1][first])
-
-
-def test_concat_hidden_word_count_mismatch():
-    model = tiny_model()
-    three_words = TokenizationResult(["▁show", "▁to", "▁york"], [0, 1, 2])
-    with pytest.raises(DimensionError):
-        model.prepare(model.subsample(tiny_features()), ["show", "to"], tok_a=three_words)
-
-
-def test_prepare_rejects_a_token_outside_the_asr_vocabulary():
-    model = tiny_model()
-    with pytest.raises(DimensionError, match="ASR token 'zzz' not in the ASR vocabulary"):
-        model.prepare(model.subsample(tiny_features()), ["show"], tok_a=TokenizationResult(["zzz"], [0]))
 
 
 @pytest.mark.parametrize("kind", [BPE, WORDPIECE])
@@ -207,6 +141,30 @@ def test_detokenize_inverse_property(kind, words, vocab_seed):
     _, vocab = random_subword_instance(random.Random(vocab_seed), kind)
     result = tokenize(words, vocab)
     assert detokenize(result, vocab) == words
+
+
+def _assert_first_indices(first_index, num_tokens):
+    assert all(0 <= row < num_tokens for row in first_index)
+    assert all(a < b for a, b in zip(first_index, first_index[1:]))
+
+
+@given(
+    st.sampled_from([BPE, WORDPIECE]),
+    st.lists(st.text(alphabet="abcd", min_size=1, max_size=7), max_size=8),
+    st.lists(st.integers(min_value=0, max_value=10**6), max_size=12),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_tokenize_and_merge_tokens_give_increasing_in_range_first_indices(kind, words, picks, vocab_seed):
+    _, vocab = random_subword_instance(random.Random(vocab_seed), kind)
+    result = tokenize(words, vocab)
+    assert result.num_words == len(words)
+    _assert_first_indices(result.first_index, result.num_tokens)
+    pieces = vocab.sorted_pieces()
+    tokens = [pieces[i % len(pieces)] for i in picks]  # any piece sequence, as a beam may decode
+    merged, first_index = merge_tokens(tokens, vocab)
+    assert len(first_index) == len(merged) and first_index[:1] == ([0] if tokens else [])
+    _assert_first_indices(first_index, len(tokens))
 
 
 @pytest.mark.parametrize("kind", [BPE, WORDPIECE])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import model_oracles as oracles
+import slu.decode
 import slu.model
-import slu.train
 from slu.audio import FeatureConfig
 from slu.autodiff import Tensor
 from slu.data import Utterance, build_manifest
@@ -391,7 +391,7 @@ def test_decoding_mid_training_equals_decoding_a_freshly_frozen_model(monkeypatc
     corpus = small_corpus(2)
     model = small_model(corpus, seed=7)
     polls = []
-    decode = slu.train.decode_two_step
+    decode = slu.decode.decode_two_step
 
     def checked(m, feats, beam_size):
         got = decode(m, feats, beam_size=beam_size)
@@ -401,7 +401,7 @@ def test_decoding_mid_training_equals_decoding_a_freshly_frozen_model(monkeypatc
         polls.append(m is model)
         return got
 
-    monkeypatch.setattr(slu.train, "decode_two_step", checked)
+    monkeypatch.setattr(slu.decode, "decode_two_step", checked)
     joint = [StageConfig("joint_finetune", epochs=2, lr=0.05, momentum=0.9, eval_every=1)] * stages
     train(model, corpus, TrainConfig(seed=0, beam_size=2, stages=joint), FEATURE)
     assert polls == [True] * (2 * stages * len(corpus.records))  # every poll decodes the trained model itself
