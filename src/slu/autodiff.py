@@ -1,23 +1,34 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
 Only the ops the joint model calls: ``+`` of two tensors of one shape, a
-fused affine layer (``linear``), mean (one node: the sum times the constant
-``1 / count``, with no node for the constant), concat, row gather
-(``gather_rows``, by index list or by ``slice``), a fused softmax
-cross-entropy reduced to one loss (``nll``, summed or averaged over the
-rows), and one node per model layer (``encoder_layer``, ``decoder_layer``
-and ``nlu_layer``), so a speech train step records 4 nodes and a joint step
-16.  A layer node runs the numpy operations of its composition of elementary
-ops in their order, and its hand-written backward returns that composition's
-gradients bit for bit; both attention layers share one array-level attention
-(``_attend``) and embedding (``_embed``).  No op broadcasts, and an operand
-of ``+`` that is not a ``Tensor`` is a ``TypeError``.  The mean's backward
-returns a filled, writable array, not a broadcast view.  A gather's backward
-(the embeddings' too) adds the gradient rows onto ``np.zeros``: with ``+=``
-for a ``slice``, and with ``np.add.at`` for an index list, which may name a
-row twice.
+fused affine layer (``linear``), a fused softmax cross-entropy reduced to one
+loss (``nll``, summed or averaged over the rows), one node per model layer
+(``encoder_layer``, ``decoder_layer`` and ``nlu_layer``) and two head nodes:
+``word_rows`` (each word's first-subword row of both branches, two gathers and
+their concat) and ``intent_head`` (the sentinel concat, the mean and the
+intent ``linear``).  So a speech train step records 4 nodes and a joint step
+12.  A layer or head node runs the numpy operations of its composition of
+elementary ops in their order, and its hand-written backward returns that
+composition's gradients bit for bit; both attention layers share one
+array-level attention (``_attend``) and embedding (``_embed``).  No op
+broadcasts, and an operand of ``+`` that is not a ``Tensor`` is a
+``TypeError``.  The mean's backward fills a new, writable array, not a
+broadcast view.  A gather's backward (the embeddings' and the word rows')
+adds the gradient rows onto ``np.zeros``: with ``+=`` for a ``slice``, and
+with ``np.add.at`` for an index list, which may name a row twice.
 Nodes record parents only when a gradient is required and recording is
 on: under ``no_grad()`` no op records any, so decoding builds no graph.
+
+A step makes a few hundred numpy calls on arrays of tens of rows, so each
+call's fixed cost sets the speed: the ops multiply with ``ndarray.dot``, not
+``@``, and reduce rows and columns with ``np.add.reduce`` and
+``np.maximum.reduce``, not ``.sum`` and ``.max``, which reach the same C
+routines through more Python.  The two spellings give the same floats for
+the operands passed here; the compositions in the tests keep ``@`` and
+``.sum``, so that their bit-for-bit gates check that.  They may round
+differently for an operand strided in both dimensions, and ``X.T @ X`` on one
+buffer goes to BLAS's ``syrk``, which rounds unlike ``gemm`` on a copy; no op
+passes either.
 
 The op contract: an op builds its output with ``Tensor._op(data, parents,
 backward)``, where ``backward`` maps the output's gradient to one gradient
@@ -107,30 +118,6 @@ class Tensor:
             raise DimensionError(f"cannot add shapes {self.data.shape} and {other.data.shape}")
         return Tensor._op(self.data + other.data, (self, other), lambda g: (g, g))
 
-    # -- reductions ---------------------------------------------------------
-
-    def mean(self, axis=None, keepdims: bool = False):
-        """The mean as one node: the sum times the constant ``1 / count``, with
-        no node for the constant.  Its backward fills a new, writable array of
-        ``self``'s shape with the scaled gradient, the values of its broadcast."""
-        scale = 1.0 / (self.data.size if axis is None else self.data.shape[axis])
-        shape = self.data.shape
-
-        def backward(g):
-            g = g * scale
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return (np.full(shape, g),)
-
-        return Tensor._op(self.data.sum(axis=axis, keepdims=keepdims) * scale, (self,), backward)
-
-    # -- shape ops ---------------------------------------------------------
-
-    def gather_rows(self, indices):
-        """Rows of a tensor by int indices (repeats add up in the backward) or by a ``slice``."""
-        rows, shape = _rows(indices), self.data.shape
-        return Tensor._op(self.data[rows], (self,), lambda g: (_scatter_rows(shape, rows, g),))
-
     # -- autodiff ----------------------------------------------------------
 
     def backward(self) -> None:
@@ -175,24 +162,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` for (N, I) rows, (I, O) weights and an (O,) bias, as one node."""
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise NumericError("matmul requires 2-D operands")
-    return Tensor._op(x.data @ w.data + b.data, (x, w, b), lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
-
-
-def concat(tensors: list[Tensor], axis: int) -> Tensor:
-    parents = tuple(tensors)
-
-    def backward(g):  # one slice of g per input: what np.split returns, at a fraction of its cost
-        offsets = list(itertools.accumulate((t.data.shape[axis] for t in parents), initial=0))
-        lead = (slice(None),) * axis
-        return [g[lead + (slice(lo, hi),)] for lo, hi in zip(offsets, offsets[1:])]
-
-    return Tensor._op(np.concatenate([t.data for t in parents], axis=axis), parents, backward)
+    return Tensor._op(
+        x.data.dot(w.data) + b.data, (x, w, b), lambda g: (g.dot(w.data.T), x.data.T.dot(g), np.add.reduce(g, axis=0))
+    )
 
 
 def _embed(table: np.ndarray, ids, pos: np.ndarray, positions):
     """Token plus position embeddings ``table[ids] + pos[positions]`` (BERT's input layer, Devlin et al.
-    2019) and their backward, the two gathers' scatters; ``ids`` and ``positions`` are read as
-    ``Tensor.gather_rows`` reads them, and row counts that differ are a ``DimensionError``, not a broadcast."""
+    2019) and their backward, the two gathers' scatters; ``ids`` and ``positions`` are read as ``_rows``
+    reads them, and row counts that differ are a ``DimensionError``, not a broadcast."""
     ids, positions = _rows(ids), _rows(positions)
     tokens, places = table[ids], pos[positions]
     if tokens.shape != places.shape:
@@ -208,10 +186,10 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray):
     """``softmax(q kᵀ / sqrt(d)) v``, with ``d`` the keys' width (scaled dot-product attention, Vaswani
     et al. 2017), and its backward, which maps the output's gradient to (dq, dk, dv)."""
     scale = 1.0 / math.sqrt(k.shape[1])
-    s = (q @ k.T) * scale
-    m = s.max(axis=1, keepdims=True)
+    s = q.dot(k.T) * scale
+    m = np.maximum.reduce(s, axis=1, keepdims=True)
     shifted = np.exp(s - m)
-    total = shifted.sum(axis=1, keepdims=True)
+    total = np.add.reduce(shifted, axis=1, keepdims=True)
     p = np.exp(s - (m + np.log(total)))
 
     def backward(g):
@@ -220,25 +198,25 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray):
         # term times shifted / total, which is not always p to the last bit, and
         # its transpose node gives the keys' gradient as (qᵀ dS)ᵀ, which a BLAS
         # need not round like dSᵀ q.
-        dp = (g @ v.T) * p
-        ds = (dp - dp.sum(axis=1, keepdims=True) * (shifted / total)) * scale
-        return ds @ k, (q.T @ ds).T, p.T @ g
+        dp = g.dot(v.T) * p
+        ds = (dp - np.add.reduce(dp, axis=1, keepdims=True) * (shifted / total)) * scale
+        return ds.dot(k), q.T.dot(ds).T, p.T.dot(g)
 
-    return p @ v, backward
+    return p.dot(v), backward
 
 
 def encoder_layer(frames: np.ndarray, w: Tensor, b: Tensor, pos: Tensor) -> Tensor:
     """``tanh(frames @ w + b + pos[:n])`` for n constant (n, I) frames, as one node; more frames than
     position rows is a ``DimensionError``."""
     n = frames.shape[0]
-    pre, places = frames @ w.data + b.data, pos.data[:n]
+    pre, places = frames.dot(w.data) + b.data, pos.data[:n]
     if pre.shape != places.shape:
         raise DimensionError(f"cannot add shapes {pre.shape} and {places.shape}")
     out = np.tanh(pre + places)
 
     def backward(g):
         g = g * (1.0 - out**2)
-        return frames.T @ g, g.sum(axis=0), _scatter_rows(pos.data.shape, slice(n), g)
+        return frames.T.dot(g), np.add.reduce(g, axis=0), _scatter_rows(pos.data.shape, slice(n), g)
 
     return Tensor._op(out, (w, b, pos), backward)
 
@@ -247,16 +225,17 @@ def decoder_layer(table: Tensor, ids, pos: Tensor, positions, w_q: Tensor, enc: 
     """The decoder's hidden rows ``tanh([e, ctx] @ w + b)`` as one node, where ``e`` embeds ``ids`` at
     ``positions`` and ``ctx`` is ``e @ w_q`` attending over the encoder rows ``enc``, its keys and values."""
     e, embed_backward = _embed(table.data, ids, pos.data, positions)
-    ctx, attend_backward = _attend(e @ w_q.data, enc.data, enc.data)
+    ctx, attend_backward = _attend(e.dot(w_q.data), enc.data, enc.data)
     x = np.concatenate([e, ctx], axis=1)
-    out = np.tanh(x @ w.data + b.data)
+    out = np.tanh(x.dot(w.data) + b.data)
 
     def backward(g):
         g = g * (1.0 - out**2)
-        dx = g @ w.data.T
+        dx = g.dot(w.data.T)
         width = e.shape[1]
         dq, dk, dv = attend_backward(dx[:, width:])
-        return (*embed_backward(dx[:, :width] + dq @ w_q.data.T), e.T @ dq, dk + dv, x.T @ g, g.sum(axis=0))
+        d_embed = embed_backward(dx[:, :width] + dq.dot(w_q.data.T))
+        return (*d_embed, e.T.dot(dq), dk + dv, x.T.dot(g), np.add.reduce(g, axis=0))
 
     return Tensor._op(out, (table, pos, w_q, enc, w, b), backward)
 
@@ -265,19 +244,46 @@ def nlu_layer(table: Tensor, ids, pos: Tensor, w_q: Tensor, w_k: Tensor, w_v: Te
     """The NLU rows ``tanh((e + ctx) @ w + b)`` as one node, where ``e`` embeds ``ids`` at positions
     0 to n - 1 and ``ctx`` is self-attention with queries, keys and values ``e @ w_q``, ``e @ w_k``, ``e @ w_v``."""
     e, embed_backward = _embed(table.data, ids, pos.data, slice(len(ids)))
-    ctx, attend_backward = _attend(e @ w_q.data, e @ w_k.data, e @ w_v.data)
+    ctx, attend_backward = _attend(e.dot(w_q.data), e.dot(w_k.data), e.dot(w_v.data))
     x = e + ctx
-    out = np.tanh(x @ w.data + b.data)
+    out = np.tanh(x.dot(w.data) + b.data)
 
     def backward(g):
         g = g * (1.0 - out**2)
-        dx = g @ w.data.T
+        dx = g.dot(w.data.T)
         dq, dk, dv = attend_backward(dx)
         # e's gradients in the order the composition's newest-first backward adds them, which keeps checkpoint bits
-        de = ((dx + dq @ w_q.data.T) + dk @ w_k.data.T) + dv @ w_v.data.T
-        return (*embed_backward(de), e.T @ dq, e.T @ dk, e.T @ dv, x.T @ g, g.sum(axis=0))
+        de = ((dx + dq.dot(w_q.data.T)) + dk.dot(w_k.data.T)) + dv.dot(w_v.data.T)
+        return (*embed_backward(de), e.T.dot(dq), e.T.dot(dk), e.T.dot(dv), x.T.dot(g), np.add.reduce(g, axis=0))
 
     return Tensor._op(out, (table, pos, w_q, w_k, w_v, w, b), backward)
+
+
+def word_rows(h_a: Tensor, first_a, h_b: Tensor, first_b) -> Tensor:
+    """Each word's rows of both branches side by side, ``[h_a[first_a], h_b[first_b]]``, as one node:
+    two row gathers (``first_a`` and ``first_b`` read as ``_rows`` reads them) and their concat."""
+    rows_a, rows_b = _rows(first_a), _rows(first_b)
+    shape_a, shape_b = h_a.data.shape, h_b.data.shape
+
+    def backward(g):
+        width = shape_a[1]
+        return _scatter_rows(shape_a, rows_a, g[:, :width]), _scatter_rows(shape_b, rows_b, g[:, width:])
+
+    return Tensor._op(np.concatenate([h_a.data[rows_a], h_b.data[rows_b]], axis=1), (h_a, h_b), backward)
+
+
+def intent_head(sentinel: Tensor, rows: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The intent logits ``mean([sentinel; rows]) @ w + b`` for a (1, F) sentinel row and (n, F) word
+    rows, n >= 0, as one node: the concat, the mean (the row sum times ``1 / (n + 1)``) and ``linear``."""
+    stacked = np.concatenate([sentinel.data, rows.data])
+    shape, scale = stacked.shape, 1.0 / stacked.shape[0]
+    pooled = np.add.reduce(stacked, axis=0, keepdims=True) * scale
+
+    def backward(g):
+        d_stacked = np.full(shape, g.dot(w.data.T) * scale)  # the mean's filled gradient, split as the concat's
+        return d_stacked[:1], d_stacked[1:], pooled.T.dot(g), np.add.reduce(g, axis=0)
+
+    return Tensor._op(pooled.dot(w.data) + b.data, (sentinel, rows, w, b), backward)
 
 
 def nll(logits: Tensor, targets, smoothing: float = 0.0, mean: bool = False) -> Tensor:
@@ -296,16 +302,16 @@ def nll(logits: Tensor, targets, smoothing: float = 0.0, mean: bool = False) -> 
         raise DimensionError(f"{n} logit rows vs {len(targets)} targets")
     rows = np.arange(n)
     cols = np.asarray(targets, dtype=np.intp)
-    m = x.max(axis=1, keepdims=True)
+    m = np.maximum.reduce(x, axis=1, keepdims=True)
     shifted = np.exp(x - m)
-    total = shifted.sum(axis=1, keepdims=True)
+    total = np.add.reduce(shifted, axis=1, keepdims=True)
     lse = (m + np.log(total))[:, 0]
     picked = x[rows, cols]
     if smoothing == 0.0:
         per_row = lse - picked
     else:
-        per_row = lse - ((1.0 - smoothing) * picked + smoothing * (x.sum(axis=1) * (1.0 / k)))
-    out_data = per_row.sum()
+        per_row = lse - ((1.0 - smoothing) * picked + smoothing * (np.add.reduce(x, axis=1) * (1.0 / k)))
+    out_data = np.add.reduce(per_row)
     if mean:
         out_data = out_data * (1.0 / n)
 

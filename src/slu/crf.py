@@ -35,7 +35,7 @@ def crf_viterbi(emissions: np.ndarray, transitions: np.ndarray, start: np.ndarra
     for t in range(1, n):
         scores = delta[:, None] + transitions  # [from, to]
         back[t] = scores.argmax(axis=0)  # argmax takes the first (lowest) index
-        delta = scores.max(axis=0) + emissions[t]
+        delta = np.maximum.reduce(scores, axis=0) + emissions[t]
     last = int(np.argmax(delta + end))
     path = [last]
     for t in range(n - 1, 0, -1):
@@ -69,20 +69,20 @@ def crf_nll_t(emissions: Tensor, tags, transitions: Tensor, start: Tensor, end: 
     alpha = first + em[0]
     for t in range(1, n):
         step = alpha[:, None] + trans
-        m = step.max(axis=0, keepdims=True)
+        m = np.maximum.reduce(step, axis=0, keepdims=True)
         shifted = np.exp(step - m)
-        total = shifted.sum(axis=0, keepdims=True)
+        total = np.add.reduce(shifted, axis=0, keepdims=True)
         steps.append((shifted, total))
         alpha = (m + np.log(total))[0] + em[t]
     final = alpha + last
-    m = final.max()
+    m = np.maximum.reduce(final)
     final_shifted = np.exp(final - m)
-    final_total = final_shifted.sum()
+    final_total = np.add.reduce(final_shifted)
     log_z = m + np.log(final_total)
     rows = np.arange(n)
-    score = em.reshape(n * k)[rows * k + tags].sum() + first[tags[0]] + last[tags[-1]]
+    score = np.add.reduce(em.reshape(n * k)[rows * k + tags]) + first[tags[0]] + last[tags[-1]]
     if n > 1:
-        score = score + trans.reshape(k * k)[[tags[t - 1] * k + tags[t] for t in range(1, n)]].sum()
+        score = score + np.add.reduce(trans.reshape(k * k)[[tags[t - 1] * k + tags[t] for t in range(1, n)]])
 
     def backward(g):
         marginal = final_shifted / final_total  # of each tag at the last position
@@ -94,7 +94,7 @@ def crf_nll_t(emissions: Tensor, tags, transitions: Tensor, start: Tensor, end: 
             step_shifted, step_total = steps[t - 1]
             pairwise = step_shifted / step_total * marginal  # [from, to] at positions t-1, t
             d_trans += pairwise
-            marginal = pairwise.sum(axis=1)
+            marginal = np.add.reduce(pairwise, axis=1)
         d_em[0] = marginal
         d_start = marginal.copy()
         d_em[rows, tags] -= 1.0

@@ -88,8 +88,8 @@ def beam_search_transcript(
         hidden, logits = model.decoder_states(prev, [step] * len(prev), enc)
         trail.append((hidden.data, parents))
         z = logits.data
-        top = z.max(axis=1, keepdims=True)
-        z -= np.log(np.exp(z - top).sum(axis=1, keepdims=True))
+        top = np.maximum.reduce(z, axis=1, keepdims=True)
+        z -= np.log(np.add.reduce(np.exp(z - top), axis=1, keepdims=True))
         z -= top
         return z
 
@@ -134,7 +134,7 @@ def decode_two_step(
         ids, logp, rows = beam_search_transcript(model, model.encode_features(frames), beam_size, max_len)
         words, example = model.hypothesis(frames, ids)
         if example is None:  # degenerate transcript: intent from the sentinel row alone, no slots
-            slots, intent_logits = [], model.intent_logits_from([])
+            slots, intent_logits = [], model.intent_logits(None)
         else:
             slot_scores, intent_logits = model.heads(example, Tensor(rows))
             slots = model.decode_slots(slot_scores)

@@ -14,7 +14,9 @@ one from the subword ids the beam search decoded, for step two of decoding.
 
 The encoder, the decoder's hidden layer and the NLU layer are one autodiff
 node each (``autodiff.encoder_layer``, ``decoder_layer`` and ``nlu_layer``),
-so a speech-branch train step records 4 nodes and a joint step 16.
+and so are the word rows both heads read (``autodiff.word_rows``) and the
+intent head (``autodiff.intent_head``), so a speech-branch train step
+records 4 nodes and a joint step 12.
 
 All tensors are float64 so finite-difference gradient checks are meaningful.
 """
@@ -30,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import FeatureConfig
-from .autodiff import Tensor, concat, decoder_layer, encoder_layer, linear, nll, nlu_layer
+from .autodiff import Tensor, decoder_layer, encoder_layer, intent_head, linear, nll, nlu_layer, word_rows
 from .crf import crf_nll_t, crf_viterbi
 from .errors import DimensionError, ValidationError, read_config
 from .ioutil import atomic_write_text, read_json
@@ -302,10 +304,13 @@ class JointModel:
             p["nlu.ff_w"], p["nlu.ff_b"],
         )
 
-    def intent_logits_from(self, hcat_rows: list[Tensor]) -> Tensor:
+    def intent_logits(self, hcat: Tensor | None) -> Tensor:
+        """Intent logits over the sentinel row and the word rows ``hcat``: one ``intent_head`` node;
+        with ``hcat`` None (a hypothesis with no words), over the sentinel row alone."""
         p = self.params
-        pooled = concat([p["ic.sentinel"], *hcat_rows], axis=0).mean(axis=0, keepdims=True)
-        return linear(pooled, p["ic.w"], p["ic.b"])
+        if hcat is None:
+            hcat = Tensor(np.empty((0, p["ic.sentinel"].shape[1])))
+        return intent_head(p["ic.sentinel"], hcat, p["ic.w"], p["ic.b"])
 
     def teacher_forced(self, example: Example) -> tuple[Tensor, Tensor]:
         """Decoder rows and transcript logits with the transcript fed in: all
@@ -321,11 +326,14 @@ class JointModel:
         the teacher-forced rows in training and the beam's own rows in
         decoding; ``example.first_a`` picks each word's row, so a row past
         the last ASR subword (the one that predicts EOS) is never read.
+        Three nodes (``word_rows``, the slot ``linear`` and ``intent_head``)
+        over the NLU layer's.  Nodes run newest first, so ``h_dec`` gets its
+        word-rows gradient before the output linear's, and the word rows get
+        the intent head's before the slot linear's: the unfused heads' order.
         """
-        hb = self.nlu_states(example.nlu_ids)
-        hcat = concat([h_dec.gather_rows(example.first_a), hb.gather_rows(example.first_b)], axis=1)
+        hcat = word_rows(h_dec, example.first_a, self.nlu_states(example.nlu_ids), example.first_b)
         slot_scores = linear(hcat, self.params["sl.w"], self.params["sl.b"])
-        return slot_scores, self.intent_logits_from([hcat])
+        return slot_scores, self.intent_logits(hcat)
 
     def forward(self, example: Example, stop_asr_grad: bool = False) -> ForwardOutputs:
         """Teacher-forced pass over one ground-truth example, up to slot scores

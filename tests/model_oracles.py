@@ -14,9 +14,16 @@ compositions of elementary ``Tensor`` ops, kept here: the three layer nodes
 (``autodiff.encoder_layer``, ``decoder_layer`` and ``nlu_layer``) as
 ``encoder_layer_unfused``, ``decoder_layer_unfused`` and
 ``nlu_layer_unfused`` (gathers, ``matmul``, ``attention_unfused``, concat,
-``linear``, ``tanh``), ``autodiff.nll`` as ``nll_unfused``
+``linear_unfused``, ``tanh``), the two head nodes ``autodiff.word_rows`` and
+``intent_head`` as ``word_rows_unfused`` (two gathers and their concat) and
+``intent_head_unfused`` (the sentinel concat, ``mean`` and
+``linear_unfused``), ``autodiff.linear`` as ``linear_unfused`` (``matmul``
+and a broadcasting ``add``), ``autodiff.nll`` as ``nll_unfused``
 (``nll_rows_unfused``, then a sum or a mean) and ``crf.crf_nll_t`` as
-``crf_nll_t_unfused``.  ``attention`` and ``embed`` are the one-node
+``crf_nll_t_unfused``.  The package multiplies with ``ndarray.dot`` and
+reduces with ``np.add.reduce`` and ``np.maximum.reduce``; the compositions
+keep ``@`` and ``.sum``, so that a bit-for-bit gate is also a gate of the
+one spelling against the other.  ``attention`` and ``embed`` are the one-node
 attention and embedding that the layer nodes replaced, built on the
 array-level ``autodiff._attend`` and ``autodiff._embed`` that both attention
 layers share, so that their tests gate those two against
@@ -24,17 +31,20 @@ layers share, so that their tests gate those two against
 only the compositions and the tests use are here too, as free functions
 built on ``Tensor._op``: ``matmul`` (``Tensor.__matmul__`` as it was, an
 operand that is not a ``Tensor`` a ``TypeError``), ``tanh``
-(``Tensor.tanh`` as it was), the broadcasting ``add``, ``sub`` and ``mul``
+(``Tensor.tanh`` as it was), ``gather_rows`` (``Tensor.gather_rows`` as it
+was, by index list or by ``slice``), ``concat`` (``autodiff.concat`` as it
+was), ``mean`` (``Tensor.mean`` as it was: one node, the sum times the
+constant ``1 / count``), the broadcasting ``add``, ``sub`` and ``mul``
 (an operand that is not a ``Tensor`` is a constant, and ``_unbroadcast``
 sums each gradient back to its operand's shape), ``reduce_sum``
 (``Tensor.sum`` as it was), ``exp``, ``logsumexp``, ``reshape``,
 ``transpose`` and ``softmax_rows``.
 ``nll_rows`` is the per-row NLL node that ``autodiff.nll`` reduces, its
-bit-exact reference when followed by ``reduce_sum`` or ``Tensor.mean``.
+bit-exact reference when followed by ``reduce_sum`` or ``mean``.
 ``backward_dfs`` is the engine's old
 two-pass backward (DFS topological sort, then the list in reverse), the
 reference that the one-pass, newest-first ``Tensor.backward`` matches bit for
-bit on a graph's first backward pass.  ``mean_unfused`` is ``Tensor.mean`` as a sum node and a
+bit on a graph's first backward pass.  ``mean_unfused`` is ``mean`` as a sum node and a
 product node, and ``sgd_step_per_param`` the optimizer step as a loop over
 parameters, each the bit-exact reference for the one node or flat-buffer pass
 that replaced it.  ``log_power_features_reference`` (fancy-index framing, one
@@ -52,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from slu.audio import AudioClip, FeatureConfig, MixResult, _mixer
-from slu.autodiff import Tensor, _attend, _embed, concat, linear
+from slu.autodiff import Tensor, _attend, _embed, _rows, _scatter_rows
 from slu.crf import _check
 from slu.errors import DimensionError, NumericError, ValidationError
 from slu.subword import SubwordVocab, TokenizationResult, merge_tokens
@@ -222,7 +232,7 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     """``x.sum(axis, keepdims)`` as one node: ``Tensor.sum`` as it was while the
-    model's losses summed rows, with the backward ``Tensor.mean`` has, a filled,
+    model's losses summed rows, with the backward ``mean`` has, a filled,
     writable array of ``x``'s shape."""
     shape = x.data.shape
 
@@ -234,8 +244,24 @@ def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return Tensor._op(x.data.sum(axis=axis, keepdims=keepdims), (x,), backward)
 
 
+def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    """The mean as one node, ``Tensor.mean`` as it was: the sum times the constant
+    ``1 / count``, with no node for the constant.  Its backward fills a new, writable
+    array of ``x``'s shape with the scaled gradient, the values of its broadcast."""
+    scale = 1.0 / (x.data.size if axis is None else x.data.shape[axis])
+    shape = x.data.shape
+
+    def backward(g):
+        g = g * scale
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.full(shape, g),)
+
+    return Tensor._op(x.data.sum(axis=axis, keepdims=keepdims) * scale, (x,), backward)
+
+
 def mean_unfused(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    """``Tensor.mean`` as it was before it became one node: a sum node, then a
+    """``mean`` as it was before it became one node: a sum node, then a
     product node with the constant ``1 / count``."""
     count = x.data.size if axis is None else x.data.shape[axis]
     return mul(reduce_sum(x, axis=axis, keepdims=keepdims), 1.0 / count)
@@ -249,6 +275,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise NumericError("matmul requires 2-D operands")
     return Tensor._op(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+
+
+def linear_unfused(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``autodiff.linear`` as a ``matmul`` node and a broadcasting ``add`` of the bias."""
+    return add(matmul(x, w), b)
+
+
+def gather_rows(x: Tensor, indices) -> Tensor:
+    """Rows of ``x`` by int indices (repeats add up in the backward) or by a ``slice``,
+    ``Tensor.gather_rows`` as it was."""
+    rows, shape = _rows(indices), x.data.shape
+    return Tensor._op(x.data[rows], (x,), lambda g: (_scatter_rows(shape, rows, g),))
+
+
+def concat(tensors: list[Tensor], axis: int) -> Tensor:
+    """``np.concatenate`` of ``tensors`` along ``axis`` as one node, ``autodiff.concat`` as it was."""
+    parents = tuple(tensors)
+
+    def backward(g):  # one slice of g per input: what np.split returns, at a fraction of its cost
+        offsets = list(itertools.accumulate((t.data.shape[axis] for t in parents), initial=0))
+        lead = (slice(None),) * axis
+        return [g[lead + (slice(lo, hi),)] for lo, hi in zip(offsets, offsets[1:])]
+
+    return Tensor._op(np.concatenate([t.data for t in parents], axis=axis), parents, backward)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -277,34 +327,45 @@ def attention_unfused(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 
 
 def encoder_layer_unfused(frames: np.ndarray, w: Tensor, b: Tensor, pos: Tensor) -> Tensor:
-    """``autodiff.encoder_layer`` as ``linear`` over the constant frames, a position gather, ``+`` and tanh."""
-    return tanh(linear(Tensor(frames), w, b) + pos.gather_rows(slice(frames.shape[0])))
+    """``autodiff.encoder_layer`` as ``linear_unfused`` over the constant frames, a position gather, ``+``
+    and tanh."""
+    return tanh(linear_unfused(Tensor(frames), w, b) + gather_rows(pos, slice(frames.shape[0])))
 
 
 def decoder_layer_unfused(table, ids, pos, positions, w_q, enc, w, b) -> Tensor:
     """``autodiff.decoder_layer`` as two gathers and their ``+``, the query
     matmul, ``attention_unfused`` over ``enc`` as keys and values, concat,
-    ``linear`` and tanh."""
-    emb = table.gather_rows(ids) + pos.gather_rows(positions)
+    ``linear_unfused`` and tanh."""
+    emb = gather_rows(table, ids) + gather_rows(pos, positions)
     ctx = attention_unfused(matmul(emb, w_q), enc, enc)
-    return tanh(linear(concat([emb, ctx], axis=1), w, b))
+    return tanh(linear_unfused(concat([emb, ctx], axis=1), w, b))
 
 
 def nlu_layer_unfused(table, ids, pos, w_q, w_k, w_v, w, b) -> Tensor:
     """``autodiff.nlu_layer`` as two gathers and their ``+``, three matmuls,
-    ``attention_unfused``, the residual ``+``, ``linear`` and tanh."""
-    emb = table.gather_rows(ids) + pos.gather_rows(slice(len(ids)))
+    ``attention_unfused``, the residual ``+``, ``linear_unfused`` and tanh."""
+    emb = gather_rows(table, ids) + gather_rows(pos, slice(len(ids)))
     # v, k, then q: newest first, emb's gradients add up as the residual's, q's, k's, v's, the fused node's order
     v, k = matmul(emb, w_v), matmul(emb, w_k)
     ctx = attention_unfused(matmul(emb, w_q), k, v)
-    return tanh(linear(emb + ctx, w, b))
+    return tanh(linear_unfused(emb + ctx, w, b))
+
+
+def word_rows_unfused(h_a: Tensor, first_a, h_b: Tensor, first_b) -> Tensor:
+    """``autodiff.word_rows`` as two ``gather_rows`` nodes and their ``concat``."""
+    return concat([gather_rows(h_a, first_a), gather_rows(h_b, first_b)], axis=1)
+
+
+def intent_head_unfused(sentinel: Tensor, rows: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``autodiff.intent_head`` as the sentinel ``concat``, a ``mean`` over its rows and ``linear_unfused``."""
+    return linear_unfused(mean(concat([sentinel, rows], axis=0), axis=0, keepdims=True), w, b)
 
 
 def nll_rows(logits: Tensor, targets, smoothing: float = 0.0) -> Tensor:
     """Per-row negative log-likelihood of one target class per (N, K) logits row,
     as one node: ``autodiff.nll`` before it reduced the rows, the reference that
     ``nll`` matches bit for bit when this is followed by ``reduce_sum`` (or, with
-    ``mean``, by ``Tensor.mean``).  The gradient of row i is
+    ``mean``, by ``mean``).  The gradient of row i is
     ``g[i] * (softmax - (1 - s) * onehot - s / K)``."""
     x = logits.data
     n, k = x.shape
@@ -339,7 +400,7 @@ def nll_rows_unfused(logits: Tensor, targets, smoothing: float = 0.0) -> Tensor:
     if n != len(targets):
         raise DimensionError(f"{n} logit rows vs {len(targets)} targets")
     lse = logsumexp(logits, axis=1)
-    picked = reshape(logits, n * k).gather_rows([i * k + t for i, t in enumerate(targets)])
+    picked = gather_rows(reshape(logits, n * k), [i * k + t for i, t in enumerate(targets)])
     if smoothing == 0.0:
         return sub(lse, picked)
     return sub(lse, add(mul(picked, 1.0 - smoothing), mul(mean_unfused(logits, axis=1), smoothing)))
@@ -355,21 +416,21 @@ def nll_unfused(logits: Tensor, targets, smoothing: float = 0.0, mean: bool = Fa
 def crf_log_z_t(emissions: Tensor, transitions: Tensor, start: Tensor, end: Tensor) -> Tensor:
     """Differentiable partition function: one reshape/add/logsumexp/gather/add chain per position."""
     n, k = emissions.shape
-    alpha = reshape(start, 1, k) + emissions.gather_rows([0])
+    alpha = reshape(start, 1, k) + gather_rows(emissions, [0])
     for t in range(1, n):
         step = add(reshape(alpha, k, 1), transitions)
-        alpha = logsumexp(step, axis=0, keepdims=True) + emissions.gather_rows([t])
+        alpha = logsumexp(step, axis=0, keepdims=True) + gather_rows(emissions, [t])
     return reduce_sum(logsumexp(alpha + reshape(end, 1, k), axis=1))
 
 
 def crf_path_score_t(emissions: Tensor, tags, transitions: Tensor, start: Tensor, end: Tensor) -> Tensor:
     tags = list(tags)
     n, k = emissions.shape
-    emitted = reduce_sum(reshape(emissions, n * k).gather_rows([t * k + tag for t, tag in enumerate(tags)]))
-    score = emitted + reduce_sum(start.gather_rows([tags[0]])) + reduce_sum(end.gather_rows([tags[-1]]))
+    emitted = reduce_sum(gather_rows(reshape(emissions, n * k), [t * k + tag for t, tag in enumerate(tags)]))
+    score = emitted + reduce_sum(gather_rows(start, [tags[0]])) + reduce_sum(gather_rows(end, [tags[-1]]))
     if n > 1:
         flat = reshape(transitions, k * k)
-        moves = reduce_sum(flat.gather_rows([tags[t - 1] * k + tags[t] for t in range(1, n)]))
+        moves = reduce_sum(gather_rows(flat, [tags[t - 1] * k + tags[t] for t in range(1, n)]))
         score = score + moves
     return score
 

@@ -9,10 +9,13 @@ from model_oracles import (
     attention,
     attention_unfused,
     backward_dfs,
+    concat,
     embed,
     exp,
+    gather_rows,
     logsumexp,
     matmul,
+    mean,
     mean_unfused,
     mul,
     nll_rows,
@@ -25,7 +28,7 @@ from model_oracles import (
     tanh,
     transpose,
 )
-from slu.autodiff import Tensor, concat, linear, nll, no_grad
+from slu.autodiff import Tensor, intent_head, linear, nll, no_grad, word_rows
 from slu.errors import DimensionError, NumericError
 
 
@@ -144,8 +147,8 @@ def test_logsumexp_and_softmax_grads():
 def test_mean_axis_and_reshape_grads():
     rng = np.random.default_rng(3)
     arrays = {"x": rng.normal(size=(4, 6))}
-    check_gradients(lambda t: reduce_sum(t["x"].mean(axis=0, keepdims=True)), arrays)
-    check_gradients(lambda t: reduce_sum(reshape(t["x"], 24).gather_rows([0, 5, 5, 23])), arrays)
+    check_gradients(lambda t: reduce_sum(mean(t["x"], axis=0, keepdims=True)), arrays)
+    check_gradients(lambda t: reduce_sum(gather_rows(reshape(t["x"], 24), [0, 5, 5, 23])), arrays)
 
 
 def test_concat_and_transpose_grads():
@@ -202,7 +205,7 @@ def test_attention_scales_by_the_keys_width():
 
 def test_gather_rows_accumulates_repeats():
     x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-    out = reduce_sum(x.gather_rows([1, 1, 0]))
+    out = reduce_sum(gather_rows(x, [1, 1, 0]))
     out.backward()
     assert np.array_equal(x.grad, [[1, 1], [2, 2], [0, 0]])
 
@@ -216,7 +219,7 @@ def test_gather_rows_slice_is_bit_identical_to_its_index_list():
         grads = []
         for indices in (slice(n), list(range(n))):
             t = Tensor(x, requires_grad=True)
-            out = t.gather_rows(indices)
+            out = gather_rows(t, indices)
             assert out._parents == (t,) and out.data.tobytes() == x[:n].tobytes()
             reduce_sum(mul(out, weights)).backward()  # out's gradient is weights, -0.0 included
             grads.append(t.grad)
@@ -229,7 +232,7 @@ def test_gather_rows_slice_grads():
     arrays = {"x": rng.normal(size=(5, 3))}
     weights = rng.normal(size=(5, 3))
     for n in (1, 3, 5):
-        check_gradients(lambda t: reduce_sum(mul(t["x"].gather_rows(slice(n)), weights[:n])), arrays)
+        check_gradients(lambda t: reduce_sum(mul(gather_rows(t["x"], slice(n)), weights[:n])), arrays)
 
 
 def _signed_zero_weights(rng, n, width=3):
@@ -250,7 +253,7 @@ def test_gather_rows_backward_equals_np_add_at_onto_zeros(indices):
     x = rng.normal(size=(6, 3))
     weights = _signed_zero_weights(rng, len(indices))
     t = Tensor(x, requires_grad=True)
-    out = t.gather_rows(indices)
+    out = gather_rows(t, indices)
     assert out.data.tobytes() == x[np.asarray(indices)].tobytes()
     reduce_sum(mul(out, weights)).backward()
     want = np.zeros_like(x)
@@ -265,7 +268,7 @@ def _embed_pair(table, ids, pos, positions, weights):
     results = []
     for fused in (True, False):
         tt, tp = Tensor(table, requires_grad=True), Tensor(pos, requires_grad=True)
-        out = embed(tt, ids, tp, positions) if fused else tt.gather_rows(ids) + tp.gather_rows(positions)
+        out = embed(tt, ids, tp, positions) if fused else gather_rows(tt, ids) + gather_rows(tp, positions)
         reduce_sum(mul(out, weights)).backward()
         results.append((out, tt.grad, tp.grad))
     return results
@@ -318,7 +321,7 @@ def test_mean_is_one_node_bit_identical_to_sum_then_scale(axis, keepdims):
         x = rng.normal(size=shape)
         weights = rng.normal(size=np.asarray(x).sum(axis=axis, keepdims=keepdims).shape)
         results = []
-        for op in (Tensor.mean, mean_unfused):
+        for op in (mean, mean_unfused):
             t = Tensor(x, requires_grad=True)
             out = op(t, axis=axis, keepdims=keepdims)
             reduce_sum(mul(out, weights)).backward()
@@ -334,7 +337,7 @@ def test_mean_grads(axis, keepdims):
     rng = np.random.default_rng(20)
     arrays = {"x": rng.normal(size=(4, 6))}
     weights = rng.normal(size=arrays["x"].sum(axis=axis, keepdims=keepdims).shape)
-    check_gradients(lambda t: reduce_sum(mul(t["x"].mean(axis=axis, keepdims=keepdims), weights)), arrays)
+    check_gradients(lambda t: reduce_sum(mul(mean(t["x"], axis=axis, keepdims=keepdims), weights)), arrays)
 
 
 @pytest.mark.parametrize("axis, keepdims", MEAN_CASES)
@@ -344,7 +347,7 @@ def test_sum_and_mean_backwards_are_writable_arrays_equal_to_the_broadcast(op, a
     x = rng.normal(size=(4, 6))
     count = x.size if axis is None else x.shape[axis]
     t = Tensor(x, requires_grad=True)
-    out = reduce_sum(t, axis=axis, keepdims=keepdims) if op == "sum" else t.mean(axis=axis, keepdims=keepdims)
+    out = reduce_sum(t, axis=axis, keepdims=keepdims) if op == "sum" else mean(t, axis=axis, keepdims=keepdims)
     g = np.asarray(rng.normal(size=out.data.shape))
     (grad,) = out._backward(g)
     scaled = g if op == "sum" else g * (1.0 / count)
@@ -416,9 +419,9 @@ def test_nll_rows_grads_across_shapes(smoothing):
 NLL_SHAPES = [(1, 1), (1, 6), (3, 1), (5, 7)]
 
 
-@pytest.mark.parametrize("mean", [False, True], ids=["sum", "mean"])
+@pytest.mark.parametrize("averaged", [False, True], ids=["sum", "mean"])
 @pytest.mark.parametrize("smoothing", [0.0, 0.1])
-def test_nll_is_one_node_bit_identical_to_the_per_row_node_and_its_reduction(smoothing, mean):
+def test_nll_is_one_node_bit_identical_to_the_per_row_node_and_its_reduction(smoothing, averaged):
     rng = np.random.default_rng(25)
     for n, k in NLL_SHAPES * 4:
         x = rng.normal(scale=3.0, size=(n, k))
@@ -428,10 +431,10 @@ def test_nll_is_one_node_bit_identical_to_the_per_row_node_and_its_reduction(smo
         for fused in (True, False):
             t = Tensor(x, requires_grad=True)
             if fused:
-                out = nll(t, targets, smoothing, mean=mean)
+                out = nll(t, targets, smoothing, mean=averaged)
             else:
                 rows = nll_rows(t, targets, smoothing)
-                out = rows.mean() if mean else reduce_sum(rows)
+                out = mean(rows) if averaged else reduce_sum(rows)
             mul(out, upstream).backward()
             results.append((t, out, t.grad))
         (t, out, grad), (_, ref, ref_grad) = results
@@ -624,20 +627,17 @@ def test_backward_matches_the_dfs_reference_on_model_graphs(slot_head, graph, wo
 @pytest.mark.parametrize("slot_head", ["linear", "crf"])
 def test_a_train_step_records_the_nodes_of_its_fused_ops(slot_head):
     # speech step: the encoder layer, the decoder layer, the output linear and nll; the joint step
-    # adds the NLU layer, the word gathers and concat, the slot linear, the intent concat, mean and
-    # linear, the slot and intent losses and two + nodes
+    # adds the NLU layer, the word rows, the slot linear, the intent head, the slot and intent
+    # losses and two + nodes
     model = tiny_model(seed=11, slot_head=slot_head)
     example = tiny_example(model, ["show", "flights", "to", "boston"], ["O", "O", "O", "B-toloc"], "find_flight")
     speech = model.loss_asr(model.teacher_forced(example)[1], example.asr_targets)
     assert len(_inner_nodes(speech)) == 4
-    assert len(_inner_nodes(joint_loss(model, example)[0])) == 16
+    assert len(_inner_nodes(joint_loss(model, example)[0])) == 12
 
 
-def test_a_beam_step_constructs_two_tensors(monkeypatch):
-    # one decoder_states call under no_grad(): the decoder layer's rows and the output linear's logits
-    model = tiny_model(seed=11)
-    with no_grad():
-        enc = model.encode_features(tiny_features(4))
+def _count_tensors(monkeypatch) -> list[Tensor]:
+    """The tensors built from now on, in order: ``Tensor.__init__`` appends each."""
     built = []
     init = Tensor.__init__
 
@@ -646,9 +646,34 @@ def test_a_beam_step_constructs_two_tensors(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Tensor, "__init__", counting_init)
+    return built
+
+
+def test_a_beam_step_constructs_two_tensors(monkeypatch):
+    # one decoder_states call under no_grad(): the decoder layer's rows and the output linear's logits
+    model = tiny_model(seed=11)
+    with no_grad():
+        enc = model.encode_features(tiny_features(4))
+    built = _count_tensors(monkeypatch)
     with no_grad():
         hidden, logits = model.decoder_states([model.bos_id, 3, 3], [2] * 3, enc)
     assert built == [hidden, logits]
+
+
+@pytest.mark.parametrize("slot_head", ["linear", "crf"])
+def test_decoding_heads_construct_four_tensors(slot_head, monkeypatch):
+    # step two's heads under no_grad(): the NLU rows, the word rows, the slot scores and the intent logits
+    model = tiny_model(seed=11, slot_head=slot_head)
+    example = tiny_example(model, ["show", "flights", "to", "boston"], ["O", "O", "O", "B-toloc"], "find_flight")
+    with no_grad():
+        h_dec = model.teacher_forced(example)[0]
+    built = _count_tensors(monkeypatch)
+    with no_grad():
+        slot_scores, intent_logits = model.heads(example, h_dec)
+    assert len(built) == 4 and built[2:] == [slot_scores, intent_logits]
+    hb, hcat = built[:2]
+    assert hb.shape == (len(example.nlu_ids), model.config.nlu_hidden)
+    assert hcat.shape == (len(example.first_a), model.config.asr_hidden + model.config.nlu_hidden)
 
 
 def _exact_random_graph(seed: int, n: int = 4):
@@ -682,14 +707,15 @@ def _exact_random_graph(seed: int, n: int = 4):
         elif kind == 4 and bounded(a, b := pick(squares)):
             out = linear(a, b, pick([t for t in small if t.data.shape == (n,)]))
         elif kind == 5:
-            out = concat([a, pick(squares)], axis=0).gather_rows(rng.integers(0, 2 * n, size=n))
+            out = gather_rows(concat([a, pick(squares)], axis=0), rng.integers(0, 2 * n, size=n))
         elif kind == 6 and bounded(a, wide):
             out = matmul(concat([a, pick(squares)], axis=1), wide)
         else:
             out = add(a, b) if kind % 2 else sub(b, a)
         squares.append(out)
         axis, keepdims = pick([None, 0, 1]), bool(rng.integers(2))
-        small.append(a.mean(axis=axis, keepdims=keepdims) if rng.integers(2) else reduce_sum(a, axis=axis, keepdims=keepdims))
+        reduce = mean if rng.integers(2) else reduce_sum
+        small.append(reduce(a, axis=axis, keepdims=keepdims))
     loss = reduce_sum(squares[-1])
     for t in squares[:-1] + small:
         loss = loss + reduce_sum(t)
@@ -722,9 +748,9 @@ def test_backward_matches_the_dfs_reference_when_keys_are_values():
 
 def _every_op(a: Tensor, b: Tensor, bias: Tensor) -> list[Tensor]:
     """One output of each public op but the layer nodes (``test_model`` checks those), on (3, 3)
-    ``a`` and ``b`` and a (3,) ``bias``."""
+    ``a`` and ``b`` and a (3,) ``bias``: the intent head's sentinel is ``a``'s first row."""
     return [
-        a + b, a.mean(), a.mean(axis=0), a.gather_rows([0, 2, 0]), linear(a, b, bias), concat([a, b], axis=0),
+        a + b, linear(a, b, bias), word_rows(a, [0, 2, 0], b, [1, 1, 2]), intent_head(Tensor(a.data[:1]), b, a, bias),
         nll(a, [0, 1, 2], 0.1),
     ]
 

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import model_oracles as oracles
+import slu.model
 from conftest import check_gradients, identity_slot_head, joint_loss, tiny_example, tiny_features, tiny_model
 from model_oracles import deserialize_slots, mul, reduce_sum, serialize_slots
-from slu.autodiff import Tensor, decoder_layer, encoder_layer, nlu_layer, no_grad
+from slu.autodiff import Tensor, decoder_layer, encoder_layer, intent_head, nlu_layer, no_grad, word_rows
 from slu.errors import DimensionError, ValidationError
 from slu.model import (
     Checkpoint,
@@ -247,7 +248,7 @@ def test_gradients_vanish_at_perfect_fit():
     assert np.abs(it.grad).max() < 1e-12
 
 
-# -- the three layer nodes against their compositions -------------------------
+# -- the layer and head nodes against their compositions ----------------------
 #
 # Each case: the node, its composition in oracles, the leaf arrays (tables of 7 tokens and 6
 # positions, width 3, so a layer's row count runs up to 6) and a call of either on the leaves.
@@ -282,6 +283,17 @@ def _nlu_case(rng, ids):
     return nlu_layer, oracles.nlu_layer_unfused, arrays, call
 
 
+def _word_rows_case(rng, first_a, first_b):
+    arrays = {"h_a": rng.normal(size=(6, 3)), "h_b": rng.normal(size=(5, 2))}
+    return word_rows, oracles.word_rows_unfused, arrays, lambda op, t: op(t["h_a"], first_a, t["h_b"], first_b)
+
+
+def _intent_head_case(rng, n):
+    arrays = {"sentinel": rng.normal(size=(1, 3)), "rows": rng.normal(size=(n, 3)), "w": rng.normal(size=(3, 4)),
+              "b": rng.normal(size=4)}
+    return intent_head, oracles.intent_head_unfused, arrays, lambda op, t: op(t["sentinel"], t["rows"], t["w"], t["b"])
+
+
 LAYER_CASES = {
     "encoder-one-frame": lambda rng: _encoder_case(rng, 1),
     "encoder-every-position": lambda rng: _encoder_case(rng, 6),
@@ -293,6 +305,12 @@ LAYER_CASES = {
     "nlu-one-id": lambda rng: _nlu_case(rng, [4]),
     "nlu-distinct-ids": lambda rng: _nlu_case(rng, [3, 0, 5]),
     "nlu-repeat-ids": lambda rng: _nlu_case(rng, [2, 2, 1, 2, 2, 6]),
+    "word-rows-one-word": lambda rng: _word_rows_case(rng, [2], [4]),
+    "word-rows-words": lambda rng: _word_rows_case(rng, [0, 1, 3, 4], [0, 2, 3, 4]),
+    "word-rows-repeats": lambda rng: _word_rows_case(rng, [1, 1, 5], [0, 4, 4]),  # a row read twice adds up
+    "intent-head-no-words": lambda rng: _intent_head_case(rng, 0),
+    "intent-head-one-word": lambda rng: _intent_head_case(rng, 1),
+    "intent-head-words": lambda rng: _intent_head_case(rng, 5),
 }
 
 
@@ -371,6 +389,70 @@ def test_the_model_layers_refuse_more_rows_than_max_positions():
         model.decoder_states([model.bos_id] * (limit + 1), slice(limit + 1), enc)
     with pytest.raises(DimensionError):
         model.nlu_states([0] * (limit + 1))
+
+
+# -- the model against its compositions at the widths it is trained at -------------------------
+#
+# The package multiplies with ``ndarray.dot`` and the compositions with ``@``; at the default
+# widths a one-row operand is where a BLAS may pick another routine for one spelling than the other.
+
+COMPOSED = ("encoder_layer", "decoder_layer", "nlu_layer", "word_rows", "intent_head", "linear")
+
+
+def _compose(monkeypatch) -> None:
+    """Every fused node the model calls but the two losses, swapped for its composition."""
+    for name in COMPOSED:
+        monkeypatch.setattr(slu.model, name, getattr(oracles, f"{name}_unfused"))
+
+
+def _model_at_the_default_width(slot_head: str) -> JointModel:
+    """``tiny_model`` at ``ModelConfig``'s default widths, 16 for each branch."""
+    small = tiny_model(slot_head=slot_head)
+    defaults = ModelConfig(feature_dim=small.config.feature_dim)
+    config = dataclasses.replace(small.config, asr_hidden=defaults.asr_hidden, nlu_hidden=defaults.nlu_hidden)
+    model = JointModel(config, small.asr_vocab, small.nlu_vocab, small.slot_tags, small.intents)
+    model.init_params(5)
+    return model
+
+
+def _grad_bytes(model: JointModel) -> dict[str, bytes | None]:
+    return {name: None if t.grad is None else t.grad.tobytes() for name, t in model.params.items()}
+
+
+def test_a_one_row_decoder_states_call_is_bit_identical_to_its_composition(monkeypatch):
+    # the beam's first step: one prefix, so the decoder and output layers multiply (1, 16) rows
+    model = _model_at_the_default_width("linear")
+    with no_grad():
+        enc_rows = model.encode_features(model.subsample(tiny_features(2))).data
+    results = []
+    for composed in (False, True):
+        if composed:
+            _compose(monkeypatch)
+        model.zero_grads()
+        enc = Tensor(enc_rows, requires_grad=True)
+        hidden, logits = model.decoder_states([model.bos_id], [0], enc)
+        assert hidden.shape == (1, 16)
+        reduce_sum(mul(logits, np.random.default_rng(1).normal(size=logits.shape))).backward()
+        results.append((hidden.data.tobytes(), logits.data.tobytes(), enc.grad.tobytes(), _grad_bytes(model)))
+    assert results[0] == results[1]
+    assert results[0][3]["asr.attn_q"] is not None  # the gradient reached the attention's query weights
+
+
+@pytest.mark.parametrize("stop_asr_grad", [False, True], ids=["e2e", "two_stage"])
+def test_a_one_word_crf_step_is_bit_identical_to_its_composition(stop_asr_grad, monkeypatch):
+    # one word: the heads multiply (1, 32) rows, and the CRF reads one position
+    model = _model_at_the_default_width("crf")
+    example = tiny_example(model, ["boston"], ["B-toloc"], "find_flight", seed=3)
+    results = []
+    for composed in (False, True):
+        if composed:
+            _compose(monkeypatch)
+        model.zero_grads()
+        loss = joint_loss(model, example, stop_asr_grad)[0]
+        loss.backward()
+        results.append((loss.data.tobytes(), _grad_bytes(model)))
+    assert len(example.first_a) == 1 and results[0] == results[1]
+    assert results[0][1]["sl.trans"] is None  # one position: no transition is used
 
 
 def test_subsample_features():

@@ -153,10 +153,12 @@ def test_layer_nodes_train_and_decode_bit_identically_to_their_compositions(slot
             return composition(*args)
         return call
 
-    for name in ("encoder_layer", "decoder_layer", "nlu_layer"):
+    # the compositions multiply with ``@`` and reduce with ``.sum``, the nodes with ``.dot`` and ``np.add.reduce``
+    names = {"encoder_layer", "decoder_layer", "nlu_layer", "word_rows", "intent_head", "linear"}
+    for name in names:
         monkeypatch.setattr(slu.model, name, counted(name, getattr(oracles, f"{name}_unfused")))
     unfused, unfused_history, unfused_decodes = run()
-    assert set(calls) == {"encoder_layer", "decoder_layer", "nlu_layer"}
+    assert set(calls) == names
 
     def losses(history):
         return [(r["stage"], r["epoch"], r["loss"]) for r in history]
