@@ -65,12 +65,28 @@ class SlotScoreReport:
 def align(ref, hyp) -> AlignmentTrace:
     """Minimum-edit-distance alignment with unit SUB/DEL/INS costs.
 
-    A full-table Wagner-Fischer DP, then a backtrace from the last cell.
-    Among optimal traces, ties are broken during the backtrace by preferring
+    A Wagner-Fischer DP, then a backtrace from the last cell. Among optimal
+    traces, ties are broken during the backtrace by preferring
     MATCH > SUB > DEL > INS, which makes the trace deterministic.
+
+    The words both sides end with are matched without a table. The backtrace
+    takes MATCH wherever the words match, so from the last cell it walks that
+    common suffix diagonally, and every cell it reads after it depends only
+    on the words before the suffix. A matching cell equals its diagonal, so
+    the last cell equals the last cell of the table over those words alone:
+    the trace and cost are those of the full table.
     """
     ref = list(ref)
     hyp = list(hyp)
+    # The common suffix's MATCH ops, last first like the backtrace's; the
+    # table is then filled over the words before it.
+    ops: list[AlignOp] = []
+    i, j = len(ref), len(hyp)
+    while i and j and ref[i - 1] == hyp[j - 1]:
+        i -= 1
+        j -= 1
+        ops.append(AlignOp(MATCH, i, j))
+    del ref[i:], hyp[j:]
     # Neighbouring cells of the table differ by at most 1, so a cell whose
     # words match equals its diagonal, and any other cell is 1 + the least of
     # its diagonal, upper and left neighbours. That least is taken by
@@ -97,7 +113,6 @@ def align(ref, hyp) -> AlignmentTrace:
     # match, so the MATCH > SUB > DEL > INS preference takes it there.
     i, j = len(ref), len(hyp)
     cost = prev[j]
-    ops: list[AlignOp] = []
     append = ops.append
     row = prev
     while i and j:

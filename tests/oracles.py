@@ -182,8 +182,9 @@ def confusion_f1(refs, hyps) -> float:
 
 def align_min_fill(ref, hyp) -> AlignmentTrace:
     """``metrics.align`` as it was while its fill took each mismatching cell
-    as ``min(diag, up, left) + 1``: the bit-exact reference for the
-    compare-and-assign fill, trace and cost.
+    as ``min(diag, up, left) + 1`` over the full table: the bit-exact
+    reference, trace and cost, for the compare-and-assign fill and for the
+    common suffix that ``align`` matches without a table.
     """
     ref = list(ref)
     hyp = list(hyp)

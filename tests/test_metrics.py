@@ -85,19 +85,40 @@ def test_align_matches_reference_trace_on_long_tie_heavy_pairs(pair):
 
 
 def test_align_equals_its_min_fill_reference_on_seeded_pairs():
-    # the compare-and-assign fill must build the min() fill's table cell for
-    # cell, so every trace and cost is the same: an empty side, 1-7 and 20-40
-    # words a side, over two- and three-word alphabets (most cells tie) and an
-    # eight-word one (most cells mismatch); 4,050 pairs
+    # align fills its table by compare-and-assign and never builds the rows
+    # of the words both sides end with; the min() fill builds the full table.
+    # Every trace and cost must still be the same: an empty side, 1-7 and
+    # 20-40 words a side, over two- and three-word alphabets (most cells tie)
+    # and an eight-word one (most cells mismatch); then, per alphabet, pairs
+    # x + t / y + t that share a suffix t of 0-8 words, identical pairs, and
+    # pairs where one side is a suffix of the other, an empty side included;
+    # 6,210 pairs
     rng = random.Random(32)
     sizes = [(0, 0), (1, 7), (20, 40)]
+
+    def words(alphabet, size):
+        return [rng.choice(alphabet) for _ in range(rng.randint(*size))]
+
     for alphabet in [("a", "b"), ("to", "from", "boston"), tuple("abcdefgh")]:
+        pairs = []
         for ref_size in sizes:
             for hyp_size in sizes:
                 for _ in range(150):
-                    ref = [rng.choice(alphabet) for _ in range(rng.randint(*ref_size))]
-                    hyp = [rng.choice(alphabet) for _ in range(rng.randint(*hyp_size))]
-                    assert align(ref, hyp) == oracles.align_min_fill(ref, hyp), (ref, hyp)
+                    pairs.append((words(alphabet, ref_size), words(alphabet, hyp_size)))
+        for suffix_len in range(9):
+            for size in sizes:
+                for _ in range(20):
+                    t = words(alphabet, (suffix_len, suffix_len))
+                    pairs.append((words(alphabet, size) + t, words(alphabet, size) + t))
+        for size in sizes:
+            for _ in range(20):
+                x = words(alphabet, size)
+                pairs.append((x, list(x)))
+                tail = x[rng.randint(0, len(x)) :]
+                pairs.append((x, tail))
+                pairs.append((tail, x))
+        for ref, hyp in pairs:
+            assert align(ref, hyp) == oracles.align_min_fill(ref, hyp), (ref, hyp)
 
 
 def test_wer_examples():
