@@ -251,15 +251,9 @@ class JointModel:
             raise DimensionError(f"{len(ids_a) + 1} ASR decoder positions exceed max_positions {limit}")
         if tok_b.num_tokens > limit:
             raise DimensionError(f"{tok_b.num_tokens} NLU subwords exceed max_positions {limit}")
-        return Example(
-            frames=frames,
-            asr_inputs=[self.bos_id] + ids_a,
-            asr_targets=ids_a + [self.eos_id],
-            nlu_ids=[self._nlu_piece_id[t] for t in tok_b.tokens],
-            first_a=tok_a.first_index,
-            first_b=tok_b.first_index,
-            tag_ids=[] if slots is None else self.tag_ids(slots),
-            intent_id=None if intent is None else self.intent_id(intent),
+        return self._example(
+            frames, ids_a, tok_a.first_index, tok_b.tokens, tok_b.first_index,
+            [] if slots is None else self.tag_ids(slots), None if intent is None else self.intent_id(intent),
         )
 
     def hypothesis(self, frames: np.ndarray, ids: list[int]) -> tuple[list[str], Example | None]:
@@ -268,16 +262,22 @@ class JointModel:
         the longest prefix whose NLU subwords fit ``max_positions``; ``([], None)`` if none fits."""
         words, first_a = merge_tokens(self.asr_tokens(ids), self.asr_vocab)
         tok_b = tokenize(words, self.nlu_vocab)
-        keep = bisect.bisect_right(tok_b.first_index[1:] + [tok_b.num_tokens], self.config.max_positions)
+        # each word's end in the decoded ids and in its NLU subwords: tokenization is per word, so both cut there
+        ends_a, ends_b = first_a[1:] + [len(ids)], tok_b.first_index[1:] + [tok_b.num_tokens]
+        keep = bisect.bisect_right(ends_b, self.config.max_positions)
         words = words[:keep]  # with no words, keep is 1: the cut words tell emptiness, not keep
         if not words:
             return [], None
-        cut = keep < tok_b.num_words  # tokenization is per word, so both sides cut at a word boundary
-        ids_a = list(ids[: first_a[keep]] if cut else ids)  # the decoded ids themselves, not a re-tokenization
-        pieces_b = tok_b.tokens[: tok_b.first_index[keep]] if cut else tok_b.tokens
-        return words, Example(
+        return words, self._example(  # the decoded ids themselves, not a re-tokenization
+            frames, list(ids[: ends_a[keep - 1]]), first_a[:keep], tok_b.tokens[: ends_b[keep - 1]],
+            tok_b.first_index[:keep], [], None,
+        )
+
+    def _example(self, frames, ids_a, first_a, pieces_b, first_b, tag_ids, intent_id) -> Example:
+        """The ``Example`` of ASR subword ids and NLU pieces, each with its words' first indices."""
+        return Example(
             frames, [self.bos_id] + ids_a, ids_a + [self.eos_id], [self._nlu_piece_id[t] for t in pieces_b],
-            first_a[:keep], tok_b.first_index[:keep], [], None,
+            first_a, first_b, tag_ids, intent_id,
         )
 
     # -- forward pieces ---------------------------------------------------

@@ -1,10 +1,8 @@
 """Subword tokenizers and the word alignment of their pieces.
 
-Two marker conventions are supported:
-
-* ``bpe``: word-initial pieces carry a leading ``▁`` (the sentencepiece
-  convention); continuation pieces are bare.
-* ``wordpiece``: word-initial pieces are bare; continuations carry ``##``.
+Two marker conventions are supported, one per kind in ``MARKERS``: ``bpe``
+word-initial pieces carry a leading ``▁`` (the sentencepiece convention), and
+``wordpiece`` continuations carry ``##``; all other pieces are bare.
 
 Both tokenize a word by greedy longest-match-first.  A word with no greedy
 decomposition becomes the single unknown piece, which always stands for a
@@ -25,6 +23,9 @@ BPE_MARKER = "▁"
 WORDPIECE_MARKER = "##"
 DEFAULT_UNK = "<unk>"
 
+# Each kind's (word-initial, continuation) piece prefixes; one of the two is empty.
+MARKERS = {BPE: (BPE_MARKER, ""), WORDPIECE: ("", WORDPIECE_MARKER)}
+
 
 @dataclass(frozen=True)
 class SubwordVocab:
@@ -33,7 +34,7 @@ class SubwordVocab:
     unk: str = DEFAULT_UNK
 
     def __post_init__(self):
-        if self.kind not in (BPE, WORDPIECE):
+        if self.kind not in MARKERS:
             raise ValidationError(f"unknown tokenizer kind {self.kind!r}")
         if self.unk not in self.pieces:
             raise ValidationError(f"unknown piece {self.unk!r} missing from vocabulary")
@@ -65,17 +66,10 @@ class TokenizationResult:
     def num_tokens(self) -> int:
         return len(self.tokens)
 
-    @property
-    def num_words(self) -> int:
-        return len(self.first_index)
-
 
 def _greedy_word(word: str, vocab: SubwordVocab) -> list[str] | None:
     """Greedy longest-match pieces for one word, or None if no cover exists."""
-    if vocab.kind == BPE:
-        initial_prefix, cont_prefix = BPE_MARKER, ""
-    else:
-        initial_prefix, cont_prefix = "", WORDPIECE_MARKER
+    initial_prefix, cont_prefix = MARKERS[vocab.kind]
     pieces = vocab.pieces
     out: list[str] = []
     pos = 0
@@ -111,36 +105,26 @@ def tokenize(words, vocab: SubwordVocab) -> TokenizationResult:
     return TokenizationResult(tokens, first_index)
 
 
-def strip_marker(piece: str, kind: str) -> str:
-    if kind == BPE:
-        return piece[len(BPE_MARKER):] if piece.startswith(BPE_MARKER) else piece
-    return piece[len(WORDPIECE_MARKER):] if piece.startswith(WORDPIECE_MARKER) else piece
-
-
-def _starts_word(piece: str, vocab: SubwordVocab) -> bool:
-    if piece == vocab.unk:
-        return True
-    if vocab.kind == BPE:
-        return piece.startswith(BPE_MARKER)
-    return not piece.startswith(WORDPIECE_MARKER)
-
-
 def merge_tokens(tokens, vocab: SubwordVocab) -> tuple[list[str], list[int]]:
     """Rebuild words (and their first-subword indices) from a token sequence.
 
     The unknown piece always forms a standalone word.  A leading continuation
     piece opens a word anyway, so any token sequence merges cleanly.
     """
+    initial, cont = MARKERS[vocab.kind]
     words: list[str] = []
     first_index: list[int] = []
     for i, piece in enumerate(tokens):
-        boundary = i == 0 or _starts_word(piece, vocab) or tokens[i - 1] == vocab.unk
-        text = piece if piece == vocab.unk else strip_marker(piece, vocab.kind)
-        if boundary:
+        if piece == vocab.unk:
+            continues, text = False, piece
+        else:  # only the kind's marker counts: the other kind's is plain text
+            continues = piece.startswith(cont) if cont else not piece.startswith(initial)
+            text = piece[len(cont if continues else initial):]
+        if continues and i and tokens[i - 1] != vocab.unk:
+            words[-1] += text
+        else:
             words.append(text)
             first_index.append(i)
-        else:
-            words[-1] += text
     return words, first_index
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .audio import AudioClip, write_wav
 from .data import Manifest, Utterance, build_manifest, write_manifest
 from .ioutil import atomic_write_text
-from .subword import BPE, BPE_MARKER, WORDPIECE, SubwordVocab, save_vocab
+from .subword import BPE, MARKERS, WORDPIECE, SubwordVocab, save_vocab
 
 SAMPLE_RATE = 16000
 WORD_SECONDS = 0.12
@@ -118,31 +118,22 @@ def build_corpus(num_utterances: int = 50, seed: int = 7, with_audio: bool = Tru
     return build_manifest(records)
 
 
+def _vocab(kind: str, heads: dict[str, str]) -> SubwordVocab:
+    """One piece per lexicon word, except that a word in ``heads`` splits into its head and the rest."""
+    initial, cont = MARKERS[kind]
+    pieces = {initial + heads.get(word, word) for word in lexicon()}
+    pieces |= {cont + word[len(head):] for word, head in heads.items()}
+    return SubwordVocab.create(kind, pieces)
+
+
 def asr_vocab() -> SubwordVocab:
-    """One piece per word, except two words split to make subword counts differ."""
-    split = {"austin": ["aus", "tin"], "denver": ["den", "ver"]}
-    pieces: set[str] = set()
-    for word in lexicon():
-        if word in split:
-            head, tail = split[word]
-            pieces.add(BPE_MARKER + head)
-            pieces.add(tail)
-        else:
-            pieces.add(BPE_MARKER + word)
-    return SubwordVocab.create(BPE, pieces)
+    """BPE pieces; two words split so that the two tokenizations' subword counts differ."""
+    return _vocab(BPE, {"austin": "aus", "denver": "den"})
 
 
 def nlu_vocab() -> SubwordVocab:
-    split = {"boston": ["bos", "ton"], "monday": ["mon", "day"]}
-    pieces: set[str] = set()
-    for word in lexicon():
-        if word in split:
-            head, tail = split[word]
-            pieces.add(head)
-            pieces.add("##" + tail)
-        else:
-            pieces.add(word)
-    return SubwordVocab.create(WORDPIECE, pieces)
+    """WordPiece pieces, split at two other words."""
+    return _vocab(WORDPIECE, {"boston": "bos", "monday": "mon"})
 
 
 @dataclass

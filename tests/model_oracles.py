@@ -518,8 +518,8 @@ def deserialize_slots(seq) -> tuple[list[str], list[str]]:
 
 def build_first_index_matrix(result: TokenizationResult) -> np.ndarray:
     """Binary (tokens x words) matrix with a 1 at each word's first subword."""
-    m = np.zeros((result.num_tokens, result.num_words))
-    m[result.first_index, np.arange(result.num_words)] = 1.0
+    m = np.zeros((result.num_tokens, len(result.first_index)))
+    m[result.first_index, np.arange(len(result.first_index))] = 1.0
     return m
 
 

@@ -311,6 +311,25 @@ def test_a_hypothesis_takes_its_first_asr_subwords_from_merge_tokens():
     assert example.nlu_ids == [model.nlu_pieces.index(t) for t in nlu.tokens]
 
 
+def test_a_hypothesis_past_the_nlu_positions_keeps_the_longest_word_prefix_that_fits():
+    model = tiny_model()
+    frames = model.subsample(tiny_features())
+    # austin and denver take two ASR subwords each, boston and monday two NLU subwords each: the
+    # first 17 words take 18 ASR and exactly 32 NLU subwords, and denver's would make 33 of 32
+    words = ["show", "austin", "boston"] + ["boston", "monday"] * 7 + ["denver", "to", "monday"]
+    ids = [model.asr_pieces.index(t) for t in tokenize(words, model.asr_vocab).tokens]
+    hyp_words, example = model.hypothesis(frames, ids)
+    kept = words[:17]
+    assert hyp_words == kept and example.frames is frames
+    assert example.asr_inputs == [model.bos_id] + ids[:18] and example.asr_targets == ids[:18] + [model.eos_id]
+    assert example.first_a == [0, 1, 3] + list(range(4, 18))
+    nlu = tokenize(kept, model.nlu_vocab)
+    assert len(nlu.tokens) == model.config.max_positions
+    assert example.nlu_ids == [model.nlu_pieces.index(t) for t in nlu.tokens]
+    assert example.first_b == [0, 1, 2] + list(range(4, 32, 2))
+    assert (example.tag_ids, example.intent_id) == ([], None)
+
+
 def test_an_empty_hypothesis_has_no_example():
     model = tiny_model()
     assert model.hypothesis(model.subsample(tiny_features()), []) == ([], None)

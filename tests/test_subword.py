@@ -20,6 +20,7 @@ from slu.subword import (
     save_vocab,
     tokenize,
 )
+from slu.synth import asr_vocab, nlu_vocab
 
 
 def test_word_in_vocab_is_single_token():
@@ -55,6 +56,29 @@ def test_bpe_marker_convention():
     result = tokenize(["show", "austin"], vocab)
     assert result.tokens == ["▁show", "▁aus", "tin"]
     assert result.first_index == [0, 1]
+
+
+@pytest.mark.parametrize("kind, pieces, words, tokens, first_index", [
+    (BPE, {"▁show", "##s", "▁##", "s"}, ["show##s", "##s"], ["▁show", "##s", "▁##", "s"], [0, 2]),
+    (WORDPIECE, {"▁a", "##b", "show", "##▁"}, ["▁ab", "show▁"], ["▁a", "##b", "show", "##▁"], [0, 2]),
+])
+def test_the_other_conventions_marker_is_plain_text(kind, pieces, words, tokens, first_index):
+    vocab = SubwordVocab.create(kind, pieces)
+    result = tokenize(words, vocab)
+    assert (result.tokens, result.first_index) == (tokens, first_index)
+    assert merge_tokens(result.tokens, vocab) == (words, first_index)
+
+
+def test_the_synthetic_vocabularies_are_pinned():
+    assert asr_vocab().sorted_pieces() == [
+        "<unk>", "tin", "ver", "▁all", "▁aus", "▁boston", "▁delta", "▁den", "▁fares", "▁flights", "▁from",
+        "▁goodbye", "▁is", "▁list", "▁monday", "▁new", "▁on", "▁show", "▁thanks", "▁that", "▁to", "▁tuesday",
+        "▁united", "▁york",
+    ]
+    assert nlu_vocab().sorted_pieces() == [
+        "##day", "##ton", "<unk>", "all", "austin", "bos", "delta", "denver", "fares", "flights", "from",
+        "goodbye", "is", "list", "mon", "new", "on", "show", "thanks", "that", "to", "tuesday", "united", "york",
+    ]
 
 
 def test_empty_word_rejected():
@@ -158,7 +182,7 @@ def _assert_first_indices(first_index, num_tokens):
 def test_tokenize_and_merge_tokens_give_increasing_in_range_first_indices(kind, words, picks, vocab_seed):
     _, vocab = random_subword_instance(random.Random(vocab_seed), kind)
     result = tokenize(words, vocab)
-    assert result.num_words == len(words)
+    assert len(result.first_index) == len(words)
     _assert_first_indices(result.first_index, result.num_tokens)
     pieces = vocab.sorted_pieces()
     tokens = [pieces[i % len(pieces)] for i in picks]  # any piece sequence, as a beam may decode
