@@ -34,8 +34,6 @@ from .train import StageConfig, TrainConfig, corpus_features, train
 
 log = logging.getLogger("slu")
 
-KNOWN_METRICS = ("wer", "slots-edit-f1", "span-f1", "intent-f1")
-
 
 def _setup_logging() -> None:
     level = os.environ.get("SLU_LOG", "WARNING").upper()
@@ -126,47 +124,19 @@ def cmd_tokenize(args) -> int:
     return 0
 
 
-def _score_report(refs_manifest, hyps_manifest, names: list[str]) -> dict:
-    refs = [(r.words, r.slots) for r in refs_manifest.records]
-    hyps = [(h.words, h.slots) for h in hyps_manifest.records]
-    if len(refs) != len(hyps):
-        raise ValidationError(f"ref/hyp record counts differ: {len(refs)} vs {len(hyps)}")
-    mismatched = sum(
-        r.id != h.id for r, h in zip(refs_manifest.records, hyps_manifest.records)
-    )
-    if mismatched:
-        log.warning("scoring pairs by position, but %d record ids differ between files", mismatched)
-    report: dict = {}
-    if "wer" in names:
-        report["wer"] = metrics.corpus_wer([r[0] for r in refs], [h[0] for h in hyps])
-    if "slots-edit-f1" in names:
-        edit = metrics.slots_edit_f1(refs, hyps)
-        report["slots_edit_f1"] = {
-            "f1": edit.f1,
-            "precision": edit.precision,
-            "recall": edit.recall,
-            "per_label": {k: vars(v) for k, v in sorted(edit.per_label.items())},
-        }
-    if "span-f1" in names:
-        report["span_f1"] = metrics.span_slot_f1(refs, hyps).f1
-    if "intent-f1" in names:
-        report["intent_f1"] = metrics.intent_f1(
-            [r.intent for r in refs_manifest.records],
-            [h.intent for h in hyps_manifest.records],
-        )
-    return report
-
-
 def cmd_score(args) -> int:
     names = [n.strip() for n in args.metrics.split(",") if n.strip()]
     if not names:
-        raise ValidationError(f"--metrics names no metric; choose from {KNOWN_METRICS}")
-    unknown = [n for n in names if n not in KNOWN_METRICS]
+        raise ValidationError(f"--metrics names no metric; choose from {metrics.METRICS}")
+    unknown = [n for n in names if n not in metrics.METRICS]
     if unknown:
-        raise ValidationError(f"unknown metric(s) {unknown}; choose from {KNOWN_METRICS}")
-    refs_manifest = data.parse_manifest(args.refs)
-    hyps_manifest = data.parse_manifest(args.hyps)
-    report = _score_report(refs_manifest, hyps_manifest, names)
+        raise ValidationError(f"unknown metric(s) {unknown}; choose from {metrics.METRICS}")
+    refs = data.parse_manifest(args.refs).records
+    hyps = data.parse_manifest(args.hyps).records
+    mismatched = len(refs) == len(hyps) and sum(r.id != h.id for r, h in zip(refs, hyps))
+    if mismatched:  # unequal counts are score_report's error, raised next
+        log.warning("scoring pairs by position, but %d record ids differ between files", mismatched)
+    report = metrics.score_report(refs, hyps, names)
     if args.out:  # written before anything is printed, as every command does
         atomic_write_text(args.out, json.dumps(report) + "\n")
     if args.pretty:

@@ -113,8 +113,6 @@ def beam_search_transcript(
     else:  # close out prefixes that hit the length bound
         closed = (np.array(live_logp) + logprobs(max_len)[:, model.eos_id]).tolist()
         done += [(-logp, tokens, max_len, row) for row, (tokens, logp) in enumerate(zip(live, closed))]
-    if not done:
-        raise DecodeError("beam search produced no complete hypothesis")
     neg_logp, tokens, step, row = min(done)
     rows = []
     for hidden, back in reversed(trail[: step + 1]):

@@ -6,6 +6,13 @@ tallied per label as true positives, insertions (FP), deletions (FN), and
 substitutions (FN on the reference label plus FP on the hypothesis label).
 The corpus score is computed from summed tallies, never averaged per
 utterance.
+
+``score_report`` is where a decoded corpus is scored: ``slu score`` prints its
+report and the joint-stage polls of ``train`` log its slots edit F1 and its
+intent F1 (the intent accuracy).  It aligns each pair twice, in ``corpus_wer``
+and ``slots_edit_f1``; aligning once waits for the score benchmark to stop
+counting two alignments per pair and keeping every run's reports, which a
+faster run would grow past its peak-memory bound.
 """
 
 from __future__ import annotations
@@ -14,6 +21,8 @@ from dataclasses import dataclass, field
 
 from .data import OUTSIDE, base_label
 from .errors import ValidationError
+
+METRICS = ("wer", "slots-edit-f1", "span-f1", "intent-f1")  # the names score_report takes
 
 MATCH = "match"
 SUB = "sub"
@@ -264,3 +273,24 @@ def intent_accuracy(refs, hyps) -> float:
             f"intent label lists must be non-empty and equal length: {len(refs)} vs {len(hyps)}"
         )
     return sum(r == h for r, h in zip(refs, hyps)) / len(refs)
+
+
+def score_report(refs, hyps, names) -> dict:
+    """The ``slu score`` report on hypothesis records against references paired by position:
+    a key for each ``METRICS`` name in ``names``, in the order wer, slots_edit_f1, span_f1, intent_f1."""
+    if len(refs) != len(hyps):
+        raise ValidationError(f"ref/hyp record counts differ: {len(refs)} vs {len(hyps)}")
+    ref_pairs = [(r.words, r.slots) for r in refs]
+    hyp_pairs = [(h.words, h.slots) for h in hyps]
+    report: dict = {}
+    if "wer" in names:
+        report["wer"] = corpus_wer([r.words for r in refs], [h.words for h in hyps])
+    if "slots-edit-f1" in names:
+        edit = slots_edit_f1(ref_pairs, hyp_pairs)
+        report["slots_edit_f1"] = {"f1": edit.f1, "precision": edit.precision, "recall": edit.recall,
+                                   "per_label": {k: vars(v) for k, v in sorted(edit.per_label.items())}}
+    if "span-f1" in names:
+        report["span_f1"] = span_slot_f1(ref_pairs, hyp_pairs).f1
+    if "intent-f1" in names:
+        report["intent_f1"] = intent_f1([r.intent for r in refs], [h.intent for h in hyps])
+    return report

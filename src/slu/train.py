@@ -3,7 +3,10 @@
 Plain (or momentum) SGD, one utterance per step, with seeded shuffling so the
 loss curve is reproducible bit for bit.  During the joint stage the train-set
 decode metrics can be polled every few epochs and training stops early once
-the configured targets are met.
+the configured targets are met.  A poll decodes the corpus with
+``decode_corpus`` and scores it with ``metrics.score_report``, as ``slu
+decode`` and ``slu score`` do: its logged ``slots_edit_f1`` is the report's
+``slots_edit_f1.f1`` and its ``intent_accuracy`` the report's ``intent_f1``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .audio import FeatureConfig, log_power_features, record_clip
 from .data import Manifest
 from .decode import decode_corpus
 from .errors import NumericError, SluError, ValidationError
-from .metrics import intent_accuracy, slots_edit_f1
+from .metrics import score_report
 from .model import Example, JointModel, MODE_E2E, MODE_TWO_STAGE
 
 log = logging.getLogger(__name__)
@@ -156,19 +159,6 @@ class _Sgd:
             self._data[lo:hi] += v
 
 
-def evaluate_train_set(
-    model: JointModel, manifest: Manifest, features: list[np.ndarray], beam_size: int
-) -> dict[str, float]:
-    """Decode the training corpus and score it end to end."""
-    records = manifest.records
-    hyps = decode_corpus(model, records, features, beam_size)
-    report = slots_edit_f1([(r.words, r.slots) for r in records], [(h.words, h.slots) for h in hyps])
-    return {
-        "slots_edit_f1": report.f1,
-        "intent_accuracy": intent_accuracy([r.intent for r in records], [h.intent for h in hyps]),
-    }
-
-
 def train(
     model: JointModel,
     manifest: Manifest,
@@ -232,7 +222,9 @@ def train(
             row = {"stage": stage.stage, "epoch": epoch, "loss": mean_loss}
             polling = stage.eval_every and (epoch + 1) % stage.eval_every == 0
             if polling:
-                row.update(evaluate_train_set(model, manifest, features, config.beam_size))
+                hyps = decode_corpus(model, records, features, config.beam_size)
+                report = score_report(records, hyps, ("slots-edit-f1", "intent-f1"))
+                row.update(slots_edit_f1=report["slots_edit_f1"]["f1"], intent_accuracy=report["intent_f1"])
                 log.info(
                     "stage %s epoch %d loss %.4f slots_edit_f1 %.3f intent_acc %.3f",
                     stage.stage, epoch, mean_loss,

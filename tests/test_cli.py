@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -8,7 +10,7 @@ import pytest
 from slu import cli
 from slu.audio import AudioClip, FeatureConfig, write_wav
 from slu.cli import main
-from slu.data import Utterance, build_manifest, write_manifest
+from slu.data import Utterance, build_manifest, parse_manifest, write_manifest
 from slu.model import JointModel, ModelConfig, save_checkpoint
 from slu.subword import WORDPIECE, SubwordVocab, save_vocab
 from slu.synth import asr_vocab, lexicon, nlu_vocab, utterance_audio, write_corpus
@@ -134,6 +136,65 @@ def test_wer_subcommand(capsys, ref_manifest, tmp_path):
     code, _, err = run(capsys, "wer", "--refs", str(ref_manifest), "--hyps", str(one))
     assert code == 2
     assert err == "slu wer: ref/hyp record counts differ: 2 vs 1\n"
+
+
+def _flights_hyps(path: Path) -> Path:
+    """sample_data/flights.jsonl with "denver" read as "dallas", f003's "united" tagged O and f004's
+    intent find_flight: one error of each kind, every word count kept, so span-f1 scores it too."""
+    records = parse_manifest(REPO_ROOT / "sample_data" / "flights.jsonl").records
+    edits = {"f002": {"words": ["list", "flights", "from", "dallas", "to", "new", "york"]},
+             "f003": {"slots": ["O", "O", "O", "O", "B-day"]}, "f004": {"intent": "find_flight"}}
+    write_manifest(build_manifest([dataclasses.replace(r, **edits.get(r.id, {})) for r in records]), path)
+    return path
+
+
+# SHA-256 of the stdout of `slu <key> --refs sample_data/flights.jsonl --hyps <_flights_hyps>`:
+# `slu score` over every non-empty set of the four metrics, then --pretty, then `slu wer`
+SCORE_STDOUT_SHA256 = {
+    "score --metrics wer":
+        "f6365f536b5cc2170bbda3dc9d5a97ab79b9e3f8e17ca044144b4a748b9bfc9a",
+    "score --metrics slots-edit-f1":
+        "99d13eee8adbc39a47371ee986c865dccb13bfffb8a78c4ee9b5708eec188dfe",
+    "score --metrics span-f1":
+        "f2a6a8683de6d6ddf361d7d5a85acc2c8ac237e264784c5d6ac130abd3fcde65",
+    "score --metrics intent-f1":
+        "b1654679c98ff52edc33eba0409d8182c22d035a05d42dac02e4121689307929",
+    "score --metrics wer,slots-edit-f1":
+        "616d7ff532c67c6daa6bca8a31d376c4a09cb5a59f07f148ca2c16738a5bf1d3",
+    "score --metrics wer,span-f1":
+        "89c0905a718ce51c9be674f4b0e353a58c0b66cbe43c7df1c7e9017cc8601b6c",
+    "score --metrics wer,intent-f1":
+        "3fef9d33b4a59b46037bdcd6e06fdfb92349ca122d00889abe33f34025fc0bbe",
+    "score --metrics slots-edit-f1,span-f1":
+        "79f1ed2627fac70d5c4f5bd375af373e6932a3fcbfc3c47acc7ed8b3fe624872",
+    "score --metrics slots-edit-f1,intent-f1":
+        "3569d5efb5dc3df7af287a16198c8c0aaf414acda1fbc48dd34d804a33102c2b",
+    "score --metrics span-f1,intent-f1":
+        "9c2ac8a6406586405e02f3a16e905a02e6848bc11be22a9c760a26173168b4bd",
+    "score --metrics wer,slots-edit-f1,span-f1":
+        "990aff8ec98623288f37161188da656a7c2494cd51580f49030dba3c1891c019",
+    "score --metrics wer,slots-edit-f1,intent-f1":
+        "0f14040eaba1785f44d87011f5994cad896f34a02ca78947d8678cc0c3cd1b98",
+    "score --metrics wer,span-f1,intent-f1":
+        "ef494996878675c1c29fc6972e3560531f25a4a6ff7599628f5e6c984a2bd781",
+    "score --metrics slots-edit-f1,span-f1,intent-f1":
+        "7a8633bc29cc2c30d9945316c4f5d5bd1b83cd6ab7f90010e63b953a02a62e79",
+    "score --metrics wer,slots-edit-f1,span-f1,intent-f1":
+        "85c6f143a88b759ef6fcf6fa963498a897ce512fdbbdc80ce5e63d28e685eccd",
+    "score --metrics wer,slots-edit-f1,span-f1,intent-f1 --pretty":
+        "28085a87c3240ea1a672b0f05512cde49276bf1e242203d969bec2287e76934d",
+    "wer":
+        "f6365f536b5cc2170bbda3dc9d5a97ab79b9e3f8e17ca044144b4a748b9bfc9a",
+}
+
+
+@pytest.mark.parametrize("argv", SCORE_STDOUT_SHA256)
+def test_score_reports_are_pinned(capsys, tmp_path, argv):
+    hyps = _flights_hyps(tmp_path / "hyps.jsonl")
+    code, out, err = run(capsys, *argv.split(), "--refs", str(REPO_ROOT / "sample_data" / "flights.jsonl"),
+                         "--hyps", str(hyps))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SCORE_STDOUT_SHA256[argv], out
 
 
 def test_tokenize_jsonl(capsys, tmp_path, ref_manifest):

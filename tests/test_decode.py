@@ -19,11 +19,11 @@ from slu.subword import BPE, WORDPIECE, SubwordVocab, merge_tokens, tokenize
 from slu.synth import asr_vocab, lexicon, nlu_vocab
 
 
-def micro_model(seed=0):
+def micro_model(seed=0, max_positions=16):
     """Four ASR pieces so exhaustive search over sequences stays tiny."""
     asr = SubwordVocab.create(BPE, {"▁a", "▁b", "c"})
     nlu = SubwordVocab.create(WORDPIECE, {"a", "b", "##c"})
-    config = ModelConfig(feature_dim=4, asr_hidden=4, nlu_hidden=3, subsample_stride=1, max_positions=16)
+    config = ModelConfig(feature_dim=4, asr_hidden=4, nlu_hidden=3, subsample_stride=1, max_positions=max_positions)
     model = JointModel(config, asr, nlu, ["O", "B-x"], ["p", "q"])
     model.init_params(seed)
     return model
@@ -127,6 +127,20 @@ def test_search_stops_once_no_live_prefix_can_win(monkeypatch):
         tokens, logp, _ = beam_search_transcript(model, enc, beam_size=5, max_len=40)
     assert calls == [1]
     assert tokens == [] and -1e-12 < logp <= 0.0
+
+
+@pytest.mark.parametrize("beam_size", [1, 3])
+@pytest.mark.parametrize("max_positions, max_len", [(16, 0), (1, 40)])
+def test_a_search_that_takes_no_step_closes_the_empty_prefix(max_positions, max_len, beam_size):
+    """With max_len 0, or max_positions 1, whose clamp makes max_len 0, the loop runs no step: the
+    empty prefix is closed with step 0's EOS and is the hypothesis, with that step's decoder row."""
+    model = micro_model(5, max_positions=max_positions)
+    with no_grad():
+        enc = model.encode_features(np.random.default_rng(5).normal(size=(1, 4)))
+        tokens, logp, rows = beam_search_transcript(model, enc, beam_size, max_len)
+        hidden, _ = model.decoder_states([model.bos_id], [0], enc)
+        assert (tokens, logp) == ([], float(step_logprobs(model, enc, model.bos_id, 0)[model.eos_id]))
+    assert rows.shape == (1, model.config.asr_hidden) and np.array_equal(rows, hidden.data)
 
 
 def test_beam_size_validation():

@@ -1,4 +1,5 @@
 import collections
+import json
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ import slu.decode
 import slu.model
 from slu.audio import FeatureConfig
 from slu.autodiff import Tensor
+from slu.cli import main
 from slu.data import Utterance, build_manifest
 from slu.decode import decode_two_step
 from slu.errors import NumericError, ValidationError
 from slu.model import JointModel, ModelConfig, load_checkpoint, save_checkpoint
-from slu.synth import asr_vocab, build_corpus, nlu_vocab, utterance_audio, word_waveform
-from slu.train import StageConfig, TrainConfig, _Sgd, corpus_features, evaluate_train_set, train
+from slu.synth import asr_vocab, build_corpus, nlu_vocab, utterance_audio, word_waveform, write_corpus
+from slu.train import StageConfig, TrainConfig, _Sgd, corpus_features, train
 
 FEATURE = FeatureConfig()
 
@@ -423,14 +425,32 @@ def test_records_without_audio_rejected():
         corpus_features(manifest, FEATURE)
 
 
-def test_evaluate_train_set_reports_both_metrics():
-    corpus = small_corpus(3)
-    model = small_model(corpus, seed=8)
-    feats = corpus_features(corpus, FEATURE)
-    metrics = evaluate_train_set(model, corpus, feats, beam_size=2)
-    assert set(metrics) == {"slots_edit_f1", "intent_accuracy"}
-    assert 0.0 <= metrics["slots_edit_f1"] <= 1.0
-    assert 0.0 <= metrics["intent_accuracy"] <= 1.0
+def test_a_training_logs_poll_figures_are_the_score_report_of_its_checkpoints_decode(tmp_path, capsys):
+    paths = write_corpus(tmp_path / "corpus", 6, seed=11)
+    config = {
+        "seed": 3,
+        "beam_size": 2,
+        "model": {"asr_hidden": 8, "nlu_hidden": 8, "subsample_stride": 3},
+        "stages": [
+            {"stage": "asr_pretrain", "epochs": 20, "lr": 0.08, "momentum": 0.9},
+            {"stage": "joint_finetune", "epochs": 6, "lr": 0.05, "momentum": 0.9, "eval_every": 1},
+        ],
+    }
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(config))
+    ckpt, hyps = tmp_path / "ckpt.json", tmp_path / "hyps.jsonl"
+    assert main(["train-toy", "--config", str(config_path), "--manifest", str(paths.manifest),
+                 "--out", str(ckpt)]) == 0
+    assert main(["decode", "--ckpt", str(ckpt), "--manifest", str(paths.manifest), "--out", str(hyps)]) == 0
+    capsys.readouterr()
+    assert main(["score", "--refs", str(paths.manifest), "--hyps", str(hyps),
+                 "--metrics", "slots-edit-f1,intent-f1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    rows = [json.loads(line) for line in ckpt.with_suffix(".log.jsonl").read_text().splitlines()]
+    assert [row["epoch"] for row in rows if "slots_edit_f1" in row] == list(range(6))  # every joint epoch polled
+    assert 0 < report["slots_edit_f1"]["f1"] < 1 and 0 < report["intent_f1"] < 1  # neither figure is trivial
+    assert rows[-1]["slots_edit_f1"] == report["slots_edit_f1"]["f1"]
+    assert rows[-1]["intent_accuracy"] == report["intent_f1"]
 
 
 def test_stage_config_validation():
