@@ -114,8 +114,8 @@ def cmd_tokenize(args) -> int:
     manifest = data.parse_manifest(args.manifest)
     lines = []
     for rec in manifest.records:
-        result = tokenize(rec.words, vocab)
-        lines.append(json.dumps({"id": rec.id, "tokens": result.tokens, "first_index": result.first_index}))
+        tokens, first_index = tokenize(rec.words, vocab)
+        lines.append(json.dumps({"id": rec.id, "tokens": tokens, "first_index": first_index}))
     text = "".join(line + "\n" for line in lines)
     if args.out:
         atomic_write_text(args.out, text)
@@ -128,9 +128,6 @@ def cmd_score(args) -> int:
     names = [n.strip() for n in args.metrics.split(",") if n.strip()]
     if not names:
         raise ValidationError(f"--metrics names no metric; choose from {metrics.METRICS}")
-    unknown = [n for n in names if n not in metrics.METRICS]
-    if unknown:
-        raise ValidationError(f"unknown metric(s) {unknown}; choose from {metrics.METRICS}")
     refs = data.parse_manifest(args.refs).records
     hyps = data.parse_manifest(args.hyps).records
     mismatched = len(refs) == len(hyps) and sum(r.id != h.id for r, h in zip(refs, hyps))

@@ -32,7 +32,7 @@ class AudioFormatError(SluError):
 
 
 class DecodeError(SluError):
-    """Decoding produced no hypothesis."""
+    """A beam search asked for a beam size below 1 or a negative ``max_len``."""
 
 
 class NumericError(SluError):

@@ -155,10 +155,10 @@ def align(ref, hyp) -> AlignmentTrace:
 
 def corpus_wer(refs, hyps) -> float:
     """Corpus-level WER: total edits over total reference words."""
-    refs, hyps = list(refs), list(hyps)
+    refs, hyps = [list(r) for r in refs], list(hyps)
     if len(refs) != len(hyps):
         raise ValidationError(f"ref/hyp count mismatch: {len(refs)} vs {len(hyps)}")
-    total_words = sum(len(list(r)) for r in refs)
+    total_words = sum(map(len, refs))
     if total_words == 0:
         raise ValidationError("WER is undefined for an empty reference corpus")
     total_edits = sum(align(r, h).cost for r, h in zip(refs, hyps))
@@ -277,7 +277,11 @@ def intent_accuracy(refs, hyps) -> float:
 
 def score_report(refs, hyps, names) -> dict:
     """The ``slu score`` report on hypothesis records against references paired by position:
-    a key for each ``METRICS`` name in ``names``, in the order wer, slots_edit_f1, span_f1, intent_f1."""
+    a key for each ``METRICS`` name in ``names``, in the order wer, slots_edit_f1, span_f1, intent_f1.
+    A ``str`` or a name outside ``METRICS`` is refused."""
+    unknown = [names] if isinstance(names, str) else [n for n in names if n not in METRICS]
+    if unknown:
+        raise ValidationError(f"unknown metric(s) {unknown}; choose from {METRICS}")
     if len(refs) != len(hyps):
         raise ValidationError(f"ref/hyp record counts differ: {len(refs)} vs {len(hyps)}")
     ref_pairs = [(r.words, r.slots) for r in refs]

@@ -244,15 +244,15 @@ class JointModel:
         words = list(words)
         if not words:
             raise ValidationError("an example needs at least one word")
-        tok_a, tok_b = tokenize(words, self.asr_vocab), tokenize(words, self.nlu_vocab)
-        ids_a = [self._asr_piece_id[t] for t in tok_a.tokens]
+        (pieces_a, first_a), (pieces_b, first_b) = tokenize(words, self.asr_vocab), tokenize(words, self.nlu_vocab)
+        ids_a = [self._asr_piece_id[t] for t in pieces_a]
         limit = self.config.max_positions
         if len(ids_a) + 1 > limit:
             raise DimensionError(f"{len(ids_a) + 1} ASR decoder positions exceed max_positions {limit}")
-        if tok_b.num_tokens > limit:
-            raise DimensionError(f"{tok_b.num_tokens} NLU subwords exceed max_positions {limit}")
+        if len(pieces_b) > limit:
+            raise DimensionError(f"{len(pieces_b)} NLU subwords exceed max_positions {limit}")
         return self._example(
-            frames, ids_a, tok_a.first_index, tok_b.tokens, tok_b.first_index,
+            frames, ids_a, first_a, pieces_b, first_b,
             [] if slots is None else self.tag_ids(slots), None if intent is None else self.intent_id(intent),
         )
 
@@ -261,16 +261,15 @@ class JointModel:
         beam search decoded: the ids merge into words, tokenized for the NLU branch once and cut to
         the longest prefix whose NLU subwords fit ``max_positions``; ``([], None)`` if none fits."""
         words, first_a = merge_tokens(self.asr_tokens(ids), self.asr_vocab)
-        tok_b = tokenize(words, self.nlu_vocab)
+        pieces_b, first_b = tokenize(words, self.nlu_vocab)
         # each word's end in the decoded ids and in its NLU subwords: tokenization is per word, so both cut there
-        ends_a, ends_b = first_a[1:] + [len(ids)], tok_b.first_index[1:] + [tok_b.num_tokens]
+        ends_a, ends_b = first_a[1:] + [len(ids)], first_b[1:] + [len(pieces_b)]
         keep = bisect.bisect_right(ends_b, self.config.max_positions)
         words = words[:keep]  # with no words, keep is 1: the cut words tell emptiness, not keep
         if not words:
             return [], None
         return words, self._example(  # the decoded ids themselves, not a re-tokenization
-            frames, list(ids[: ends_a[keep - 1]]), first_a[:keep], tok_b.tokens[: ends_b[keep - 1]],
-            tok_b.first_index[:keep], [], None,
+            frames, list(ids[: ends_a[keep - 1]]), first_a[:keep], pieces_b[: ends_b[keep - 1]], first_b[:keep], [], None,
         )
 
     def _example(self, frames, ids_a, first_a, pieces_b, first_b, tag_ids, intent_id) -> Example:

@@ -39,7 +39,7 @@ class SubwordVocab:
         if self.unk not in self.pieces:
             raise ValidationError(f"unknown piece {self.unk!r} missing from vocabulary")
         for piece in self.pieces:
-            if piece in ("", BPE_MARKER, WORDPIECE_MARKER):
+            if piece in MARKERS[self.kind]:  # "" or the kind's own bare marker
                 raise ValidationError(f"invalid empty piece {piece!r}")
 
     @classmethod
@@ -49,22 +49,6 @@ class SubwordVocab:
 
     def sorted_pieces(self) -> list[str]:
         return sorted(self.pieces)
-
-
-@dataclass
-class TokenizationResult:
-    """Subword tokens plus, for each word, the index of its first subword.
-
-    ``tokenize`` builds it, so each index names a token and they strictly
-    increase.
-    """
-
-    tokens: list[str]
-    first_index: list[int]
-
-    @property
-    def num_tokens(self) -> int:
-        return len(self.tokens)
 
 
 def _greedy_word(word: str, vocab: SubwordVocab) -> list[str] | None:
@@ -88,8 +72,9 @@ def _greedy_word(word: str, vocab: SubwordVocab) -> list[str] | None:
     return out
 
 
-def tokenize(words, vocab: SubwordVocab) -> TokenizationResult:
-    """Greedy subword decomposition of a word sequence.
+def tokenize(words, vocab: SubwordVocab) -> tuple[list[str], list[int]]:
+    """Greedy subword pieces of a word sequence and, for each word, the index
+    of its first piece: each index names a piece, and they strictly increase.
 
     Words with no decomposition map to the single unknown piece so that the
     first-index structure stays well-defined.
@@ -102,7 +87,7 @@ def tokenize(words, vocab: SubwordVocab) -> TokenizationResult:
         first_index.append(len(tokens))
         sub = _greedy_word(word, vocab)
         tokens.extend(sub if sub is not None else [vocab.unk])
-    return TokenizationResult(tokens, first_index)
+    return tokens, first_index
 
 
 def merge_tokens(tokens, vocab: SubwordVocab) -> tuple[list[str], list[int]]:

@@ -65,7 +65,7 @@ from slu.audio import AudioClip, FeatureConfig, MixResult, _mixer
 from slu.autodiff import Tensor, _attend, _embed, _rows, _scatter_rows
 from slu.crf import _check
 from slu.errors import DimensionError, NumericError, ValidationError
-from slu.subword import SubwordVocab, TokenizationResult, merge_tokens
+from slu.subword import SubwordVocab, merge_tokens
 
 
 def crf_enumerate(emissions: np.ndarray, transitions, start, end):
@@ -516,16 +516,18 @@ def deserialize_slots(seq) -> tuple[list[str], list[str]]:
     return seq[0::2], seq[1::2]
 
 
-def build_first_index_matrix(result: TokenizationResult) -> np.ndarray:
-    """Binary (tokens x words) matrix with a 1 at each word's first subword."""
-    m = np.zeros((result.num_tokens, len(result.first_index)))
-    m[result.first_index, np.arange(len(result.first_index))] = 1.0
+def build_first_index_matrix(tokenization: tuple[list[str], list[int]]) -> np.ndarray:
+    """Binary (tokens x words) matrix with a 1 at each word's first subword, for ``tokenize``'s
+    ``(pieces, first_index)``."""
+    pieces, first_index = tokenization
+    m = np.zeros((len(pieces), len(first_index)))
+    m[first_index, np.arange(len(first_index))] = 1.0
     return m
 
 
-def detokenize(result: TokenizationResult, vocab: SubwordVocab) -> list[str]:
+def detokenize(tokenization: tuple[list[str], list[int]], vocab: SubwordVocab) -> list[str]:
     """Inverse of tokenize for fully covered words (unknowns merge to the unk string)."""
-    return merge_tokens(result.tokens, vocab)[0]
+    return merge_tokens(tokenization[0], vocab)[0]
 
 
 def mix_at_snr_report(clean: AudioClip, noise: AudioClip, snr_db: float) -> MixResult:

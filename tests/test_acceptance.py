@@ -88,8 +88,8 @@ def test_criterion_3_alignment_matrix_algebra():
             m = build_first_index_matrix(result)
             n = len(words)
             assert np.array_equal(m.T @ m, np.eye(n))
-            hidden = np_rng.normal(size=(result.num_tokens, 3))
-            assert np.array_equal(m.T @ hidden, hidden[result.first_index])
+            hidden = np_rng.normal(size=(len(result[0]), 3))
+            assert np.array_equal(m.T @ hidden, hidden[result[1]])
             other_kind = WORDPIECE if kind == BPE else BPE
             _, other_vocab = random_subword_instance(rng, other_kind)
             result_b = tokenize(words, other_vocab)
@@ -99,7 +99,7 @@ def test_criterion_3_alignment_matrix_algebra():
             example = model.prepare(model.subsample(np_rng.normal(size=(3, 2))), words)
             cat = identity_slot_head(model).forward(example).slot_scores.data
             ha, hb = model.teacher_forced(example)[0].data[:-1], model.nlu_states(example.nlu_ids).data
-            assert (ha.shape, hb.shape) == ((result.num_tokens, fa), (result_b.num_tokens, fb))
+            assert (ha.shape, hb.shape) == ((len(result[0]), fa), (len(result_b[0]), fb))
             assert cat.shape == (n, fa + fb)
             m_b = build_first_index_matrix(result_b)
             assert np.array_equal(cat, np.concatenate([m.T @ ha, m_b.T @ hb], axis=1))

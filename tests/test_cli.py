@@ -218,6 +218,27 @@ def test_tokenize_jsonl(capsys, tmp_path, ref_manifest):
     assert [json.loads(line) for line in out.splitlines()] == rows
 
 
+# `slu tokenize` on sample_data/flights.jsonl with each synthetic vocabulary: words split in two
+# (den+ver, mon+##day) and four <unk> pieces per vocabulary
+TOKENIZE_STDOUT_SHA256 = {
+    "asr": "9602e61330d781456baf90f0c011e4ea49da669e075c127f6a8c4725b94a570a",
+    "nlu": "a55d91ebc3f36cc01bd36b75abc729e83b5225efa26f3adf81a1f9c683836faa",
+}
+
+
+@pytest.mark.parametrize("side", TOKENIZE_STDOUT_SHA256)
+def test_tokenize_outputs_are_pinned(capsys, tmp_path, side):
+    vocab_path = tmp_path / "vocab.txt"
+    save_vocab(asr_vocab() if side == "asr" else nlu_vocab(), vocab_path)
+    argv = ("tokenize", "--vocab", str(vocab_path), "--manifest", str(REPO_ROOT / "sample_data" / "flights.jsonl"))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == TOKENIZE_STDOUT_SHA256[side], out
+    out_path = tmp_path / "tokens.jsonl"
+    assert run(capsys, *argv, "--out", str(out_path)) == (0, "", "")
+    assert out_path.read_bytes() == out.encode()
+
+
 def test_tokenize_rejects_a_vocab_of_an_unknown_kind(capsys, tmp_path, ref_manifest):
     vocab_path = tmp_path / "v.txt"
     vocab_path.write_text("#kind: sentencepiece\nshow\n")

@@ -301,7 +301,7 @@ def _labels_apart(example):
 def test_the_hypothesis_of_a_transcripts_greedy_ids_is_its_prepared_example(words):
     model = tiny_model()
     frames = model.subsample(tiny_features())
-    ids = [model.asr_pieces.index(t) for t in tokenize(words, model.asr_vocab).tokens]
+    ids = [model.asr_pieces.index(t) for t in tokenize(words, model.asr_vocab)[0]]
     hyp_words, example = model.hypothesis(frames, ids)
     want = model.prepare(frames, words, ["O"] * len(words), "airfare")  # 12 words take at most 24 of 32 positions
     assert hyp_words == words and example.frames is frames
@@ -320,9 +320,9 @@ def test_a_hypothesis_takes_its_first_asr_subwords_from_merge_tokens():
     assert words == ["tin", "show", "<unk>", "to", "austin", "<unk>", "ver"]
     assert example.first_a == [0, 1, 2, 3, 4, 6, 7]
     assert example.asr_inputs == [model.bos_id] + ids and example.asr_targets == ids + [model.eos_id]
-    nlu = tokenize(words, model.nlu_vocab)
-    assert example.first_b == nlu.first_index
-    assert example.nlu_ids == [model.nlu_pieces.index(t) for t in nlu.tokens]
+    nlu_pieces, nlu_first = tokenize(words, model.nlu_vocab)
+    assert example.first_b == nlu_first
+    assert example.nlu_ids == [model.nlu_pieces.index(t) for t in nlu_pieces]
 
 
 def test_a_hypothesis_past_the_nlu_positions_keeps_the_longest_word_prefix_that_fits():
@@ -331,15 +331,15 @@ def test_a_hypothesis_past_the_nlu_positions_keeps_the_longest_word_prefix_that_
     # austin and denver take two ASR subwords each, boston and monday two NLU subwords each: the
     # first 17 words take 18 ASR and exactly 32 NLU subwords, and denver's would make 33 of 32
     words = ["show", "austin", "boston"] + ["boston", "monday"] * 7 + ["denver", "to", "monday"]
-    ids = [model.asr_pieces.index(t) for t in tokenize(words, model.asr_vocab).tokens]
+    ids = [model.asr_pieces.index(t) for t in tokenize(words, model.asr_vocab)[0]]
     hyp_words, example = model.hypothesis(frames, ids)
     kept = words[:17]
     assert hyp_words == kept and example.frames is frames
     assert example.asr_inputs == [model.bos_id] + ids[:18] and example.asr_targets == ids[:18] + [model.eos_id]
     assert example.first_a == [0, 1, 3] + list(range(4, 18))
-    nlu = tokenize(kept, model.nlu_vocab)
-    assert len(nlu.tokens) == model.config.max_positions
-    assert example.nlu_ids == [model.nlu_pieces.index(t) for t in nlu.tokens]
+    nlu_pieces, _ = tokenize(kept, model.nlu_vocab)
+    assert len(nlu_pieces) == model.config.max_positions
+    assert example.nlu_ids == [model.nlu_pieces.index(t) for t in nlu_pieces]
     assert example.first_b == [0, 1, 2] + list(range(4, 32, 2))
     assert (example.tag_ids, example.intent_id) == ([], None)
 

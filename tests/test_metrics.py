@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -6,13 +7,16 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_pair_corpus, random_tagging, random_words
+from slu.data import Utterance
 from slu.errors import ValidationError
 from slu.metrics import (
+    METRICS,
     align,
     corpus_wer,
     extract_spans,
     intent_accuracy,
     intent_f1,
+    score_report,
     slots_edit_f1,
     span_slot_f1,
 )
@@ -296,3 +300,24 @@ def test_corpus_wer_is_total_edits_over_total_words():
     assert corpus_wer(refs, hyps) == pytest.approx(2 / 3)
     with pytest.raises(ValidationError):
         corpus_wer([], [])
+
+
+def test_corpus_wer_reads_each_reference_once():
+    assert corpus_wer([iter(["a", "b", "c"])], [["a", "b", "c"]]) == 0.0
+    rng = random.Random(38)
+    for _ in range(50):
+        pairs = [(random_words(rng), random_words(rng)) for _ in range(rng.randint(1, 6))]
+        refs, hyps = [r for r, _ in pairs], [h for _, h in pairs]
+        assert corpus_wer(map(iter, refs), map(iter, hyps)) == corpus_wer(refs, hyps)
+
+
+@pytest.mark.parametrize("names, unknown", [
+    (("slots_edit_f1", "intent"), ["slots_edit_f1", "intent"]),
+    (("wer", "bleu"), ["bleu"]),
+    ("wer,intent-f1", ["wer,intent-f1"]),  # a str is not a sequence of names
+    ("wer", ["wer"]),
+], ids=["misspelt", "one-unknown", "comma-string", "one-name-string"])
+def test_score_report_refuses_names_it_cannot_score(names, unknown):
+    records = [Utterance("u0", ["a"], ["O"], "x")]
+    with pytest.raises(ValidationError, match=re.escape(f"unknown metric(s) {unknown}; choose from {METRICS}")):
+        score_report(records, records, names)

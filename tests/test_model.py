@@ -36,7 +36,7 @@ def test_forward_shapes():
     assert identity_slot_head(model).forward(example).slot_scores.shape == (5, fa + fb)
     assert out.slot_scores.shape == (5, len(model.slot_tags))
     assert out.intent_logits.shape == (1, len(model.intents))
-    assert out.asr_logits.shape[0] == tokenize(WORDS, model.asr_vocab).num_tokens + 1  # one extra row predicts EOS
+    assert out.asr_logits.shape[0] == len(tokenize(WORDS, model.asr_vocab)[0]) + 1  # one extra row predicts EOS
     assert example.asr_targets[-1] == model.eos_id
 
 
@@ -70,8 +70,8 @@ def test_forward_hcat_matches_projection_contract():
     hcat = identity_slot_head(model).forward(example).slot_scores.data
     ha, hb = model.teacher_forced(example)[0].data[:-1], model.nlu_states(example.nlu_ids).data
     fa = model.config.asr_hidden
-    assert np.array_equal(hcat[:, :fa], ha[tokenize(WORDS, model.asr_vocab).first_index])
-    assert np.array_equal(hcat[:, fa:], hb[tokenize(WORDS, model.nlu_vocab).first_index])
+    assert np.array_equal(hcat[:, :fa], ha[tokenize(WORDS, model.asr_vocab)[1]])
+    assert np.array_equal(hcat[:, fa:], hb[tokenize(WORDS, model.nlu_vocab)[1]])
 
 
 def test_loss_asr_uniform_logits():

@@ -14,7 +14,6 @@ from slu.subword import (
     BPE,
     WORDPIECE,
     SubwordVocab,
-    TokenizationResult,
     load_vocab,
     merge_tokens,
     save_vocab,
@@ -26,47 +25,51 @@ from slu.synth import asr_vocab, nlu_vocab
 def test_word_in_vocab_is_single_token():
     vocab = SubwordVocab.create(WORDPIECE, {"show"})
     result = tokenize(["show"], vocab)
-    assert result.tokens == ["show"]
-    assert result.first_index == [0]
+    assert result[0] == ["show"]
+    assert result[1] == [0]
     assert np.array_equal(build_first_index_matrix(result), np.eye(1))
 
 
 def test_greedy_longest_match_wordpiece():
     vocab = SubwordVocab.create(WORDPIECE, {"show", "fl", "##ights"})
-    result = tokenize(["show", "flights"], vocab)
-    assert result.tokens == ["show", "fl", "##ights"]
-    assert result.first_index == [0, 1]
+    tokens, first_index = tokenize(["show", "flights"], vocab)
+    assert tokens == ["show", "fl", "##ights"]
+    assert first_index == [0, 1]
 
 
 def test_unk_fallback_covers_whole_word():
     vocab = SubwordVocab.create(WORDPIECE, {"show"})
-    result = tokenize(["zzz"], vocab)
-    assert result.tokens == [vocab.unk]
-    assert result.first_index == [0]
+    tokens, first_index = tokenize(["zzz"], vocab)
+    assert tokens == [vocab.unk]
+    assert first_index == [0]
 
 
 def test_greedy_dead_end_falls_back_to_unk():
     # "showx" consumes "show" greedily, then cannot cover "x"
     vocab = SubwordVocab.create(WORDPIECE, {"show", "##w", "sho"})
-    assert tokenize(["showx"], vocab).tokens == [vocab.unk]
+    assert tokenize(["showx"], vocab)[0] == [vocab.unk]
 
 
 def test_bpe_marker_convention():
     vocab = SubwordVocab.create(BPE, {"▁aus", "tin", "▁show"})
-    result = tokenize(["show", "austin"], vocab)
-    assert result.tokens == ["▁show", "▁aus", "tin"]
-    assert result.first_index == [0, 1]
+    tokens, first_index = tokenize(["show", "austin"], vocab)
+    assert tokens == ["▁show", "▁aus", "tin"]
+    assert first_index == [0, 1]
 
 
 @pytest.mark.parametrize("kind, pieces, words, tokens, first_index", [
     (BPE, {"▁show", "##s", "▁##", "s"}, ["show##s", "##s"], ["▁show", "##s", "▁##", "s"], [0, 2]),
     (WORDPIECE, {"▁a", "##b", "show", "##▁"}, ["▁ab", "show▁"], ["▁a", "##b", "show", "##▁"], [0, 2]),
+    # the other kind's bare marker is a piece of its own
+    (BPE, {"▁a", "##"}, ["a##"], ["▁a", "##"], [0]),
+    (WORDPIECE, {"▁", "a", "##▁"}, ["▁", "a▁"], ["▁", "a", "##▁"], [0, 1]),
 ])
-def test_the_other_conventions_marker_is_plain_text(kind, pieces, words, tokens, first_index):
+def test_the_other_conventions_marker_is_plain_text(tmp_path, kind, pieces, words, tokens, first_index):
     vocab = SubwordVocab.create(kind, pieces)
-    result = tokenize(words, vocab)
-    assert (result.tokens, result.first_index) == (tokens, first_index)
-    assert merge_tokens(result.tokens, vocab) == (words, first_index)
+    save_vocab(vocab, tmp_path / "v.txt")
+    assert load_vocab(tmp_path / "v.txt") == vocab
+    assert tokenize(words, vocab) == (tokens, first_index)
+    assert merge_tokens(tokens, vocab) == (words, first_index)
 
 
 def test_the_synthetic_vocabularies_are_pinned():
@@ -88,13 +91,13 @@ def test_empty_word_rejected():
 
 
 def test_first_index_matrix_examples():
-    m = build_first_index_matrix(TokenizationResult(["a", "b", "c"], [0, 1]))
+    m = build_first_index_matrix((["a", "b", "c"], [0, 1]))
     assert m.shape == (3, 2)
     assert m[0, 0] == 1 and m[1, 1] == 1 and m.sum() == 2
 
-    assert np.array_equal(build_first_index_matrix(TokenizationResult(list("abcd"), [0, 1, 2, 3])), np.eye(4))
+    assert np.array_equal(build_first_index_matrix((list("abcd"), [0, 1, 2, 3])), np.eye(4))
 
-    m = build_first_index_matrix(TokenizationResult(list("abcde"), [0, 2, 3]))
+    m = build_first_index_matrix((list("abcde"), [0, 2, 3]))
     expected = np.zeros((5, 3))
     expected[0, 0] = expected[2, 1] = expected[3, 2] = 1
     assert np.array_equal(m, expected)
@@ -103,10 +106,10 @@ def test_first_index_matrix_examples():
 def test_project_identity_and_row_selection():
     # the word projection the model applies is a row gather; the one-hot matrix states it as algebra
     h = np.arange(12.0).reshape(3, 4)
-    one_piece_words = build_first_index_matrix(TokenizationResult(["a", "b", "c"], [0, 1, 2]))
+    one_piece_words = build_first_index_matrix((["a", "b", "c"], [0, 1, 2]))
     assert np.array_equal(one_piece_words, np.eye(3))
     assert np.array_equal(one_piece_words.T @ h, h)
-    m = build_first_index_matrix(TokenizationResult(["a", "b", "##c"], [0, 1]))
+    m = build_first_index_matrix((["a", "b", "##c"], [0, 1]))
     assert np.array_equal(m.T @ h, h[[0, 1]])
 
 
@@ -139,7 +142,7 @@ def test_concat_hidden_shapes_and_zero_block():
     assert np.array_equal(hb, np.zeros_like(hb))
     assert hcat.shape == (len(words), fa + fb)
     assert np.array_equal(hcat.data[:, fa:], np.zeros((len(words), fb)))
-    first = tokenize(words, model.asr_vocab).first_index
+    first = tokenize(words, model.asr_vocab)[1]
     assert np.array_equal(hcat.data[:, :fa], model.teacher_forced(example)[0].data[:-1][first])
 
 
@@ -150,9 +153,9 @@ def test_detokenize_inverts_tokenize(kind):
         words, vocab = random_subword_instance(rng, kind)
         result = tokenize(words, vocab)
         assert detokenize(result, vocab) == words
-        merged, first = merge_tokens(result.tokens, vocab)
+        merged, first = merge_tokens(result[0], vocab)
         assert merged == words
-        assert first == result.first_index
+        assert first == result[1]
 
 
 @given(
@@ -167,8 +170,8 @@ def test_detokenize_inverse_property(kind, words, vocab_seed):
     assert detokenize(result, vocab) == words
 
 
-def _assert_first_indices(first_index, num_tokens):
-    assert all(0 <= row < num_tokens for row in first_index)
+def _assert_first_indices(first_index, num_pieces):
+    assert all(0 <= row < num_pieces for row in first_index)
     assert all(a < b for a, b in zip(first_index, first_index[1:]))
 
 
@@ -181,9 +184,9 @@ def _assert_first_indices(first_index, num_tokens):
 @settings(max_examples=150, deadline=None)
 def test_tokenize_and_merge_tokens_give_increasing_in_range_first_indices(kind, words, picks, vocab_seed):
     _, vocab = random_subword_instance(random.Random(vocab_seed), kind)
-    result = tokenize(words, vocab)
-    assert len(result.first_index) == len(words)
-    _assert_first_indices(result.first_index, result.num_tokens)
+    subwords, first_index = tokenize(words, vocab)
+    assert len(first_index) == len(words)
+    _assert_first_indices(first_index, len(subwords))
     pieces = vocab.sorted_pieces()
     tokens = [pieces[i % len(pieces)] for i in picks]  # any piece sequence, as a beam may decode
     merged, first_index = merge_tokens(tokens, vocab)
@@ -201,9 +204,9 @@ def test_matrix_algebra_properties(kind):
         # columns one-hot, M^T M == identity
         assert np.array_equal(m.sum(axis=0), np.ones(len(words)))
         assert np.array_equal(m.T @ m, np.eye(len(words)))
-        assert result.first_index == sorted(set(result.first_index))
-        h = np.random.default_rng(0).normal(size=(result.num_tokens, 3))
-        assert np.array_equal(m.T @ h, h[result.first_index])
+        assert result[1] == sorted(set(result[1]))
+        h = np.random.default_rng(0).normal(size=(len(result[0]), 3))
+        assert np.array_equal(m.T @ h, h[result[1]])
 
 
 def test_vocab_validation():
@@ -211,6 +214,8 @@ def test_vocab_validation():
         SubwordVocab.create("charbpe", {"a"})
     with pytest.raises(ValidationError):
         SubwordVocab.create(WORDPIECE, {"a", "##"})
+    with pytest.raises(ValidationError):
+        SubwordVocab.create(BPE, {"a", "▁"})
     # unk auto-added by the factory
     vocab = SubwordVocab.create(WORDPIECE, {"a"})
     assert vocab.unk in vocab.pieces
