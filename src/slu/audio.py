@@ -244,6 +244,8 @@ def augment_corpus(
                 raise ValidationError(f"record {rec.id!r}: an id may not hold a NUL character")
             if (normal := PurePosixPath(rec.id).as_posix()) != rec.id:  # else 'a/./b' and 'a/b' share WAVs
                 raise ValidationError(f"record {rec.id!r}: an id must be written as its normal path {normal!r}")
+            if "/" in rec.id:  # the id names a subdirectory, which holds all of the record's WAVs
+                (stage / rec.id).parent.mkdir(parents=True, exist_ok=True)
             mix = _mixer(record_clip(rec, manifest.base_dir))  # the clean clip's RMS is taken once
             rng = random.Random(f"{spec.seed}:{rec.id}")
             chosen = rng.sample(list(noise_files), spec.noises_per_clip)
@@ -257,7 +259,6 @@ def augment_corpus(
                     raise ValidationError(f"record {rec.id!r}, noise {noise_file}: {exc}") from exc
                 new_id = f"{rec.id}#snr{level:g}"
                 wav_name = f"{new_id}.wav"
-                (stage / wav_name).parent.mkdir(parents=True, exist_ok=True)  # an id holding "/" names a subdirectory
                 (stage / wav_name).write_bytes(wav_bytes(mixed.audio))
                 records.append(Utterance(new_id, list(rec.words), list(rec.slots), rec.intent, wav_name))
                 provenance.append(

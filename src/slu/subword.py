@@ -40,7 +40,8 @@ class SubwordVocab:
             raise ValidationError(f"unknown piece {self.unk!r} missing from vocabulary")
         for piece in self.pieces:
             if piece in MARKERS[self.kind]:  # "" or the kind's own bare marker
-                raise ValidationError(f"invalid empty piece {piece!r}")
+                what = f"piece {piece!r}: the {self.kind} marker with no text" if piece else "empty piece ''"
+                raise ValidationError(f"invalid {what}")
 
     @classmethod
     def create(cls, kind: str, pieces, unk: str = DEFAULT_UNK) -> "SubwordVocab":

@@ -17,7 +17,7 @@ import functools
 
 import numpy as np
 
-from slu.metrics import DEL, INS, MATCH, SUB, AlignmentTrace, AlignOp
+from slu.metrics import DEL, INS, MATCH, SUB, AlignmentTrace
 
 _RANK = {"match": 0, "sub": 1, "del": 2, "ins": 3}
 
@@ -207,7 +207,7 @@ def align_min_fill(ref, hyp) -> AlignmentTrace:
     # match, so the MATCH > SUB > DEL > INS preference takes it there.
     i, j = len(ref), len(hyp)
     cost = prev[j]
-    ops: list[AlignOp] = []
+    ops = []
     append = ops.append
     row = prev
     while i and j:
@@ -215,25 +215,25 @@ def align_min_fill(ref, hyp) -> AlignmentTrace:
         if ref[i - 1] == hyp[j - 1]:
             i -= 1
             j -= 1
-            append(AlignOp(MATCH, i, j))
+            append((MATCH, i, j))
             row = up
         elif row[j] == up[j - 1] + 1:
             i -= 1
             j -= 1
-            append(AlignOp(SUB, i, j))
+            append((SUB, i, j))
             row = up
         elif row[j] == up[j] + 1:
             i -= 1
-            append(AlignOp(DEL, i, None))
+            append((DEL, i, None))
             row = up
         else:
             j -= 1
-            append(AlignOp(INS, None, j))
+            append((INS, None, j))
     while i:
         i -= 1
-        append(AlignOp(DEL, i, None))
+        append((DEL, i, None))
     while j:
         j -= 1
-        append(AlignOp(INS, None, j))
+        append((INS, None, j))
     ops.reverse()
     return AlignmentTrace(ops, cost)

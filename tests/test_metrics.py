@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_pair_corpus, random_tagging, random_words
+from slu import metrics
 from slu.data import Utterance
 from slu.errors import ValidationError
 from slu.metrics import (
@@ -22,32 +23,28 @@ from slu.metrics import (
 )
 
 
-def as_tuples(trace):
-    return [(op.kind, op.ref_idx, op.hyp_idx) for op in trace.ops]
-
-
 def test_align_identity():
     trace = align(["a", "b", "c"], ["a", "b", "c"])
     assert trace.cost == 0
-    assert all(op.kind == "match" for op in trace.ops)
+    assert trace.ops == [("match", 0, 0), ("match", 1, 1), ("match", 2, 2)]
 
 
 def test_align_deletion_example():
     trace = align(["show", "me", "flights"], ["show", "flights"])
-    assert as_tuples(trace) == [("match", 0, 0), ("del", 1, None), ("match", 2, 1)]
+    assert trace.ops == [("match", 0, 0), ("del", 1, None), ("match", 2, 1)]
     assert trace.cost == 1
 
 
 def test_align_empty_reference():
     trace = align([], ["a"])
-    assert as_tuples(trace) == [("ins", None, 0)]
+    assert trace.ops == [("ins", None, 0)]
     assert trace.cost == 1
 
 
 def test_align_tie_break_prefers_late_match():
     # two optimal traces exist; the backtrace preference keeps the MATCH last
     trace = align(["a"], ["a", "a"])
-    assert as_tuples(trace) == [("ins", None, 0), ("match", 0, 1)]
+    assert trace.ops == [("ins", None, 0), ("match", 0, 1)]
 
 
 def test_alignment_indices_cover_both_sides():
@@ -55,8 +52,8 @@ def test_alignment_indices_cover_both_sides():
     for _ in range(200):
         ref, hyp = random_words(rng), random_words(rng)
         trace = align(ref, hyp)
-        assert [op.ref_idx for op in trace.ops if op.ref_idx is not None] == list(range(len(ref)))
-        assert [op.hyp_idx for op in trace.ops if op.hyp_idx is not None] == list(range(len(hyp)))
+        assert [ri for _, ri, _ in trace.ops if ri is not None] == list(range(len(ref)))
+        assert [hi for _, _, hi in trace.ops if hi is not None] == list(range(len(hyp)))
         assert trace.cost == oracles.lev_distance(ref, hyp)
 
 
@@ -65,8 +62,8 @@ def test_align_matches_exhaustive_canonical_trace():
     for _ in range(150):
         ref = [rng.choice("abc") for _ in range(rng.randint(0, 4))]
         hyp = [rng.choice("abc") for _ in range(rng.randint(0, 4))]
-        assert as_tuples(align(ref, hyp)) == oracles.canonical_alignment(ref, hyp)
-        assert as_tuples(align(ref, hyp)) == oracles.reference_align(ref, hyp)
+        assert align(ref, hyp).ops == oracles.canonical_alignment(ref, hyp)
+        assert align(ref, hyp).ops == oracles.reference_align(ref, hyp)
 
 
 def _long_side(words):
@@ -84,7 +81,7 @@ def test_align_matches_reference_trace_on_long_tie_heavy_pairs(pair):
     # predecessors, so every step of the tie-break is exercised
     ref, hyp = pair
     trace = align(ref, hyp)
-    assert as_tuples(trace) == oracles.reference_align(ref, hyp)
+    assert trace.ops == oracles.reference_align(ref, hyp)
     assert trace.cost == oracles.lev_distance(ref, hyp)
 
 
@@ -200,6 +197,24 @@ def test_slots_edit_f1_matches_bruteforce_tallies():
         got = {label: [t.tp, t.fp, t.fn] for label, t in report.per_label.items()}
         assert got == expected
         assert report.f1 == pytest.approx(oracles.f1_from_tallies(expected))
+
+
+def test_slots_edit_f1_builds_one_tally_per_label(monkeypatch):
+    # a label's LabelTally is built at its first count and reused after, never per count
+    built = []
+
+    class CountingTally(metrics.LabelTally):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(metrics, "LabelTally", CountingTally)
+    refs, hyps = random_pair_corpus(random.Random(39), 12)
+    report = slots_edit_f1(refs, hyps)
+    counts = sum(t.tp + t.fp + t.fn for t in report.per_label.values())
+    assert len(report.per_label) >= 3 and counts > len(report.per_label)
+    assert len(built) == len(report.per_label)
+    assert sorted(map(id, built)) == sorted(map(id, report.per_label.values()))
 
 
 def test_slots_edit_f1_aggregates_over_corpus_not_per_utterance():

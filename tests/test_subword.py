@@ -114,7 +114,7 @@ def test_project_identity_and_row_selection():
 
 
 @pytest.mark.parametrize("mode", ["first", "last", "mean"])
-def test_pooling_matrix_checks_first_index_in_every_mode(mode, tmp_path):
+def test_a_stored_word_pooling_loads_only_as_first(mode, tmp_path):
     # a checkpoint may still store a pooling mode: "first" loads, any other mode is refused at load
     path = tmp_path / "ckpt.json"
     save_checkpoint(tiny_model(seed=5), path)
@@ -212,10 +212,12 @@ def test_matrix_algebra_properties(kind):
 def test_vocab_validation():
     with pytest.raises(ValidationError):
         SubwordVocab.create("charbpe", {"a"})
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="invalid piece '##': the wordpiece marker with no text"):
         SubwordVocab.create(WORDPIECE, {"a", "##"})
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="invalid piece '▁': the bpe marker with no text"):
         SubwordVocab.create(BPE, {"a", "▁"})
+    with pytest.raises(ValidationError, match="invalid empty piece ''"):
+        SubwordVocab.create(BPE, {"a", ""})
     # unk auto-added by the factory
     vocab = SubwordVocab.create(WORDPIECE, {"a"})
     assert vocab.unk in vocab.pieces
