@@ -225,8 +225,10 @@ def augment_corpus(
     results do not depend on order.
 
     The mixed WAVs, ``manifest.jsonl`` and ``provenance.json`` are written
-    into a stage beside out_dir and moved in only when every record has been
-    mixed, so a call that raises leaves out_dir as it was.
+    into a stage inside out_dir (``ioutil.staged_dir``) and moved in only when
+    every record has been mixed and no file would land on a directory, so a
+    call that raises leaves out_dir as it was (or absent, if it was), and a
+    repeated call replaces each file with identical bytes.
     """
     noise_files = pool.split(split)
     if len(noise_files) < spec.noises_per_clip:

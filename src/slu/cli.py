@@ -5,9 +5,14 @@ Verbosity is controlled by the SLU_LOG environment variable (DEBUG/INFO/...).
 All randomness flows from --seed / config seeds, so re-running a pipeline
 with identical flags reproduces its outputs byte for byte.  A failed command
 leaves no partial artifact: a single output file is written to a temporary
-file and renamed into place; ``augment``'s directory is staged by
-``audio.augment_corpus`` and moved in whole; and ``train-toy`` writes its
-checkpoint and its log in full before either replaces an earlier one.
+file beside it and renamed into place (``ioutil.atomic_write_bytes``);
+``augment``'s WAVs, manifest and provenance, and ``train-toy``'s checkpoint
+and log, are written into a stage inside their directory and moved in only
+when every one is written and none would land on a directory
+(``ioutil.staged_dir``).  A failed commit leaves that directory as it was,
+or removes it if the command made it; a repeated one replaces each file.
+An ``--out`` that would write over one of the command's own inputs is
+refused before any work, with exit code 2.
 The argument parser is built once per process and reused by every ``main``
 call.
 """
@@ -20,14 +25,13 @@ import json
 import logging
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import audio, data, metrics, synth
 from .decode import decode_corpus
 from .errors import ParseError, SluError, ValidationError, read_config
-from .ioutil import atomic_write_text, read_json
+from .ioutil import atomic_write_text, read_json, staged_dir
 from .model import JointModel, ModelConfig, load_checkpoint, save_checkpoint
 from .subword import load_vocab, tokenize
 from .train import StageConfig, TrainConfig, corpus_features, train
@@ -199,19 +203,10 @@ def cmd_train_toy(args) -> int:
         raise ValidationError(f"{args.config}: bad train config: model: {exc}") from exc
     history = train(model, manifest, train_cfg, feature, pretrain)
     out = Path(args.out)
-    log_path = out.with_suffix(".log.jsonl")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=out.parent, prefix=f".{out.name}.") as stage:
-        try:  # both files are written in full before either replaces its path: an earlier pair stays whole
-            save_checkpoint(model, Path(stage, out.name), feature, train_cfg.beam_size)
-        except OSError as exc:  # name out, not its copy in the stage
-            raise OSError(exc.errno, exc.strerror, str(out)) from exc
-        atomic_write_text(log_path, "".join(json.dumps(row) + "\n" for row in history))
-        try:
-            os.replace(Path(stage, out.name), out)
-        except OSError as exc:  # a directory at out: the log written beside it goes too
-            log_path.unlink()
-            raise OSError(exc.errno, exc.strerror, str(out)) from exc
+    with staged_dir(out.parent) as stage:  # both files are written in full before either replaces its path
+        save_checkpoint(model, stage / out.name, feature, train_cfg.beam_size)
+        log_text = "".join(json.dumps(row) + "\n" for row in history)
+        (stage / out.with_suffix(".log.jsonl").name).write_text(log_text, encoding="utf-8")
     final = history[-1] if history else {}
     print(json.dumps({"checkpoint": args.out, "epochs": len(history), "final": final}))
     return 0
@@ -228,6 +223,29 @@ def cmd_decode(args) -> int:
     atomic_write_text(args.out, "".join(data.record_to_json(hyp) + "\n" for hyp in hyps))
     print(json.dumps({"records": len(hyps), "out": args.out}))
     return 0
+
+
+_INPUTS = {  # the flags naming each command's input files (and augment's noise directory)
+    "tokenize": ("vocab", "manifest"),
+    "score": ("refs", "hyps"),
+    "augment": ("manifest", "noise_dir"),
+    "train-toy": ("config", "manifest", "pretrain_manifest"),
+    "decode": ("ckpt", "manifest"),
+}
+
+
+def _refuse_writing_over_inputs(args) -> None:
+    """Refuse an --out that resolves to one of the command's inputs: it, train-toy's log
+    beside it, or augment's manifest.jsonl and provenance.json in it.  An augment --out that
+    is its --noise-dir is refused too, as its WAVs would join the pool the next run draws."""
+    out = Path(args.out)
+    writes = {"augment": (out, out / "manifest.jsonl", out / "provenance.json"),
+              "train-toy": (out, out.with_suffix(".log.jsonl"))}.get(args.command, (out,))
+    written = {os.path.realpath(path) for path in writes}  # realpath, unlike resolve, returns on a symlink loop
+    for flag in _INPUTS[args.command]:
+        name = getattr(args, flag)
+        if name and os.path.realpath(name) in written:
+            raise ValidationError(f"--out {args.out} would write over --{flag.replace('_', '-')} {name}")
 
 
 _COMMANDS = {
@@ -255,6 +273,8 @@ def main(argv: list[str] | None = None) -> int:
     if log.isEnabledFor(logging.INFO):
         log.info("resolved config: %s", json.dumps(vars(args)))
     try:
+        if getattr(args, "out", None):  # only a command given an output can write over an input
+            _refuse_writing_over_inputs(args)
         return _COMMANDS[args.command](args)
     except (ValidationError, ParseError) as exc:
         print(f"slu {args.command}: {exc}", file=sys.stderr)

@@ -1,9 +1,17 @@
 """Atomic file writes (temp file in the target directory, then rename), staged
-directory writes, and checked UTF-8 and JSON reads."""
+directory writes, and checked UTF-8 and JSON reads.
+
+These are the only two ways the package commits an output.  One file goes
+through ``atomic_write_bytes``; several go through ``staged_dir``, whose stage
+lives inside the target directory and moves its files in only when the block
+succeeds and none of them would land on a directory.  A failed commit leaves
+the target as it was (no stage, no temp file); a repeated one replaces each
+file and leaves nothing else behind."""
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import os
 import tempfile
@@ -38,15 +46,37 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
 
 @contextlib.contextmanager
 def staged_dir(path: str | os.PathLike):
-    """Yield a temporary sibling of directory ``path``; when the block succeeds,
-    its files move into ``path``, and when it raises, ``path`` is left as it was."""
+    """Yield a stage, a dot-named temporary directory inside directory ``path``
+    (made with its missing parents if absent), and remove it on exit.  When the
+    block succeeds, each file under the stage moves to the same relative place
+    under ``path``, replacing an earlier file there, once no place is found to
+    be a directory (or a file where a directory goes), so nothing moves unless
+    every file can.  When the block or that check raises, ``path`` is left as
+    it was, or removed again if this call made it.  An OSError names the place
+    under ``path``, never the stage."""
     target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=target.parent, prefix=f".{target.name}.") as tmp:
-        yield Path(tmp)
-        target.mkdir(exist_ok=True)
-        for item in sorted(Path(tmp).iterdir()):
-            os.replace(item, target / item.name)
+    made = [directory for directory in (target, *target.parents) if not directory.exists()]
+    target.mkdir(parents=True, exist_ok=True)
+    stage = ""
+    try:
+        with tempfile.TemporaryDirectory(dir=target, prefix=".stage.") as stage:
+            yield Path(stage)
+            moves = [(item, target / item.relative_to(stage)) for item in sorted(Path(stage).rglob("*"))]
+            for item, place in moves:
+                if place.exists() and place.is_dir() != item.is_dir():  # a file on a directory, or the reverse
+                    code = errno.ENOTDIR if item.is_dir() else errno.EISDIR
+                    raise OSError(code, os.strerror(code), str(place))
+            for item, place in moves:  # sorted, so each directory is made before what it holds
+                if item.is_dir():
+                    place.mkdir(exist_ok=True)
+                else:
+                    os.replace(item, place)
+    except BaseException as exc:
+        for directory in made:  # each holds only the one below it, which is gone
+            directory.rmdir()
+        if isinstance(exc, OSError) and stage and str(exc.filename).startswith(stage + os.sep):
+            raise OSError(exc.errno, exc.strerror, str(target / Path(exc.filename).relative_to(stage))) from exc
+        raise
 
 
 def read_text(path: str | os.PathLike) -> str:

@@ -346,6 +346,57 @@ def test_augment_writes_an_id_holding_a_slash_into_a_subdirectory(tmp_path):
     )
 
 
+def test_augment_reruns_into_one_directory_with_ids_holding_a_slash(tmp_path):
+    # the commit moves each file, not each subdirectory, so a rerun replaces spk/'s WAVs one by one
+    wavs = tmp_path / "clean"
+    wavs.mkdir()
+    write_wav(tone(seconds=0.05), wavs / "u0.wav")
+    manifest = build_manifest([Utterance(f"spk/u{i}", ["a"], ["O"], "x", "u0.wav") for i in (0, 1)], wavs)
+    pool = NoisePool.from_directory(_noise_dir(tmp_path))
+    out_dir = tmp_path / "o"
+    snapshots = []
+    for _ in range(2):
+        out, provenance = augment_corpus(manifest, pool, AugmentSpec(seed=0), "train", out_dir)
+        assert len(out.records) == len(provenance) == 10
+        snapshots.append({str(p.relative_to(out_dir)): p.read_bytes() for p in out_dir.rglob("*") if p.is_file()})
+    assert snapshots[0] == snapshots[1]
+    assert sorted(snapshots[0]) == sorted(["manifest.jsonl", "provenance.json", *(rec.audio for rec in out.records)])
+
+
+def test_augment_moves_nothing_when_a_file_stands_where_a_subdirectory_goes(tmp_path):
+    wavs = tmp_path / "clean"
+    wavs.mkdir()
+    write_wav(tone(seconds=0.05), wavs / "u0.wav")
+    manifest = build_manifest([Utterance("spk/u0", ["a"], ["O"], "x", "u0.wav")], wavs)
+    pool = NoisePool.from_directory(_noise_dir(tmp_path))
+    out_dir = tmp_path / "o"
+    out_dir.mkdir()
+    (out_dir / "spk").write_text("earlier run\n")
+    with pytest.raises(NotADirectoryError) as err:
+        augment_corpus(manifest, pool, AugmentSpec(seed=0), "train", out_dir)
+    assert str(err.value) == f"[Errno 20] Not a directory: {str(out_dir / 'spk')!r}"
+    assert [p.name for p in out_dir.iterdir()] == ["spk"]
+    assert (out_dir / "spk").read_text() == "earlier run\n"
+
+
+def test_augment_stages_inside_its_output_directory(tmp_path, monkeypatch):
+    manifest = _clean_manifest(tmp_path, 2)
+    pool = NoisePool.from_directory(_noise_dir(tmp_path))
+    work = tmp_path / "work"
+    work.mkdir()
+    seen = []
+
+    def watching_wav_bytes(clip):
+        seen.append(sorted(p.name for p in work.iterdir()))
+        return wav_bytes(clip)
+
+    monkeypatch.setattr(slu.audio, "wav_bytes", watching_wav_bytes)
+    augment_corpus(manifest, pool, AugmentSpec(seed=0), "train", work / "aug")
+    assert seen == [["aug"]] * 10  # the stage is in aug/, not beside it
+    assert sorted(p.name for p in work.iterdir()) == ["aug"]
+    assert not [p.name for p in (work / "aug").iterdir() if p.name.startswith(".")]
+
+
 def test_augment_requires_audio_and_enough_noises(tmp_path):
     pool = NoisePool.from_directory(_noise_dir(tmp_path, count=6))
     manifest = build_manifest([Utterance("nosound", ["a"], ["O"], "x")])

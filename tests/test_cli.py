@@ -7,13 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slu import cli
+from slu import audio, cli
 from slu.audio import AudioClip, FeatureConfig, write_wav
 from slu.cli import main
 from slu.data import Utterance, build_manifest, parse_manifest, write_manifest
 from slu.model import JointModel, ModelConfig, save_checkpoint
 from slu.subword import WORDPIECE, SubwordVocab, save_vocab
-from slu.synth import asr_vocab, lexicon, nlu_vocab, utterance_audio, write_corpus
+from slu.synth import asr_vocab, lexicon, nlu_vocab, utterance_audio, write_corpus, write_noise_dir
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -372,6 +372,23 @@ def test_a_failed_train_toy_write_leaves_the_earlier_pair_whole(capsys, tmp_path
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == earlier
 
 
+def test_a_failed_train_toy_leaves_no_out_parent_it_made(capsys, tmp_path, monkeypatch):
+    paths = write_corpus(tmp_path / "corpus", 2, seed=5)
+    config_path = tmp_path / "corpus" / "cfg.json"
+    config_path.write_text(json.dumps({"stages": [{"stage": "asr_pretrain", "epochs": 1, "lr": 0.05}]}))
+
+    def full_disk(model, path, *args):
+        raise OSError(28, "No space left on device", str(path))
+
+    monkeypatch.setattr(cli, "save_checkpoint", full_disk)
+    ckpt = tmp_path / "new" / "run" / "ckpt.json"
+    code, out, err = run(capsys, "train-toy", "--config", str(config_path), "--manifest", str(paths.manifest),
+                         "--out", str(ckpt))
+    assert (code, out) == (1, "")
+    assert err == f"slu train-toy: [Errno 28] No space left on device: {str(ckpt)!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
+
+
 def test_console_entry_point_and_log_env(tmp_path, ref_manifest):
     import shutil
     import subprocess
@@ -700,6 +717,98 @@ def test_augment_refuses_an_id_that_is_not_its_normal_path(capsys, tmp_path, ids
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and f"record {refused!r}" in err
     assert list(work.iterdir()) == []
+
+
+def _augment_argv(tmp_path, out_dir):
+    """An augment call on a two-record synthetic corpus and a 12-file noise pool, into out_dir."""
+    paths = write_corpus(tmp_path / "corpus", 2, seed=5)
+    noise_dir = write_noise_dir(tmp_path / "noise", count=12)
+    return ["augment", "--manifest", str(paths.manifest), "--noise-dir", str(noise_dir), "--split", "test",
+            "--snr", "0,10", "--seed", "0", "--out", str(out_dir)]
+
+
+def test_augment_moves_nothing_when_a_file_would_land_on_a_directory(capsys, tmp_path):
+    out_dir = tmp_path / "aug"
+    (out_dir / "provenance.json").mkdir(parents=True)
+    code, out, err = run(capsys, *_augment_argv(tmp_path, out_dir))
+    assert (code, out) == (1, "")
+    assert err == f"slu augment: [Errno 21] Is a directory: {str(out_dir / 'provenance.json')!r}\n"
+    assert [p.name for p in out_dir.iterdir()] == ["provenance.json"]
+    assert list((out_dir / "provenance.json").iterdir()) == []
+
+
+def test_augment_into_a_file_fails_before_reading_a_clip(capsys, tmp_path, monkeypatch):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    argv = _augment_argv(tmp_path, taken)
+    read, read_wav = [], audio.read_wav
+    monkeypatch.setattr(audio, "read_wav", lambda path: read.append(path) or read_wav(path))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"slu augment: [Errno 17] File exists: {str(taken)!r}\n"
+    assert read == []
+    assert taken.read_text() == "not a directory\n"
+
+
+_OVERWRITE_BASE = {
+    "tokenize": {"--vocab": "corpus/vocab_asr.txt", "--manifest": "corpus/manifest.jsonl"},
+    "score": {"--refs": "corpus/manifest.jsonl", "--hyps": "corpus/hyps.jsonl"},
+    "decode": {"--ckpt": "ckpt.json", "--manifest": "corpus/manifest.jsonl"},
+    "train-toy": {"--config": "corpus/cfg.json", "--manifest": "corpus/manifest.jsonl",
+                  "--pretrain-manifest": "corpus/pretrain.jsonl"},
+    "augment": {"--manifest": "corpus/manifest.jsonl", "--noise-dir": "noise"},
+}
+
+
+@pytest.mark.parametrize("command, flag, given, out_name", [
+    ("tokenize", "--vocab", "corpus/vocab_asr.txt", "corpus/vocab_asr.txt"),
+    ("tokenize", "--manifest", "corpus/manifest.jsonl", "corpus/manifest.jsonl"),
+    ("score", "--refs", "corpus/manifest.jsonl", "corpus/manifest.jsonl"),
+    ("score", "--hyps", "corpus/hyps.jsonl", "corpus/hyps.jsonl"),
+    ("decode", "--ckpt", "ckpt.json", "ckpt.json"),
+    ("decode", "--manifest", "corpus/manifest.jsonl", "corpus/manifest.jsonl"),
+    ("train-toy", "--config", "corpus/cfg.json", "corpus/cfg.json"),
+    ("train-toy", "--manifest", "corpus/manifest.jsonl", "corpus/manifest.jsonl"),
+    ("train-toy", "--pretrain-manifest", "corpus/pretrain.jsonl", "corpus/pretrain.jsonl"),
+    ("train-toy", "--manifest", "corpus/run.log.jsonl", "corpus/run.json"),  # the log written beside --out
+    ("augment", "--manifest", "corpus/manifest.jsonl", "corpus"),
+    ("augment", "--manifest", "corpus/provenance.json", "corpus"),
+    ("augment", "--noise-dir", "noise", "noise"),  # its WAVs would join the pool
+], ids=["tokenize-vocab", "tokenize-manifest", "score-refs", "score-hyps", "decode-ckpt", "decode-manifest",
+        "train-toy-config", "train-toy-manifest", "train-toy-pretrain-manifest", "train-toy-log-over-manifest",
+        "augment-manifest", "augment-provenance-over-manifest", "augment-noise-dir"])
+def test_no_command_writes_over_its_own_input(capsys, tmp_path, command, flag, given, out_name):
+    paths = write_corpus(tmp_path / "corpus", 2, seed=5)
+    for copy in ("hyps.jsonl", "pretrain.jsonl", "run.log.jsonl", "provenance.json"):
+        (tmp_path / "corpus" / copy).write_bytes(paths.manifest.read_bytes())
+    (tmp_path / "corpus" / "cfg.json").write_text(
+        json.dumps({"stages": [{"stage": "asr_pretrain", "epochs": 1, "lr": 0.05}]}))
+    _small_checkpoint(tmp_path / "ckpt.json")
+    write_noise_dir(tmp_path / "noise", count=12)
+    flags = {**_OVERWRITE_BASE[command], flag: given, "--out": out_name}
+    argv = [command, *(item for key, value in flags.items() for item in (key, str(tmp_path / value)))]
+    if command == "augment":
+        argv += ["--split", "test", "--snr", "0,10"]
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"slu {command}: --out {tmp_path / out_name} would write over {flag} {tmp_path / given}\n"
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def test_the_input_guard_compares_paths_with_their_symlinks_followed(capsys, tmp_path, ref_manifest):
+    link = tmp_path / "report.json"
+    link.symlink_to(ref_manifest)
+    argv = ["score", "--refs", str(ref_manifest), "--hyps", str(ref_manifest)]
+    code, out, err = run(capsys, *argv, "--out", str(link))
+    assert (code, out) == (2, "")
+    assert err == f"slu score: --out {link} would write over --refs {ref_manifest}\n"
+    assert link.is_symlink()
+    loop = tmp_path / "loop.json"
+    loop.symlink_to(loop)
+    code, out, err = run(capsys, *argv, "--out", str(loop))  # resolves to no input: the report replaces the link
+    assert (code, err) == (0, "")
+    assert loop.read_text() == out
 
 
 def _small_checkpoint(path, intents=("find_flight", "airfare")):
