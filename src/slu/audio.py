@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import Manifest, Utterance, build_manifest, write_manifest
 from .errors import AudioFormatError, ValidationError
-from .ioutil import atomic_write_bytes, staged_dir
+from .ioutil import _note_read, atomic_write_bytes, staged_dir
 
 log = logging.getLogger(__name__)
 
@@ -48,6 +48,7 @@ class AudioClip:
 def read_wav(path: str | Path) -> AudioClip:
     """Read a 16-bit PCM mono WAV; amplitudes are scaled by 1/32768."""
     path = Path(path)
+    _note_read(path)
     try:
         with wave.open(str(path), "rb") as fh:
             if fh.getcomptype() != "NONE":
@@ -174,6 +175,7 @@ class NoisePool:
     def from_directory(cls, directory: str | Path) -> "NoisePool":
         """Build a pool from the sorted WAVs of one flat directory, split
         alternately, which keeps the two halves disjoint and deterministic."""
+        _note_read(directory)  # an output in it would join the pool the next run draws from
         files = [str(p) for p in sorted(Path(directory).glob("*.wav"))]
         return cls(tuple(files[0::2]), tuple(files[1::2]))
 

@@ -11,8 +11,10 @@ and log, are written into a stage inside their directory and moved in only
 when every one is written and none would land on a directory
 (``ioutil.staged_dir``).  A failed commit leaves that directory as it was,
 or removes it if the command made it; a repeated one replaces each file.
-An ``--out`` that would write over one of the command's own inputs is
-refused before any work, with exit code 2.
+A command given an ``--out`` refuses, with exit code 2, to write over a file
+it read, named by a flag, a config or a manifest, or the noise directory it
+listed (``ioutil.refusing_to_overwrite_reads``).  The refusal comes at the
+commit: after the work, but before anything is written.
 The argument parser is built once per process and reused by every ``main``
 call.
 """
@@ -31,7 +33,7 @@ from pathlib import Path
 from . import audio, data, metrics, synth
 from .decode import decode_corpus
 from .errors import ParseError, SluError, ValidationError, read_config
-from .ioutil import atomic_write_text, read_json, staged_dir
+from .ioutil import atomic_write_text, read_json, refusing_to_overwrite_reads, staged_dir
 from .model import JointModel, ModelConfig, load_checkpoint, save_checkpoint
 from .subword import load_vocab, tokenize
 from .train import StageConfig, TrainConfig, corpus_features, train
@@ -225,29 +227,6 @@ def cmd_decode(args) -> int:
     return 0
 
 
-_INPUTS = {  # the flags naming each command's input files (and augment's noise directory)
-    "tokenize": ("vocab", "manifest"),
-    "score": ("refs", "hyps"),
-    "augment": ("manifest", "noise_dir"),
-    "train-toy": ("config", "manifest", "pretrain_manifest"),
-    "decode": ("ckpt", "manifest"),
-}
-
-
-def _refuse_writing_over_inputs(args) -> None:
-    """Refuse an --out that resolves to one of the command's inputs: it, train-toy's log
-    beside it, or augment's manifest.jsonl and provenance.json in it.  An augment --out that
-    is its --noise-dir is refused too, as its WAVs would join the pool the next run draws."""
-    out = Path(args.out)
-    writes = {"augment": (out, out / "manifest.jsonl", out / "provenance.json"),
-              "train-toy": (out, out.with_suffix(".log.jsonl"))}.get(args.command, (out,))
-    written = {os.path.realpath(path) for path in writes}  # realpath, unlike resolve, returns on a symlink loop
-    for flag in _INPUTS[args.command]:
-        name = getattr(args, flag)
-        if name and os.path.realpath(name) in written:
-            raise ValidationError(f"--out {args.out} would write over --{flag.replace('_', '-')} {name}")
-
-
 _COMMANDS = {
     "validate": cmd_validate,
     "tokenize": cmd_tokenize,
@@ -274,7 +253,8 @@ def main(argv: list[str] | None = None) -> int:
         log.info("resolved config: %s", json.dumps(vars(args)))
     try:
         if getattr(args, "out", None):  # only a command given an output can write over an input
-            _refuse_writing_over_inputs(args)
+            with refusing_to_overwrite_reads(args.out):
+                return _COMMANDS[args.command](args)
         return _COMMANDS[args.command](args)
     except (ValidationError, ParseError) as exc:
         print(f"slu {args.command}: {exc}", file=sys.stderr)

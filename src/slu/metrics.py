@@ -11,9 +11,7 @@ utterance.
 report and the joint-stage polls of ``train`` log its slots edit F1 and its
 intent F1 (the intent accuracy).  It aligns each pair twice, in ``corpus_wer``
 and ``slots_edit_f1``: the score benchmark counts two alignments per pair and
-keeps every run's reports, so a faster score grows its peak memory.  Building
-trace ops as plain tuples spent about 6 of the 10 points of headroom under that
-bound; aligning once, and the larger score gains, wait for that to change.
+keeps every run's reports, so a faster score grows its peak memory.
 """
 
 from __future__ import annotations

@@ -101,10 +101,10 @@ class _Sgd:
 
     On construction the parameters are copied, in ``params`` order, into one
     buffer, and each ``Tensor.data`` is rebound to a reshaped view of it; the
-    velocity is a second buffer, with ``velocity`` mapping each name to its
-    view.  A step updates the views in place, so the model's next pass,
-    a decoding poll too, reads the new values; a ``data`` rebound after the
-    optimizer was built would miss its updates, so a step refuses it.
+    velocity is a second buffer laid out the same way.  A step updates the
+    views in place, so the model's next pass, a decoding poll too, reads the
+    new values; a ``data`` rebound after the optimizer was built would miss
+    its updates, so a step refuses it.
     """
 
     def __init__(self, params, lr: float, momentum: float):
@@ -116,13 +116,11 @@ class _Sgd:
         self._bounds = list(itertools.accumulate((t.data.size for t in self._tensors), initial=0))
         self._data = np.empty(self._bounds[-1])
         self._velocity = np.zeros(self._bounds[-1])
-        self.velocity = {}
-        for (name, t), lo, hi in zip(params.items(), self._bounds, self._bounds[1:]):
+        for t, lo, hi in zip(self._tensors, self._bounds, self._bounds[1:]):
             view = self._data[lo:hi].reshape(t.data.shape)
             view[...] = t.data
             t.data = view
             self._views.append(view)
-            self.velocity[name] = self._velocity[lo:hi].reshape(view.shape)
 
     def _runs(self) -> list[tuple[int, int]]:
         """The ``[i, j)`` index ranges of the longest runs of parameters that have a gradient;

@@ -792,7 +792,7 @@ def test_no_command_writes_over_its_own_input(capsys, tmp_path, command, flag, g
     before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == f"slu {command}: --out {tmp_path / out_name} would write over {flag} {tmp_path / given}\n"
+    assert err == f"slu {command}: --out {tmp_path / out_name} would write over {tmp_path / given}\n"
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
@@ -802,13 +802,62 @@ def test_the_input_guard_compares_paths_with_their_symlinks_followed(capsys, tmp
     argv = ["score", "--refs", str(ref_manifest), "--hyps", str(ref_manifest)]
     code, out, err = run(capsys, *argv, "--out", str(link))
     assert (code, out) == (2, "")
-    assert err == f"slu score: --out {link} would write over --refs {ref_manifest}\n"
+    assert err == f"slu score: --out {link} would write over {ref_manifest}\n"
     assert link.is_symlink()
     loop = tmp_path / "loop.json"
     loop.symlink_to(loop)
     code, out, err = run(capsys, *argv, "--out", str(loop))  # resolves to no input: the report replaces the link
     assert (code, err) == (0, "")
     assert loop.read_text() == out
+
+
+def _assert_refused(capsys, root, argv, read):
+    """argv exits 2 with one stderr line naming its --out and ``read``, and leaves every file under
+    root as it was, with no dot-named entry (a stage or temp file) added."""
+    before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"slu {argv[0]}: --out {argv[argv.index('--out') + 1]} would write over {read}\n"
+    assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == before
+    assert list(root.rglob(".*")) == []
+
+
+def _train_argv(tmp_path, out, **config):
+    """A one-epoch train-toy call on a two-record synthetic corpus, into out."""
+    paths = write_corpus(tmp_path / "corpus", 2, seed=5)
+    cfg = tmp_path / "corpus" / "cfg.json"
+    cfg.write_text(json.dumps({"stages": [{"stage": "asr_pretrain", "epochs": 1, "lr": 0.05}], **config}))
+    return ["train-toy", "--config", str(cfg), "--manifest", str(paths.manifest), "--out", str(out)]
+
+
+def test_train_toy_refuses_to_write_over_the_vocabulary_its_config_names(capsys, tmp_path):
+    vocab = tmp_path / "corpus" / "vocab_asr.txt"
+    _assert_refused(capsys, tmp_path, _train_argv(tmp_path, vocab, asr_vocab="vocab_asr.txt"), read=vocab)
+
+
+def test_decode_refuses_to_write_over_a_wav_its_manifest_names(capsys, tmp_path):
+    paths = write_corpus(tmp_path / "corpus", 2, seed=5)
+    wav = paths.wav_dir / "synth000.wav"
+    argv = ["decode", "--ckpt", str(_small_checkpoint(tmp_path / "ckpt.json")), "--manifest", str(paths.manifest),
+            "--out", str(wav)]
+    _assert_refused(capsys, tmp_path, argv, read=wav)
+
+
+def test_train_toy_refuses_to_write_over_a_wav_its_manifest_names(capsys, tmp_path):
+    wav = tmp_path / "corpus" / "wavs" / "synth000.wav"
+    _assert_refused(capsys, tmp_path, _train_argv(tmp_path, wav), read=wav)
+
+
+def test_augment_refuses_a_mixed_wav_that_would_replace_the_clean_clip_it_read(capsys, tmp_path):
+    out_dir = tmp_path / "out"
+    argv = _augment_argv(tmp_path, out_dir)
+    out_dir.mkdir()
+    (out_dir / "x#snr10.wav").write_bytes((tmp_path / "corpus" / "wavs" / "synth000.wav").read_bytes())
+    rec = parse_manifest(tmp_path / "corpus" / "manifest.jsonl").records[0]
+    manifest = tmp_path / "in" / "manifest.jsonl"  # its one record x reads the clip that x#snr10.wav would replace
+    write_manifest(build_manifest([dataclasses.replace(rec, id="x", audio="../out/x#snr10.wav")]), manifest)
+    argv[argv.index("--manifest") + 1] = str(manifest)
+    _assert_refused(capsys, tmp_path, argv, read=tmp_path / "in" / "../out/x#snr10.wav")
 
 
 def _small_checkpoint(path, intents=("find_flight", "airfare")):

@@ -312,7 +312,7 @@ def test_sgd_matches_the_per_parameter_loop_bitwise(pattern, momentum):
         oracles.sgd_step_per_param(loop, velocity, lr=0.05, momentum=momentum)
         for name in SGD_SHAPES:
             assert flat[name].data.tobytes() == loop[name].data.tobytes(), (step, name)
-            assert opt.velocity[name].tobytes() == velocity[name].tobytes(), (step, name)
+        assert opt._velocity.tobytes() == np.concatenate(list(velocity.values()), axis=None).tobytes(), step
 
 
 def test_sgd_step_is_all_or_nothing_on_a_non_finite_gradient():
@@ -322,7 +322,7 @@ def test_sgd_step_is_all_or_nothing_on_a_non_finite_gradient():
     give_gradients(params, range(len(SGD_SHAPES)), rng)
     opt.step()  # every velocity is now non-zero
     data = {name: t.data.copy() for name, t in params.items()}
-    velocity = {name: v.copy() for name, v in opt.velocity.items()}
+    velocity = opt._velocity.copy()
     give_gradients(params, GRADIENT_PATTERNS["gap-middle"], rng)  # runs a.w, a.b | b.b | c.b
     params["c.b"].grad[1] = np.nan  # in the last run
     params["b.b"].grad[0] = np.inf  # in an earlier run: the one the error names
@@ -330,7 +330,7 @@ def test_sgd_step_is_all_or_nothing_on_a_non_finite_gradient():
         opt.step()
     for name, tensor in params.items():
         assert tensor.data.tobytes() == data[name].tobytes(), name
-        assert opt.velocity[name].tobytes() == velocity[name].tobytes(), name
+    assert opt._velocity.tobytes() == velocity.tobytes()
 
 
 def test_sgd_parameters_are_views_of_one_buffer_updated_in_place():
@@ -347,8 +347,8 @@ def test_sgd_parameters_are_views_of_one_buffer_updated_in_place():
         start = tensor.data.__array_interface__["data"][0] - buffer.__array_interface__["data"][0]
         assert start == offset * buffer.itemsize, name  # laid out in params order, with no gaps
         offset += tensor.data.size
-        assert opt.velocity[name].shape == tensor.data.shape and not opt.velocity[name].any(), name
     assert offset == buffer.size
+    assert opt._velocity.shape == buffer.shape and not opt._velocity.any()
     arrays = {name: t.data for name, t in model.params.items()}
     give_gradients(model.params, range(len(tensors)), np.random.default_rng(5))
     opt.step()
@@ -367,7 +367,8 @@ def test_a_new_stage_optimizer_reads_values_rebound_before_it_was_built():
     kept = {name: t.data.copy() for name, t in params.items()}
     second = _Sgd(params, lr=0.05, momentum=0.9)
     for name, tensor in params.items():
-        assert np.array_equal(tensor.data, kept[name]) and not second.velocity[name].any(), name
+        assert np.array_equal(tensor.data, kept[name]), name
+    assert not second._velocity.any()
     assert params["b.w"].data is not rebound
     give_gradients(params, [2], np.random.default_rng(7))
     second.step()
@@ -382,12 +383,12 @@ def test_sgd_step_refuses_a_parameter_rebound_after_it_was_built():
     params["b.w"].data = np.full(SGD_SHAPES["b.w"], 0.25)
     params["c.b"].data = np.zeros(SGD_SHAPES["c.b"])
     data = {name: t.data.copy() for name, t in params.items()}
-    velocity = {name: v.copy() for name, v in opt.velocity.items()}
+    velocity = opt._velocity.copy()
     with pytest.raises(ValidationError, match="'b.w'"):
         opt.step()
     for name, tensor in params.items():
         assert tensor.data.tobytes() == data[name].tobytes(), name
-        assert opt.velocity[name].tobytes() == velocity[name].tobytes(), name
+    assert opt._velocity.tobytes() == velocity.tobytes()
 
 
 @pytest.mark.parametrize("stages", [1, 2])
