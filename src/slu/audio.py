@@ -193,6 +193,8 @@ class AugmentSpec:
                 f"({self.noises_per_clip} vs {len(self.snr_levels_db)})"
             )
         for i, level in enumerate(self.snr_levels_db):
+            if not abs(level) <= 300:  # nan too; within the bound, 10 ** (level / 20) stays finite
+                raise ValidationError(f"SNR levels must lie within +-300 dB, got {level:g}")
             if level in self.snr_levels_db[:i]:  # by value: 0 and -0 are one level and one record id
                 raise ValidationError(f"SNR level {level:g} dB is repeated in {list(self.snr_levels_db)}")
 

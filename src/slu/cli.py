@@ -14,7 +14,10 @@ or removes it if the command made it; a repeated one replaces each file.
 A command given an ``--out`` refuses, with exit code 2, to write over a file
 it read, named by a flag, a config or a manifest, or the noise directory it
 listed (``ioutil.refusing_to_overwrite_reads``).  The refusal comes at the
-commit: after the work, but before anything is written.
+commit: after the work, but before anything is written.  ``train-toy`` refuses
+before it trains when ``--out``, its log or its directory is a file named by a
+flag or by the config; a WAV that the manifest names is read inside the training,
+so that one is refused at the commit.
 The argument parser is built once per process and reused by every ``main``
 call.
 """
@@ -33,7 +36,7 @@ from pathlib import Path
 from . import audio, data, metrics, synth
 from .decode import decode_corpus
 from .errors import ParseError, SluError, ValidationError, read_config
-from .ioutil import atomic_write_text, read_json, refusing_to_overwrite_reads, staged_dir
+from .ioutil import atomic_write_text, check_outputs, read_json, refusing_to_overwrite_reads, staged_dir
 from .model import JointModel, ModelConfig, load_checkpoint, save_checkpoint
 from .subword import load_vocab, tokenize
 from .train import StageConfig, TrainConfig, corpus_features, train
@@ -160,8 +163,6 @@ def cmd_augment(args) -> int:
         levels = tuple(float(s) for s in args.snr.split(","))
     except ValueError as exc:
         raise ValidationError(f"--snr must be comma-separated dB levels, got {args.snr!r}") from exc
-    if not all(abs(level) <= 300 for level in levels):  # also rejects nan; 10 ** (level / 20) stays finite
-        raise ValidationError(f"--snr levels must lie within +-300 dB, got {args.snr!r}")
     spec = audio.AugmentSpec(snr_levels_db=levels, noises_per_clip=len(levels), seed=args.seed)
     manifest = data.parse_manifest(args.manifest)
     pool = audio.NoisePool.from_directory(args.noise_dir)
@@ -203,8 +204,9 @@ def cmd_train_toy(args) -> int:
         model = JointModel(model_cfg, asr_vocab, nlu_vocab, slot_tags, intents)
     except ValidationError as exc:  # its parameters are over the budget
         raise ValidationError(f"{args.config}: bad train config: model: {exc}") from exc
-    history = train(model, manifest, train_cfg, feature, pretrain)
     out = Path(args.out)
+    check_outputs(out.parent, out, out.with_suffix(".log.jsonl"))  # a WAV, read inside train, is checked at the commit
+    history = train(model, manifest, train_cfg, feature, pretrain)
     with staged_dir(out.parent) as stage:  # both files are written in full before either replaces its path
         save_checkpoint(model, stage / out.name, feature, train_cfg.beam_size)
         log_text = "".join(json.dumps(row) + "\n" for row in history)

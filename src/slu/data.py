@@ -2,8 +2,9 @@
 
 A manifest is one JSON object per line, ``{id, words, slots, intent, audio?}``,
 which ``errors.read_config`` reads into an ``Utterance``, each value checked
-against its field's annotation.  Slot tags are stored
-internally in BIO form; bare labels are promoted to ``B-<label>`` on parse.
+against its field's annotation.  An ``Utterance`` checks the record contract
+itself and promotes a bare slot label to ``B-<label>``, so its tags are in BIO
+form; a parsed record that breaks the contract is named with its file and line.
 """
 
 from __future__ import annotations
@@ -33,6 +34,23 @@ class Utterance:
     audio: str | None = None  # the WAV's path, relative to the manifest's directory
     clip: AudioClip | None = field(default=None, compare=False, repr=False)  # in-memory audio, used before `audio`
 
+    def __post_init__(self) -> None:
+        """Check the record contract and promote each bare label in ``slots``, in place."""
+        if not self.id:
+            raise ValidationError("record with empty id")
+        if len(self.words) != len(self.slots):
+            raise ValidationError(f"record {self.id!r}: words length {len(self.words)} != slots length {len(self.slots)}")
+        if not all(self.words):
+            raise ValidationError(f"record {self.id!r}: empty word string")
+        if not self.intent:
+            raise ValidationError(f"record {self.id!r}: empty intent label")
+        slots = self.slots
+        for k, tag in enumerate(slots):
+            if tag != OUTSIDE and not tag.startswith(("B-", "I-")):
+                tag = slots[k] = f"B-{tag}"
+            if tag in ("B-", "I-"):
+                raise ValidationError(f"record {self.id!r}: empty slot label")
+
 
 @dataclass
 class Manifest:
@@ -40,15 +58,6 @@ class Manifest:
     slot_vocabulary: frozenset[str]
     intent_vocabulary: frozenset[str]
     base_dir: Path | None = field(default=None, compare=False)
-
-
-def canonical_slot(tag: str) -> str:
-    """Promote a bare label to B- form; keep O and B-/I- tags unchanged."""
-    if tag == OUTSIDE:
-        return tag
-    if tag.startswith(("B-", "I-")):
-        return tag
-    return f"B-{tag}"
 
 
 def base_label(tag: str) -> str:
@@ -59,40 +68,17 @@ def base_label(tag: str) -> str:
 
 
 def build_manifest(records: Iterable[Utterance], base_dir: Path | None = None) -> Manifest:
-    """Validate records and derive the closed slot/intent vocabularies.
-
-    The manifest holds copies of the records with their slots in canonical
-    BIO form; the records passed in are left as they are.
-    """
-    out: list[Utterance] = []
+    """The manifest of ``records``, kept as they are, with its closed slot and
+    intent vocabularies; two records with one id raise ValidationError."""
+    records = list(records)
     seen_ids: set[str] = set()
-    slot_vocab: set[str] = {OUTSIDE}
-    intent_vocab: set[str] = set()
     for rec in records:
-        if not rec.id:
-            raise ValidationError("record with empty id")
         if rec.id in seen_ids:
             raise ValidationError(f"duplicate record id {rec.id!r}")
         seen_ids.add(rec.id)
-        if len(rec.words) != len(rec.slots):
-            raise ValidationError(
-                f"record {rec.id!r}: words length {len(rec.words)} != slots length {len(rec.slots)}"
-            )
-        if any(not w for w in rec.words):
-            raise ValidationError(f"record {rec.id!r}: empty word string")
-        if not rec.intent:
-            raise ValidationError(f"record {rec.id!r}: empty intent label")
-        slots = list(rec.slots)
-        for k, tag in enumerate(slots):
-            tag = slots[k] = canonical_slot(tag)
-            label = base_label(tag)
-            if not label:
-                raise ValidationError(f"record {rec.id!r}: empty slot label")
-            if tag != OUTSIDE:
-                slot_vocab.add(label)
-        intent_vocab.add(rec.intent)
-        out.append(Utterance(rec.id, list(rec.words), slots, rec.intent, rec.audio, rec.clip))
-    return Manifest(out, frozenset(slot_vocab), frozenset(intent_vocab), base_dir)
+    slot_vocab = {OUTSIDE}.union(base_label(tag) for rec in records for tag in rec.slots if tag != OUTSIDE)
+    intent_vocab = frozenset(rec.intent for rec in records)
+    return Manifest(records, frozenset(slot_vocab), intent_vocab, base_dir)
 
 
 def parse_manifest_lines(lines: Iterable[str], source: str = "<memory>") -> Manifest:
@@ -105,7 +91,10 @@ def parse_manifest_lines(lines: Iterable[str], source: str = "<memory>") -> Mani
         except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
             raise ParseError(f"{source}:{lineno}: invalid JSON: {exc}") from exc
         records.append(read_config(Utterance, obj, f"{source}:{lineno}", clip=None))
-    return build_manifest(records)
+    try:
+        return build_manifest(records)
+    except ValidationError as exc:  # a duplicate id
+        raise ValidationError(f"{source}: {exc}") from exc
 
 
 def parse_manifest(path: str | Path) -> Manifest:

@@ -6,7 +6,8 @@ through ``atomic_write_bytes``; several go through ``staged_dir``, whose stage
 lives inside the target directory and moves its files in only when the block
 succeeds and none of them would land on a directory.  A failed commit leaves
 the target as it was (no stage, no temp file); a repeated one replaces each
-file and leaves nothing else behind.
+file and leaves nothing else behind.  Every file committed either way takes
+the mode that ``open(path, "w")`` gives a new file under the process umask.
 
 Inside ``refusing_to_overwrite_reads`` both commits refuse to write over a file
 read through ``read_text`` or ``audio.read_wav``, one that a config or manifest
@@ -50,6 +51,13 @@ def _refuse_if_read(path: str | os.PathLike) -> None:
         raise ValidationError(f"--out {_out} would write over {read}")
 
 
+def check_outputs(*paths: str | os.PathLike) -> None:
+    """Make the commit's refusal before the work: raise it now for any of
+    ``paths`` noted as read so far inside ``refusing_to_overwrite_reads``."""
+    for path in paths:
+        _refuse_if_read(path)
+
+
 def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
     target = Path(path)
     _refuse_if_read(target)
@@ -60,7 +68,10 @@ def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
         except FileNotFoundError:  # the directory is made only when it is missing
             target.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
+        umask = os.umask(0o022)  # reading the umask means setting it; it is put back at once
+        os.umask(umask)
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fd, 0o666 & ~umask)  # the mode open(path, "w") gives, where mkstemp gives 0600
             fh.write(data)
         os.replace(tmp, target)
     except BaseException as exc:

@@ -208,6 +208,14 @@ def test_augment_spec_rejects_a_repeated_snr_level(levels, repeated):
         AugmentSpec(snr_levels_db=levels, noises_per_clip=len(levels))
 
 
+@pytest.mark.parametrize("level", [float("nan"), float("inf"), -float("inf"), 301.0, -301.0, 7000.0])
+def test_augment_spec_rejects_an_snr_level_beyond_300_db(level):
+    with pytest.raises(ValidationError) as err:
+        AugmentSpec(snr_levels_db=(10.0, level), noises_per_clip=2)
+    assert str(err.value) == f"SNR levels must lie within +-300 dB, got {level:g}"
+    assert AugmentSpec(snr_levels_db=(-300.0, 300), noises_per_clip=2).snr_levels_db == (-300.0, 300)
+
+
 def _noise_dir(tmp_path, count=12):
     rng = np.random.default_rng(5)
     d = tmp_path / "noise"

@@ -117,6 +117,20 @@ def test_score_mismatched_counts_exit_2(capsys, ref_manifest, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("second, where, reason", [
+    ({"id": "u1", "words": ["fares", "on", "monday"], "slots": ["O"], "intent": "airfare"},
+     ":2", "record 'u1': words length 3 != slots length 1"),
+    ({"id": "u0", "words": ["fares"], "slots": ["O"], "intent": "airfare"}, "", "duplicate record id 'u0'"),
+])
+def test_score_names_the_file_of_a_bad_hypothesis_record(capsys, ref_manifest, tmp_path, second, where, reason):
+    # the refs hold records u0 and u1 too, so only the file says which side is at fault
+    hyps = tmp_path / "hyps.jsonl"
+    hyps.write_text(ref_manifest.read_text().splitlines()[0] + "\n" + json.dumps(second) + "\n")
+    code, out, err = run(capsys, "score", "--refs", str(ref_manifest), "--hyps", str(hyps))
+    assert (code, out) == (2, "")
+    assert err == f"slu score: {hyps}{where}: {reason}\n"
+
+
 def test_wer_subcommand(capsys, ref_manifest, tmp_path):
     code, out, _ = run(capsys, "wer", "--refs", str(ref_manifest), "--hyps", str(ref_manifest))
     assert code == 0
@@ -389,6 +403,26 @@ def test_a_failed_train_toy_leaves_no_out_parent_it_made(capsys, tmp_path, monke
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_every_output_takes_the_mode_a_plain_write_gives_under_the_umask(capsys, tmp_path, ref_manifest, umask):
+    paths = write_corpus(tmp_path / "corpus", 2, seed=5)
+    config_path = tmp_path / "corpus" / "cfg.json"
+    config_path.write_text(json.dumps({"stages": [{"stage": "asr_pretrain", "epochs": 1, "lr": 0.05}]}))
+    before = os.umask(umask)
+    try:
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+        assert run(capsys, "train-toy", "--config", str(config_path), "--manifest", str(paths.manifest),
+                       "--out", str(tmp_path / "run" / "ckpt.json"))[0] == 0
+        assert run(capsys, "score", "--refs", str(ref_manifest), "--hyps", str(ref_manifest),
+                       "--out", str(tmp_path / "report.json"))[0] == 0
+    finally:
+        os.umask(before)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in [tmp_path / "report.json", *(tmp_path / "run").iterdir()]}
+    assert modes == dict.fromkeys(["report.json", "ckpt.json", "ckpt.log.jsonl"], 0o666 & ~umask)
+    assert (tmp_path / "plain.txt").stat().st_mode & 0o777 == 0o666 & ~umask
+
+
 def test_console_entry_point_and_log_env(tmp_path, ref_manifest):
     import shutil
     import subprocess
@@ -650,6 +684,16 @@ def test_augment_mix_error_names_the_record_and_the_noise(capsys, tmp_path, faul
     assert [p.name for p in out_dir.iterdir()] == ["keep.txt"]
 
 
+@pytest.mark.parametrize("snr, level", [("nan", "nan"), ("0,inf", "inf"), ("301", "301"), ("10,-7000", "-7000")])
+def test_augment_refuses_an_snr_level_beyond_300_db_before_reading_anything(capsys, tmp_path, snr, level):
+    # neither the manifest nor the noise directory exists: the levels are checked first
+    code, out, err = run(capsys, "augment", "--manifest", str(tmp_path / "m.jsonl"), "--noise-dir",
+                         str(tmp_path / "noise"), "--split", "train", "--snr", snr, "--out", str(tmp_path / "aug"))
+    assert (code, out) == (2, "")
+    assert err == f"slu augment: SNR levels must lie within +-300 dB, got {level}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("snr, level", [("10,10", "10"), ("0,-0", "-0")])
 def test_augment_rejects_a_repeated_snr_level_before_mixing(capsys, tmp_path, snr, level):
     wav_dir = tmp_path / "clean"
@@ -833,6 +877,20 @@ def _train_argv(tmp_path, out, **config):
 def test_train_toy_refuses_to_write_over_the_vocabulary_its_config_names(capsys, tmp_path):
     vocab = tmp_path / "corpus" / "vocab_asr.txt"
     _assert_refused(capsys, tmp_path, _train_argv(tmp_path, vocab, asr_vocab="vocab_asr.txt"), read=vocab)
+
+
+@pytest.mark.parametrize("target", ["config", "log", "directory"])
+def test_train_toy_refuses_an_out_that_names_its_config_before_it_trains(capsys, tmp_path, monkeypatch, target):
+    cfg = tmp_path / "corpus" / "cfg.json"
+    # the log of --out cfg.log is cfg.log.jsonl, and --out cfg.json/ckpt.json commits into cfg.json
+    out = {"config": cfg, "log": cfg.with_name("cfg.log"), "directory": cfg / "ckpt.json"}[target]
+    argv = _train_argv(tmp_path, out)
+    if target == "log":
+        argv[argv.index("--config") + 1] = str(cfg.rename(cfg.with_name("cfg.log.jsonl")))
+    trained = []
+    monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
+    _assert_refused(capsys, tmp_path, argv, read=argv[argv.index("--config") + 1])
+    assert trained == []
 
 
 def test_decode_refuses_to_write_over_a_wav_its_manifest_names(capsys, tmp_path):

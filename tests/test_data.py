@@ -90,7 +90,27 @@ def test_build_manifest_canonicalises_copies_and_leaves_the_inputs_alone():
     assert manifest.slot_vocabulary == {"O", "toloc"}
     assert rec == Utterance("u", ["to", "boston"], ["O", "toloc"], "x")
     assert rec.words is words and rec.slots is slots
-    assert manifest.records[0].words is not words and manifest.records[0].slots is not slots
+
+
+def test_build_manifest_keeps_the_records_it_is_given_and_leaves_them_unchanged():
+    records = [Utterance("u0", ["to", "boston"], ["O", "toloc"], "x"), Utterance("u1", ["hi"], ["O"], "greet")]
+    fields = [(rec.words, rec.slots, list(rec.words), list(rec.slots)) for rec in records]
+    manifest = build_manifest(iter(records))
+    assert len(manifest.records) == len(records)
+    assert all(kept is rec for kept, rec in zip(manifest.records, records))
+    for rec, (words, slots, word_values, slot_values) in zip(records, fields):
+        assert rec.words is words and rec.slots is slots
+        assert rec.words == word_values and rec.slots == slot_values
+    assert manifest.slot_vocabulary == {"O", "toloc"} and manifest.intent_vocabulary == {"x", "greet"}
+
+
+def test_a_duplicate_id_read_from_a_file_names_the_file(tmp_path):
+    path = tmp_path / "m.jsonl"
+    line = '{"id":"dup","words":["w"],"slots":["O"],"intent":"x"}\n'
+    path.write_text(line + line)
+    with pytest.raises(ValidationError) as err:
+        parse_manifest(path)
+    assert str(err.value) == f"{path}: duplicate record id 'dup'"
 
 
 @pytest.mark.parametrize(
@@ -101,16 +121,26 @@ def test_build_manifest_canonicalises_copies_and_leaves_the_inputs_alone():
         (("u", [""], ["B-"], ""), "record 'u': empty word string"),
         (("u", ["a"], ["B-"], ""), "record 'u': empty intent label"),
         (("u", ["a", "b"], ["toloc", "I-"], "x"), "record 'u': empty slot label"),
+        # records that break one check only
+        (("", ["a"], ["O"], "x"), "record with empty id"),
+        (("u", ["a", "b"], ["O"], "x"), "record 'u': words length 2 != slots length 1"),
+        (("u", ["a"], [], "x"), "record 'u': words length 1 != slots length 0"),
+        (("u", ["a", ""], ["O", "O"], "x"), "record 'u': empty word string"),
+        (("u", ["a"], ["O"], ""), "record 'u': empty intent label"),
+        (("u", ["a"], [""], "x"), "record 'u': empty slot label"),
+        (("u", ["a"], ["B-"], "x"), "record 'u': empty slot label"),
+        (("u", ["a", "b"], ["B-toloc", "I-"], "x"), "record 'u': empty slot label"),
     ],
 )
 def test_manifest_checks_run_in_order(fields, message):
-    # each record fails its message's check and every later one; only the first is reported
+    # each record fails its message's check and every later one; only the first is reported.  The
+    # Utterance checks itself, and a parsed record's message is prefixed with its source and line
     rid, words, slots, intent = fields
     line = json.dumps({"id": rid, "words": words, "slots": slots, "intent": intent})
-    for build in (lambda: build_manifest([Utterance(*fields)]), lambda: parse_manifest_lines([line])):
+    for build, prefix in ((lambda: Utterance(*fields), ""), (lambda: parse_manifest_lines(["", line]), "<memory>:2: ")):
         with pytest.raises(ValidationError) as err:
             build()
-        assert str(err.value) == message
+        assert str(err.value) == prefix + message
 
 
 def test_slot_conflict_detection():
