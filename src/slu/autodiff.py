@@ -10,14 +10,17 @@ intent ``linear``).  So a speech train step records 4 nodes and a joint step
 12.  A layer or head node runs the numpy operations of its composition of
 elementary ops in their order, and its hand-written backward returns that
 composition's gradients bit for bit; both attention layers share one
-array-level attention (``_attend``) and embedding (``_embed``).  No op
-broadcasts, and an operand of ``+`` that is not a ``Tensor`` is a
-``TypeError``.  The mean's backward fills a new, writable array, not a
-broadcast view.  A gather's backward (the embeddings' and the word rows')
-adds the gradient rows onto ``np.zeros``: with ``+=`` for a ``slice``, and
-with ``np.add.at`` for an index list, which may name a row twice.
-Nodes record parents only when a gradient is required and recording is
-on: under ``no_grad()`` no op records any, so decoding builds no graph.
+array-level attention (``_attend``) and embedding (``_embed``, of positions
+0 to n - 1).  The decoder node's forward is the array function
+``decoder_rows``, which the beam search runs as its step, so training and
+decoding share one copy of it.  No op broadcasts, and an operand of ``+``
+that is not a ``Tensor`` is a ``TypeError``.  The mean's backward fills a
+new, writable array, not a broadcast view.  A gather's backward (the
+embeddings' and the word rows') adds the gradient rows onto ``np.zeros``:
+with ``+=`` for a ``slice``, and with ``np.add.at`` for an index list, which
+may name a row twice.  Nodes record parents only when a gradient is required
+and recording is on: under ``no_grad()`` no op records any, so decoding's
+encoder and heads build no graph.
 
 A step makes a few hundred numpy calls on arrays of tens of rows, so each
 call's fixed cost sets the speed: the ops multiply with ``ndarray.dot``, not
@@ -167,11 +170,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def _embed(table: np.ndarray, ids, pos: np.ndarray, positions):
-    """Token plus position embeddings ``table[ids] + pos[positions]`` (BERT's input layer, Devlin et al.
-    2019) and their backward, the two gathers' scatters; ``ids`` and ``positions`` are read as ``_rows``
-    reads them, and row counts that differ are a ``DimensionError``, not a broadcast."""
-    ids, positions = _rows(ids), _rows(positions)
+def _embed(table: np.ndarray, ids, pos: np.ndarray):
+    """Token plus position embeddings ``table[ids] + pos[:n]`` for n ids (BERT's input layer, Devlin et
+    al. 2019) and their backward, the two gathers' scatters; ``ids`` are read as ``_rows`` reads them, and
+    more ids than position rows is a ``DimensionError``, not a broadcast."""
+    ids, positions = _rows(ids), slice(len(ids))
     tokens, places = table[ids], pos[positions]
     if tokens.shape != places.shape:
         raise DimensionError(f"cannot add shapes {tokens.shape} and {places.shape}")
@@ -221,21 +224,33 @@ def encoder_layer(frames: np.ndarray, w: Tensor, b: Tensor, pos: Tensor) -> Tens
     return Tensor._op(out, (w, b, pos), backward)
 
 
-def decoder_layer(table: Tensor, ids, pos: Tensor, positions, w_q: Tensor, enc: Tensor, w: Tensor, b: Tensor):
-    """The decoder's hidden rows ``tanh([e, ctx] @ w + b)`` as one node, where ``e`` embeds ``ids`` at
-    ``positions`` and ``ctx`` is ``e @ w_q`` attending over the encoder rows ``enc``, its keys and values."""
-    e, embed_backward = _embed(table.data, ids, pos.data, positions)
-    ctx, attend_backward = _attend(e.dot(w_q.data), enc.data, enc.data)
+def decoder_rows(e: np.ndarray, w_q: np.ndarray, enc: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """The decoder's hidden rows ``tanh([e, ctx] @ w + b)`` for embedded rows ``e``, where ``ctx`` is
+    ``e @ w_q`` attending over the encoder rows ``enc``, its keys and values; and their backward, which
+    maps the rows' gradient to (de, dw_q, denc, dw, db): ``decoder_layer``'s forward and backward, and
+    the beam search's array step (``JointModel.decoder_states``)."""
+    ctx, attend_backward = _attend(e.dot(w_q), enc, enc)
     x = np.concatenate([e, ctx], axis=1)
-    out = np.tanh(x.dot(w.data) + b.data)
+    out = np.tanh(x.dot(w) + b)
 
     def backward(g):
         g = g * (1.0 - out**2)
-        dx = g.dot(w.data.T)
+        dx = g.dot(w.T)
         width = e.shape[1]
         dq, dk, dv = attend_backward(dx[:, width:])
-        d_embed = embed_backward(dx[:, :width] + dq.dot(w_q.data.T))
-        return (*d_embed, e.T.dot(dq), dk + dv, x.T.dot(g), np.add.reduce(g, axis=0))
+        return dx[:, :width] + dq.dot(w_q.T), e.T.dot(dq), dk + dv, x.T.dot(g), np.add.reduce(g, axis=0)
+
+    return out, backward
+
+
+def decoder_layer(table: Tensor, ids, pos: Tensor, w_q: Tensor, enc: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``decoder_rows`` as one node over ``e``, the embeddings of ``ids`` at positions 0 to n - 1."""
+    e, embed_backward = _embed(table.data, ids, pos.data)
+    out, rows_backward = decoder_rows(e, w_q.data, enc.data, w.data, b.data)
+
+    def backward(g):
+        de, *rest = rows_backward(g)
+        return (*embed_backward(de), *rest)
 
     return Tensor._op(out, (table, pos, w_q, enc, w, b), backward)
 
@@ -243,7 +258,7 @@ def decoder_layer(table: Tensor, ids, pos: Tensor, positions, w_q: Tensor, enc: 
 def nlu_layer(table: Tensor, ids, pos: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, w: Tensor, b: Tensor):
     """The NLU rows ``tanh((e + ctx) @ w + b)`` as one node, where ``e`` embeds ``ids`` at positions
     0 to n - 1 and ``ctx`` is self-attention with queries, keys and values ``e @ w_q``, ``e @ w_k``, ``e @ w_v``."""
-    e, embed_backward = _embed(table.data, ids, pos.data, slice(len(ids)))
+    e, embed_backward = _embed(table.data, ids, pos.data)
     ctx, attend_backward = _attend(e.dot(w_q.data), e.dot(w_k.data), e.dot(w_v.data))
     x = e + ctx
     out = np.tanh(x.dot(w.data) + b.data)

@@ -1,18 +1,20 @@
 """Two-step inference: transcript beam search, then slot/intent decoding.
 
 Step one beam-searches subword space for the best transcript under the
-first-order decoder, one batched decoder call per step, with EOS ranked ahead
-of a prefix's extensions on ties, and stops as soon as no live prefix can
-beat or tie the best finished one; only the top-1 hypothesis survives, with
-the decoder rows the search computed for it.  Step two builds its
-``Example`` from the hypothesis's ids with ``JointModel.hypothesis``, cut to
-the longest prefix of words whose NLU subwords fit ``max_positions``, and
-runs ``JointModel.heads`` on it over those rows, the heads training runs
-over the teacher-forced rows, then decodes the intent (argmax) and slot path
-(``JointModel.decode_slots``); it makes no decoder call of its own.  Both
-steps read the model's own parameters under ``autodiff.no_grad()``, so
-decoding records no autodiff graph.  ``decode_corpus`` is the one loop that
-decodes a corpus: ``slu decode`` and the training polls both run it.
+first-order decoder, one ``JointModel.decoder_states`` array step per search
+step, with EOS ranked ahead of a prefix's extensions on ties, and stops as
+soon as no live prefix can beat or tie the best finished one; only the top-1
+hypothesis survives, with the decoder rows the search computed for it.  Step
+two builds its ``Example`` from the hypothesis's ids with
+``JointModel.hypothesis``, cut to the longest prefix of words whose NLU
+subwords fit ``max_positions``, and runs ``JointModel.heads`` on it over
+those rows, the heads training runs over the teacher-forced rows, then
+decodes the intent (argmax) and slot path (``JointModel.decode_slots``); it
+makes no decoder call of its own.  Both steps read the model's own
+parameters: the search's steps on plain arrays, building no ``Tensor``, and
+the encoder and step two's nodes under ``autodiff.no_grad()``, so decoding
+records no autodiff graph.  ``decode_corpus`` is the one loop that decodes a
+corpus: ``slu decode`` and the training polls both run it.
 """
 
 from __future__ import annotations
@@ -53,11 +55,10 @@ def beam_search_transcript(
     """Top-1 subword id sequence (without EOS), its total log-probability and
     its decoder hidden rows, one per step including the EOS step.
 
-    ``enc`` is the output of ``model.encode_features``.  Run under
-    ``no_grad()``, as ``decode_two_step`` does, the search records no graph.
-
-    All live prefixes have the same length, so each step expands them in one
-    batched ``decoder_states`` call.  EOS competes for beam slots like any
+    ``enc`` is the output of ``model.encode_features``.  The search builds no
+    ``Tensor``: all live prefixes have the same length, so each step expands
+    them in one ``decoder_states`` call, the array step, which returns their
+    hidden rows and logits as arrays.  EOS competes for beam slots like any
     other symbol, so beam_size=1 is exactly greedy decoding; prefixes that
     emit EOS retire from the beam, and live prefixes surviving to max_len are
     closed with a forced EOS.  Ties break on the token id tuple: live
@@ -76,6 +77,7 @@ def beam_search_transcript(
     max_len = min(max_len, model.config.max_positions - 1)
     width = model.asr_output_size
     order = _eos_first(width)
+    enc_rows = enc.data  # every step attends over them
     live: list[tuple[int, ...]] = [()]  # in token-tuple order
     live_logp = [0.0]
     prev = [model.bos_id]  # each live prefix's last token
@@ -85,9 +87,8 @@ def beam_search_transcript(
     best = -math.inf  # the best finished log-probability
 
     def logprobs(step: int) -> np.ndarray:
-        hidden, logits = model.decoder_states(prev, [step] * len(prev), enc)
-        trail.append((hidden.data, parents))
-        z = logits.data
+        hidden, z = model.decoder_states(prev, step, enc_rows)
+        trail.append((hidden, parents))
         top = np.maximum.reduce(z, axis=1, keepdims=True)
         z -= np.log(np.add.reduce(np.exp(z - top), axis=1, keepdims=True))
         z -= top
@@ -95,9 +96,10 @@ def beam_search_transcript(
 
     for step in range(max_len):
         scores = (np.array(live_logp)[:, None] + logprobs(step).take(order, axis=1)).ravel()
-        picks = sorted(np.argsort(-scores, kind="stable")[:beam_size].tolist())
+        picks = (-scores).argsort(kind="stable")[:beam_size]
+        picks.sort()
         extended, live_logp, prev, parents = [], [], [], []
-        for pick, logp in zip(picks, scores[picks].tolist()):
+        for pick, logp in zip(picks.tolist(), scores[picks].tolist()):
             row, col = divmod(pick, width)
             if col:
                 extended.append(live[row] + (col - 1,))

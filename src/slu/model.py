@@ -16,7 +16,11 @@ The encoder, the decoder's hidden layer and the NLU layer are one autodiff
 node each (``autodiff.encoder_layer``, ``decoder_layer`` and ``nlu_layer``),
 and so are the word rows both heads read (``autodiff.word_rows``) and the
 intent head (``autodiff.intent_head``), so a speech-branch train step
-records 4 nodes and a joint step 12.
+records 4 nodes and a joint step 12.  The beam search's step,
+``JointModel.decoder_states``, builds no node: it runs the decoder layer's
+forward (``autodiff.decoder_rows``) and the output layer on plain arrays, for
+every live prefix at one position, and on the same rows gives the floats of
+the nodes ``teacher_forced`` builds.
 
 All tensors are float64 so finite-difference gradient checks are meaningful.
 """
@@ -32,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import FeatureConfig
-from .autodiff import Tensor, decoder_layer, encoder_layer, intent_head, linear, nll, nlu_layer, word_rows
+from .autodiff import Tensor, decoder_layer, decoder_rows, encoder_layer, intent_head, linear, nll, nlu_layer, word_rows
 from .crf import crf_nll_t, crf_viterbi
 from .errors import DimensionError, ValidationError, read_config
 from .ioutil import atomic_write_text, read_json
@@ -286,14 +290,16 @@ class JointModel:
         p = self.params
         return encoder_layer(frames, p["asr.enc_w"], p["asr.enc_b"], p["asr.enc_pos"])
 
-    def decoder_states(self, prev_ids: list[int], steps: list[int] | slice, enc: Tensor) -> tuple[Tensor, Tensor]:
-        """Hidden rows (one ``decoder_layer`` node) and logits for decoder steps given previous-token
-        ids; ``steps`` are their positions, as a list or, for positions 0 to n - 1, as ``slice(n)``."""
+    def decoder_states(self, prev_ids: list[int], step: int, enc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The beam search's array step: the hidden rows and the logits of the live prefixes whose
+        last tokens are ``prev_ids``, all at position ``step``, over the encoder rows ``enc``.  It
+        builds no ``Tensor``.  Its floats are those of ``teacher_forced``'s ``decoder_layer`` and
+        ``linear`` nodes on the same rows, bit for bit: ``emb[prev_ids] + pos[step]`` adds the rows
+        that the node's two gathers add, and ``autodiff.decoder_rows`` is the node's forward."""
         p = self.params
-        hidden = decoder_layer(
-            p["asr.emb"], prev_ids, p["asr.dec_pos"], steps, p["asr.attn_q"], enc, p["asr.dec_w"], p["asr.dec_b"]
-        )
-        return hidden, linear(hidden, p["asr.out_w"], p["asr.out_b"])
+        e = p["asr.emb"].data[prev_ids] + p["asr.dec_pos"].data[step]
+        hidden, _ = decoder_rows(e, p["asr.attn_q"].data, enc, p["asr.dec_w"].data, p["asr.dec_b"].data)
+        return hidden, hidden.dot(p["asr.out_w"].data) + p["asr.out_b"].data
 
     def nlu_states(self, ids_b: list[int]) -> Tensor:
         """NLU rows for NLU subword ids: one ``nlu_layer`` node."""
@@ -312,10 +318,15 @@ class JointModel:
         return intent_head(p["ic.sentinel"], hcat, p["ic.w"], p["ic.b"])
 
     def teacher_forced(self, example: Example) -> tuple[Tensor, Tensor]:
-        """Decoder rows and transcript logits with the transcript fed in: all
-        that the speech-branch stages build."""
+        """Decoder rows and transcript logits with the transcript fed in, as the
+        ``encoder_layer``, ``decoder_layer`` and output ``linear`` nodes: all that
+        the speech-branch stages build."""
+        p = self.params
         enc = self.encode_features(example.frames)
-        return self.decoder_states(example.asr_inputs, slice(len(example.asr_inputs)), enc)
+        hidden = decoder_layer(
+            p["asr.emb"], example.asr_inputs, p["asr.dec_pos"], p["asr.attn_q"], enc, p["asr.dec_w"], p["asr.dec_b"]
+        )
+        return hidden, linear(hidden, p["asr.out_w"], p["asr.out_b"])
 
     def heads(self, example: Example, h_dec: Tensor) -> tuple[Tensor, Tensor]:
         """Slot scores and intent logits over decoder rows ``h_dec``: the NLU

@@ -48,9 +48,11 @@ bit on a graph's first backward pass.  ``mean_unfused`` is ``mean`` as a sum nod
 product node, and ``sgd_step_per_param`` the optimizer step as a loop over
 parameters, each the bit-exact reference for the one node or flat-buffer pass
 that replaced it.  ``log_power_features_reference`` (fancy-index framing, one
-mean per ``np.array_split`` band) and ``beam_search_reference`` (``np.roll``
-and numpy bookkeeping on each step's picks) are the same for the strided,
-grouped-mean features and the index-permuted beam step.
+mean per ``np.array_split`` band) and ``beam_search_reference`` (each step
+through the ``decoder_layer`` and ``linear`` nodes, ``decoder_node_step``,
+with ``np.roll`` and numpy bookkeeping on its picks) are the same for the
+strided, grouped-mean features and for the beam search's array step and its
+index-permuted bookkeeping.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from slu.audio import AudioClip, FeatureConfig, MixResult, _mixer
-from slu.autodiff import Tensor, _attend, _embed, _rows, _scatter_rows
+from slu.autodiff import Tensor, _attend, _embed, _rows, _scatter_rows, decoder_layer, linear
 from slu.crf import _check
 from slu.errors import DimensionError, NumericError, ValidationError
 from slu.subword import SubwordVocab, merge_tokens
@@ -307,10 +309,10 @@ def tanh(x: Tensor) -> Tensor:
     return Tensor._op(out_data, (x,), lambda g: (g * (1.0 - out_data**2),))
 
 
-def embed(table: Tensor, ids, pos: Tensor, positions) -> Tensor:
-    """``table[ids] + pos[positions]`` as one node on ``autodiff._embed``, the
+def embed(table: Tensor, ids, pos: Tensor) -> Tensor:
+    """``table[ids] + pos[:n]`` for n ids as one node on ``autodiff._embed``, the
     embedding both attention layers share: ``autodiff.embed`` as it was."""
-    out, backward = _embed(table.data, ids, pos.data, positions)
+    out, backward = _embed(table.data, ids, pos.data)
     return Tensor._op(out, (table, pos), backward)
 
 
@@ -332,11 +334,11 @@ def encoder_layer_unfused(frames: np.ndarray, w: Tensor, b: Tensor, pos: Tensor)
     return tanh(linear_unfused(Tensor(frames), w, b) + gather_rows(pos, slice(frames.shape[0])))
 
 
-def decoder_layer_unfused(table, ids, pos, positions, w_q, enc, w, b) -> Tensor:
+def decoder_layer_unfused(table, ids, pos, w_q, enc, w, b) -> Tensor:
     """``autodiff.decoder_layer`` as two gathers and their ``+``, the query
     matmul, ``attention_unfused`` over ``enc`` as keys and values, concat,
     ``linear_unfused`` and tanh."""
-    emb = gather_rows(table, ids) + gather_rows(pos, positions)
+    emb = gather_rows(table, ids) + gather_rows(pos, slice(len(ids)))
     ctx = attention_unfused(matmul(emb, w_q), enc, enc)
     return tanh(linear_unfused(concat([emb, ctx], axis=1), w, b))
 
@@ -460,8 +462,8 @@ def sgd_step_per_param(params: dict[str, Tensor], velocity: dict[str, np.ndarray
 
 def step_logprobs(model, enc, prev_id: int, step: int) -> np.ndarray:
     """Log-probabilities over the ASR output vocabulary for one decoder step, one row."""
-    _, logits = model.decoder_states([prev_id], [step], enc)
-    row = logits.data[0]
+    _, logits = model.decoder_states([prev_id], step, enc.data)
+    row = logits[0]
     return row - np.log(np.exp(row - row.max()).sum()) - row.max()
 
 
@@ -562,18 +564,40 @@ def log_power_features_reference(clip: AudioClip, config: FeatureConfig = Featur
     return (feats - feats.mean()) / (feats.std() + 1e-8)
 
 
-def beam_search_reference(model, enc: Tensor, beam_size: int, max_len: int = 40) -> tuple[list[int], float]:
-    """``decode.beam_search_transcript`` with its step as numpy bookkeeping (``np.roll``,
-    ``np.divmod`` and boolean masks over the picks): the bit-exact reference for the
-    permuted-column, Python-index step."""
+def position_table(pos: np.ndarray, positions) -> np.ndarray:
+    """The position table whose rows 0 to n - 1, all that ``autodiff._embed`` reads, stand at
+    ``positions``: ``pos`` itself for ``slice(n)``, else its rows at ``positions``, in order."""
+    return pos if isinstance(positions, slice) else pos[positions]
+
+
+def decoder_node_step(model, prev_ids: list[int], step: int, enc: Tensor) -> tuple[Tensor, Tensor]:
+    """One beam step through the nodes ``teacher_forced`` builds: ``decoder_layer`` and the output
+    ``linear`` over the rows whose last tokens are ``prev_ids``, all at position ``step``.  The node
+    reads positions 0 to n - 1 of its table, so the table it is given is ``step``'s row n times."""
+    p = model.params
+    places = Tensor(position_table(p["asr.dec_pos"].data, [step] * len(prev_ids)))
+    hidden = decoder_layer(p["asr.emb"], prev_ids, places, p["asr.attn_q"], enc, p["asr.dec_w"], p["asr.dec_b"])
+    return hidden, linear(hidden, p["asr.out_w"], p["asr.out_b"])
+
+
+def beam_search_reference(
+    model, enc: Tensor, beam_size: int, max_len: int = 40
+) -> tuple[list[int], float, np.ndarray]:
+    """``decode.beam_search_transcript`` with its step as ``decoder_node_step`` and numpy bookkeeping
+    (``np.roll``, ``np.divmod`` and boolean masks over the picks), each prefix carrying its own rows:
+    the bit-exact reference for the array step and the permuted-column, Python-index search."""
     max_len = min(max_len, model.config.max_positions - 1)
     live: list[tuple[int, ...]] = [()]
+    live_rows: list[tuple[np.ndarray, ...]] = [()]
     live_logp = np.zeros(1)
     done: list[tuple[float, tuple[int, ...]]] = []
+    done_rows: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
+    hidden = None
 
     def logprobs(step: int) -> np.ndarray:
+        nonlocal hidden
         prev = [tokens[-1] if tokens else model.bos_id for tokens in live]
-        _, logits = model.decoder_states(prev, [step] * len(live), enc)
+        hidden, logits = decoder_node_step(model, prev, step, enc)
         z = logits.data
         top = z.max(axis=1, keepdims=True)
         return z - np.log(np.exp(z - top).sum(axis=1, keepdims=True)) - top
@@ -582,8 +606,11 @@ def beam_search_reference(model, enc: Tensor, beam_size: int, max_len: int = 40)
         scores = live_logp[:, None] + np.roll(logprobs(step), 1, axis=1)  # column 0 is EOS
         flat = np.sort(np.argsort(-scores.ravel(), kind="stable")[:beam_size])
         rows, cols = np.divmod(flat, scores.shape[1])
-        done += [(-float(scores[r, 0]), live[r]) for r in rows[cols == 0]]
+        for r in rows[cols == 0]:
+            done.append((-float(scores[r, 0]), live[r]))
+            done_rows[live[r]] = live_rows[r] + (hidden.data[r],)
         rows, cols = rows[cols > 0], cols[cols > 0]
+        live_rows = [live_rows[r] + (hidden.data[r],) for r in rows]
         live = [live[r] + (int(c) - 1,) for r, c in zip(rows, cols)]
         live_logp = scores[rows, cols]
         if not live or (done and -min(done)[0] > live_logp.max()):
@@ -591,5 +618,6 @@ def beam_search_reference(model, enc: Tensor, beam_size: int, max_len: int = 40)
     else:
         closed = live_logp + logprobs(max_len)[:, model.eos_id]
         done += [(-float(logp), tokens) for tokens, logp in zip(live, closed)]
+        done_rows.update((tokens, rows + (hidden.data[r],)) for r, (tokens, rows) in enumerate(zip(live, live_rows)))
     neg_logp, tokens = min(done)
-    return list(tokens), -neg_logp
+    return list(tokens), -neg_logp, np.array(done_rows[tokens])

@@ -21,6 +21,7 @@ from model_oracles import (
     nll_rows,
     nll_rows_unfused,
     nll_unfused,
+    position_table,
     reduce_sum,
     reshape,
     softmax_rows,
@@ -29,6 +30,7 @@ from model_oracles import (
     transpose,
 )
 from slu.autodiff import Tensor, intent_head, linear, nll, no_grad, word_rows
+from slu.decode import beam_search_transcript
 from slu.errors import DimensionError, NumericError
 
 
@@ -262,13 +264,13 @@ def test_gather_rows_backward_equals_np_add_at_onto_zeros(indices):
     assert np.array_equal(np.signbit(t.grad), np.signbit(want))
 
 
-def _embed_pair(table, ids, pos, positions, weights):
+def _embed_pair(table, ids, pos, weights):
     """Output and (table, pos) gradients of ``embed`` and of two ``gather_rows``
     nodes and their ``+``, under the upstream gradient ``weights``."""
     results = []
     for fused in (True, False):
         tt, tp = Tensor(table, requires_grad=True), Tensor(pos, requires_grad=True)
-        out = embed(tt, ids, tp, positions) if fused else gather_rows(tt, ids) + gather_rows(tp, positions)
+        out = embed(tt, ids, tp) if fused else gather_rows(tt, ids) + gather_rows(tp, slice(len(ids)))
         reduce_sum(mul(out, weights)).backward()
         results.append((out, tt.grad, tp.grad))
     return results
@@ -286,8 +288,8 @@ EMBED_CASES = [
 @pytest.mark.parametrize("ids, positions", EMBED_CASES, ids=["slice", "repeat-ids", "one", "beam-step", "lists"])
 def test_embed_is_bit_identical_to_two_gathers_and_their_sum(ids, positions):
     rng = np.random.default_rng(22)
-    table, pos = rng.normal(size=(6, 3)), rng.normal(size=(8, 3))
-    (out, *grads), (ref, *ref_grads) = _embed_pair(table, ids, pos, positions, _signed_zero_weights(rng, len(ids)))
+    table, pos = rng.normal(size=(6, 3)), position_table(rng.normal(size=(8, 3)), positions)
+    (out, *grads), (ref, *ref_grads) = _embed_pair(table, ids, pos, _signed_zero_weights(rng, len(ids)))
     assert len(out._parents) == 2  # one node
     assert out.data.tobytes() == ref.data.tobytes()
     for got, want in zip(grads, ref_grads):
@@ -298,17 +300,17 @@ def test_embed_is_bit_identical_to_two_gathers_and_their_sum(ids, positions):
 @pytest.mark.parametrize("ids, positions", EMBED_CASES, ids=["slice", "repeat-ids", "one", "beam-step", "lists"])
 def test_embed_grads(ids, positions):
     rng = np.random.default_rng(23)
-    arrays = {"table": rng.normal(size=(6, 3)), "pos": rng.normal(size=(8, 3))}
+    arrays = {"table": rng.normal(size=(6, 3)), "pos": position_table(rng.normal(size=(8, 3)), positions)}
     weights = rng.normal(size=(len(ids), 3))
-    check_gradients(lambda t: reduce_sum(mul(embed(t["table"], ids, t["pos"], positions), weights)), arrays)
+    check_gradients(lambda t: reduce_sum(mul(embed(t["table"], ids, t["pos"]), weights)), arrays)
 
 
 def test_embed_rejects_row_counts_that_differ():
     table, pos = Tensor(np.ones((4, 2))), Tensor(np.ones((3, 2)))
     with pytest.raises(DimensionError):
-        embed(table, [0, 1], pos, slice(3))
+        embed(table, [0] * 4, pos)  # past the last position
     with pytest.raises(DimensionError):
-        embed(table, [0], pos, [0, 1])  # one row would broadcast
+        embed(table, [0, 1], Tensor(np.ones((1, 2))))  # one row would broadcast
 
 
 MEAN_CASES = [(axis, keepdims) for axis in (None, 0, 1) for keepdims in (False, True)]
@@ -649,15 +651,16 @@ def _count_tensors(monkeypatch) -> list[Tensor]:
     return built
 
 
-def test_a_beam_step_constructs_two_tensors(monkeypatch):
-    # one decoder_states call under no_grad(): the decoder layer's rows and the output linear's logits
+def test_a_beam_search_constructs_no_tensor(monkeypatch):
+    # every step is decoder_states' array step: hidden rows and logits are arrays, and no node is built
     model = tiny_model(seed=11)
     with no_grad():
         enc = model.encode_features(tiny_features(4))
     built = _count_tensors(monkeypatch)
     with no_grad():
-        hidden, logits = model.decoder_states([model.bos_id, 3, 3], [2] * 3, enc)
-    assert built == [hidden, logits]
+        tokens, _, rows = beam_search_transcript(model, enc, beam_size=3, max_len=8)
+    assert built == []
+    assert len(rows) == len(tokens) + 1 > 1  # a row per step: the search took more than one
 
 
 @pytest.mark.parametrize("slot_head", ["linear", "crf"])

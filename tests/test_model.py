@@ -261,13 +261,16 @@ def _encoder_case(rng, n):
 
 
 def _decoder_case(rng, ids, positions):
+    """The node reads position rows 0 to n - 1, so for a list of ``positions`` its table is those
+    rows, in order, as ``decoder_node_step`` feeds a beam step."""
     arrays = {
         "table": rng.normal(size=(7, 3)), "pos": rng.normal(size=(6, 3)), "w_q": rng.normal(size=(3, 3)),
         "enc": rng.normal(size=(5, 3)), "w": rng.normal(size=(6, 3)), "b": rng.normal(size=3),
     }
+    arrays["pos"] = oracles.position_table(arrays["pos"], positions)
 
     def call(op, t):
-        return op(t["table"], ids, t["pos"], positions, t["w_q"], t["enc"], t["w"], t["b"])
+        return op(t["table"], ids, t["pos"], t["w_q"], t["enc"], t["w"], t["b"])
 
     return decoder_layer, oracles.decoder_layer_unfused, arrays, call
 
@@ -359,8 +362,8 @@ def test_layer_nodes_refuse_rows_that_differ_instead_of_broadcasting():
     t = {name: Tensor(a) for name, a in _decoder_case(rng, [0], [0])[2].items()}
     w_in, one_position = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(1, 3)))
 
-    def decoder(ids, positions):
-        return decoder_layer(t["table"], ids, t["pos"], positions, t["w_q"], t["enc"], t["w"], t["b"])
+    def decoder(ids, pos):
+        return decoder_layer(t["table"], ids, pos, t["w_q"], t["enc"], t["w"], t["b"])
 
     def nlu(ids, pos):
         return nlu_layer(t["table"], ids, pos, t["w_q"], t["w_q"], t["w_q"], t["w_q"], t["b"])
@@ -368,9 +371,8 @@ def test_layer_nodes_refuse_rows_that_differ_instead_of_broadcasting():
     cases = [
         lambda: encoder_layer(rng.normal(size=(7, 4)), w_in, t["b"], t["pos"]),  # past the last position
         lambda: encoder_layer(rng.normal(size=(2, 4)), w_in, t["b"], one_position),  # one row would broadcast
-        lambda: decoder([0, 1], slice(3)),
-        lambda: decoder([0], [0, 1]),  # one row would broadcast
-        lambda: decoder([0] * 7, slice(7)),  # past the last position
+        lambda: decoder([0] * 7, t["pos"]),  # past the last position
+        lambda: decoder([0, 1], one_position),  # one row would broadcast
         lambda: nlu([0] * 7, t["pos"]),  # past the last position
         lambda: nlu([0, 1], one_position),  # one row would broadcast
     ]
@@ -385,8 +387,12 @@ def test_the_model_layers_refuse_more_rows_than_max_positions():
     with pytest.raises(DimensionError):
         model.encode_features(tiny_features(frames=limit + 1))
     enc = model.encode_features(tiny_features(frames=limit))
-    with pytest.raises(DimensionError):
-        model.decoder_states([model.bos_id] * (limit + 1), slice(limit + 1), enc)
+    p = model.params
+    with pytest.raises(DimensionError):  # the node teacher_forced builds
+        decoder_layer(
+            p["asr.emb"], [model.bos_id] * (limit + 1), p["asr.dec_pos"], p["asr.attn_q"], enc,
+            p["asr.dec_w"], p["asr.dec_b"],
+        )
     with pytest.raises(DimensionError):
         model.nlu_states([0] * (limit + 1))
 
@@ -429,13 +435,18 @@ def test_a_one_row_decoder_states_call_is_bit_identical_to_its_composition(monke
         if composed:
             _compose(monkeypatch)
         model.zero_grads()
-        enc = Tensor(enc_rows, requires_grad=True)
-        hidden, logits = model.decoder_states([model.bos_id], [0], enc)
+        enc, p = Tensor(enc_rows, requires_grad=True), model.params
+        hidden = slu.model.decoder_layer(  # teacher_forced's nodes at the beam's first step: position 0
+            p["asr.emb"], [model.bos_id], p["asr.dec_pos"], p["asr.attn_q"], enc, p["asr.dec_w"], p["asr.dec_b"]
+        )
+        logits = slu.model.linear(hidden, p["asr.out_w"], p["asr.out_b"])
         assert hidden.shape == (1, 16)
         reduce_sum(mul(logits, np.random.default_rng(1).normal(size=logits.shape))).backward()
         results.append((hidden.data.tobytes(), logits.data.tobytes(), enc.grad.tobytes(), _grad_bytes(model)))
     assert results[0] == results[1]
     assert results[0][3]["asr.attn_q"] is not None  # the gradient reached the attention's query weights
+    hidden, logits = model.decoder_states([model.bos_id], 0, enc_rows)  # the beam's array step: the same floats
+    assert (hidden.tobytes(), logits.tobytes()) == results[0][:2]
 
 
 @pytest.mark.parametrize("stop_asr_grad", [False, True], ids=["e2e", "two_stage"])
